@@ -1,4 +1,4 @@
-"""Repository benchmark: four workloads, end-to-end metrics, a traced layer table.
+"""Repository benchmark: three workloads, end-to-end metrics, a traced layer table.
 
 Usage (from the repository root)::
 
@@ -7,10 +7,10 @@ Usage (from the repository root)::
 ``--trace 0`` measures untraced passes for ``--seconds`` seconds and prints
 every end-to-end metric.  ``--trace 1`` spends half the time on untraced
 passes and half on passes under :class:`tracer.Tracer`, and prints every
-per-layer metric (per pass) plus the tracing overhead; the layer table's
-self times must add up to ``sim.cosim.run_s``.  Either way the last line of
-standard output is one JSON object with keys ``correct``, ``attempted``,
-``failed`` and ``metrics``.  Each run also writes a result file (with the
+per-layer metric (per pass) plus the tracing overhead; the table rows that
+make up a simulation call must add up to ``sim.cosim.run_s``.  Either way
+the last line of standard output is one JSON object with keys ``correct``,
+``attempted``, ``failed`` and ``metrics``.  Each run also writes a result file (with the
 run's conditions) under ``perfbench/results/`` and appends it to
 ``perfbench/results/history.jsonl``; traced runs write their spans there.
 
@@ -46,8 +46,9 @@ END_TO_END = {
 }
 
 #: name -> unit of every per-layer metric (printed with ``--trace 1``);
-#: all are per pass unless they are ratios, and times are in reference-host
-#: seconds (scaled by the traced phase's mean host-speed factor).
+#: all are per pass (``sim.distrib.*``: per distributed run) unless they are
+#: ratios, and times are in reference-host seconds (scaled by the traced
+#: phase's mean host-speed factor).
 PER_LAYER = {
     "apps.build_s": "s",
     "sim.cosim.init_s": "s",
@@ -80,7 +81,6 @@ PER_LAYER = {
     "sim.distrib.members": "count",
     "sim.distrib.records": "count",
     "sim.distrib.words": "count",
-    "sim.distrib.full_retries": "count",
     "platform.channel.messages": "count",
     "platform.channel.words": "count",
     "platform.channel.credit_stalls": "count",
@@ -103,9 +103,8 @@ def per_layer(totals, extra, passes, traced, untraced):
 
     out = {}
     for layer in tracing.LAYERS:
-        if layer not in tracing.RUN_LAYERS:
-            out[f"{layer}_s"] = per_pass(totals[f"{layer}.self_s"])
-    out["sim.cosim.run_s"] = per_pass(totals["run.incl_s"])
+        out[f"{layer}_s"] = per_pass(totals[f"{layer}.self_s"])
+    out["sim.cosim.run_s"] = per_pass(totals["sim.cosim.run.incl_s"])
     out["sim.cosim.loop_self_s"] = per_pass(totals["sim.cosim.run.self_s"])
     for engine in ("swsim", "hwsim"):
         spans = totals[f"sim.{engine}.step.spans"]
@@ -120,60 +119,67 @@ def per_layer(totals, extra, passes, traced, untraced):
     out["core.kernelcompile.cache_lookups"] = per_pass(lookups)
     for key in ("core.fixedpoint.boxed", "core.pycodegen.modules", "codegen.artifact_bytes"):
         out[key] = per_pass(totals.get(key, 0))
+    runs = extra.get("sim.distrib.runs", 0)
     for key in PER_LAYER:
-        if key.startswith(("sim.distrib.", "platform.channel.")):
+        if key.startswith("sim.distrib."):  # per distributed run
+            out[key] = safe_ratio(extra.get(key, 0), runs)
+        elif key.startswith("platform.channel."):
             out[key] = per_pass(extra.get(key, 0))
     out["trace.overhead_ratio"] = safe_ratio(
         traced.end_to_end()["run_s_p50"], untraced.end_to_end()["run_s_p50"]
     )
-    out["trace.reconcile_gap"] = tracing.reconcile(totals)
+    out["trace.reconcile_gap"] = tracing.reconcile(
+        out["sim.cosim.run_s"],
+        [out["sim.cosim.loop_self_s"]] + [out[f"{layer}_s"] for layer in tracing.RUN_PARTS],
+    )
     # Layer times in reference-host seconds, like the end-to-end times.
     scale = traced.host_time()["scale_mean"]
     return {key: out[key] * scale if PER_LAYER[key] == "s" else out[key] for key in PER_LAYER}
 
 
 def layer_table(name, totals, extra, passes) -> str:
-    """Human-readable per-layer self times (seconds per pass)."""
+    """Human-readable per-layer self times (host seconds per pass)."""
     from repro.sim.serve import safe_ratio
 
     import tracer as tracing
 
-    run = safe_ratio(totals["run.incl_s"], passes)
-    traced = sum(totals[f"{layer}.self_s"] for layer in tracing.LAYERS)
+    run = safe_ratio(totals["sim.cosim.run.incl_s"], passes)
     lines = [
         f"layer table: {name}, {passes} traced pass(es); self host seconds and spans per pass,",
-        "share of all traced self time (distrib rows: share of the distributed run)",
+        "share of sim.cosim.run (rows marked * make it up, with the run's own self time)",
         f"{'layer':<34} {'self s/pass':>12} {'spans/pass':>11} {'share':>7}",
     ]
+    rows = []
     for layer in tracing.LAYERS:
-        seconds = totals[f"{layer}.self_s"]
+        seconds = safe_ratio(totals[f"{layer}.self_s"], passes)
+        mark = ""
+        if layer == "sim.cosim.run" or layer in tracing.RUN_PARTS:
+            rows.append(seconds)
+            mark = " *"
         lines.append(
-            f"{layer:<34} {safe_ratio(seconds, passes):>12.6f} "
+            f"{layer + mark:<34} {seconds:>12.6f} "
             f"{safe_ratio(totals[f'{layer}.spans'], passes):>11.1f} "
-            f"{safe_ratio(seconds, traced):>6.1%}"
-        )
-    for key in ("sim.distrib.member_wall_s", "sim.distrib.dispatch_s"):
-        seconds = safe_ratio(extra.get(key, 0.0), passes)
-        lines.append(
-            f"{key[:-2] + ' (report)':<34} {seconds:>12.6f} {'-':>11} "
             f"{safe_ratio(seconds, run):>6.1%}"
         )
+    runs = extra.get("sim.distrib.runs", 0)
+    for key in ("sim.distrib.member_wall_s", "sim.distrib.dispatch_s"):
+        seconds = safe_ratio(extra.get(key, 0.0), runs)
+        lines.append(f"{key[:-2] + ' (per run)':<34} {seconds:>12.6f} {'-':>11} {'-':>7}")
     lines.append(
-        f"run span total {run:.6f} s/pass; self times inside run spans "
-        f"{safe_ratio(totals['run.self_sum_s'], passes):.6f} s/pass; "
-        f"gap {tracing.reconcile(totals):.2e} (tolerance {tracing.RECONCILE_TOLERANCE})"
+        f"sim.cosim.run spans {run:.6f} s/pass; rows marked * {sum(rows):.6f} s/pass; "
+        f"gap {tracing.reconcile(run, rows):.2e} (tolerance {tracing.RECONCILE_TOLERANCE})"
     )
     return "\n".join(lines)
 
 
-def trace_problems(workload, totals) -> list:
+def trace_problems(workload, totals, metrics) -> list:
     """Reconciliation and layer-coverage problems of a traced phase."""
     import tracer as tracing
 
     problems = []
-    gap = tracing.reconcile(totals)
+    gap = metrics["trace.reconcile_gap"]
     if gap > tracing.RECONCILE_TOLERANCE:
-        problems.append(f"layer self times miss the run time by {gap:.2%}")
+        problems.append(f"layer table rows miss sim.cosim.run_s by {gap:.2%}")
     for layer in tracing.LAYERS:
         if f"{layer}.spans" not in totals:
             problems.append(f"layer {layer} missing from the table")
@@ -250,7 +256,7 @@ def main(argv=None) -> int:
                 f"tracing overhead: traced run_s_p50 / untraced run_s_p50 = "
                 f"{metrics['trace.overhead_ratio']:.3f}"
             )
-            problems = trace_problems(workload, totals)
+            problems = trace_problems(workload, totals, metrics)
 
     attempted = sum(r.attempted for r in records)
     failed = sum(r.failed for r in records)
@@ -273,6 +279,7 @@ def main(argv=None) -> int:
         "host_time": records[-1].host_time(),
         "conditions": common.conditions(workload.memo, workload.regime),
         "inputs": workload.seeds,
+        "extra": records[-1].extra,
         "attempted": attempted,
         "failed": failed,
         "failed_frac": safe_ratio(failed, attempted),

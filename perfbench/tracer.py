@@ -29,11 +29,16 @@ Layers (span names) and the entry points that open them:
 Boxing helpers (``from_wrapped_raw``, ``box_fixed_vector``,
 ``box_complex_vector``) are counted, not timed, in every namespace that
 binds them.  A call into a layer from inside the same layer opens no new
-span, so nested kernel or generator calls are counted once.
+span, so nested kernel or generator calls are counted once; nor does a
+``CosimFabric.read`` made by a done predicate, which is done-predicate
+time.
 
 A layer's self time is its span's duration minus the durations of its
-direct children; self times of a run span's subtree therefore add up to
-the run span's duration, which :func:`reconcile` checks.
+direct children.  :func:`reconcile` checks that the layer table adds up:
+the per-layer self times of :data:`RUN_PARTS` plus the run's own self time
+must equal the summed duration of the ``sim.cosim.run`` spans.  That fails
+when a part layer also runs outside simulation calls, or another layer
+runs inside them, so the printed parts no longer make up the run time.
 """
 
 from __future__ import annotations
@@ -67,8 +72,16 @@ LAYERS = (
 
 LAYER_CODE = {name: code for code, name in enumerate(LAYERS)}
 
-#: Spans whose subtree is one simulation call (the reconciliation roots).
-RUN_LAYERS = ("sim.cosim.run", "sim.distrib.run")
+#: Layers that run inside ``sim.cosim.run`` spans and make up their time,
+#: together with the run's own self time (``sim.cosim.loop_self_s``).
+RUN_PARTS = (
+    "sim.swsim.step",
+    "sim.hwsim.step",
+    "sim.cosim.done",
+    "platform.marshal.encode",
+    "platform.marshal.decode",
+    "apps.kernels.call",
+)
 
 VORBIS_KERNELS = (
     "gen_frame",
@@ -161,13 +174,18 @@ class Tracer:
 
     # -- wrappers ------------------------------------------------------------
 
-    def wrap(self, layer: str, fn: Callable, flag: Callable[[Any], int] = None) -> Callable:
+    def wrap(
+        self, layer: str, fn: Callable, flag: Callable[[Any], int] = None, within: tuple = ()
+    ) -> Callable:
         """Wrap ``fn`` so each call records a ``layer`` span.
 
         ``flag`` maps the call's return value to the span's flag (engine
-        steps record whether they made progress).
+        steps record whether they made progress).  A call made directly
+        inside a span of ``layer`` itself or of a layer in ``within`` opens
+        no span, so its time stays with that caller.
         """
         code = LAYER_CODE[layer]
+        quiet = {code} | {LAYER_CODE[name] for name in within}
         spans = self.spans
         layers, starts, ends = spans.layer, spans.start, spans.end
         parents, rids, flags = spans.parent, spans.rid, spans.flag
@@ -176,7 +194,7 @@ class Tracer:
         tracer = self
 
         def traced(*args, **kwargs):
-            if stack and layers[stack[-1]] == code:
+            if stack and layers[stack[-1]] in quiet:
                 return fn(*args, **kwargs)
             index = len(layers)
             layers.append(code)
@@ -264,7 +282,12 @@ class Tracer:
             return wrapped_run(fabric, tracer.wrap("sim.cosim.done", done), *args, **kwargs)
 
         self._set(CosimFabric, "run", run)
-        self._set(CosimFabric, "read", self.wrap("sim.cosim.read", CosimFabric.read))
+        # Done predicates read registers: that is done-predicate time.
+        self._set(
+            CosimFabric,
+            "read",
+            self.wrap("sim.cosim.read", CosimFabric.read, within=("sim.cosim.done",)),
+        )
         self._set(CosimFabric, "write", self.wrap("sim.cosim.write", CosimFabric.write))
         self._set(FabricServer, "reset", self.wrap("sim.serve.restore", FabricServer.reset))
 
@@ -381,44 +404,34 @@ def paused(tracer: "Tracer | None"):
 def totals(tracer: Tracer) -> Dict[str, float]:
     """Additive per-layer totals of one tracer's spans and counts.
 
-    Keys: ``<layer>.self_s`` and ``<layer>.spans`` for every layer,
-    ``<layer>.progress`` (spans whose flag was set), ``run.incl_s`` (summed
-    duration of the reconciliation roots), ``run.self_sum_s`` (summed self
-    time of every span inside a root's subtree) and the count-only events.
+    Keys: ``<layer>.self_s``, ``<layer>.incl_s`` (summed span durations),
+    ``<layer>.spans`` and ``<layer>.progress`` (spans whose flag was set)
+    for every layer, and the count-only events.
     """
     first, counts_at_mark = tracer._mark
     spans = tracer.spans
     layers, starts, ends = spans.layer, spans.start, spans.end
     parents, flags = spans.parent, spans.flag
-    n = len(layers)
-    self_time = array("d", (ends[i] - starts[i] for i in range(n)))
-    in_run = bytearray(n)
-    incl = 0.0
-    run_codes = {LAYER_CODE[name] for name in RUN_LAYERS}
+    self_sum = [0.0] * len(LAYERS)
+    incl_sum = [0.0] * len(LAYERS)
     span_count = [0] * len(LAYERS)
     progress = [0] * len(LAYERS)
-    for i in range(first, n):
+    for i in range(first, len(layers)):
         code = layers[i]
+        duration = ends[i] - starts[i]
+        self_sum[code] += duration
+        incl_sum[code] += duration
         # Spans after the mark never have a parent before it: the mark is
         # taken between passes, with no span open.
         parent = parents[i]
         if parent >= 0:
-            self_time[parent] -= ends[i] - starts[i]
-            in_run[i] = in_run[parent]
-        if code in run_codes and not in_run[i]:
-            in_run[i] = 1
-            incl += ends[i] - starts[i]
+            self_sum[layers[parent]] -= duration
         span_count[code] += 1
         progress[code] += flags[i]
-    self_sum = [0.0] * len(LAYERS)
-    in_run_sum = 0.0
-    for i in range(first, n):
-        self_sum[layers[i]] += self_time[i]
-        if in_run[i]:
-            in_run_sum += self_time[i]
-    out: Dict[str, float] = {"run.incl_s": incl, "run.self_sum_s": in_run_sum}
+    out: Dict[str, float] = {}
     for code, layer in enumerate(LAYERS):
         out[f"{layer}.self_s"] = self_sum[code]
+        out[f"{layer}.incl_s"] = incl_sum[code]
         out[f"{layer}.spans"] = span_count[code]
         out[f"{layer}.progress"] = progress[code]
     for key, value in tracer.counts.items():
@@ -431,13 +444,15 @@ def add_totals(into: Dict[str, float], other: Dict[str, float]) -> None:
         into[key] = into.get(key, 0) + value
 
 
-#: Allowed relative gap between a run span's duration and the summed self
-#: times of its subtree (they differ only by floating-point rounding).
+#: Allowed relative gap between the run time and the layer-table rows that
+#: should make it up; a few part-layer calls outside runs (kernels a
+#: builder calls) stay well below it.
 RECONCILE_TOLERANCE = 0.01
 
 
-def reconcile(total: Dict[str, float]) -> float:
-    """Relative gap between run time and the self times that make it up."""
+def reconcile(run_s: float, rows_s: List[float]) -> float:
+    """Relative gap between ``sim.cosim.run_s`` and the printed table rows
+    that make it up: ``sim.cosim.loop_self_s`` and those of :data:`RUN_PARTS`."""
     from repro.sim.serve import safe_ratio
 
-    return safe_ratio(abs(total["run.incl_s"] - total["run.self_sum_s"]), total["run.incl_s"])
+    return safe_ratio(abs(run_s - sum(rows_s)), run_s)
