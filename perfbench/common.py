@@ -160,6 +160,45 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _child_pids() -> List[int]:
+    """Live child processes of this process (Linux ``/proc``; else none)."""
+    me = os.getpid()
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = entry.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == me:
+            pids.append(int(entry.parent.name))
+    return pids
+
+
+def stop_children() -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The distributed leg's ``shm`` carrier uses ``multiprocessing.shared_memory``,
+    which starts a resource-tracker process that would otherwise outlive the
+    run until it noticed its parent was gone.  Its members and the cold
+    sweep's interpreters are joined where they start; anything still left
+    (after an exception, say) is terminated and reaped here.
+    """
+    import multiprocessing
+    import signal
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join()
+    resource_tracker._resource_tracker._stop()
+    for pid in _child_pids():
+        try:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        except (ChildProcessError, ProcessLookupError):
+            pass
+
+
 def _git_commit() -> str:
     head = ROOT / ".git" / "HEAD"
     if not head.is_file():

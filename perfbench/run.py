@@ -315,4 +315,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+    finally:
+        common.stop_children()
+    raise SystemExit(code)
