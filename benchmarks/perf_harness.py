@@ -83,6 +83,7 @@ from repro.apps.raytracer.params import RayTracerParams
 from repro.apps.vorbis import partitions as vorbis_partitions
 from repro.apps.vorbis.params import VorbisParams
 from repro.sim.cosim import CosimFabric, Cosimulator
+from repro.sim.serve import safe_ratio
 from repro.sim.shard import SweepTask, run_sweep
 
 BACKENDS = ("interp", "compiled", "source")
@@ -229,11 +230,31 @@ def measure(workload, backend: str, repeats: int, is_fabric: bool = False, trans
         "wall_seconds": best,
         "compile_seconds": max(0.0, first - best),
         "firings": firings,
-        "firings_per_sec": firings / best if best > 0 else float("inf"),
+        "firings_per_sec": safe_ratio(firings, best),
         "fpga_cycles": result.fpga_cycles,
         "completed": result.completed,
         "result": asdict(result),
     }
+
+
+def source_speedups(bench, names):
+    """Summed wall seconds per backend, and the ``interp`` and ``compiled``
+    wall times over ``source`` per workload and for the ``TOTAL``."""
+    seconds = {
+        backend: [bench[backend][name]["wall_seconds"] for name in names] for backend in BACKENDS
+    }
+    total = {backend: sum(seconds[backend]) for backend in BACKENDS}
+    speedups = {
+        name: {
+            backend: safe_ratio(seconds[backend][i], seconds["source"][i])
+            for backend in ("interp", "compiled")
+        }
+        for i, name in enumerate(names)
+    }
+    speedups["TOTAL"] = {
+        backend: safe_ratio(total[backend], total["source"]) for backend in ("interp", "compiled")
+    }
+    return total, speedups
 
 
 def transport_ablation(
@@ -266,7 +287,9 @@ def transport_ablation(
         rows[name] = {
             "interp_transport_seconds": stats["interp"]["wall_seconds"],
             "compiled_transport_seconds": stats["compiled"]["wall_seconds"],
-            "speedup": stats["interp"]["wall_seconds"] / stats["compiled"]["wall_seconds"],
+            "speedup": safe_ratio(
+                stats["interp"]["wall_seconds"], stats["compiled"]["wall_seconds"]
+            ),
             "channel_messages": stats["compiled"]["result"]["channel_messages"],
         }
     return rows
@@ -320,9 +343,9 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
             "elements": moved,
             "interp_seconds": timings["interp"],
             "compiled_seconds": timings["compiled"],
-            "interp_elements_per_sec": moved / timings["interp"],
-            "compiled_elements_per_sec": moved / timings["compiled"],
-            "speedup": timings["interp"] / timings["compiled"],
+            "interp_elements_per_sec": safe_ratio(moved, timings["interp"]),
+            "compiled_elements_per_sec": safe_ratio(moved, timings["compiled"]),
+            "speedup": safe_ratio(timings["interp"], timings["compiled"]),
         }
     return rows
 
@@ -406,7 +429,7 @@ def kernel_microbench(size: str) -> Dict[str, Any]:
                     raise SystemExit(f"kernel backend mismatch on {name} ({backend})")
             row = {f"{backend}_seconds": timings[backend] for backend in backends}
             for backend in backends[1:]:
-                row[f"{backend}_speedup"] = timings["oracle"] / timings[backend]
+                row[f"{backend}_speedup"] = safe_ratio(timings["oracle"], timings[backend])
             rows[name] = row
 
     # Fused frame marshal vs. the reference pack/unpack (one audio frame).
@@ -432,7 +455,7 @@ def kernel_microbench(size: str) -> Dict[str, Any]:
     rows["frame_marshal"] = {
         "reference_seconds": ref_s,
         "fused_seconds": fused_s,
-        "fused_speedup": ref_s / fused_s,
+        "fused_speedup": safe_ratio(ref_s, fused_s),
     }
     return rows
 
@@ -514,7 +537,7 @@ def grouped_execution(size: str, repeats: int, processes: int = 2) -> Dict[str, 
         rows[backend] = {
             "lockstep_seconds": lock_seconds,
             "grouped_seconds": grouped_seconds,
-            "grouped_speedup_vs_lockstep": lock_seconds / grouped_seconds,
+            "grouped_speedup_vs_lockstep": safe_ratio(lock_seconds, grouped_seconds),
         }
     for backend in BACKENDS[1:]:
         if asdict(grouped_results["interp"]) != asdict(grouped_results[backend]):
@@ -531,8 +554,8 @@ def grouped_execution(size: str, repeats: int, processes: int = 2) -> Dict[str, 
         )
     rows["fpga_cycles"] = grouped_results["compiled"].fpga_cycles
     rows["process_seconds"] = process_seconds
-    rows["process_speedup_vs_grouped"] = (
-        rows["compiled"]["grouped_seconds"] / process_seconds
+    rows["process_speedup_vs_grouped"] = safe_ratio(
+        rows["compiled"]["grouped_seconds"], process_seconds
     )
     rows["cpus"] = os.cpu_count() or 1
     return rows
@@ -629,7 +652,7 @@ def distributed_execution(size: str, repeats: int, processes: int = 2) -> Dict[s
                 )
             row[carrier] = {
                 "seconds": dist_seconds,
-                "speedup_vs_grouped": grouped_seconds / dist_seconds,
+                "speedup_vs_grouped": safe_ratio(grouped_seconds, dist_seconds),
                 "workers": report.processes,
                 "records": report.data_plane["records"],
                 "words": report.data_plane["words"],
@@ -665,7 +688,7 @@ def serving_benchmark(size: str) -> Dict[str, Any]:
     repo's first latency metrics, since throughput-only numbers hide the
     tail that snapshot restore could add.
     """
-    from repro.sim.serve import FabricServer, ServingStats, safe_ratio, serve_fresh
+    from repro.sim.serve import FabricServer, ServingStats, serve_fresh
 
     config = SERVING[size]
     params = config["params"]
@@ -801,27 +824,22 @@ def main(argv=None) -> int:
     print("\n=== Figure 13 workloads (+ multi-domain fabric): interp vs. compiled vs. source ===")
     print(header)
     print("-" * len(header))
-    total = {backend: 0.0 for backend in BACKENDS}
-    src_vs_compiled: Dict[str, float] = {}
-    for name, _, _ in workloads:
-        ti = bench["interp"][name]["wall_seconds"]
-        tc = bench["compiled"][name]["wall_seconds"]
-        ts = bench["source"][name]["wall_seconds"]
-        total["interp"] += ti
-        total["compiled"] += tc
-        total["source"] += ts
-        src_vs_compiled[name] = tc / ts if ts > 0 else float("inf")
+    names = [name for name, _, _ in workloads]
+    total, speedups = source_speedups(bench, names)
+    for name in names:
+        seconds = [bench[backend][name]["wall_seconds"] for backend in BACKENDS]
         print(
-            f"{name:<14} {ti:>11.4f} {tc:>13.4f} {ts:>11.4f} "
-            f"{ti / ts:>7.2f}x {tc / ts:>7.2f}x "
+            f"{name:<14} {seconds[0]:>11.4f} {seconds[1]:>13.4f} {seconds[2]:>11.4f} "
+            f"{speedups[name]['interp']:>7.2f}x {speedups[name]['compiled']:>7.2f}x "
             f"{bench['source'][name]['firings_per_sec']:>18,.0f}"
         )
     print("-" * len(header))
     print(
         f"{'TOTAL':<14} {total['interp']:>11.4f} {total['compiled']:>13.4f} "
-        f"{total['source']:>11.4f} {total['interp'] / total['source']:>7.2f}x "
-        f"{total['compiled'] / total['source']:>7.2f}x"
+        f"{total['source']:>11.4f} {speedups['TOTAL']['interp']:>7.2f}x "
+        f"{speedups['TOTAL']['compiled']:>7.2f}x"
     )
+    src_vs_compiled = {name: speedups[name]["compiled"] for name in names}
     fig13 = [n for n, _, _ in workloads if n.startswith(("vorbis_", "raytracer_"))]
     fast_partitions = sorted(
         (n for n in fig13 if src_vs_compiled[n] >= 1.25),

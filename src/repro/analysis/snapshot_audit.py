@@ -127,6 +127,10 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "directions",
             "_pools",
             "vcs",
+            # Source transport: the generated event loop.  It pre-binds only
+            # identity-stable objects and keeps the clock in a local it
+            # writes back to ``now``, so restore() needs nothing from it.
+            "_loop_gen",
         },
     ),
     SwEngine: _spec(

@@ -29,7 +29,9 @@ generated function with all identity-stable collaborators pre-bound in the
 module namespace, so a quiescent engine is one generated-function call.
 Rebindable engine state (``busy_until``, ``_pending_updates``, counters)
 is always accessed through ``self`` so the snapshot/restore identity
-contract keeps holding.
+contract keeps holding.  One level up, ``generate_group_loop`` unrolls a
+group sub-fabric's event loop over its routes and engines, so an idle
+engine or an empty route costs an inline test instead of a call.
 
 Anything the lowerer cannot confidently translate falls back, per rule, to
 the closure backend (still bitwise identical), so coverage can grow
@@ -102,6 +104,7 @@ __all__ = [
     "generate_hw_step",
     "generate_transport_pump",
     "generate_transport_delivery",
+    "generate_group_loop",
 ]
 
 #: Rule-execution backends the engines accept.
@@ -1579,3 +1582,151 @@ def generate_transport_delivery(
         ]
     module.chunks.append("\n".join(lines) + "\n")
     return module.build().namespace["deliver_due"]
+
+
+# --------------------------------------------------------------------------
+# group sub-fabrics: generated event loop
+# --------------------------------------------------------------------------
+
+
+def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
+    """Generate a group sub-fabric's event loop as one function, ``run``.
+
+    ``run(done, checks, max_cycles, max_iterations)`` is the interpreted
+    ``_GroupFabric.run`` loop with the group's delivery routes, engines and
+    pumps unrolled: the same phase order (done check, deliveries, hardware
+    engines, software engines, pumps, idle skip) and the same float
+    arithmetic.  It makes the same calls, except those the callee would
+    answer with False without changing anything:
+
+    * a delivery whose pool head is not yet due;
+    * a hardware engine with dirty-set scheduling, nothing busy and every
+      rule asleep (the skip still records ``last_cycle_stepped``, as the
+      step does; with nothing busy no rule can be finishing);
+    * a software engine with ``now < busy_until``;
+    * a pump whose producer FIFO is empty;
+    * the step of an engine without rules.
+
+    Engine ``step`` / ``step_cycle`` attributes are read once per run, in
+    the prologue, so wrappers installed after elaboration are the ones
+    called.  ``checks`` (``(mapping, register, minimum)`` triples, or None)
+    replaces the per-iteration ``done(fabric)`` call with inline
+    ``mapping[register] >= minimum`` tests; ``done`` is still called
+    wherever the interpreted loop calls it outside the loop top.  Returns
+    the completion flag; an exhausted budget raises through
+    ``group._budget_exceeded``.  The clock lives in a local and is written
+    back to ``group.now`` on every change.
+    """
+    module = _ModuleBuilder(f"{name}.loop")
+    bind = module.bind
+    module.bindings["_group"] = group
+    module.bindings["_fabric"] = group.fabric
+    prologue: List[str] = []
+    phases: List[str] = []
+    for (direction, _target, _sw), deliver in zip(group.delivery_routes, group.deliver_fns):
+        pool, due = bind(direction.pool, "q"), bind(direction.pool.due, "d")
+        phases += [
+            f"_h = {pool}.head",
+            f"if _h < len({due}) and {due}[_h] <= now and {bind(deliver, 'f')}(now):",
+            "    progress = True",
+        ]
+    for i, engine in enumerate(group.hw_engines):
+        if not engine.rules:
+            continue
+        step = f"_hstep{i}"
+        prologue.append(f"{step} = {bind(engine, 'e')}.step_cycle")
+        if engine._wakeup is not None:
+            phases += [
+                f"if not {bind(engine.busy, 'b')} and "
+                f"{bind(engine._wakeup, 'w')}.n_sleeping == {len(engine.rules)}:",
+                f"    {bind(engine, 'e')}.last_cycle_stepped = now",
+                f"elif {step}(now):",
+                "    progress = True",
+            ]
+        else:
+            phases += [f"if {step}(now):", "    progress = True"]
+    for i, engine in enumerate(group.sw_engines):
+        if not engine.rules:
+            continue
+        step = f"_sstep{i}"
+        prologue.append(f"{step} = {bind(engine, 'e')}.step")
+        phases += [
+            f"if not now < {bind(engine, 'e')}.busy_until and {step}(now):",
+            "    progress = True",
+        ]
+    for (sync, _vc, _engine, producer_store, *_rest), pump in zip(group.routes, group.pump_fns):
+        phases += [
+            f"if {bind(producer_store, 's')}[{bind(sync.data, 'r')}] "
+            f"and {bind(pump, 'f')}(now):",
+            "    progress = True",
+        ]
+    # The idle skip's running minimum visits the candidates in the order
+    # the interpreted loop lists them, so ties resolve identically.
+    scan: List[str] = []
+    for pool in group._pools:
+        p, due = bind(pool, "q"), bind(pool.due, "d")
+        scan += [
+            f"_h = {p}.head",
+            f"if _h < len({due}) and (_nt is None or {due}[_h] < _nt):",
+            f"    _nt = {due}[_h]",
+        ]
+    for engine in group.hw_engines:
+        scan += [
+            f"_t = {bind(engine, 'e')}._next_finish",
+            "if _t is not None and (_nt is None or _t < _nt):",
+            "    _nt = _t",
+        ]
+    for engine in group.sw_engines:
+        e = bind(engine, "e")
+        scan += [
+            f"_t = {e}.busy_until",
+            f"if (now < _t or {e}._pending_updates is not None) "
+            "and (_nt is None or _t < _nt):",
+            "    _nt = _t",
+        ]
+    body = "\n".join(
+        ["def run(done, checks, max_cycles, max_iterations):"]
+        + ["    " + line for line in prologue]
+        + [
+            "    now = _group.now",
+            "    completed = False",
+            "    iterations = 0",
+            "    while now <= max_cycles and iterations < max_iterations:",
+            "        iterations += 1",
+            "        if checks is not None:",
+            "            for _map, _reg, _min in checks:",
+            "                if not _map[_reg] >= _min:",
+            "                    break",
+            "            else:",
+            "                completed = True",
+            "                break",
+            "        elif done is not None and done(_fabric):",
+            "            completed = True",
+            "            break",
+            "        progress = False",
+        ]
+        + ["        " + line for line in phases]
+        + [
+            "        if progress:",
+            "            now += 1.0",
+            "            _group.now = now",
+            "            continue",
+            "        _nt = None",
+        ]
+        + ["        " + line for line in scan]
+        + [
+            "        if _nt is None:",
+            "            completed = True if done is None else done(_fabric)",
+            "            break",
+            "        _t = now + 1.0",
+            "        now = _nt if _nt > _t else _t",
+            "        _group.now = now",
+            "    else:",
+            "        _group._budget_exceeded(done, iterations)",
+            "    if not completed and done is not None:",
+            "        completed = done(_fabric)",
+            "    return completed",
+        ]
+    )
+    module.chunks.append(body + "\n")
+    return module.build()

@@ -59,6 +59,7 @@ from repro.core.domains import HW, SW, Domain, effective_module_domain
 from repro.core.pycodegen import (
     VALID_BACKENDS,
     default_rule_backend,
+    generate_group_loop,
     generate_transport_delivery,
     generate_transport_pump,
 )
@@ -219,6 +220,30 @@ class CosimResult:
         )
 
 
+class ThresholdDone:
+    """Done predicate: every register has reached its minimum (``>=``).
+
+    The shape of :attr:`repro.sim.serve.Request.done_min`.  It reads every
+    register on every evaluation (no short-circuit), the static-read-set
+    contract that lets the reset-state probe attribute the predicate to
+    groups.  A generated group loop recognises it and compares the
+    thresholds inline instead of calling it (:meth:`CosimFabric._threshold_checks`).
+    """
+
+    __slots__ = ("thresholds",)
+
+    def __init__(self, thresholds):
+        #: ``(register, minimum)`` pairs.
+        self.thresholds: Tuple[Tuple[Register, Any], ...] = tuple(thresholds)
+
+    def __call__(self, cosim: "CosimFabric") -> bool:
+        ok = True
+        for reg, minimum in self.thresholds:
+            if not cosim.read(reg) >= minimum:
+                ok = False
+        return ok
+
+
 def _pump_routes_interp(routes, now: float) -> bool:
     """Reference (interpreted) transport pump over a route list.
 
@@ -300,7 +325,11 @@ class _GroupFabric:
 
     :meth:`run` is the fabric's historical event loop verbatim, restricted
     to the group's subsets -- on a single-group design it is *the* loop,
-    bitwise identical to the pre-decomposition fabric.
+    bitwise identical to the pre-decomposition fabric.  Under
+    ``transport="source"`` the loop is generated at elaboration instead
+    (:func:`~repro.core.pycodegen.generate_group_loop`): the same phases
+    and arithmetic, unrolled over the group, skipping only calls that would
+    do nothing; the interpreted loop stays the reference.
     """
 
     def __init__(self, fabric: "CosimFabric", index: int):
@@ -354,11 +383,30 @@ class _GroupFabric:
         self._pools = [d.pool for d in self.directions]
         self.vcs = [vc for vc in fabric.vcs if vc.sync.domain_enq.name in names]
         self.now: float = 0.0
+        self._loop_gen = (
+            generate_group_loop(self, f"{fabric.design.name}.group{index}")
+            if fabric.transport == "source"
+            else None
+        )
 
     def _label(self) -> str:
         if len(self.fabric._groups) == 1:
             return ""
         return f" (group {self.index}: {'+'.join(d.name for d in self.domains)})"
+
+    def _budget_exceeded(self, done, iterations: int) -> None:
+        """Raise the exhausted-budget error (shared by both loops)."""
+        hint = ""
+        if done is not None and len(self.fabric._groups) > 1:
+            hint = (
+                "; a group that never quiesces and terminates only through a "
+                "cross-group done predicate needs scheduler='lockstep'"
+            )
+        raise SimulationError(
+            f"co-simulation of {self.fabric.design.name}{self._label()} exceeded "
+            f"its cycle/iteration budget (now={self.now}, iterations={iterations})"
+            f"{hint}"
+        )
 
     # -- transport (group projection) ---------------------------------------
 
@@ -406,9 +454,18 @@ class _GroupFabric:
         completion.  Otherwise the loop is the historical fabric loop:
         check the predicate, deliver due messages, step hardware engines,
         step software engines, pump the transport, and skip straight to the
-        next scheduled event when a cycle made no progress.
+        next scheduled event when a cycle made no progress.  A generated
+        loop checks a :class:`ThresholdDone` predicate inline.
         """
         fabric = self.fabric
+        if self._loop_gen is not None:
+            checks = (
+                fabric._threshold_checks(done.thresholds)
+                if isinstance(done, ThresholdDone)
+                else None
+            )
+            run = self._loop_gen.namespace["run"]
+            return self.result(run(done, checks, max_cycles, max_iterations))
         completed = False
         iterations = 0
         hw_engines = self.hw_engines
@@ -446,17 +503,7 @@ class _GroupFabric:
                 break
             self.now = max(self.now + 1.0, min(next_times))
         else:
-            hint = ""
-            if done is not None and len(fabric._groups) > 1:
-                hint = (
-                    "; a group that never quiesces and terminates only through a "
-                    "cross-group done predicate needs scheduler='lockstep'"
-                )
-            raise SimulationError(
-                f"co-simulation of {fabric.design.name}{self._label()} exceeded "
-                f"its cycle/iteration budget (now={self.now}, iterations={iterations})"
-                f"{hint}"
-            )
+            self._budget_exceeded(done, iterations)
 
         if not completed and done is not None:
             completed = done(fabric)
@@ -868,13 +915,28 @@ class CosimFabric:
         if overrides is not None and reg.full_name in overrides:
             return overrides[reg.full_name]
         store = self._owner_store.get(reg)
+        if store is None or self._active_group is not None:
+            return self._read_source(reg)[reg]
+        return store[reg]
+
+    def _read_source(self, reg: Register) -> Dict[Register, Any]:
+        """The mapping :meth:`read` answers ``reg`` from under the current
+        group scoping: the owning store, or the reset values while another
+        group runs."""
+        store = self._owner_store.get(reg)
         if store is None:
             store = self._owner_store[reg] = self._resolve_owner(reg)
         active = self._active_group
         if active is not None and self._store_group.get(id(store), active) != active:
             if reg in self._initial_values:
-                return self._initial_values[reg]
-        return store[reg]
+                return self._initial_values
+        return store
+
+    def _threshold_checks(self, thresholds) -> Tuple[Tuple[Dict, Register, Any], ...]:
+        """``(mapping, register, minimum)`` per threshold, resolved once per
+        group run: a generated loop tests ``mapping[register] >= minimum``
+        inline, reading exactly what :meth:`read` would."""
+        return tuple((self._read_source(reg), reg, minimum) for reg, minimum in thresholds)
 
     def fifo_contents(self, fifo: Fifo) -> Tuple[Any, ...]:
         """Contents of a FIFO in the partition that owns it."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.module import Register
-from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator
+from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator, ThresholdDone
 
 
 def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
@@ -180,22 +180,10 @@ class FabricServer:
     def _done_for(self, request: Request) -> Callable[[CosimFabric], bool]:
         if not request.done_min:
             return self.workload.cosim_done
-        thresholds = [
+        return ThresholdDone(
             (self.register(name), request.done_min[name])
             for name in sorted(request.done_min)
-        ]
-
-        def done(cosim) -> bool:
-            # Read every threshold register on every evaluation (no
-            # short-circuit): the static-read-set contract that lets the
-            # reset-state probe attribute the predicate to groups.
-            ok = True
-            for reg, minimum in thresholds:
-                if not cosim.read(reg) >= minimum:
-                    ok = False
-            return ok
-
-        return done
+        )
 
     # -- serving ---------------------------------------------------------------
 

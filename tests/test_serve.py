@@ -11,8 +11,11 @@ state leaks across snapshot resets.
 
 from __future__ import annotations
 
+import importlib.util
+import math
 import random
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -476,3 +479,23 @@ class TestReportGuards:
         assert stats.requests == 3
         assert stats.requests_per_second > 0
         assert 0 < stats.p50_seconds <= stats.p99_seconds
+
+    def test_perf_harness_zero_duration_clock(self, monkeypatch):
+        """A clock that never advances still yields finite harness figures."""
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "perf_harness.py"
+        spec = importlib.util.spec_from_file_location("perf_harness_under_test", path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: 42.0)
+        workload = vp.build_partition("B", PARAMS)
+        bench = {
+            backend: {"vorbis_B": harness.measure(workload, backend, repeats=1)}
+            for backend in harness.BACKENDS
+        }
+        stats = bench["source"]["vorbis_B"]
+        assert stats["wall_seconds"] == 0.0 and stats["firings"] > 0
+        assert stats["firings_per_sec"] == 0.0
+        total, speedups = harness.source_speedups(bench, ["vorbis_B"])
+        assert total == {backend: 0.0 for backend in harness.BACKENDS}
+        ratios = [value for row in speedups.values() for value in row.values()]
+        assert ratios and all(math.isfinite(value) for value in ratios)
