@@ -33,14 +33,14 @@ def run_vorbis_partition(
     config: OptimizationConfig | None = None,
     burst: bool = True,
     platform: Platform | None = None,
-    backend: str = "compiled",
+    backend: str | None = None,
 ) -> CosimResult:
     """Co-simulate one Vorbis partition and return its result.
 
-    ``backend`` selects the execution backend (``"compiled"`` by default --
-    the closure-compiled engines; ``"interp"`` for the tree-walking
-    reference).  Both produce bitwise-identical results, which
-    ``tests/test_compiled_backend.py`` verifies.
+    ``backend`` selects the execution backend (``None`` -- the default,
+    ``"source"`` unless ``REPRO_RULE_BACKEND`` says otherwise; ``"interp"``
+    for the tree-walking reference).  Both produce bitwise-identical
+    results, which ``tests/test_compiled_backend.py`` verifies.
     """
     workload = vorbis_partitions.build_partition(letter, params)
     cosim = Cosimulator(
@@ -57,7 +57,7 @@ def run_raytracer_partition(
     letter: str,
     params: RayTracerParams = RAYTRACER_PARAMS,
     burst: bool = True,
-    backend: str = "compiled",
+    backend: str | None = None,
 ) -> CosimResult:
     """Co-simulate one ray-tracer partition and return its result."""
     tracer = rt_partitions.build_partition(letter, params)

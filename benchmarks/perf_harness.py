@@ -1,53 +1,53 @@
-"""Wall-clock performance harness for the three execution backends.
+"""Wall-clock performance harness for the two execution backends.
 
 Runs the Figure 13 workloads -- every Ogg Vorbis partition (A-F) and every
 ray-tracer partition (A-D) -- plus the multi-domain fabric workload
 (``vorbis_G3``: SW front-end -> HW-imdct/ifft -> HW-window, three engines
 on a routed topology), under the tree-walking reference backend
-(``interp``), the closure-compiled backend with dirty-set scheduling
-(``compiled``) and the source-lowered backend (``source``: one generated
-flat Python module per design, fused engine supersteps -- see
+(``interp``) and the source-lowered backend (``source``: one generated
+flat Python module per design, fused engine supersteps with dirty-set
+scheduling, generated transport routes and group loops -- see
 :mod:`repro.core.pycodegen`), and records per-workload wall-clock seconds,
 rule firings per second and simulated FPGA cycles.
 
 Outputs one JSON file per backend next to this script
-(``BENCH_interp.json``, ``BENCH_compiled.json`` and ``BENCH_source.json``)
-so future PRs have a perf trajectory to regress against, and prints a
-comparison table.  The harness also *verifies* the backends agree: every
-workload's :class:`~repro.sim.cosim.CosimResult` (stores statistics, fire
-counts, channel stats) must be bitwise identical across all three,
-otherwise the run fails.
+(``BENCH_interp.json`` and ``BENCH_source.json``) so future changes have
+a perf trajectory to regress against, and prints a comparison table.  The
+harness also *verifies* the backends agree: every workload's
+:class:`~repro.sim.cosim.CosimResult` (stores statistics, fire counts,
+channel stats) must be bitwise identical across both, otherwise the run
+fails.
 
-Two extra sections ride along:
+Extra sections ride along, all recorded in ``BENCH_source.json``:
 
-* a **transport ablation** (interpreted per-element transport vs. the
-  closure-compiled batch-drain dataplane, rule backend held at
-  ``compiled``), recorded under ``transport_ablation`` in
-  ``BENCH_compiled.json``;
-* an optional **sharded sweep** (``--processes N``): the same workload set
-  fanned across worker processes by :mod:`repro.sim.shard`, reported as
-  sweep wall-clock vs. serial-equivalent compute and recorded under
-  ``sweep`` in ``BENCH_compiled.json``;
-* a **persistent serving** section: a small-frame Vorbis request stream
-  through one resident :class:`~repro.sim.serve.FabricServer`
-  (elaborate once, snapshot/reset per request) vs. the
-  elaborate-per-request baseline, recording sustained requests/sec and
-  p50/p99 request latency under ``serving`` in ``BENCH_compiled.json``;
-* a **grouped execution** section: a multi-group workload (independent
-  Vorbis pipelines in one design, one fabric group each) run three ways --
-  the legacy lockstep loop, the fabric's serially scheduled group
-  sub-fabrics (per-group clocks and idle-skip), and
+* a **dataplane microbenchmark** (``transport_dataplane``): pure transport
+  throughput with no rule engines, the interpreted per-element transport
+  of ``backend="interp"`` against the generated batch-drain routes of
+  ``backend="source"``;
+* a **kernel microbenchmark** (``kernel_microbench``): per-kernel
+  throughput of the foreign-kernel backends, result cache off;
+* an optional **sharded sweep** (``--processes N``, ``sweep``): the same
+  workload set fanned across worker processes by :mod:`repro.sim.shard`,
+  reported as sweep wall-clock vs. serial-equivalent compute;
+* a **persistent serving** section (``serving``): a small-frame Vorbis
+  request stream through one resident
+  :class:`~repro.sim.serve.FabricServer` (elaborate once, snapshot/reset
+  per request) vs. the elaborate-per-request baseline, recording sustained
+  requests/sec and p50/p99 request latency;
+* a **grouped execution** section (``grouped_execution``): a multi-group
+  workload (independent Vorbis pipelines in one design, one fabric group
+  each) run three ways -- the legacy lockstep loop, the fabric's serially
+  scheduled group sub-fabrics (per-group clocks and idle-skip), and
   :func:`repro.sim.shard.run_grouped` fanning the groups of that *single*
-  design across processes -- recorded under ``grouped_execution`` in
-  ``BENCH_compiled.json``.  The serial and process-grouped merged results
+  design across processes.  The serial and process-grouped merged results
   must be bitwise identical (the run fails otherwise) and the lockstep
   baseline must agree on firings, traffic and checksums;
-* a **distributed execution** section: multi-domain (G/H) and multi-group
-  (mg_BC/mg_BCF) workloads run under :func:`repro.sim.distrib.run_distributed`
-  -- groups/domains in long-lived worker processes, cut links as framed
-  wire words over shared-memory rings and socket streams -- against the
-  serial grouped and lockstep schedulers, recorded under ``distributed``
-  in ``BENCH_compiled.json``.  Every distributed result must be bitwise
+* a **distributed execution** section (``distributed``): multi-domain (G/H)
+  and multi-group (mg_BC/mg_BCF) workloads run under
+  :func:`repro.sim.distrib.run_distributed` -- groups/domains in
+  long-lived worker processes, cut links as framed wire words over
+  shared-memory rings and socket streams -- against the serial grouped
+  and lockstep schedulers.  Every distributed result must be bitwise
   identical to the serial grouped run on both carriers.
 
 Usage::
@@ -60,8 +60,8 @@ Timing methodology: each workload's design is elaborated once (both backends
 execute the *same* immutable design, mirroring the paper's compile-once /
 run-many model); the measured quantity is the best of ``--repeats``
 co-simulation runs, which is the standard way to suppress scheduler noise on
-shared machines.  One-time closure-compilation cost is reported separately
-as ``compile_seconds``.
+shared machines.  The first run's extra cost (one-time analysis and code
+generation) is reported separately as ``compile_seconds``.
 """
 
 from __future__ import annotations
@@ -86,18 +86,11 @@ from repro.sim.cosim import CosimFabric, Cosimulator
 from repro.sim.serve import safe_ratio
 from repro.sim.shard import SweepTask, run_sweep
 
-BACKENDS = ("interp", "compiled", "source")
-
-#: The backends whose results are differentially verified against ``interp``.
-FAST_BACKENDS = ("compiled", "source")
+#: ``interp`` is the oracle every ``source`` result is verified against.
+BACKENDS = ("interp", "source")
 
 #: Multi-domain fabric workloads: name -> (builder letter, #domains).
 MULTI_DOMAIN = {"vorbis_G3": "G"}
-
-#: Channel-heavy workloads used for the transport ablation.  ``xfer_stress``
-#: is the dedicated dataplane stressor (deep synchronizers, bursty
-#: producers); the others show the ablation's effect on application mixes.
-TRANSPORT_ABLATION = ("xfer_stress", "vorbis_A", "vorbis_C", "raytracer_B", "vorbis_G3")
 
 #: Figure 13 workload sizes.  ``full`` uses larger inputs than the benchmark
 #: suite's quick defaults so steady-state rule throughput dominates startup
@@ -113,73 +106,6 @@ SIZES = {
         "raytracer": RayTracerParams(n_triangles=96, image_width=5, image_height=5),
     },
 }
-
-
-class TransportStress:
-    """A workload whose run time is dominated by the transport dataplane.
-
-    SW fills a deep synchronizer in bursts (the ``xferSW`` idiom of Section
-    6.3: a ``Loop`` that enqueues until the FIFO is full), HW echoes every
-    element back, SW drains the return FIFO in bursts.  Rule work is a
-    single add per element, so nearly all simulated activity is credit
-    accounting, FIFO draining and message delivery -- exactly what the
-    compiled dataplane lowers to closures, and the worst case for the old
-    per-element tuple re-slicing (queues hundreds of elements deep).
-    """
-
-    def __init__(self, n_items: int = 4096, depth: int = 256):
-        from repro.core.action import Loop, par, seq
-        from repro.core.domains import HW, SW
-        from repro.core.expr import BinOp, Const, RegRead
-        from repro.core.module import Design, Module
-        from repro.core.synchronizers import SyncFifo
-        from repro.core.types import UIntT
-
-        self.n_items = n_items
-        top = Module("top")
-        swm = top.add_submodule(Module("swside", domain=SW))
-        hwm = top.add_submodule(Module("hwside", domain=HW))
-        q_in = top.add_submodule(SyncFifo("q_in", UIntT(32), SW, HW, depth=depth))
-        q_out = top.add_submodule(SyncFifo("q_out", UIntT(32), HW, SW, depth=depth))
-        cnt = swm.add_register("cnt", UIntT(32), 0)
-        acc = swm.add_register("acc", UIntT(32), 0)
-        self.ndone = swm.add_register("ndone", UIntT(32), 0)
-        more = BinOp("<", RegRead(cnt), Const(n_items))
-        swm.add_rule(
-            "burst_produce",
-            Loop(
-                BinOp("&&", q_in.value("notFull"), more),
-                seq(q_in.call("enq", RegRead(cnt)), cnt.write(BinOp("+", RegRead(cnt), Const(1)))),
-                max_iterations=depth + 1,
-            ).when(BinOp("&&", q_in.value("notFull"), more)),
-        )
-        hwm.add_rule(
-            "echo",
-            par(
-                q_out.call("enq", BinOp("+", q_in.value("first"), Const(1))),
-                q_in.call("deq"),
-            ),
-        )
-        swm.add_rule(
-            "burst_collect",
-            Loop(
-                q_out.value("notEmpty"),
-                seq(
-                    acc.write(BinOp("+", RegRead(acc), q_out.value("first"))),
-                    q_out.call("deq"),
-                    self.ndone.write(BinOp("+", RegRead(self.ndone), Const(1))),
-                ),
-                max_iterations=depth + 1,
-            ).when(q_out.value("notEmpty")),
-        )
-        self.design = Design(top, "xfer_stress")
-
-    def cosim_done(self, cosim) -> bool:
-        return cosim.read(self.ndone) >= self.n_items
-
-
-#: Transport-stress sizes (items echoed across the channel and back).
-STRESS_SIZES = {"full": 8192, "quick": 2048}
 
 
 def build_workloads(size: str):
@@ -205,24 +131,24 @@ def build_workloads(size: str):
     return workloads
 
 
-def run_once(workload, backend: str, is_fabric: bool = False, transport=None):
+def run_once(workload, backend: str, is_fabric: bool = False):
     if is_fabric:
-        sim = CosimFabric(workload.design, backend=backend, transport=transport)
+        sim = CosimFabric(workload.design, backend=backend)
     else:
-        sim = Cosimulator(workload.design, backend=backend, transport=transport)
+        sim = Cosimulator(workload.design, backend=backend)
     return sim.run(workload.cosim_done, max_cycles=500_000_000)
 
 
-def measure(workload, backend: str, repeats: int, is_fabric: bool = False, transport=None) -> Dict[str, Any]:
-    # First run pays one-time compilation/analysis for this design+backend.
+def measure(workload, backend: str, repeats: int, is_fabric: bool = False) -> Dict[str, Any]:
+    # First run pays one-time analysis/code generation for this design+backend.
     t0 = time.perf_counter()
-    result = run_once(workload, backend, is_fabric, transport)
+    result = run_once(workload, backend, is_fabric)
     first = time.perf_counter() - t0
 
     best = first
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = run_once(workload, backend, is_fabric, transport)
+        result = run_once(workload, backend, is_fabric)
         best = min(best, time.perf_counter() - t0)
 
     firings = result.sw_firings + result.hw_firings
@@ -238,61 +164,18 @@ def measure(workload, backend: str, repeats: int, is_fabric: bool = False, trans
 
 
 def source_speedups(bench, names):
-    """Summed wall seconds per backend, and the ``interp`` and ``compiled``
-    wall times over ``source`` per workload and for the ``TOTAL``."""
+    """Summed wall seconds per backend, and the ``interp`` wall time over
+    ``source`` per workload and for the ``TOTAL``."""
     seconds = {
         backend: [bench[backend][name]["wall_seconds"] for name in names] for backend in BACKENDS
     }
     total = {backend: sum(seconds[backend]) for backend in BACKENDS}
     speedups = {
-        name: {
-            backend: safe_ratio(seconds[backend][i], seconds["source"][i])
-            for backend in ("interp", "compiled")
-        }
+        name: {"interp": safe_ratio(seconds["interp"][i], seconds["source"][i])}
         for i, name in enumerate(names)
     }
-    speedups["TOTAL"] = {
-        backend: safe_ratio(total[backend], total["source"]) for backend in ("interp", "compiled")
-    }
+    speedups["TOTAL"] = {"interp": safe_ratio(total["interp"], total["source"])}
     return total, speedups
-
-
-def transport_ablation(
-    workloads, repeats: int, size: str, compiled_stats: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Interpreted vs. compiled transport, rule backend held at ``compiled``.
-
-    ``compiled_stats`` (the main loop's per-workload measurements of the
-    compiled backend, whose default transport *is* compiled) is reused as
-    the compiled arm, so only the interpreted-transport arm re-simulates.
-    """
-    by_name = {name: (workload, is_fabric) for name, workload, is_fabric in workloads}
-    by_name["xfer_stress"] = (TransportStress(n_items=STRESS_SIZES[size]), False)
-    rows: Dict[str, Any] = {}
-    for name in TRANSPORT_ABLATION:
-        if name not in by_name:
-            continue
-        workload, is_fabric = by_name[name]
-        stats = {
-            "interp": measure(workload, "compiled", repeats, is_fabric, transport="interp")
-        }
-        if compiled_stats is not None and name in compiled_stats:
-            stats["compiled"] = compiled_stats[name]
-        else:
-            stats["compiled"] = measure(
-                workload, "compiled", repeats, is_fabric, transport="compiled"
-            )
-        if stats["interp"]["result"] != stats["compiled"]["result"]:
-            raise SystemExit(f"transport backends disagree on {name}")
-        rows[name] = {
-            "interp_transport_seconds": stats["interp"]["wall_seconds"],
-            "compiled_transport_seconds": stats["compiled"]["wall_seconds"],
-            "speedup": safe_ratio(
-                stats["interp"]["wall_seconds"], stats["compiled"]["wall_seconds"]
-            ),
-            "channel_messages": stats["compiled"]["result"]["channel_messages"],
-        }
-    return rows
 
 
 def dataplane_microbench(size: str) -> Dict[str, Any]:
@@ -301,11 +184,11 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
     Builds a rule-less two-domain design whose only module is one deep
     synchronizer, then drives pump/deliver directly: refill the producer
     endpoint with a full burst, pump until the burst is across, drain the
-    consumer endpoint (returning credits), repeat.  Both transport modes
-    move exactly the same messages; the measured quantity is elements/sec
-    through the dataplane alone, which is what
-    :func:`repro.core.compile.compile_transport_pump` actually compiled
-    (the end-to-end ablation rows dilute it with rule execution).
+    consumer endpoint (returning credits), repeat.  Both backends move
+    exactly the same messages -- ``interp`` through the interpreted
+    per-element transport, ``source`` through the generated routes of
+    :func:`repro.core.pycodegen.generate_transport_pump` -- and the
+    measured quantity is elements/sec through the dataplane alone.
     """
     from repro.core.domains import HW, SW
     from repro.core.module import Design, Module
@@ -316,12 +199,12 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
     rows: Dict[str, Any] = {}
     for depth in (16, 256, 1024):
         timings: Dict[str, float] = {}
-        for mode in ("interp", "compiled"):
+        for backend in BACKENDS:
             top = Module("top")
             top.add_submodule(Module("swside", domain=SW))
             top.add_submodule(Module("hwside", domain=HW))
             sync = top.add_submodule(SyncFifo("q", UIntT(32), SW, HW, depth=depth))
-            cosim = Cosimulator(Design(top, "dataplane"), backend="compiled", transport=mode)
+            cosim = Cosimulator(Design(top, "dataplane"), backend=backend)
             data = sync.data
             src, dst = cosim.store_sw, cosim.store_hw
             burst = tuple(range(depth))
@@ -337,15 +220,15 @@ def dataplane_microbench(size: str) -> Dict[str, Any]:
                     cosim._deliver_due(now)
                     dst[data] = ()  # consumer drains instantly; credits return
                 moved += depth
-            timings[mode] = time.perf_counter() - t0
+            timings[backend] = time.perf_counter() - t0
             assert cosim.topology.total_messages == moved, "dataplane lost messages"
         rows[f"depth_{depth}"] = {
             "elements": moved,
             "interp_seconds": timings["interp"],
-            "compiled_seconds": timings["compiled"],
+            "source_seconds": timings["source"],
             "interp_elements_per_sec": safe_ratio(moved, timings["interp"]),
-            "compiled_elements_per_sec": safe_ratio(moved, timings["compiled"]),
-            "speedup": safe_ratio(timings["interp"], timings["compiled"]),
+            "source_elements_per_sec": safe_ratio(moved, timings["source"]),
+            "speedup": safe_ratio(timings["interp"], timings["source"]),
         }
     return rows
 
@@ -474,9 +357,9 @@ def grouped_execution(size: str, repeats: int, processes: int = 2) -> Dict[str, 
     Measured for both rule backends: under ``interp`` the win is
     structural (lockstep re-scans every finished group's guards on every
     cycle of the survivors; per-group clocks drop those scans entirely),
-    while under ``compiled`` the dirty-set scheduler already sleeps idle
+    while under ``source`` the dirty-set scheduler already sleeps idle
     groups almost for free and the win is the removed per-iteration
-    cross-group bookkeeping.  The process row reuses the compiled arm;
+    cross-group bookkeeping.  The process row reuses the source arm;
     its wall-clock win materialises on multi-core hosts (pool spawn plus
     CPU contention make it a wash on single-core runners -- the recorded
     numbers say which this was).
@@ -539,23 +422,25 @@ def grouped_execution(size: str, repeats: int, processes: int = 2) -> Dict[str, 
             "grouped_seconds": grouped_seconds,
             "grouped_speedup_vs_lockstep": safe_ratio(lock_seconds, grouped_seconds),
         }
-    for backend in BACKENDS[1:]:
-        if asdict(grouped_results["interp"]) != asdict(grouped_results[backend]):
-            raise SystemExit(f"grouped execution backends disagree ({backend})")
+    if asdict(grouped_results["interp"]) != asdict(grouped_results["source"]):
+        raise SystemExit("grouped execution backends disagree")
 
     process_seconds, process_report = best_of(
         lambda: run_grouped(
-            build_group_partition, args=(letters, params), processes=processes
+            build_group_partition,
+            args=(letters, params),
+            backend="source",
+            processes=processes,
         )
     )
-    if asdict(process_report.result) != asdict(grouped_results["compiled"]):
+    if asdict(process_report.result) != asdict(grouped_results["source"]):
         raise SystemExit(
             "process-grouped merged CosimResult diverged from the serial grouped run"
         )
-    rows["fpga_cycles"] = grouped_results["compiled"].fpga_cycles
+    rows["fpga_cycles"] = grouped_results["source"].fpga_cycles
     rows["process_seconds"] = process_seconds
     rows["process_speedup_vs_grouped"] = safe_ratio(
-        rows["compiled"]["grouped_seconds"], process_seconds
+        rows["source"]["grouped_seconds"], process_seconds
     )
     rows["cpus"] = os.cpu_count() or 1
     return rows
@@ -618,7 +503,7 @@ def distributed_execution(size: str, repeats: int, processes: int = 2) -> Dict[s
 
         def run_scheduler(scheduler):
             workload = builder(letter, params)
-            fabric = CosimFabric(workload.design, backend="compiled")
+            fabric = CosimFabric(workload.design, backend="source")
             return fabric.run(
                 workload.cosim_done, max_cycles=500_000_000, scheduler=scheduler
             )
@@ -639,7 +524,7 @@ def distributed_execution(size: str, repeats: int, processes: int = 2) -> Dict[s
                 lambda: run_distributed(
                     builder,
                     (letter, params),
-                    backend="compiled",
+                    backend="source",
                     placement=placement,
                     carrier=carrier,
                     processes=processes,
@@ -695,7 +580,7 @@ def serving_benchmark(size: str) -> Dict[str, Any]:
     builder = vorbis_partitions.build_partition
     spec = ("B", params)
 
-    server = FabricServer(builder, spec)
+    server = FabricServer(builder, spec, backend="source")
     requests = [
         server.workload.frame_request(params.n_frames - 1, name=f"req{i}")
         for i in range(config["requests"])
@@ -705,7 +590,7 @@ def serving_benchmark(size: str) -> Dict[str, Any]:
     for start in range(params.n_frames):
         probe = requests[start]
         resident = server.serve(probe)
-        fresh = serve_fresh(builder, probe, spec)
+        fresh = serve_fresh(builder, probe, spec, backend="source")
         if asdict(resident.result) != asdict(fresh.result) or resident.outputs != fresh.outputs:
             raise SystemExit(
                 f"serving oracle: resident result for {probe.name} diverged "
@@ -720,7 +605,7 @@ def serving_benchmark(size: str) -> Dict[str, Any]:
     baseline_latencies = []
     for request in requests:
         t1 = time.perf_counter()
-        serve_fresh(builder, request, spec)
+        serve_fresh(builder, request, spec, backend="source")
         baseline_latencies.append(time.perf_counter() - t1)
     baseline = ServingStats(
         requests=len(requests),
@@ -739,7 +624,7 @@ def serving_benchmark(size: str) -> Dict[str, Any]:
     }
 
 
-def sharded_sweep(size: str, processes: int, backend: str = "compiled") -> Dict[str, Any]:
+def sharded_sweep(size: str, processes: int, backend: str = "source") -> Dict[str, Any]:
     """The full workload set fanned across processes by the shard runner."""
     params = SIZES[size]
     tasks = [
@@ -812,70 +697,45 @@ def main(argv=None) -> int:
     for name, workload, is_fabric in workloads:
         for backend in BACKENDS:
             bench[backend][name] = measure(workload, backend, repeats, is_fabric)
-        for backend in FAST_BACKENDS:
-            if bench[backend][name]["result"] != bench["interp"][name]["result"]:
-                mismatches.append(f"{name}:{backend}")
+        if bench["source"][name]["result"] != bench["interp"][name]["result"]:
+            mismatches.append(name)
 
     # -- report ------------------------------------------------------------
     header = (
-        f"{'workload':<14} {'interp (s)':>11} {'compiled (s)':>13} {'source (s)':>11} "
-        f"{'src/int':>8} {'src/cmp':>8} {'firings/s (source)':>19}"
+        f"{'workload':<14} {'interp (s)':>11} {'source (s)':>11} "
+        f"{'src/int':>8} {'firings/s (source)':>19}"
     )
-    print("\n=== Figure 13 workloads (+ multi-domain fabric): interp vs. compiled vs. source ===")
+    print("\n=== Figure 13 workloads (+ multi-domain fabric): interp vs. source ===")
     print(header)
     print("-" * len(header))
     names = [name for name, _, _ in workloads]
     total, speedups = source_speedups(bench, names)
     for name in names:
-        seconds = [bench[backend][name]["wall_seconds"] for backend in BACKENDS]
         print(
-            f"{name:<14} {seconds[0]:>11.4f} {seconds[1]:>13.4f} {seconds[2]:>11.4f} "
-            f"{speedups[name]['interp']:>7.2f}x {speedups[name]['compiled']:>7.2f}x "
+            f"{name:<14} {bench['interp'][name]['wall_seconds']:>11.4f} "
+            f"{bench['source'][name]['wall_seconds']:>11.4f} "
+            f"{speedups[name]['interp']:>7.2f}x "
             f"{bench['source'][name]['firings_per_sec']:>18,.0f}"
         )
     print("-" * len(header))
     print(
-        f"{'TOTAL':<14} {total['interp']:>11.4f} {total['compiled']:>13.4f} "
-        f"{total['source']:>11.4f} {speedups['TOTAL']['interp']:>7.2f}x "
-        f"{speedups['TOTAL']['compiled']:>7.2f}x"
-    )
-    src_vs_compiled = {name: speedups[name]["compiled"] for name in names}
-    fig13 = [n for n, _, _ in workloads if n.startswith(("vorbis_", "raytracer_"))]
-    fast_partitions = sorted(
-        (n for n in fig13 if src_vs_compiled[n] >= 1.25),
-        key=lambda n: -src_vs_compiled[n],
-    )
-    print(
-        f"source >= 1.25x over compiled on {len(fast_partitions)} fig13 partition(s): "
-        + (", ".join(f"{n} ({src_vs_compiled[n]:.2f}x)" for n in fast_partitions) or "none")
+        f"{'TOTAL':<14} {total['interp']:>11.4f} {total['source']:>11.4f} "
+        f"{speedups['TOTAL']['interp']:>7.2f}x"
     )
     if mismatches:
         print(f"\nBACKEND MISMATCH on: {', '.join(mismatches)}")
     else:
         print("\nAll CosimResult statistics bitwise identical across backends.")
 
-    # -- transport ablation ------------------------------------------------
-    ablation = transport_ablation(workloads, repeats, size, compiled_stats=bench["compiled"])
-    print("\n=== Transport dataplane: interpreted vs. compiled (rule backend = compiled) ===")
-    t_header = f"{'workload':<14} {'interp tx (s)':>13} {'compiled tx (s)':>15} {'speedup':>8} {'messages':>9}"
-    print(t_header)
-    print("-" * len(t_header))
-    for name, row in ablation.items():
-        print(
-            f"{name:<14} {row['interp_transport_seconds']:>13.4f} "
-            f"{row['compiled_transport_seconds']:>15.4f} {row['speedup']:>7.2f}x "
-            f"{row['channel_messages']:>9}"
-        )
-
     dataplane = dataplane_microbench(size)
     print("\n=== Dataplane microbenchmark: pure transport throughput (no rule engines) ===")
-    d_header = f"{'config':<12} {'interp (elem/s)':>16} {'compiled (elem/s)':>18} {'speedup':>8}"
+    d_header = f"{'config':<12} {'interp (elem/s)':>16} {'source (elem/s)':>16} {'speedup':>8}"
     print(d_header)
     print("-" * len(d_header))
     for name, row in dataplane.items():
         print(
             f"{name:<12} {row['interp_elements_per_sec']:>16,.0f} "
-            f"{row['compiled_elements_per_sec']:>18,.0f} {row['speedup']:>7.2f}x"
+            f"{row['source_elements_per_sec']:>16,.0f} {row['speedup']:>7.2f}x"
         )
 
     # -- kernel microbenchmark ---------------------------------------------
@@ -990,8 +850,7 @@ def main(argv=None) -> int:
                 for name, stats in bench[backend].items()
             },
         }
-        if backend == "compiled":
-            payload["transport_ablation"] = ablation
+        if backend == "source":
             payload["transport_dataplane"] = dataplane
             payload["kernel_microbench"] = kernels_bench
             payload["grouped_execution"] = grouped
@@ -999,9 +858,6 @@ def main(argv=None) -> int:
             payload["serving"] = serving
             if sweep is not None:
                 payload["sweep"] = sweep
-        elif backend == "source":
-            payload["source_vs_compiled"] = src_vs_compiled
-            payload["fig13_partitions_at_1_25x"] = fast_partitions
         # Quick (CI smoke) runs get their own files so they never clobber
         # the committed full-size trajectory that EXPERIMENTS.md records.
         suffix = "_quick" if size == "quick" else ""

@@ -63,7 +63,7 @@ def run_grouped_section(letters: str, params: VorbisParams, processes: int) -> N
           f"({'+'.join(letters)}) in one design")
 
     workload = build_group_partition(letters, params)
-    fabric = CosimFabric(workload.design, backend="compiled")
+    fabric = CosimFabric(workload.design)
     groups = [
         "+".join(d.name for d in fabric.group_domains(i))
         for i in range(fabric.group_count)
@@ -77,7 +77,7 @@ def run_grouped_section(letters: str, params: VorbisParams, processes: int) -> N
         raise SystemExit("multi-group serial run diverged from the reference")
 
     lock_wl = build_group_partition(letters, params)
-    lock_fabric = CosimFabric(lock_wl.design, backend="compiled")
+    lock_fabric = CosimFabric(lock_wl.design)
     lockstep = lock_fabric.run(
         lock_wl.cosim_done, max_cycles=500_000_000, scheduler="lockstep"
     )
@@ -114,7 +114,7 @@ def run_distributed_section(
     print(f"\nDistributed co-simulation ({'+'.join(letters)}, carrier={carrier})")
 
     workload = build_group_partition(letters, params)
-    fabric = CosimFabric(workload.design, backend="compiled")
+    fabric = CosimFabric(workload.design)
     serial = fabric.run(workload.cosim_done, max_cycles=500_000_000)
     checksums = workload.checksums(fabric.read)
     if not serial.completed or any(c != reference for c in checksums):
@@ -187,7 +187,7 @@ def main():
         # verify=True: statically lint the design and audit this fabric's
         # snapshot coverage before running (the `python -m repro.analysis`
         # checks, in strict elaboration mode).
-        fabric = CosimFabric(workload.design, backend="compiled", verify=True)
+        fabric = CosimFabric(workload.design, verify=True)
         result = fabric.run(workload.cosim_done, max_cycles=500_000_000)
         serial_cycles[f"vorbis_{letter}_fabric"] = result.fpga_cycles
         checksum = fabric.read(workload.checksum)

@@ -76,7 +76,7 @@ def main(argv: List[str] = None) -> int:
         t1 = time.perf_counter()
         diags = verify_design(workload.design)
         if not args.no_audit:
-            fabric = CosimFabric(workload.design, backend="compiled")
+            fabric = CosimFabric(workload.design)
             diags += audit_fabric(fabric)
         diags = filter_suppressed(diags, args.suppress)
         lint_s = time.perf_counter() - t1

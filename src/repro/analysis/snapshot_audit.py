@@ -16,7 +16,7 @@ manifest** that classifies each attribute as one of:
 * ``reset`` -- transient run state that ``restore()`` reinitialises to a
   constant (so a snapshot need not carry it);
 * ``config`` -- elaboration-time state that never mutates during a run
-  (rules, schedules, compiled closures, layouts, platform parameters);
+  (rules, schedules, generated modules, layouts, platform parameters);
 * ``cache`` -- memoisation that is semantically transparent (rebuilding it
   yields the same values, e.g. the fabric's owner-store resolution);
 * ``children`` -- owned sub-objects the audit recurses into.
@@ -87,7 +87,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "config",
             "burst",
             "backend",
-            "transport",
             "partitioning",
             "engine_kinds",
             "domains",
@@ -127,7 +126,7 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "directions",
             "_pools",
             "vcs",
-            # Source transport: the generated event loop.  It pre-binds only
+            # Source backend: the generated event loop.  It pre-binds only
             # identity-stable objects and keeps the clock in a local it
             # writes back to ``now``, so restore() needs nothing from it.
             "_loop_gen",
@@ -156,14 +155,11 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "evaluator",
             "backend",
             "name",
-            "_use_dirty",
-            "_count_fns",
             "compiled",
-            # Source backend: generated attempt functions, their module, and
-            # the fused superstep installed as an instance attribute.  All
-            # pre-bind only identity-stable containers, so restore() keeps
-            # them truthful without re-generation.
-            "_attempt_fns",
+            # Source backend: the generated attempt module and the fused
+            # superstep installed as an instance attribute.  Both pre-bind
+            # only identity-stable containers, so restore() keeps them
+            # truthful without re-generation.
             "_gen",
             "_step_gen",
             "step",
@@ -188,8 +184,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "evaluator",
             "backend",
             "name",
-            "_use_dirty",
-            "_exec",
             "_read_sets",
             "_write_sets",
             # Source backend: generated rule module and the fused step_cycle

@@ -14,12 +14,13 @@ and that partitioned designs are observationally equivalent to the original.
 
 Two execution backends implement the same semantics:
 
-* ``backend="interp"`` (default) walks the rule ASTs through
+* ``backend="interp"`` walks the rule ASTs through
   :class:`~repro.core.semantics.Evaluator` -- the semantic reference oracle;
-* ``backend="compiled"`` fires each rule through its closure-compiled form
-  (:mod:`repro.core.compile`), which skips the per-node dispatch entirely.
+* ``backend="source"`` (the default) fires each rule through a flat
+  generated Python function (:mod:`repro.core.pycodegen`), which skips the
+  per-node dispatch entirely.
 
-The compiled backend additionally uses *dirty-set scheduling*
+The source backend additionally uses *dirty-set scheduling*
 (:class:`~repro.core.scheduler.RuleWakeup`): a rule whose guard failed is
 not re-evaluated until a register in its read set is written.  Skipped
 attempts still count as guard failures (they are guaranteed failures), so
@@ -34,10 +35,13 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.compile import raise_for_missing_register, rule_exec
 from repro.core.errors import GuardFail, SchedulingError
 from repro.core.module import Design, Register, Rule
-from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend, generate_rule_execs
+from repro.core.pycodegen import (
+    generate_rule_execs,
+    raise_for_missing_register,
+    resolve_backend,
+)
 from repro.core.scheduler import RuleWakeup
 from repro.core.semantics import Evaluator, EvalHooks, RuleOutcome, Store, commit, try_rule
 
@@ -59,12 +63,11 @@ class Simulator:
         the software cost model).  Installing hooks disables dirty-set
         skipping so the observer sees every attempted rule evaluation.
     backend:
-        ``"interp"`` (tree-walking reference), ``"compiled"`` (closure
-        compiled; observationally equivalent and much faster) or
-        ``"source"`` (flat generated Python; observationally equivalent
-        and faster still).  ``None`` resolves to
+        ``"interp"`` (tree-walking reference) or ``"source"`` (flat
+        generated Python; observationally equivalent and much faster).
+        ``None`` resolves to
         :func:`~repro.core.pycodegen.default_rule_backend` (the
-        ``REPRO_RULE_BACKEND`` environment variable, else ``"interp"``).
+        ``REPRO_RULE_BACKEND`` environment variable, else ``"source"``).
     """
 
     def __init__(
@@ -76,12 +79,9 @@ class Simulator:
         max_loop_iterations: int = 1_000_000,
         backend: Optional[str] = None,
     ):
-        if backend is None:
-            backend = default_rule_backend()
+        backend = resolve_backend(backend)
         if policy not in ("round-robin", "priority", "random"):
             raise ValueError(f"unknown scheduling policy {policy!r}")
-        if backend not in VALID_BACKENDS:
-            raise ValueError(f"unknown execution backend {backend!r}")
         self.design = design
         self.policy = policy
         self.backend = backend
@@ -90,7 +90,7 @@ class Simulator:
         self.evaluator = Evaluator(max_loop_iterations=max_loop_iterations)
         self.rules: List[Rule] = list(design.all_rules())
         self._index_of: Dict[Rule, int] = {r: i for i, r in enumerate(self.rules)}
-        # Dirty-set scheduling rides with the compiled backend (the interp
+        # Dirty-set scheduling rides with the source backend (the interp
         # backend stays the untouched exhaustive-scan reference), and its
         # skipping is exact only when nobody observes the skipped
         # (guaranteed-failing) evaluations.
@@ -103,14 +103,11 @@ class Simulator:
             self._wakeup = None
             self.store = store
         self._gen = None
+        self._exec = []
         if backend == "source":
             self._exec, self._gen = generate_rule_execs(
                 self.rules, design.name, max_loop_iterations
             )
-        elif backend == "compiled":
-            self._exec = [rule_exec(r, max_loop_iterations) for r in self.rules]
-        else:
-            self._exec = []
         self._priority_order: List[Rule] = sorted(
             self.rules, key=lambda r: (-r.urgency, self._index_of[r])
         )

@@ -1,9 +1,9 @@
 """The kernel compiler: backend selection and caching for foreign kernels.
 
-PRs 1-5 compiled the *machinery* around the foreign kernels (rule bodies,
-transport, marshaling) into specialised closures while keeping an
-interpreted oracle.  This module extends the same two-backend discipline
-down into the kernels themselves:
+The *machinery* around the foreign kernels (rule bodies, transport,
+marshaling) runs as specialised generated code next to an interpreted
+oracle.  This module extends the same discipline down into the kernels
+themselves:
 
 * ``oracle`` -- the original object-based kernel implementations, kept
   verbatim (``FixedPoint``/``FixComplex`` arithmetic element by element).

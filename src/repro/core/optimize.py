@@ -350,10 +350,9 @@ class CompiledRule:
     lifted), ``body`` the residual action, ``can_fail`` whether the residual
     body may still raise a guard failure (deciding try/catch + rollback),
     and ``shadow_registers`` the set of registers that must be shadowed
-    before executing the body.  ``compiled_fn`` caches the closure-compiled
-    form of the guard/body pair (see :mod:`repro.core.compile`); it is
-    populated lazily by :func:`repro.core.compile.compiled_rule_exec` when an
-    engine runs with ``backend="compiled"``.
+    before executing the body.  Under ``backend="source"`` the software
+    engine lowers ``guard``/``body`` to one generated attempt function per
+    rule (:func:`repro.core.pycodegen.generate_counting_attempts`).
     """
 
     rule: Rule
@@ -362,7 +361,6 @@ class CompiledRule:
     can_fail: bool
     shadow_registers: Set[Register]
     config: OptimizationConfig
-    compiled_fn: Optional[object] = None
 
     @property
     def needs_shadow(self) -> bool:
@@ -379,8 +377,7 @@ def compile_rule(
     The result is memoised per ``(rule, config)``: the transformations are
     deterministic over the immutable elaborated rule, and every engine
     construction over the same design would otherwise redo the full
-    inline/sequentialise/lift pipeline (and lose the closure-compiled form
-    cached on the result).
+    inline/sequentialise/lift pipeline.
     """
     cache = getattr(rule, "_compile_rule_cache", None)
     if cache is None:

@@ -1,26 +1,28 @@
 """Source-lowered execution tier: flat generated Python per rule and route.
 
-The closure backend (:mod:`repro.core.compile`) already removed the tree
-walk, but every rule firing still pays a chain of nested closure calls,
-tuple env-frame indexing and per-attempt dispatch.  This module is the next
-rung of the performance ladder: the classic template-JIT move of lowering
-each *already elaborated* ``Expr``/``Action`` tree once to flat Python
-source -- operators inlined as Python infix, environment frames become
-local variables, registers / native methods / kernel functions resolved to
+The engines have two rule backends: ``interp``, the tree-walking
+:class:`~repro.core.semantics.Evaluator` (the semantic reference oracle),
+and ``source``, generated here.  Each *already elaborated*
+``Expr``/``Action`` tree is lowered once to flat Python source --
+operators inlined as Python infix, environment frames become local
+variables, registers / native methods / kernel functions resolved to
 direct names in the module namespace, ``GuardFail`` raised from prebuilt
-singletons -- then ``exec``-compiling the module at elaboration time.
+singletons -- and the module is ``exec``-compiled at elaboration time.
 
-Three generation modes reproduce the three closure modes bit-for-bit:
+Four generation modes reproduce the tree walker's observable behaviour
+bit-for-bit:
 
 * ``fast``    -- hook-free evaluation (``Simulator`` fast path);
-* ``hooked``  -- generic :class:`~repro.core.semantics.EvalHooks` callbacks,
-  with the closure tier's convention that ``on_node`` fires only for
-  cost-bearing nodes (BinOp/UnOp/Mux/FieldSelect);
+* ``hooked``  -- generic :class:`~repro.core.semantics.EvalHooks` callbacks;
+  ``on_node`` fires only for the cost-bearing nodes
+  (BinOp/UnOp/Mux/FieldSelect), so ``SwCostAccumulator.cpu_cycles`` is
+  reproduced exactly while ``nodes_visited`` counts fewer nodes;
 * ``latency`` -- kernel/method hooks only (the HW engine's
   ``HwLatencyAccumulator``);
-* ``count``   -- :class:`~repro.core.compile.CountingCompiler`'s folded
-  cost accumulation: straight-line subtrees collapse to one integer add,
-  dynamic subtrees charge at exactly the same program points.
+* ``count``   -- folded software-cost accumulation against a concrete
+  :class:`~repro.sim.costmodel.SwCostParams`: straight-line subtrees
+  (:func:`static_cost`) collapse to one integer add, dynamic subtrees
+  charge at exactly the tree walker's program points.
 
 On top of the per-rule functions the engine supersteps themselves are
 generated (``generate_sw_step`` / ``generate_hw_step``): the dirty-set
@@ -29,13 +31,15 @@ generated function with all identity-stable collaborators pre-bound in the
 module namespace, so a quiescent engine is one generated-function call.
 Rebindable engine state (``busy_until``, ``_pending_updates``, counters)
 is always accessed through ``self`` so the snapshot/restore identity
-contract keeps holding.  One level up, ``generate_group_loop`` unrolls a
-group sub-fabric's event loop over its routes and engines, so an idle
-engine or an empty route costs an inline test instead of a call.
+contract keeps holding.  Transport routes lower to generated pump and
+delivery functions, and ``generate_group_loop`` unrolls a group
+sub-fabric's event loop over its routes and engines, so an idle engine or
+an empty route costs an inline test instead of a call.
 
-Anything the lowerer cannot confidently translate falls back, per rule, to
-the closure backend (still bitwise identical), so coverage can grow
-without ever risking parity.
+A node the lowerer cannot translate is an
+:class:`~repro.core.errors.ElaborationError` naming the rule, the
+generation mode and the node: there is no fallback tier, so a new AST
+node must be lowered in every mode before ``source`` can run it.
 
 Debugging: set ``REPRO_DUMP_SOURCE=<dir>`` to write every generated module
 to disk; all modules are registered with :mod:`linecache` so tracebacks
@@ -64,13 +68,6 @@ from repro.core.action import (
     Seq,
     WhenA,
 )
-from repro.core.compile import (
-    CountingCompiler,
-    _seq_never_reads_back,
-    compiled_rule_exec,
-    raise_for_missing_register,
-    rule_exec,
-)
 from repro.core.errors import (
     DoubleWriteError,
     ElaborationError,
@@ -91,12 +88,15 @@ from repro.core.expr import (
     Var,
     WhenE,
 )
-from repro.core.module import Method, Module, PrimitiveModule, Rule
+from repro.core.module import Method, Module, PrimitiveModule, Register, Rule
 
 __all__ = [
     "GeneratedModule",
     "SourceRuleExec",
     "default_rule_backend",
+    "raise_for_missing_register",
+    "resolve_backend",
+    "static_cost",
     "VALID_BACKENDS",
     "generate_rule_execs",
     "generate_counting_attempts",
@@ -107,18 +107,128 @@ __all__ = [
     "generate_group_loop",
 ]
 
-#: Rule-execution backends the engines accept.
-VALID_BACKENDS = ("interp", "compiled", "source")
+#: Rule-execution backends: ``interp`` is the oracle, ``source`` executes.
+VALID_BACKENDS = ("interp", "source")
 
 
 def default_rule_backend() -> str:
-    """The backend engines use when the caller does not pick one.
+    """The backend everything uses when the caller does not pick one.
 
-    ``REPRO_RULE_BACKEND`` overrides the historical default (``interp``) so
-    a CI leg can push the whole tier-1 suite through the source tier.
+    ``source``, unless ``REPRO_RULE_BACKEND`` names another valid backend
+    (``interp`` runs the whole system on the oracle).  Any other non-empty
+    value is a :class:`ValueError`, never a silent fallback.
     """
     name = os.environ.get("REPRO_RULE_BACKEND", "").strip().lower()
-    return name if name in VALID_BACKENDS else "interp"
+    if not name:
+        return "source"
+    if name not in VALID_BACKENDS:
+        raise ValueError(
+            f"REPRO_RULE_BACKEND={name!r} is not a rule backend "
+            f"(expected one of {', '.join(VALID_BACKENDS)})"
+        )
+    return name
+
+
+def resolve_backend(backend: Optional[str]) -> str:
+    """``backend``, or the default when ``None``; unknown names raise."""
+    if backend is None:
+        return default_rule_backend()
+    if backend not in VALID_BACKENDS:
+        raise ValueError(
+            f"unknown execution backend {backend!r} "
+            f"(expected one of {', '.join(VALID_BACKENDS)})"
+        )
+    return backend
+
+
+def raise_for_missing_register(exc: KeyError) -> None:
+    """Convert a store-miss ``KeyError`` to the tree walker's diagnostic.
+
+    Generated code reads through ``store.__getitem__`` for speed; when the
+    missing key is a register this re-raises the same
+    :class:`SimulationError` the interp backend's ``try_rule`` produces.
+    Other ``KeyError``\\ s (e.g. a struct field select) return to the
+    caller, which should re-raise.
+    """
+    key = exc.args[0] if exc.args else None
+    if isinstance(key, Register):
+        raise SimulationError(
+            f"register {key.full_name} is not part of this store"
+        ) from None
+
+
+def _seq_never_reads_back(actions) -> bool:
+    """Whether no element of a ``Seq`` reads a register an earlier one writes.
+
+    Uses the conservative static read/write sets, so ``True`` guarantees the
+    sequential overlay can never be consulted and the incoming read function
+    may be threaded through unchanged.
+    """
+    from repro.core.analysis import read_set, write_set
+
+    written: set = set()
+    for sub in actions:
+        if written and (written & read_set(sub)):
+            return False
+        written |= write_set(sub)
+    return True
+
+
+def static_cost(node: Any, scope: Dict[str, Tuple[str, str]], params: Any) -> Optional[int]:
+    """Total CPU cost of ``node`` if it is straight-line, else ``None``.
+
+    Straight-line means: evaluation always visits every sub-node exactly
+    once (no Mux/short-circuit/If branches, no loops), cannot raise a guard
+    failure, forces no lazy bindings, and all kernel costs are constants.
+    Method calls are never straight-line (their implicit guards may fail
+    and their native bodies have dynamic write counts).  ``scope`` maps a
+    variable name to its ``(kind, local)`` binding; a ``"thunk"`` (lazy
+    let) or unbound variable is dynamic.  Costs are ``params``'
+    (:class:`~repro.sim.costmodel.SwCostParams`) per-node charges, so the
+    folded total equals the tree walker's ``cpu_cycles`` exactly.
+    """
+    if isinstance(node, (Const, NoAction)):
+        return 0
+    if isinstance(node, Var):
+        entry = scope.get(node.name)
+        return None if entry is None or entry[0] == "thunk" else 0
+    if isinstance(node, RegRead):
+        return params.reg_read
+    if isinstance(node, (UnOp, FieldSelect)):
+        inner = static_cost(node.operand, scope, params)
+        return None if inner is None else params.alu_op + inner
+    if isinstance(node, BinOp):
+        if node.op in ("&&", "||"):
+            return None
+        left = static_cost(node.left, scope, params)
+        if left is None:
+            return None
+        right = static_cost(node.right, scope, params)
+        return None if right is None else params.alu_op + left + right
+    if isinstance(node, KernelCall):
+        if callable(node.sw_cycles):
+            return None
+        total = int(node.sw_cycles) + params.kernel_dispatch
+        for arg in node.args:
+            inner = static_cost(arg, scope, params)
+            if inner is None:
+                return None
+            total += inner
+        return total
+    if isinstance(node, RegWrite):
+        inner = static_cost(node.value, scope, params)
+        return None if inner is None else params.reg_write + inner
+    if isinstance(node, (Par, Seq)):
+        total = 0
+        for sub in node.actions:
+            inner = static_cost(sub, scope, params)
+            if inner is None:
+                return None
+            total += inner
+        return total
+    # Mux, WhenE/WhenA, LetE/LetA, IfA, Loop, LocalGuard, method calls:
+    # branching, failing, lazy or dynamic -- never straight-line.
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +369,19 @@ def _reindent(lines: List[str]) -> List[str]:
 
 
 class _Unsupported(Exception):
-    """Raised when a subtree cannot be lowered; callers fall back to closures."""
+    """A subtree the lowerer cannot translate (see :func:`_lowering`)."""
+
+
+def _lowering(rule: Rule, mode: str, lower: Callable[[], Any]) -> Any:
+    """Run ``lower()``; an untranslatable node is an ``ElaborationError``
+    naming the rule, the generation mode and the node."""
+    try:
+        return lower()
+    except _Unsupported as exc:
+        raise ElaborationError(
+            f"rule {rule.full_name}: cannot lower {exc} to source "
+            f"(generation mode {mode!r})"
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -279,8 +401,8 @@ class _Lowerer:
     """Lowers one rule (or method) tree into a flat generated function.
 
     ``mode`` is one of ``fast``/``hooked``/``latency``/``count``; the
-    emitted statements reproduce the corresponding closure compiler's
-    evaluation order, hook order and (for ``count``) charge points exactly.
+    emitted statements reproduce the tree walker's evaluation order, hook
+    order and (for ``count``) charge points exactly.
     """
 
     def __init__(
@@ -298,9 +420,6 @@ class _Lowerer:
         self.counting = mode == "count"
         self.max_loop_iterations = max_loop_iterations
         self.params = sw_params
-        self._static = (
-            CountingCompiler(sw_params, max_loop_iterations) if self.counting else None
-        )
         # (id(method), is_action) -> (guard_fn_name, body_fn_name, param names)
         self.methods = methods if methods is not None else {}
         self.w: Optional[_FnWriter] = None
@@ -325,9 +444,9 @@ class _Lowerer:
     def _materialize(self, parts: List[Tuple[List[str], str]]) -> List[str]:
         """Emit each part's statements and pin its value into a temp, in order.
 
-        Used whenever sibling operands cannot all stay inline: the closure
-        tier evaluates operands strictly left to right, and hooks / charges /
-        guard failures make that order observable.
+        Used whenever sibling operands cannot all stay inline: the tree
+        walker evaluates operands strictly left to right, and hooks /
+        charges / guard failures make that order observable.
         """
         names = []
         for stmts, expr in parts:
@@ -352,8 +471,7 @@ class _Lowerer:
             self.w.charge(self.sink, amount)
 
     def _static_cost(self, node: Any) -> Optional[int]:
-        scope = {name: (0, kind == "thunk") for name, (kind, _) in self.scope.items()}
-        return self._static.static_cost(node, scope)
+        return static_cost(node, self.scope, self.params)
 
     def _const(self, value: Any) -> str:
         if value is None or value is True or value is False:
@@ -528,8 +646,8 @@ class _Lowerer:
     def _lower_let(self, name: str, value: Expr) -> str:
         """Emit a lazy binding; returns the local holding the thunk cell.
 
-        The closure tier's ``_Cell`` captures the binding-site ``read`` and
-        charge cell; the generated thunk does the same by passing them into
+        The tree walker's ``_Thunk`` captures the binding-site ``read`` and
+        hooks; the generated thunk does the same by passing them into
         a module-level value function explicitly, so a thunk forced under a
         ``Seq``/``Loop`` overlay still reads through the binding-site view
         and charges the binding-site cell.
@@ -566,7 +684,7 @@ class _Lowerer:
         The function's signature is ``(read, _ctx, *free_locals)`` where
         ``_ctx`` is the hooks object (hooked/latency), the charge cell list
         (count) or None (fast); call sites pass the binding-site values
-        explicitly, which reproduces the closure tier's creation-time
+        explicitly, which reproduces the tree walker's creation-time
         capture without relying on late-bound outer locals.
         """
         free_nodes = self._free_scope(node)
@@ -937,7 +1055,7 @@ class _Lowerer:
 
 _FORCE_HELPER = '''\
 def _force(cell):
-    """Force a lazy let binding (mirrors compile._Cell's memoised thunks)."""
+    """Force a lazy let binding (mirrors semantics._Thunk's memoisation)."""
     if cell[0]:
         return cell[1]
     value = cell[2](cell[3], *cell[4])
@@ -985,15 +1103,15 @@ def _lower_rule_fn(
 class SourceRuleExec:
     """Generated fast/hooked/latency entry points for one rule.
 
-    Drop-in for :class:`repro.core.compile.RuleExec` at the call sites the
-    engines use (``fast(read)``, ``hooked(read, hooks)``,
-    ``latency(read, hooks)``); the attributes hold plain generated
-    functions, with closure fallbacks per mode when lowering declined.
+    The call sites the engines use are ``fast(read)``,
+    ``hooked(read, hooks)`` and ``latency(read, hooks)``; each attribute is
+    a plain generated function (``None`` for a mode that was not
+    generated).
     """
 
     __slots__ = ("rule", "fast", "hooked", "latency")
 
-    def __init__(self, rule: Rule, fast, hooked, latency):
+    def __init__(self, rule: Rule, fast=None, hooked=None, latency=None):
         self.rule = rule
         self.fast = fast
         self.hooked = hooked
@@ -1009,35 +1127,22 @@ def generate_rule_execs(
     """Generate flat executors for raw rule actions (Simulator / HwEngine)."""
     module = _ModuleBuilder(f"{design_name}.rules")
     _add_force_helper(module)
-    specs: List[Dict[str, Any]] = []
     methods: Dict[str, Dict] = {mode: {} for mode in modes}
     for i, rule in enumerate(rules):
-        spec: Dict[str, Any] = {"rule": rule}
         for mode in modes:
-            fn = f"_rule_{mode}_{i}"
-            try:
-                _lower_rule_fn(
-                    module, fn, rule.action, True, mode,
-                    max_loop_iterations, None, methods[mode],
-                )
-                spec[mode] = fn
-            except _Unsupported:
-                spec[mode] = None
-        specs.append(spec)
-    gen = module.build()
-    ns = gen.namespace
-    execs = []
-    for spec in specs:
-        rule = spec["rule"]
-        fallback = rule_exec(rule, max_loop_iterations)
-        execs.append(
-            SourceRuleExec(
+            _lowering(
                 rule,
-                ns[spec["fast"]] if spec.get("fast") else fallback.fast,
-                ns[spec["hooked"]] if spec.get("hooked") else fallback.hooked,
-                ns[spec["latency"]] if spec.get("latency") else fallback.latency,
+                mode,
+                lambda: _lower_rule_fn(
+                    module, f"_rule_{mode}_{i}", rule.action, True, mode,
+                    max_loop_iterations, None, methods[mode],
+                ),
             )
-        )
+    gen = module.build()
+    execs = [
+        SourceRuleExec(rule, **{mode: gen.namespace[f"_rule_{mode}_{i}"] for mode in modes})
+        for i, rule in enumerate(rules)
+    ]
     return execs, gen
 
 
@@ -1058,14 +1163,13 @@ def _emit_attempt(
     config: Any,
     max_loop_iterations: int,
     methods: Dict,
-) -> bool:
+) -> None:
     """Emit ``def name(read)`` -> ``(cpu_cost, updates_or_None)``.
 
     The whole of ``SwEngine._attempt`` folds into one generated function:
     guard, setup, body and commit costs are pre-folded constants, the
     guard/body trees are lowered inline in counting mode, and the
-    ``GuardFail`` control flow stays in-frame.  Returns False when lowering
-    declined (caller installs the closure fallback).
+    ``GuardFail`` control flow stays in-frame.
     """
     cr = compiled_rule
     w = _FnWriter(name, ["read"])
@@ -1075,95 +1179,41 @@ def _emit_attempt(
     low = _Lowerer(module, "count", max_loop_iterations, params, methods)
     low.w = w
     w.indent += 1
-    try:
-        guard_stmts, guard = low._capture(lambda: low.lower_expr(cr.guard))
-        w.emit_lines(guard_stmts)
-        w.emit(f"_g = {guard}")
-        w.indent -= 1
-        w.emit("except GuardFail:")
-        w.emit("    _g = False")
-        w.emit(f"_cost = {_float_lit(params.rule_attempt_overhead)} + _cc + _cl[0]")
-        w.emit("if not _g:")
-        w.emit("    return _cost, None")
-        if cr.can_fail:
-            setup = 0.0
-            if config.inline_methods:
-                setup += params.branch_guard_handling
-            else:
-                setup += params.try_catch_setup
-            setup += len(cr.shadow_registers) * params.shadow_per_register
-            w.emit(f"_cost += {_float_lit(setup)}")
-        w.emit("_cl[0] = 0")
-        w.emit("_cc = 0")
-        w.emit("try:")
-        w.indent += 1
-        body_stmts, body = low._capture(lambda: low.lower_action(cr.body))
-        w.emit_lines(body_stmts)
-        w.emit(f"_u = {body}")
-        w.indent -= 1
-        w.emit("except GuardFail:")
-        w.emit("    _cost += _cc + _cl[0]")
-        w.emit(f"    _cost += {params.rollback_base}")
-        w.emit(
-            f"    _cost += {len(cr.shadow_registers) * params.rollback_per_register}"
-        )
-        w.emit("    return _cost, None")
-        w.emit("_cost += _cc + _cl[0]")
-        if cr.can_fail:
-            w.emit(f"_cost += len(_u) * {params.commit_per_register}")
-        w.emit("return _cost, _u")
-    except _Unsupported:
-        return False
-    module.add(w.lines)
-    return True
-
-
-def _fallback_attempt(
-    compiled_rule: Any, params: Any, config: Any, max_loop_iterations: int
-):
-    """Closure-backed attempt with the same ``(cost, updates|None)`` contract."""
-    cr = compiled_rule
-    guard_fn, body_fn = compiled_rule_exec(cr, max_loop_iterations).counting_fns(
-        params
-    )
-    overhead = float(params.rule_attempt_overhead)
-    setup = 0.0
+    guard_stmts, guard = low._capture(lambda: low.lower_expr(cr.guard))
+    w.emit_lines(guard_stmts)
+    w.emit(f"_g = {guard}")
+    w.indent -= 1
+    w.emit("except GuardFail:")
+    w.emit("    _g = False")
+    w.emit(f"_cost = {_float_lit(params.rule_attempt_overhead)} + _cc + _cl[0]")
+    w.emit("if not _g:")
+    w.emit("    return _cost, None")
     if cr.can_fail:
+        setup = 0.0
         if config.inline_methods:
             setup += params.branch_guard_handling
         else:
             setup += params.try_catch_setup
         setup += len(cr.shadow_registers) * params.shadow_per_register
-    rollback_base = params.rollback_base
-    rollback = len(cr.shadow_registers) * params.rollback_per_register
-    commit_per = params.commit_per_register
-    can_fail = cr.can_fail
-
-    def attempt(read):
-        cell = [0]
-        try:
-            ok = guard_fn((), read, cell)
-        except GuardFail:
-            ok = False
-        cost = overhead + cell[0]
-        if not ok:
-            return cost, None
-        if can_fail:
-            cost += setup
-        cell = [0]
-        try:
-            updates = body_fn((), read, cell)
-        except GuardFail:
-            cost += cell[0]
-            cost += rollback_base
-            cost += rollback
-            return cost, None
-        cost += cell[0]
-        if can_fail:
-            cost += len(updates) * commit_per
-        return cost, updates
-
-    return attempt
+        w.emit(f"_cost += {_float_lit(setup)}")
+    w.emit("_cl[0] = 0")
+    w.emit("_cc = 0")
+    w.emit("try:")
+    w.indent += 1
+    body_stmts, body = low._capture(lambda: low.lower_action(cr.body))
+    w.emit_lines(body_stmts)
+    w.emit(f"_u = {body}")
+    w.indent -= 1
+    w.emit("except GuardFail:")
+    w.emit("    _cost += _cc + _cl[0]")
+    w.emit(f"    _cost += {params.rollback_base}")
+    w.emit(f"    _cost += {len(cr.shadow_registers) * params.rollback_per_register}")
+    w.emit("    return _cost, None")
+    w.emit("_cost += _cc + _cl[0]")
+    if cr.can_fail:
+        w.emit(f"_cost += len(_u) * {params.commit_per_register}")
+    w.emit("return _cost, _u")
+    module.add(w.lines)
 
 
 def generate_counting_attempts(
@@ -1178,24 +1228,17 @@ def generate_counting_attempts(
     module = _ModuleBuilder(f"{design_name}.attempts")
     _add_force_helper(module)
     methods: Dict = {}
-    emitted: List[Optional[str]] = []
     for i, rule in enumerate(rules):
-        name = f"_attempt_{i}"
-        ok = _emit_attempt(
-            module, name, compiled[rule], params, config,
-            max_loop_iterations, methods,
+        _lowering(
+            rule,
+            "count",
+            lambda: _emit_attempt(
+                module, f"_attempt_{i}", compiled[rule], params, config,
+                max_loop_iterations, methods,
+            ),
         )
-        emitted.append(name if ok else None)
     gen = module.build()
-    attempts = []
-    for i, rule in enumerate(rules):
-        if emitted[i] is not None:
-            attempts.append(gen.namespace[emitted[i]])
-        else:
-            attempts.append(
-                _fallback_attempt(compiled[rule], params, config, max_loop_iterations)
-            )
-    return attempts, gen
+    return [gen.namespace[f"_attempt_{i}"] for i in range(len(rules))], gen
 
 
 def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
@@ -1409,13 +1452,27 @@ def generate_transport_pump(
     occupancy_of=None,
     name: str = "route",
 ) -> Callable[[float], bool]:
-    """Generated analogue of :func:`~repro.core.compile.compile_transport_pump`.
+    """Generate one producer-side transport route as ``pump(now) -> bool``.
 
-    Per-route constants (credit depth, words per element, occupancy and
-    latency cycles, the vc id) are inlined as literals; the mutable
-    collaborators (stores, pool rings, stats) are pre-bound names.  The
-    emitted control flow mirrors the closure pump statement for statement,
-    so every stat commit and stall count lands identically.
+    The pump launches as many queued elements as the consumer's credit
+    window allows, in one batch: the window
+    ``depth - consumer_occupancy - in_flight`` is computed once (occupancy
+    cannot change mid-pump -- deliveries happen in a separate phase), the
+    drained prefix is committed with one tuple re-slice, and each element
+    is packed by the virtual channel's layout-compiled ``encode_batch``
+    straight into the link's :class:`~repro.platform.channel.MessagePool`
+    rings -- no per-message object.  Per-route constants (credit depth,
+    words per element, occupancy and latency cycles, the vc id) are
+    inlined as literals; the mutable collaborators (stores, pool rings,
+    stats) are pre-bound names.  Counters commit once per batch, while
+    ``busy_cycles`` and due times accumulate per element, so results stay
+    bitwise identical to the interpreted per-element transport
+    (``repro.sim.cosim._pump_routes_interp``).
+
+    ``occupancy_of`` overrides where the consumer occupancy is read from:
+    by default ``len(consumer_store[data_reg])``; a distributed route whose
+    consumer lives in another process passes a reader over the consumer's
+    published occupancy cell, leaving the credit arithmetic unchanged.
     """
     module = _ModuleBuilder(f"{name}.pump")
     b = module.bindings
@@ -1501,7 +1558,17 @@ def generate_transport_delivery(
     charge_driver=None,
     name: str = "route",
 ) -> Callable[[float], bool]:
-    """Generated analogue of :func:`~repro.core.compile.compile_transport_delivery`."""
+    """Generate one topology link's consumer side as ``deliver_due(now) -> bool``.
+
+    Due messages are decoded in place from the link's pool rings (the
+    virtual channel's layout-compiled ``decode``, no per-message object).
+    With ``deliver_batch`` (hardware targets, whose parking condition
+    cannot change mid-sweep) a run of same-vc messages lands as one
+    endpoint append and commits its credit/stat updates once.  Software
+    targets deliver per element with a ``charge_driver`` call each: every
+    charge makes the engine busy, which parks the next delivery, so
+    batching would change credit timing.
+    """
     if deliver_batch is not None and charge_driver is not None:
         raise ValueError("deliver_batch and charge_driver are mutually exclusive")
     module = _ModuleBuilder(f"{name}.deliver")

@@ -104,7 +104,7 @@ class ChannelStats:
     def restore(self, snap: tuple) -> None:
         """Reset the counters to a snapshot, mutating in place.
 
-        Compiled transport closures pre-bind both this object and its
+        Generated transport routes pre-bind both this object and its
         ``per_vc_messages`` dict, so neither identity may be replaced.
         """
         self.messages, self.words, self.busy_cycles, per_vc = snap
@@ -126,7 +126,7 @@ class MessagePool:
     identified.
 
     The list objects' identities are stable for the life of the pool
-    (compaction trims them in place), so compiled transport closures may
+    (compaction trims them in place), so generated transport routes may
     pre-bind their bound methods.
     """
 
@@ -203,8 +203,8 @@ class MessagePool:
         """Reset the rings to a snapshot.
 
         Ring contents are replaced by slice assignment -- the list objects'
-        identities are part of the pool's contract (compiled transport
-        closures pre-bind them), so they are trimmed/refilled in place,
+        identities are part of the pool's contract (generated transport
+        routes pre-bind them), so they are trimmed/refilled in place,
         never rebound.
         """
         words, vc_ids, bounds, due, head, word_head = snap
@@ -257,7 +257,7 @@ class MessagePool:
     def pop_due(self, now: float) -> Optional[Tuple[int, List[int], float]]:
         """Remove and return the next due message as ``(vc_id, words, due)``.
 
-        Reference-path API: the words are copied out (the compiled closures
+        Reference-path API: the words are copied out (the generated routes
         instead decode in place from :attr:`words`).  Returns ``None`` when
         the head message is not due (or nothing is in flight).
         """

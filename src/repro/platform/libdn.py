@@ -98,7 +98,7 @@ class VirtualChannel:
 
     def restore(self, snap: tuple) -> None:
         """Reset to a snapshot; the ``stats`` object keeps its identity
-        (compiled transport pumps pre-bind it)."""
+        (generated transport pumps pre-bind it)."""
         s = self.stats
         (
             self.credits,
@@ -180,7 +180,7 @@ class VirtualChannelTable:
 
     @property
     def id_table(self) -> Dict[int, VirtualChannel]:
-        """The vc_id -> channel mapping (used by compiled delivery closures)."""
+        """The vc_id -> channel mapping (used by generated delivery routes)."""
         return self._by_id
 
     def __iter__(self):

@@ -27,7 +27,7 @@ share no synchronizer (transitively) are fully independent by the paper's
 semantics, so each connected component of the cut graph
 (:meth:`~repro.core.partition.Partitioning.independent_groups`) gets its
 own :class:`_GroupFabric` -- its own clock, delivery routes and transport
-closures.  The default scheduler runs the groups serially, each with its
+routes.  The default scheduler runs the groups serially, each with its
 own idle-skip (a group stalled on the bus never drags the others through
 empty cycles); :mod:`repro.sim.shard` fans the same group sub-fabrics out
 across worker processes.  Per-group results combine under the documented
@@ -35,18 +35,16 @@ deterministic rules of :meth:`CosimResult.merge`, and on single-group
 designs (every two-partition workload) the group loop *is* the historical
 loop, bitwise identical to the pre-decomposition fabric.
 
-Transport mirrors rule execution's backend ladder: ``transport="interp"``
-is the per-synchronizer reference bookkeeping; ``transport="compiled"``
-lowers each route to a closure at elaboration
-(:func:`~repro.core.compile.compile_transport_pump` /
-:func:`~repro.core.compile.compile_transport_delivery`: pre-resolved
-endpoint stores, pre-computed credit arithmetic, prebuilt delivery
-callbacks, batch FIFO draining); ``transport="source"`` generates flat
-Python per route with the layout constants inlined as literals
-(:func:`~repro.core.pycodegen.generate_transport_pump` /
-:func:`~repro.core.pycodegen.generate_transport_delivery`), observationally
-identical to both.  By default the transport backend follows the
-rule-execution backend.
+The transport follows the rule backend.  Under ``backend="interp"`` it is
+the per-synchronizer reference bookkeeping (the oracle) and each group runs
+the interpreted event loop.  Under ``backend="source"`` every route lowers
+at elaboration to generated flat Python with the layout constants inlined
+as literals (:func:`~repro.core.pycodegen.generate_transport_pump` /
+:func:`~repro.core.pycodegen.generate_transport_delivery`: pre-resolved
+endpoint stores, pre-computed credit arithmetic, batch FIFO draining), and
+each group's event loop is generated too
+(:func:`~repro.core.pycodegen.generate_group_loop`); both are
+observationally identical to the reference.
 """
 
 from __future__ import annotations
@@ -54,14 +52,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.compile import compile_transport_delivery, compile_transport_pump
 from repro.core.domains import HW, SW, Domain, effective_module_domain
 from repro.core.pycodegen import (
-    VALID_BACKENDS,
-    default_rule_backend,
     generate_group_loop,
     generate_transport_delivery,
     generate_transport_pump,
+    resolve_backend,
 )
 from repro.core.errors import SimulationError
 from repro.core.module import Design, Register
@@ -249,7 +245,7 @@ def _pump_routes_interp(routes, now: float) -> bool:
 
     Per-synchronizer bookkeeping, marshaling and draining one element at a
     time through the plain marshal functions (the semantic oracle the
-    compiled closures' layout-compiled encoders are tested against).
+    generated routes' layout-compiled encoders are tested against).
     Shared by the whole-fabric lockstep path and the per-group sub-fabrics,
     which pass their projected route subsets.
     """
@@ -326,7 +322,7 @@ class _GroupFabric:
     :meth:`run` is the fabric's historical event loop verbatim, restricted
     to the group's subsets -- on a single-group design it is *the* loop,
     bitwise identical to the pre-decomposition fabric.  Under
-    ``transport="source"`` the loop is generated at elaboration instead
+    ``backend="source"`` the loop is generated at elaboration instead
     (:func:`~repro.core.pycodegen.generate_group_loop`): the same phases
     and arithmetic, unrolled over the group, skipping only calls that would
     do nothing; the interpreted loop stays the reference.
@@ -351,7 +347,7 @@ class _GroupFabric:
             if fabric.engine_kinds[d.name] == "sw"
         ]
         # Producer-side routes in cut order (both endpoints of a route lie
-        # in one group by construction), plus their compiled pump closures.
+        # in one group by construction), plus their generated pumps.
         picks = [
             j
             for j, route in enumerate(fabric._routes)
@@ -385,7 +381,7 @@ class _GroupFabric:
         self.now: float = 0.0
         self._loop_gen = (
             generate_group_loop(self, f"{fabric.design.name}.group{index}")
-            if fabric.transport == "source"
+            if fabric.backend == "source"
             else None
         )
 
@@ -408,27 +404,7 @@ class _GroupFabric:
             f"{hint}"
         )
 
-    # -- transport (group projection) ---------------------------------------
-
-    def _pump_transport(self, now: float) -> bool:
-        pumps = self.pump_fns
-        if pumps is not None:
-            progress = False
-            for pump in pumps:
-                progress |= pump(now)
-            return progress
-        return _pump_routes_interp(self.routes, now)
-
-    def _deliver_due(self, now: float) -> bool:
-        delivers = self.deliver_fns
-        if delivers is not None:
-            progress = False
-            for deliver_due in delivers:
-                progress |= deliver_due(now)
-            return progress
-        return _deliver_routes_interp(
-            self.delivery_routes, self.fabric.vcs.by_id, now
-        )
+    # -- the interpreted loop's idle skip -----------------------------------
 
     def _next_delivery_time(self) -> Optional[float]:
         best: Optional[float] = None
@@ -470,6 +446,7 @@ class _GroupFabric:
         iterations = 0
         hw_engines = self.hw_engines
         sw_engines = self.sw_engines
+        by_id = fabric.vcs.by_id
         while self.now <= max_cycles and iterations < max_iterations:
             iterations += 1
             if done is not None and done(fabric):
@@ -477,12 +454,12 @@ class _GroupFabric:
                 break
 
             progress = False
-            progress |= self._deliver_due(self.now)
+            progress |= _deliver_routes_interp(self.delivery_routes, by_id, self.now)
             for engine in hw_engines:
                 progress |= engine.step_cycle(self.now)
             for engine in sw_engines:
                 progress |= engine.step(self.now)
-            progress |= self._pump_transport(self.now)
+            progress |= _pump_routes_interp(self.routes, self.now)
 
             if progress:
                 self.now += 1.0
@@ -597,26 +574,17 @@ class CosimFabric:
         burst: bool = True,
         max_loop_iterations: int = 1_000_000,
         backend: Optional[str] = None,
-        transport: Optional[str] = None,
         topology: Optional[Topology] = None,
         link_params=None,
         required_domains: Optional[List[Domain]] = None,
         verify: bool = False,
     ):
-        if backend is None:
-            backend = default_rule_backend()
-        if backend not in VALID_BACKENDS:
-            raise ValueError(f"unknown execution backend {backend!r}")
-        if transport is None:
-            transport = backend
-        if transport not in VALID_BACKENDS:
-            raise ValueError(f"unknown transport backend {transport!r}")
+        backend = resolve_backend(backend)
         self.design = design
         self.platform = platform or Platform.ml507()
         self.config = config or OptimizationConfig.all()
         self.burst = burst
         self.backend = backend
-        self.transport = transport
 
         self.partitioning: Partitioning = partition_design(
             design, default_domain if default_domain is not None else SW
@@ -740,7 +708,7 @@ class CosimFabric:
             )
             self._delivery_dsts.append(link.dst)
 
-        if transport == "source":
+        if backend == "source":
             self._pump_fns = [
                 generate_transport_pump(
                     sync.data,
@@ -766,31 +734,6 @@ class CosimFabric:
                     name=f"{design.name}.delivery{i}",
                 )
                 for i, (direction, target, sw_target) in enumerate(self._delivery_routes)
-            ]
-        elif transport == "compiled":
-            self._pump_fns = [
-                compile_transport_pump(
-                    sync.data,
-                    sync.depth,
-                    producer_store,
-                    consumer_store,
-                    vc,
-                    direction,
-                    producer_engine.locked_registers,
-                    producer_engine.charge_driver if sw_producer else None,
-                )
-                for sync, vc, producer_engine, producer_store, consumer_store, direction, sw_producer in self._routes
-            ]
-            vc_by_id = self.vcs.id_table
-            self._deliver_fns = [
-                compile_transport_delivery(
-                    direction,
-                    vc_by_id,
-                    target.deliver,
-                    deliver_batch=None if sw_target else target.deliver_batch,
-                    charge_driver=target.charge_driver if sw_target else None,
-                )
-                for direction, target, sw_target in self._delivery_routes
             ]
         else:
             self._pump_fns = None
@@ -998,9 +941,9 @@ class CosimFabric:
         """Rewind the fabric to a snapshot, preserving every object identity.
 
         Engines, stores, pool rings, stats objects and virtual channels are
-        mutated in place -- the compiled transport closures pre-bind them --
-        so a restored fabric re-runs requests through the exact closures the
-        elaboration built.
+        mutated in place -- the generated routes and loops pre-bind them --
+        so a restored fabric re-runs requests through the exact functions
+        the elaboration built.
         """
         engines, directions, vcs, group_clocks, now, initials, observed = snap
         for dom, engine_snap in zip(self.domains, engines):
@@ -1295,7 +1238,6 @@ class CosimFabric:
                 bargs,
                 bkwargs,
                 backend=self.backend,
-                transport=self.transport,
                 engine_kinds=dict(self.engine_kinds),
                 fabric_kind="duplex" if isinstance(self, Cosimulator) else "fabric",
                 done_attr=done_attr,
@@ -1507,7 +1449,6 @@ class Cosimulator(CosimFabric):
         burst: bool = True,
         max_loop_iterations: int = 1_000_000,
         backend: Optional[str] = None,
-        transport: Optional[str] = None,
         verify: bool = False,
     ):
         platform = platform or Platform.ml507()
@@ -1530,7 +1471,6 @@ class Cosimulator(CosimFabric):
             burst=burst,
             max_loop_iterations=max_loop_iterations,
             backend=backend,
-            transport=transport,
             topology=topology,
             required_domains=[hw_domain, sw_domain],
             verify=verify,

@@ -22,7 +22,7 @@ from repro.core.module import Module, PrimitiveModule, Register
 from repro.core.semantics import EvalHooks
 
 #: AST nodes that cost one ALU operation when evaluated (all other nodes are
-#: structural and free); shared by the hooks below and the closure compiler.
+#: structural and free).
 COSTED_NODES = (BinOp, UnOp, Mux, FieldSelect)
 
 

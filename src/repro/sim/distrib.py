@@ -18,7 +18,7 @@ group may run "in a different process".  This module takes that literally:
   the generated transactors speak: the producer's transport pump runs
   unmodified (its credit window reads the consumer's published occupancy
   instead of the in-process endpoint -- see
-  :func:`repro.core.compile.compile_transport_pump`'s ``occupancy_of``),
+  :func:`repro.core.pycodegen.generate_transport_pump`'s ``occupancy_of``),
   its link replica's :class:`~repro.platform.channel.MessagePool` fills
   with ``MessageLayout``-packed words, and a *carrier* moves each framed
   record -- ``(due, header word, payload words)`` -- into the consumer
@@ -40,8 +40,8 @@ group may run "in a different process".  This module takes that literally:
   loop's phase order cycle for cycle, and the parent reassembles each
   group's :class:`~repro.sim.cosim.CosimResult` in the serial orderings --
   so the merged result is **bitwise identical** to
-  ``scheduler="grouped"`` on a fresh fabric, for both rule backends and
-  both carriers.
+  ``scheduler="grouped"`` on a fresh fabric, for both backends and both
+  carriers.
 
 The protocol notes (ring word-frame layout, doorbell/credit slots, the
 barrier schedule and why it is race-free) are documented in ROADMAP.md
@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.compile import compile_transport_pump
 from repro.core.errors import SimulationError
+from repro.core.pycodegen import generate_transport_pump, resolve_backend
 from repro.platform.marshal import unframe_header
 from repro.sim.cosim import (
     CosimFabric,
@@ -406,7 +406,6 @@ class _WorkerAssignment:
     args: Tuple[Any, ...]
     kwargs: Dict[str, Any]
     backend: str
-    transport: Optional[str]
     engine_kinds: Optional[Dict[str, str]]
     fabric_kind: str
     done_attr: str
@@ -490,7 +489,6 @@ def _build_fabric(
     workload: Any,
     fabric_kind: str,
     backend: str,
-    transport: Optional[str],
     engine_kinds: Optional[Dict[str, str]],
 ) -> CosimFabric:
     """Elaborate a fabric from a workload, mirroring the serving layer."""
@@ -498,11 +496,10 @@ def _build_fabric(
     if kind == "auto":
         kind = "fabric" if engine_kinds else "duplex"
     if kind == "duplex":
-        return Cosimulator(workload.design, backend=backend, transport=transport)
+        return Cosimulator(workload.design, backend=backend)
     return CosimFabric(
         workload.design,
         backend=backend,
-        transport=transport,
         engine_kinds=dict(engine_kinds) if engine_kinds else None,
     )
 
@@ -700,7 +697,7 @@ def _run_lockstep_member(
                 out_carriers.append((endpoints[key], pool))
 
     # -- transport routes: local pumps verbatim, remote pumps re-windowed ----
-    compiled = fabric._pump_fns is not None
+    generated = fabric._pump_fns is not None
     cell_of_cut = {cut: r for r, cut in enumerate(plan.remote_route_cuts)}
     pump_fns: List[Callable[[float], bool]] = []
     out_routes: List[Tuple[Any, int]] = []  # (vc, cell) for producer-side remotes
@@ -710,14 +707,14 @@ def _run_lockstep_member(
         src = sync.domain_enq.name
         dst = sync.domain_deq.name
         if src in member_names and dst in member_names:
-            pump_fns.append(fabric._pump_fns[j] if compiled else _one_route_pump(route))
+            pump_fns.append(fabric._pump_fns[j] if generated else _one_route_pump(route))
         elif src in member_names:
             r = cell_of_cut[j]
             occ_slot = plan.occupancy_slot(r)
             occ_fn = lambda u=u, k=occ_slot: u[k]  # noqa: E731
-            if compiled:
+            if generated:
                 pump_fns.append(
-                    compile_transport_pump(
+                    generate_transport_pump(
                         sync.data,
                         sync.depth,
                         pstore,
@@ -727,6 +724,7 @@ def _run_lockstep_member(
                         peng.locked_registers,
                         peng.charge_driver if sw_prod else None,
                         occupancy_of=occ_fn,
+                        name=f"{fabric.design.name}.route{j}.remote",
                     )
                 )
             else:
@@ -736,7 +734,7 @@ def _run_lockstep_member(
             in_routes.append((cell_of_cut[j], vc, cstore, sync.data))
 
     # -- delivery sweeps terminating in this member --------------------------
-    if compiled:
+    if generated:
         deliver_fns = [
             fabric._deliver_fns[j]
             for j, d in enumerate(fabric._delivery_dsts)
@@ -1028,7 +1026,7 @@ def _worker_main(a: _WorkerAssignment, conn) -> None:
                     workload = a.builder(*a.args, **a.kwargs)
                     done = getattr(workload, a.done_attr)
                     fabric = _build_fabric(
-                        workload, a.fabric_kind, a.backend, a.transport, a.engine_kinds
+                        workload, a.fabric_kind, a.backend, a.engine_kinds
                     )
                     if len(a.members) > 1:
                         # More members will follow: remember reset state so
@@ -1235,7 +1233,6 @@ def _serial_fallback(
     args,
     kwargs,
     backend,
-    transport,
     engine_kinds,
     fabric_kind,
     done_attr,
@@ -1248,7 +1245,7 @@ def _serial_fallback(
     """No usable ``fork``: run the identical grouped semantics in-process."""
     if workload is None:
         workload = builder(*args, **kwargs)
-    fabric = _build_fabric(workload, fabric_kind, backend, transport, engine_kinds)
+    fabric = _build_fabric(workload, fabric_kind, backend, engine_kinds)
     result = fabric.run(
         getattr(workload, done_attr),
         max_cycles=max_cycles,
@@ -1273,8 +1270,7 @@ def run_distributed(
     kwargs: Optional[Dict[str, Any]] = None,
     *,
     name: Optional[str] = None,
-    backend: str = "compiled",
-    transport: Optional[str] = None,
+    backend: Optional[str] = None,
     engine_kinds: Optional[Dict[str, str]] = None,
     fabric_kind: str = "fabric",
     done_attr: str = "cosim_done",
@@ -1305,6 +1301,10 @@ def run_distributed(
     ``"socket"`` streams).  ``ring_words`` forces the per-link ring
     capacity (tests use a tiny ring to exercise backpressure).
 
+    ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend`; every worker
+    elaborates under the resolved backend.
+
     ``parent``/``done`` let an already-elaborated fabric
     (``CosimFabric.run(scheduler="distributed")``) reuse itself for
     planning and final evaluation.  The returned report's ``result`` is
@@ -1316,6 +1316,7 @@ def run_distributed(
         raise ValueError(f"unknown placement {placement!r} (expected 'group'/'domain')")
     if carrier not in ("shm", "socket"):
         raise ValueError(f"unknown carrier {carrier!r} (expected 'shm'/'socket')")
+    backend = resolve_backend(backend)
     kwargs = dict(kwargs or {})
     t0 = time.perf_counter()
     workload = None
@@ -1325,8 +1326,8 @@ def run_distributed(
             done = getattr(workload, done_attr)
         if parent is None:
             # The parent never executes a rule: interp elaboration skips the
-            # closure compilation each worker pays for its own run.
-            parent = _build_fabric(workload, fabric_kind, "interp", "interp", engine_kinds)
+            # code generation each worker pays for its own run.
+            parent = _build_fabric(workload, fabric_kind, "interp", engine_kinds)
     base_name = name or parent.design.name
     n_groups = parent.group_count
 
@@ -1348,7 +1349,7 @@ def run_distributed(
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return _serial_fallback(
-            workload, builder, args, kwargs, backend, transport, engine_kinds,
+            workload, builder, args, kwargs, backend, engine_kinds,
             fabric_kind, done_attr, placement, carrier, max_cycles,
             max_iterations, t0,
         )
@@ -1397,7 +1398,6 @@ def run_distributed(
         args=tuple(args),
         kwargs=kwargs,
         backend=backend,
-        transport=transport,
         engine_kinds=dict(engine_kinds) if engine_kinds else None,
         fabric_kind=fabric_kind,
         done_attr=done_attr,

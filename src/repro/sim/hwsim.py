@@ -21,15 +21,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.analysis import rule_read_set, rule_write_set
-from repro.core.compile import RuleExec, raise_for_missing_register, rule_exec
-from repro.core.errors import GuardFail
 from repro.core.module import Register, Rule
-from repro.core.pycodegen import (
-    VALID_BACKENDS,
-    default_rule_backend,
-    generate_hw_step,
-    generate_rule_execs,
-)
+from repro.core.pycodegen import generate_hw_step, generate_rule_execs, resolve_backend
 from repro.core.scheduler import HwSchedule, RuleWakeup
 from repro.core.semantics import Evaluator, Store, commit, try_rule
 from repro.sim.costmodel import HwLatencyAccumulator
@@ -41,14 +34,17 @@ class HwEngine:
     ``backend="interp"`` evaluates rules through the tree-walking
     :class:`~repro.core.semantics.Evaluator` (guards are checked with one
     evaluation, then the selected rules are re-evaluated under the latency
-    accumulator, exactly like the reference implementation always did).
-    ``backend="compiled"`` fires each rule through its closure-compiled form
-    *once*, computing updates and FSM latency together; a selected rule is
-    only re-evaluated if an earlier rule in the same cycle committed to a
-    register it reads.  The compiled backend also uses dirty-set scheduling:
-    a rule whose guard failed is not re-checked until something it reads is
-    written.  In that mode the engine wraps the store it is given to observe
-    external writes; always use ``engine.store`` (the live store) after
+    accumulator, exactly like the reference implementation always did);
+    the class's :meth:`step_cycle` is that reference.  ``backend="source"``
+    replaces ``step_cycle`` on the instance with a fused generated cycle
+    (:func:`~repro.core.pycodegen.generate_hw_step`) that fires each rule
+    through its generated latency function *once*, computing updates and
+    FSM latency together; a selected rule is only re-evaluated if an
+    earlier rule in the same cycle committed to a register it reads.  The
+    source backend also uses dirty-set scheduling: a rule whose guard
+    failed is not re-checked until something it reads is written.  In that
+    mode the engine wraps the store it is given to observe external
+    writes; always use ``engine.store`` (the live store) after
     construction.
     """
 
@@ -59,15 +55,11 @@ class HwEngine:
         name: str = "HW",
         backend: Optional[str] = None,
     ):
-        if backend is None:
-            backend = default_rule_backend()
-        if backend not in VALID_BACKENDS:
-            raise ValueError(f"unknown execution backend {backend!r}")
+        backend = resolve_backend(backend)
         self.name = name
         self.rules = list(rules)
         self.backend = backend
-        self._use_dirty = backend != "interp"
-        if self._use_dirty:
+        if backend == "source":
             self._wakeup: Optional[RuleWakeup] = RuleWakeup(self.rules)
             self.store = self._wakeup.wrap_store(store)
         else:
@@ -77,15 +69,6 @@ class HwEngine:
         self.evaluator = Evaluator()
         self._gen = None
         self._step_gen = None
-        if backend == "source":
-            execs, self._gen = generate_rule_execs(
-                self.rules, name, modes=("latency",)
-            )
-            self._exec: Dict[Rule, RuleExec] = dict(zip(self.rules, execs))
-        elif backend == "compiled":
-            self._exec = {rule: rule_exec(rule) for rule in self.rules}
-        else:
-            self._exec = {}
         #: rule -> (finish_time, deferred updates) for in-flight multi-cycle rules.
         self.busy: Dict[Rule, Tuple[float, Dict[Register, Any]]] = {}
         #: reference-counted union of the busy rules' write sets (kept
@@ -110,7 +93,10 @@ class HwEngine:
         # method.  Installed last so the generated module pre-binds the
         # fully initialised engine state (busy table, locked view, wakeup).
         if backend == "source":
-            self._step_gen = generate_hw_step(self, self._exec, HwLatencyAccumulator)
+            execs, self._gen = generate_rule_execs(self.rules, name, modes=("latency",))
+            self._step_gen = generate_hw_step(
+                self, dict(zip(self.rules, execs)), HwLatencyAccumulator
+            )
             self.step_cycle = self._step_gen.namespace["step_cycle"]
 
     # -- snapshot / restore ---------------------------------------------------
@@ -256,7 +242,12 @@ class HwEngine:
         return self._next_finish
 
     def step_cycle(self, now: float) -> bool:
-        """Simulate one clock edge at time ``now``.  Returns True on progress."""
+        """Simulate one clock edge at time ``now``.  Returns True on progress.
+
+        The ``interp`` backend's reference cycle; under ``source`` a
+        generated cycle with dirty-set scheduling replaces this method on
+        the instance.
+        """
         if not self.rules:
             return False
         if self.last_cycle_stepped == now:
@@ -273,63 +264,21 @@ class HwEngine:
                 progress = True
             self._flush_pending_deliveries()
 
-        # 2. Determine which rules may attempt to fire this cycle.  Sleeping
-        #    rules (guard failed, read set untouched since) cannot be enabled
-        #    and are skipped without evaluation.
-        use_dirty = self._use_dirty
-        sleeping = index_of = None
-        if use_dirty:
-            if self._wakeup.all_asleep and not self.busy:
-                # Every rule is known guard-disabled and nothing is in flight.
-                if progress:
-                    self.cycles_active += 1
-                return progress
-            sleeping = self._wakeup.sleeping
-            index_of = self._wakeup.index_of
+        # 2. Determine which rules may attempt to fire this cycle.
         locked = self._locked_registers()
-        if use_dirty:
-            candidates = [
-                rule
-                for rule in self.rules
-                if rule not in self.busy
-                and not sleeping[index_of[rule]]
-                and not (self._write_sets[rule] & locked)
-            ]
-        else:
-            candidates = [
-                rule
-                for rule in self.rules
-                if rule not in self.busy and not (self._write_sets[rule] & locked)
-            ]
+        candidates = [
+            rule
+            for rule in self.rules
+            if rule not in self.busy and not (self._write_sets[rule] & locked)
+        ]
         if not candidates:
             if progress:
                 self.cycles_active += 1
             return progress
 
-        compiled = self.backend != "interp"
-        enabled: List[Rule] = []
-        #: rule -> (updates, latency) evaluated against this cycle's initial state.
-        evaluated: Dict[Rule, Tuple[Dict[Register, Any], int]] = {}
-        if compiled:
-            read = self.store.__getitem__
-            for rule in candidates:
-                latency_hooks = HwLatencyAccumulator()
-                try:
-                    updates = self._exec[rule].latency(read, latency_hooks)
-                except GuardFail:
-                    self._wakeup.sleep_index(index_of[rule])
-                    continue
-                except KeyError as exc:
-                    raise_for_missing_register(exc)
-                    raise
-                evaluated[rule] = (updates, latency_hooks.latency)
-                enabled.append(rule)
-        else:
-            for rule in candidates:
-                outcome = try_rule(rule, self.store, self.evaluator)
-                if outcome.fired:
-                    enabled.append(rule)
-
+        enabled: List[Rule] = [
+            rule for rule in candidates if try_rule(rule, self.store, self.evaluator).fired
+        ]
         chosen = self.schedule.select(enabled)
 
         # 3. Execute the chosen set sequentially (consistent with the
@@ -339,42 +288,21 @@ class HwEngine:
         #    the same cycle can produce an immediate update that the deferred
         #    commit would later clobber.
         cycle_locked: Set[Register] = set(locked)
-        cycle_dirty: Set[Register] = set()
         for rule in chosen:
             if self._write_sets[rule] & cycle_locked:
                 continue
-            if compiled:
-                updates, latency = evaluated[rule]
-                if self._read_sets[rule] & cycle_dirty:
-                    # An earlier rule in this cycle wrote state this rule
-                    # reads; the phase-2 evaluation is stale, redo it.
-                    latency_hooks = HwLatencyAccumulator()
-                    try:
-                        updates = self._exec[rule].latency(
-                            self.store.__getitem__, latency_hooks
-                        )
-                    except GuardFail:
-                        self._wakeup.sleep_index(index_of[rule])
-                        continue
-                    except KeyError as exc:
-                        raise_for_missing_register(exc)
-                        raise
-                    latency = latency_hooks.latency
-            else:
-                latency_hooks = HwLatencyAccumulator()
-                outcome = try_rule(rule, self.store, self.evaluator, latency_hooks)
-                if not outcome.fired:
-                    # An earlier rule in the same cycle changed the state under it.
-                    continue
-                updates, latency = outcome.updates, latency_hooks.latency
+            latency_hooks = HwLatencyAccumulator()
+            outcome = try_rule(rule, self.store, self.evaluator, latency_hooks)
+            if not outcome.fired:
+                # An earlier rule in the same cycle changed the state under it.
+                continue
             self.fire_counts[rule.full_name] += 1
             self.total_firings += 1
             progress = True
-            if latency <= 1:
-                commit(self.store, updates)
-                cycle_dirty.update(updates)
+            if latency_hooks.latency <= 1:
+                commit(self.store, outcome.updates)
             else:
-                self._lock_rule(rule, now + latency, updates)
+                self._lock_rule(rule, now + latency_hooks.latency, outcome.updates)
                 cycle_locked |= self._write_sets[rule]
 
         if progress:

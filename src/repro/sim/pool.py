@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
+from repro.core.pycodegen import resolve_backend
 from repro.sim.cosim import CosimResult
 from repro.sim.serve import FabricServer, Request
 
@@ -68,14 +69,16 @@ class PoolTask:
     ``fabric_kind`` follows :class:`~repro.sim.serve.FabricServer`:
     ``"auto"`` maps to the two-partition ``Cosimulator`` unless explicit
     ``engine_kinds`` are given; group tasks always use ``"fabric"``.
+    ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend` at construction, in
+    the submitting process, so the resident-cache key is always concrete.
     """
 
     name: str
     builder: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "compiled"
-    transport: Optional[str] = None
+    backend: Optional[str] = None
     engine_kinds: Optional[Dict[str, str]] = None
     max_cycles: float = 500_000_000.0
     kind: str = "run"
@@ -85,6 +88,7 @@ class PoolTask:
     scheduler: str = "grouped"
 
     def __post_init__(self):
+        self.backend = resolve_backend(self.backend)
         if self.kind not in POOL_TASK_KINDS:
             raise ValueError(
                 f"unknown pool task kind {self.kind!r} (expected one of {POOL_TASK_KINDS})"
@@ -139,7 +143,6 @@ def _spec_key(task: PoolTask) -> tuple:
         repr(task.args),
         repr(sorted(task.kwargs.items())),
         task.backend,
-        task.transport,
         repr(sorted((task.engine_kinds or {}).items())),
         task.fabric_kind,
     )
@@ -162,7 +165,6 @@ def _resident_server(task: PoolTask) -> Tuple[FabricServer, bool]:
         task.args,
         dict(task.kwargs),
         backend=task.backend,
-        transport=task.transport,
         engine_kinds=dict(task.engine_kinds) if task.engine_kinds else None,
         fabric_kind=task.fabric_kind,
         scheduler=task.scheduler,

@@ -1,7 +1,7 @@
 """Persistent fabric serving: elaborate once, stream requests through it.
 
 Every entry point before this layer paid full elaboration -- partitioning,
-closure compilation, layout compilation, topology wiring -- per run and
+code generation, layout compilation, topology wiring -- per run and
 threw the fabric away.  The paper's own framing is the opposite: the
 expensive artifact is the *interface* (generated once per partitioning),
 not the *message*, and the same interfaces carry all traffic.  A
@@ -25,7 +25,7 @@ Because the snapshot is the reset state, the ``CosimResult`` of each run
 restore is complete, a request served by a resident fabric is **bitwise
 identical** to the same request served by a freshly elaborated fabric
 (:func:`serve_fresh` is that oracle; ``tests/test_serve.py`` pins the
-equivalence over both backends, both transports and both schedulers).
+equivalence over both backends and both schedulers).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.module import Register
+from repro.core.pycodegen import resolve_backend
 from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator, ThresholdDone
 
 
@@ -114,7 +115,9 @@ class FabricServer:
     write inputs, run to done, read outputs, restore -- leaving the fabric
     back at reset, so requests are independent: the N-th request of a
     stream is bitwise identical to the same request served first, or served
-    by a fresh elaboration (:func:`serve_fresh`).
+    by a fresh elaboration (:func:`serve_fresh`).  ``backend=None``
+    resolves to :func:`~repro.core.pycodegen.default_rule_backend` once,
+    here, so :attr:`backend` is always a concrete name.
     """
 
     def __init__(
@@ -123,8 +126,7 @@ class FabricServer:
         args: Tuple[Any, ...] = (),
         kwargs: Optional[Dict[str, Any]] = None,
         *,
-        backend: str = "compiled",
-        transport: Optional[str] = None,
+        backend: Optional[str] = None,
         engine_kinds: Optional[Dict[str, str]] = None,
         fabric_kind: str = "auto",
         scheduler: str = "grouped",
@@ -138,8 +140,7 @@ class FabricServer:
         self.builder = builder
         self.args = args
         self.kwargs = dict(kwargs or {})
-        self.backend = backend
-        self.transport = transport
+        self.backend = resolve_backend(backend)
         self.engine_kinds = dict(engine_kinds) if engine_kinds else None
         self.scheduler = scheduler
         self.max_cycles = max_cycles
@@ -149,13 +150,12 @@ class FabricServer:
         self.fabric_kind = fabric_kind
         if fabric_kind == "duplex":
             self.fabric: CosimFabric = Cosimulator(
-                self.workload.design, backend=backend, transport=transport
+                self.workload.design, backend=self.backend
             )
         else:
             self.fabric = CosimFabric(
                 self.workload.design,
-                backend=backend,
-                transport=transport,
+                backend=self.backend,
                 engine_kinds=dict(self.engine_kinds) if self.engine_kinds else None,
             )
         self._registry: Dict[str, Register] = {

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
+from repro.core.pycodegen import resolve_backend
 from repro.sim.cosim import CosimFabric, CosimResult
 from repro.sim.pool import PoolOutcome, PoolTask, run_pool, run_pool_task
 from repro.sim.serve import safe_ratio
@@ -57,16 +58,20 @@ class SweepTask:
     ``cosim_done`` termination predicate.  ``engine_kinds`` (domain name ->
     ``"hw"``/``"sw"``) selects the N-domain fabric; when ``None`` the
     classic two-partition :class:`~repro.sim.cosim.Cosimulator` runs it.
+    ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend` at construction.
     """
 
     name: str
     builder: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "compiled"
-    transport: Optional[str] = None
+    backend: Optional[str] = None
     engine_kinds: Optional[Dict[str, str]] = None
     max_cycles: float = 500_000_000.0
+
+    def __post_init__(self):
+        self.backend = resolve_backend(self.backend)
 
 
 @dataclass
@@ -130,7 +135,6 @@ def _sweep_pool_task(task: SweepTask) -> PoolTask:
         args=task.args,
         kwargs=dict(task.kwargs),
         backend=task.backend,
-        transport=task.transport,
         engine_kinds=dict(task.engine_kinds) if task.engine_kinds else None,
         max_cycles=task.max_cycles,
         kind="run",
@@ -238,17 +242,21 @@ class GroupTask:
     worker elaborates the *full* design, then runs only group
     ``group_index`` of its fabric (reads escaping the group resolve to
     reset values, so the outcome is independent of every other group).
+    ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend` at construction.
     """
 
     name: str
     builder: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "compiled"
-    transport: Optional[str] = None
+    backend: Optional[str] = None
     engine_kinds: Optional[Dict[str, str]] = None
     group_index: int = 0
     max_cycles: float = 500_000_000.0
+
+    def __post_init__(self):
+        self.backend = resolve_backend(self.backend)
 
 
 @dataclass
@@ -311,7 +319,6 @@ def _group_pool_task(task: GroupTask) -> PoolTask:
         args=task.args,
         kwargs=dict(task.kwargs),
         backend=task.backend,
-        transport=task.transport,
         engine_kinds=dict(task.engine_kinds) if task.engine_kinds else None,
         max_cycles=task.max_cycles,
         kind="group",
@@ -343,8 +350,7 @@ def run_grouped(
     kwargs: Optional[Dict[str, Any]] = None,
     *,
     name: Optional[str] = None,
-    backend: str = "compiled",
-    transport: Optional[str] = None,
+    backend: Optional[str] = None,
     engine_kinds: Optional[Dict[str, str]] = None,
     processes: Optional[int] = None,
     max_cycles: float = 500_000_000.0,
@@ -360,17 +366,19 @@ def run_grouped(
     the merged result obeys
     :meth:`~repro.sim.cosim.CosimResult.merge`'s deterministic rules and is
     bitwise identical to ``CosimFabric.run``'s own serial grouped result.
+    ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend` once, here.
     """
+    backend = resolve_backend(backend)
     kwargs = dict(kwargs or {})
     workload = builder(*args, **kwargs)
     # The parent fabric never executes a rule: it only counts groups and
     # re-evaluates the done predicate over reported finals, so build it on
-    # the interpreted backend and skip the whole-design closure compilation
-    # the workers will each pay for their own runs.
+    # the interpreted backend and skip the whole-design code generation the
+    # workers will each pay for their own runs.
     fabric = CosimFabric(
         workload.design,
         backend="interp",
-        transport="interp",
         engine_kinds=dict(engine_kinds) if engine_kinds else None,
     )
     n_groups = fabric.group_count
@@ -385,7 +393,6 @@ def run_grouped(
             args=args,
             kwargs=kwargs,
             backend=backend,
-            transport=transport,
             engine_kinds=dict(engine_kinds) if engine_kinds else None,
             group_index=i,
             max_cycles=max_cycles,

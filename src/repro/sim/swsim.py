@@ -18,16 +18,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.compile import compiled_rule_exec
 from repro.core.errors import GuardFail
 from repro.core.module import Register, Rule
 from repro.core.optimize import CompiledRule, OptimizationConfig, compile_rule
-from repro.core.pycodegen import (
-    VALID_BACKENDS,
-    default_rule_backend,
-    generate_counting_attempts,
-    generate_sw_step,
-)
+from repro.core.pycodegen import generate_counting_attempts, generate_sw_step, resolve_backend
 from repro.core.scheduler import RuleWakeup, SwSchedule
 from repro.core.semantics import Evaluator, Store, commit
 from repro.platform.platform import Platform
@@ -42,14 +36,14 @@ class SwEngine:
 
     ``backend`` selects how a rule attempt is evaluated: ``"interp"`` walks
     the optimised rule's guard/body ASTs through the tree-walking
-    :class:`~repro.core.semantics.Evaluator`; ``"compiled"`` calls their
-    closure-compiled forms (:mod:`repro.core.compile`); ``"source"``
-    calls flat generated-Python attempt functions and replaces ``step``
-    with a fused generated superstep (:mod:`repro.core.pycodegen`).  All
-    charge identical CPU-cycle costs.  ``None`` resolves to
+    :class:`~repro.core.semantics.Evaluator` (the class's :meth:`step` is
+    that exhaustive reference scan); ``"source"`` replaces ``step`` on the
+    instance with a fused generated superstep over flat generated-Python
+    attempt functions (:mod:`repro.core.pycodegen`).  Both charge
+    identical CPU-cycle costs.  ``None`` resolves to
     :func:`~repro.core.pycodegen.default_rule_backend`.
 
-    The compiled backend additionally uses dirty-set scheduling: a rule
+    The source backend additionally uses dirty-set scheduling: a rule
     whose attempt failed is skipped (not re-evaluated) until a register in
     its read set is written.  The cost model still charges the skipped
     attempt -- the scheduler of the generated C++ really would re-run the
@@ -70,15 +64,11 @@ class SwEngine:
         max_loop_iterations: int = 1_000_000,
         backend: Optional[str] = None,
     ):
-        if backend is None:
-            backend = default_rule_backend()
-        if backend not in VALID_BACKENDS:
-            raise ValueError(f"unknown execution backend {backend!r}")
+        backend = resolve_backend(backend)
         self.name = name
         self.rules = list(rules)
         self.backend = backend
-        self._use_dirty = backend != "interp"
-        if self._use_dirty:
+        if backend == "source":
             self._wakeup: Optional[RuleWakeup] = RuleWakeup(self.rules)
             self.store = self._wakeup.wrap_store(store)
         else:
@@ -91,17 +81,6 @@ class SwEngine:
         self.compiled: Dict[Rule, CompiledRule] = {
             rule: compile_rule(rule, config, all_registers) for rule in self.rules
         }
-        #: rule -> (guard_fn, body_fn) counting closures (compiled backend).
-        self._count_fns = (
-            {
-                rule: compiled_rule_exec(cr, max_loop_iterations).counting_fns(
-                    platform.sw_costs
-                )
-                for rule, cr in self.compiled.items()
-            }
-            if backend == "compiled"
-            else {}
-        )
         #: CPU cost of each rule's most recent failed attempt (valid while
         #: the rule sleeps -- its read set is untouched, so the cost is too).
         self._last_fail_cost: Dict[Rule, float] = {}
@@ -120,11 +99,10 @@ class SwEngine:
         # Source backend: generated per-rule attempt functions plus a fused
         # superstep that shadows the class's ``step``.  Installed last so
         # the generated module pre-binds the fully initialised engine state.
-        self._attempt_fns: List[Any] = []
         self._gen = None
         self._step_gen = None
         if backend == "source":
-            self._attempt_fns, self._gen = generate_counting_attempts(
+            attempts, self._gen = generate_counting_attempts(
                 self.rules,
                 self.compiled,
                 platform.sw_costs,
@@ -132,7 +110,7 @@ class SwEngine:
                 name,
                 max_loop_iterations,
             )
-            self._step_gen = generate_sw_step(self, self._attempt_fns)
+            self._step_gen = generate_sw_step(self, attempts)
             self.step = self._step_gen.namespace["step"]
 
     # -- snapshot / restore ----------------------------------------------------
@@ -262,7 +240,13 @@ class SwEngine:
         return None
 
     def step(self, now: float) -> bool:
-        """Advance the software engine at time ``now``.  Returns True on progress."""
+        """Advance the software engine at time ``now``.  Returns True on progress.
+
+        The ``interp`` backend's exhaustive reference scan: every rule's
+        guard is re-evaluated on every step.  Under ``source`` a generated
+        superstep with dirty-set scheduling replaces this method on the
+        instance (:func:`~repro.core.pycodegen.generate_sw_step`).
+        """
         if not self.rules:
             return False
         if self.is_busy(now):
@@ -277,25 +261,8 @@ class SwEngine:
 
         self._flush_pending_deliveries()
 
-        use_dirty = self._use_dirty
-        sleeping = index_of = None
-        if use_dirty:
-            if self._wakeup.all_asleep:
-                # Every rule is known guard-disabled: the scan would fail
-                # across the board.  Count the failures without iterating.
-                self.guard_failures += len(self.rules)
-                return progress
-            sleeping = self._wakeup.sleeping
-            index_of = self._wakeup.index_of
-
         wasted_this_scan = 0.0
         for rule in self.schedule.candidates(self._last_fired):
-            if use_dirty and sleeping[index_of[rule]]:
-                # Guaranteed guard failure (read set untouched since the last
-                # real attempt); charge the recorded cost without evaluating.
-                wasted_this_scan += self._last_fail_cost[rule]
-                self.guard_failures += 1
-                continue
             cpu_cost, fired, updates = self._attempt(rule)
             if fired:
                 total_cpu = cpu_cost + wasted_this_scan
@@ -311,10 +278,6 @@ class SwEngine:
                 return True
             # Failed attempt: its cost is wasted work, charged to whatever
             # fires next in this scan (the scheduler really does spend it).
-            # The rule sleeps until something it reads is written.
-            if use_dirty:
-                self._wakeup.sleep_index(index_of[rule])
-                self._last_fail_cost[rule] = cpu_cost
             wasted_this_scan += cpu_cost
             self.guard_failures += 1
         # Nothing can fire: the partition is blocked waiting for input.  The
@@ -327,37 +290,22 @@ class SwEngine:
     def _attempt(self, rule: Rule) -> Tuple[float, bool, Dict[Register, Any]]:
         """Attempt one rule; returns ``(cpu_cost, fired, updates)``.
 
-        The compiled backend runs the closure-compiled guard/body with
-        cost-counting cells; the interp backend walks the ASTs under a
-        :class:`SwCostAccumulator`.  Both charge identical cycles.
+        Walks the optimised guard/body ASTs under a
+        :class:`SwCostAccumulator`; the generated attempt functions of the
+        source backend charge identical cycles.
         """
         params = self.platform.sw_costs
         cr = self.compiled[rule]
         read = self.store.__getitem__
-        if self.backend == "source":
-            cost, updates = self._attempt_fns[self._wakeup.index_of[rule]](read)
-            if updates is None:
-                return cost, False, {}
-            return cost, True, updates
         cost = float(params.rule_attempt_overhead)
-        count_fns = self._count_fns.get(rule)
 
         # 1. Top-level (lifted) guard check.
-        if count_fns is not None:
-            guard_fn, body_fn = count_fns
-            cell = [0]
-            try:
-                guard_ok = bool(guard_fn((), read, cell))
-            except GuardFail:
-                guard_ok = False
-            cost += cell[0]
-        else:
-            acc = SwCostAccumulator(params)
-            try:
-                guard_ok = bool(self.evaluator.eval_expr(cr.guard, {}, read, acc))
-            except GuardFail:
-                guard_ok = False
-            cost += acc.cpu_cycles
+        acc = SwCostAccumulator(params)
+        try:
+            guard_ok = bool(self.evaluator.eval_expr(cr.guard, {}, read, acc))
+        except GuardFail:
+            guard_ok = False
+        cost += acc.cpu_cycles
         if not guard_ok:
             return cost, False, {}
 
@@ -372,26 +320,15 @@ class SwEngine:
         cost += setup
 
         # 3. Execute the residual body.
-        if count_fns is not None:
-            body_cell = [0]
-            try:
-                updates = body_fn((), read, body_cell)
-            except GuardFail:
-                cost += body_cell[0]
-                cost += params.rollback_base
-                cost += len(cr.shadow_registers) * params.rollback_per_register
-                return cost, False, {}
-            cost += body_cell[0]
-        else:
-            body_acc = SwCostAccumulator(params)
-            try:
-                updates = self.evaluator.exec_action(cr.body, {}, read, body_acc)
-            except GuardFail:
-                cost += body_acc.cpu_cycles
-                cost += params.rollback_base
-                cost += len(cr.shadow_registers) * params.rollback_per_register
-                return cost, False, {}
+        body_acc = SwCostAccumulator(params)
+        try:
+            updates = self.evaluator.exec_action(cr.body, {}, read, body_acc)
+        except GuardFail:
             cost += body_acc.cpu_cycles
+            cost += params.rollback_base
+            cost += len(cr.shadow_registers) * params.rollback_per_register
+            return cost, False, {}
+        cost += body_acc.cpu_cycles
 
         # 4. Commit.
         if cr.can_fail:

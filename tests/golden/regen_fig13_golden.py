@@ -57,6 +57,12 @@ GOLDEN_FIELDS = (
 )
 
 
+#: Golden key -> the backend that captures it.  ``compiled`` names the fast
+#: execution tier the file was first recorded with; that tier is now
+#: ``source``, and its bits equal the ``interp`` entry's on every workload.
+TIERS = {"interp": "interp", "compiled": "source"}
+
+
 def fig13_workloads():
     for letter in vorbis_partitions.PARTITION_ORDER:
         yield f"vorbis_{letter}", vorbis_partitions.build_partition(letter, VORBIS_PARAMS)
@@ -80,7 +86,7 @@ def snapshot(workload, backend: str) -> dict:
 def main() -> int:
     golden = {}
     for name, workload in fig13_workloads():
-        golden[name] = {backend: snapshot(workload, backend) for backend in ("interp", "compiled")}
+        golden[name] = {key: snapshot(workload, backend) for key, backend in TIERS.items()}
         print(f"captured {name}")
     out = Path(__file__).resolve().parent / "fig13_cosim.json"
     out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

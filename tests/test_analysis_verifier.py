@@ -46,8 +46,9 @@ class TestCleanPass:
     @pytest.mark.parametrize("name", ["vorbis_B", "vorbis_G", "raytracer_C"])
     def test_shipped_fabric_audits_clean(self, name):
         workload = workload_by_name(name).build()
-        fabric = CosimFabric(workload.design, backend="compiled")
-        assert audit_fabric(fabric) == []
+        for backend in ("interp", "source"):
+            fabric = CosimFabric(workload.design, backend=backend)
+            assert audit_fabric(fabric) == [], backend
 
     def test_summary_reports_totals(self):
         workload = workload_by_name("vorbis_G").build()
@@ -124,7 +125,7 @@ class TestStrictMode:
 
     def test_fabric_verify_accepts_clean_design(self):
         workload = workload_by_name("vorbis_B").build()
-        fabric = CosimFabric(workload.design, backend="compiled", verify=True)
+        fabric = CosimFabric(workload.design, backend="source", verify=True)
         assert fabric.partitioning.cut
 
 

@@ -4,7 +4,7 @@ Four groups:
 
 * **Differential matrix** -- ``run_distributed`` must be bitwise identical
   to ``scheduler="grouped"`` on a fresh elaboration, across backends
-  (interp/compiled), placements (group/domain) and carriers (shm/socket),
+  (interp/source), placements (group/domain) and carriers (shm/socket),
   with real framed wire words crossing process boundaries whenever a cut
   link spans two members.
 * **Scheduler dispatch** -- ``CosimFabric``/``Cosimulator``
@@ -84,7 +84,7 @@ def distributed(name, **kwargs):
 class TestDistributedDifferential:
     @pytest.mark.parametrize("carrier", ["shm", "socket"])
     @pytest.mark.parametrize("placement", ["group", "domain"])
-    @pytest.mark.parametrize("backend", ["interp", "compiled", "source"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     def test_vorbis_B_full_matrix(self, backend, placement, carrier):
         report = distributed(
             "vorbis_B", backend=backend, placement=placement, carrier=carrier
@@ -101,15 +101,14 @@ class TestDistributedDifferential:
     # Multi-group / multi-domain legs sampling every axis value at least
     # twice without running the full 40-cell product on every CI pass.
     LEGS = [
-        ("vorbis_G", "compiled", "domain", "shm"),
+        ("vorbis_G", "source", "domain", "shm"),
         ("vorbis_G", "interp", "group", "shm"),
-        ("vorbis_H", "compiled", "domain", "socket"),
+        ("vorbis_H", "source", "domain", "socket"),
         ("vorbis_H", "interp", "domain", "shm"),
-        ("vorbis_mg_BC", "compiled", "domain", "shm"),
         ("vorbis_mg_BC", "source", "domain", "shm"),
         ("vorbis_mg_BC", "interp", "group", "socket"),
-        ("vorbis_mg_BCF", "compiled", "group", "shm"),
-        ("vorbis_mg_BCF", "compiled", "domain", "socket"),
+        ("vorbis_mg_BCF", "source", "group", "shm"),
+        ("vorbis_mg_BCF", "source", "domain", "socket"),
     ]
 
     @pytest.mark.parametrize("name,backend,placement,carrier", LEGS)
@@ -147,22 +146,22 @@ class TestSchedulerDispatch:
     def test_fabric_distributed_scheduler_matches_grouped(self):
         builder, args = WORKLOADS["vorbis_G"]
         workload = builder(*args)
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         fabric.bind_builder(builder, args)
         result = fabric.run(
             workload.cosim_done, max_cycles=500_000_000, scheduler="distributed"
         )
-        assert asdict(result) == grouped_reference("vorbis_G", "compiled")
+        assert asdict(result) == grouped_reference("vorbis_G", "source")
         assert fabric.now == result.fpga_cycles
 
     def test_cosimulator_distributed_scheduler(self):
         builder, args = WORKLOADS["vorbis_B"]
         ref_workload = builder(*args)
-        ref = Cosimulator(ref_workload.design, backend="compiled").run(
+        ref = Cosimulator(ref_workload.design, backend="source").run(
             ref_workload.cosim_done, max_cycles=500_000_000
         )
         workload = builder(*args)
-        cosim = Cosimulator(workload.design, backend="compiled")
+        cosim = Cosimulator(workload.design, backend="source")
         cosim.bind_builder(builder, args)
         result = cosim.run(
             workload.cosim_done,

@@ -15,7 +15,7 @@ Four groups:
   process-parallel per-group runs (``run_grouped(processes=2)``) produce
   bitwise-equal merged ``CosimResult``s, over fig13 + vorbis G/H (one
   group each: the monolithic path) and the ≥2-group pipelines, for both
-  rule backends and both transports.
+  backends.
 * **Scoping** -- during one group's run the fabric answers reads of other
   groups' registers with reset values, which is what makes group order
   (and process placement) unobservable.
@@ -110,7 +110,7 @@ class TestGroupPartitionProperties:
         names = sorted(d.name for d in vp.multi_group_domains("BC"))
         assert names == ["HW_P0", "HW_P1", "SW_P0", "SW_P1"]
         fabric = CosimFabric(
-            vp.build_group_partition("BC", PARAMS).design, backend="compiled"
+            vp.build_group_partition("BC", PARAMS).design, backend="source"
         )
         assert sorted(d.name for d in fabric.domains) == names
         # An all-software pipeline still lists its (backfilled) SW domain.
@@ -257,8 +257,8 @@ class TestCosimResultMerge:
 # differential: monolithic vs. serial-grouped vs. process-grouped
 # --------------------------------------------------------------------------
 
-#: Representative slice for the expensive exhaustive matrix (every workload
-#: still runs the compiled/compiled cell below).
+#: Representative slice for the backend matrix (every workload still runs
+#: the default backend in ``test_three_modes_bitwise_equal``).
 MATRIX_WORKLOADS = (
     ("vorbis_B", vp.build_partition, ("B", PARAMS)),
     ("vorbis_G", vp.build_multi_partition, ("G", PARAMS)),
@@ -266,9 +266,9 @@ MATRIX_WORKLOADS = (
 )
 
 
-def _run_monolithic(builder, args, backend, transport):
+def _run_monolithic(builder, args, backend):
     workload = builder(*args)
-    fabric = CosimFabric(workload.design, backend=backend, transport=transport)
+    fabric = CosimFabric(workload.design, backend=backend)
     result = fabric.run(workload.cosim_done, max_cycles=500_000_000)
     return fabric, workload, result
 
@@ -276,26 +276,23 @@ def _run_monolithic(builder, args, backend, transport):
 class TestGroupedDifferential:
     @pytest.mark.parametrize("name,builder,args", WORKLOADS, ids=lambda w: None)
     def test_three_modes_bitwise_equal(self, name, builder, args):
-        _, _, mono = _run_monolithic(builder, args, "compiled", None)
+        _, _, mono = _run_monolithic(builder, args, None)
         serial = run_grouped(builder, args=args, processes=1)
         procs = run_grouped(builder, args=args, processes=2)
         assert asdict(serial.result) == asdict(mono)
         assert asdict(procs.result) == asdict(serial.result)
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("transport", ["interp", "compiled"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     @pytest.mark.parametrize("name,builder,args", MATRIX_WORKLOADS, ids=lambda w: None)
-    def test_backend_transport_matrix(self, name, builder, args, backend, transport):
-        _, _, mono = _run_monolithic(builder, args, backend, transport)
-        procs = run_grouped(
-            builder, args=args, backend=backend, transport=transport, processes=2
-        )
+    def test_backend_matrix(self, name, builder, args, backend):
+        _, _, mono = _run_monolithic(builder, args, backend)
+        procs = run_grouped(builder, args=args, backend=backend, processes=2)
         assert asdict(procs.result) == asdict(mono)
 
     def test_multi_group_equals_sum_of_standalone_pipelines(self):
         """Each group's slice equals the pipeline simulated on its own."""
         workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         merged = fabric.run(workload.cosim_done, max_cycles=500_000_000)
         assert merged.completed
 
@@ -305,7 +302,7 @@ class TestGroupedDifferential:
         singles = {}
         for letter in "BC":
             single = _vorbis(letter)
-            cosim = Cosimulator(single.design, backend="compiled")
+            cosim = Cosimulator(single.design, backend="source")
             singles[letter] = cosim.run(single.cosim_done, max_cycles=500_000_000)
         # The slow pipeline (C) bounds the merged clock; counters sum.
         assert merged.fpga_cycles == max(s.fpga_cycles for s in singles.values())
@@ -320,10 +317,10 @@ class TestGroupedDifferential:
         idle-cycle bookkeeping (guard scans, credit stalls, global-clock
         quantisation) differs on multi-group designs."""
         wl_a = vp.build_group_partition("BC", PARAMS)
-        fab_a = CosimFabric(wl_a.design, backend="compiled")
+        fab_a = CosimFabric(wl_a.design, backend="source")
         grouped = fab_a.run(wl_a.cosim_done, max_cycles=500_000_000)
         wl_b = vp.build_group_partition("BC", PARAMS)
-        fab_b = CosimFabric(wl_b.design, backend="compiled")
+        fab_b = CosimFabric(wl_b.design, backend="source")
         lockstep = fab_b.run(
             wl_b.cosim_done, max_cycles=500_000_000, scheduler="lockstep"
         )
@@ -341,7 +338,7 @@ class TestGroupedDifferential:
 
     def test_single_group_grouped_equals_lockstep_bitwise(self):
         """With one group the grouped scheduler *is* the historical loop."""
-        for backend in ("interp", "compiled"):
+        for backend in ("interp", "source"):
             wl_a = _vorbis("B")
             fab_a = Cosimulator(wl_a.design, backend=backend)
             grouped = fab_a.run(wl_a.cosim_done, max_cycles=500_000_000)
@@ -354,7 +351,7 @@ class TestGroupedDifferential:
 
     def test_raytracer_grouped_modes_agree(self):
         workload = _raytracer("B")
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         mono = fabric.run(workload.cosim_done, max_cycles=500_000_000)
         from repro.apps.raytracer import partitions as rp
         from repro.apps.raytracer.params import RayTracerParams
@@ -368,7 +365,7 @@ class TestGroupedDifferential:
 
     def test_unknown_scheduler_rejected(self):
         workload = _vorbis("B")
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         with pytest.raises(ValueError):
             fabric.run(workload.cosim_done, scheduler="warp")
 
@@ -400,7 +397,7 @@ def _short_circuit_workload(params):
 class TestGroupScoping:
     def test_probe_records_observed_registers(self):
         workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         already, observed = fabric.probe_done(workload.cosim_done)
         assert not already
         assert observed == {pipe.frames_out for pipe in workload.pipes}
@@ -410,7 +407,7 @@ class TestGroupScoping:
         """While group 0 runs, group 1's counters read as reset -- so the
         serially scheduled run matches per-process runs bit for bit."""
         workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         p0, p1 = workload.pipes
         fabric.run_group(0, workload.cosim_done)
         # Group 0 really ran and its counter advanced...
@@ -429,7 +426,7 @@ class TestGroupScoping:
 
     def test_group_observations_are_plain_data(self):
         workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         fabric.run_group(0, workload.cosim_done)
         obs = fabric.group_observations(0)
         (key, value), = obs.items()
@@ -442,7 +439,7 @@ class TestGroupScoping:
 
     def test_evaluate_done_with_finals(self):
         workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="compiled")
+        fabric = CosimFabric(workload.design, backend="source")
         finals = {
             pipe.frames_out.full_name: PARAMS.n_frames for pipe in workload.pipes
         }

@@ -15,7 +15,7 @@ are bit-interchangeable**.  These tests enforce it at three levels:
   recomputed;
 * system level -- full co-simulations produce bitwise-identical
   ``CosimResult``s whichever kernel backend runs, under both rule-execution
-  backends and both transports.
+  backends.
 """
 
 import random
@@ -290,19 +290,19 @@ class TestGeometryRawKernels:
 # --------------------------------------------------------------------------
 
 
-def _vorbis_snapshot(letter, kernel_backend, rule_backend, transport, cache=True):
+def _vorbis_snapshot(letter, kernel_backend, rule_backend, cache=True):
     from repro.apps.vorbis import partitions as vp
     from repro.apps.vorbis.params import VorbisParams
     from repro.sim.cosim import Cosimulator
 
     with kc.kernel_backend_override(kernel_backend), kc.kernel_cache_override(cache):
         workload = vp.build_partition(letter, VorbisParams(n_frames=2))
-        cosim = Cosimulator(workload.design, backend=rule_backend, transport=transport)
+        cosim = Cosimulator(workload.design, backend=rule_backend)
         result = cosim.run(workload.cosim_done, max_cycles=500_000_000)
         return asdict(result), cosim.read_sw(workload.checksum)
 
 
-def _raytracer_snapshot(letter, kernel_backend, rule_backend, transport):
+def _raytracer_snapshot(letter, kernel_backend, rule_backend):
     from repro.apps.raytracer import partitions as rp
     from repro.apps.raytracer.params import RayTracerParams
     from repro.sim.cosim import Cosimulator
@@ -311,36 +311,32 @@ def _raytracer_snapshot(letter, kernel_backend, rule_backend, transport):
         workload = rp.build_partition(
             letter, RayTracerParams(n_triangles=24, image_width=3, image_height=3)
         )
-        cosim = Cosimulator(workload.design, backend=rule_backend, transport=transport)
+        cosim = Cosimulator(workload.design, backend=rule_backend)
         result = cosim.run(workload.cosim_done, max_cycles=500_000_000)
         return asdict(result), cosim.read_sw(workload.checksum)
 
 
 class TestCosimBackendIndependence:
-    @pytest.mark.parametrize("rule_backend,transport", [("interp", "interp"), ("compiled", "compiled")])
+    @pytest.mark.parametrize("rule_backend", ["interp", "source"])
     @pytest.mark.parametrize("letter", ["B", "F"])
-    def test_vorbis_results_identical_across_kernel_backends(
-        self, letter, rule_backend, transport
-    ):
+    def test_vorbis_results_identical_across_kernel_backends(self, letter, rule_backend):
         """Partition B crosses the HW/SW cut mid-pipeline; F runs every
         kernel in software.  Either way the CosimResult may not depend on
         the kernel backend."""
-        want = _vorbis_snapshot(letter, "oracle", rule_backend, transport)
+        want = _vorbis_snapshot(letter, "oracle", rule_backend)
         for backend in BACKENDS[1:]:
-            assert _vorbis_snapshot(letter, backend, rule_backend, transport) == want
+            assert _vorbis_snapshot(letter, backend, rule_backend) == want
 
-    @pytest.mark.parametrize("rule_backend,transport", [("interp", "interp"), ("compiled", "compiled")])
+    @pytest.mark.parametrize("rule_backend", ["interp", "source"])
     @pytest.mark.parametrize("letter", ["A", "C"])
-    def test_raytracer_results_identical_across_kernel_backends(
-        self, letter, rule_backend, transport
-    ):
+    def test_raytracer_results_identical_across_kernel_backends(self, letter, rule_backend):
         """Partition A traces entirely in software, C entirely in hardware."""
-        want = _raytracer_snapshot(letter, "oracle", rule_backend, transport)
+        want = _raytracer_snapshot(letter, "oracle", rule_backend)
         for backend in BACKENDS[1:]:
-            assert _raytracer_snapshot(letter, backend, rule_backend, transport) == want
+            assert _raytracer_snapshot(letter, backend, rule_backend) == want
 
     def test_vorbis_results_identical_with_and_without_cache(self):
         """Memoisation is invisible in the CosimResult, not just the audio."""
-        with_cache = _vorbis_snapshot("F", "python", "compiled", "compiled", cache=True)
-        without = _vorbis_snapshot("F", "python", "compiled", "compiled", cache=False)
+        with_cache = _vorbis_snapshot("F", "python", "source", cache=True)
+        without = _vorbis_snapshot("F", "python", "source", cache=False)
         assert with_cache == without

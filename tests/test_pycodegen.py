@@ -9,6 +9,9 @@ design elaborates to byte-identical source every time.
 The generated group loops also keep the interpreted loop's contract: step
 wrappers installed after elaboration run, an exhausted budget raises the
 same error, and inline done thresholds read what ``CosimFabric.read`` would.
+
+There is no fallback tier: a node the lowerer cannot translate fails
+elaboration loudly, and the default backend is validated, never guessed.
 """
 
 import linecache
@@ -19,13 +22,18 @@ import pytest
 
 from repro.apps.vorbis import partitions as vp
 from repro.apps.vorbis.params import VorbisParams
-from repro.core.errors import SimulationError
-from repro.core.expr import Const, KernelCall
+from repro.core import expr as expr_mod
+from repro.core.action import par
+from repro.core.errors import ElaborationError, SimulationError
+from repro.core.expr import BinOp, Const, KernelCall, RegRead
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
+from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend
 from repro.core.types import UIntT
+from repro.platform.platform import Platform
 from repro.sim.cosim import CosimFabric, ThresholdDone
 from repro.sim.hwsim import HwEngine
+from repro.sim.swsim import SwEngine
 from repro.sim.serve import FabricServer, Request, serve_fresh
 
 from test_compiled_backend import build_fifo_pipeline, build_kitchen_sink
@@ -135,7 +143,7 @@ class TestDeterminism:
     def test_fabric_supersteps_deterministic(self, build):
         sources = []
         for _ in range(2):
-            fabric = CosimFabric(build().design, backend="source", transport="source")
+            fabric = CosimFabric(build().design, backend="source")
             per_engine = {}
             for domain in fabric.domains:
                 engine = fabric.engine(domain.name)
@@ -191,7 +199,7 @@ class TestGroupLoop:
         assert dumped == {gen.source for gen in gens}
         for gen in gens:
             assert linecache.getlines(gen.filename) == gen.source.splitlines(True)
-        interp = CosimFabric(wl.design, backend="source", transport="interp")
+        interp = CosimFabric(wl.design, backend="interp")
         assert all(group._loop_gen is None for group in interp._groups)
 
     def test_step_wrappers_installed_after_elaboration_run(self):
@@ -302,3 +310,66 @@ class TestGroupLoop:
             else:
                 assert calls["n"] == 0
         _assert_served_equal(served)
+
+
+# --------------------------------------------------------------------------
+# no fallback tier: unlowerable nodes and backend selection fail loudly
+# --------------------------------------------------------------------------
+
+
+def build_power_design():
+    """One rule using ``**``, an operator the tree walker knows (once
+    registered in ``BINARY_OPS``) but the source lowerer has no infix for."""
+    top = Module("top")
+    x = top.add_register("x", UIntT(32), 3)
+    done = top.add_register("done", UIntT(1), 0)
+    top.add_rule(
+        "square",
+        par(x.write(BinOp("**", RegRead(x), Const(2))), done.write(Const(1))).when(
+            BinOp("==", RegRead(done), Const(0))
+        ),
+    )
+    return Design(top, name="power"), x
+
+
+class TestNoFallback:
+    def test_unlowerable_operator_is_an_elaboration_error(self, monkeypatch):
+        monkeypatch.setitem(expr_mod.BINARY_OPS, "**", lambda a, b: a**b)
+        design, x = build_power_design()
+        # The oracle runs the rule...
+        sim = Simulator(design, backend="interp")
+        assert sim.run(10) == 1
+        assert sim.read(x) == 9
+        # ...the source tier refuses it at elaboration, naming the rule,
+        # the generation mode and the operator.
+        with pytest.raises(ElaborationError) as err:
+            Simulator(design, backend="source")
+        message = str(err.value)
+        assert "top.square" in message
+        assert "'fast'" in message
+        assert "'**'" in message
+        # The software engine's folded-cost attempts fail the same way.
+        rules = list(design.all_rules())
+        with pytest.raises(ElaborationError, match=r"top\.square.*'\*\*'.*'count'"):
+            SwEngine(rules, design.initial_store(), Platform.ml507(), backend="source")
+
+
+class TestDefaultBackend:
+    def test_default_is_source(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RULE_BACKEND", raising=False)
+        assert default_rule_backend() == "source"
+        assert Simulator(build_fifo_pipeline()).backend == "source"
+
+    def test_env_selects_the_oracle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RULE_BACKEND", " Interp ")
+        assert default_rule_backend() == "interp"
+        assert Simulator(build_fifo_pipeline()).backend == "interp"
+
+    @pytest.mark.parametrize("value", ["compiled", "sorce"])
+    def test_unknown_env_value_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_RULE_BACKEND", value)
+        with pytest.raises(ValueError) as err:
+            default_rule_backend()
+        assert all(name in str(err.value) for name in VALID_BACKENDS)
+        with pytest.raises(ValueError):
+            Simulator(build_fifo_pipeline())

@@ -4,9 +4,9 @@ The acceptance oracle of the serving layer: every request served by a
 resident :class:`~repro.sim.serve.FabricServer` must be **bitwise
 identical** -- ``CosimResult``, outputs and final stores -- to the same
 request served by a freshly elaborated fabric (``serve_fresh``), over
-fig13, multi-domain and multi-group workloads, both backends, both
-transports and both schedulers; randomized request interleavings prove no
-state leaks across snapshot resets.
+fig13, multi-domain and multi-group workloads, both backends and both
+schedulers; randomized request interleavings prove no state leaks across
+snapshot resets.
 """
 
 from __future__ import annotations
@@ -87,50 +87,27 @@ def _assert_bitwise(resident: RequestResult, fresh: RequestResult) -> None:
 
 
 class TestServeBitwise:
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("transport", ["interp", "compiled"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     @pytest.mark.parametrize(
         "wid,builder,args,opts,make_request", WORKLOADS, ids=lambda w: None
     )
     def test_resident_equals_fresh_matrix(
-        self, wid, builder, args, opts, make_request, backend, transport
+        self, wid, builder, args, opts, make_request, backend
     ):
-        server = FabricServer(
-            builder, args, backend=backend, transport=transport, **opts
-        )
+        """Under ``source`` the generated supersteps, transport routes and
+        group loops must survive snapshot/reset exactly like the oracle."""
+        server = FabricServer(builder, args, backend=backend, **opts)
         for start in (1, 0, 2, 1):
             request = make_request(server.workload, start)
             resident = server.serve(request)
-            fresh = serve_fresh(
-                builder, request, args, backend=backend, transport=transport, **opts
-            )
+            fresh = serve_fresh(builder, request, args, backend=backend, **opts)
             _assert_bitwise(resident, fresh)
         assert server.requests_served == 4
         # The structural counterpart of the differential oracle above: the
         # resident fabric's object graph has no state its snapshot misses.
         assert audit_fabric(server.fabric) == []
 
-    @pytest.mark.parametrize(
-        "wid,builder,args,opts,make_request", WORKLOADS, ids=lambda w: None
-    )
-    def test_resident_equals_fresh_source_tier(
-        self, wid, builder, args, opts, make_request
-    ):
-        """The source-lowered leg: generated supersteps and transport pumps
-        must survive snapshot/reset exactly like the closure tiers."""
-        server = FabricServer(
-            builder, args, backend="source", transport="source", **opts
-        )
-        for start in (1, 0, 2, 1):
-            request = make_request(server.workload, start)
-            resident = server.serve(request)
-            fresh = serve_fresh(
-                builder, request, args, backend="source", transport="source", **opts
-            )
-            _assert_bitwise(resident, fresh)
-        assert audit_fabric(server.fabric) == []
-
-    @pytest.mark.parametrize("backend", ["interp", "compiled", "source"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     def test_lockstep_scheduler(self, backend):
         server = FabricServer(
             vp.build_partition, ("B", PARAMS), backend=backend, scheduler="lockstep"
@@ -246,7 +223,7 @@ class TestSnapshotReset:
             FabricServer(vp.build_partition, ("B", PARAMS))
         )
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    @pytest.mark.parametrize("backend", ["interp", "source"])
     def test_randomized_interleaving_no_state_leaks(self, backend):
         """A seeded random request stream matches per-start fresh oracles."""
         rng = random.Random(0xC051)

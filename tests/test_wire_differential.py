@@ -105,17 +105,17 @@ def drain_one(fabric, route, now):
 
 @pytest.mark.parametrize("name,builder,letter,params", WORKLOADS, ids=lambda w: None)
 class TestSimulatorWireBytes:
-    """Both transport backends put the layout's exact bytes on every link."""
+    """Both backends' transports put the layout's exact bytes on every link."""
 
-    @pytest.fixture(params=["interp", "compiled"])
-    def transport(self, request):
+    @pytest.fixture(params=["interp", "source"])
+    def backend(self, request):
         return request.param
 
     def test_wire_bytes_match_layout_and_roundtrip(
-        self, name, builder, letter, params, transport
+        self, name, builder, letter, params, backend
     ):
         workload = builder(letter, params)
-        fabric = CosimFabric(workload.design, backend="compiled", transport=transport)
+        fabric = CosimFabric(workload.design, backend=backend)
         if not fabric._routes:
             pytest.skip(f"{name}: empty cut (single-domain partition)")
         clock = 0.0
@@ -209,7 +209,7 @@ def test_generated_artifacts_encode_the_simulators_bytes(name, builder, letter, 
     spec = build_interface_spec(partitioning)
     if not spec.channels:
         pytest.skip(f"{name}: empty cut")
-    fabric = CosimFabric(workload.design, backend="compiled", transport="compiled")
+    fabric = CosimFabric(workload.design, backend="source")
     routes_by_sync = {route[0].name: route for route in fabric._routes}
     transactors = generate_transactors(spec)
     marshal_sources = {dom: generate_sw_marshal_source(spec, dom) for dom in spec.sw_domains}
