@@ -93,6 +93,14 @@ def _snapshot(workload, backend):
     return entry
 
 
+def _transport_state(fabric):
+    """The transport's part of ``CosimFabric.snapshot``: every link
+    direction (arbitration, pool rings, traffic counters), every virtual
+    channel (credits, in-flight counts, stats) and the clocks."""
+    _, directions, vcs, group_clocks, now, _, _ = fabric.snapshot()
+    return directions, vcs, group_clocks, now
+
+
 # --------------------------------------------------------------------------
 # golden differential: wrapper over the fabric == pre-refactor Cosimulator
 # --------------------------------------------------------------------------
@@ -124,6 +132,21 @@ class TestGoldenDifferential:
     def test_raytracer_matches_prerefactor(self, letter, backend):
         golden = _golden()[f"raytracer_{letter}"][GOLDEN_KEY[backend]]
         assert _snapshot(_raytracer(letter), backend) == golden
+
+    @pytest.mark.parametrize("letter", ["B", "C"])
+    def test_transport_backends_bitwise_identical(self, letter):
+        """The transport follows the backend: the generated pump and
+        delivery routes leave every link and virtual channel in the
+        interpreted routes' exact end-of-run state, not just the same
+        aggregate counters."""
+        states = {}
+        for backend in ("interp", "source"):
+            workload = _vorbis(letter)
+            cosim = Cosimulator(workload.design, backend=backend)
+            result = cosim.run(workload.cosim_done, max_cycles=500_000_000)
+            assert result.channel_messages > 0
+            states[backend] = _transport_state(cosim)
+        assert states["source"] == states["interp"]
 
 
 # --------------------------------------------------------------------------
@@ -233,6 +256,19 @@ class TestThreeDomainFabric:
             _, _, result, _ = self._run(backend=backend)
             results[backend] = asdict(result)
         assert results["source"] == results["interp"]
+
+    def test_transport_modes_bitwise_identical(self):
+        """Deep synchronizers drain in batches over two hops: per link and
+        per virtual channel, the generated transport ends where the
+        interpreted one does."""
+        states = {}
+        for backend in ("interp", "source"):
+            design, regs, n = build_three_domain_pipeline(n_items=64, depth=64)
+            fabric = CosimFabric(design, backend=backend)
+            result = fabric.run(lambda c: c.read(regs["ndone"]) >= n)
+            assert result.completed
+            states[backend] = _transport_state(fabric)
+        assert states["source"] == states["interp"]
 
     def test_per_link_parameters_shape_timing(self):
         """A slow HW_A->HW_B lane lengthens the run without changing results."""

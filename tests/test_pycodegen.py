@@ -25,16 +25,20 @@ from repro.apps.vorbis.params import VorbisParams
 from repro.core import expr as expr_mod
 from repro.core.action import par
 from repro.core.errors import ElaborationError, SimulationError
-from repro.core.expr import BinOp, Const, KernelCall, RegRead
+from repro.core.expr import BinOp, Const, KernelCall, RegRead, UnOp
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
-from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend
+from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend, generate_rule_execs
 from repro.core.types import UIntT
 from repro.platform.platform import Platform
-from repro.sim.cosim import CosimFabric, ThresholdDone
+from repro.sim.cosim import CosimFabric, Cosimulator, ThresholdDone
+from repro.sim.costmodel import SwCostAccumulator
+from repro.sim.distrib import run_distributed
 from repro.sim.hwsim import HwEngine
+from repro.sim.pool import PoolTask
 from repro.sim.swsim import SwEngine
 from repro.sim.serve import FabricServer, Request, serve_fresh
+from repro.sim.shard import GroupTask, SweepTask, run_grouped
 
 from test_compiled_backend import build_fifo_pipeline, build_kitchen_sink
 
@@ -317,41 +321,144 @@ class TestGroupLoop:
 # --------------------------------------------------------------------------
 
 
-def build_power_design():
-    """One rule using ``**``, an operator the tree walker knows (once
-    registered in ``BINARY_OPS``) but the source lowerer has no infix for."""
+def build_once_design(update):
+    """One rule, ``apply``, that sets ``x := update(RegRead(x))`` once,
+    from ``x = 3``."""
     top = Module("top")
     x = top.add_register("x", UIntT(32), 3)
     done = top.add_register("done", UIntT(1), 0)
     top.add_rule(
-        "square",
-        par(x.write(BinOp("**", RegRead(x), Const(2))), done.write(Const(1))).when(
+        "apply",
+        par(x.write(update(RegRead(x))), done.write(Const(1))).when(
             BinOp("==", RegRead(done), Const(0))
         ),
     )
-    return Design(top, name="power"), x
+    return Design(top, name="once"), x
+
+
+#: One operator per kind that the tree walker evaluates once registered but
+#: the lowerer has no Python spelling for: (operator table, operator,
+#: function, ``update`` for :func:`build_once_design`, ``x`` after it fires).
+UNLOWERABLE_OPS = {
+    "binary": ("BINARY_OPS", "**", lambda a, b: a**b, lambda r: BinOp("**", r, Const(2)), 9),
+    "unary": (
+        "UNARY_OPS",
+        "popcount",
+        lambda a: bin(a).count("1"),
+        lambda r: UnOp("popcount", r),
+        2,
+    ),
+}
+
+GENERATION_MODES = ("fast", "hooked", "latency", "count")
+
+
+def _fire_on_oracle(mode, design, x):
+    """Fire the rule on the interp engine that ``mode`` stands in for
+    (``Simulator`` with and without hooks, the HW and SW engines) and
+    return the committed ``x``."""
+    rules = list(design.all_rules())
+    if mode in ("fast", "hooked"):
+        hooks = SwCostAccumulator(Platform.ml507().sw_costs) if mode == "hooked" else None
+        sim = Simulator(design, hooks=hooks, backend="interp")
+        assert sim.run(10) == 1
+        return sim.read(x)
+    if mode == "latency":
+        engine = HwEngine(rules, design.initial_store(), backend="interp")
+        assert engine.step_cycle(0.0)
+    else:
+        engine = SwEngine(rules, design.initial_store(), Platform.ml507(), backend="interp")
+        assert engine.step(0.0)
+        engine.step(engine.busy_until)  # commits the fired rule's updates
+    assert engine.total_firings == 1
+    return engine.store[x]
+
+
+def _elaborate_source(mode, design):
+    """The source-tier elaboration that lowers ``design``'s rules in
+    ``mode``.  ``Simulator`` generates ``fast`` before ``hooked``, so the
+    hooked mode is generated on its own here."""
+    rules = list(design.all_rules())
+    if mode == "fast":
+        return Simulator(design, backend="source")
+    if mode == "hooked":
+        return generate_rule_execs(rules, design.name, modes=("hooked",))
+    if mode == "latency":
+        return HwEngine(rules, design.initial_store(), backend="source")
+    return SwEngine(rules, design.initial_store(), Platform.ml507(), backend="source")
 
 
 class TestNoFallback:
-    def test_unlowerable_operator_is_an_elaboration_error(self, monkeypatch):
-        monkeypatch.setitem(expr_mod.BINARY_OPS, "**", lambda a, b: a**b)
-        design, x = build_power_design()
-        # The oracle runs the rule...
-        sim = Simulator(design, backend="interp")
-        assert sim.run(10) == 1
-        assert sim.read(x) == 9
-        # ...the source tier refuses it at elaboration, naming the rule,
-        # the generation mode and the operator.
+    @pytest.mark.parametrize("kind", sorted(UNLOWERABLE_OPS))
+    @pytest.mark.parametrize("mode", GENERATION_MODES)
+    def test_unlowerable_operator_is_an_elaboration_error(self, monkeypatch, mode, kind):
+        """No mode has a fallback: the interp engine runs the rule, and the
+        source tier refuses it at elaboration, naming the rule, the operator
+        and the generation mode."""
+        table, op, fn, update, expected = UNLOWERABLE_OPS[kind]
+        monkeypatch.setitem(getattr(expr_mod, table), op, fn)
+        design, x = build_once_design(update)
+        assert _fire_on_oracle(mode, design, x) == expected
         with pytest.raises(ElaborationError) as err:
-            Simulator(design, backend="source")
+            _elaborate_source(mode, design)
         message = str(err.value)
-        assert "top.square" in message
-        assert "'fast'" in message
-        assert "'**'" in message
-        # The software engine's folded-cost attempts fail the same way.
-        rules = list(design.all_rules())
-        with pytest.raises(ElaborationError, match=r"top\.square.*'\*\*'.*'count'"):
-            SwEngine(rules, design.initial_store(), Platform.ml507(), backend="source")
+        assert "rule top.apply:" in message
+        assert f"{kind} operator {op!r}" in message
+        assert f"generation mode {mode!r}" in message
+
+
+SMALL = VorbisParams(n_frames=2)
+
+
+def _rules_and_store():
+    design = build_fifo_pipeline()
+    return list(design.all_rules()), design.initial_store()
+
+
+#: Every public constructor that takes ``backend=``, called with only that
+#: argument varying; each resolves ``None`` once and keeps the concrete
+#: name in ``.backend`` (the pool's resident-cache key relies on it).
+BACKEND_CONSTRUCTORS = {
+    "Simulator": lambda backend: Simulator(build_fifo_pipeline(), backend=backend),
+    "SwEngine": lambda backend: SwEngine(
+        *_rules_and_store(), Platform.ml507(), backend=backend
+    ),
+    "HwEngine": lambda backend: HwEngine(*_rules_and_store(), backend=backend),
+    "CosimFabric": lambda backend: CosimFabric(
+        vp.build_partition("B", SMALL).design, backend=backend
+    ),
+    "Cosimulator": lambda backend: Cosimulator(
+        vp.build_partition("B", SMALL).design, backend=backend
+    ),
+    "FabricServer": lambda backend: FabricServer(
+        vp.build_partition, ("B", SMALL), backend=backend
+    ),
+    "PoolTask": lambda backend: PoolTask(
+        name="t", builder=vp.build_partition, args=("B", SMALL), backend=backend
+    ),
+    "SweepTask": lambda backend: SweepTask(
+        name="t", builder=vp.build_partition, args=("B", SMALL), backend=backend
+    ),
+    "GroupTask": lambda backend: GroupTask(
+        name="t", builder=vp.build_group_partition, args=("BC", SMALL), backend=backend
+    ),
+}
+
+#: The entry points that run rather than construct: they validate the
+#: backend before elaborating anything.
+BACKEND_RUNNERS = {
+    "serve_fresh": lambda backend: serve_fresh(
+        vp.build_partition, Request(name="r"), ("B", SMALL), backend=backend
+    ),
+    "run_grouped": lambda backend: run_grouped(
+        vp.build_partition, ("B", SMALL), backend=backend, processes=1
+    ),
+    "run_distributed": lambda backend: run_distributed(
+        vp.build_partition, ("B", SMALL), backend=backend, processes=1
+    ),
+}
+
+BACKEND_ENTRY_POINTS = {**BACKEND_CONSTRUCTORS, **BACKEND_RUNNERS}
 
 
 class TestDefaultBackend:
@@ -373,3 +480,24 @@ class TestDefaultBackend:
         assert all(name in str(err.value) for name in VALID_BACKENDS)
         with pytest.raises(ValueError):
             Simulator(build_fifo_pipeline())
+
+    @pytest.mark.parametrize("entry", sorted(BACKEND_CONSTRUCTORS))
+    def test_none_resolves_at_construction(self, monkeypatch, entry):
+        build = BACKEND_CONSTRUCTORS[entry]
+        monkeypatch.delenv("REPRO_RULE_BACKEND", raising=False)
+        assert build(None).backend == "source"
+        monkeypatch.setenv("REPRO_RULE_BACKEND", "interp")
+        assert build(None).backend == "interp"
+        assert build("source").backend == "source"
+
+    @pytest.mark.parametrize("entry", sorted(BACKEND_ENTRY_POINTS))
+    def test_retired_backend_is_rejected(self, monkeypatch, entry):
+        """``compiled`` is gone: named explicitly or through the env var it
+        is a ``ValueError`` listing the valid backends, never a fallback."""
+        call = BACKEND_ENTRY_POINTS[entry]
+        monkeypatch.delenv("REPRO_RULE_BACKEND", raising=False)
+        with pytest.raises(ValueError, match="expected one of interp, source"):
+            call("compiled")
+        monkeypatch.setenv("REPRO_RULE_BACKEND", "compiled")
+        with pytest.raises(ValueError, match="REPRO_RULE_BACKEND='compiled'"):
+            call(None)
