@@ -11,17 +11,19 @@ Each kernel exists in the backends of the kernel dataplane
 * the ``*_oracle`` functions are the original object-based implementations,
   kept verbatim as the semantic reference;
 * the ``_*_raw`` functions are the batch raw-integer lowering -- inputs are
-  unboxed to flat raw tuples once per invocation, the butterflies/rotations
-  run in plain-int arithmetic that wraps after every operation exactly like
-  ``FixedPoint``, and results are boxed once at the end;
+  read as flat raw tuples (in O(1) from the raw vector form the transport
+  delivers, see :func:`~repro.core.fixedpoint.fixed_vector_raws`), the
+  butterflies/rotations run in plain-int arithmetic that wraps after every
+  operation exactly like ``FixedPoint``, and results leave as raw vectors
+  (:func:`~repro.core.fixedpoint.box_fixed_vector`) without boxing an element;
 * the ``_*_np`` functions vectorise the same raw computation over int64
   arrays (formats up to 32 total bits; wider formats fall back to raw).
 
 The public kernel names dispatch on :func:`~repro.core.kernelcompile.effective_backend`
 and, on the fast backends, memoise results through the pure-kernel cache
-(all Vorbis kernels return immutable tuples, so sharing cached results is
-safe).  Every backend is bit-identical; the differential tests in
-``tests/test_kernels.py`` enforce it.
+(all Vorbis kernels return immutable values -- raw vectors, or tuples of
+them -- so sharing cached results is safe).  Every backend is bit-identical;
+the differential tests in ``tests/test_kernels.py`` enforce it.
 
 The twiddle/pre/post/window tables are materialised once per
 ``(size, format)`` as flat raw-int tuples; the object and NumPy tables used
@@ -42,19 +44,25 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.core import kernelcompile as kc
 from repro.core.fixedpoint import (
     FixComplex,
     FixedPoint,
+    RawComplexVector,
+    RawFixVector,
     box_complex_vector,
     box_fixed_vector,
+    complex_vector_raws,
+    fixed_vector_raws,
     raw_from_float,
 )
 
-FixVec = Tuple[FixedPoint, ...]
-CplxVec = Tuple[FixComplex, ...]
+#: A ``Vector#(FixPt)`` / ``Vector#(Complex#(FixPt))`` value: the raw form
+#: the fast backends and the transport produce, or a tuple of boxed elements.
+FixVec = Union[RawFixVector, Tuple[FixedPoint, ...]]
+CplxVec = Union[RawComplexVector, Tuple[FixComplex, ...]]
 
 RawVec = Tuple[int, ...]
 
@@ -141,7 +149,7 @@ def _window_table_raw(points: int, int_bits: int, frac_bits: int) -> RawVec:
 def _twiddles(points: int, int_bits: int, frac_bits: int) -> CplxVec:
     """Inverse-transform twiddle factors (boxed view of the raw table)."""
     re, im = _twiddles_raw(points, int_bits, frac_bits)
-    return box_complex_vector(re, im, int_bits, frac_bits)
+    return tuple(box_complex_vector(re, im, int_bits, frac_bits))
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +157,8 @@ def _pre_tables(n: int, int_bits: int, frac_bits: int) -> Tuple[CplxVec, CplxVec
     """The two IMDCT pre-multiply tables (preTable1 / preTable2 of Section 4.1)."""
     lo_re, lo_im, hi_re, hi_im = _pre_tables_raw(n, int_bits, frac_bits)
     return (
-        box_complex_vector(lo_re, lo_im, int_bits, frac_bits),
-        box_complex_vector(hi_re, hi_im, int_bits, frac_bits),
+        tuple(box_complex_vector(lo_re, lo_im, int_bits, frac_bits)),
+        tuple(box_complex_vector(hi_re, hi_im, int_bits, frac_bits)),
     )
 
 
@@ -158,13 +166,15 @@ def _pre_tables(n: int, int_bits: int, frac_bits: int) -> Tuple[CplxVec, CplxVec
 def _post_table(points: int, int_bits: int, frac_bits: int) -> CplxVec:
     """The IMDCT post-rotation table applied after the IFFT."""
     re, im = _post_table_raw(points, int_bits, frac_bits)
-    return box_complex_vector(re, im, int_bits, frac_bits)
+    return tuple(box_complex_vector(re, im, int_bits, frac_bits))
 
 
 @lru_cache(maxsize=None)
 def _window_table(points: int, int_bits: int, frac_bits: int) -> FixVec:
     """The Vorbis-style sine window over ``points`` samples (boxed view)."""
-    return box_fixed_vector(_window_table_raw(points, int_bits, frac_bits), int_bits, frac_bits)
+    return tuple(
+        box_fixed_vector(_window_table_raw(points, int_bits, frac_bits), int_bits, frac_bits)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +293,7 @@ def backend_input(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> FixV
     backend = _backend_for(int_bits + frac_bits)
     if backend == "oracle":
         return backend_input_oracle(frame, int_bits, frac_bits)
-    raws = tuple(v.raw for v in frame)
+    raws = fixed_vector_raws(frame)
     key = ("backend_input", int_bits, frac_bits, raws)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -350,7 +360,7 @@ def imdct_pre(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
     backend = _backend_for(int_bits + frac_bits)
     if backend == "oracle":
         return imdct_pre_oracle(frame, int_bits, frac_bits)
-    raws = tuple(v.raw for v in frame)
+    raws = fixed_vector_raws(frame)
     key = ("imdct_pre", int_bits, frac_bits, raws)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -487,9 +497,8 @@ def _ifft_stages_np(
 def _ifft_stages(
     first: int, last: int, data: CplxVec, int_bits: int, frac_bits: int, backend: str
 ) -> CplxVec:
-    """Shared fast-backend driver: unbox once, run stages, box once, cache."""
-    re = tuple(v.real.raw for v in data)
-    im = tuple(v.imag.raw for v in data)
+    """Shared fast-backend path: read the raws, run stages, wrap the result, cache."""
+    re, im = complex_vector_raws(data)
     key = ("ifft", first, last, int_bits, frac_bits, re, im)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -614,8 +623,7 @@ def imdct_post(spectrum: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> Fix
     backend = _backend_for(int_bits + frac_bits)
     if backend == "oracle":
         return imdct_post_oracle(spectrum, int_bits, frac_bits)
-    re = tuple(v.real.raw for v in spectrum)
-    im = tuple(v.imag.raw for v in spectrum)
+    re, im = complex_vector_raws(spectrum)
     key = ("imdct_post", int_bits, frac_bits, re, im)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -687,8 +695,8 @@ def window_overlap(
     n = len(previous)
     if len(current) != 2 * n:
         raise ValueError(f"window: expected {2 * n} current samples, got {len(current)}")
-    prev = tuple(v.raw for v in previous)
-    cur = tuple(v.raw for v in current)
+    prev = fixed_vector_raws(previous)
+    cur = fixed_vector_raws(current)
     key = ("window_overlap", int_bits, frac_bits, prev, cur)
     hit = kc.cache_get(key)
     if hit is not None:
@@ -698,7 +706,7 @@ def window_overlap(
     else:
         pcm_raws = _window_overlap_raw(prev, cur, int_bits, frac_bits)
     pcm = box_fixed_vector(pcm_raws, int_bits, frac_bits)
-    new_previous = tuple(current[n + i] for i in range(n))
+    new_previous = RawFixVector(cur[n:], int_bits, frac_bits)
     return kc.cache_put(key, (pcm, new_previous))
 
 
@@ -708,9 +716,16 @@ def audio_checksum(pcm: FixVec, running: int) -> int:
     The checksum stands in for the memory-mapped audio output; comparing it
     across partitions is the bit-exactness check of the latency-insensitive
     refinement claim.  Already raw-integer arithmetic, so it is its own fast
-    path and has no per-backend variants.
+    path and has no per-backend variants: a raw vector folds its raws'
+    bit patterns directly, a tuple of ``FixedPoint`` each sample's
+    ``to_bits()``.
     """
     total = running
+    if pcm.__class__ is RawFixVector:
+        mask = (1 << (pcm.int_bits + pcm.frac_bits)) - 1
+        for raw in pcm.raws:
+            total = (total * 31 + (raw & mask)) & 0xFFFFFFFF
+        return total
     for sample in pcm:
         total = (total * 31 + sample.to_bits()) & 0xFFFFFFFF
     return total

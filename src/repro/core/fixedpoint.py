@@ -11,11 +11,20 @@ All arithmetic wraps (two's complement) exactly as the synthesized hardware
 would, so software and hardware partitions of the same design produce
 bit-identical results -- which is what the partition-equivalence tests rely
 on.
+
+Vectors keep that canonical form without per-element objects: a
+``Vector#(FixPt)`` value is a :class:`RawFixVector` and a
+``Vector#(Complex#(FixPt))`` value a :class:`RawComplexVector`, flat tuples
+of wrapped raw ints plus the format.  The link codec, the register stores
+and the fast kernels pass them along unchanged; an element is boxed into a
+:class:`FixedPoint` / :class:`FixComplex` only when something indexes or
+iterates the vector, and the vector compares, hashes and prints exactly
+like the tuple of its boxed elements.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple, Union
+from typing import Any, Iterable, Iterator, Tuple, Union
 
 Number = Union[int, float, "FixedPoint"]
 
@@ -34,11 +43,12 @@ def _wrap(raw: int, total_bits: int) -> int:
 # --------------------------------------------------------------------------
 #
 # The kernel dataplane (repro.core.kernelcompile and the batch kernels built
-# on it) computes over plain raw two's-complement ints and boxes FixedPoint
-# objects only at kernel boundaries.  These module-level helpers are the
-# single definition of that raw arithmetic; each mirrors the corresponding
-# FixedPoint operator bit for bit (wrap after every operation, Python floor
-# semantics for shifts and division, round-half-even quantisation).
+# on it) computes over plain raw two's-complement ints and takes and returns
+# vectors in their raw form, so no FixedPoint object is built on its path.
+# These module-level helpers are the single definition of that raw
+# arithmetic; each mirrors the corresponding FixedPoint operator bit for bit
+# (wrap after every operation, Python floor semantics for shifts and
+# division, round-half-even quantisation).
 
 
 def raw_wrap(raw: int, total_bits: int) -> int:
@@ -94,9 +104,10 @@ def raw_to_bits(raw: int, total_bits: int) -> int:
 
 
 def from_wrapped_raw(raw: int, int_bits: int, frac_bits: int) -> "FixedPoint":
-    """Box an *already wrapped* raw int without re-wrapping (kernel boxing path).
+    """Box an *already wrapped* raw int without re-wrapping.
 
-    The caller guarantees ``raw`` is in the signed range of the format; every
+    The element boxing path of the raw vectors and of scalar decoding.  The
+    caller guarantees ``raw`` is in the signed range of the format; every
     helper above returns such values.  ``FixedPoint.from_raw`` remains the
     safe constructor for unwrapped inputs.
     """
@@ -107,40 +118,145 @@ def from_wrapped_raw(raw: int, int_bits: int, frac_bits: int) -> "FixedPoint":
     return fp
 
 
-def box_fixed_vector(raws: Iterable[int], int_bits: int, frac_bits: int) -> Tuple["FixedPoint", ...]:
-    """Box a sequence of wrapped raw ints into a ``FixedPoint`` tuple."""
-    new = FixedPoint.__new__
-    out = []
-    for raw in raws:
-        fp = new(FixedPoint)
-        fp.raw = raw
-        fp.int_bits = int_bits
-        fp.frac_bits = frac_bits
-        out.append(fp)
-    return tuple(out)
+def box_fixed_vector(raws: Iterable[int], int_bits: int, frac_bits: int) -> "RawFixVector":
+    """Wrap a sequence of wrapped raw ints as a ``Vector#(FixPt)`` value.
+
+    No element is boxed here: the :class:`RawFixVector` boxes on access.
+    """
+    return RawFixVector(tuple(raws), int_bits, frac_bits)
 
 
 def box_complex_vector(
     re_raws: Iterable[int], im_raws: Iterable[int], int_bits: int, frac_bits: int
-) -> Tuple["FixComplex", ...]:
-    """Box parallel wrapped raw re/im sequences into a ``FixComplex`` tuple."""
-    new_fp = FixedPoint.__new__
-    new_cx = FixComplex.__new__
-    out = []
-    for re_raw, im_raw in zip(re_raws, im_raws):
-        re = new_fp(FixedPoint)
-        re.raw = re_raw
-        re.int_bits = int_bits
-        re.frac_bits = frac_bits
-        im = new_fp(FixedPoint)
-        im.raw = im_raw
-        im.int_bits = int_bits
-        im.frac_bits = frac_bits
-        cx = new_cx(FixComplex)
-        cx.real = re
-        cx.imag = im
-        out.append(cx)
-    return tuple(out)
+) -> "RawComplexVector":
+    """Wrap parallel wrapped raw re/im sequences as a ``Vector#(Complex#(FixPt))`` value."""
+    return RawComplexVector(tuple(re_raws), tuple(im_raws), int_bits, frac_bits)
+
+
+def fixed_vector_raws(vector: Any) -> Tuple[int, ...]:
+    """The raw ints of a ``Vector#(FixPt)`` value: O(1) for a :class:`RawFixVector`,
+    unboxed element by element for a plain sequence of :class:`FixedPoint`."""
+    if vector.__class__ is RawFixVector:
+        return vector.raws
+    return tuple(v.raw for v in vector)
+
+
+def complex_vector_raws(vector: Any) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The ``(re, im)`` raw ints of a ``Vector#(Complex#(FixPt))`` value: O(1) for
+    a :class:`RawComplexVector`, unboxed for a plain sequence of :class:`FixComplex`."""
+    if vector.__class__ is RawComplexVector:
+        return vector.re, vector.im
+    return tuple(v.real.raw for v in vector), tuple(v.imag.raw for v in vector)
+
+
+class RawFixVector:
+    """A ``Vector#(FixPt)`` value: wrapped raw ints plus ``(int_bits, frac_bits)``.
+
+    Treated as immutable, like :class:`FixedPoint`.  ``len``, indexing and
+    iteration box elements on demand (a slice is again a ``RawFixVector``);
+    ``==``, ``hash`` and ``repr`` agree with the tuple of the boxed elements,
+    so a vector prints, compares and keys a dict exactly like that tuple.
+    """
+
+    __slots__ = ("raws", "int_bits", "frac_bits")
+
+    def __init__(self, raws: Tuple[int, ...], int_bits: int, frac_bits: int):
+        self.raws = raws
+        self.int_bits = int_bits
+        self.frac_bits = frac_bits
+
+    def __len__(self) -> int:
+        return len(self.raws)
+
+    def __getitem__(self, index: Any) -> Any:
+        if index.__class__ is slice:
+            return RawFixVector(self.raws[index], self.int_bits, self.frac_bits)
+        return from_wrapped_raw(self.raws[index], self.int_bits, self.frac_bits)
+
+    def __iter__(self) -> Iterator["FixedPoint"]:
+        int_bits, frac_bits = self.int_bits, self.frac_bits
+        for raw in self.raws:
+            yield from_wrapped_raw(raw, int_bits, frac_bits)
+
+    def __eq__(self, other: object):
+        if other.__class__ is RawFixVector:
+            # Boxed elements carry the format; an empty tuple carries none.
+            return self.raws == other.raws and (
+                not self.raws
+                or (self.int_bits == other.int_bits and self.frac_bits == other.frac_bits)
+            )
+        if isinstance(other, (tuple, RawComplexVector)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return RawFixVector, (self.raws, self.int_bits, self.frac_bits)
+
+
+class RawComplexVector:
+    """A ``Vector#(Complex#(FixPt))`` value: parallel wrapped raw ``re``/``im``
+    tuples plus ``(int_bits, frac_bits)``.
+
+    Treated as immutable, with the same on-demand boxing and
+    tuple-equivalent comparison, hashing and printing as :class:`RawFixVector`.
+    """
+
+    __slots__ = ("re", "im", "int_bits", "frac_bits")
+
+    def __init__(
+        self, re: Tuple[int, ...], im: Tuple[int, ...], int_bits: int, frac_bits: int
+    ):
+        self.re = re
+        self.im = im
+        self.int_bits = int_bits
+        self.frac_bits = frac_bits
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def __getitem__(self, index: Any) -> Any:
+        if index.__class__ is slice:
+            return RawComplexVector(self.re[index], self.im[index], self.int_bits, self.frac_bits)
+        return FixComplex(
+            from_wrapped_raw(self.re[index], self.int_bits, self.frac_bits),
+            from_wrapped_raw(self.im[index], self.int_bits, self.frac_bits),
+        )
+
+    def __iter__(self) -> Iterator["FixComplex"]:
+        int_bits, frac_bits = self.int_bits, self.frac_bits
+        for re, im in zip(self.re, self.im):
+            yield FixComplex(
+                from_wrapped_raw(re, int_bits, frac_bits), from_wrapped_raw(im, int_bits, frac_bits)
+            )
+
+    def __eq__(self, other: object):
+        if other.__class__ is RawComplexVector:
+            return (
+                self.re == other.re
+                and self.im == other.im
+                and (
+                    not self.re
+                    or (self.int_bits == other.int_bits and self.frac_bits == other.frac_bits)
+                )
+            )
+        if isinstance(other, (tuple, RawFixVector)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return RawComplexVector, (self.re, self.im, self.int_bits, self.frac_bits)
 
 
 class FixedPoint:

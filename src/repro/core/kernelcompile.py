@@ -9,9 +9,10 @@ themselves:
   verbatim (``FixedPoint``/``FixComplex`` arithmetic element by element).
   This is the semantic reference every fast path is tested against.
 * ``python`` -- batch loops over flat raw two's-complement ints: a kernel
-  invocation unboxes its inputs once, computes in plain-int arithmetic
-  (via :mod:`repro.core.fixedpoint`'s ``raw_*`` helpers or their inlined
-  equivalents) and boxes the result once.
+  invocation reads its inputs' raw ints (in O(1) from the raw vector form,
+  :func:`~repro.core.fixedpoint.fixed_vector_raws`), computes in plain-int
+  arithmetic (via :mod:`repro.core.fixedpoint`'s ``raw_*`` helpers or their
+  inlined equivalents) and returns a raw vector.
 * ``numpy`` -- the same raw-integer computation vectorised over int64
   arrays.  Optional: used only when NumPy is importable (and not disabled
   via ``REPRO_NO_NUMPY=1``), and only for fixed-point formats of at most

@@ -246,15 +246,16 @@ _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
 class GeneratedModule:
     """One exec-compiled generated module plus its namespace and source."""
 
-    __slots__ = ("name", "filename", "source", "namespace")
+    __slots__ = ("name", "digest", "filename", "source", "namespace")
 
     def __init__(self, name: str, source: str, bindings: Dict[str, Any]):
         self.name = name
         # The content digest keeps distinct designs that share a module name
         # (two engines both called "HW") from clobbering each other's
-        # linecache entry; identical source still maps to one filename.
-        digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
-        self.filename = f"<repro-generated:{name}#{digest}>"
+        # linecache entry or dump file; identical source still maps to one
+        # filename.
+        self.digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
+        self.filename = f"<repro-generated:{name}#{self.digest}>"
         self.source = source
         namespace: Dict[str, Any] = dict(bindings)
         namespace["__name__"] = f"repro.generated.{name}"
@@ -279,9 +280,16 @@ class GeneratedModule:
             self.dump(dump_dir)
 
     def dump(self, directory: str) -> str:
-        """Write the generated source to ``directory`` and return the path."""
+        """Write the generated source to ``directory`` and return the path.
+
+        The file is named ``<stem>-<digest>.<kind>.py`` (``HW-1a2b3c4d.hwstep.py``):
+        the content digest tells apart modules of different designs that
+        share a name, and the module kind stays the suffix.
+        """
         os.makedirs(directory, exist_ok=True)
-        fname = _SAFE_NAME.sub("_", self.name) + ".py"
+        stem, dot, kind = self.name.rpartition(".")
+        name = f"{stem}-{self.digest}.{kind}" if dot else f"{self.name}-{self.digest}"
+        fname = _SAFE_NAME.sub("_", name) + ".py"
         path = os.path.join(directory, fname)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.source)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.core.errors import TypeCheckError
-from repro.core.fixedpoint import FixComplex, FixedPoint
+from repro.core.fixedpoint import (
+    FixComplex,
+    FixedPoint,
+    RawComplexVector,
+    RawFixVector,
+    complex_vector_raws,
+    fixed_vector_raws,
+)
 
 
 class BCLType:
@@ -221,8 +228,12 @@ class ComplexT(BCLType):
 class VectorT(BCLType):
     """Fixed-length vector of a homogeneous element type (``Vector#(n, t)``).
 
-    Values are tuples of length ``n``.  Element 0 occupies the least
-    significant bits, matching BSV's packing convention.
+    Values are sequences of length ``n``.  Element 0 occupies the least
+    significant bits, matching BSV's packing convention.  Vectors of
+    ``FixPt`` and ``Complex#(FixPt)`` unpack to their raw form
+    (:class:`~repro.core.fixedpoint.RawFixVector` /
+    :class:`~repro.core.fixedpoint.RawComplexVector`); other vectors unpack
+    to tuples.  ``pack`` accepts tuples, lists and the raw forms.
     """
 
     def __init__(self, n: int, elem: BCLType):
@@ -239,7 +250,10 @@ class VectorT(BCLType):
         return cached
 
     def pack(self, value: Any) -> int:
-        if not isinstance(value, (tuple, list)) or len(value) != self.n:
+        if (
+            not isinstance(value, (tuple, list, RawFixVector, RawComplexVector))
+            or len(value) != self.n
+        ):
             raise TypeCheckError(
                 f"{self!r} expects a sequence of length {self.n}, got {value!r}"
             )
@@ -249,10 +263,17 @@ class VectorT(BCLType):
             bits |= self.elem.pack(v) << (i * w)
         return bits
 
-    def unpack(self, bits: int) -> Tuple[Any, ...]:
+    def unpack(self, bits: int) -> Any:
         w = self.elem.bit_width()
         mask = (1 << w) - 1
-        return tuple(self.elem.unpack((bits >> (i * w)) & mask) for i in range(self.n))
+        values = tuple(self.elem.unpack((bits >> (i * w)) & mask) for i in range(self.n))
+        elem = self.elem
+        if isinstance(elem, FixPtT):
+            return RawFixVector(fixed_vector_raws(values), elem.int_bits, elem.frac_bits)
+        if isinstance(elem, ComplexT):
+            re, im = complex_vector_raws(values)
+            return RawComplexVector(re, im, elem.elem.int_bits, elem.elem.frac_bits)
+        return values
 
     def default(self) -> Tuple[Any, ...]:
         return tuple(self.elem.default() for _ in range(self.n))

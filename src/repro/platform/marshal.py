@@ -25,11 +25,18 @@ re-execute it to prove the two agree byte for byte.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SimulationError, WireFormatError
-from repro.core.fixedpoint import FixComplex, FixedPoint, from_wrapped_raw
+from repro.core.fixedpoint import (
+    FixComplex,
+    FixedPoint,
+    RawComplexVector,
+    RawFixVector,
+    from_wrapped_raw,
+)
 from repro.core.types import (
     BCLType,
     BitT,
@@ -297,7 +304,8 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
     raises :class:`_FastPackMismatch` the moment any value fails its fast
     predicate.  Composite packers are built recursively, with dedicated
     single-loop forms for the frame shapes the transport actually moves:
-    ``Vector#(FixPt)``, ``Vector#(Complex#(FixPt))`` and ``Vector#(UInt)``.
+    ``Vector#(FixPt)``, ``Vector#(Complex#(FixPt))`` (from the raw form, or
+    from boxed elements) and ``Vector#(UInt)``.
     """
     if isinstance(ty, (UIntT, BitT)):
         hi = (1 << ty.n) - 1
@@ -367,12 +375,19 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
             mask = (1 << w) - 1
 
             def pack_fix_vec(value: Any) -> int:
+                bits = 0
+                shift = 0
+                if value.__class__ is RawFixVector:
+                    if value.int_bits != ib or value.frac_bits != fb or len(value.raws) != n:
+                        raise _FastPackMismatch
+                    for raw in value.raws:
+                        bits |= (raw & mask) << shift
+                        shift += w
+                    return bits
                 if (value.__class__ is not tuple and value.__class__ is not list) or len(
                     value
                 ) != n:
                     raise _FastPackMismatch
-                bits = 0
-                shift = 0
                 for v in value:
                     if v.__class__ is not FixedPoint or v.int_bits != ib or v.frac_bits != fb:
                         raise _FastPackMismatch
@@ -387,12 +402,19 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
             mask = (1 << half) - 1
 
             def pack_cplx_vec(value: Any) -> int:
+                bits = 0
+                shift = 0
+                if value.__class__ is RawComplexVector:
+                    if value.int_bits != ib or value.frac_bits != fb or len(value.re) != n:
+                        raise _FastPackMismatch
+                    for re, im in zip(value.re, value.im):
+                        bits |= (((re & mask) << half) | (im & mask)) << shift
+                        shift += w
+                    return bits
                 if (value.__class__ is not tuple and value.__class__ is not list) or len(
                     value
                 ) != n:
                     raise _FastPackMismatch
-                bits = 0
-                shift = 0
                 for v in value:
                     if v.__class__ is not FixComplex:
                         raise _FastPackMismatch
@@ -499,9 +521,13 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
     Unlike packing, decoding needs no fallback: the input is always the
     unsigned payload integer the wire delivered, and the compiled closures
     replicate the reference bit semantics exactly (masking, two's-complement
-    sign extension, vector element order, struct field order).  Fixed-point
-    leaves box through :func:`~repro.core.fixedpoint.from_wrapped_raw`,
-    skipping the re-wrap of already-wrapped values.
+    sign extension, vector element order, struct field order).  Vectors of
+    fixed-point and complex elements decode to their raw form
+    (:class:`~repro.core.fixedpoint.RawFixVector` /
+    :class:`~repro.core.fixedpoint.RawComplexVector`) without boxing an
+    element; scalar fixed-point leaves box through
+    :func:`~repro.core.fixedpoint.from_wrapped_raw`, skipping the re-wrap of
+    already-wrapped values.
     """
     if isinstance(ty, (UIntT, BitT)):
         mask = (1 << ty.n) - 1
@@ -539,11 +565,9 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
             mask = (1 << w) - 1
             sign = 1 << (w - 1)
 
-            def unpack_fix_vec(bits: int) -> Tuple[Any, ...]:
-                return tuple(
-                    from_wrapped_raw((((bits >> (i * w)) & mask) ^ sign) - sign, ib, fb)
-                    for i in range(n)
-                )
+            def unpack_fix_vec(bits: int) -> RawFixVector:
+                raws = tuple([(((bits >> (i * w)) & mask) ^ sign) - sign for i in range(n)])
+                return RawFixVector(raws, ib, fb)
 
             return unpack_fix_vec
         if isinstance(elem, ComplexT):
@@ -552,20 +576,14 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
             mask = (1 << half) - 1
             sign = 1 << (half - 1)
 
-            def unpack_cplx_vec(bits: int) -> Tuple[Any, ...]:
-                out = []
-                append = out.append
+            def unpack_cplx_vec(bits: int) -> RawComplexVector:
+                re = []
+                im = []
                 for i in range(n):
                     word = bits >> (i * w)
-                    append(
-                        FixComplex(
-                            from_wrapped_raw(
-                                (((word >> half) & mask) ^ sign) - sign, ib, fb
-                            ),
-                            from_wrapped_raw(((word & mask) ^ sign) - sign, ib, fb),
-                        )
-                    )
-                return tuple(out)
+                    re.append((((word >> half) & mask) ^ sign) - sign)
+                    im.append(((word & mask) ^ sign) - sign)
+                return RawComplexVector(tuple(re), tuple(im), ib, fb)
 
             return unpack_cplx_vec
         sub = _compile_unpack(elem)
@@ -594,6 +612,92 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
     return ty.unpack
 
 
+#: ``struct`` codes of the link word widths the aligned codec converts (in
+#: C) between wrapped signed raws and unsigned words; a header needs at
+#: least 24 bits, so no narrower width has a layout.
+_STRUCT_CODES = {32: "i", 64: "q"}
+
+
+def _word_converters(count: int, width: int) -> Tuple[Callable, Callable]:
+    """``(to_words, to_raws)`` for ``count`` values of ``width`` bits each:
+    wrapped signed raws to unsigned words, and back."""
+    signed = struct.Struct(f"<{count}{_STRUCT_CODES[width]}")
+    unsigned = struct.Struct(f"<{count}{_STRUCT_CODES[width].upper()}")
+    pack_signed, unpack_unsigned = signed.pack, unsigned.unpack
+    pack_unsigned, unpack_signed = unsigned.pack, signed.unpack
+    return (
+        lambda raws: unpack_unsigned(pack_signed(*raws)),
+        lambda words: unpack_signed(pack_unsigned(*words)),
+    )
+
+
+#: ``(payload, decode)`` of an aligned vector layout (see below).
+_AlignedCodec = Tuple[
+    Callable[[Any], Optional[Tuple[int, ...]]], Callable[[Sequence[int], int], Any]
+]
+
+
+def _aligned_vector_codec(ty: BCLType, word_bits: int) -> Optional[_AlignedCodec]:
+    """The word-level codec of an *aligned* vector layout, or ``None``.
+
+    A ``Vector#(FixPt)`` whose elements, or a ``Vector#(Complex#(FixPt))``
+    whose complex halves, are exactly ``word_bits`` wide puts one raw int in
+    each payload word (a complex element as its imaginary then its real
+    word), so on 32- and 64-bit links its raw form converts to and from
+    link words without assembling the payload as one big int.  Other
+    layouts keep the big-int path.  Returns ``(payload, decode)``:
+    ``payload(value)`` is the payload words of a raw-form value of exactly
+    this type, or ``None`` for any other value (which then takes the
+    big-int path, with its fallback); ``decode(words, start)`` builds the
+    raw form from the payload words at ``start``.
+    """
+    if not isinstance(ty, VectorT) or word_bits not in _STRUCT_CODES:
+        return None
+    n = ty.n
+    elem = ty.elem
+    if isinstance(elem, FixPtT) and elem.bit_width() == word_bits:
+        ib, fb = elem.int_bits, elem.frac_bits
+        to_words, to_raws = _word_converters(n, word_bits)
+
+        def fix_payload(value: Any) -> Optional[Tuple[int, ...]]:
+            if (
+                value.__class__ is RawFixVector
+                and value.int_bits == ib
+                and value.frac_bits == fb
+                and len(value.raws) == n
+            ):
+                return to_words(value.raws)
+            return None
+
+        def decode_fix(words: Sequence[int], start: int) -> RawFixVector:
+            return RawFixVector(to_raws(words[start : start + n]), ib, fb)
+
+        return fix_payload, decode_fix
+    if isinstance(elem, ComplexT) and elem.elem.bit_width() == word_bits:
+        ib, fb = elem.elem.int_bits, elem.elem.frac_bits
+        to_words, to_raws = _word_converters(2 * n, word_bits)
+
+        def complex_payload(value: Any) -> Optional[Tuple[int, ...]]:
+            if (
+                value.__class__ is RawComplexVector
+                and value.int_bits == ib
+                and value.frac_bits == fb
+                and len(value.re) == n
+            ):
+                interleaved = [0] * (2 * n)
+                interleaved[0::2] = value.im
+                interleaved[1::2] = value.re
+                return to_words(interleaved)
+            return None
+
+        def decode_complex(words: Sequence[int], start: int) -> RawComplexVector:
+            raws = to_raws(words[start : start + 2 * n])
+            return RawComplexVector(raws[1::2], raws[0::2], ib, fb)
+
+        return complex_payload, decode_complex
+    return None
+
+
 class MessageLayout:
     """The compiled wire format of one channel element type.
 
@@ -611,6 +715,7 @@ class MessageLayout:
         "payload_words",
         "message_words",
         "fields",
+        "_aligned",
         "_decoder",
     )
 
@@ -631,6 +736,7 @@ class MessageLayout:
         self.fields: Tuple[FieldSlice, ...] = tuple(
             sorted(leaves, key=lambda f: f.bit_offset)
         )
+        self._aligned = _aligned_vector_codec(ty, word_bits)
         self._decoder: Optional[Callable[[Sequence[int], int], Any]] = None
 
     def __repr__(self) -> str:
@@ -685,27 +791,46 @@ class MessageLayout:
         (header first, payload least-significant-word first).  Constants --
         the header word, the payload word count, the word mask -- are
         resolved now, so the per-message work is one ``pack`` plus the word
-        split.
+        split, or, on an aligned vector layout given the raw form, one
+        conversion of the raw ints to words.
         """
+        return self._framed_encoder(vc_id)
+
+    def _framed_encoder(self, vc_id: int) -> Callable[[Any], Tuple[int, ...]]:
+        """The body of :meth:`encoder`, which :meth:`batch_encoder` reuses
+        without going through the public factory (the benchmark tracer
+        wraps each factory's closures in spans of their own)."""
         header = self.header_word(vc_id)
         pack = _compile_pack(self.ty)
         if self.payload_words == 1:
             # Single-word payload (the common scalar case): no split loop.
-            return lambda value: (header, pack(value))
-        n = self.payload_words
-        wb = self.word_bits
-        mask = (1 << wb) - 1
+            encode: Callable[[Any], Tuple[int, ...]] = lambda value: (header, pack(value))
+        else:
+            n = self.payload_words
+            wb = self.word_bits
+            mask = (1 << wb) - 1
 
-        def encode(value: Any) -> Tuple[int, ...]:
-            bits = pack(value)
-            words = [header]
-            append = words.append
-            for _ in range(n):
-                append(bits & mask)
-                bits >>= wb
-            return tuple(words)
+            def encode(value: Any) -> Tuple[int, ...]:
+                bits = pack(value)
+                words = [header]
+                append = words.append
+                for _ in range(n):
+                    append(bits & mask)
+                    bits >>= wb
+                return tuple(words)
 
-        return encode
+        if self._aligned is None:
+            return encode
+        payload, _ = self._aligned
+        big_int = encode
+
+        def encode_aligned(value: Any) -> Tuple[int, ...]:
+            words = payload(value)
+            if words is None:
+                return big_int(value)
+            return (header, *words)
+
+        return encode_aligned
 
     def batch_encoder(self, vc_id: int) -> Callable[[Sequence[Any]], List[int]]:
         """Compile the batched framed-message encoder of one virtual channel.
@@ -716,6 +841,18 @@ class MessageLayout:
         channel's message length is fixed by its type, the caller can
         derive every per-message bound arithmetically.
         """
+        if self._aligned is not None:
+            encode = self._framed_encoder(vc_id)
+
+            def encode_aligned_batch(values: Sequence[Any]) -> List[int]:
+                out: List[int] = []
+                extend = out.extend
+                for value in values:
+                    extend(encode(value))
+                return out
+
+            return encode_aligned_batch
+
         header = self.header_word(vc_id)
         pack = _compile_pack(self.ty)
         if self.payload_words == 1:
@@ -752,16 +889,19 @@ class MessageLayout:
 
         The returned closure reads ``payload_words`` words from ``words``
         starting at ``start`` -- index-based, so the transport dataplane
-        decodes straight out of its flat word ring without slicing.
+        decodes straight out of its flat word ring without slicing.  An
+        aligned vector layout builds the raw form word by word; others
+        assemble the payload integer and unpack it.
         """
         if self._decoder is not None:
             return self._decoder
-        unpack = _compile_unpack(self.ty)
-        if self.payload_words == 1:
-            decode: Callable[[Sequence[int], int], Any] = (
-                lambda words, start: unpack(words[start])
-            )
+        if self._aligned is not None:
+            _, decode = self._aligned
+        elif self.payload_words == 1:
+            unpack = _compile_unpack(self.ty)
+            decode = lambda words, start: unpack(words[start])
         else:
+            unpack = _compile_unpack(self.ty)
             n = self.payload_words
             wb = self.word_bits
 
@@ -779,8 +919,19 @@ class MessageLayout:
         layout starting at ``start`` (each ``message_words`` long, header
         first) decode to a list of values in one call -- the batched
         hardware-side delivery path."""
-        unpack = _compile_unpack(self.ty)
         stride = self.message_words
+        if self._aligned is not None:
+            _, decode = self._aligned
+
+            def decode_aligned_run(words: Sequence[int], start: int, count: int) -> List[Any]:
+                return [
+                    decode(words, base)
+                    for base in range(start + 1, start + 1 + count * stride, stride)
+                ]
+
+            return decode_aligned_run
+
+        unpack = _compile_unpack(self.ty)
         if self.payload_words == 1:
 
             def decode_run(words: Sequence[int], start: int, count: int) -> List[Any]:

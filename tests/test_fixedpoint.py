@@ -1,12 +1,25 @@
 """Unit and property tests for fixed-point and complex fixed-point arithmetic."""
 
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fixedpoint import FixComplex, FixedPoint, fix_complex_vector, fix_vector
+from repro.core.fixedpoint import (
+    FixComplex,
+    FixedPoint,
+    RawComplexVector,
+    RawFixVector,
+    box_complex_vector,
+    box_fixed_vector,
+    complex_vector_raws,
+    fix_complex_vector,
+    fix_vector,
+    fixed_vector_raws,
+)
 
 floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 small_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -183,3 +196,160 @@ class TestVectorHelpers:
         assert len(vec) == 2
         assert vec[0].to_complex() == pytest.approx(1 + 1j)
         assert vec[1].to_complex() == pytest.approx(-2j)
+
+
+# --------------------------------------------------------------------------
+# raw vectors: the value form of Vector#(FixPt) / Vector#(Complex#(FixPt))
+# --------------------------------------------------------------------------
+
+#: Formats under test; (24, 40) is wider than 64-bit machine words.
+VECTOR_FORMATS = [(8, 24), (16, 16), (4, 12), (1, 7), (24, 40)]
+
+
+def _draw_raws(rng, n, int_bits, frac_bits):
+    total = int_bits + frac_bits
+    return [rng.randrange(-(1 << (total - 1)), 1 << (total - 1)) for _ in range(n)]
+
+
+def _vector_and_boxed(rng, kind, int_bits, frac_bits, n):
+    """A raw vector and the tuple of its elements, boxed independently."""
+    if kind == "fixed":
+        raws = _draw_raws(rng, n, int_bits, frac_bits)
+        boxed = tuple(FixedPoint(r, int_bits, frac_bits) for r in raws)
+        return box_fixed_vector(raws, int_bits, frac_bits), boxed
+    re = _draw_raws(rng, n, int_bits, frac_bits)
+    im = _draw_raws(rng, n, int_bits, frac_bits)
+    boxed = tuple(
+        FixComplex(FixedPoint(a, int_bits, frac_bits), FixedPoint(b, int_bits, frac_bits))
+        for a, b in zip(re, im)
+    )
+    return box_complex_vector(re, im, int_bits, frac_bits), boxed
+
+
+def _raw_args(vec):
+    if isinstance(vec, RawFixVector):
+        return (vec.raws, vec.int_bits, vec.frac_bits)
+    return (vec.re, vec.im, vec.int_bits, vec.frac_bits)
+
+
+def _reformatted(vec):
+    """The same raw ints under another format."""
+    if isinstance(vec, RawFixVector):
+        return RawFixVector(vec.raws, vec.int_bits + 1, vec.frac_bits - 1)
+    return RawComplexVector(vec.re, vec.im, vec.int_bits + 1, vec.frac_bits - 1)
+
+
+KINDS = ["fixed", "complex"]
+
+
+class TestRawVectors:
+    @pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_box_helpers_return_the_raw_form(self, fmt, kind):
+        vec, _ = _vector_and_boxed(random.Random(0), kind, *fmt, 4)
+        assert type(vec) is (RawFixVector if kind == "fixed" else RawComplexVector)
+
+    @pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_comparison_agrees_with_the_boxed_tuple(self, fmt, kind):
+        rng = random.Random(repr((fmt, kind)))
+        for _ in range(25):
+            vec, boxed = _vector_and_boxed(rng, kind, *fmt, rng.randrange(1, 9))
+            twin, _ = _vector_and_boxed(random.Random(0), kind, *fmt, len(vec))
+            other_kind, _ = _vector_and_boxed(rng, KINDS[kind == "fixed"], *fmt, len(vec))
+            perturbed = list(boxed)
+            perturbed[rng.randrange(len(boxed))] = twin[0]
+            comparands = [
+                boxed,
+                list(boxed),
+                tuple(perturbed),
+                boxed[:-1],
+                boxed + boxed[:1],
+                type(vec)(*_raw_args(vec)),
+                twin,
+                other_kind,
+                _reformatted(vec),
+                (),
+                None,
+                3,
+            ]
+            for other in comparands:
+                assert (vec == other) is (boxed == other), other
+                assert (other == vec) is (other == boxed), other
+                assert (vec != other) is (boxed != other), other
+                assert (other != vec) is (other != boxed), other
+            assert vec == boxed and boxed == vec and not vec != boxed
+            assert vec != list(boxed) and list(boxed) != vec
+
+    @pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hash_and_repr_match_the_boxed_tuple(self, fmt, kind):
+        rng = random.Random(repr((fmt, kind, "hash")))
+        for n in (1, 2, 5, 8):
+            vec, boxed = _vector_and_boxed(rng, kind, *fmt, n)
+            assert hash(vec) == hash(boxed)
+            assert repr(vec) == repr(boxed)
+            assert {vec: 1}[boxed] == 1 and {boxed: 2}[vec] == 2
+
+    @pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_len_indexing_slicing_and_iteration(self, fmt, kind):
+        rng = random.Random(repr((fmt, kind, "index")))
+        vec, boxed = _vector_and_boxed(rng, kind, *fmt, 7)
+        assert len(vec) == len(boxed) == 7
+        for i in range(-7, 7):
+            assert vec[i] == boxed[i]
+            assert type(vec[i]) is type(boxed[i])
+        for index in (7, -8):
+            with pytest.raises(IndexError):
+                vec[index]
+        for sl in (slice(2, 5), slice(None, -2), slice(-3, None), slice(None, None, -1),
+                   slice(1, None, 3), slice(5, 2)):
+            part = vec[sl]
+            assert type(part) is type(vec)
+            assert part == boxed[sl]
+        assert list(vec) == list(boxed)
+        assert tuple(vec) == boxed
+        assert boxed[3] in vec
+
+    @pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_format_alone_makes_vectors_unequal(self, fmt, kind):
+        vec, boxed = _vector_and_boxed(random.Random(5), kind, *fmt, 4)
+        other = _reformatted(vec)
+        assert _raw_args(other)[:-2] == _raw_args(vec)[:-2]
+        assert vec != other and other != vec
+        assert tuple(other) != boxed
+
+    def test_empty_vectors_compare_like_empty_tuples(self):
+        empties = [
+            RawFixVector((), 8, 24),
+            RawFixVector((), 16, 16),
+            RawComplexVector((), (), 4, 12),
+        ]
+        for a in empties:
+            for b in empties + [()]:
+                assert a == b and b == a
+            assert hash(a) == hash(()) and repr(a) == "()"
+
+    @pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pickle_round_trip(self, fmt, kind):
+        vec, boxed = _vector_and_boxed(random.Random(6), kind, *fmt, 6)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(vec, protocol))
+            assert type(back) is type(vec)
+            assert _raw_args(back) == _raw_args(vec)
+            assert back == boxed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accessors_read_raws_in_constant_time(self, kind):
+        vec, boxed = _vector_and_boxed(random.Random(7), kind, 8, 24, 6)
+        if kind == "fixed":
+            assert fixed_vector_raws(vec) is vec.raws
+            assert fixed_vector_raws(boxed) == vec.raws
+            assert fixed_vector_raws(list(boxed)) == vec.raws
+        else:
+            re, im = complex_vector_raws(vec)
+            assert re is vec.re and im is vec.im
+            assert complex_vector_raws(boxed) == (vec.re, vec.im)

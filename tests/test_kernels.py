@@ -26,7 +26,14 @@ import pytest
 from repro.apps.raytracer import bvh, geometry
 from repro.apps.vorbis import kernels
 from repro.core import kernelcompile as kc
-from repro.core.fixedpoint import FixComplex, FixedPoint
+from repro.core.fixedpoint import (
+    FixComplex,
+    FixedPoint,
+    RawComplexVector,
+    RawFixVector,
+    box_complex_vector,
+    box_fixed_vector,
+)
 
 #: (int_bits, frac_bits) formats under test; (24, 40) is wider than
 #: ``NUMPY_MAX_TOTAL_BITS`` and must silently take the python path.
@@ -72,31 +79,51 @@ class TestVorbisBackendMatrix:
     def test_all_kernels_bit_identical(self, fmt, n):
         """Every vorbis kernel returns the oracle's exact values on every
         backend, across formats and frame sizes (random inputs, negatives
-        included)."""
+        included), whether its inputs arrive as boxed tuples or in the raw
+        form; the fast backends return the raw form."""
         ib, fb = fmt
         rng = random.Random(ib * 1000 + fb * 10 + n)
         frame = _rand_frame(rng, n, ib, fb)
         half = _rand_frame(rng, n // 2, ib, fb)
         spectrum = _rand_spectrum(rng, n, ib, fb)
+        boxed_inputs = (frame, half, spectrum)
+        raw_inputs = (
+            box_fixed_vector([v.raw for v in frame], ib, fb),
+            box_fixed_vector([v.raw for v in half], ib, fb),
+            box_complex_vector(
+                [v.real.raw for v in spectrum], [v.imag.raw for v in spectrum], ib, fb
+            ),
+        )
         with kc.kernel_cache_override(False):
             expected = {}
             for backend in BACKENDS:
-                with kc.kernel_backend_override(backend):
-                    got = {
-                        "gen_frame": kernels.gen_frame(3, n, 2012, ib, fb),
-                        "backend_input": kernels.backend_input(frame, ib, fb),
-                        "imdct_pre": kernels.imdct_pre(frame, ib, fb),
-                        "rule_stage0": kernels.ifft_rule_stage(0, spectrum, 2, ib, fb),
-                        "rule_stage1": kernels.ifft_rule_stage(1, spectrum, 2, ib, fb),
-                        "ifft_full": kernels.ifft_full(spectrum, ib, fb),
-                        "imdct_post": kernels.imdct_post(spectrum, ib, fb),
-                        "window": kernels.window_overlap(half, frame, ib, fb),
-                    }
-                if backend == "oracle":
-                    expected = got
-                else:
+                for frame_in, half_in, spectrum_in in (boxed_inputs, raw_inputs):
+                    with kc.kernel_backend_override(backend):
+                        got = {
+                            "gen_frame": kernels.gen_frame(3, n, 2012, ib, fb),
+                            "backend_input": kernels.backend_input(frame_in, ib, fb),
+                            "imdct_pre": kernels.imdct_pre(frame_in, ib, fb),
+                            "rule_stage0": kernels.ifft_rule_stage(0, spectrum_in, 2, ib, fb),
+                            "rule_stage1": kernels.ifft_rule_stage(1, spectrum_in, 2, ib, fb),
+                            "ifft_full": kernels.ifft_full(spectrum_in, ib, fb),
+                            "imdct_post": kernels.imdct_post(spectrum_in, ib, fb),
+                            "window": kernels.window_overlap(half_in, frame_in, ib, fb),
+                            "checksum": kernels.audio_checksum(frame_in, 17),
+                        }
+                    if not expected:
+                        expected = got
+                        continue
                     for name, value in got.items():
                         assert value == expected[name], (backend, name, fmt, n)
+                    if backend != "oracle":
+                        assert type(got["window"]) is tuple
+                        values = [v for k, v in got.items() if k not in ("window", "checksum")]
+                        for value in values + list(got["window"]):
+                            assert type(value) in (RawFixVector, RawComplexVector), (
+                                backend,
+                                fmt,
+                                n,
+                            )
 
     def test_wide_format_demotes_numpy_to_python(self):
         """Formats beyond the int64 safety bound never take the numpy path."""

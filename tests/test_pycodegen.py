@@ -79,6 +79,42 @@ class TestDumpSource:
         _source_sim()
         assert list(tmp_path.iterdir()) == []
 
+    def test_designs_sharing_engine_names_dump_one_file_per_module(
+        self, tmp_path, monkeypatch
+    ):
+        """vorbis_B and raytracer_B both have engines named ``HW`` and
+        ``SW``; elaborated in one process, neither overwrites the other's
+        dumps."""
+        from repro.apps.raytracer import partitions as rp
+        from repro.apps.raytracer.params import RayTracerParams
+        from repro.core import pycodegen
+
+        modules = []
+        original = pycodegen.GeneratedModule.__init__
+
+        def record(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            modules.append(self)
+
+        monkeypatch.setattr(pycodegen.GeneratedModule, "__init__", record)
+        monkeypatch.setenv("REPRO_DUMP_SOURCE", str(tmp_path / "dump"))
+        names = []
+        for workload in (
+            vp.build_partition("B", VorbisParams(n_frames=2)),
+            rp.build_partition("B", RayTracerParams(n_triangles=24, image_width=3, image_height=3)),
+        ):
+            first = len(modules)
+            CosimFabric(workload.design, backend="source")
+            names.append({m.name for m in modules[first:]})
+        assert {"HW.hwstep", "SW.swstep"} <= names[0] & names[1]
+
+        dumped = {p.name: p.read_text() for p in (tmp_path / "dump").iterdir()}
+        assert len(dumped) == len({(m.name, m.source) for m in modules})
+        for module in modules:
+            fname = module.dump(str(tmp_path / "again")).rsplit("/", 1)[-1]
+            assert fname.endswith("." + module.name.rsplit(".", 1)[1] + ".py")
+            assert dumped[fname] == module.source
+
 
 # --------------------------------------------------------------------------
 # tracebacks through generated code

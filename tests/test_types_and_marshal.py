@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError, TypeCheckError, WireFormatError
-from repro.core.fixedpoint import FixComplex, FixedPoint
+from repro.core.fixedpoint import FixComplex, FixedPoint, RawComplexVector, RawFixVector
 from repro.core.types import (
     BitT,
     BoolT,
@@ -261,6 +261,48 @@ class TestMarshaling:
             framed = marshal.marshal_message(1, t, value, word_bits)
             assert marshal.demarshal_message(t, framed, word_bits) == (1, value)
 
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["fixed", "complex"]),
+        st.sampled_from([(8, 24), (24, 40)]),
+        st.sampled_from([16, 32, 64]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_vorbis_vector_word_widths_roundtrip_property(self, n, kind, fmt, word_bits, rng):
+        """Vorbis-shaped vectors carry the reference's words at every width.
+
+        With ``FixPt#(8,24)`` elements (or complex halves) a 32-bit word
+        holds exactly one raw int, so the layout takes the aligned codec;
+        at 16 and 64 bits the payload spans words and takes the big-int
+        path.  ``FixPt#(24,40)`` is aligned at 64 bits instead.  Every path
+        must put the reference's words on the wire and decode the
+        reference's value, from the raw form or boxed elements."""
+        fix = FixPtT(*fmt)
+        elem = fix if kind == "fixed" else ComplexT(fix)
+        t = VectorT(n, elem)
+        value = TestFusedPackUnpack._random_value(rng, t)
+        raw_type = RawFixVector if kind == "fixed" else RawComplexVector
+        words = marshal.marshal_value(t, value, word_bits)
+        reference = marshal.demarshal_value(t, words, word_bits)
+        assert reference == value and type(reference) is raw_type
+        bits = t.pack(value)
+        assert marshal._compile_pack(t)(value) == bits
+        decoded = marshal._compile_unpack(t)(bits)
+        assert decoded == reference and type(decoded) is raw_type
+        if word_bits < marshal.VC_ID_BITS + marshal.LENGTH_BITS:
+            return  # no header fits: 16-bit links have no layout
+        layout = marshal.layout_for(t, word_bits)
+        assert (layout._aligned is not None) == (word_bits == fix.bit_width())
+        framed = marshal.marshal_message(1, t, value, word_bits)
+        assert list(layout.encoder(1)(value)) == framed
+        assert layout.batch_encoder(1)([value, tuple(value)]) == framed + framed
+        ring = [7] + framed + framed
+        assert layout.decoder()(ring, 2) == reference
+        run = layout.run_decoder()(ring, 1, 2)
+        assert run == [reference, reference]
+        assert all(type(v) is raw_type for v in run + [layout.decoder()(ring, 2)])
+
     def test_maximum_width_payload_fits_the_length_field(self):
         """A payload of exactly 2**LENGTH_BITS - 1 words frames and unframes."""
         max_words = (1 << marshal.LENGTH_BITS) - 1
@@ -438,7 +480,16 @@ class TestFusedPackUnpack:
             return FixComplex(make(rng, ty.elem), make(rng, ty.elem))
         if isinstance(ty, VectorT):
             make = TestFusedPackUnpack._random_value
-            return tuple(make(rng, ty.elem) for _ in range(ty.n))
+            value = tuple(make(rng, ty.elem) for _ in range(ty.n))
+            # Half of the fixed and complex vectors come in their raw form.
+            if isinstance(ty.elem, FixPtT) and rng.random() < 0.5:
+                raws = tuple(v.raw for v in value)
+                return RawFixVector(raws, ty.elem.int_bits, ty.elem.frac_bits)
+            if isinstance(ty.elem, ComplexT) and rng.random() < 0.5:
+                re = tuple(v.real.raw for v in value)
+                im = tuple(v.imag.raw for v in value)
+                return RawComplexVector(re, im, ty.elem.elem.int_bits, ty.elem.elem.frac_bits)
+            return value
         assert isinstance(ty, StructT)
         make = TestFusedPackUnpack._random_value
         return {f: make(rng, t) for f, t in ty.fields}
@@ -486,6 +537,12 @@ class TestFusedPackUnpack:
             (VectorT(3, UIntT(8)), (1, 2, 999)),
             (VectorT(3, UIntT(8)), "abc"),
             (VectorT(2, FixPtT(4, 4)), (FixedPoint.from_raw(0, 4, 4), 7)),
+            (VectorT(2, FixPtT(4, 4)), RawFixVector((0, -3), 8, 24)),
+            (VectorT(3, FixPtT(4, 4)), RawFixVector((0, -3), 4, 4)),
+            (VectorT(2, FixPtT(8, 24)), RawComplexVector((0, 1), (2, 3), 8, 24)),
+            (VectorT(2, ComplexT(FixPtT(8, 24))), RawComplexVector((0, 1), (2, 3), 4, 12)),
+            (VectorT(2, ComplexT(FixPtT(8, 24))), RawComplexVector((0,), (2,), 8, 24)),
+            (VectorT(1, ComplexT(FixPtT(8, 24))), RawFixVector((5,), 8, 24)),
             (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), {"a": 1}),
             (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), [1, 2]),
             (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), {"a": 1, "b": 99}),
