@@ -106,7 +106,7 @@ class Simulator:
         self._exec = []
         if backend == "source":
             self._exec, self._gen = generate_rule_execs(
-                self.rules, design.name, max_loop_iterations
+                self.rules, design.name, max_loop_iterations, modes=("fast", "hooked")
             )
         self._priority_order: List[Rule] = sorted(
             self.rules, key=lambda r: (-r.urgency, self._index_of[r])

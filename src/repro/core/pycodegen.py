@@ -17,18 +17,26 @@ bit-for-bit:
   ``on_node`` fires only for the cost-bearing nodes
   (BinOp/UnOp/Mux/FieldSelect), so ``SwCostAccumulator.cpu_cycles`` is
   reproduced exactly while ``nodes_visited`` counts fewer nodes;
-* ``latency`` -- kernel/method hooks only (the HW engine's
-  ``HwLatencyAccumulator``);
+* ``latency`` -- folded hardware FSM latency, no hooks: each kernel adds
+  ``max(0, hw_cycles - 1)`` (a constant folded at generation, a callable
+  called inline before the kernel) and each memory with ``read_latency``
+  above 1 adds ``read_latency - 1`` to a one-element charge cell, which is
+  exactly what the HW engine's ``HwLatencyAccumulator`` counts;
 * ``count``   -- folded software-cost accumulation against a concrete
   :class:`~repro.sim.costmodel.SwCostParams`: straight-line subtrees
   (:func:`static_cost`) collapse to one integer add, dynamic subtrees
   charge at exactly the tree walker's program points.
+
+``count`` and ``latency`` pass the same charge cell through lazy lets and
+user methods, and adjacent integer charges merge into one add.
 
 On top of the per-rule functions the engine supersteps themselves are
 generated (``generate_sw_step`` / ``generate_hw_step``): the dirty-set
 scan, guard, body and cost commit of one engine step fuse into a single
 generated function with all identity-stable collaborators pre-bound in the
 module namespace, so a quiescent engine is one generated-function call.
+The hardware step also compiles in the engine's static schedule: one
+unrolled block per rule and the conflict matrix as boolean chains.
 Rebindable engine state (``busy_until``, ``_pending_updates``, counters)
 is always accessed through ``self`` so the snapshot/restore identity
 contract keeps holding.  Transport routes lower to generated pump and
@@ -341,8 +349,17 @@ class _ModuleBuilder:
         return GeneratedModule(self.name, "".join(self.chunks), self.bindings)
 
 
+#: An integer charge line: indentation, sink and ``+=`` (group 1), amount.
+_INT_CHARGE = re.compile(r"(\s*\S+ \+= )(\d+)$")
+
+
 class _FnWriter:
-    """Emits one generated function, with statement-level charge coalescing."""
+    """Emits one generated function, with statement-level charge coalescing.
+
+    An integer charge (``sink += 3``) directly after another to the same
+    sink at the same indentation merges into it, whether it is emitted here
+    or arrives among captured statements (``emit_lines``).
+    """
 
     def __init__(self, name: str, params: List[str]):
         self.lines: List[str] = [f"def {name}({', '.join(params)}):"]
@@ -354,22 +371,27 @@ class _FnWriter:
         return f"_t{self._tmp}"
 
     def emit(self, stmt: str) -> None:
-        self.lines.append("    " * self.indent + stmt)
+        self._append("    " * self.indent + stmt)
 
     def emit_lines(self, lines: List[str]) -> None:
-        self.lines.extend(lines)
+        for line in lines:
+            self._append(line)
 
     def charge(self, sink: str, amount: int) -> None:
-        """Emit ``sink += amount`` and merge adjacent integer charges."""
-        if amount == 0:
-            return
-        prefix = "    " * self.indent + f"{sink} += "
-        if self.lines and self.lines[-1].startswith(prefix):
-            tail = self.lines[-1][len(prefix):]
-            if tail.isdigit():
-                self.lines[-1] = prefix + str(int(tail) + amount)
-                return
-        self.emit(f"{sink} += {amount}")
+        """Emit ``sink += amount`` (nothing for zero)."""
+        if amount:
+            self.emit(f"{sink} += {amount}")
+
+    def _append(self, line: str) -> None:
+        if " += " in line and self.lines:
+            match = _INT_CHARGE.match(line)
+            if match is not None:
+                prev = _INT_CHARGE.match(self.lines[-1])
+                if prev is not None and prev.group(1) == match.group(1):
+                    total = int(prev.group(2)) + int(match.group(2))
+                    self.lines[-1] = f"{match.group(1)}{total}"
+                    return
+        self.lines.append(line)
 
 
 def _reindent(lines: List[str]) -> List[str]:
@@ -424,8 +446,11 @@ class _Lowerer:
         self.module = module
         self.mode = mode
         self.all_hooks = mode == "hooked"
-        self.kernel_hooks = mode in ("hooked", "latency")
         self.counting = mode == "count"
+        self.timing = mode == "latency"
+        #: count and latency thread a one-element charge cell (``_cl``)
+        #: through thunks and user methods.
+        self.cells = self.counting or self.timing
         self.max_loop_iterations = max_loop_iterations
         self.params = sw_params
         # (id(method), is_action) -> (guard_fn_name, body_fn_name, param names)
@@ -670,12 +695,12 @@ class _Lowerer:
 
     def _sink_cell(self) -> str:
         """The charge-cell object to capture at a binding site."""
-        if self.counting:
-            # ``_cc`` is a local int; thunks need a mutable cell.  The rule
-            # wrappers always provide ``_cl`` (a one-element list) whose
-            # slot 0 is folded into ``_cc`` at the boundaries.
+        if self.cells:
+            # Thunks need a mutable cell.  The rule wrappers always provide
+            # ``_cl`` (a one-element list); in count mode its slot 0 is
+            # folded into the local ``_cc`` at the boundaries.
             return "_cl"
-        if self.kernel_hooks:
+        if self.all_hooks:
             return "hooks"
         return "None"
 
@@ -690,8 +715,8 @@ class _Lowerer:
         """Lower ``node`` as a module-level function over its free scope vars.
 
         The function's signature is ``(read, _ctx, *free_locals)`` where
-        ``_ctx`` is the hooks object (hooked/latency), the charge cell list
-        (count) or None (fast); call sites pass the binding-site values
+        ``_ctx`` is the hooks object (hooked), the charge cell list
+        (count/latency) or None (fast); call sites pass the binding-site values
         explicitly, which reproduces the tree walker's creation-time
         capture without relying on late-bound outer locals.
         """
@@ -707,9 +732,9 @@ class _Lowerer:
         )
         sub.scope = {name: entry for name, entry in free_nodes}
         sub.w = _FnWriter(fn, params)
-        if self.all_hooks or self.kernel_hooks:
+        if self.all_hooks:
             sub.w.emit("hooks = _ctx")
-        if self.counting:
+        if self.cells:
             sub.w.emit("_cl = _ctx")
             sub.sink = "_cl[0]"
         body = sub.lower_action(node) if is_action else sub.lower_expr(node)
@@ -728,25 +753,41 @@ class _Lowerer:
         w = self.w
         fn = self.module.bind(expr.fn, "k")
         if self.counting and self.charging:
-            args = self._operands(list(expr.args))
-            values = self._materialize([([], a) for a in args])
+            values = self._kernel_args(expr)
             if callable(expr.sw_cycles):
                 cost_fn = self.module.bind(expr.sw_cycles, "k")
                 self.w.emit(
-                    f"{self.sink} += int({cost_fn}({', '.join(values)})) + "
+                    f"{self.sink} += int({cost_fn}({values})) + "
                     f"{self.params.kernel_dispatch}"
                 )
             else:
                 self._charge(int(expr.sw_cycles) + self.params.kernel_dispatch)
-            return f"{fn}({', '.join(values)})"
-        if self.kernel_hooks:
-            args = self._operands(list(expr.args))
-            values = self._materialize([([], a) for a in args])
-            node = self.module.bind(expr, "n")
-            w.emit(f"hooks.on_kernel({node}, [{', '.join(values)}])")
-            return f"{fn}({', '.join(values)})"
+            return f"{fn}({values})"
+        if self.all_hooks:
+            values = self._kernel_args(expr)
+            w.emit(f"hooks.on_kernel({self.module.bind(expr, 'n')}, [{values}])")
+            return f"{fn}({values})"
+        if self.timing:
+            # ``HwLatencyAccumulator.on_kernel``, folded: the kernel's FSM
+            # adds ``hw_cycles - 1`` cycles once its arguments are evaluated.
+            if callable(expr.hw_cycles):
+                values = self._kernel_args(expr)
+                cost_fn = self.module.bind(expr.hw_cycles, "k")
+                w.emit(f"{self.sink} += max(0, int({cost_fn}({values})) - 1)")
+                return f"{fn}({values})"
+            extra = max(0, int(expr.hw_cycles) - 1)
+            if extra:
+                values = self._kernel_args(expr)
+                w.charge(self.sink, extra)
+                return f"{fn}({values})"
         args = self._operands(list(expr.args))
         return f"{fn}({', '.join(args)})"
+
+    def _kernel_args(self, expr: KernelCall) -> str:
+        """Evaluate the arguments into names, in order (a charge or hook
+        follows them); returns the argument list."""
+        args = self._operands(list(expr.args))
+        return ", ".join(self._materialize([([], a) for a in args]))
 
     # -- actions -----------------------------------------------------------
 
@@ -948,9 +989,7 @@ class _Lowerer:
             native = instance.get_native(method_name)
             guard_fn = self.module.bind(native.guard_fn, "g")
             body_fn = self.module.bind(native.body_fn, "b")
-            if self.kernel_hooks:
-                inst = self.module.bind(instance, "i")
-                w.emit(f"hooks.on_method({inst}, {method_name!r})")
+            self._on_method(instance, method_name)
             if self.counting and self.charging:
                 overhead = self.params.native_method_overhead
                 if hasattr(instance, "read_latency"):
@@ -984,9 +1023,7 @@ class _Lowerer:
         # User-defined method: one generated module-level function pair per
         # (method, mode), pre-registered so recursive methods terminate.
         guard_name, body_name = self._user_method(method, is_action)
-        if self.kernel_hooks:
-            inst = self.module.bind(instance, "i")
-            w.emit(f"hooks.on_method({inst}, {method_name!r})")
+        self._on_method(instance, method_name)
         if self.counting and self.charging:
             self._charge(self.params.method_call_overhead)
         values = self._materialize(
@@ -1004,11 +1041,23 @@ class _Lowerer:
         w.emit(f"{t} = {body_name}({arglist})")
         return t
 
+    def _on_method(self, instance: Module, method_name: str) -> None:
+        """The method-entry hook (hooked), or its folded latency: a memory
+        whose ``read_latency`` is above 1 adds ``read_latency - 1`` cycles,
+        as ``HwLatencyAccumulator.on_method`` does."""
+        if self.all_hooks:
+            inst = self.module.bind(instance, "i")
+            self.w.emit(f"hooks.on_method({inst}, {method_name!r})")
+        elif self.timing:
+            read_latency = getattr(instance, "read_latency", None)
+            if read_latency is not None and read_latency > 1:
+                self.w.charge(self.sink, read_latency - 1)
+
     def _call_ctx(self) -> str:
         """Second argument threaded into generated method/thunk functions."""
-        if self.counting:
+        if self.cells:
             return "_cl"
-        if self.kernel_hooks or self.all_hooks:
+        if self.all_hooks:
             return "hooks"
         return "None"
 
@@ -1036,11 +1085,10 @@ class _Lowerer:
                 p: ("strict", param_locals[i]) for i, p in enumerate(method.params)
             }
             sub.w = _FnWriter(stem, ["read", "_ctx"] + param_locals)
-            if self.counting:
-                sub.sink = "_ctx[0]"
-            if self.all_hooks or self.kernel_hooks:
+            if self.all_hooks:
                 sub.w.emit("hooks = _ctx")
-            if self.counting:
+            if self.cells:
+                sub.sink = "_ctx[0]"
                 sub.w.emit("_cl = _ctx")
             if node is None:
                 owner = method.module.name if method.module is not None else "?"
@@ -1079,32 +1127,29 @@ def _add_force_helper(module: _ModuleBuilder) -> None:
         module.chunks.append(_FORCE_HELPER + "\n")
 
 
+#: Parameters of the generated rule function per mode.
+_RULE_FN_PARAMS = {
+    "fast": ["read"],
+    "hooked": ["read", "hooks"],
+    "latency": ["read", "_cl"],
+}
+
+
 def _lower_rule_fn(
     module: _ModuleBuilder,
     name: str,
-    node: Any,
-    is_action: bool,
+    action: Action,
     mode: str,
     max_loop_iterations: int,
-    sw_params: Any = None,
-    methods: Optional[Dict] = None,
+    methods: Dict,
 ) -> None:
-    """Emit ``def name(read, hooks_or_cell)`` evaluating ``node`` flat."""
-    low = _Lowerer(module, mode, max_loop_iterations, sw_params, methods)
-    if mode == "count":
-        low.w = _FnWriter(name, ["read", "_cl"])
-        low.w.emit("_cc = 0")
-        low.sink = "_cc"
-    elif mode in ("hooked", "latency"):
-        low.w = _FnWriter(name, ["read", "hooks"])
-    else:
-        low.w = _FnWriter(name, ["read"])
-    result = low.lower_action(node) if is_action else low.lower_expr(node)
-    if mode == "count":
-        low.w.emit("_cl[0] += _cc")
-        low.w.emit(f"return {result}")
-    else:
-        low.w.emit(f"return {result}")
+    """Emit ``def name(read, ...)`` executing ``action`` flat (see
+    :class:`SourceRuleExec` for the per-mode signature)."""
+    low = _Lowerer(module, mode, max_loop_iterations, None, methods)
+    low.w = _FnWriter(name, _RULE_FN_PARAMS[mode])
+    low.sink = "_cl[0]"
+    result = low.lower_action(action)
+    low.w.emit(f"return {result}")
     module.add(low.w.lines)
 
 
@@ -1112,9 +1157,12 @@ class SourceRuleExec:
     """Generated fast/hooked/latency entry points for one rule.
 
     The call sites the engines use are ``fast(read)``,
-    ``hooked(read, hooks)`` and ``latency(read, hooks)``; each attribute is
+    ``hooked(read, hooks)`` and ``latency(read, cell)``; each attribute is
     a plain generated function (``None`` for a mode that was not
-    generated).
+    generated).  ``latency`` adds the rule's FSM cycles beyond the first
+    to ``cell[0]`` (a one-element list): the constant and callable
+    ``hw_cycles`` of its kernels and the ``read_latency`` of its memories,
+    folded at generation, exactly as ``HwLatencyAccumulator`` counts them.
     """
 
     __slots__ = ("rule", "fast", "hooked", "latency")
@@ -1130,9 +1178,11 @@ def generate_rule_execs(
     rules: List[Rule],
     design_name: str,
     max_loop_iterations: int = 1_000_000,
-    modes: Tuple[str, ...] = ("fast", "hooked", "latency"),
+    *,
+    modes: Tuple[str, ...],
 ) -> Tuple[List[SourceRuleExec], GeneratedModule]:
-    """Generate flat executors for raw rule actions (Simulator / HwEngine)."""
+    """Generate flat executors for raw rule actions in ``modes``
+    (``Simulator``: fast and hooked; ``HwEngine``: latency)."""
     module = _ModuleBuilder(f"{design_name}.rules")
     _add_force_helper(module)
     methods: Dict[str, Dict] = {mode: {} for mode in modes}
@@ -1142,8 +1192,8 @@ def generate_rule_execs(
                 rule,
                 mode,
                 lambda: _lower_rule_fn(
-                    module, f"_rule_{mode}_{i}", rule.action, True, mode,
-                    max_loop_iterations, None, methods[mode],
+                    module, f"_rule_{mode}_{i}", rule.action, mode,
+                    max_loop_iterations, methods[mode],
                 ),
             )
     gen = module.build()
@@ -1330,115 +1380,177 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
 # --------------------------------------------------------------------------
 
 
-def generate_hw_step(
-    engine: Any, execs: Dict[Rule, Any], latency_acc_cls: Any
-) -> GeneratedModule:
-    """Fuse ``HwEngine.step_cycle`` into one generated function.
+def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
+    """Compile ``HwEngine.step_cycle`` and the engine's static schedule into
+    one generated function.
 
     Same pre-binding discipline as :func:`generate_sw_step`: the busy
     table, locked-count view, store and wakeup arrays keep their identity
-    across ``restore()``; rebindable scalars go through ``self``.
+    across ``restore()``; rebindable scalars go through ``self``.  The
+    schedule is static, so the cycle is straight-line code:
+
+    * **Candidates**, one block per rule in engine order, so kernel calls
+      (and the kernel memo's FIFO) keep the reference order.  A rule is a
+      candidate when it is not asleep and its write set misses the locked
+      registers; a busy rule has locked its own write set, so only a rule
+      with an empty write set needs the busy test.  Its ``latency``
+      function (:class:`SourceRuleExec`) returns its updates and leaves its
+      FSM latency in the charge cell; a ``GuardFail`` puts it to sleep.
+    * **Selection**: ``HwSchedule.select``'s greedy pass in urgency order,
+      unrolled into one boolean per rule: enabled, and no earlier chosen
+      rule conflicts with it.
+    * **Commit**, in urgency order.  A chosen rule is skipped when an
+      earlier rule of the cycle deferred its updates onto a register the
+      rule writes (the in-cycle lock), and re-evaluated when an earlier
+      rule committed to a register it reads.  Both tests are emitted only
+      for rule pairs whose static ``rule_write_set`` / ``rule_read_set``
+      overlap, and never for a conflicting pair (at most one of them is
+      chosen).  The candidate test has already shown that a chosen rule's
+      write set misses the registers locked when the cycle began.
+    * **Busy-only cycles**: only candidates are put to sleep, so a busy rule
+      is never asleep; when every rule is asleep or busy once due rules
+      have finished, no rule is a candidate and the step returns at once.
     """
     module = _ModuleBuilder(f"{engine.name}.hwstep")
     rules = engine.rules
     n = len(rules)
     b = module.bindings
     b["_self"] = engine
-    if n:
-        wakeup = engine._wakeup
-        b["_store"] = engine.store
-        b["_read"] = engine.store.__getitem__
-        b["_sleeping"] = wakeup.sleeping
-        b["_sleep"] = wakeup.sleep_index
-        b["_wakeup"] = wakeup
-        b["_busy"] = engine.busy
-        b["_locked"] = engine._locked_count.keys()
-        b["_rules"] = tuple(rules)
-        b["_wsets"] = [engine._write_sets[r] for r in rules]
-        b["_rsets"] = [engine._read_sets[r] for r in rules]
-        b["_lat"] = [execs[r].latency for r in rules]
-        b["_index_of"] = wakeup.index_of
-        b["_select"] = engine.schedule.select
-        b["_fire_counts"] = engine.fire_counts
-        b["_names"] = tuple(r.full_name for r in rules)
-        b["_flush"] = engine._flush_pending_deliveries
-        b["_lock"] = engine._lock_rule
-        b["_unlock"] = engine._unlock_rule
-        b["_Acc"] = latency_acc_cls
-        b["_raise_missing"] = raise_for_missing_register
-    lines = ["def step_cycle(now):"]
     if not n:
-        lines.append("    return False")
-    else:
-        lines += [
-            "    if _self.last_cycle_stepped == now:",
-            "        return False",
-            "    _self.last_cycle_stepped = now",
-            "    progress = False",
-            "    _nf = _self._next_finish",
-            "    if _nf is not None and _nf <= now:",
-            "        _fin = [r for r, (f, _) in _busy.items() if f <= now]",
-            "        for _r in _fin:",
-            "            _store.update(_unlock(_r))",
-            "            progress = True",
-            "        _flush()",
-            f"    if _wakeup.n_sleeping == {n} and not _busy:",
-            "        if progress:",
-            "            _self.cycles_active += 1",
-            "        return progress",
-            f"    _cand = [_i for _i in range({n})",
-            "             if _rules[_i] not in _busy and not _sleeping[_i]",
-            "             and not (_wsets[_i] & _locked)]",
-            "    if not _cand:",
-            "        if progress:",
-            "            _self.cycles_active += 1",
-            "        return progress",
-            "    _enabled = []",
-            "    _eval = {}",
-            "    for _i in _cand:",
-            "        _h = _Acc()",
-            "        try:",
-            "            _u = _lat[_i](_read, _h)",
-            "        except GuardFail:",
-            "            _sleep(_i)",
-            "            continue",
-            "        except KeyError as _exc:",
-            "            _raise_missing(_exc)",
-            "            raise",
-            "        _eval[_i] = (_u, _h.latency)",
-            "        _enabled.append(_rules[_i])",
-            "    _chosen = _select(_enabled)",
-            "    _cycle_locked = set(_locked)",
-            "    _cycle_dirty = set()",
-            "    for _r in _chosen:",
-            "        _i = _index_of[_r]",
-            "        if _wsets[_i] & _cycle_locked:",
-            "            continue",
-            "        _u, _latency = _eval[_i]",
-            "        if _rsets[_i] & _cycle_dirty:",
-            "            _h = _Acc()",
-            "            try:",
-            "                _u = _lat[_i](_read, _h)",
-            "            except GuardFail:",
-            "                _sleep(_i)",
-            "                continue",
-            "            except KeyError as _exc:",
-            "                _raise_missing(_exc)",
-            "                raise",
-            "            _latency = _h.latency",
-            "        _fire_counts[_names[_i]] += 1",
-            "        _self.total_firings += 1",
-            "        progress = True",
-            "        if _latency <= 1:",
-            "            _store.update(_u)",
-            "            _cycle_dirty.update(_u)",
-            "        else:",
-            "            _lock(_r, now + _latency, _u)",
-            "            _cycle_locked |= _wsets[_i]",
-            "    if progress:",
-            "        _self.cycles_active += 1",
-            "    return progress",
+        module.chunks.append("def step_cycle(now):\n    return False\n")
+        return module.build()
+    wakeup = engine._wakeup
+    b.update(
+        _store=engine.store,
+        _read=engine.store.__getitem__,
+        _sleeping=wakeup.sleeping,
+        _sleep=wakeup.sleep_index,
+        _wakeup=wakeup,
+        _busy=engine.busy,
+        _locked=engine._locked_count.keys(),
+        _fire_counts=engine.fire_counts,
+        _flush=engine._flush_pending_deliveries,
+        _lock=engine._lock_rule,
+        _unlock=engine._unlock_rule,
+        _raise_missing=raise_for_missing_register,
+        _cl=[0],
+    )
+    wsets = [engine._write_sets[rule] for rule in rules]
+    rsets = [engine._read_sets[rule] for rule in rules]
+    for i, rule in enumerate(rules):
+        b[f"_R{i}"] = rule
+        b[f"_L{i}"] = execs[rule].latency
+        b[f"_W{i}"] = frozenset(wsets[i])
+
+    def evaluate(i: int, indent: str, on_fail: List[str]) -> List[str]:
+        return [
+            f"{indent}_cl[0] = 0",
+            f"{indent}try:",
+            f"{indent}    _u{i} = _L{i}(_read, _cl)",
+            f"{indent}    _l{i} = 1 + _cl[0]",
+            f"{indent}except GuardFail:",
+            f"{indent}    _sleep({i})",
+        ] + [f"{indent}    {line}" for line in on_fail]
+
+    body: List[str] = []
+    for i, rule in enumerate(rules):
+        if wsets[i]:
+            free = f"(not _busy or _locked.isdisjoint(_W{i}))"
+        else:
+            free = f"_R{i} not in _busy"
+        body += [f"# {rule.full_name}", f"_u{i} = None", f"if not _sleeping[{i}] and {free}:"]
+        body += evaluate(i, "    ", [])
+
+    # Static schedule: for each rule in urgency order, the earlier rules
+    # that exclude it from the chosen set, whose deferred updates lock it
+    # out, and whose committed updates it must re-read.
+    index = {rule: i for i, rule in enumerate(rules)}
+    order = [index[rule] for rule in engine.schedule.rules]
+    conflict = engine.schedule.conflict_matrix.conflict
+    plan = []
+    for pos, k in enumerate(order):
+        earlier = order[:pos]
+        excluders = [j for j in earlier if conflict(rules[j], rules[k])]
+        compatible = [j for j in earlier if j not in excluders]
+        lockers = [j for j in compatible if wsets[j] & wsets[k]]
+        writers = [
+            (j, sorted(wsets[j] & rsets[k], key=lambda reg: reg.full_name))
+            for j in compatible
+            if wsets[j] & rsets[k]
         ]
+        plan.append((k, excluders, lockers, writers))
+    chosen_ref = {j for _, excluders, _, _ in plan for j in excluders}
+    deferred_ref = {j for _, _, lockers, _ in plan for j in lockers}
+    committed_ref = {j for _, _, _, writers in plan for j, _ in writers}
+
+    def unless(stem: str, js: List[int]) -> str:
+        names = " or ".join(f"{stem}{j}" for j in js)
+        return f" and not {names}" if len(js) == 1 else f" and not ({names})"
+
+    for k, excluders, lockers, writers in plan:
+        chosen = f"_u{k} is not None"
+        if excluders:
+            chosen += unless("_c", excluders)
+        if k in chosen_ref:
+            body.append(f"_c{k} = {chosen}")
+            chosen = f"_c{k}"
+        if k in deferred_ref:
+            body.append(f"_d{k} = False")
+        if k in committed_ref:
+            body.append(f"_m{k} = ()")
+        if lockers:
+            chosen += unless("_d", lockers)
+        body.append(f"if {chosen}:")
+        indent = "    "
+        if writers:
+            reread = " or ".join(
+                f"{module.bind(reg, 'r')} in _m{j}" for j, regs in writers for reg in regs
+            )
+            body.append(f"    if {reread}:")
+            body += evaluate(k, "        ", [f"_u{k} = None"])
+            body.append(f"    if _u{k} is not None:")
+            indent = "        "
+        fire = [
+            f"_fire_counts[{rules[k].full_name!r}] += 1",
+            "_self.total_firings += 1",
+            "progress = True",
+            f"if _l{k} <= 1:",
+            f"    _store.update(_u{k})",
+        ]
+        if k in committed_ref:
+            fire.append(f"    _m{k} = _u{k}")
+        fire += ["else:", f"    _lock(_R{k}, now + _l{k}, _u{k})"]
+        if k in deferred_ref:
+            fire.append(f"    _d{k} = True")
+        body += [indent + line for line in fire]
+
+    lines = [
+        "def step_cycle(now):",
+        "    if _self.last_cycle_stepped == now:",
+        "        return False",
+        "    _self.last_cycle_stepped = now",
+        "    progress = False",
+        "    _nf = _self._next_finish",
+        "    if _nf is not None and _nf <= now:",
+        "        for _r in [r for r, (f, _) in _busy.items() if f <= now]:",
+        "            _store.update(_unlock(_r))",
+        "            progress = True",
+        "        _flush()",
+        f"    if _wakeup.n_sleeping + len(_busy) == {n}:",
+        "        if progress:",
+        "            _self.cycles_active += 1",
+        "        return progress",
+        "    try:",
+    ]
+    lines += ["        " + line for line in body]
+    lines += [
+        "    except KeyError as _exc:",
+        "        _raise_missing(_exc)",
+        "        raise",
+        "    if progress:",
+        "        _self.cycles_active += 1",
+        "    return progress",
+    ]
     module.chunks.append("\n".join(lines) + "\n")
     return module.build()
 
@@ -1675,9 +1787,9 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
     answer with False without changing anything:
 
     * a delivery whose pool head is not yet due;
-    * a hardware engine with dirty-set scheduling, nothing busy and every
-      rule asleep (the skip still records ``last_cycle_stepped``, as the
-      step does; with nothing busy no rule can be finishing);
+    * a hardware engine whose rules are all asleep or busy, none of the
+      busy ones due (the skip still records ``last_cycle_stepped``, as the
+      step does; a busy rule is never asleep, so no rule is a candidate);
     * a software engine with ``now < busy_until``;
     * a pump whose producer FIFO is empty;
     * the step of an engine without rules.
@@ -1708,18 +1820,16 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
     for i, engine in enumerate(group.hw_engines):
         if not engine.rules:
             continue
-        step = f"_hstep{i}"
-        prologue.append(f"{step} = {bind(engine, 'e')}.step_cycle")
-        if engine._wakeup is not None:
-            phases += [
-                f"if not {bind(engine.busy, 'b')} and "
-                f"{bind(engine._wakeup, 'w')}.n_sleeping == {len(engine.rules)}:",
-                f"    {bind(engine, 'e')}.last_cycle_stepped = now",
-                f"elif {step}(now):",
-                "    progress = True",
-            ]
-        else:
-            phases += [f"if {step}(now):", "    progress = True"]
+        step, e = f"_hstep{i}", bind(engine, "e")
+        prologue.append(f"{step} = {e}.step_cycle")
+        phases += [
+            f"if {bind(engine._wakeup, 'w')}.n_sleeping + len({bind(engine.busy, 'b')}) "
+            f"== {len(engine.rules)} and ({e}._next_finish is None or "
+            f"{e}._next_finish > now):",
+            f"    {e}.last_cycle_stepped = now",
+            f"elif {step}(now):",
+            "    progress = True",
+        ]
     for i, engine in enumerate(group.sw_engines):
         if not engine.rules:
             continue

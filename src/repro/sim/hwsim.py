@@ -35,14 +35,20 @@ class HwEngine:
     :class:`~repro.core.semantics.Evaluator` (guards are checked with one
     evaluation, then the selected rules are re-evaluated under the latency
     accumulator, exactly like the reference implementation always did);
-    the class's :meth:`step_cycle` is that reference.  ``backend="source"``
-    replaces ``step_cycle`` on the instance with a fused generated cycle
-    (:func:`~repro.core.pycodegen.generate_hw_step`) that fires each rule
-    through its generated latency function *once*, computing updates and
-    FSM latency together; a selected rule is only re-evaluated if an
-    earlier rule in the same cycle committed to a register it reads.  The
-    source backend also uses dirty-set scheduling: a rule whose guard
-    failed is not re-checked until something it reads is written.  In that
+    the class's :meth:`step_cycle` is that reference, and
+    :class:`~repro.sim.costmodel.HwLatencyAccumulator` its latency model.
+    ``backend="source"`` replaces ``step_cycle`` on the instance with a
+    generated cycle (:func:`~repro.core.pycodegen.generate_hw_step`) that
+    has the engine's static schedule compiled in: one inline block per
+    rule, in engine order, fires it through its generated ``latency``
+    function *once*, computing updates and the FSM latency the kernels'
+    ``hw_cycles`` and the memories' ``read_latency`` add (folded into the
+    function at generation); selection is a chain of booleans unrolled from
+    the conflict matrix; and a chosen rule is only re-evaluated if an
+    earlier rule of the cycle committed to a register it reads.  The source
+    backend also uses dirty-set scheduling: a rule whose guard failed is
+    not re-checked until something it reads is written, and a cycle in
+    which every rule is asleep or busy (none due) ends at once.  In that
     mode the engine wraps the store it is given to observe external
     writes; always use ``engine.store`` (the live store) after
     construction.
@@ -94,9 +100,7 @@ class HwEngine:
         # fully initialised engine state (busy table, locked view, wakeup).
         if backend == "source":
             execs, self._gen = generate_rule_execs(self.rules, name, modes=("latency",))
-            self._step_gen = generate_hw_step(
-                self, dict(zip(self.rules, execs)), HwLatencyAccumulator
-            )
+            self._step_gen = generate_hw_step(self, dict(zip(self.rules, execs)))
             self.step_cycle = self._step_gen.namespace["step_cycle"]
 
     # -- snapshot / restore ---------------------------------------------------

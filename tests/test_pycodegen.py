@@ -15,6 +15,7 @@ elaboration loudly, and the default backend is validated, never guessed.
 """
 
 import linecache
+import re
 import traceback
 from dataclasses import asdict
 
@@ -199,6 +200,49 @@ class TestDeterminism:
             sources.append(per_engine)
         assert len(sources[0]["group loops"]) == fabric.group_count
         assert sources[0] == sources[1]
+
+
+#: An integer charge line: indentation, target and ``+=``, then the amount.
+INT_CHARGE = re.compile(r"(\s*\S+ \+= )(\d+)$")
+
+
+class TestChargeMerging:
+    def test_fig13_modules_have_no_adjacent_integer_charges(self, monkeypatch):
+        """Two integer charges in a row to one sink at one indentation are
+        one add, also where the second arrives among captured statements
+        (count mode's cost charges and latency mode's FSM cycles alike)."""
+        from repro.apps.raytracer import partitions as rp
+        from repro.apps.raytracer.params import RayTracerParams
+        from repro.core import pycodegen
+
+        modules = []
+        original = pycodegen.GeneratedModule.__init__
+
+        def record(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            modules.append(self)
+
+        monkeypatch.setattr(pycodegen.GeneratedModule, "__init__", record)
+        for letter in "ABCDEF":
+            frames = VorbisParams(n_frames=2)
+            CosimFabric(vp.build_partition(letter, frames).design, backend="source")
+        scene = RayTracerParams(n_triangles=8, image_width=2, image_height=2)
+        for letter in "ABCD":
+            CosimFabric(rp.build_partition(letter, scene).design, backend="source")
+        charges = 0
+        for module in modules:
+            lines = module.source.splitlines()
+            for prev, line in zip(lines, lines[1:]):
+                match = INT_CHARGE.match(line)
+                charges += match is not None
+                before = INT_CHARGE.match(prev)
+                assert not (match and before and before.group(1) == match.group(1)), (
+                    f"{module.name}: {prev.strip()!r} then {line.strip()!r}"
+                )
+        # Both kinds of charge are present, so the check is not vacuous.
+        assert charges > 100
+        assert any("_cc += " in m.source for m in modules if m.name.endswith(".attempts"))
+        assert any("_cl[0] += " in m.source for m in modules if m.name.endswith(".rules"))
 
 
 # --------------------------------------------------------------------------
