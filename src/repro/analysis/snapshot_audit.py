@@ -156,10 +156,10 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "backend",
             "name",
             "compiled",
-            # Source backend: the generated attempt module and the fused
-            # superstep installed as an instance attribute.  Both pre-bind
-            # only identity-stable containers, so restore() keeps them
-            # truthful without re-generation.
+            # Source backend: the generated attempt units (one per rule)
+            # and the fused superstep installed as an instance attribute.
+            # Both pre-bind only identity-stable containers, so restore()
+            # keeps them truthful without re-generation.
             "_gen",
             "_step_gen",
             "step",
@@ -186,9 +186,9 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "name",
             "_read_sets",
             "_write_sets",
-            # Source backend: generated rule module and the fused step_cycle
-            # installed as an instance attribute (pre-binds identity-stable
-            # state only; see sim/hwsim.py).
+            # Source backend: generated rule units (one per rule) and the
+            # fused step_cycle installed as an instance attribute (pre-binds
+            # identity-stable state only; see sim/hwsim.py).
             "_gen",
             "_step_gen",
             "step_cycle",

@@ -102,6 +102,8 @@ class Simulator:
         else:
             self._wakeup = None
             self.store = store
+        # Source backend: one generated unit per rule (``_gen``), holding
+        # its fast and hooked functions.
         self._gen = None
         self._exec = []
         if backend == "source":

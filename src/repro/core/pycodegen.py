@@ -49,6 +49,15 @@ A node the lowerer cannot translate is an
 generation mode and the node: there is no fallback tier, so a new AST
 node must be lowered in every mode before ``source`` can run it.
 
+Compiled once per shape: each rule is its own unit (one module holding
+every requested mode), and every per-instance value -- registers,
+kernels, stores, a route's credit depth or vc id, an engine's rule count
+-- is a namespace binding, so the text below a module's header line
+depends only on the shape it lowers.  Each distinct text is compiled once
+per interpreter into a template that never runs; every instance execs
+its own copy of it (:func:`_private_copy`), so instances keep their own
+adaptive bytecode and their own filename.
+
 Debugging: set ``REPRO_DUMP_SOURCE=<dir>`` to write every generated module
 to disk; all modules are registered with :mod:`linecache` so tracebacks
 through generated functions show real source lines.
@@ -61,6 +70,7 @@ import keyword
 import linecache
 import os
 import re
+from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.action import (
@@ -243,16 +253,36 @@ def static_cost(node: Any, scope: Dict[str, Tuple[str, str]], params: Any) -> Op
 # generated modules: compile cache, linecache registration, source dumping
 # --------------------------------------------------------------------------
 
-#: source text -> compiled code object; the harness re-elaborates the same
-#: design many times and ``compile()`` dominates re-elaboration otherwise.
-_CODE_CACHE: Dict[Tuple[str, str], Any] = {}
+#: Text below the header line -> template code object.  Generated text
+#: depends only on the shape it lowers, so designs, re-elaborations and
+#: sibling routes of one shape share a template: it is compiled once per
+#: interpreter, under the first instance's filename, and never run.
+_CODE_CACHE: Dict[str, CodeType] = {}
 _CODE_CACHE_LIMIT = 256
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
+def _private_copy(code: CodeType, filename: str) -> CodeType:
+    """``code`` and the code objects nested in it, copied under ``filename``.
+
+    Each copy has its own adaptive bytecode, so instances of one template
+    with different globals do not share (and thrash) inline caches.
+    """
+    consts = tuple(
+        _private_copy(const, filename) if isinstance(const, CodeType) else const
+        for const in code.co_consts
+    )
+    return code.replace(co_filename=filename, co_consts=consts)
+
+
 class GeneratedModule:
-    """One exec-compiled generated module plus its namespace and source."""
+    """One exec-compiled generated module plus its namespace and source.
+
+    The first line of ``source`` is a header comment naming the module (and
+    the rule it lowers); the text below it is the compile-cache key, and
+    the module runs a private copy of that text's template.
+    """
 
     __slots__ = ("name", "digest", "filename", "source", "namespace")
 
@@ -267,12 +297,13 @@ class GeneratedModule:
         self.source = source
         namespace: Dict[str, Any] = dict(bindings)
         namespace["__name__"] = f"repro.generated.{name}"
-        code = _CODE_CACHE.get((self.filename, source))
-        if code is None:
-            code = compile(source, self.filename, "exec")
+        body = source.partition("\n")[2]
+        template = _CODE_CACHE.get(body)
+        if template is None:
+            template = compile(source, self.filename, "exec")
             if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
                 _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
-            _CODE_CACHE[(self.filename, source)] = code
+            _CODE_CACHE[body] = template
         # Tracebacks through generated functions resolve to real source
         # lines: linecache consults this entry when formatting frames.
         linecache.cache[self.filename] = (
@@ -281,7 +312,7 @@ class GeneratedModule:
             source.splitlines(True),
             self.filename,
         )
-        exec(code, namespace)
+        exec(_private_copy(template, self.filename), namespace)
         self.namespace = namespace
         dump_dir = os.environ.get("REPRO_DUMP_SOURCE")
         if dump_dir:
@@ -308,14 +339,16 @@ class _ModuleBuilder:
     """Accumulates functions and deterministic namespace bindings.
 
     Symbol names come from a monotonically increasing counter in lowering
-    order, so the same design always produces byte-identical source (the
-    bound *objects* differ per elaboration; the *text* does not).
+    order, so the same shape always produces byte-identical text below the
+    header (the bound *objects* differ per instance; the *text* does not).
+    Only the header line names the module and, for a rule unit, the rule.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, rule: Optional[Rule] = None):
         self.name = name
+        subject = f" -- rule {rule.full_name}" if rule is not None else ""
         self.chunks: List[str] = [
-            f"# generated by repro.core.pycodegen -- {name}\n"
+            f"# generated by repro.core.pycodegen -- {name}{subject}\n"
         ]
         self.bindings: Dict[str, Any] = {
             "GuardFail": GuardFail,
@@ -326,6 +359,8 @@ class _ModuleBuilder:
         self._by_id: Dict[int, str] = {}
         self._counter = 0
         self._fn_counter = 0
+        #: Set when a lazy let is forced: only then is ``_force`` emitted.
+        self.uses_force = False
 
     def bind(self, obj: Any, prefix: str = "o") -> str:
         """Bind ``obj`` into the namespace under a deterministic name."""
@@ -346,7 +381,10 @@ class _ModuleBuilder:
         self.chunks.append("\n".join(lines) + "\n\n")
 
     def build(self) -> GeneratedModule:
-        return GeneratedModule(self.name, "".join(self.chunks), self.bindings)
+        chunks = self.chunks
+        if self.uses_force:
+            chunks = chunks[:1] + [_FORCE_HELPER + "\n"] + chunks[1:]
+        return GeneratedModule(self.name, "".join(chunks), self.bindings)
 
 
 #: An integer charge line: indentation, sink and ``+=`` (group 1), amount.
@@ -549,6 +587,7 @@ class _Lowerer:
                 return "None"
             kind, local = entry
             if kind == "thunk":
+                self.module.uses_force = True
                 return f"_force({local})"
             return local
 
@@ -1121,12 +1160,6 @@ def _force(cell):
 '''
 
 
-def _add_force_helper(module: _ModuleBuilder) -> None:
-    if "_force_added" not in module.bindings:
-        module.bindings["_force_added"] = True
-        module.chunks.append(_FORCE_HELPER + "\n")
-
-
 #: Parameters of the generated rule function per mode.
 _RULE_FN_PARAMS = {
     "fast": ["read"],
@@ -1141,11 +1174,10 @@ def _lower_rule_fn(
     action: Action,
     mode: str,
     max_loop_iterations: int,
-    methods: Dict,
 ) -> None:
     """Emit ``def name(read, ...)`` executing ``action`` flat (see
     :class:`SourceRuleExec` for the per-mode signature)."""
-    low = _Lowerer(module, mode, max_loop_iterations, None, methods)
+    low = _Lowerer(module, mode, max_loop_iterations)
     low.w = _FnWriter(name, _RULE_FN_PARAMS[mode])
     low.sink = "_cl[0]"
     result = low.lower_action(action)
@@ -1180,28 +1212,30 @@ def generate_rule_execs(
     max_loop_iterations: int = 1_000_000,
     *,
     modes: Tuple[str, ...],
-) -> Tuple[List[SourceRuleExec], GeneratedModule]:
+) -> Tuple[List[SourceRuleExec], Tuple[GeneratedModule, ...]]:
     """Generate flat executors for raw rule actions in ``modes``
-    (``Simulator``: fast and hooked; ``HwEngine``: latency)."""
-    module = _ModuleBuilder(f"{design_name}.rules")
-    _add_force_helper(module)
-    methods: Dict[str, Dict] = {mode: {} for mode in modes}
-    for i, rule in enumerate(rules):
+    (``Simulator``: fast and hooked; ``HwEngine``: latency).
+
+    Each rule is one ``<design_name>.rules`` unit holding ``_rule_<mode>``
+    per mode, so its text is the same in every design that has the rule.
+    """
+    execs, units = [], []
+    for rule in rules:
+        module = _ModuleBuilder(f"{design_name}.rules", rule)
         for mode in modes:
             _lowering(
                 rule,
                 mode,
                 lambda: _lower_rule_fn(
-                    module, f"_rule_{mode}_{i}", rule.action, mode,
-                    max_loop_iterations, methods[mode],
+                    module, f"_rule_{mode}", rule.action, mode, max_loop_iterations
                 ),
             )
-    gen = module.build()
-    execs = [
-        SourceRuleExec(rule, **{mode: gen.namespace[f"_rule_{mode}_{i}"] for mode in modes})
-        for i, rule in enumerate(rules)
-    ]
-    return execs, gen
+        gen = module.build()
+        units.append(gen)
+        execs.append(
+            SourceRuleExec(rule, **{mode: gen.namespace[f"_rule_{mode}"] for mode in modes})
+        )
+    return execs, tuple(units)
 
 
 # --------------------------------------------------------------------------
@@ -1220,7 +1254,6 @@ def _emit_attempt(
     params: Any,
     config: Any,
     max_loop_iterations: int,
-    methods: Dict,
 ) -> None:
     """Emit ``def name(read)`` -> ``(cpu_cost, updates_or_None)``.
 
@@ -1234,7 +1267,7 @@ def _emit_attempt(
     w.emit("_cl = [0]")
     w.emit("_cc = 0")
     w.emit("try:")
-    low = _Lowerer(module, "count", max_loop_iterations, params, methods)
+    low = _Lowerer(module, "count", max_loop_iterations, params)
     low.w = w
     w.indent += 1
     guard_stmts, guard = low._capture(lambda: low.lower_expr(cr.guard))
@@ -1281,22 +1314,21 @@ def generate_counting_attempts(
     config: Any,
     design_name: str,
     max_loop_iterations: int = 1_000_000,
-) -> Tuple[List[Callable], GeneratedModule]:
-    """Generated ``attempt(read) -> (cost, updates|None)`` per rule."""
-    module = _ModuleBuilder(f"{design_name}.attempts")
-    _add_force_helper(module)
-    methods: Dict = {}
-    for i, rule in enumerate(rules):
+) -> Tuple[List[Callable], Tuple[GeneratedModule, ...]]:
+    """Generated ``attempt(read) -> (cost, updates|None)`` per rule, each
+    rule its own ``<design_name>.attempts`` unit defining ``_attempt``."""
+    units = []
+    for rule in rules:
+        module = _ModuleBuilder(f"{design_name}.attempts", rule)
         _lowering(
             rule,
             "count",
             lambda: _emit_attempt(
-                module, f"_attempt_{i}", compiled[rule], params, config,
-                max_loop_iterations, methods,
+                module, "_attempt", compiled[rule], params, config, max_loop_iterations
             ),
         )
-    gen = module.build()
-    return [gen.namespace[f"_attempt_{i}"] for i in range(len(rules))], gen
+        units.append(module.build())
+    return [gen.namespace["_attempt"] for gen in units], tuple(units)
 
 
 def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
@@ -1325,6 +1357,7 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
         b["_names"] = tuple(r.full_name for r in engine.rules)
         b["_attempts"] = list(attempts)
         b["_cpu_to_fpga"] = engine.platform.cpu_to_fpga_cycles
+        b["_n_rules"] = n
     lines = ["def step(now):"]
     if not n:
         lines.append("    return False")
@@ -1343,8 +1376,8 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
             "        for _reg, _item in _pd:",
             "            _store[_reg] = tuple(_store[_reg]) + (_item,)",
             "        _self._pending_deliveries = []",
-            f"    if _wakeup.n_sleeping == {n}:",
-            f"        _self.guard_failures += {n}",
+            "    if _wakeup.n_sleeping == _n_rules:",
+            "        _self.guard_failures += _n_rules",
             "        return progress",
             "    _wasted = 0.0",
             "    for _rule in _candidates(_self._last_fired):",
@@ -1583,10 +1616,11 @@ def generate_transport_pump(
     straight into the link's :class:`~repro.platform.channel.MessagePool`
     rings -- no per-message object.  Per-route constants (credit depth,
     words per element, occupancy and latency cycles, the vc id) are
-    inlined as literals; the mutable collaborators (stores, pool rings,
-    stats) are pre-bound names.  Counters commit once per batch, while
-    ``busy_cycles`` and due times accumulate per element, so results stay
-    bitwise identical to the interpreted per-element transport
+    pre-bound names like the mutable collaborators (stores, pool rings,
+    stats), so every route of one shape has the same text and compiles
+    once.  Counters commit once per batch, while ``busy_cycles`` and due
+    times accumulate per element, so results stay bitwise identical to
+    the interpreted per-element transport
     (``repro.sim.cosim._pump_routes_interp``).
 
     ``occupancy_of`` overrides where the consumer occupancy is read from:
@@ -1617,6 +1651,11 @@ def generate_transport_pump(
     b["_bounds_extend"] = pool.bounds.extend
     b["_due_append"] = pool.due.append
     b["_compact"] = pool.compact
+    b["_depth"] = depth
+    b["_words"] = words
+    b["_vc_id"] = vc.vc_id
+    b["_occupancy"] = occupancy
+    b["_latency"] = latency
     if occupancy_of is not None:
         b["_occ"] = occupancy_of
     if charge_driver is not None:
@@ -1629,7 +1668,7 @@ def generate_transport_pump(
         "        return False",
         "    if _dreg in _locked():",
         "        return False",
-        f"    _win = {depth} - {occ_expr} - _vc.in_flight",
+        f"    _win = _depth - {occ_expr} - _vc.in_flight",
         "    if _win <= 0:",
         "        _note_stall()",
         "        return False",
@@ -1639,28 +1678,28 @@ def generate_transport_pump(
         "    _compact()",
         "    _words_extend(_encode_batch(_q[:_n]))",
         "    _end = len(_pool_words)",
-        f"    _bounds_extend(range(_end - (_n - 1) * {words}, _end + 1, {words}))",
-        f"    _vc_extend([{vc.vc_id}] * _n)",
+        "    _bounds_extend(range(_end - (_n - 1) * _words, _end + 1, _words))",
+        "    _vc_extend([_vc_id] * _n)",
         "    _busy = _dir.busy_until",
         "    _bc = _stats.busy_cycles",
         "    for _ in range(_n):",
         "        _start = _busy if _busy > now else now",
-        f"        _busy = _start + {occupancy!r}",
-        f"        _due_append(_busy + {latency!r})",
-        f"        _bc += {occupancy!r}",
+        "        _busy = _start + _occupancy",
+        "        _due_append(_busy + _latency)",
+        "        _bc += _occupancy",
     ]
     if charge_driver is not None:
-        lines.append(f"        _charge({words}, now)")
+        lines.append("        _charge(_words, now)")
     lines += [
         "    _dir.busy_until = _busy",
         "    _stats.busy_cycles = _bc",
         "    _stats.messages += _n",
-        f"    _stats.words += _n * {words}",
-        f"    _per_vc[{vc.vc_id}] = _per_vc.get({vc.vc_id}, 0) + _n",
+        "    _stats.words += _n * _words",
+        "    _per_vc[_vc_id] = _per_vc.get(_vc_id, 0) + _n",
         "    _vc.credits = _win - _n",
         "    _vc.in_flight += _n",
         "    _vcs.messages_sent += _n",
-        f"    _vcs.words_sent += _n * {words}",
+        "    _vcs.words_sent += _n * _words",
         "    _pstore[_dreg] = _q[_n:]",
         "    if _n < len(_q):",
         "        _note_stall()",
@@ -1820,11 +1859,12 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
     for i, engine in enumerate(group.hw_engines):
         if not engine.rules:
             continue
-        step, e = f"_hstep{i}", bind(engine, "e")
+        step, e, n_rules = f"_hstep{i}", bind(engine, "e"), f"_hrules{i}"
+        module.bindings[n_rules] = len(engine.rules)
         prologue.append(f"{step} = {e}.step_cycle")
         phases += [
             f"if {bind(engine._wakeup, 'w')}.n_sleeping + len({bind(engine.busy, 'b')}) "
-            f"== {len(engine.rules)} and ({e}._next_finish is None or "
+            f"== {n_rules} and ({e}._next_finish is None or "
             f"{e}._next_finish > now):",
             f"    {e}.last_cycle_stepped = now",
             f"elif {step}(now):",

@@ -38,8 +38,8 @@ loop, bitwise identical to the pre-decomposition fabric.
 The transport follows the rule backend.  Under ``backend="interp"`` it is
 the per-synchronizer reference bookkeeping (the oracle) and each group runs
 the interpreted event loop.  Under ``backend="source"`` every route lowers
-at elaboration to generated flat Python with the layout constants inlined
-as literals (:func:`~repro.core.pycodegen.generate_transport_pump` /
+at elaboration to generated flat Python with its constants pre-bound
+(:func:`~repro.core.pycodegen.generate_transport_pump` /
 :func:`~repro.core.pycodegen.generate_transport_delivery`: pre-resolved
 endpoint stores, pre-computed credit arithmetic, batch FIFO draining), and
 each group's event loop is generated too

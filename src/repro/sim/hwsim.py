@@ -95,9 +95,11 @@ class HwEngine:
         self.cycles_active = 0
         self.total_firings = 0
         self.last_cycle_stepped: Optional[float] = None
-        # Source backend: a fused generated step_cycle shadows the class
-        # method.  Installed last so the generated module pre-binds the
-        # fully initialised engine state (busy table, locked view, wakeup).
+        # Source backend: a fused generated step_cycle over the rules'
+        # latency functions (``_gen`` holds one unit per rule) shadows the
+        # class method.  Installed last so the generated module pre-binds
+        # the fully initialised engine state (busy table, locked view,
+        # wakeup).
         if backend == "source":
             execs, self._gen = generate_rule_execs(self.rules, name, modes=("latency",))
             self._step_gen = generate_hw_step(self, dict(zip(self.rules, execs)))

@@ -96,9 +96,10 @@ class SwEngine:
         self.cpu_cycles_driver = 0.0
         self.guard_failures = 0
         self.busy_fpga_cycles = 0.0
-        # Source backend: generated per-rule attempt functions plus a fused
-        # superstep that shadows the class's ``step``.  Installed last so
-        # the generated module pre-binds the fully initialised engine state.
+        # Source backend: generated per-rule attempt functions (``_gen``
+        # holds one unit per rule) plus a fused superstep that shadows the
+        # class's ``step``.  Installed last so the generated module
+        # pre-binds the fully initialised engine state.
         self._gen = None
         self._step_gen = None
         if backend == "source":

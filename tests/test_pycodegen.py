@@ -4,7 +4,9 @@ The generated modules are first-class debuggable artifacts: they can be
 dumped to disk (``REPRO_DUMP_SOURCE`` or :meth:`GeneratedModule.dump`),
 tracebacks through generated code show the real generated source lines
 (linecache registration), and generation is deterministic -- the same
-design elaborates to byte-identical source every time.
+design elaborates to byte-identical source every time.  The text below a
+module's header depends only on the shape it lowers, so each distinct
+text compiles once, yet every instance runs its own copy of the code.
 
 The generated group loops also keep the interpreted loop's contract: step
 wrappers installed after elaboration run, an exhausted budget raises the
@@ -14,16 +16,21 @@ There is no fallback tier: a node the lowerer cannot translate fails
 elaboration loudly, and the default backend is validated, never guessed.
 """
 
+import collections
 import linecache
 import re
 import traceback
+import types
 from dataclasses import asdict
 
 import pytest
 
+from repro.apps.raytracer import partitions as rp
+from repro.apps.raytracer.params import RayTracerParams
 from repro.apps.vorbis import partitions as vp
 from repro.apps.vorbis.params import VorbisParams
 from repro.core import expr as expr_mod
+from repro.core import pycodegen
 from repro.core.action import par
 from repro.core.errors import ElaborationError, SimulationError
 from repro.core.expr import BinOp, Const, KernelCall, RegRead, UnOp
@@ -48,6 +55,20 @@ def _source_sim(builder=build_fifo_pipeline):
     return Simulator(builder(), backend="source")
 
 
+@pytest.fixture
+def recorded_modules(monkeypatch):
+    """Every :class:`GeneratedModule` built while the test runs, in order."""
+    modules = []
+    original = pycodegen.GeneratedModule.__init__
+
+    def record(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        modules.append(self)
+
+    monkeypatch.setattr(pycodegen.GeneratedModule, "__init__", record)
+    return modules
+
+
 # --------------------------------------------------------------------------
 # dumping generated source
 # --------------------------------------------------------------------------
@@ -59,21 +80,24 @@ class TestDumpSource:
         sim = _source_sim()
         dumped = sorted(p.name for p in tmp_path.iterdir())
         assert any(name.endswith(".py") for name in dumped)
-        # The dumped text is exactly the module that was exec'd.
-        expected = sim._gen.source
-        assert any(
-            p.read_text() == expected for p in tmp_path.iterdir() if p.suffix == ".py"
-        )
+        # The dumped text is exactly the module that was exec'd, for every
+        # rule unit.
+        texts = [p.read_text() for p in tmp_path.iterdir() if p.suffix == ".py"]
+        assert sim._gen
+        for unit in sim._gen:
+            assert unit.source in texts
 
     def test_explicit_dump_returns_sanitised_path(self, tmp_path):
         sim = _source_sim()
-        path = sim._gen.dump(str(tmp_path))
-        assert path.endswith(".py")
-        with open(path) as fh:
-            assert fh.read() == sim._gen.source
-        # Only filename-safe characters survive sanitisation.
-        name = path.rsplit("/", 1)[-1]
-        assert all(c.isalnum() or c in "._-" for c in name)
+        assert sim._gen
+        for unit in sim._gen:
+            path = unit.dump(str(tmp_path))
+            assert path.endswith(".py")
+            with open(path) as fh:
+                assert fh.read() == unit.source
+            # Only filename-safe characters survive sanitisation.
+            name = path.rsplit("/", 1)[-1]
+            assert all(c.isalnum() or c in "._-" for c in name)
 
     def test_no_dump_without_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_DUMP_SOURCE", raising=False)
@@ -81,23 +105,12 @@ class TestDumpSource:
         assert list(tmp_path.iterdir()) == []
 
     def test_designs_sharing_engine_names_dump_one_file_per_module(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, recorded_modules
     ):
         """vorbis_B and raytracer_B both have engines named ``HW`` and
         ``SW``; elaborated in one process, neither overwrites the other's
         dumps."""
-        from repro.apps.raytracer import partitions as rp
-        from repro.apps.raytracer.params import RayTracerParams
-        from repro.core import pycodegen
-
-        modules = []
-        original = pycodegen.GeneratedModule.__init__
-
-        def record(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            modules.append(self)
-
-        monkeypatch.setattr(pycodegen.GeneratedModule, "__init__", record)
+        modules = recorded_modules
         monkeypatch.setenv("REPRO_DUMP_SOURCE", str(tmp_path / "dump"))
         names = []
         for workload in (
@@ -122,14 +135,20 @@ class TestDumpSource:
 # --------------------------------------------------------------------------
 
 
-def build_exploding_design():
+def build_exploding_design(name="exploding"):
     top = Module("top")
     out = top.add_register("out", UIntT(32), 0)
     top.add_rule(
         "boom",
         out.write(KernelCall("explode", lambda: 1 // 0, [], 1, 1)).when(Const(True)),
     )
-    return Design(top, name="exploding")
+    return Design(top, name=name)
+
+
+def _generated_frame_lines(tb):
+    """The source lines a formatted traceback shows under generated frames."""
+    lines = tb.splitlines()
+    return [line.strip() for line, prev in zip(lines[1:], lines) if "<repro-generated:" in prev]
 
 
 class TestTracebacks:
@@ -144,18 +163,17 @@ class TestTracebacks:
         assert 'File "<repro-generated:exploding.rules' in tb
         # ...and linecache resolves the actual generated line under it:
         # the source line shown in the traceback is real generated code.
-        frame_lines = [
-            line.strip()
-            for line, prev in zip(tb.splitlines()[1:], tb.splitlines())
-            if "<repro-generated:" in prev
-        ]
+        frame_lines = _generated_frame_lines(tb)
         assert frame_lines
-        assert all(line in sim._gen.source for line in frame_lines)
+        assert sim._gen
+        for unit in sim._gen:
+            assert all(line in unit.source for line in frame_lines)
 
     def test_linecache_registration(self):
         sim = _source_sim(build_kitchen_sink)
-        gen = sim._gen
-        assert linecache.getlines(gen.filename) == gen.source.splitlines(True)
+        assert sim._gen
+        for gen in sim._gen:
+            assert linecache.getlines(gen.filename) == gen.source.splitlines(True)
 
 
 # --------------------------------------------------------------------------
@@ -170,8 +188,10 @@ class TestDeterminism:
     def test_same_design_generates_identical_source(self, builder):
         first = Simulator(builder(), backend="source")._gen
         second = Simulator(builder(), backend="source")._gen
-        assert first.source == second.source
-        assert first.filename == second.filename
+        assert len(first) == len(second) > 0
+        for one, other in zip(first, second):
+            assert one.source == other.source
+            assert one.filename == other.filename
 
     @pytest.mark.parametrize(
         "build",
@@ -189,7 +209,7 @@ class TestDeterminism:
             for domain in fabric.domains:
                 engine = fabric.engine(domain.name)
                 per_engine[domain.name] = (
-                    engine._gen.source if engine._gen is not None else None,
+                    [unit.source for unit in engine._gen] if engine._gen is not None else None,
                     engine._step_gen.source if engine._step_gen is not None else None,
                 )
             # One generated loop per group: pseudo-filename (content digest)
@@ -207,22 +227,11 @@ INT_CHARGE = re.compile(r"(\s*\S+ \+= )(\d+)$")
 
 
 class TestChargeMerging:
-    def test_fig13_modules_have_no_adjacent_integer_charges(self, monkeypatch):
+    def test_fig13_modules_have_no_adjacent_integer_charges(self, recorded_modules):
         """Two integer charges in a row to one sink at one indentation are
         one add, also where the second arrives among captured statements
         (count mode's cost charges and latency mode's FSM cycles alike)."""
-        from repro.apps.raytracer import partitions as rp
-        from repro.apps.raytracer.params import RayTracerParams
-        from repro.core import pycodegen
-
-        modules = []
-        original = pycodegen.GeneratedModule.__init__
-
-        def record(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            modules.append(self)
-
-        monkeypatch.setattr(pycodegen.GeneratedModule, "__init__", record)
+        modules = recorded_modules
         for letter in "ABCDEF":
             frames = VorbisParams(n_frames=2)
             CosimFabric(vp.build_partition(letter, frames).design, backend="source")
@@ -243,6 +252,144 @@ class TestChargeMerging:
         assert charges > 100
         assert any("_cc += " in m.source for m in modules if m.name.endswith(".attempts"))
         assert any("_cl[0] += " in m.source for m in modules if m.name.endswith(".rules"))
+
+
+# --------------------------------------------------------------------------
+# compiled once per shape: shape-only text, one code copy per instance
+# --------------------------------------------------------------------------
+
+#: The shipped sweep at TestChargeMerging's sizes: (builder, letter, params)
+#: for vorbis A-F, raytracer A-D and the multi-domain vorbis G and H.
+SWEEP_DESIGNS = (
+    [(vp.build_partition, letter, VorbisParams(n_frames=2)) for letter in "ABCDEF"]
+    + [
+        (rp.build_partition, letter, RayTracerParams(n_triangles=8, image_width=2, image_height=2))
+        for letter in "ABCD"
+    ]
+    + [(vp.build_multi_partition, letter, VorbisParams(n_frames=2)) for letter in "GH"]
+)
+
+
+def _body(module):
+    """The text below a generated module's header line: its compile-cache key."""
+    return module.source.partition("\n")[2]
+
+
+def _kind(module):
+    return module.name.rsplit(".", 1)[1]
+
+
+def _code_tree(code):
+    """``code`` and every code object nested in it, depth first."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_tree(const)
+
+
+def _generated_functions(fabric):
+    """Every generated function of a source fabric: engine steps, rule
+    attempts and latency functions, pumps, deliveries and group loops."""
+    fns = list(fabric._pump_fns) + list(fabric._deliver_fns)
+    for engine in fabric.engines.values():
+        if isinstance(engine, HwEngine):
+            fns.append(engine.step_cycle)
+            fns += [unit.namespace["_rule_latency"] for unit in engine._gen]
+        else:
+            fns.append(engine.step)
+            fns += [unit.namespace["_attempt"] for unit in engine._gen]
+    return fns + [group._loop_gen.namespace["run"] for group in fabric._groups]
+
+
+class TestShapeOnlyText:
+    def test_sweep_compiles_each_shape_once(self, monkeypatch, recorded_modules):
+        """Generated text depends only on the shape it lowers, so the 12
+        shipped designs compile far fewer texts than they build modules."""
+        compiled = []
+
+        def counting_compile(source, *args, **kwargs):
+            compiled.append(len(source))
+            return compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(pycodegen, "_CODE_CACHE", {})
+        monkeypatch.setattr(pycodegen, "compile", counting_compile, raising=False)
+        fabrics = [
+            CosimFabric(builder(letter, params).design, backend="source")
+            for builder, letter, params in SWEEP_DESIGNS
+        ]
+        by_kind = collections.defaultdict(set)
+        for module in recorded_modules:
+            by_kind[_kind(module)].add(_body(module))
+        assert 1 <= len(by_kind["pump"]) <= 2
+        assert 1 <= len(by_kind["deliver"]) <= 2
+        assert len(by_kind["swstep"]) == 1
+
+        # A rule's unit reads the same in every design that has the rule,
+        # whichever engine and position it has there.
+        bodies = collections.defaultdict(set)
+        units = 0
+        for fabric in fabrics:
+            for engine in fabric.engines.values():
+                assert len(engine._gen) == len(engine.rules)
+                for rule, unit in zip(engine.rules, engine._gen):
+                    path = rule.full_name.split(".", 1)[1]
+                    bodies[_kind(unit), path].add(_body(unit))
+                    units += 1
+        assert not {key: len(b) for key, b in bodies.items() if len(b) > 1}
+        assert units > 2 * len(bodies)
+
+        # The lazy-let helper is emitted only where a lazy let is forced.
+        for module in recorded_modules:
+            defines = "def _force(" in module.source
+            calls = re.search(r"\b_force\(_", module.source) is not None
+            assert defines == calls, module.name
+            assert "_force_added" not in module.namespace
+        assert any("def _force(" in module.source for module in recorded_modules)
+
+        assert len(compiled) <= 60
+        assert sum(compiled) <= 130_000
+
+
+class TestPrivateCode:
+    def test_each_instance_runs_its_own_code_copy(self, recorded_modules):
+        """A second elaboration reuses every template but runs its own
+        copies, nested code objects included, under its own filenames."""
+        params = VorbisParams(n_frames=2)
+        first = CosimFabric(vp.build_partition("B", params).design, backend="source")
+        start = len(recorded_modules)
+        second = CosimFabric(vp.build_partition("B", params).design, backend="source")
+        module_of = {id(module.namespace): module for module in recorded_modules[start:]}
+        fns = _generated_functions(second)
+        assert len({id(fn.__code__) for fn in fns}) == len(fns) > 10
+        for one, other in zip(_generated_functions(first), fns, strict=True):
+            module = module_of[id(other.__globals__)]
+            tree = list(_code_tree(one.__code__))
+            copies = list(_code_tree(other.__code__))
+            assert len(copies) == len(tree)
+            for code, copy in zip(tree, copies):
+                assert copy is not code
+                assert copy.co_code == code.co_code
+                assert copy.co_filename == module.filename
+            assert linecache.getlines(module.filename) == module.source.splitlines(True)
+
+    def test_traceback_names_the_instance_module(self):
+        """Two designs share the exploding rule's text, hence its template;
+        each traceback names its own design's module and shows the real
+        generated line."""
+        first = Simulator(build_exploding_design("exploding"), backend="source")
+        second = Simulator(build_exploding_design("exploding_twin"), backend="source")
+        (one,), (other,) = first._gen, second._gen
+        assert _body(one) == _body(other)
+        assert one.filename != other.filename
+        for sim, unit, stranger in ((first, one, other), (second, other, one)):
+            with pytest.raises(ZeroDivisionError) as err:
+                sim.run(5)
+            tb = "".join(traceback.format_exception(err.value))
+            assert f'File "{unit.filename}"' in tb
+            assert stranger.filename not in tb
+            frame_lines = _generated_frame_lines(tb)
+            assert frame_lines
+            assert all(line in unit.source for line in frame_lines)
 
 
 # --------------------------------------------------------------------------
