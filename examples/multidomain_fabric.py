@@ -13,12 +13,12 @@ two-partition placement -- the latency-insensitivity guarantee.
 
 The example then fans a sweep over all partitionings (two-domain A-F plus
 the multi-domain ones) across worker processes with
-:mod:`repro.sim.shard`, and -- with ``--grouped`` -- runs a *multi-group*
-workload (several independent pipelines in one design) three ways: the
-fabric's own serially scheduled group sub-fabrics, the legacy lockstep
-loop, and :func:`repro.sim.shard.run_grouped` fanning the groups of that
-single design across ``--processes`` workers, verifying the grouped
-results bitwise identical and every checksum bit-exact.
+:func:`repro.sim.pool.run_pool`, and -- with ``--grouped`` -- runs a
+*multi-group* workload (several independent pipelines in one design) two
+ways: the fabric's own serially scheduled group sub-fabrics, and
+:func:`repro.sim.pool.run_grouped` fanning the groups of that single
+design across ``--processes`` workers, verifying the two results bitwise
+identical and every checksum bit-exact.
 
 With ``--distributed`` the multi-group workload additionally runs on the
 distributed scheduler (:mod:`repro.sim.distrib`): long-lived worker
@@ -53,7 +53,17 @@ from repro.apps.vorbis.reference import expected_checksum
 from repro.core.partition import default_engine_kind
 from repro.sim.cosim import CosimFabric
 from repro.sim.distrib import run_distributed
-from repro.sim.shard import SweepTask, run_grouped, run_sweep
+from repro.sim.pool import PoolTask, run_grouped, run_pool
+
+
+def outcome_rows(outcomes) -> str:
+    """One row per pool outcome: task, simulated cycles, worker wall time, pid."""
+    lines = [f"{'task':<22} {'fpga cycles':>12} {'wall (s)':>9} {'pid':>7}"]
+    for o in outcomes:
+        lines.append(
+            f"{o.name:<22} {o.result.fpga_cycles:>12.0f} {o.wall_seconds:>9.3f} {o.pid:>7}"
+        )
+    return "\n".join(lines)
 
 
 def run_grouped_section(letters: str, params: VorbisParams, processes: int) -> None:
@@ -76,32 +86,19 @@ def run_grouped_section(letters: str, params: VorbisParams, processes: int) -> N
     if not serial.completed or any(c != reference for c in checksums):
         raise SystemExit("multi-group serial run diverged from the reference")
 
-    lock_wl = build_group_partition(letters, params)
-    lock_fabric = CosimFabric(lock_wl.design)
-    lockstep = lock_fabric.run(
-        lock_wl.cosim_done, max_cycles=500_000_000, scheduler="lockstep"
-    )
-    print(f"  lockstep baseline:         {lockstep!r}")
-    if (
-        not lockstep.completed
-        or lockstep.fire_counts != serial.fire_counts
-        or lockstep.channel_messages != serial.channel_messages
-        or lock_wl.checksums(lock_fabric.read) != checksums
-    ):
-        raise SystemExit("lockstep baseline disagrees with grouped execution")
-
-    report = run_grouped(
+    merged, outcomes = run_grouped(
         build_group_partition, args=(letters, params), processes=processes
     )
-    print(report.table())
-    if asdict(report.result) != asdict(serial):
+    print(outcome_rows(outcomes))
+    print(f"  process-grouped merged result: {merged!r}")
+    if asdict(merged) != asdict(serial):
         raise SystemExit(
             "process-grouped merged result diverged from the serial grouped run"
         )
+    workers = len({o.pid for o in outcomes})
     print(
         f"  process-grouped merged result bitwise identical to the serial "
-        f"grouped run ({report.processes} processes, {report.speedup:.2f}x "
-        "compute-over-wall speedup)"
+        f"grouped run ({len(outcomes)} groups on {workers} worker processes)"
     )
 
 
@@ -154,7 +151,7 @@ def main():
     parser.add_argument("n_frames", nargs="?", type=int, default=12)
     parser.add_argument(
         "--grouped", action="store_true",
-        help="also run the multi-group workload (grouped vs lockstep vs processes)",
+        help="also run the multi-group workload (serial groups vs worker processes)",
     )
     parser.add_argument(
         "--distributed", action="store_true",
@@ -203,12 +200,12 @@ def main():
             direction = fabric.topology.direction(link.src, link.dst)
             print(f"{'':<11}   link {link.name:<28} {direction.stats.messages:>6} msgs")
 
-    print("\nSharded sweep over every partitioning (2-domain A-F + multi-domain):")
+    print("\nPool sweep over every partitioning (2-domain A-F + multi-domain):")
     tasks = [
-        SweepTask(name=f"vorbis_{letter}", builder=build_partition, args=(letter, params))
+        PoolTask(name=f"vorbis_{letter}", builder=build_partition, args=(letter, params))
         for letter in PARTITION_ORDER
     ] + [
-        SweepTask(
+        PoolTask(
             name=f"vorbis_{letter}_fabric",
             builder=build_multi_partition,
             args=(letter, params),
@@ -218,18 +215,20 @@ def main():
         for letter in MULTI_PARTITION_ORDER
     ]
     # A small fixed worker count even on small boxes so the multiprocess
-    # path is exercised; run_sweep(tasks) alone would use one per CPU.
-    report = run_sweep(tasks, processes=args.processes)
-    print(report.table())
-    incomplete = [n for n, r in report.results.items() if not r.completed]
+    # path is exercised; run_pool(tasks) alone would use one per CPU.
+    outcomes, processes = run_pool(tasks, processes=args.processes)
+    print(outcome_rows(outcomes))
+    print(f"{len(outcomes)} tasks on {processes} processes")
+    results = {o.name: o.result for o in outcomes}
+    incomplete = [n for n, r in results.items() if not r.completed]
     if incomplete:
         raise SystemExit(f"incomplete sweep tasks: {incomplete}")
     # Cross-check the worker-process fabric runs against the serial runs
     # whose checksums were verified above.
     for name, cycles in serial_cycles.items():
-        if report.results[name].fpga_cycles != cycles:
+        if results[name].fpga_cycles != cycles:
             raise SystemExit(
-                f"{name}: sweep worker simulated {report.results[name].fpga_cycles} "
+                f"{name}: sweep worker simulated {results[name].fpga_cycles} "
                 f"cycles, serial run simulated {cycles}"
             )
     print(

@@ -90,8 +90,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "partitioning",
             "engine_kinds",
             "domains",
-            "_hw_engines",
-            "_sw_engines",
             "_routes",
             "_delivery_routes",
             "_delivery_dsts",
@@ -207,7 +205,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
     ),
     Topology: _spec(
         config={"_links"},
-        cache={"_pools"},
         children={"_directions"},
     ),
     Link: _spec(

@@ -1,7 +1,7 @@
 """The shipped-workload catalog the lint CLI and the clean-pass tests share.
 
-Each entry is the same picklable builder-spec contract the pool and the
-sharding layer use: a module-level builder plus plain-data args, producing
+Each entry is the same picklable builder-spec contract the worker pool
+uses: a module-level builder plus plain-data args, producing
 a workload object with a ``.design`` (the catalog never imports the app
 modules until a workload is actually built, keeping ``python -m
 repro.analysis --list`` instant).

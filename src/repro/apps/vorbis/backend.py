@@ -111,7 +111,7 @@ def build_backend(
     disjoint domain sets under one root module yields a design whose
     pipelines are *independent partition groups* -- no synchronizer joins
     them -- which is the multi-group workload the group-decomposed fabric
-    and shard runner exercise.
+    and the process-parallel group runner exercise.
     """
     params = params or VorbisParams()
     placement = dict(placement or {})

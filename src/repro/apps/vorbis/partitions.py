@@ -129,7 +129,7 @@ def multi_partition_domains(letter: str) -> List[Domain]:
 # with no synchronizer joining them.  ``Partitioning.independent_groups()``
 # therefore reports one group per pipeline, and the co-simulation fabric
 # runs each under its own clock -- serially with per-group idle-skip, or
-# fanned across processes by ``repro.sim.shard.run_grouped``.  This models
+# fanned across processes by ``repro.sim.pool.run_grouped``.  This models
 # a platform hosting several latency-insensitive accelerated streams at
 # once (the paper's modular-refinement guarantee applies per pipeline).
 

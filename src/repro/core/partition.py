@@ -152,11 +152,11 @@ class Partitioning:
 
         Domains joined (transitively) by a synchronizer must co-simulate in
         one fabric; domains in different components never exchange a message
-        and may be sharded into separate simulations/processes
-        (:mod:`repro.sim.shard`) or run under independent clocks inside one
-        fabric (:class:`~repro.sim.cosim.CosimFabric`).  Returned sorted by
-        each group's first domain name for determinism.  The result is
-        memoised (elaborated designs are immutable after construction).
+        and may run in separate processes (:func:`repro.sim.pool.run_grouped`)
+        or under independent clocks inside one fabric
+        (:class:`~repro.sim.cosim.CosimFabric`).  Returned sorted by each
+        group's first domain name for determinism.  The result is memoised
+        (elaborated designs are immutable after construction).
         """
         cached = getattr(self, "_groups_cache", None)
         if cached is not None:

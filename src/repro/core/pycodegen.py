@@ -1839,8 +1839,8 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
     replaces the per-iteration ``done(fabric)`` call with inline
     ``mapping[register] >= minimum`` tests; ``done`` is still called
     wherever the interpreted loop calls it outside the loop top.  Returns
-    the completion flag; an exhausted budget raises through
-    ``group._budget_exceeded``.  The clock lives in a local and is written
+    the completion flag; an exhausted budget raises
+    ``group.budget_error``.  The clock lives in a local and is written
     back to ``group.now`` on every change.
     """
     module = _ModuleBuilder(f"{name}.loop")
@@ -1947,7 +1947,7 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
             "        now = _nt if _nt > _t else _t",
             "        _group.now = now",
             "    else:",
-            "        _group._budget_exceeded(done, iterations)",
+            "        raise _group.budget_error(done, now, iterations)",
             "    if not completed and done is not None:",
             "        completed = done(_fabric)",
             "    return completed",

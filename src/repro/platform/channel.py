@@ -356,9 +356,6 @@ class ChannelDirection:
             vc_id, words, delivered_at = slot
             due.append(Message(vc_id, tuple(words), len(words), delivered_at))
 
-    def next_delivery_time(self) -> Optional[float]:
-        return self.pool.next_due()
-
     @property
     def pending(self) -> int:
         return self.pool.pending
@@ -392,14 +389,6 @@ class DuplexChannel:
 
     def direction(self, towards_hw: bool) -> ChannelDirection:
         return self.to_hw if towards_hw else self.to_sw
-
-    def next_delivery_time(self) -> Optional[float]:
-        times = [
-            t
-            for t in (self.to_hw.next_delivery_time(), self.to_sw.next_delivery_time())
-            if t is not None
-        ]
-        return min(times) if times else None
 
     @property
     def total_messages(self) -> int:
@@ -452,8 +441,6 @@ class Topology:
     def __init__(self):
         self._links: Dict[Tuple[str, str], Link] = {}
         self._directions: Dict[Tuple[str, str], ChannelDirection] = {}
-        #: Cached pool list for the next-delivery sweep (rebuilt on add_link).
-        self._pools: Optional[List[MessagePool]] = None
 
     def add_link(
         self,
@@ -471,7 +458,6 @@ class Topology:
         self._links[key] = link
         direction = ChannelDirection(params, name or link.name, burst)
         self._directions[key] = direction
-        self._pools = None
         return direction
 
     def add_duplex(
@@ -512,30 +498,6 @@ class Topology:
 
     def __len__(self) -> int:
         return len(self._links)
-
-    def next_delivery_time(self) -> Optional[float]:
-        pools = self._pools
-        if pools is None:
-            pools = self._pools = [d.pool for d in self._directions.values()]
-        best: Optional[float] = None
-        for pool in pools:
-            head = pool.head
-            due = pool.due
-            if head < len(due) and (best is None or due[head] < best):
-                best = due[head]
-        return best
-
-    @property
-    def total_messages(self) -> int:
-        return sum(d.stats.messages for d in self._directions.values())
-
-    @property
-    def total_words(self) -> int:
-        return sum(d.stats.words for d in self._directions.values())
-
-    @property
-    def total_busy_cycles(self) -> float:
-        return sum(d.stats.busy_cycles for d in self._directions.values())
 
     @classmethod
     def for_routes(

@@ -29,11 +29,11 @@ semantics, so each connected component of the cut graph
 own :class:`_GroupFabric` -- its own clock, delivery routes and transport
 routes.  The default scheduler runs the groups serially, each with its
 own idle-skip (a group stalled on the bus never drags the others through
-empty cycles); :mod:`repro.sim.shard` fans the same group sub-fabrics out
-across worker processes.  Per-group results combine under the documented
-deterministic rules of :meth:`CosimResult.merge`, and on single-group
-designs (every two-partition workload) the group loop *is* the historical
-loop, bitwise identical to the pre-decomposition fabric.
+empty cycles); :func:`repro.sim.pool.run_grouped` fans the same group
+sub-fabrics out across worker processes.  Per-group results combine under
+the documented deterministic rules of :meth:`CosimResult.merge`, and on
+single-group designs (every two-partition workload) the group loop *is*
+the historical loop, bitwise identical to the pre-decomposition fabric.
 
 The transport follows the rule backend.  Under ``backend="interp"`` it is
 the per-synchronizer reference bookkeeping (the oracle) and each group runs
@@ -143,12 +143,12 @@ class CosimResult:
     )
 
     @classmethod
-    def merge(cls, results, strict: bool = True) -> "CosimResult":
-        """Merge per-group (or per-shard) results into one ``CosimResult``.
+    def merge(cls, results) -> "CosimResult":
+        """Merge the per-group results of one design into one ``CosimResult``.
 
-        The merge rules are deterministic and documented here once, for both
-        callers (a fabric merging its group sub-fabrics' results, and
-        :func:`repro.sim.shard.merge_results` rolling up a sweep):
+        The merge rules are deterministic and documented here once, for
+        every caller (a fabric merging its group sub-fabrics' results, and
+        the process-parallel group runners merging worker reports):
 
         * ``fpga_cycles`` -- the **max** over the parts: independently
           clocked groups overlap in simulated time, so the design finishes
@@ -158,26 +158,19 @@ class CosimResult:
           (group index order for a fabric), so floating-point totals are
           bit-reproducible.
         * ``fire_counts`` / ``vc_stats`` / ``domain_stats`` -- **disjoint
-          union** in argument order.  With ``strict=True`` (the group-merge
-          contract: each rule, channel and domain belongs to exactly one
-          group) a key collision raises :class:`SimulationError`.  With
-          ``strict=False`` (sweep roll-ups, where different placements of
-          one design legitimately share rule names) colliding integer
-          leaves are summed instead.
+          union** in argument order: each rule, channel and domain belongs
+          to exactly one group, so a key collision raises
+          :class:`SimulationError`.
         * ``completed`` -- ``all()`` over the parts; ``design_name`` -- the
-          common name (strict), else the ``+``-join of the distinct names.
+          common name (results of different designs raise).
         """
         results = list(results)
         if not results:
             raise ValueError("CosimResult.merge needs at least one result")
-        names = []
-        for r in results:
-            if r.design_name not in names:
-                names.append(r.design_name)
-        if strict and len(names) > 1:
+        names = sorted({r.design_name for r in results})
+        if len(names) > 1:
             raise SimulationError(
-                f"refusing to merge results of different designs: {names} "
-                "(pass strict=False for sweep roll-ups)"
+                f"refusing to merge results of different designs: {names}"
             )
         sums = {f: sum(getattr(r, f) for r in results) for f in cls._SUM_FIELDS}
 
@@ -186,27 +179,15 @@ class CosimResult:
             for r in results:
                 for key, value in getattr(r, field).items():
                     if key in merged:
-                        if strict:
-                            raise SimulationError(
-                                f"merge collision on {field}[{key!r}]: groups of one "
-                                "design must be disjoint"
-                            )
-                        if isinstance(value, dict):
-                            combined = dict(merged[key])
-                            for k, v in value.items():
-                                if isinstance(v, (int, float)) and not isinstance(v, bool):
-                                    combined[k] = combined.get(k, 0) + v
-                                else:
-                                    combined[k] = v  # non-numeric leaf (e.g. "kind")
-                            merged[key] = combined
-                        else:
-                            merged[key] = merged[key] + value
-                    else:
-                        merged[key] = dict(value) if isinstance(value, dict) else value
+                        raise SimulationError(
+                            f"merge collision on {field}[{key!r}]: groups of one "
+                            "design must be disjoint"
+                        )
+                    merged[key] = dict(value) if isinstance(value, dict) else value
             return merged
 
         return cls(
-            design_name=names[0] if len(names) == 1 else "+".join(names),
+            design_name=names[0],
             fpga_cycles=max(r.fpga_cycles for r in results),
             completed=all(r.completed for r in results),
             fire_counts=union("fire_counts"),
@@ -246,8 +227,8 @@ def _pump_routes_interp(routes, now: float) -> bool:
     Per-synchronizer bookkeeping, marshaling and draining one element at a
     time through the plain marshal functions (the semantic oracle the
     generated routes' layout-compiled encoders are tested against).
-    Shared by the whole-fabric lockstep path and the per-group sub-fabrics,
-    which pass their projected route subsets.
+    Shared by the per-group sub-fabrics, which pass their projected route
+    subsets, and the whole-fabric :meth:`CosimFabric._pump_transport`.
     """
     progress = False
     for sync, vc, producer_engine, producer_store, consumer_store, direction, sw_producer in routes:
@@ -390,17 +371,22 @@ class _GroupFabric:
             return ""
         return f" (group {self.index}: {'+'.join(d.name for d in self.domains)})"
 
-    def _budget_exceeded(self, done, iterations: int) -> None:
-        """Raise the exhausted-budget error (shared by both loops)."""
+    def budget_error(self, done, now: float, iterations: int) -> SimulationError:
+        """The exhausted-budget error of this group's loop.
+
+        Every loop that runs the group -- interpreted, generated and the
+        distributed member loop -- raises this one error, so its text is
+        identical whichever path ran.
+        """
         hint = ""
         if done is not None and len(self.fabric._groups) > 1:
             hint = (
-                "; a group that never quiesces and terminates only through a "
-                "cross-group done predicate needs scheduler='lockstep'"
+                "; a group must quiesce on its own, because other groups' "
+                "registers read their reset values while it runs"
             )
-        raise SimulationError(
+        return SimulationError(
             f"co-simulation of {self.fabric.design.name}{self._label()} exceeded "
-            f"its cycle/iteration budget (now={self.now}, iterations={iterations})"
+            f"its cycle/iteration budget (now={now}, iterations={iterations})"
             f"{hint}"
         )
 
@@ -480,7 +466,7 @@ class _GroupFabric:
                 break
             self.now = max(self.now + 1.0, min(next_times))
         else:
-            self._budget_exceeded(done, iterations)
+            raise self.budget_error(done, self.now, iterations)
 
         if not completed and done is not None:
             completed = done(fabric)
@@ -611,8 +597,6 @@ class CosimFabric:
         )
         self.domains: List[Domain] = ordered
         self.engines: Dict[Domain, Any] = {}
-        self._hw_engines: List[HwEngine] = []
-        self._sw_engines: List[SwEngine] = []
         programs = self.partitioning.programs
         for dom in ordered:
             rules = programs[dom].rules if dom in programs else []
@@ -620,7 +604,6 @@ class CosimFabric:
                 engine = HwEngine(
                     rules, design.initial_store(), name=dom.name, backend=backend
                 )
-                self._hw_engines.append(engine)
             else:
                 engine = SwEngine(
                     rules,
@@ -632,7 +615,6 @@ class CosimFabric:
                     max_loop_iterations=max_loop_iterations,
                     backend=backend,
                 )
-                self._sw_engines.append(engine)
             # The engines wrap their stores for dirty-set write tracking;
             # always address the wrapped store (``engine.store``) so
             # transport-layer writes wake the rules they affect.
@@ -755,12 +737,15 @@ class CosimFabric:
             for reg in sync.registers:
                 owner[reg] = store
         self._owner_store = owner
-        if self._sw_engines:
-            self._default_store: Store = self._sw_engines[0].store
-        elif ordered:
-            self._default_store = self.engines[ordered[0]].store
-        else:
-            self._default_store = {}
+        # Reads no partition owns go to the first software engine's store,
+        # else the first engine's.
+        first = next(
+            (d for d in ordered if self.engine_kinds[d.name] == "sw"),
+            ordered[0] if ordered else None,
+        )
+        self._default_store: Store = (
+            self.engines[first].store if first is not None else {}
+        )
 
         self.now: float = 0.0
         #: Picklable elaboration spec (builder, args, kwargs, done_attr),
@@ -990,10 +975,10 @@ class CosimFabric:
         what attributes the predicate to group sub-fabrics: a group owning
         none of the observed registers runs to quiescence instead of
         re-evaluating a predicate it cannot influence.  The recorded set is
-        kept (:attr:`_last_observed`) so shard workers can report the
+        kept (:attr:`_last_observed`) so group workers can report the
         observed finals their group owns.  ``finals`` applies the same
         full-name overrides as :meth:`evaluate_done` -- a recording final
-        evaluation, which is how :func:`repro.sim.shard.run_grouped`
+        evaluation, which is how :func:`repro.sim.pool.run_grouped`
         detects predicates whose read set changed between probe and
         completion (the data-dependent predicates its merge cannot serve).
         """
@@ -1135,7 +1120,7 @@ class CosimFabric:
         ``builder(*args, **kwargs)`` must be a module-level callable
         returning the same workload this fabric was built on, exposing its
         done predicate as attribute ``done_attr`` -- the compile-once /
-        run-anywhere contract of :mod:`repro.sim.shard`.
+        run-anywhere contract of :mod:`repro.sim.pool`.
         ``run(scheduler="distributed")`` requires it: distributed worker
         processes re-elaborate the design from the spec and resolve the done
         predicate from their own workload object, so the predicate passed to
@@ -1192,13 +1177,6 @@ class CosimFabric:
           design the per-group results are combined by
           :meth:`CosimResult.merge` and ``completed`` is the done predicate
           evaluated against the merged final state.
-        * ``"lockstep"`` -- the legacy single-clock loop advancing every
-          group together.  Kept as the measurable baseline for grouped
-          execution; on multi-group designs its idle-cycle guard scans
-          legitimately charge extra ``sw_guard_failures`` to groups that
-          finished early (which is exactly the waste grouped execution
-          removes), while cycle counts, firings, stores and channel traffic
-          agree.
         * ``"distributed"`` -- the grouped semantics executed across
           long-lived worker processes (:mod:`repro.sim.distrib`), with every
           cut link that crosses a process boundary carried as real framed
@@ -1216,11 +1194,9 @@ class CosimFabric:
         whose part of a cross-group predicate can only become true through
         another group's progress must reach quiescence on its own (every
         pipeline-shaped workload does).  A group that free-runs forever
-        and terminates only via such a predicate needs
-        ``scheduler="lockstep"`` -- its termination is genuinely global.
+        and terminates only via such a predicate exhausts its budget, and
+        the error names the group.
         """
-        if scheduler == "lockstep":
-            return self._run_lockstep(done, max_cycles, max_iterations)
         if scheduler == "distributed":
             # Imported lazily: distrib builds on this module.
             from repro.sim.distrib import run_distributed
@@ -1253,8 +1229,7 @@ class CosimFabric:
             return report.result
         if scheduler != "grouped":
             raise ValueError(
-                f"unknown scheduler {scheduler!r} "
-                "(expected 'grouped'/'lockstep'/'distributed')"
+                f"unknown scheduler {scheduler!r} (expected 'grouped'/'distributed')"
             )
         groups = self._groups
         if len(groups) == 1:
@@ -1299,7 +1274,7 @@ class CosimFabric:
         max_cycles: float = 100_000_000.0,
         max_iterations: int = 5_000_000,
     ) -> CosimResult:
-        """Run a single group sub-fabric to completion (the shard-worker entry).
+        """Run a single group sub-fabric to completion (the group-worker entry).
 
         ``done`` is the *full-design* predicate (or ``None`` to run the
         group to quiescence): it is probed once, and applied to the group's
@@ -1317,114 +1292,6 @@ class CosimFabric:
         owners = {self.group_of_register(reg) for reg in observed}
         done_g = done if index in owners else None
         return self._run_one_group(group, done_g, max_cycles, max_iterations)
-
-    def _run_lockstep(
-        self,
-        done: Callable[["CosimFabric"], bool],
-        max_cycles: float = 100_000_000.0,
-        max_iterations: int = 5_000_000,
-    ) -> CosimResult:
-        """The legacy global-clock event loop (every group in lockstep)."""
-        completed = False
-        iterations = 0
-        hw_engines = self._hw_engines
-        sw_engines = self._sw_engines
-        while self.now <= max_cycles and iterations < max_iterations:
-            iterations += 1
-            if done(self):
-                completed = True
-                break
-
-            progress = False
-            progress |= self._deliver_due(self.now)
-            for engine in hw_engines:
-                progress |= engine.step_cycle(self.now)
-            for engine in sw_engines:
-                progress |= engine.step(self.now)
-            progress |= self._pump_transport(self.now)
-
-            if progress:
-                self.now += 1.0
-                continue
-
-            next_times = [
-                t
-                for t in (
-                    self.topology.next_delivery_time(),
-                    *(engine.next_completion_time() for engine in hw_engines),
-                    *(engine.next_event_time(self.now) for engine in sw_engines),
-                )
-                if t is not None
-            ]
-            if not next_times:
-                # Quiescent: either finished (checked at loop top) or deadlocked.
-                completed = done(self)
-                break
-            self.now = max(self.now + 1.0, min(next_times))
-        else:
-            raise SimulationError(
-                f"co-simulation of {self.design.name} exceeded its cycle/iteration budget "
-                f"(now={self.now}, iterations={iterations})"
-            )
-
-        if not completed:
-            completed = done(self)
-        return self._result(completed)
-
-    # -- result assembly -----------------------------------------------------
-
-    def _result(self, completed: bool) -> CosimResult:
-        fire_counts: Dict[str, int] = {}
-        for engine in self._hw_engines:
-            fire_counts.update(engine.fire_counts)
-        for engine in self._sw_engines:
-            fire_counts.update(engine.fire_counts)
-        vc_stats = {
-            self._vc_keys[vc]: {
-                "messages": vc.stats.messages_sent,
-                "words": vc.stats.words_sent,
-                "credit_stalls": vc.stats.stalled_on_credit,
-            }
-            for vc in self.vcs
-        }
-        domain_stats: Dict[str, Dict[str, Any]] = {}
-        for dom in self.domains:
-            engine = self.engines[dom]
-            if isinstance(engine, HwEngine):
-                domain_stats[dom.name] = {
-                    "kind": "hw",
-                    "firings": engine.total_firings,
-                    "active_cycles": engine.cycles_active,
-                }
-            else:
-                domain_stats[dom.name] = {
-                    "kind": "sw",
-                    "firings": engine.total_firings,
-                    "busy_fpga_cycles": engine.busy_fpga_cycles,
-                    "cpu_cycles": engine.cpu_cycles_total,
-                    "guard_failures": engine.guard_failures,
-                }
-        sw = self._sw_engines
-        hw = self._hw_engines
-        return CosimResult(
-            design_name=self.design.name,
-            fpga_cycles=self.now,
-            completed=completed,
-            sw_busy_fpga_cycles=sum(e.busy_fpga_cycles for e in sw),
-            sw_cpu_cycles=sum(e.cpu_cycles_total for e in sw),
-            sw_cpu_cycles_wasted=sum(e.cpu_cycles_wasted for e in sw),
-            sw_cpu_cycles_driver=sum(e.cpu_cycles_driver for e in sw),
-            sw_firings=sum(e.total_firings for e in sw),
-            sw_guard_failures=sum(e.guard_failures for e in sw),
-            hw_firings=sum(e.total_firings for e in hw),
-            hw_active_cycles=sum(e.cycles_active for e in hw),
-            channel_messages=self.topology.total_messages,
-            channel_words=self.topology.total_words,
-            channel_busy_cycles=self.topology.total_busy_cycles,
-            fire_counts=fire_counts,
-            vc_stats=vc_stats,
-            domain_stats=domain_stats,
-        )
 
 
 class Cosimulator(CosimFabric):

@@ -69,7 +69,7 @@ from repro.sim.cosim import (
     _deliver_routes_interp,
     _pump_routes_interp,
 )
-from repro.sim.pool import _POOL_STALL_SECONDS, _picklable_error
+from repro.sim.pool import _POOL_STALL_SECONDS, _picklable_error, evaluate_grouped_done
 
 __all__ = [
     "DistributedReport",
@@ -792,19 +792,6 @@ def _run_lockstep_member(
         }
         return fabric.evaluate_done(done, finals=overrides or None)
 
-    def budget_error(at: float, iterations: int) -> SimulationError:
-        hint = ""
-        if done_g is not None and len(fabric._groups) > 1:
-            hint = (
-                "; a group that never quiesces and terminates only through a "
-                "cross-group done predicate needs scheduler='lockstep'"
-            )
-        return SimulationError(
-            f"co-simulation of {fabric.design.name}{group._label()} exceeded "
-            f"its cycle/iteration budget (now={at}, iterations={iterations})"
-            f"{hint}"
-        )
-
     last_delivered = [0] * len(out_routes)
     now = 0.0
     completed = False
@@ -812,7 +799,7 @@ def _run_lockstep_member(
     fabric._active_group = g
     try:
         if not (now <= a.max_cycles and i < a.max_iterations):
-            raise budget_error(now, i)
+            raise group.budget_error(done_g, now, i)
         while True:
             i += 1
 
@@ -951,7 +938,7 @@ def _run_lockstep_member(
                 completed = bool(u[plan.completed_slot])
                 now = decided_now
                 break
-            raise budget_error(decided_now, i)
+            raise group.budget_error(done_g, decided_now, i)
 
         # -- member report: everything result assembly needs, as plain data --
         domains_report: Dict[str, Dict[str, Any]] = {}
@@ -1288,7 +1275,7 @@ def run_distributed(
 
     ``builder`` must be a module-level callable returning a workload whose
     done predicate is attribute ``done_attr`` (the compile-once /
-    run-anywhere contract of :mod:`repro.sim.shard`): worker processes
+    run-anywhere contract of :mod:`repro.sim.pool`): worker processes
     re-elaborate the design from the spec, so nothing elaborated ever
     crosses a process boundary -- only framed wire words (the data plane)
     and plain-data member reports (the result plane).
@@ -1309,8 +1296,9 @@ def run_distributed(
     (``CosimFabric.run(scheduler="distributed")``) reuse itself for
     planning and final evaluation.  The returned report's ``result`` is
     bitwise identical to that fabric's ``scheduler="grouped"`` result on a
-    fresh elaboration.  Platforms without the ``fork`` start method fall
-    back to the in-process grouped scheduler (``fallback=True``).
+    fresh elaboration, and a failing run raises the lowest group's error,
+    as that scheduler does.  Platforms without the ``fork`` start method
+    fall back to the in-process grouped scheduler (``fallback=True``).
     """
     if placement not in ("group", "domain"):
         raise ValueError(f"unknown placement {placement!r} (expected 'group'/'domain')")
@@ -1424,12 +1412,24 @@ def run_distributed(
         assignments.append(_WorkerAssignment(members=[spec], **shared))
 
     # -- dispatch and collection --------------------------------------------
+    # Members fail in any order, but the serial grouped scheduler runs the
+    # groups in order and raises the lowest group's error.  So a member
+    # error does not end collection: the run goes on until every member of
+    # a lower group has reported, then raises the lowest group's error.
     label_of = {spec.global_index: spec.label for spec in specs}
+    group_of = {spec.global_index: spec.group_index for spec in specs}
     reports: Dict[int, dict] = {}
     procs: List[Any] = []
     open_conns: Dict[int, Any] = {}
     pending: Dict[int, set] = {}
-    failure: Optional[BaseException] = None
+    #: group index -> the first error one of its members reported.
+    errors: Dict[int, BaseException] = {}
+
+    def awaited(w: int) -> List[int]:
+        """Worker ``w``'s pending members that can still decide the error."""
+        bound = min(errors, default=n_groups)
+        return sorted(idx for idx in pending[w] if group_of[idx] < bound)
+
     try:
         for w, assignment in enumerate(assignments):
             recv_end, send_end = ctx.Pipe(duplex=False)
@@ -1443,7 +1443,7 @@ def run_distributed(
             pending[w] = {s.global_index for s in assignment.members}
 
         last_heard = time.monotonic()
-        while any(pending.values()) and failure is None:
+        while any(awaited(w) for w in pending):
             ready = (
                 mp_connection.wait(list(open_conns.values()), timeout=0.2)
                 if open_conns
@@ -1462,47 +1462,37 @@ def run_distributed(
                     reports[gmi] = payload
                     pending[w].discard(gmi)
                 elif kind == "error":
-                    if isinstance(payload, SimulationError):
-                        # e.g. the members' budget error: identical to the
-                        # serial scheduler's, re-raised verbatim.
-                        failure = payload
-                    else:
-                        failure = SimulationError(
+                    pending[w].discard(gmi)
+                    if not isinstance(payload, SimulationError):
+                        payload = SimulationError(
                             f"distributed member {label_of[gmi]} failed: "
                             f"{type(payload).__name__}: {payload}"
                         )
-                    break
-            if failure is not None:
-                break
-            if not ready:
-                for w, proc in enumerate(procs):
-                    if (
-                        pending[w]
-                        and proc.exitcode is not None
-                        and (w not in open_conns or not open_conns[w].poll())
-                    ):
-                        labels = ", ".join(
-                            label_of[idx] for idx in sorted(pending[w])
-                        )
-                        failure = SimulationError(
-                            f"distributed worker for {labels} died with exit "
-                            f"code {proc.exitcode} before reporting its results"
-                        )
-                        break
-                if failure is None and (
-                    time.monotonic() - last_heard > _POOL_STALL_SECONDS
+                    # e.g. the members' budget error: identical to the
+                    # serial scheduler's, re-raised verbatim.
+                    errors.setdefault(group_of[gmi], payload)
+            if ready:
+                continue
+            for w, proc in enumerate(procs):
+                lost = awaited(w)
+                if (
+                    lost
+                    and proc.exitcode is not None
+                    and (w not in open_conns or not open_conns[w].poll())
                 ):
-                    stuck = ", ".join(
-                        label_of[idx]
-                        for w in sorted(pending)
-                        for idx in sorted(pending[w])
+                    labels = ", ".join(label_of[idx] for idx in lost)
+                    errors[group_of[lost[0]]] = SimulationError(
+                        f"distributed worker for {labels} died with exit "
+                        f"code {proc.exitcode} before reporting its results"
                     )
-                    failure = SimulationError(
-                        f"distributed run stalled: no member report for "
-                        f"{_POOL_STALL_SECONDS:.0f}s (waiting on {stuck})"
-                    )
-        if failure is not None:
-            raise failure
+            stuck = [label_of[idx] for w in sorted(pending) for idx in awaited(w)]
+            if stuck and time.monotonic() - last_heard > _POOL_STALL_SECONDS:
+                raise SimulationError(
+                    f"distributed run stalled: no member report for "
+                    f"{_POOL_STALL_SECONDS:.0f}s (waiting on {', '.join(stuck)})"
+                )
+        if errors:
+            raise errors[min(errors)]
     finally:
         for proc in procs:
             if proc.is_alive():
@@ -1543,8 +1533,6 @@ def run_distributed(
             for rep in mreports:
                 finals.update(rep["observations"])
     merged = CosimResult.merge(group_results)
-    from repro.sim.shard import evaluate_grouped_done
-
     merged.completed = evaluate_grouped_done(
         parent, done, observed, finals, caller="run_distributed"
     )

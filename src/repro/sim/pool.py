@@ -1,16 +1,17 @@
 """A unified work-stealing worker pool over resident fabrics.
 
 Every kind of parallel work the simulator fans out -- sweep points
-(:class:`~repro.sim.shard.SweepTask`), independent groups of one design
-(:class:`~repro.sim.shard.GroupTask`) and live serving requests
-(:class:`~repro.sim.serve.Request`) -- reduces to the same worker-side
-shape: *elaborate a workload (once), run something on its fabric, report
-plain data*.  This module is that single submission path:
+(``kind="run"``), independent groups of one design (``kind="group"``,
+dispatched by :func:`run_grouped`) and live serving requests
+(``kind="request"``, carrying a :class:`~repro.sim.serve.Request`) --
+reduces to the same worker-side shape: *elaborate a workload (once), run
+something on its fabric, report plain data*.  This module is the one path
+by which work leaves the process:
 
 * a :class:`PoolTask` names a picklable module-level builder plus its
-  arguments (the compile-once / run-anywhere contract of
-  :mod:`repro.sim.shard`: workers never receive an elaborated design --
-  foreign-kernel closures do not pickle) and one of three task kinds;
+  arguments (the compile-once / run-anywhere contract: workers never
+  receive an elaborated design -- foreign-kernel closures do not pickle)
+  and one of three task kinds;
 * :func:`run_pool` fans tasks out over ``fork``-context worker processes
   pulling from one shared queue -- **work stealing**: a worker that
   finishes early takes the next pending task instead of idling behind a
@@ -23,8 +24,11 @@ plain data*.  This module is that single submission path:
   elaboration -- the serving layer's pinned invariant).
 
 Result ordering is deterministic: outcomes are returned in task-submission
-order regardless of which worker ran what, so sweep reassembly and group
-merging inherit the pool's ordering rule unchanged.
+order regardless of which worker ran what, and a failing pool raises the
+lowest-indexed task's error, as a serial run would.  A sweep is
+:func:`run_pool` over ``kind="run"`` tasks; :func:`run_grouped` merges one
+design's group tasks into a result bitwise identical to the fabric's own
+serial grouped run.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.core.pycodegen import resolve_backend
-from repro.sim.cosim import CosimResult
+from repro.sim.cosim import CosimFabric, CosimResult
 from repro.sim.serve import FabricServer, Request
 
 #: Task kinds the pool executes.
@@ -62,7 +66,7 @@ class PoolTask:
     * ``"run"`` -- run the whole fabric to the workload's own ``cosim_done``
       (a sweep point);
     * ``"group"`` -- run group ``group_index`` of the fabric and report the
-      group's observed finals (one shard of a grouped run);
+      group's observed finals (one part of :func:`run_grouped`);
     * ``"request"`` -- serve ``request`` on the resident fabric (one unit of
       streamed traffic).
 
@@ -85,7 +89,6 @@ class PoolTask:
     group_index: int = 0
     request: Optional[Request] = None
     fabric_kind: str = "auto"
-    scheduler: str = "grouped"
 
     def __post_init__(self):
         self.backend = resolve_backend(self.backend)
@@ -167,7 +170,6 @@ def _resident_server(task: PoolTask) -> Tuple[FabricServer, bool]:
         backend=task.backend,
         engine_kinds=dict(task.engine_kinds) if task.engine_kinds else None,
         fabric_kind=task.fabric_kind,
-        scheduler=task.scheduler,
         max_cycles=task.max_cycles,
     )
     _RESIDENT[key] = server
@@ -187,10 +189,9 @@ def run_pool_task(task: PoolTask) -> PoolOutcome:
     """
     t0 = time.perf_counter()
     server, elaborated = _resident_server(task)
-    # Run-scoped knobs are not part of the elaboration identity; pin them
-    # per task so a resident serves mixed budgets/schedulers correctly.
+    # The budget is not part of the elaboration identity; pin it per task
+    # so a resident serves mixed budgets correctly.
     server.max_cycles = task.max_cycles
-    server.scheduler = task.scheduler
     observations: Optional[Dict[str, Any]] = None
     outputs: Optional[Dict[str, Any]] = None
     if task.kind == "run":
@@ -259,7 +260,9 @@ def _collect_pool_results(
     """Collect ``(index, ok, payload)`` triples until every task reported.
 
     Returns ``(received, failure)`` where ``received`` maps task index to
-    its ``(ok, payload)`` pair.  Factored out of :func:`run_pool` (and
+    its ``(ok, payload)`` pair and ``failure`` is the lowest-indexed task's
+    error -- the one a serial run raises -- whatever order workers
+    finished in.  Factored out of :func:`run_pool` (and
     duck-typed: anything with ``get(timeout=)`` / ``is_alive()`` /
     ``exitcode`` will do) so the worker-shutdown edge cases are
     unit-testable without real processes.
@@ -275,12 +278,13 @@ def _collect_pool_results(
     """
     received: Dict[int, Tuple[bool, Any]] = {}
     failure: Optional[BaseException] = None
+    failed_index = n_tasks
 
     def record(index, ok, payload):
-        nonlocal failure
+        nonlocal failure, failed_index
         received[index] = (ok, payload)
-        if not ok and failure is None:
-            failure = payload
+        if not ok and index < failed_index:
+            failure, failed_index = payload, index
 
     stalled = 0.0
     while len(received) < n_tasks:
@@ -327,7 +331,6 @@ def _collect_pool_results(
 def run_pool(
     tasks: List[PoolTask],
     processes: Optional[int] = None,
-    mp_context: Optional[str] = None,
 ) -> Tuple[List[PoolOutcome], int]:
     """Run tasks on a work-stealing worker pool; returns ``(outcomes, processes)``.
 
@@ -335,9 +338,10 @@ def run_pool(
     worker per CPU (capped at the task count); ``processes<=1`` (or a
     single task) runs serially in this process through the identical
     :func:`run_pool_task` path, which is also the automatic fallback when
-    the platform cannot start worker processes.  ``mp_context`` picks the
-    multiprocessing start method (``"fork"`` preferred: workloads built
-    from closures elaborate identically in forked children).
+    the platform cannot start worker processes.  Workers are forked where
+    the platform can (workloads built from closures elaborate identically
+    in forked children).  A failure raises the lowest-indexed failing
+    task's error, after every task has reported.
     """
     tasks = list(tasks)
     if processes is None:
@@ -346,9 +350,9 @@ def run_pool(
     if processes <= 1 or len(tasks) <= 1:
         return [run_pool_task(task) for task in tasks], 1
 
-    if mp_context is None:
-        mp_context = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
     try:
         task_queue = ctx.Queue()
         result_queue = ctx.Queue()
@@ -379,3 +383,117 @@ def run_pool(
     if failure is not None:
         raise failure
     return outcomes, processes
+
+
+# --------------------------------------------------------------------------
+# the groups of one design
+# --------------------------------------------------------------------------
+
+
+def evaluate_grouped_done(
+    fabric: CosimFabric,
+    done: Callable[[CosimFabric], bool],
+    observed,
+    finals: Dict[str, Any],
+    *,
+    caller: str = "run_grouped",
+) -> bool:
+    """Re-evaluate a full done predicate over worker-reported finals.
+
+    The shared completion step of every process-parallel grouped execution
+    (:func:`run_grouped` and :func:`repro.sim.distrib.run_distributed`):
+    evaluate ``done`` on the parent's never-run fabric with the workers'
+    observed finals overriding the registers they own, while *recording*
+    the evaluation's read set.  ``observed`` is the reset-state probe's
+    read set from before dispatch.
+
+    A predicate whose read set is static is fully served by the finals.
+    One that reads *different* registers at completion than it did at the
+    reset-state probe (e.g. a cross-group conjunction built from a
+    short-circuiting generator) just evaluated those reads against reset
+    values -- whichever way the verdict went, it is unreliable, so this
+    fails loudly instead of reporting it.
+    """
+    completed, final_reads = fabric.probe_done(done, finals)
+    unreported = sorted(
+        reg.full_name
+        for reg in final_reads
+        if reg.full_name not in finals
+        and reg not in observed
+        and fabric.group_of_register(reg) is not None
+    )
+    if unreported:
+        raise SimulationError(
+            f"{caller} cannot evaluate {fabric.design.name}'s done "
+            f"predicate: it read {unreported} at completion but not at the "
+            "reset-state probe, so no worker reported their finals.  Done "
+            "predicates for grouped runs must read their full register set "
+            "on every evaluation (no cross-group short-circuit)."
+        )
+    return completed
+
+
+def run_grouped(
+    builder: Callable[..., Any],
+    args: Tuple[Any, ...] = (),
+    kwargs: Optional[Dict[str, Any]] = None,
+    *,
+    name: Optional[str] = None,
+    backend: Optional[str] = None,
+    engine_kinds: Optional[Dict[str, str]] = None,
+    processes: Optional[int] = None,
+    max_cycles: float = 500_000_000.0,
+) -> Tuple[CosimResult, List[PoolOutcome]]:
+    """Run one design's independent groups across worker processes.
+
+    Returns ``(merged_result, outcomes)``: one ``kind="group"`` outcome
+    per group, named ``<design>[g<i>]`` (``name`` replaces the design
+    name) and in group order, each carrying the group's observed finals.
+    The parent elaborates the workload once -- to count the fabric's
+    groups and, at the end, to re-evaluate the full done predicate over
+    the workers' reported finals -- but never runs it.  The group tasks go
+    through :func:`run_pool` (``processes`` as there; ``processes<=1``
+    runs them serially in this process, same code path); the merged result
+    obeys :meth:`~repro.sim.cosim.CosimResult.merge`'s deterministic rules
+    and is bitwise identical to ``CosimFabric.run``'s own serial grouped
+    result.  ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend` once, here.
+    """
+    backend = resolve_backend(backend)
+    kwargs = dict(kwargs or {})
+    engine_kinds = dict(engine_kinds) if engine_kinds else None
+    workload = builder(*args, **kwargs)
+    # The parent fabric never executes a rule: it only counts groups and
+    # re-evaluates the done predicate over reported finals, so build it on
+    # the interpreted backend and skip the whole-design code generation the
+    # workers will each pay for their own runs.
+    fabric = CosimFabric(workload.design, backend="interp", engine_kinds=engine_kinds)
+    # The reset-state read set; used after the merge to detect predicates
+    # whose reads turned out to be data-dependent.
+    _, observed = fabric.probe_done(workload.cosim_done)
+    base = name or workload.design.name
+    tasks = [
+        PoolTask(
+            name=f"{base}[g{i}]",
+            builder=builder,
+            args=args,
+            kwargs=kwargs,
+            backend=backend,
+            engine_kinds=engine_kinds,
+            max_cycles=max_cycles,
+            kind="group",
+            group_index=i,
+            # run_group is a fabric entry point, even with default kinds.
+            fabric_kind="fabric",
+        )
+        for i in range(fabric.group_count)
+    ]
+    outcomes, _ = run_pool(tasks, processes)
+    finals: Dict[str, Any] = {}
+    for outcome in outcomes:
+        finals.update(outcome.observations)
+    merged = CosimResult.merge(o.result for o in outcomes)
+    merged.completed = evaluate_grouped_done(
+        fabric, workload.cosim_done, observed, finals
+    )
+    return merged, outcomes

@@ -25,7 +25,7 @@ Because the snapshot is the reset state, the ``CosimResult`` of each run
 restore is complete, a request served by a resident fabric is **bitwise
 identical** to the same request served by a freshly elaborated fabric
 (:func:`serve_fresh` is that oracle; ``tests/test_serve.py`` pins the
-equivalence over both backends and both schedulers).
+equivalence over both backends).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> fl
 
     Trivial workloads can legitimately measure a zero-length interval
     (coarse clocks, empty request lists); every throughput/speedup figure
-    the serving and sharding layers report goes through this guard so no
+    the serving layer reports goes through this guard so no
     ``float("inf")`` or ``ZeroDivisionError`` ever reaches a report.
     """
     if denominator > 0:
@@ -102,7 +102,7 @@ class RequestResult:
 #: How a server maps the workload onto engines: ``"duplex"`` is the classic
 #: two-partition :class:`Cosimulator`, ``"fabric"`` the N-domain
 #: :class:`CosimFabric`; ``"auto"`` picks ``"fabric"`` whenever explicit
-#: ``engine_kinds`` are given (the same convention as ``SweepTask``).
+#: ``engine_kinds`` are given.
 FABRIC_KINDS = ("auto", "duplex", "fabric")
 
 
@@ -110,7 +110,7 @@ class FabricServer:
     """A resident co-simulation fabric that serves a stream of requests.
 
     ``builder(*args, **kwargs)`` elaborates the workload exactly once (same
-    picklable builder-spec contract as the sharding layer); the constructor
+    picklable builder-spec contract as the worker pool); the constructor
     captures the reset snapshot.  :meth:`serve` then runs one request --
     write inputs, run to done, read outputs, restore -- leaving the fabric
     back at reset, so requests are independent: the N-th request of a
@@ -129,7 +129,6 @@ class FabricServer:
         backend: Optional[str] = None,
         engine_kinds: Optional[Dict[str, str]] = None,
         fabric_kind: str = "auto",
-        scheduler: str = "grouped",
         max_cycles: float = 500_000_000.0,
     ):
         if fabric_kind not in FABRIC_KINDS:
@@ -142,7 +141,6 @@ class FabricServer:
         self.kwargs = dict(kwargs or {})
         self.backend = resolve_backend(backend)
         self.engine_kinds = dict(engine_kinds) if engine_kinds else None
-        self.scheduler = scheduler
         self.max_cycles = max_cycles
         self.workload = builder(*args, **self.kwargs)
         if fabric_kind == "auto":
@@ -209,7 +207,6 @@ class FabricServer:
                     if request.max_cycles is not None
                     else self.max_cycles
                 ),
-                scheduler=self.scheduler,
             )
             outputs = {
                 name: fabric.read(self.register(name)) for name in request.outputs

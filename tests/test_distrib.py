@@ -17,7 +17,9 @@ Four groups:
   rings are rejected up front.
 * **Pool shutdown** -- ``_collect_pool_results`` regression: a cleanly
   exited pool with results still buffered in the queue's feeder pipe is
-  not a dead pool.
+  not a dead pool, and the lowest-indexed failure wins.
+* **Error order** -- when every group fails, ``run_grouped`` and
+  ``run_distributed`` raise the serial grouped run's error.
 """
 
 import multiprocessing
@@ -38,7 +40,7 @@ from repro.core.synchronizers import SyncFifo
 from repro.core.types import UIntT
 from repro.sim.cosim import CosimFabric, Cosimulator
 from repro.sim.distrib import run_distributed
-from repro.sim.pool import _collect_pool_results
+from repro.sim.pool import _collect_pool_results, run_grouped
 
 PARAMS = VorbisParams(n_frames=3)
 
@@ -371,3 +373,99 @@ class TestPoolShutdown:
         assert received == {}
         assert isinstance(failure, SimulationError)
         assert "results are missing" in str(failure)
+
+    def test_lowest_indexed_failure_wins(self):
+        """Whatever order workers finish in, the error is the serial run's."""
+        first, second = SimulationError("task 0"), SimulationError("task 1")
+        results = _FakeQueue([(1, False, second), (0, False, first)], empties=0)
+        received, failure = _collect_pool_results(results, [_FakeWorker(0)], 2)
+        assert set(received) == {0, 1}
+        assert failure is first
+
+    def test_lowest_indexed_failure_wins_while_draining(self):
+        """Failures still in the feeder pipe when every worker has exited
+        are drained, and ordered, the same way."""
+        first, second = SimulationError("task 0"), SimulationError("task 1")
+        results = _FakeQueue([(1, False, second), (0, False, first)], empties=1)
+        received, failure = _collect_pool_results(results, [_FakeWorker(0)], 2)
+        assert set(received) == {0, 1}
+        assert failure is first
+
+
+# --------------------------------------------------------------------------
+# error order: a failing parallel run raises the serial run's error
+# --------------------------------------------------------------------------
+
+#: A budget every group of vorbis_mg_BCF, and vorbis_G, exhausts.
+BUDGET = {"max_cycles": 40.0}
+
+#: Iteration budgets (``run_distributed`` only) exhausted after some
+#: iterations and before the first one: the two places a distributed
+#: member checks its budget.
+ITERATION_BUDGETS = {
+    "mid_run": {"max_iterations": 25},
+    "at_start": {"max_iterations": 0},
+}
+
+RUNNERS = {
+    "run_grouped": lambda builder, args, budget: run_grouped(
+        builder, args, processes=3, **budget
+    ),
+    "run_grouped_serial": lambda builder, args, budget: run_grouped(
+        builder, args, processes=1, **budget
+    ),
+    "distributed_group": lambda builder, args, budget: run_distributed(
+        builder, args, placement="group", **budget
+    ),
+    "distributed_domain": lambda builder, args, budget: run_distributed(
+        builder, args, placement="domain", **budget
+    ),
+}
+
+
+def serial_error(name, budget):
+    """The serial grouped run's error on a catalog workload."""
+    builder, args = WORKLOADS[name]
+    workload = builder(*args)
+    with pytest.raises(SimulationError) as serial:
+        CosimFabric(workload.design).run(workload.cosim_done, **budget)
+    return str(serial.value)
+
+
+def assert_raises_serial_error(runner, name, budget, expected):
+    """Five runs, so a lucky arrival order cannot pass for the right one."""
+    builder, args = WORKLOADS[name]
+    for _ in range(5):
+        with pytest.raises(SimulationError) as err:
+            RUNNERS[runner](builder, args, budget)
+        assert str(err.value) == expected
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_budget_error_is_the_serial_one(self, runner):
+        """Groups fail in any order across processes; the serial grouped
+        run raises group 0's error, and so must every runner."""
+        expected = serial_error("vorbis_mg_BCF", BUDGET)
+        assert " (group 0: " in expected
+        assert_raises_serial_error(runner, "vorbis_mg_BCF", BUDGET, expected)
+
+    @pytest.mark.parametrize("placement", ["group", "domain"])
+    @pytest.mark.parametrize("when", sorted(ITERATION_BUDGETS))
+    def test_iteration_budget_error_is_the_serial_one(self, when, placement):
+        budget = ITERATION_BUDGETS[when]
+        expected = serial_error("vorbis_mg_BCF", budget)
+        assert " (group 0: " in expected
+        assert_raises_serial_error(
+            f"distributed_{placement}", "vorbis_mg_BCF", budget, expected
+        )
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_one_group_budget_error_is_the_serial_one(self, runner):
+        """vorbis_G is one group of three domains: under domain placement
+        each member exhausts the budget in its own process, and whichever
+        reports first, the error is the serial run's, with no group label."""
+        expected = serial_error("vorbis_G", BUDGET)
+        assert "exceeded its cycle/iteration budget" in expected
+        assert "(group" not in expected
+        assert_raises_serial_error(runner, "vorbis_G", BUDGET, expected)

@@ -13,18 +13,20 @@ Four groups:
 * **Synchronizer specialisation** -- a ``SyncFifo`` whose domains coincide
   after substitution degrades to a plain FIFO: off the cut, out of the
   channel, owned by its (single) domain.
-* **Sharding** -- the multiprocess sweep runner returns results bitwise
-  identical to serial execution.
+* **Sweeps** -- a sweep through the worker pool returns outcomes in
+  submission order, bitwise identical to serial execution.
 """
 
 import json
-from dataclasses import asdict
+import os
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from repro.core.action import par
 from repro.core.domains import HW, SW, Domain, DomainVar, substitute_domains
+from repro.core.errors import SimulationError
 from repro.core.expr import BinOp, Const, KernelCall, RegRead
 from repro.core.module import Design, Module
 from repro.core.partition import partition_design
@@ -37,7 +39,7 @@ from repro.core.types import UIntT
 from repro.platform.channel import ChannelParams, Topology
 from repro.platform.platform import Platform
 from repro.sim.cosim import CosimFabric, Cosimulator, default_engine_kinds
-from repro.sim.shard import SweepTask, merge_results, run_sweep
+from repro.sim.pool import PoolTask, run_pool
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "fig13_cosim.json"
 
@@ -353,7 +355,7 @@ class TestMultiDomainVorbis:
 
         results = {}
         for backend in ("interp", "source"):
-            wl = vp.build_multi_partition("G", VorbisParams(n_frames=4))
+            wl = vp.build_multi_partition("G", VorbisParams(n_frames=12))
             fabric = CosimFabric(wl.design, backend=backend)
             results[backend] = asdict(fabric.run(wl.cosim_done, max_cycles=500_000_000))
         assert results["source"] == results["interp"]
@@ -491,7 +493,7 @@ class TestPartitioningTopologyHelpers:
 
 
 # --------------------------------------------------------------------------
-# multiprocess sweep sharding
+# multiprocess sweeps through the worker pool
 # --------------------------------------------------------------------------
 
 
@@ -501,11 +503,11 @@ def _sweep_tasks(n_frames=3):
 
     params = VorbisParams(n_frames=n_frames)
     tasks = [
-        SweepTask(name=f"vorbis_{letter}", builder=vp.build_partition, args=(letter, params))
+        PoolTask(name=f"vorbis_{letter}", builder=vp.build_partition, args=(letter, params))
         for letter in ("B", "E", "F")
     ]
     tasks.append(
-        SweepTask(
+        PoolTask(
             name="vorbis_G",
             builder=vp.build_multi_partition,
             args=("G", params),
@@ -518,30 +520,37 @@ def _sweep_tasks(n_frames=3):
 class TestShardedSweep:
     def test_parallel_sweep_bitwise_identical_to_serial(self):
         tasks = _sweep_tasks()
-        serial = run_sweep(tasks, processes=1)
-        parallel = run_sweep(tasks, processes=2)
-        assert set(serial.results) == set(parallel.results)
-        for name in serial.results:
-            assert asdict(serial.results[name]) == asdict(parallel.results[name]), name
+        names = [task.name for task in tasks]
+        serial, _ = run_pool(tasks, processes=1)
+        parallel, _ = run_pool(tasks, processes=2)
+        assert [o.name for o in serial] == names
+        assert [o.name for o in parallel] == names
+        for one, other in zip(serial, parallel):
+            assert one.kind == other.kind == "run"
+            assert asdict(one.result) == asdict(other.result), one.name
 
     def test_sweep_report_accounting(self):
-        report = run_sweep(_sweep_tasks(), processes=2)
-        assert len(report.outcomes) == 4
-        assert report.wall_seconds > 0
-        assert report.worker_seconds >= max(o.wall_seconds for o in report.outcomes.values())
-        assert "tasks on" in report.table()
+        """Every point runs in a worker process and times its own run."""
+        outcomes, processes = run_pool(_sweep_tasks(), processes=2)
+        assert processes == 2
+        assert [o.kind for o in outcomes] == ["run"] * 4
+        assert all(o.result.completed for o in outcomes)
+        assert all(o.wall_seconds > 0 for o in outcomes)
+        assert os.getpid() not in {o.pid for o in outcomes}
 
-    def test_merge_results(self):
-        report = run_sweep(_sweep_tasks(), processes=1)
-        merged = merge_results(report.results)
-        assert merged["tasks"] == 4
-        assert merged["completed"] == 4
-        assert merged["channel_messages"] == sum(
-            r.channel_messages for r in report.results.values()
-        )
-
-    def test_duplicate_task_names_rejected(self):
+    def test_failing_sweep_raises_the_serial_error(self):
+        """A slow failure submitted first wins over a fast one submitted
+        second, as it does when the points run one after the other."""
         tasks = _sweep_tasks()
-        tasks[1] = SweepTask(name=tasks[0].name, builder=tasks[1].builder, args=tasks[1].args)
-        with pytest.raises(ValueError):
-            run_sweep(tasks, processes=1)
+        failing = [
+            replace(tasks[3], max_cycles=1000.0),  # vorbis_G needs ~1900
+            replace(tasks[0], max_cycles=40.0),
+        ]
+        with pytest.raises(SimulationError) as serial:
+            run_pool(failing, processes=1)
+        expected = str(serial.value)
+        assert expected.startswith("co-simulation of vorbis_G exceeded")
+        for _ in range(3):
+            with pytest.raises(SimulationError) as parallel:
+                run_pool(failing, processes=2)
+            assert str(parallel.value) == expected

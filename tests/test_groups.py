@@ -8,8 +8,7 @@ Four groups:
   the multi-group pipelines; register ownership splits the same way.
 * **Merge rules** -- ``CosimResult.merge`` implements the documented
   deterministic rules (max clock, ordered sums, disjoint union, collision
-  detection), and ``sim/shard.py:merge_results`` is a thin presentation
-  wrapper over it.
+  detection).
 * **Differential** -- serially scheduled groups (``CosimFabric.run``),
   in-process per-group runs (``run_grouped(processes=1)``) and
   process-parallel per-group runs (``run_grouped(processes=2)``) produce
@@ -32,7 +31,7 @@ from repro.core.domains import SW
 from repro.core.errors import SimulationError
 from repro.core.partition import partition_design
 from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator
-from repro.sim.shard import merge_results, run_grouped
+from repro.sim.pool import run_grouped
 
 PARAMS = VorbisParams(n_frames=3)
 
@@ -219,16 +218,6 @@ class TestCosimResultMerge:
         with pytest.raises(SimulationError):
             CosimResult.merge([_result(), _result(design_name="other")])
 
-    def test_non_strict_merge_sums_collisions(self):
-        merged = CosimResult.merge(
-            [_result(), _result(design_name="other")], strict=False
-        )
-        assert merged.design_name == "d+other"
-        assert merged.fire_counts == {"a.r": 2}
-        assert merged.vc_stats["q"]["messages"] == 2
-        assert merged.domain_stats["SW"]["kind"] == "sw"
-        assert merged.domain_stats["SW"]["firings"] == 6
-
     def test_merge_of_one_is_identity(self):
         one = _result()
         assert asdict(CosimResult.merge([one])) == asdict(one)
@@ -236,21 +225,6 @@ class TestCosimResultMerge:
     def test_merge_of_nothing_raises(self):
         with pytest.raises(ValueError):
             CosimResult.merge([])
-
-    def test_merge_results_wrapper_shape(self):
-        rows = {"x": _result(), "y": _result(design_name="other", completed=False)}
-        summary = merge_results(rows)
-        assert summary == {
-            "tasks": 2,
-            "completed": 1,
-            "fpga_cycles_max": 10.0,
-            "fpga_cycles_sum": 20.0,
-            "sw_firings": 6,
-            "hw_firings": 10,
-            "channel_messages": 14,
-            "channel_words": 16,
-        }
-        assert merge_results({})["tasks"] == 0
 
 
 # --------------------------------------------------------------------------
@@ -277,17 +251,17 @@ class TestGroupedDifferential:
     @pytest.mark.parametrize("name,builder,args", WORKLOADS, ids=lambda w: None)
     def test_three_modes_bitwise_equal(self, name, builder, args):
         _, _, mono = _run_monolithic(builder, args, None)
-        serial = run_grouped(builder, args=args, processes=1)
-        procs = run_grouped(builder, args=args, processes=2)
-        assert asdict(serial.result) == asdict(mono)
-        assert asdict(procs.result) == asdict(serial.result)
+        serial, _ = run_grouped(builder, args=args, processes=1)
+        procs, _ = run_grouped(builder, args=args, processes=2)
+        assert asdict(serial) == asdict(mono)
+        assert asdict(procs) == asdict(serial)
 
     @pytest.mark.parametrize("backend", ["interp", "source"])
     @pytest.mark.parametrize("name,builder,args", MATRIX_WORKLOADS, ids=lambda w: None)
     def test_backend_matrix(self, name, builder, args, backend):
         _, _, mono = _run_monolithic(builder, args, backend)
-        procs = run_grouped(builder, args=args, backend=backend, processes=2)
-        assert asdict(procs.result) == asdict(mono)
+        procs, _ = run_grouped(builder, args=args, backend=backend, processes=2)
+        assert asdict(procs) == asdict(mono)
 
     def test_multi_group_equals_sum_of_standalone_pipelines(self):
         """Each group's slice equals the pipeline simulated on its own."""
@@ -312,43 +286,6 @@ class TestGroupedDifferential:
             s.channel_messages for s in singles.values()
         )
 
-    def test_lockstep_agrees_on_semantics(self):
-        """The legacy scheduler reproduces every semantic field; only its
-        idle-cycle bookkeeping (guard scans, credit stalls, global-clock
-        quantisation) differs on multi-group designs."""
-        wl_a = vp.build_group_partition("BC", PARAMS)
-        fab_a = CosimFabric(wl_a.design, backend="source")
-        grouped = fab_a.run(wl_a.cosim_done, max_cycles=500_000_000)
-        wl_b = vp.build_group_partition("BC", PARAMS)
-        fab_b = CosimFabric(wl_b.design, backend="source")
-        lockstep = fab_b.run(
-            wl_b.cosim_done, max_cycles=500_000_000, scheduler="lockstep"
-        )
-        assert lockstep.completed and grouped.completed
-        assert lockstep.fire_counts == grouped.fire_counts
-        assert lockstep.sw_firings == grouped.sw_firings
-        assert lockstep.hw_firings == grouped.hw_firings
-        assert lockstep.hw_active_cycles == grouped.hw_active_cycles
-        assert lockstep.sw_busy_fpga_cycles == grouped.sw_busy_fpga_cycles
-        assert lockstep.sw_cpu_cycles_driver == grouped.sw_cpu_cycles_driver
-        assert lockstep.channel_messages == grouped.channel_messages
-        assert lockstep.channel_words == grouped.channel_words
-        assert lockstep.channel_busy_cycles == grouped.channel_busy_cycles
-        assert wl_b.checksums(fab_b.read) == wl_a.checksums(fab_a.read)
-
-    def test_single_group_grouped_equals_lockstep_bitwise(self):
-        """With one group the grouped scheduler *is* the historical loop."""
-        for backend in ("interp", "source"):
-            wl_a = _vorbis("B")
-            fab_a = Cosimulator(wl_a.design, backend=backend)
-            grouped = fab_a.run(wl_a.cosim_done, max_cycles=500_000_000)
-            wl_b = _vorbis("B")
-            fab_b = Cosimulator(wl_b.design, backend=backend)
-            lockstep = fab_b.run(
-                wl_b.cosim_done, max_cycles=500_000_000, scheduler="lockstep"
-            )
-            assert asdict(grouped) == asdict(lockstep)
-
     def test_raytracer_grouped_modes_agree(self):
         workload = _raytracer("B")
         fabric = CosimFabric(workload.design, backend="source")
@@ -356,18 +293,19 @@ class TestGroupedDifferential:
         from repro.apps.raytracer import partitions as rp
         from repro.apps.raytracer.params import RayTracerParams
 
-        report = run_grouped(
+        merged, _ = run_grouped(
             rp.build_partition,
             args=("B", RayTracerParams(n_triangles=24, image_width=3, image_height=3)),
             processes=2,
         )
-        assert asdict(report.result) == asdict(mono)
+        assert asdict(merged) == asdict(mono)
 
-    def test_unknown_scheduler_rejected(self):
+    @pytest.mark.parametrize("scheduler", ["warp", "lockstep"])
+    def test_unknown_scheduler_rejected(self, scheduler):
         workload = _vorbis("B")
         fabric = CosimFabric(workload.design, backend="source")
-        with pytest.raises(ValueError):
-            fabric.run(workload.cosim_done, scheduler="warp")
+        with pytest.raises(ValueError, match="expected 'grouped'/'distributed'"):
+            fabric.run(workload.cosim_done, scheduler=scheduler)
 
 
 def _short_circuit_workload(params):
@@ -456,11 +394,12 @@ class TestGroupScoping:
             )
 
     def test_grouped_report_accounting(self):
-        report = run_grouped(
+        merged, outcomes = run_grouped(
             vp.build_group_partition, args=("BC", PARAMS), processes=2
         )
-        assert len(report.outcomes) == 2
-        assert [o.group_index for o in report.outcomes] == [0, 1]
-        assert report.wall_seconds > 0
-        assert "groups on" in report.table()
-        assert report.result.completed
+        assert [o.name for o in outcomes] == ["vorbis_mg_BC[g0]", "vorbis_mg_BC[g1]"]
+        assert [o.kind for o in outcomes] == ["group", "group"]
+        for index, outcome in enumerate(outcomes):
+            (key, value), = outcome.observations.items()
+            assert f"_p{index}." in key and value == PARAMS.n_frames
+        assert merged.completed
