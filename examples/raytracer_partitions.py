@@ -36,12 +36,18 @@ def main():
         tracer = build_partition(letter, params)
         cosim = Cosimulator(tracer.design)
         result = cosim.run(tracer.cosim_done, max_cycles=500_000_000)
-        ok = "ok" if cosim.read_sw(tracer.checksum) == reference.checksum else "MISMATCH"
+        checksum = cosim.read_sw(tracer.checksum)
+        ok = "ok" if checksum == reference.checksum else "MISMATCH"
         hw = ", ".join(hw_module_names(letter)) or "none"
         print(
             f"{letter:<10} {hw:<42} {result.fpga_cycles / params.n_rays:>12.1f} "
             f"{result.channel_words:>14}  {ok}"
         )
+        if checksum != reference.checksum:
+            raise SystemExit(
+                f"partition {letter}: image checksum {checksum} differs from the "
+                f"software reference {reference.checksum}"
+            )
 
 
 if __name__ == "__main__":

@@ -31,9 +31,11 @@ def main():
         backend = build_partition(letter, params)
         cosim = Cosimulator(backend.design)
         result = cosim.run(backend.cosim_done, max_cycles=500_000_000)
-        ok = "ok" if cosim.read_sw(backend.checksum) == reference else "MISMATCH"
+        checksum = cosim.read_sw(backend.checksum)
         hw = ", ".join(hw_stage_names(letter)) or "none"
-        print(f"{letter:<12} {hw:<28} {result.fpga_cycles / n_frames:>14.1f}  {ok}")
+        print(f"{letter:<12} {hw:<28} {result.fpga_cycles / n_frames:>14.1f}  "
+              f"{'ok' if checksum == reference else 'MISMATCH'}")
+        check(f"partition {letter}", checksum, reference)
 
     systemc = run_systemc_vorbis(params)
     handcoded = run_handcoded_vorbis(params)
@@ -43,6 +45,15 @@ def main():
     print(f"{'F2 hand C++':<12} {'none (manual software)':<28} "
           f"{handcoded.fpga_cycles_per_frame():>14.1f}  "
           f"{'ok' if handcoded.checksum == reference else 'MISMATCH'}")
+    check("SystemC baseline", systemc.checksum, reference)
+    check("hand-coded C++ baseline", handcoded.checksum, reference)
+
+
+def check(what, checksum, reference):
+    if checksum != reference:
+        raise SystemExit(
+            f"{what}: PCM checksum {checksum} differs from the reference {reference}"
+        )
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, T
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.scheduler import RuleWakeup, WakingStore
+from repro.core.types import RawStruct
 from repro.platform.channel import (
     ChannelDirection,
     ChannelStats,
@@ -256,6 +257,9 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "stalled_on_credit",
         },
     ),
+    # A register value a plain-dict store surfaces: immutable (it refuses
+    # attribute writes), so it rides the store's snapshot as it is.
+    RawStruct: _spec(config={"ty", "raws"}),
 }
 
 

@@ -18,14 +18,21 @@ from repro.apps.raytracer import geometry
 from repro.apps.raytracer.geometry import Triangle, Vec, v_max, v_min
 from repro.core import kernelcompile
 from repro.core.fixedpoint import FixedPoint, from_wrapped_raw, raw_from_float
+from repro.core.types import RawStruct
 
 
 @dataclass
 class Bvh:
-    """A flattened BVH: node records plus the leaf-ordered triangle list."""
+    """A flattened BVH: node records plus the leaf-ordered triangle list.
 
-    nodes: List[Dict[str, object]]
-    triangles: List[Triangle]
+    Both are in the raw struct form (:class:`~repro.core.types.RawStruct`
+    of the ``BvhNode`` and ``Triangle`` types) from build time on, so they
+    seed the design's memories as they are and the fast traversal reads
+    their raws in place.
+    """
+
+    nodes: List[RawStruct]
+    triangles: List[RawStruct]
     leaf_size: int
 
     @property
@@ -117,7 +124,13 @@ def build_bvh(triangles: Sequence[Triangle], leaf_size: int = 4) -> Bvh:
         return index
 
     build(items)
-    return Bvh(nodes=nodes, triangles=ordered, leaf_size=leaf_size)
+    corner = triangles[0]["v0"]["x"]
+    types = geometry.struct_types(corner.int_bits, corner.frac_bits, leaf_size)
+    return Bvh(
+        nodes=[types["node"].raw(node) for node in nodes],
+        triangles=[types["triangle"].raw(triangle) for triangle in ordered],
+        leaf_size=leaf_size,
+    )
 
 
 def traverse_oracle(bvh: Bvh, ray: geometry.Ray) -> Tuple[bool, FixedPoint, int]:
@@ -148,76 +161,52 @@ def traverse_oracle(bvh: Bvh, ray: geometry.Ray) -> Tuple[bool, FixedPoint, int]
     return found, best_t, best_tri
 
 
-def raw_tables(bvh: Bvh) -> Tuple[tuple, tuple]:
-    """Flat raw-integer node and triangle tables of a BVH (cached per instance).
-
-    Nodes flatten to ``(bbox_min, bbox_max, is_leaf, left, right, tri_start,
-    tri_count)`` with raw (x, y, z) tuples for the boxes; triangles flatten to
-    raw ``(v0, v1, v2)`` tuples.  Built lazily on first fast-path traversal --
-    the BVH is immutable after construction, so the tables never go stale.
-    """
-    cached = bvh.__dict__.get("_raw_cache")
-    if cached is None:
-        nodes = tuple(
-            (
-                geometry.vec_raws(node["bbox_min"]),
-                geometry.vec_raws(node["bbox_max"]),
-                node["is_leaf"],
-                node["left"],
-                node["right"],
-                node["tri_start"],
-                node["tri_count"],
-            )
-            for node in bvh.nodes
-        )
-        tris = tuple(
-            (
-                geometry.vec_raws(tri["v0"]),
-                geometry.vec_raws(tri["v1"]),
-                geometry.vec_raws(tri["v2"]),
-            )
-            for tri in bvh.triangles
-        )
-        cached = bvh.__dict__["_raw_cache"] = (nodes, tris)
-    return cached
-
-
 def traverse(bvh: Bvh, ray: geometry.Ray) -> Tuple[bool, FixedPoint, int]:
     """BVH traversal, dispatching on the kernel backend.
 
-    The fast path runs the identical stack algorithm over the flat raw
-    tables with the raw-integer intersection kernels; results are
-    bit-identical to :func:`traverse_oracle` (the differential tests compare
-    them ray for ray).
+    The fast path runs the identical stack algorithm over the nodes' and
+    triangles' raws, read through the struct accessors, with the
+    raw-integer intersection kernels; results are bit-identical to
+    :func:`traverse_oracle` (the differential tests compare them ray for
+    ray).
     """
     if kernelcompile.kernel_backend() == "oracle":
         return traverse_oracle(bvh, ray)
     int_bits = ray["origin"]["x"].int_bits
     frac_bits = ray["origin"]["x"].frac_bits
     total_bits = int_bits + frac_bits
-    origin = geometry.vec_raws(ray["origin"])
-    direction = geometry.vec_raws(ray["dir"])
-    nodes, tris = raw_tables(bvh)
+    types = geometry.struct_types(int_bits, frac_bits, bvh.leaf_size)
+    ray_t, node_t, tri_t = types["ray"], types["node"], types["triangle"]
+    origin = ray_t.accessor("origin")(ray)
+    direction = ray_t.accessor("dir")(ray)
+    bbox_min, bbox_max, is_leaf, left, right, tri_start, tri_count = map(
+        node_t.accessor,
+        ("bbox_min", "bbox_max", "is_leaf", "left", "right", "tri_start", "tri_count"),
+    )
+    vertices = tuple(map(tri_t.accessor, ("v0", "v1", "v2")))
     best_t = raw_from_float(1000.0, frac_bits, total_bits)
     best_tri = 0
     found = False
     stack = [0]
     while stack:
-        lo, hi, is_leaf, left, right, tri_start, tri_count = nodes[stack.pop()]
-        if not geometry.intersect_box_raw(origin, direction, lo, hi, frac_bits, total_bits):
+        node = bvh.nodes[stack.pop()]
+        if not geometry.intersect_box_raw(
+            origin, direction, bbox_min(node), bbox_max(node), frac_bits, total_bits
+        ):
             continue
-        if is_leaf:
-            for offset in range(tri_count):
-                tri_index = tri_start + offset
-                v0, v1, v2 = tris[tri_index]
+        if is_leaf(node):
+            start = tri_start(node)
+            for tri_index in range(start, start + tri_count(node)):
+                triangle = bvh.triangles[tri_index]
+                v0, v1, v2 = (vertex(triangle) for vertex in vertices)
                 t = geometry.intersect_triangle_raw(
                     origin, direction, v0, v1, v2, frac_bits, total_bits
                 )
                 if t is not None and t < best_t:
                     best_t, best_tri, found = t, tri_index, True
         else:
-            stack.append(left)
-            stack.append(right)
+            stack.append(left(node))
+            stack.append(right(node))
     return found, from_wrapped_raw(best_t, int_bits, frac_bits), best_tri
 
 

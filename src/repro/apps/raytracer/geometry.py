@@ -1,9 +1,13 @@
 """Fixed-point vector math, primitives and intersection kernels for the ray tracer.
 
-All values that can cross the HW/SW boundary are plain dictionaries matching
-the :class:`~repro.core.types.StructT` layouts declared in
-:func:`struct_types`, so they marshal onto the channel without any
-translation layer -- the single-representation discipline of Section 2.3.
+All values that can cross the HW/SW boundary are values of the
+:class:`~repro.core.types.StructT` layouts declared in :func:`struct_types`,
+so they marshal onto the channel without any translation layer -- the
+single-representation discipline of Section 2.3.  The object-based kernels
+here build them as dicts of :class:`~repro.core.fixedpoint.FixedPoint`
+fields; the design's fast kernels build the raw struct form
+(:class:`~repro.core.types.RawStruct`), whose leaf raws are exactly the
+``(x, y, z)`` raw tuples the raw kernels below take.
 
 The intersection kernels (axis-aligned box slab test, Möller–Trumbore
 triangle test) are written over :class:`~repro.core.fixedpoint.FixedPoint`
@@ -17,7 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fixedpoint import FixedPoint, raw_from_float
-from repro.core.types import BoolT, FixPtT, StructT, UIntT
+from repro.core.types import BoolT, FixPtT, StructT, UIntT, VectorT
 
 Vec = Dict[str, FixedPoint]
 Triangle = Dict[str, Vec]
@@ -30,8 +34,14 @@ Hit = Dict[str, object]
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def struct_types(int_bits: int = 16, frac_bits: int = 16, leaf_size: int = 4):
-    """The struct types used by the ray tracer's synchronizers."""
+    """The struct types used by the ray tracer's synchronizers.
+
+    Cached: every design of one format shares the type objects, so its raw
+    structs match a layout's type by identity.  Callers must not mutate the
+    returned dict.
+    """
     fix = FixPtT(int_bits, frac_bits)
     vec3 = StructT("Vec3", [("x", fix), ("y", fix), ("z", fix)])
     triangle = StructT("Triangle", [("v0", vec3), ("v1", vec3), ("v2", vec3)])
@@ -61,6 +71,12 @@ def struct_types(int_bits: int = 16, frac_bits: int = 16, leaf_size: int = 4):
     leaf_req = StructT("LeafReq", [("start", UIntT(16)), ("count", UIntT(16))])
     mem_req = StructT("MemReq", [("index", UIntT(16))])
     color = StructT("Color", [("pixel", UIntT(32)), ("value", fix)])
+    bundle = VectorT(leaf_size, triangle)
+    leaf_data = StructT("LeafData", [("bundle", bundle), ("count", UIntT(16)), ("base", UIntT(16))])
+    geom_req = StructT(
+        "GeomReq",
+        [("ray", ray), ("bundle", bundle), ("count", UIntT(16)), ("base", UIntT(16))],
+    )
     return {
         "vec3": vec3,
         "triangle": triangle,
@@ -70,6 +86,8 @@ def struct_types(int_bits: int = 16, frac_bits: int = 16, leaf_size: int = 4):
         "leaf_req": leaf_req,
         "mem_req": mem_req,
         "color": color,
+        "leaf_data": leaf_data,
+        "geom_req": geom_req,
     }
 
 

@@ -31,11 +31,11 @@ from repro.core import kernelcompile
 from repro.core.action import IfA, LetA, par
 from repro.core.domains import SW, Domain
 from repro.core.expr import BinOp, Const, FieldSelect, KernelCall, RegRead, UnOp, Var
-from repro.core.fixedpoint import FixedPoint, from_wrapped_raw, raw_from_float
+from repro.core.fixedpoint import FixedPoint, raw_from_float
 from repro.core.module import Design, Module, Register
 from repro.core.primitives import RegFile
 from repro.core.synchronizers import SyncFifo
-from repro.core.types import BoolT, FixPtT, OpaqueT, StructT, UIntT, VectorT
+from repro.core.types import BoolT, FixPtT, OpaqueT, RawStruct, UIntT
 
 #: Module groups whose domain can be chosen per partition.
 PLACEABLE_MODULES = ("trav", "geom", "bvh_mem", "scene_mem", "shader")
@@ -111,22 +111,16 @@ def build_raytracer(
         types["mem_req"],
         types["color"],
     )
-    bundle_t = VectorT(params.leaf_size, tri_t)
-    leaf_data_t = StructT(
-        "LeafData", [("bundle", bundle_t), ("count", UIntT(16)), ("base", UIntT(16))]
-    )
-    geom_req_t = StructT(
-        "GeomReq",
-        [("ray", ray_t), ("bundle", bundle_t), ("count", UIntT(16)), ("base", UIntT(16))],
-    )
+    leaf_data_t, geom_req_t = types["leaf_data"], types["geom_req"]
 
     # Scene and BVH are constructed up front (the BVH Ctor pass, always software).
     triangles = geometry.generate_scene(params.n_triangles, params.seed, ib, fb)
     bvh = build_bvh(triangles, params.leaf_size)
     padded_tris = list(bvh.triangles) + [
-        geometry.degenerate_triangle(ib, fb) for _ in range(params.leaf_size)
-    ]
+        tri_t.raw(geometry.degenerate_triangle(ib, fb))
+    ] * params.leaf_size
     light = geometry.light_direction(ib, fb)
+    miss = hit_t.raw(geometry.miss_hit(ib, fb))
 
     top = Module(name)
 
@@ -170,9 +164,12 @@ def build_raytracer(
     awaiting_node = trav.add_register("awaiting_node", BoolT(), False)
     awaiting_leaf = trav.add_register("awaiting_leaf", BoolT(), False)
     awaiting_geom = trav.add_register("awaiting_geom", BoolT(), False)
-    cur_ray = trav.add_register("cur_ray", OpaqueT(geometry.camera_ray(0, params.image_width, params.image_height, ib, fb)))
+    cur_ray = trav.add_register(
+        "cur_ray",
+        OpaqueT(ray_t.raw(geometry.camera_ray(0, params.image_width, params.image_height, ib, fb))),
+    )
     stack = trav.add_register("stack", OpaqueT(()))
-    best = trav.add_register("best", OpaqueT(geometry.miss_hit(ib, fb)))
+    best = trav.add_register("best", OpaqueT(miss))
     done_count = bitmap.add_register("done_count", UIntT(32), 0)
     checksum = bitmap.add_register("checksum", UIntT(32), 0)
 
@@ -180,29 +177,62 @@ def build_raytracer(
     def kc(kernel_name: str, fn, args, sw_cycles, hw_cycles) -> KernelCall:
         return KernelCall(kernel_name, fn, args, sw_cycles=sw_cycles, hw_cycles=hw_cycles)
 
-    def ray_gen_fn(pixel: int):
-        return geometry.camera_ray(pixel, params.image_width, params.image_height, ib, fb)
-
-    # Raw-path constants of the kernel dataplane (format is fixed per design).
+    # Raw-path constants and struct accessors of the kernel dataplane (the
+    # format is fixed per design).  Every struct-valued kernel reads its
+    # inputs' raws through the accessors, which read the dict form too, and
+    # returns a RawStruct.  Only the fixed-point work -- process_node's slab
+    # test and intersect_leaf's triangle tests -- keeps a dict-of-FixedPoint
+    # implementation for the oracle backend to cross-check; it reads raw
+    # inputs through item access.
     total_bits = ib + fb
     light_raws = geometry.vec_raws(light)
     miss_t_raw = raw_from_float(1000.0, fb, total_bits)
+    no_leaf_req = RawStruct(leaf_req_t, (0, 0))
+    ray_origin, ray_dir, ray_pixel = map(ray_t.accessor, ("origin", "dir", "pixel"))
+    node_min, node_max, node_is_leaf, node_left, node_right, node_start, node_count = map(
+        node_t.accessor,
+        ("bbox_min", "bbox_max", "is_leaf", "left", "right", "tri_start", "tri_count"),
+    )
+    req_origin, req_dir, req_pixel, req_bundle, req_count, req_base = map(
+        geom_req_t.accessor,
+        ("ray.origin", "ray.dir", "ray.pixel", "bundle", "count", "base"),
+    )
+    hit_hit, hit_t_raw, hit_tri, hit_pixel, hit_shade = map(
+        hit_t.accessor, ("hit", "t", "tri", "pixel", "shade")
+    )
+    color_pixel, color_value = map(color_t.accessor, ("pixel", "value"))
+    tri_leaves = len(tri_t.leaves)
+    value_mask = (1 << total_bits) - 1
+
+    def ray_gen_fn(pixel: int):
+        ray = geometry.camera_ray(pixel, params.image_width, params.image_height, ib, fb)
+        return RawStruct(
+            ray_t, geometry.vec_raws(ray["origin"]) + geometry.vec_raws(ray["dir"]) + (pixel,)
+        )
+
+    def make_mem_req_fn(index):
+        return RawStruct(mem_req_t, (index,))
 
     def process_node_fn(ray, node, stack_value):
         # The only fixed-point work here is the slab test; on the fast
         # backends it runs over raw ints (bit-identical, see geometry).
         if kernelcompile.kernel_backend() == "oracle":
-            boxed = geometry.intersect_box(ray, node["bbox_min"], node["bbox_max"])
-        else:
-            boxed = geometry.intersect_box_raw(
-                geometry.vec_raws(ray["origin"]),
-                geometry.vec_raws(ray["dir"]),
-                geometry.vec_raws(node["bbox_min"]),
-                geometry.vec_raws(node["bbox_max"]),
-                fb,
-                total_bits,
-            )
-        if not boxed:
+            return process_node_oracle(ray, node, stack_value)
+        if not geometry.intersect_box_raw(
+            ray_origin(ray), ray_dir(ray), node_min(node), node_max(node), fb, total_bits
+        ):
+            return {"stack": stack_value, "fetch_leaf": False, "leaf_req": no_leaf_req}
+        if node_is_leaf(node):
+            leaf_req = RawStruct(leaf_req_t, (node_start(node), node_count(node)))
+            return {"stack": stack_value, "fetch_leaf": True, "leaf_req": leaf_req}
+        return {
+            "stack": stack_value + (node_left(node), node_right(node)),
+            "fetch_leaf": False,
+            "leaf_req": no_leaf_req,
+        }
+
+    def process_node_oracle(ray, node, stack_value):
+        if not geometry.intersect_box(ray, node["bbox_min"], node["bbox_max"]):
             return {"stack": stack_value, "fetch_leaf": False, "leaf_req": {"start": 0, "count": 0}}
         if node["is_leaf"]:
             return {
@@ -217,53 +247,40 @@ def build_raytracer(
         }
 
     def make_bundle_fn(start, count, *tris):
-        return {"bundle": tuple(tris), "count": count, "base": start}
+        raws = ()
+        for triangle in tris:
+            raws += tri_t.raw(triangle).raws
+        return RawStruct(leaf_data_t, raws + (count, start))
 
     def make_geom_req_fn(ray, leaf_data):
-        return {
-            "ray": ray,
-            "bundle": leaf_data["bundle"],
-            "count": leaf_data["count"],
-            "base": leaf_data["base"],
-        }
+        # GeomReq's fields are Ray's followed by LeafData's.
+        return RawStruct(geom_req_t, ray_t.raw(ray).raws + leaf_data_t.raw(leaf_data).raws)
 
     def intersect_leaf_fn(req):
         if kernelcompile.kernel_backend() == "oracle":
             return intersect_leaf_oracle(req)
-        # Raw fast path: unbox the ray and bundle once, run Möller-Trumbore
-        # over plain ints, box only the winning hit record.  The oracle
-        # recomputes the shade on every improvement but returns only the
-        # last one, so shading just the final winner is bit-identical.
-        ray = req["ray"]
-        origin = geometry.vec_raws(ray["origin"])
-        direction = geometry.vec_raws(ray["dir"])
+        # Raw fast path: Möller-Trumbore over the request's raws, a new raw
+        # hit record out.  The oracle recomputes the shade on every
+        # improvement but returns only the last one, so shading just the
+        # final winner is bit-identical.
+        origin, direction, pixel = req_origin(req), req_dir(req), req_pixel(req)
+        bundle = req_bundle(req)
         best_t = miss_t_raw
         best_offset = -1
         best_tri = None
-        for offset in range(req["count"]):
-            triangle = req["bundle"][offset]
-            tri_raws = (
-                geometry.vec_raws(triangle["v0"]),
-                geometry.vec_raws(triangle["v1"]),
-                geometry.vec_raws(triangle["v2"]),
-            )
+        for offset in range(req_count(req)):
+            # A triangle's raws are its vertices' (x, y, z) raws in order.
+            at = offset * tri_leaves
+            tri_raws = bundle[at : at + 3], bundle[at + 3 : at + 6], bundle[at + 6 : at + 9]
             t = geometry.intersect_triangle_raw(
                 origin, direction, tri_raws[0], tri_raws[1], tri_raws[2], fb, total_bits
             )
             if t is not None and t < best_t:
                 best_t, best_offset, best_tri = t, offset, tri_raws
         if best_offset < 0:
-            best_hit = geometry.miss_hit(ib, fb)
-            best_hit["pixel"] = ray["pixel"]
-            return best_hit
+            return RawStruct(hit_t, (False, miss_t_raw, 0, pixel, 0))
         shade = geometry.lambert_shade_raw(best_tri[0], best_tri[1], best_tri[2], light_raws, ib, fb)
-        return {
-            "hit": True,
-            "t": from_wrapped_raw(best_t, ib, fb),
-            "tri": req["base"] + best_offset,
-            "pixel": ray["pixel"],
-            "shade": from_wrapped_raw(shade, ib, fb),
-        }
+        return RawStruct(hit_t, (True, best_t, req_base(req) + best_offset, pixel, shade))
 
     def intersect_leaf_oracle(req):
         ray = req["ray"]
@@ -283,21 +300,28 @@ def build_raytracer(
         return best_hit
 
     def better_hit_fn(current, candidate):
-        if candidate["hit"] and (not current["hit"] or candidate["t"] < current["t"]):
+        # Wrapped raws of one format order like the values they stand for.
+        if hit_hit(candidate) and (not hit_hit(current) or hit_t_raw(candidate) < hit_t_raw(current)):
             return candidate
         return current
 
     def make_result_fn(ray, best_hit):
-        result = dict(best_hit)
-        result["pixel"] = ray["pixel"]
-        return result
+        return RawStruct(
+            hit_t,
+            (
+                hit_hit(best_hit),
+                hit_t_raw(best_hit),
+                hit_tri(best_hit),
+                ray_pixel(ray),
+                hit_shade(best_hit),
+            ),
+        )
 
     def shade_color_fn(hit):
-        value = hit["shade"] if hit["hit"] else FixedPoint.zero(ib, fb)
-        return {"pixel": hit["pixel"], "value": value}
+        return RawStruct(color_t, (hit_pixel(hit), hit_shade(hit) if hit_hit(hit) else 0))
 
     def fold_checksum_fn(running, color):
-        return (running * 31 + color["value"].to_bits() + color["pixel"]) & 0xFFFFFFFF
+        return (running * 31 + (color_value(color) & value_mask) + color_pixel(color)) & 0xFFFFFFFF
 
     # -- rules ------------------------------------------------------------------------------
 
@@ -363,7 +387,7 @@ def build_raytracer(
             cur_ray.write(ray_q.value("first")),
             ray_q.call("deq"),
             stack.write(Const((0,))),
-            best.write(Const(geometry.miss_hit(ib, fb))),
+            best.write(Const(miss)),
             busy.write(Const(True)),
         ).when(UnOp("!", RegRead(busy))),
     )
@@ -373,7 +397,7 @@ def build_raytracer(
         par(
             bvh_req_q.call(
                 "enq",
-                kc("make_mem_req", lambda i: {"index": i}, [kc("stack_top", lambda s: s[-1], [RegRead(stack)], 8, 1)], 8, 1),
+                kc("make_mem_req", make_mem_req_fn, [kc("stack_top", lambda s: s[-1], [RegRead(stack)], 8, 1)], 8, 1),
             ),
             stack.write(kc("stack_pop", lambda s: s[:-1], [RegRead(stack)], 8, 1)),
             awaiting_node.write(Const(True)),

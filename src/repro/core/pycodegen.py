@@ -107,6 +107,7 @@ from repro.core.expr import (
     WhenE,
 )
 from repro.core.module import Method, Module, PrimitiveModule, Register, Rule
+from repro.core.types import RawStruct
 
 __all__ = [
     "GeneratedModule",
@@ -288,12 +289,7 @@ class GeneratedModule:
 
     def __init__(self, name: str, source: str, bindings: Dict[str, Any]):
         self.name = name
-        # The content digest keeps distinct designs that share a module name
-        # (two engines both called "HW") from clobbering each other's
-        # linecache entry or dump file; identical source still maps to one
-        # filename.
-        self.digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
-        self.filename = f"<repro-generated:{name}#{self.digest}>"
+        self.digest, self.filename = register_source(name, source)
         self.source = source
         namespace: Dict[str, Any] = dict(bindings)
         namespace["__name__"] = f"repro.generated.{name}"
@@ -304,35 +300,49 @@ class GeneratedModule:
             if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
                 _CODE_CACHE.pop(next(iter(_CODE_CACHE)))
             _CODE_CACHE[body] = template
-        # Tracebacks through generated functions resolve to real source
-        # lines: linecache consults this entry when formatting frames.
-        linecache.cache[self.filename] = (
-            len(source),
-            None,
-            source.splitlines(True),
-            self.filename,
-        )
         exec(_private_copy(template, self.filename), namespace)
         self.namespace = namespace
-        dump_dir = os.environ.get("REPRO_DUMP_SOURCE")
-        if dump_dir:
-            self.dump(dump_dir)
 
     def dump(self, directory: str) -> str:
-        """Write the generated source to ``directory`` and return the path.
+        """Write the generated source to ``directory`` and return the path
+        (see :func:`dump_source`)."""
+        return dump_source(directory, self.name, self.digest, self.source)
 
-        The file is named ``<stem>-<digest>.<kind>.py`` (``HW-1a2b3c4d.hwstep.py``):
-        the content digest tells apart modules of different designs that
-        share a name, and the module kind stays the suffix.
-        """
-        os.makedirs(directory, exist_ok=True)
-        stem, dot, kind = self.name.rpartition(".")
-        name = f"{stem}-{self.digest}.{kind}" if dot else f"{self.name}-{self.digest}"
-        fname = _SAFE_NAME.sub("_", name) + ".py"
-        path = os.path.join(directory, fname)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.source)
-        return path
+
+def register_source(name: str, source: str) -> Tuple[str, str]:
+    """Make the generated text ``source`` of module ``name`` debuggable.
+
+    Returns its content digest and the ``<repro-generated:name#digest>``
+    filename to compile it under, registers it with :mod:`linecache` (so
+    tracebacks through its functions show real source lines) and writes it
+    to ``$REPRO_DUMP_SOURCE`` when that is set.  The digest keeps distinct
+    designs that share a module name (two engines both called "HW") from
+    clobbering each other's linecache entry or dump file; identical source
+    still maps to one filename.
+    """
+    digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
+    filename = f"<repro-generated:{name}#{digest}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    dump_dir = os.environ.get("REPRO_DUMP_SOURCE")
+    if dump_dir:
+        dump_source(dump_dir, name, digest, source)
+    return digest, filename
+
+
+def dump_source(directory: str, name: str, digest: str, source: str) -> str:
+    """Write generated ``source`` to ``directory`` and return the path.
+
+    The file is named ``<stem>-<digest>.<kind>.py`` (``HW-1a2b3c4d.hwstep.py``):
+    the content digest tells apart modules of different designs that share
+    a name, and the module kind stays the suffix.
+    """
+    os.makedirs(directory, exist_ok=True)
+    stem, dot, kind = name.rpartition(".")
+    stamped = f"{stem}-{digest}.{kind}" if dot else f"{name}-{digest}"
+    path = os.path.join(directory, _SAFE_NAME.sub("_", stamped) + ".py")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(source)
+    return path
 
 
 class _ModuleBuilder:
@@ -352,6 +362,7 @@ class _ModuleBuilder:
         ]
         self.bindings: Dict[str, Any] = {
             "GuardFail": GuardFail,
+            "RawStruct": RawStruct,
             "SimulationError": SimulationError,
             "DoubleWriteError": DoubleWriteError,
             "ElaborationError": ElaborationError,
@@ -677,7 +688,9 @@ class _Lowerer:
                 attr = f"{operand}.{field}"
             else:
                 attr = f"getattr({operand}, {field!r})"
-            return f"({operand}[{field!r}] if isinstance({operand}, dict) else {attr})"
+            return (
+                f"({operand}[{field!r}] if isinstance({operand}, (dict, RawStruct)) else {attr})"
+            )
 
         if isinstance(expr, KernelCall):
             return self._lower_kernel(expr)

@@ -58,6 +58,7 @@ from repro.core.expr import (
     WhenE,
 )
 from repro.core.module import Method, Module, PrimitiveModule, Register, Rule
+from repro.core.types import RawStruct
 
 Store = Dict[Register, Any]
 Updates = Dict[Register, Any]
@@ -174,7 +175,7 @@ class Evaluator:
             value = self.eval_expr(expr.operand, env, read, hooks)
             if isinstance(expr.field, int):
                 return value[expr.field]
-            if isinstance(value, dict):
+            if isinstance(value, (dict, RawStruct)):
                 return value[expr.field]
             return getattr(value, expr.field)
         if isinstance(expr, KernelCall):

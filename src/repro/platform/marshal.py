@@ -37,6 +37,7 @@ from repro.core.fixedpoint import (
     RawFixVector,
     from_wrapped_raw,
 )
+from repro.core.pycodegen import register_source
 from repro.core.types import (
     BCLType,
     BitT,
@@ -44,6 +45,7 @@ from repro.core.types import (
     ComplexT,
     FixPtT,
     IntT,
+    RawStruct,
     StructT,
     UIntT,
     VectorT,
@@ -305,7 +307,9 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
     predicate.  Composite packers are built recursively, with dedicated
     single-loop forms for the frame shapes the transport actually moves:
     ``Vector#(FixPt)``, ``Vector#(Complex#(FixPt))`` (from the raw form, or
-    from boxed elements) and ``Vector#(UInt)``.
+    from boxed elements) and ``Vector#(UInt)``.  Structs have none: a struct
+    layout's generated codec (:func:`_struct_codec`) encodes the raw struct
+    form, and any other struct value takes ``ty.pack``.
     """
     if isinstance(ty, (UIntT, BitT)):
         hi = (1 << ty.n) - 1
@@ -468,27 +472,6 @@ def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
             return bits
 
         return pack_vec
-    if isinstance(ty, StructT):
-        subs = []
-        for fname, fty in ty.fields:
-            sub = _fused_packer(fty)
-            if sub is None:
-                return None
-            subs.append((fname, sub, fty.bit_width()))
-        field_packers = tuple(subs)
-
-        def pack_struct(value: Any) -> int:
-            if value.__class__ is not dict:
-                raise _FastPackMismatch
-            bits = 0
-            try:
-                for fname, sub, fw in field_packers:
-                    bits = (bits << fw) | sub(value[fname])
-            except KeyError:
-                raise _FastPackMismatch from None
-            return bits
-
-        return pack_struct
     return None
 
 
@@ -521,13 +504,15 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
     Unlike packing, decoding needs no fallback: the input is always the
     unsigned payload integer the wire delivered, and the compiled closures
     replicate the reference bit semantics exactly (masking, two's-complement
-    sign extension, vector element order, struct field order).  Vectors of
-    fixed-point and complex elements decode to their raw form
+    sign extension, vector element order).  Vectors of fixed-point and
+    complex elements decode to their raw form
     (:class:`~repro.core.fixedpoint.RawFixVector` /
     :class:`~repro.core.fixedpoint.RawComplexVector`) without boxing an
     element; scalar fixed-point leaves box through
     :func:`~repro.core.fixedpoint.from_wrapped_raw`, skipping the re-wrap of
-    already-wrapped values.
+    already-wrapped values.  Structs keep ``ty.unpack``, which builds the
+    raw struct form without boxing; on the link a struct layout decodes
+    through its generated codec instead (:func:`_struct_codec`).
     """
     if isinstance(ty, (UIntT, BitT)):
         mask = (1 << ty.n) - 1
@@ -589,26 +574,6 @@ def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
         sub = _compile_unpack(elem)
         mask = (1 << w) - 1
         return lambda bits: tuple(sub((bits >> (i * w)) & mask) for i in range(n))
-    if isinstance(ty, StructT):
-        # LSB-first offsets walk the declaration order in reverse; the
-        # decoded dict is built in declared order, like the reference.
-        offsets: Dict[str, int] = {}
-        off = 0
-        for fname, fty in reversed(ty.fields):
-            offsets[fname] = off
-            off += fty.bit_width()
-        entries = tuple(
-            (fname, offsets[fname], (1 << fty.bit_width()) - 1, _compile_unpack(fty))
-            for fname, fty in ty.fields
-        )
-
-        def unpack_struct(bits: int) -> Dict[str, Any]:
-            return {
-                fname: sub((bits >> shift) & mask)
-                for fname, shift, mask, sub in entries
-            }
-
-        return unpack_struct
     return ty.unpack
 
 
@@ -631,13 +596,17 @@ def _word_converters(count: int, width: int) -> Tuple[Callable, Callable]:
     )
 
 
-#: ``(payload, decode)`` of an aligned vector layout (see below).
-_AlignedCodec = Tuple[
-    Callable[[Any], Optional[Tuple[int, ...]]], Callable[[Sequence[int], int], Any]
+#: ``(encode, decode)`` of a layout whose codec skips the big-int payload:
+#: ``encode(header, value)`` is the framed words of a raw-form value of the
+#: layout's type, or ``None`` for any other value (which then takes the
+#: big-int path, with its fallback); ``decode(words, start)`` builds the raw
+#: form from the payload words at ``start``.
+_WordCodec = Tuple[
+    Callable[[int, Any], Optional[Tuple[int, ...]]], Callable[[Sequence[int], int], Any]
 ]
 
 
-def _aligned_vector_codec(ty: BCLType, word_bits: int) -> Optional[_AlignedCodec]:
+def _aligned_vector_codec(ty: VectorT, word_bits: int) -> Optional[_WordCodec]:
     """The word-level codec of an *aligned* vector layout, or ``None``.
 
     A ``Vector#(FixPt)`` whose elements, or a ``Vector#(Complex#(FixPt))``
@@ -645,13 +614,9 @@ def _aligned_vector_codec(ty: BCLType, word_bits: int) -> Optional[_AlignedCodec
     each payload word (a complex element as its imaginary then its real
     word), so on 32- and 64-bit links its raw form converts to and from
     link words without assembling the payload as one big int.  Other
-    layouts keep the big-int path.  Returns ``(payload, decode)``:
-    ``payload(value)`` is the payload words of a raw-form value of exactly
-    this type, or ``None`` for any other value (which then takes the
-    big-int path, with its fallback); ``decode(words, start)`` builds the
-    raw form from the payload words at ``start``.
+    vector layouts keep the big-int path.
     """
-    if not isinstance(ty, VectorT) or word_bits not in _STRUCT_CODES:
+    if word_bits not in _STRUCT_CODES:
         return None
     n = ty.n
     elem = ty.elem
@@ -659,25 +624,25 @@ def _aligned_vector_codec(ty: BCLType, word_bits: int) -> Optional[_AlignedCodec
         ib, fb = elem.int_bits, elem.frac_bits
         to_words, to_raws = _word_converters(n, word_bits)
 
-        def fix_payload(value: Any) -> Optional[Tuple[int, ...]]:
+        def encode_fix(header: int, value: Any) -> Optional[Tuple[int, ...]]:
             if (
                 value.__class__ is RawFixVector
                 and value.int_bits == ib
                 and value.frac_bits == fb
                 and len(value.raws) == n
             ):
-                return to_words(value.raws)
+                return (header, *to_words(value.raws))
             return None
 
         def decode_fix(words: Sequence[int], start: int) -> RawFixVector:
             return RawFixVector(to_raws(words[start : start + n]), ib, fb)
 
-        return fix_payload, decode_fix
+        return encode_fix, decode_fix
     if isinstance(elem, ComplexT) and elem.elem.bit_width() == word_bits:
         ib, fb = elem.elem.int_bits, elem.elem.frac_bits
         to_words, to_raws = _word_converters(2 * n, word_bits)
 
-        def complex_payload(value: Any) -> Optional[Tuple[int, ...]]:
+        def encode_complex(header: int, value: Any) -> Optional[Tuple[int, ...]]:
             if (
                 value.__class__ is RawComplexVector
                 and value.int_bits == ib
@@ -687,15 +652,110 @@ def _aligned_vector_codec(ty: BCLType, word_bits: int) -> Optional[_AlignedCodec
                 interleaved = [0] * (2 * n)
                 interleaved[0::2] = value.im
                 interleaved[1::2] = value.re
-                return to_words(interleaved)
+                return (header, *to_words(interleaved))
             return None
 
         def decode_complex(words: Sequence[int], start: int) -> RawComplexVector:
             raws = to_raws(words[start : start + 2 * n])
             return RawComplexVector(raws[1::2], raws[0::2], ib, fb)
 
-        return complex_payload, decode_complex
+        return encode_complex, decode_complex
     return None
+
+
+def _paren(expr: str) -> str:
+    return expr if expr.isidentifier() else f"({expr})"
+
+
+def _leaf_decode_source(offset: int, width: int, leaf: BCLType, word_bits: int) -> str:
+    """The expression reading one leaf's raw from the payload words ``w<j>``:
+    shift and OR its pieces together, mask, then sign-extend a FixPt or Int
+    leaf, or compare a Bool leaf to 1."""
+    pieces = []
+    taken = 0
+    while taken < width:
+        word, shift = divmod(offset + taken, word_bits)
+        piece = f"w{word} >> {shift}" if shift else f"w{word}"
+        pieces.append(f"{_paren(piece)} << {taken}" if taken else piece)
+        taken += word_bits - shift
+    expr = " | ".join(pieces if len(pieces) == 1 else map(_paren, pieces))
+    if taken != width:  # the leaf ends below the top of its last word
+        expr = f"{_paren(expr)} & {(1 << width) - 1:#x}"
+    if isinstance(leaf, BoolT):
+        return f"{_paren(expr)} == 1"
+    if isinstance(leaf, (FixPtT, IntT)):
+        sign = 1 << (width - 1)
+        return f"({_paren(expr)} ^ {sign:#x}) - {sign:#x}"
+    return expr
+
+
+def _word_encode_sources(leaves: Sequence[Tuple[int, int]], n_words: int, word_bits: int) -> List[str]:
+    """The expression of every payload word: the OR of the pieces of the
+    leaf raws ``r<i>`` (bit offset and width in ``leaves``) that land in it."""
+    pieces: List[List[str]] = [[] for _ in range(n_words)]
+    for i, (offset, width) in enumerate(leaves):
+        taken = 0
+        while taken < width:
+            word, shift = divmod(offset + taken, word_bits)
+            bits = min(width - taken, word_bits - shift)
+            raw = f"(r{i} >> {taken})" if taken else f"r{i}"
+            piece = f"({raw} & {(1 << bits) - 1:#x})"
+            pieces[word].append(f"{piece} << {shift}" if shift else piece)
+            taken += bits
+    return [" | ".join(word) for word in pieces]
+
+
+def _struct_codec(ty: StructT, word_bits: int) -> _WordCodec:
+    """Generate and compile the straight-line codec of a struct layout.
+
+    The leaf positions are the struct's own leaf table
+    (:attr:`~repro.core.types.StructT.leaves`, raw struct order, LSB-first
+    payload offsets).  ``decode`` reads every leaf from its payload word or
+    words (shift, mask, sign) straight into a
+    :class:`~repro.core.types.RawStruct`; ``encode`` writes a raw struct's
+    leaves into the framed words and returns ``None`` for any other value.
+    Neither boxes.  The text is compiled here -- once per layout, which
+    :func:`layout_for` caches -- and made debuggable like the generated
+    modules (:func:`repro.core.pycodegen.register_source`).
+    """
+    wb = word_bits
+    n = words_for(ty, wb)
+    leaves = [(off, leaf.bit_width()) for leaf, off in ty.leaves]
+    words = ", ".join(f"w{j}" for j in range(n))
+    raws = ", ".join(f"r{i}" for i in range(len(leaves))) + ("," if len(leaves) == 1 else "")
+    lines = [
+        f"# generated by repro.platform.marshal -- codec of struct {ty.name} on {wb}-bit links",
+        "",
+        "def decode(words, start):",
+        f"    {words} = words[start:start + {n}]" if n > 1 else "    w0 = words[start]",
+        "    return RawStruct(_T, (",
+        *(
+            f"        {_leaf_decode_source(off, leaf.bit_width(), leaf, wb)},"
+            for leaf, off in ty.leaves
+        ),
+        "    ))",
+        "",
+        "",
+        "def encode(header, value):",
+        "    if value.__class__ is not RawStruct or (value.ty is not _T and value.ty != _T):",
+        "        return None",
+        f"    {raws} = value.raws",
+        "    return (",
+        "        header,",
+        *(f"        {word}," for word in _word_encode_sources(leaves, n, wb)),
+        "    )",
+        "",
+    ]
+    source = "\n".join(lines)
+    name = f"{ty.name}.w{wb}.codec"
+    _, filename = register_source(name, source)
+    namespace: Dict[str, Any] = {
+        "__name__": f"repro.generated.{name}",
+        "RawStruct": RawStruct,
+        "_T": ty,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["encode"], namespace["decode"]
 
 
 class MessageLayout:
@@ -706,6 +766,9 @@ class MessageLayout:
     the canonical packing, and closure-compiled encoders/decoders for the
     simulation dataplane.  One ``MessageLayout`` per ``(type, word width)``
     pair -- the invariant that makes the generated interfaces trustworthy.
+    Aligned vector layouts and struct layouts also have a word codec that
+    converts their raw form to and from link words without boxing
+    (:func:`_aligned_vector_codec`, :func:`_struct_codec`).
     """
 
     __slots__ = (
@@ -715,7 +778,7 @@ class MessageLayout:
         "payload_words",
         "message_words",
         "fields",
-        "_aligned",
+        "_codec",
         "_decoder",
     )
 
@@ -736,7 +799,11 @@ class MessageLayout:
         self.fields: Tuple[FieldSlice, ...] = tuple(
             sorted(leaves, key=lambda f: f.bit_offset)
         )
-        self._aligned = _aligned_vector_codec(ty, word_bits)
+        self._codec: Optional[_WordCodec] = None
+        if isinstance(ty, StructT):
+            self._codec = _struct_codec(ty, word_bits)
+        elif isinstance(ty, VectorT):
+            self._codec = _aligned_vector_codec(ty, word_bits)
         self._decoder: Optional[Callable[[Sequence[int], int], Any]] = None
 
     def __repr__(self) -> str:
@@ -791,8 +858,8 @@ class MessageLayout:
         (header first, payload least-significant-word first).  Constants --
         the header word, the payload word count, the word mask -- are
         resolved now, so the per-message work is one ``pack`` plus the word
-        split, or, on an aligned vector layout given the raw form, one
-        conversion of the raw ints to words.
+        split, or, given the raw form of a layout with a word codec, that
+        codec's conversion of the raw ints to words.
         """
         return self._framed_encoder(vc_id)
 
@@ -819,18 +886,18 @@ class MessageLayout:
                     bits >>= wb
                 return tuple(words)
 
-        if self._aligned is None:
+        if self._codec is None:
             return encode
-        payload, _ = self._aligned
+        encode_raw, _ = self._codec
         big_int = encode
 
-        def encode_aligned(value: Any) -> Tuple[int, ...]:
-            words = payload(value)
+        def encode_raw_form(value: Any) -> Tuple[int, ...]:
+            words = encode_raw(header, value)
             if words is None:
                 return big_int(value)
-            return (header, *words)
+            return words
 
-        return encode_aligned
+        return encode_raw_form
 
     def batch_encoder(self, vc_id: int) -> Callable[[Sequence[Any]], List[int]]:
         """Compile the batched framed-message encoder of one virtual channel.
@@ -841,17 +908,17 @@ class MessageLayout:
         channel's message length is fixed by its type, the caller can
         derive every per-message bound arithmetically.
         """
-        if self._aligned is not None:
+        if self._codec is not None:
             encode = self._framed_encoder(vc_id)
 
-            def encode_aligned_batch(values: Sequence[Any]) -> List[int]:
+            def encode_raw_batch(values: Sequence[Any]) -> List[int]:
                 out: List[int] = []
                 extend = out.extend
                 for value in values:
                     extend(encode(value))
                 return out
 
-            return encode_aligned_batch
+            return encode_raw_batch
 
         header = self.header_word(vc_id)
         pack = _compile_pack(self.ty)
@@ -889,14 +956,14 @@ class MessageLayout:
 
         The returned closure reads ``payload_words`` words from ``words``
         starting at ``start`` -- index-based, so the transport dataplane
-        decodes straight out of its flat word ring without slicing.  An
-        aligned vector layout builds the raw form word by word; others
+        decodes straight out of its flat word ring without slicing.  A
+        layout with a word codec builds the raw form from the words; others
         assemble the payload integer and unpack it.
         """
         if self._decoder is not None:
             return self._decoder
-        if self._aligned is not None:
-            _, decode = self._aligned
+        if self._codec is not None:
+            _, decode = self._codec
         elif self.payload_words == 1:
             unpack = _compile_unpack(self.ty)
             decode = lambda words, start: unpack(words[start])
@@ -920,16 +987,16 @@ class MessageLayout:
         first) decode to a list of values in one call -- the batched
         hardware-side delivery path."""
         stride = self.message_words
-        if self._aligned is not None:
-            _, decode = self._aligned
+        if self._codec is not None:
+            _, decode = self._codec
 
-            def decode_aligned_run(words: Sequence[int], start: int, count: int) -> List[Any]:
+            def decode_raw_run(words: Sequence[int], start: int, count: int) -> List[Any]:
                 return [
                     decode(words, base)
                     for base in range(start + 1, start + 1 + count * stride, stride)
                 ]
 
-            return decode_aligned_run
+            return decode_raw_run
 
         unpack = _compile_unpack(self.ty)
         if self.payload_words == 1:

@@ -31,7 +31,7 @@ from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
 from repro.core.optimize import OptimizationConfig
 from repro.core.primitives import Fifo, RegFile
-from repro.core.types import BoolT, UIntT
+from repro.core.types import BoolT, OpaqueT, RawStruct, StructT, UIntT
 from repro.platform.platform import Platform
 from repro.sim.cosim import Cosimulator
 from repro.sim.costmodel import SwCostAccumulator
@@ -58,6 +58,12 @@ def build_fifo_pipeline():
         par(total.write(BinOp("+", RegRead(total), fifo.value("first"))), fifo.call("deq")),
     )
     return Design(top, name="fifo_pipeline")
+
+
+#: A struct whose raw form the kitchen sink's field selects read.
+NESTED_PAIR_T = StructT(
+    "Outer", [("tag", UIntT(16)), ("pair", StructT("Pair", [("lo", UIntT(2)), ("hi", UIntT(2))]))]
+)
 
 
 def build_kitchen_sink():
@@ -135,11 +141,25 @@ def build_kitchen_sink():
             max_iterations=64,
         ).when(BinOp("==", RegRead(i), Const(5))),
     )
+    # Field selects on both struct value forms: a dict and a raw struct.
     top.add_rule(
         "call_helper",
-        helper.call("bump", FieldSelect(KernelCall(
-            "pair", lambda a: {"lo": a & 0xF, "hi": a >> 4}, [RegRead(acc)], 2, 1
-        ), "lo")).when(BinOp(">", RegRead(i), Const(2))),
+        helper.call(
+            "bump",
+            BinOp(
+                "+",
+                FieldSelect(KernelCall(
+                    "pair", lambda a: {"lo": a & 0xF, "hi": a >> 4}, [RegRead(acc)], 2, 1
+                ), "lo"),
+                FieldSelect(FieldSelect(KernelCall(
+                    "raw_pair",
+                    lambda a: RawStruct(NESTED_PAIR_T, (a & 0xFFFF, a & 0x3, (a >> 2) & 0x3)),
+                    [RegRead(acc)],
+                    2,
+                    1,
+                ), "pair"), "hi"),
+            ),
+        ).when(BinOp(">", RegRead(i), Const(2))),
     )
     top.add_rule(
         "use_value_method",
@@ -185,6 +205,34 @@ class TestSimulatorEquivalence:
             sim.run(500)
             results[backend] = final_state(sim)
         assert results["source"] == results["interp"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_field_select_reads_raw_structs(self, backend):
+        """A field select on a raw struct reads the field by name: a leaf
+        raw, or a raw struct over a nested struct's slice."""
+        top = Module("top")
+        value = RawStruct(NESTED_PAIR_T, (40000, 2, 3))
+        src = top.add_register("src", OpaqueT(value))
+        out = top.add_register("out", UIntT(32), 0)
+        inner = top.add_register("inner", OpaqueT(None))
+        top.add_rule(
+            "select",
+            par(
+                out.write(
+                    BinOp(
+                        "+",
+                        FieldSelect(RegRead(src), "tag"),
+                        FieldSelect(FieldSelect(RegRead(src), "pair"), "hi"),
+                    )
+                ),
+                inner.write(FieldSelect(RegRead(src), "pair")),
+            ).when(BinOp("==", RegRead(out), Const(0))),
+        )
+        sim = Simulator(Design(top), backend=backend)
+        assert sim.run(5) == 1
+        assert sim.read(out) == 40003
+        assert sim.read(inner) == {"lo": 2, "hi": 3}
+        assert type(sim.read(inner)) is RawStruct
 
     def test_quiescence_and_wakeup(self):
         """Dirty-set sleeping must not miss a test-bench poke."""
@@ -250,6 +298,25 @@ class TestCosimEquivalence:
         )
         results = {b: _cosim_result(workload, b) for b in BACKENDS}
         assert asdict(results["source"]) == asdict(results["interp"])
+
+    @pytest.mark.parametrize("letter", ["B", "D"])
+    def test_raytracer_single_triangle_leaves(self, letter):
+        """At ``leaf_size=1`` LeafData and GeomReq carry a Vector#(1, Triangle)
+        across the links; both backends render the reference image."""
+        from repro.apps.raytracer import partitions as rp
+        from repro.apps.raytracer.params import RayTracerParams
+        from repro.apps.raytracer.reference import render
+
+        params = RayTracerParams(n_triangles=24, image_width=4, image_height=4, leaf_size=1)
+        workload = rp.build_partition(letter, params)
+        results, checksums = {}, {}
+        for backend in BACKENDS:
+            cosim = Cosimulator(workload.design, config=OptimizationConfig.all(), backend=backend)
+            results[backend] = cosim.run(workload.cosim_done, max_cycles=500_000_000)
+            checksums[backend] = cosim.read_sw(workload.checksum)
+        assert asdict(results["source"]) == asdict(results["interp"])
+        assert results["source"].channel_words > 0
+        assert checksums["source"] == checksums["interp"] == render(params).checksum
 
     @pytest.mark.parametrize(
         "config",

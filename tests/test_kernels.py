@@ -312,6 +312,119 @@ class TestGeometryRawKernels:
             assert got == want
 
 
+def _boxed(value):
+    """``value`` with every raw struct and raw vector in it boxed: the dict
+    form of a struct, a tuple of ``FixedPoint`` for a vector."""
+    from repro.core.fixedpoint import RawComplexVector, RawFixVector
+    from repro.core.types import RawStruct
+
+    if type(value) is RawStruct:
+        return {name: _boxed(field) for name, field in value.items()}
+    if type(value) in (RawFixVector, RawComplexVector):
+        return tuple(value)
+    if type(value) is tuple:
+        return tuple(map(_boxed, value))
+    return value
+
+
+class TestRaytracerStructKernels:
+    """The design's struct-valued kernels on random raw inputs.  Each
+    returns the same value for the raw and the dict form of its inputs, a
+    RawStruct where it builds a struct; process_node and intersect_leaf,
+    whose fixed-point work runs over raw ints, also match the oracle's
+    FixedPoint code."""
+
+    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "oracle"])
+    def test_raw_kernels_match_oracle_on_random_raw_inputs(self, backend):
+        from repro.analysis.purity import design_kernels
+        from repro.apps.raytracer import partitions as rp
+        from repro.apps.raytracer.params import RayTracerParams
+        from repro.core.types import RawStruct
+
+        params = RayTracerParams(n_triangles=24, image_width=4, image_height=4)
+        workload = rp.build_partition("B", params)
+        fns = {name: fn for name, fn in design_kernels(workload.design)}
+        types = geometry.struct_types(params.int_bits, params.frac_bits, params.leaf_size)
+        tree = workload.bvh
+        rng = random.Random(backend)
+
+        def rand(name):
+            ty = types[name]
+            return ty.unpack(rng.getrandbits(ty.bit_width()))
+
+        def camera(pixel):
+            return types["ray"].raw(geometry.camera_ray(pixel, 4, 4))
+
+        # Camera rays and the scene triangle each one hits first.
+        targets = []
+        for pixel in range(params.n_rays):
+            found, _, tri_index = bvh.traverse_oracle(tree, camera(pixel))
+            if found:
+                targets.append((pixel, tri_index))
+        assert targets
+
+        def ray_and_leaf():
+            """A ray and a leaf bundle: one that hits, a camera ray against a
+            scene leaf, or random raws."""
+            mode = rng.random()
+            if mode < 0.4:
+                pixel, start = rng.choice(targets)
+                the_ray = camera(pixel)
+            else:
+                the_ray = camera(rng.randrange(params.n_rays)) if mode < 0.7 else rand("ray")
+                start = rng.randrange(len(tree.triangles))
+            tris = [
+                tree.triangles[(start + k) % len(tree.triangles)]
+                if rng.random() < 0.8
+                else rand("triangle")
+                for k in range(params.leaf_size)
+            ]
+            return the_ray, start, rng.randrange(1, params.leaf_size + 1), tris
+
+        struct_results = {
+            "ray_gen", "make_mem_req", "make_bundle", "make_geom_req",
+            "intersect_leaf", "better_hit", "make_result", "shade_color",
+        }
+        hits = 0
+        for _ in range(150):
+            the_ray, start, count, tris = ray_and_leaf()
+            data = RawStruct(
+                types["leaf_data"], sum((t.raws for t in tris), ()) + (count, start)
+            )
+            request = RawStruct(types["geom_req"], the_ray.raws + data.raws)
+            node = rng.choice(tree.nodes) if rng.random() < 0.5 else rand("node")
+            cases = [
+                ("ray_gen", (rng.randrange(params.n_rays),)),
+                ("make_mem_req", (rng.randrange(1 << 16),)),
+                ("process_node", (the_ray, node, (3, 1))),
+                ("make_bundle", (start, count, *tris)),
+                ("make_geom_req", (the_ray, data)),
+                ("intersect_leaf", (request,)),
+                ("better_hit", (rand("hit"), rand("hit"))),
+                ("make_result", (the_ray, rand("hit"))),
+                ("shade_color", (rand("hit"),)),
+                ("fold_checksum", (rng.getrandbits(32), rand("color"))),
+            ]
+            for name, args in cases:
+                with kc.kernel_backend_override(backend):
+                    got = fns[name](*args)
+                    from_dicts = fns[name](*map(_boxed, args))
+                assert from_dicts == got, name
+                assert repr(from_dicts) == repr(got), name
+                if name in ("process_node", "intersect_leaf"):
+                    with kc.kernel_backend_override("oracle"):
+                        want = fns[name](*args)
+                    assert got == want, name
+                    assert repr(got) == repr(want), name
+                if name in struct_results:
+                    assert type(got) is RawStruct, name
+                if name == "process_node":
+                    assert type(got["leaf_req"]) is RawStruct
+                if name == "intersect_leaf":
+                    hits += got["hit"]
+        assert hits > 10, hits
+
+
 # --------------------------------------------------------------------------
 # system level: CosimResults are backend-independent
 # --------------------------------------------------------------------------

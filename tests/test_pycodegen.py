@@ -37,7 +37,8 @@ from repro.core.expr import BinOp, Const, KernelCall, RegRead, UnOp
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
 from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend, generate_rule_execs
-from repro.core.types import UIntT
+from repro.core.types import StructT, UIntT
+from repro.platform import marshal
 from repro.platform.platform import Platform
 from repro.sim.cosim import CosimFabric, Cosimulator, ThresholdDone
 from repro.sim.costmodel import SwCostAccumulator
@@ -310,8 +311,16 @@ class TestShapeOnlyText:
             compiled.append(len(source))
             return compile(source, *args, **kwargs)
 
+        codec_texts = []
+
+        def counting_codec_compile(source, *args, **kwargs):
+            codec_texts.append(source)
+            return compile(source, *args, **kwargs)
+
         monkeypatch.setattr(pycodegen, "_CODE_CACHE", {})
         monkeypatch.setattr(pycodegen, "compile", counting_compile, raising=False)
+        monkeypatch.setattr(marshal, "_LAYOUT_CACHE", {})
+        monkeypatch.setattr(marshal, "compile", counting_codec_compile, raising=False)
         fabrics = [
             CosimFabric(builder(letter, params).design, backend="source")
             for builder, letter, params in SWEEP_DESIGNS
@@ -347,6 +356,14 @@ class TestShapeOnlyText:
 
         assert len(compiled) <= 60
         assert sum(compiled) <= 130_000
+
+        # The link codecs are compiled apart from the generated modules:
+        # one text per struct layout, the ray tracer's eight channel types.
+        struct_layouts = [
+            layout for layout in marshal._LAYOUT_CACHE.values() if isinstance(layout.ty, StructT)
+        ]
+        assert len(codec_texts) == len(struct_layouts) == 8
+        assert len(set(codec_texts)) == 8
 
 
 class TestPrivateCode:

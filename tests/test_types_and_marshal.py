@@ -13,11 +13,13 @@ from repro.core.types import (
     FixPtT,
     IntT,
     OpaqueT,
+    RawStruct,
     StructT,
     UIntT,
     VectorT,
     words_for,
 )
+from repro.apps.raytracer import geometry
 from repro.platform import marshal
 
 
@@ -108,6 +110,14 @@ class TestCompositeTypes:
         with pytest.raises(TypeCheckError):
             t.pack({"a": 1})
 
+    def test_struct_extra_field(self):
+        """A value with undeclared fields would cross a link and come back
+        as a different value; packing it is an error naming the fields."""
+        t = StructT("Pair", [("a", UIntT(8)), ("b", IntT(8))])
+        with pytest.raises(TypeCheckError, match=r"unexpected fields \['junk'\]"):
+            t.pack({"a": 1, "b": 2, "junk": 7})
+        assert not t.accepts({"a": 1, "b": 2, "junk": 7})
+
     def test_struct_duplicate_fields_rejected(self):
         with pytest.raises(TypeCheckError):
             StructT("Bad", [("a", UIntT(8)), ("a", UIntT(8))])
@@ -121,6 +131,125 @@ class TestCompositeTypes:
         }
         assert tri.unpack(tri.pack(value)) == value
         assert tri.bit_width() == 9 * 32
+
+    #: A struct with every leaf kind, nested structs and vectors of them.
+    MIX = StructT(
+        "Mix",
+        [
+            ("flag", BoolT()),
+            ("t", FixPtT(16, 16)),
+            ("z", ComplexT(FixPtT(4, 4))),
+            ("inner", StructT("Inner", [("x", IntT(5)), ("y", UIntT(3)), ("b", BitT(2))])),
+            ("v", VectorT(3, FixPtT(4, 4))),
+            ("pts", VectorT(2, StructT("P", [("p", BoolT()), ("q", FixPtT(8, 8))]))),
+        ],
+    )
+
+    def test_struct_unpacks_to_the_raw_struct_form(self):
+        """``unpack`` returns a RawStruct: a flat tuple of leaf raws in
+        declaration order that reads, compares and prints like the dict of
+        boxed fields, and packs back to the same bits."""
+        t = self.MIX
+        bits = t.pack(
+            {
+                "flag": True,
+                "t": FixedPoint.from_float(-2.5, 16, 16),
+                "z": FixComplex.from_floats(1.5, -0.25, 4, 4),
+                "inner": {"x": -3, "y": 5, "b": 2},
+                "v": tuple(FixedPoint.from_float(f, 4, 4) for f in (0.5, -1.0, 7.0)),
+                "pts": (
+                    {"p": False, "q": FixedPoint.from_float(-1.5, 8, 8)},
+                    {"p": True, "q": FixedPoint.from_float(3.0, 8, 8)},
+                ),
+            }
+        )
+        value = t.unpack(bits)
+        assert type(value) is RawStruct and value.ty is t
+        assert value.raws == (True, -163840, 24, -4, -3, 5, 2, 8, -16, 112, False, -384, True, 768)
+        # LSB-first payload offsets: the first field is the most significant,
+        # a vector's element 0 the least.
+        assert [off for _, off in t.leaves] == [
+            116, 84, 76, 68, 63, 60, 58, 34, 42, 50, 16, 0, 33, 17,
+        ]
+        assert t.pack(value) == bits
+        assert type(value["inner"]) is RawStruct and value["inner"].raws == (-3, 5, 2)
+        assert type(value["v"]) is RawFixVector
+        assert type(value["pts"]) is tuple and value["pts"][1].raws == (True, 768)
+        assert value["z"] == FixComplex.from_floats(1.5, -0.25, 4, 4)
+        assert value["flag"] is True
+
+    def test_raw_struct_value_contract(self):
+        """``==`` and ``repr`` agree with the dict form, the value pickles,
+        and it is immutable."""
+        import pickle
+
+        from repro.apps.raytracer import geometry
+
+        ray_t = geometry.struct_types()["ray"]
+        boxed = geometry.camera_ray(5, 4, 4)
+        value = ray_t.raw(boxed)
+        for left, right in ((value, boxed), (boxed, value)):
+            assert left == right and not left != right
+        assert repr(value) == repr(boxed)
+        assert dict(value) == boxed and list(value) == ["origin", "dir", "pixel"]
+        changed = dict(boxed, pixel=6)
+        assert value != changed and changed != value
+        assert value != ray_t.raw(changed)
+        clone = pickle.loads(pickle.dumps(value))
+        assert clone == value and clone.ty == ray_t and clone.raws == value.raws
+        with pytest.raises(TypeError):
+            value["pixel"] = 6
+        with pytest.raises(AttributeError):
+            value.raws = ()
+        with pytest.raises(AttributeError):
+            del value.ty
+        with pytest.raises(TypeError):
+            hash(value)  # unhashable, like the dict form
+        # Another struct type's raw struct compares through the dict form.
+        twin = StructT("RayTwin", ray_t.fields)
+        assert RawStruct(twin, value.raws) == value
+        assert ray_t.raw(value) is value
+        assert ray_t.raw(RawStruct(StructT(ray_t.name, ray_t.fields), value.raws)).ty is ray_t
+
+    def test_raw_struct_boxes_on_demand_through_from_wrapped_raw(self, monkeypatch):
+        """Item access boxes a FixPt leaf through the module-global
+        ``from_wrapped_raw`` (so rebinding it counts every box); struct and
+        leaf accessors, pack, unpack and the link codec never box."""
+        from repro.core import types
+
+        boxed = []
+        original = types.from_wrapped_raw
+
+        def counting(raw, int_bits, frac_bits):
+            boxed.append(raw)
+            return original(raw, int_bits, frac_bits)
+
+        monkeypatch.setattr(types, "from_wrapped_raw", counting)
+        t = self.MIX
+        value = t.unpack((1 << t.bit_width()) - 12345)
+        layout = marshal.layout_for(t, 32)
+        words = layout.encoder(1)(value)
+        assert layout.decoder()(words, 1).raws == value.raws
+        assert t.pack(value) == (1 << t.bit_width()) - 12345
+        assert t.accessor("t")(value) == value.raws[1]
+        assert t.accessor("inner.x")(value) == value.raws[4]
+        assert t.accessor("pts")(value) == value.raws[10:]
+        inner = value["inner"]
+        assert inner["x"] == value.raws[4] and not boxed
+        assert value["t"].raw == value.raws[1]
+        assert boxed == [value.raws[1]]
+        value["z"]
+        assert boxed == [value.raws[1], value.raws[2], value.raws[3]]
+
+    def test_struct_accessor_reads_dict_values_too(self):
+        t = self.MIX
+        value = t.unpack(0x5A5A5A5A5A5A5A5A5A5A5A5A & ((1 << t.bit_width()) - 1))
+        as_dict = {name: value[name] for name in value}
+        for field in ("flag", "t", "z", "inner", "inner.y", "v", "pts"):
+            read = t.accessor(field)
+            assert read(as_dict) == read(value)
+        with pytest.raises(TypeCheckError):
+            t.accessor("nope")
 
     def test_struct_field_type_lookup(self):
         t = StructT("Pair", [("a", UIntT(8)), ("b", IntT(8))])
@@ -293,7 +422,7 @@ class TestMarshaling:
         if word_bits < marshal.VC_ID_BITS + marshal.LENGTH_BITS:
             return  # no header fits: 16-bit links have no layout
         layout = marshal.layout_for(t, word_bits)
-        assert (layout._aligned is not None) == (word_bits == fix.bit_width())
+        assert (layout._codec is not None) == (word_bits == fix.bit_width())
         framed = marshal.marshal_message(1, t, value, word_bits)
         assert list(layout.encoder(1)(value)) == framed
         assert layout.batch_encoder(1)([value, tuple(value)]) == framed + framed
@@ -410,6 +539,22 @@ class TestMessageLayout:
             (1, 0, 16, 32),
         ]
 
+    def test_struct_codec_text_is_debuggable(self, monkeypatch, tmp_path):
+        """A struct layout's generated codec is registered with linecache
+        and written to ``$REPRO_DUMP_SOURCE``, like a generated module."""
+        import linecache
+
+        monkeypatch.setenv("REPRO_DUMP_SOURCE", str(tmp_path))
+        t = StructT("DumpedPair", [("flag", BoolT()), ("t", FixPtT(16, 16))])
+        layout = marshal.layout_for(t, 32)
+        encode, decode = layout._codec
+        filename = decode.__code__.co_filename
+        assert encode.__code__.co_filename == filename
+        (dumped,) = tmp_path.glob("DumpedPair.w32-*.codec.py")
+        source = dumped.read_text()
+        assert linecache.getlines(filename) == source.splitlines(True)
+        assert "def decode(words, start):" in source and "from_wrapped_raw" not in source
+
     def test_compiled_pack_fast_path_keeps_reference_errors(self):
         layout = marshal.layout_for(UIntT(8), 32)
         encode = layout.encoder(0)
@@ -456,6 +601,15 @@ class TestFusedPackUnpack:
                 ("inner", StructT("Inner", [("x", IntT(5)), ("y", UIntT(3))])),
             ],
         ),
+        # One-element vectors: of a struct, inside a vector, of a scalar.
+        StructT(
+            "Singles",
+            [
+                ("one", VectorT(1, StructT("P", [("p", BoolT()), ("q", FixPtT(8, 8))]))),
+                ("nest", VectorT(2, VectorT(1, FixPtT(4, 4)))),
+                ("n", VectorT(1, UIntT(3))),
+            ],
+        ),
     ]
 
     @staticmethod
@@ -492,7 +646,55 @@ class TestFusedPackUnpack:
             return value
         assert isinstance(ty, StructT)
         make = TestFusedPackUnpack._random_value
-        return {f: make(rng, t) for f, t in ty.fields}
+        value = {f: make(rng, t) for f, t in ty.fields}
+        # Half of the structs come in their raw form.
+        return ty.raw(value) if rng.random() < 0.5 else value
+
+    #: The ray tracer's struct layouts: nested structs (GeomReq holds a Ray
+    #: and LeafData's vector of triangles), and BvhNode, whose 1-bit
+    #: ``is_leaf`` at payload bit 64 makes all six box leaves straddle words.
+    RAY_STRUCTS = {
+        name: geometry.struct_types()[name]
+        for name in ("ray", "node", "leaf_data", "geom_req", "hit", "color", "mem_req")
+    }
+
+    @pytest.mark.parametrize("word_bits", [32, 64])
+    @pytest.mark.parametrize(
+        "ty",
+        [pytest.param(ty, id=ty.name) for ty in RAY_STRUCTS.values()]
+        + [
+            pytest.param(ty, id=name)
+            for ty, name in zip(TYPES[-3:], ("vector_fields", "Mix", "Singles"))
+        ],
+    )
+    def test_struct_codec_matches_reference(self, ty, word_bits):
+        """A struct layout's generated codec puts the reference's words on
+        the link for raw-form and dict-form values alike, and decodes them
+        straight into the raw struct form."""
+        import random
+
+        rng = random.Random(f"{ty.name}/{word_bits}")
+        layout = marshal.layout_for(ty, word_bits)
+        # The leaf table and the layout's field slices place the same bits.
+        slices = [
+            (f.bit_offset + k * f.stride, f.bit_width) for f in layout.fields for k in range(f.count)
+        ]
+        assert sorted((off, leaf.bit_width()) for leaf, off in ty.leaves) == sorted(slices)
+        encode, decode = layout.encoder(3), layout.decoder()
+        batch, run = layout.batch_encoder(3), layout.run_decoder()
+        for _ in range(100):
+            value = self._random_value(rng, ty)
+            canonical = ty.unpack(ty.pack(value))
+            framed = marshal.marshal_message(3, ty, value, word_bits)
+            assert list(encode(value)) == framed
+            assert list(encode(canonical)) == framed
+            assert list(encode(dict(canonical))) == framed
+            decoded = decode(framed, 1)
+            assert type(decoded) is RawStruct and decoded.ty is layout.ty
+            assert decoded.raws == canonical.raws and decoded == value
+            flat = batch([value, canonical])
+            assert flat == framed + framed
+            assert run([0] + flat, 1, 2) == [canonical, canonical]
 
     @pytest.mark.parametrize("ty", TYPES, ids=repr)
     def test_fused_matches_reference_on_random_values(self, ty):
@@ -546,9 +748,22 @@ class TestFusedPackUnpack:
             (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), {"a": 1}),
             (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), [1, 2]),
             (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), {"a": 1, "b": 99}),
+            (StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]), {"a": 1, "b": 2, "junk": 7}),
+            (
+                StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]),
+                RawStruct(StructT("T", [("a", UIntT(4))]), (1,)),
+            ),
+            (
+                StructT("S", [("a", UIntT(4)), ("b", UIntT(4))]),
+                RawStruct(StructT("T", [("a", UIntT(4)), ("b", IntT(8))]), (1, -2)),
+            ),
         ],
     )
     def test_fused_fallback_reproduces_reference_errors(self, ty, value):
+        """The fused packer and every link codec (the fused one, an aligned
+        vector's, a struct's generated one) hand a value they do not take
+        to ``ty.pack``, so the error is the reference's."""
+
         def outcome(fn):
             try:
                 fn(value)
@@ -559,6 +774,10 @@ class TestFusedPackUnpack:
         reference = outcome(ty.pack)
         assert reference is not None
         assert outcome(marshal._compile_pack(ty)) == reference
+        for word_bits in (32, 64):
+            layout = marshal.layout_for(ty, word_bits)
+            assert outcome(layout.encoder(0)) == reference
+            assert outcome(lambda v: layout.batch_encoder(0)([v])) == reference
 
     def test_legal_values_the_fast_predicate_rejects_still_pack(self):
         """A FixedPoint subclass passes the reference isinstance check but

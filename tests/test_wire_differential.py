@@ -44,6 +44,7 @@ from repro.codegen.interface import (
 )
 from repro.core.domains import SW
 from repro.core.partition import partition_design
+from repro.core.types import RawStruct, StructT
 from repro.platform.marshal import layout_for, marshal_message, wire_header
 from repro.sim.cosim import CosimFabric
 
@@ -61,18 +62,32 @@ def sample_values(ty):
     """Representative elements of ``ty``: default, all-zeros/ones, bit stripes.
 
     Built through ``ty.unpack`` so every sample is canonical by
-    construction (packing it reproduces the exact source bits).
+    construction (packing it reproduces the exact source bits).  A struct's
+    samples come in its raw form (what ``unpack`` returns) and again as the
+    dict of boxed fields, which must put the same words on the link.
     """
     width = ty.bit_width()
     mask = (1 << width) - 1
     stripes = int("5" * ((width + 3) // 4), 16) & mask
-    return [
+    samples = [
         ty.default(),
         ty.unpack(0),
         ty.unpack(mask),
         ty.unpack(stripes),
         ty.unpack(stripes << 1 & mask),
     ]
+    if isinstance(ty, StructT):
+        samples += [boxed(value) for value in samples[1:]]
+    return samples
+
+
+def boxed(value):
+    """The dict-of-boxed-fields form of a raw struct (nested ones included)."""
+    if isinstance(value, RawStruct):
+        return {name: boxed(field) for name, field in value.items()}
+    if type(value) is tuple:
+        return tuple(boxed(item) for item in value)
+    return value
 
 
 def push_one(fabric, route, value, now=0.0):
@@ -215,11 +230,15 @@ def test_generated_artifacts_encode_the_simulators_bytes(name, builder, letter, 
     marshal_sources = {dom: generate_sw_marshal_source(spec, dom) for dom in spec.sw_domains}
 
     clock = 0.0
+    checks = []
     for ch in spec.channels:
+        samples = sample_values(routes_by_sync[ch.name][0].ty)
+        # A struct channel is checked from the raw form and the dict form.
+        checks += [(ch, samples[3])] + ([(ch, samples[7])] if len(samples) > 5 else [])
+    for ch, value in checks:
         route = routes_by_sync[ch.name]
         sync, vc = route[0], route[1]
         link = spec.link(ch.producer, ch.consumer)
-        value = sample_values(sync.ty)[3]
         wire = push_one(fabric, route, value, now=clock)
         clock += 1e6
         drain_one(fabric, route, now=clock)
