@@ -10,6 +10,9 @@ together by two synchronizing FIFOs.  It then
 3. co-simulates the partitioned system on the ML507 platform model and
    reports execution time in FPGA cycles.
 
+Both runs must deliver the sum of the squares; the script exits non-zero
+when either total is wrong or the co-simulation does not complete.
+
 Run with:  python examples/quickstart.py
 """
 
@@ -26,6 +29,8 @@ from repro.platform.platform import Platform
 from repro.sim.cosim import Cosimulator
 
 N_ITEMS = 16
+#: The sum of the squares of the produced items.
+EXPECTED_TOTAL = sum(i * i for i in range(N_ITEMS))
 
 
 def build_design():
@@ -72,8 +77,7 @@ def main():
     # 1. Reference semantics: one rule at a time, no timing.
     sim = Simulator(design)
     sim.run(10_000)
-    print(f"[reference simulator] total = {sim.read(total)} "
-          f"(expected {sum(i * i for i in range(N_ITEMS))})")
+    print(f"[reference simulator] total = {sim.read(total)} (expected {EXPECTED_TOTAL})")
 
     # 2. Partition by domain and show the automatically generated interface.
     partitioning = partition_design(design, default_domain=SW)
@@ -91,6 +95,19 @@ def main():
           f"{result.channel_messages} channel messages, "
           f"software busy {result.sw_busy_fpga_cycles:.0f} cycles")
     print(f"[co-simulation] total = {cosim.read_sw(total2)}")
+
+    failures = [
+        f"{where} total is {value}, expected {EXPECTED_TOTAL}"
+        for where, value in (
+            ("reference simulator", sim.read(total)),
+            ("co-simulation", cosim.read_sw(total2)),
+        )
+        if value != EXPECTED_TOTAL
+    ]
+    if not result.completed:
+        failures.append("co-simulation did not complete")
+    if failures:
+        raise SystemExit("quickstart: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

@@ -241,7 +241,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "word_bits",
             "layout",
             "words_per_element",
-            "encode",
             "encode_batch",
             "decode",
             "decode_run",

@@ -220,10 +220,6 @@ class ConflictMatrix:
         """Whether ``rule`` conflicts with none of the already-chosen rules."""
         return all(not self.conflict(rule, other) for other in chosen)
 
-    @property
-    def n_conflicting_pairs(self) -> int:
-        return len(self._conflicting)
-
 
 def dataflow_edges(rules: List[Rule]) -> Set[Tuple[Rule, Rule]]:
     """Producer→consumer edges: rule A feeds rule B if A writes state B reads."""

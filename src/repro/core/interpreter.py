@@ -25,9 +25,7 @@ The source backend additionally uses *dirty-set scheduling*
 not re-evaluated until a register in its read set is written.  Skipped
 attempts still count as guard failures (they are guaranteed failures), so
 ``firings``/``guard_failures``/``fire_counts`` match the interp backend's
-exhaustive scan exactly.  When an :class:`~repro.core.semantics.EvalHooks`
-observer is installed the skip is disabled -- the observer is entitled to
-see every attempted evaluation.
+exhaustive scan exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from repro.core.pycodegen import (
     resolve_backend,
 )
 from repro.core.scheduler import RuleWakeup
-from repro.core.semantics import Evaluator, EvalHooks, RuleOutcome, Store, commit, try_rule
+from repro.core.semantics import Evaluator, RuleOutcome, Store, commit, try_rule
 
 
 class Simulator:
@@ -58,10 +56,6 @@ class Simulator:
         declaration order) or ``"random"``.
     seed:
         Seed for the ``"random"`` policy, to keep runs reproducible.
-    hooks:
-        Optional :class:`~repro.core.semantics.EvalHooks` observer (used by
-        the software cost model).  Installing hooks disables dirty-set
-        skipping so the observer sees every attempted rule evaluation.
     backend:
         ``"interp"`` (tree-walking reference) or ``"source"`` (flat
         generated Python; observationally equivalent and much faster).
@@ -75,7 +69,6 @@ class Simulator:
         design: Design,
         policy: str = "round-robin",
         seed: Optional[int] = None,
-        hooks: Optional[EvalHooks] = None,
         max_loop_iterations: int = 1_000_000,
         backend: Optional[str] = None,
     ):
@@ -86,29 +79,21 @@ class Simulator:
         self.policy = policy
         self.backend = backend
         self.rng = random.Random(seed)
-        self.hooks = hooks
         self.evaluator = Evaluator(max_loop_iterations=max_loop_iterations)
         self.rules: List[Rule] = list(design.all_rules())
         self._index_of: Dict[Rule, int] = {r: i for i, r in enumerate(self.rules)}
-        # Dirty-set scheduling rides with the source backend (the interp
-        # backend stays the untouched exhaustive-scan reference), and its
-        # skipping is exact only when nobody observes the skipped
-        # (guaranteed-failing) evaluations.
-        self._skip_sleeping = backend != "interp" and hooks is None
-        store = design.initial_store()
-        if self._skip_sleeping:
-            self._wakeup: Optional[RuleWakeup] = RuleWakeup(self.rules)
-            self.store: Store = self._wakeup.wrap_store(store)
-        else:
-            self._wakeup = None
-            self.store = store
-        # Source backend: one generated unit per rule (``_gen``), holding
-        # its fast and hooked functions.
+        # The source backend adds dirty-set scheduling (the interp backend
+        # stays the untouched exhaustive-scan reference) and one generated
+        # unit per rule (``_gen``) holding its fast function.
+        self._wakeup: Optional[RuleWakeup] = None
+        self.store: Store = design.initial_store()
         self._gen = None
         self._exec = []
         if backend == "source":
+            self._wakeup = RuleWakeup(self.rules)
+            self.store = self._wakeup.wrap_store(self.store)
             self._exec, self._gen = generate_rule_execs(
-                self.rules, design.name, max_loop_iterations, modes=("fast", "hooked")
+                self.rules, design.name, max_loop_iterations, modes=("fast",)
             )
         self._priority_order: List[Rule] = sorted(
             self.rules, key=lambda r: (-r.urgency, self._index_of[r])
@@ -150,15 +135,13 @@ class Simulator:
         if self.backend != "interp":
             read = self.store.__getitem__
             try:
-                if self.hooks is not None:
-                    return self._exec[self._index_of[rule]].hooked(read, self.hooks)
                 return self._exec[self._index_of[rule]].fast(read)
             except GuardFail:
                 return None
             except KeyError as exc:
                 raise_for_missing_register(exc)
                 raise
-        outcome = try_rule(rule, self.store, self.evaluator, self.hooks)
+        outcome = try_rule(rule, self.store, self.evaluator)
         return outcome.updates if outcome.fired else None
 
     def step(self) -> Optional[RuleOutcome]:
@@ -169,12 +152,9 @@ class Simulator:
         """
         if not self.rules:
             return None
-        # Re-checked per step so an observer installed after construction
-        # still sees every attempted evaluation.
-        skip_sleeping = self._skip_sleeping and self.hooks is None
         wakeup = self._wakeup
         sleeping = None
-        if skip_sleeping:
+        if wakeup is not None:
             if self.policy != "random" and wakeup.all_asleep:
                 # Quiescent: every rule is known guard-disabled.  (The random
                 # policy still runs the scan so its RNG consumption -- one
@@ -192,7 +172,7 @@ class Simulator:
                 continue
             updates = self._attempt(rule)
             if updates is None:
-                if skip_sleeping:
+                if wakeup is not None:
                     wakeup.sleep_index(i)
                 self.guard_failures += 1
                 continue

@@ -23,17 +23,17 @@ The invariant is the one rules and transport already obey: every backend
 produces *bit-identical* results, so a ``CosimResult`` never depends on
 which backend ran.
 
-Selection: ``set_kernel_backend()`` / the ``REPRO_KERNEL_BACKEND``
-environment variable (``auto`` -- the default -- resolves to ``numpy``
-when available, else ``python``).
+Selection: ``set_kernel_backend()`` / ``kernel_backend_override()``
+(``auto`` -- the default -- resolves to ``numpy`` when available, else
+``python``).
 
 The module also hosts the memoised pure-kernel result cache.  ROADMAP
 documents that foreign kernels are assumed pure (hardware engines already
 re-evaluate them freely); this cache exploits exactly that assumption,
 keyed by the kernel name, its format parameters and the flat raw input
 tuple.  Only kernels returning immutable values may use it -- cached
-results are shared between hits.  ``REPRO_KERNEL_CACHE=0`` or
-``set_kernel_cache(False)`` disables it.
+results are shared between hits.  ``set_kernel_cache(False)`` (or
+``kernel_cache_override(False)``) disables it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ HAVE_NUMPY = np is not None
 NUMPY_MAX_TOTAL_BITS = 32
 
 #: The selectable kernel backends (``auto`` additionally accepted by
-#: :func:`set_kernel_backend` and ``REPRO_KERNEL_BACKEND``).
+#: :func:`set_kernel_backend`).
 KERNEL_BACKENDS = ("oracle", "python", "numpy")
 
 
@@ -75,21 +75,7 @@ def _resolve(name: str) -> str:
     return name
 
 
-def _initial_backend() -> str:
-    requested = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower() or "auto"
-    if requested not in KERNEL_BACKENDS + ("auto",):
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND={requested!r}; expected one of {KERNEL_BACKENDS + ('auto',)}"
-        )
-    if requested == "numpy" and not HAVE_NUMPY:
-        raise ValueError(
-            "REPRO_KERNEL_BACKEND=numpy but NumPy is not importable "
-            "(or disabled via REPRO_NO_NUMPY)"
-        )
-    return _resolve(requested)
-
-
-_backend = _initial_backend()
+_backend = _resolve("auto")
 
 #: Monotonic selection stamp: bumped by every (successful) backend change so
 #: hoisted per-kernel bindings (:func:`bind_effective_backend`) know when
@@ -100,11 +86,6 @@ _generation = 0
 def kernel_backend() -> str:
     """The resolved kernel backend: ``oracle``, ``python`` or ``numpy``."""
     return _backend
-
-
-def kernel_backend_generation() -> int:
-    """The current backend-selection generation (see :func:`set_kernel_backend`)."""
-    return _generation
 
 
 def set_kernel_backend(name: str) -> str:
@@ -176,14 +157,9 @@ def bind_effective_backend(total_bits: int) -> Callable[[], str]:
 
 #: FIFO-evicted; a bound this size covers every distinct frame of the
 #: benchmark workloads while keeping worst-case memory flat.
-_CACHE_LIMIT = int(os.environ.get("REPRO_KERNEL_CACHE_LIMIT", "8192"))
+_CACHE_LIMIT = 8192
 
-_cache_enabled = os.environ.get("REPRO_KERNEL_CACHE", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
+_cache_enabled = True
 _cache: Dict[Tuple[Any, ...], Any] = {}
 _hits = 0
 _misses = 0

@@ -9,14 +9,10 @@ variables, registers / native methods / kernel functions resolved to
 direct names in the module namespace, ``GuardFail`` raised from prebuilt
 singletons -- and the module is ``exec``-compiled at elaboration time.
 
-Four generation modes reproduce the tree walker's observable behaviour
+Three generation modes reproduce the tree walker's observable behaviour
 bit-for-bit:
 
-* ``fast``    -- hook-free evaluation (``Simulator`` fast path);
-* ``hooked``  -- generic :class:`~repro.core.semantics.EvalHooks` callbacks;
-  ``on_node`` fires only for the cost-bearing nodes
-  (BinOp/UnOp/Mux/FieldSelect), so ``SwCostAccumulator.cpu_cycles`` is
-  reproduced exactly while ``nodes_visited`` counts fewer nodes;
+* ``fast``    -- hook-free evaluation (``Simulator``);
 * ``latency`` -- folded hardware FSM latency, no hooks: each kernel adds
   ``max(0, hw_cycles - 1)`` (a constant folded at generation, a callable
   called inline before the kernel) and each memory with ``read_latency``
@@ -479,9 +475,9 @@ _UNARY = {"-": "-", "~": "~", "!": "not "}
 class _Lowerer:
     """Lowers one rule (or method) tree into a flat generated function.
 
-    ``mode`` is one of ``fast``/``hooked``/``latency``/``count``; the
-    emitted statements reproduce the tree walker's evaluation order, hook
-    order and (for ``count``) charge points exactly.
+    ``mode`` is one of ``fast``/``latency``/``count``; the emitted
+    statements reproduce the tree walker's evaluation order and (for
+    ``count``) charge points exactly.
     """
 
     def __init__(
@@ -494,7 +490,6 @@ class _Lowerer:
     ):
         self.module = module
         self.mode = mode
-        self.all_hooks = mode == "hooked"
         self.counting = mode == "count"
         self.timing = mode == "latency"
         #: count and latency thread a one-element charge cell (``_cl``)
@@ -527,8 +522,8 @@ class _Lowerer:
         """Emit each part's statements and pin its value into a temp, in order.
 
         Used whenever sibling operands cannot all stay inline: the tree
-        walker evaluates operands strictly left to right, and hooks /
-        charges / guard failures make that order observable.
+        walker evaluates operands strictly left to right, and charges /
+        guard failures make that order observable.
         """
         names = []
         for stmts, expr in parts:
@@ -604,13 +599,9 @@ class _Lowerer:
 
         if isinstance(expr, RegRead):
             reg = self.module.bind(expr.reg, "r")
-            if self.all_hooks:
-                w.emit(f"hooks.on_register_read({reg})")
             return f"{self.read}({reg})"
 
         if isinstance(expr, UnOp):
-            if self.all_hooks:
-                w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
             self._charge_alu()
             (operand,) = self._operands([expr.operand])
             op = _UNARY.get(expr.op)
@@ -621,8 +612,6 @@ class _Lowerer:
         if isinstance(expr, BinOp):
             if expr.op in ("&&", "||"):
                 return self._lower_shortcircuit(expr)
-            if self.all_hooks:
-                w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
             self._charge_alu()
             left, right = self._operands([expr.left, expr.right])
             op = _INFIX.get(expr.op)
@@ -631,8 +620,6 @@ class _Lowerer:
             return f"({left} {op} {right})"
 
         if isinstance(expr, Mux):
-            if self.all_hooks:
-                w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
             self._charge_alu()
             cond_stmts, cond = self._capture(lambda: self.lower_expr(expr.cond))
             then_stmts, then = self._capture(lambda: self.lower_expr(expr.then))
@@ -654,8 +641,6 @@ class _Lowerer:
             guard = self.lower_expr(expr.guard)
             w.emit(f"if not {guard}:")
             w.indent += 1
-            if self.all_hooks:
-                w.emit(f"hooks.on_guard_fail({self.module.bind(expr, 'n')})")
             self._raise_fail(fail)
             w.indent -= 1
             return self.lower_expr(expr.body)
@@ -673,8 +658,6 @@ class _Lowerer:
                     self.scope[expr.name] = saved
 
         if isinstance(expr, FieldSelect):
-            if self.all_hooks:
-                w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
             self._charge_alu()
             (operand,) = self._operands([expr.operand])
             field = expr.field
@@ -706,8 +689,6 @@ class _Lowerer:
 
     def _lower_shortcircuit(self, expr: BinOp) -> str:
         w = self.w
-        if self.all_hooks:
-            w.emit(f"hooks.on_node({self.module.bind(expr, 'n')})")
         self._charge_alu()
         left_stmts, left = self._capture(lambda: self.lower_expr(expr.left))
         right_stmts, right = self._capture(lambda: self.lower_expr(expr.right))
@@ -732,29 +713,19 @@ class _Lowerer:
         """Emit a lazy binding; returns the local holding the thunk cell.
 
         The tree walker's ``_Thunk`` captures the binding-site ``read`` and
-        hooks; the generated thunk does the same by passing them into
-        a module-level value function explicitly, so a thunk forced under a
-        ``Seq``/``Loop`` overlay still reads through the binding-site view
-        and charges the binding-site cell.
+        hooks; the generated thunk does the same by passing ``read`` and the
+        charge cell (:meth:`_call_ctx`) into a module-level value function
+        explicitly, so a thunk forced under a ``Seq``/``Loop`` overlay still
+        reads through the binding-site view and charges the binding-site
+        cell.
         """
         w = self.w
         value_fn = self._lower_scoped_fn("lv", value, is_action=False)
         free = self._free_locals(value)
         cell = w.tmp()
-        captured = ", ".join([self._sink_cell()] + free)
+        captured = ", ".join([self._call_ctx()] + free)
         w.emit(f"{cell} = [False, None, {value_fn}, {self.read}, ({captured},)]")
         return cell
-
-    def _sink_cell(self) -> str:
-        """The charge-cell object to capture at a binding site."""
-        if self.cells:
-            # Thunks need a mutable cell.  The rule wrappers always provide
-            # ``_cl`` (a one-element list); in count mode its slot 0 is
-            # folded into the local ``_cc`` at the boundaries.
-            return "_cl"
-        if self.all_hooks:
-            return "hooks"
-        return "None"
 
     def _free_locals(self, node: Any) -> List[str]:
         used = set()
@@ -767,8 +738,8 @@ class _Lowerer:
         """Lower ``node`` as a module-level function over its free scope vars.
 
         The function's signature is ``(read, _ctx, *free_locals)`` where
-        ``_ctx`` is the hooks object (hooked), the charge cell list
-        (count/latency) or None (fast); call sites pass the binding-site values
+        ``_ctx`` is the charge cell list (count/latency) or None (fast);
+        call sites pass the binding-site values
         explicitly, which reproduces the tree walker's creation-time
         capture without relying on late-bound outer locals.
         """
@@ -784,8 +755,6 @@ class _Lowerer:
         )
         sub.scope = {name: entry for name, entry in free_nodes}
         sub.w = _FnWriter(fn, params)
-        if self.all_hooks:
-            sub.w.emit("hooks = _ctx")
         if self.cells:
             sub.w.emit("_cl = _ctx")
             sub.sink = "_cl[0]"
@@ -814,10 +783,6 @@ class _Lowerer:
                 )
             else:
                 self._charge(int(expr.sw_cycles) + self.params.kernel_dispatch)
-            return f"{fn}({values})"
-        if self.all_hooks:
-            values = self._kernel_args(expr)
-            w.emit(f"hooks.on_kernel({self.module.bind(expr, 'n')}, [{values}])")
             return f"{fn}({values})"
         if self.timing:
             # ``HwLatencyAccumulator.on_kernel``, folded: the kernel's FSM
@@ -871,14 +836,6 @@ class _Lowerer:
                     value = t
                 self._charge(self.params.reg_write)
                 return f"{{{reg}: {value}}}"
-            if self.all_hooks:
-                (value,) = self._operands([action.value])
-                if not value.isidentifier():
-                    t = w.tmp()
-                    w.emit(f"{t} = {value}")
-                    value = t
-                w.emit(f"hooks.on_register_write({reg})")
-                return f"{{{reg}: {value}}}"
             (value,) = self._operands([action.value])
             return f"{{{reg}: {value}}}"
 
@@ -908,8 +865,6 @@ class _Lowerer:
             guard = self.lower_expr(action.guard)
             w.emit(f"if not {guard}:")
             w.indent += 1
-            if self.all_hooks:
-                w.emit(f"hooks.on_guard_fail({self.module.bind(action, 'n')})")
             self._raise_fail(fail)
             w.indent -= 1
             return self.lower_action(action.body)
@@ -1053,17 +1008,11 @@ class _Lowerer:
             arglist = ", ".join([self.read] + values)
             w.emit(f"if not {guard_fn}({arglist}):")
             w.indent += 1
-            if self.all_hooks:
-                w.emit(f"hooks.on_guard_fail({self.module.bind(method, 'm')})")
             self._raise_fail(fail)
             w.indent -= 1
             t = w.tmp()
             if is_action:
                 w.emit(f"{t}, _ = {body_fn}({arglist})")
-                if self.all_hooks:
-                    r = w.tmp()
-                    w.emit(f"for {r} in {t}:")
-                    w.emit(f"    hooks.on_register_write({r})")
                 if self.counting and self.charging:
                     self.w.emit(
                         f"{self.sink} += {self.params.reg_write} * len({t})"
@@ -1085,8 +1034,6 @@ class _Lowerer:
         arglist = ", ".join([self.read, ctx] + values)
         w.emit(f"if not {guard_name}({arglist}):")
         w.indent += 1
-        if self.all_hooks:
-            w.emit(f"hooks.on_guard_fail({self.module.bind(method, 'm')})")
         self._raise_fail(fail)
         w.indent -= 1
         t = w.tmp()
@@ -1094,24 +1041,21 @@ class _Lowerer:
         return t
 
     def _on_method(self, instance: Module, method_name: str) -> None:
-        """The method-entry hook (hooked), or its folded latency: a memory
-        whose ``read_latency`` is above 1 adds ``read_latency - 1`` cycles,
-        as ``HwLatencyAccumulator.on_method`` does."""
-        if self.all_hooks:
-            inst = self.module.bind(instance, "i")
-            self.w.emit(f"hooks.on_method({inst}, {method_name!r})")
-        elif self.timing:
+        """The method entry's folded latency: a memory whose
+        ``read_latency`` is above 1 adds ``read_latency - 1`` cycles, as
+        ``HwLatencyAccumulator.on_method`` does."""
+        if self.timing:
             read_latency = getattr(instance, "read_latency", None)
             if read_latency is not None and read_latency > 1:
                 self.w.charge(self.sink, read_latency - 1)
 
     def _call_ctx(self) -> str:
-        """Second argument threaded into generated method/thunk functions."""
-        if self.cells:
-            return "_cl"
-        if self.all_hooks:
-            return "hooks"
-        return "None"
+        """Second argument threaded into generated method/thunk functions.
+
+        Thunks and methods need a mutable charge cell: the rule wrappers
+        always provide ``_cl`` (a one-element list); in count mode its slot
+        0 is folded into the local ``_cc`` at the boundaries."""
+        return "_cl" if self.cells else "None"
 
     def _user_method(self, method: Method, is_action: bool) -> Tuple[str, str]:
         key = (id(method), is_action)
@@ -1137,8 +1081,6 @@ class _Lowerer:
                 p: ("strict", param_locals[i]) for i, p in enumerate(method.params)
             }
             sub.w = _FnWriter(stem, ["read", "_ctx"] + param_locals)
-            if self.all_hooks:
-                sub.w.emit("hooks = _ctx")
             if self.cells:
                 sub.sink = "_ctx[0]"
                 sub.w.emit("_cl = _ctx")
@@ -1176,7 +1118,6 @@ def _force(cell):
 #: Parameters of the generated rule function per mode.
 _RULE_FN_PARAMS = {
     "fast": ["read"],
-    "hooked": ["read", "hooks"],
     "latency": ["read", "_cl"],
 }
 
@@ -1199,23 +1140,21 @@ def _lower_rule_fn(
 
 
 class SourceRuleExec:
-    """Generated fast/hooked/latency entry points for one rule.
+    """Generated fast/latency entry points for one rule.
 
-    The call sites the engines use are ``fast(read)``,
-    ``hooked(read, hooks)`` and ``latency(read, cell)``; each attribute is
-    a plain generated function (``None`` for a mode that was not
-    generated).  ``latency`` adds the rule's FSM cycles beyond the first
+    The call sites the engines use are ``fast(read)`` and
+    ``latency(read, cell)``; each attribute is a plain generated function
+    (``None`` for a mode that was not generated).  ``latency`` adds the rule's FSM cycles beyond the first
     to ``cell[0]`` (a one-element list): the constant and callable
     ``hw_cycles`` of its kernels and the ``read_latency`` of its memories,
     folded at generation, exactly as ``HwLatencyAccumulator`` counts them.
     """
 
-    __slots__ = ("rule", "fast", "hooked", "latency")
+    __slots__ = ("rule", "fast", "latency")
 
-    def __init__(self, rule: Rule, fast=None, hooked=None, latency=None):
+    def __init__(self, rule: Rule, fast=None, latency=None):
         self.rule = rule
         self.fast = fast
-        self.hooked = hooked
         self.latency = latency
 
 
@@ -1227,7 +1166,7 @@ def generate_rule_execs(
     modes: Tuple[str, ...],
 ) -> Tuple[List[SourceRuleExec], Tuple[GeneratedModule, ...]]:
     """Generate flat executors for raw rule actions in ``modes``
-    (``Simulator``: fast and hooked; ``HwEngine``: latency).
+    (``Simulator``: fast; ``HwEngine``: latency).
 
     Each rule is one ``<design_name>.rules`` unit holding ``_rule_<mode>``
     per mode, so its text is the same in every design that has the rule.

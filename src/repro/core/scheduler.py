@@ -47,10 +47,6 @@ class HwSchedule:
                 chosen.append(rule)
         return chosen
 
-    @property
-    def n_conflicting_pairs(self) -> int:
-        return self.conflict_matrix.n_conflicting_pairs
-
 
 class SwSchedule:
     """Static schedule information for a software partition."""

@@ -60,9 +60,6 @@ class ChannelParams:
         """Latency of a minimal request/response pair (the paper's ~100 cycles)."""
         return 2 * (self.one_way_latency_cycles + self.occupancy_cycles(1, burst=True))
 
-    def bandwidth_bytes_per_fpga_cycle(self) -> float:
-        return (self.word_bits / 8) / self.cycles_per_word
-
 
 @dataclass(frozen=True)
 class Message:
@@ -459,15 +456,6 @@ class Topology:
         direction = ChannelDirection(params, name or link.name, burst)
         self._directions[key] = direction
         return direction
-
-    def add_duplex(
-        self, a: str, b: str, params: ChannelParams, burst: bool = True
-    ) -> Tuple[ChannelDirection, ChannelDirection]:
-        """Register both directions between ``a`` and ``b``."""
-        return (
-            self.add_link(a, b, params, burst),
-            self.add_link(b, a, params, burst),
-        )
 
     def has_link(self, src: str, dst: str) -> bool:
         return (src, dst) in self._links

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.synchronizers import SyncFifo
-from repro.core.types import BCLType
 from repro.platform.marshal import MessageLayout, layout_for, validate_wire_format
 
 
@@ -47,7 +46,6 @@ class VirtualChannel:
         "stats",
         "layout",
         "words_per_element",
-        "encode",
         "encode_batch",
         "decode",
         "decode_run",
@@ -71,14 +69,9 @@ class VirtualChannel:
         #: hot path of the transport loop).
         self.words_per_element = self.layout.message_words
         #: Compiled framed-message encoders/decoders (hot transport path).
-        self.encode = self.layout.encoder(vc_id)
         self.encode_batch = self.layout.batch_encoder(vc_id)
         self.decode = self.layout.decoder()
         self.decode_run = self.layout.run_decoder()
-
-    @property
-    def element_type(self) -> BCLType:
-        return self.sync.ty
 
     def can_send(self) -> bool:
         """Whether launching one more element would respect the consumer's buffering."""

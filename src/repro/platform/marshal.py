@@ -30,24 +30,16 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SimulationError, WireFormatError
-from repro.core.fixedpoint import (
-    FixComplex,
-    FixedPoint,
-    RawComplexVector,
-    RawFixVector,
-    from_wrapped_raw,
-)
+from repro.core.fixedpoint import RawComplexVector, RawFixVector
 from repro.core.pycodegen import register_source
 from repro.core.types import (
     BCLType,
-    BitT,
     BoolT,
     ComplexT,
     FixPtT,
     IntT,
     RawStruct,
     StructT,
-    UIntT,
     VectorT,
     words_for,
 )
@@ -287,296 +279,6 @@ def _collect_leaves(ty: BCLType, path: str, offset: int, out: List[FieldSlice]) 
         out.append(FieldSlice(path, offset, ty.bit_width()))
 
 
-class _FastPackMismatch(Exception):
-    """A fused packer's fast predicate failed; re-pack through ``ty.pack``.
-
-    Raised (and always caught) inside :func:`_compile_pack`'s closures only.
-    The slow re-pack either succeeds (a legal value the conservative fast
-    predicate rejected, e.g. a ``FixedPoint`` subclass) or raises the
-    reference implementation's exact exception -- so the fused path never
-    changes error behaviour, only speed.
-    """
-
-
-def _fused_packer(ty: BCLType) -> Optional[Callable[[Any], int]]:
-    """A fused packer for ``ty``, or ``None`` when no specialisation exists.
-
-    The returned closure computes ``ty.pack(value)`` without per-element
-    dispatch -- leaf packing is inlined into the container loops -- and
-    raises :class:`_FastPackMismatch` the moment any value fails its fast
-    predicate.  Composite packers are built recursively, with dedicated
-    single-loop forms for the frame shapes the transport actually moves:
-    ``Vector#(FixPt)``, ``Vector#(Complex#(FixPt))`` (from the raw form, or
-    from boxed elements) and ``Vector#(UInt)``.  Structs have none: a struct
-    layout's generated codec (:func:`_struct_codec`) encodes the raw struct
-    form, and any other struct value takes ``ty.pack``.
-    """
-    if isinstance(ty, (UIntT, BitT)):
-        hi = (1 << ty.n) - 1
-
-        def pack_uint(value: Any) -> int:
-            if value.__class__ is int and 0 <= value <= hi:
-                return value
-            raise _FastPackMismatch
-
-        return pack_uint
-    if isinstance(ty, BoolT):
-
-        def pack_bool(value: Any) -> int:
-            if value.__class__ is bool:
-                return 1 if value else 0
-            raise _FastPackMismatch
-
-        return pack_bool
-    if isinstance(ty, IntT):
-        lo = -(1 << (ty.n - 1))
-        hi = (1 << (ty.n - 1)) - 1
-        mask = (1 << ty.n) - 1
-
-        def pack_int(value: Any) -> int:
-            if value.__class__ is int and lo <= value <= hi:
-                return value & mask
-            raise _FastPackMismatch
-
-        return pack_int
-    if isinstance(ty, FixPtT):
-        ib, fb = ty.int_bits, ty.frac_bits
-        mask = (1 << (ib + fb)) - 1
-
-        def pack_fixpt(value: Any) -> int:
-            if value.__class__ is FixedPoint and value.int_bits == ib and value.frac_bits == fb:
-                return value.raw & mask
-            raise _FastPackMismatch
-
-        return pack_fixpt
-    if isinstance(ty, ComplexT):
-        ib, fb = ty.elem.int_bits, ty.elem.frac_bits
-        w = ty.elem.bit_width()
-        mask = (1 << w) - 1
-
-        def pack_complex(value: Any) -> int:
-            if value.__class__ is not FixComplex:
-                raise _FastPackMismatch
-            re, im = value.real, value.imag
-            if (
-                re.__class__ is not FixedPoint
-                or im.__class__ is not FixedPoint
-                or re.int_bits != ib
-                or re.frac_bits != fb
-                or im.int_bits != ib
-                or im.frac_bits != fb
-            ):
-                raise _FastPackMismatch
-            return ((re.raw & mask) << w) | (im.raw & mask)
-
-        return pack_complex
-    if isinstance(ty, VectorT):
-        n = ty.n
-        w = ty.elem.bit_width()
-        elem = ty.elem
-        if isinstance(elem, FixPtT):
-            ib, fb = elem.int_bits, elem.frac_bits
-            mask = (1 << w) - 1
-
-            def pack_fix_vec(value: Any) -> int:
-                bits = 0
-                shift = 0
-                if value.__class__ is RawFixVector:
-                    if value.int_bits != ib or value.frac_bits != fb or len(value.raws) != n:
-                        raise _FastPackMismatch
-                    for raw in value.raws:
-                        bits |= (raw & mask) << shift
-                        shift += w
-                    return bits
-                if (value.__class__ is not tuple and value.__class__ is not list) or len(
-                    value
-                ) != n:
-                    raise _FastPackMismatch
-                for v in value:
-                    if v.__class__ is not FixedPoint or v.int_bits != ib or v.frac_bits != fb:
-                        raise _FastPackMismatch
-                    bits |= (v.raw & mask) << shift
-                    shift += w
-                return bits
-
-            return pack_fix_vec
-        if isinstance(elem, ComplexT):
-            ib, fb = elem.elem.int_bits, elem.elem.frac_bits
-            half = elem.elem.bit_width()
-            mask = (1 << half) - 1
-
-            def pack_cplx_vec(value: Any) -> int:
-                bits = 0
-                shift = 0
-                if value.__class__ is RawComplexVector:
-                    if value.int_bits != ib or value.frac_bits != fb or len(value.re) != n:
-                        raise _FastPackMismatch
-                    for re, im in zip(value.re, value.im):
-                        bits |= (((re & mask) << half) | (im & mask)) << shift
-                        shift += w
-                    return bits
-                if (value.__class__ is not tuple and value.__class__ is not list) or len(
-                    value
-                ) != n:
-                    raise _FastPackMismatch
-                for v in value:
-                    if v.__class__ is not FixComplex:
-                        raise _FastPackMismatch
-                    re, im = v.real, v.imag
-                    if (
-                        re.__class__ is not FixedPoint
-                        or im.__class__ is not FixedPoint
-                        or re.int_bits != ib
-                        or re.frac_bits != fb
-                        or im.int_bits != ib
-                        or im.frac_bits != fb
-                    ):
-                        raise _FastPackMismatch
-                    bits |= ((((re.raw & mask) << half) | (im.raw & mask))) << shift
-                    shift += w
-                return bits
-
-            return pack_cplx_vec
-        if isinstance(elem, (UIntT, BitT)):
-            hi = (1 << elem.n) - 1
-
-            def pack_uint_vec(value: Any) -> int:
-                if (value.__class__ is not tuple and value.__class__ is not list) or len(
-                    value
-                ) != n:
-                    raise _FastPackMismatch
-                bits = 0
-                shift = 0
-                for v in value:
-                    if v.__class__ is not int or v < 0 or v > hi:
-                        raise _FastPackMismatch
-                    bits |= v << shift
-                    shift += w
-                return bits
-
-            return pack_uint_vec
-        sub = _fused_packer(elem)
-        if sub is None:
-            return None
-
-        def pack_vec(value: Any) -> int:
-            if (value.__class__ is not tuple and value.__class__ is not list) or len(
-                value
-            ) != n:
-                raise _FastPackMismatch
-            bits = 0
-            shift = 0
-            for v in value:
-                bits |= sub(v) << shift
-                shift += w
-            return bits
-
-        return pack_vec
-    return None
-
-
-def _compile_pack(ty: BCLType) -> Callable[[Any], int]:
-    """Specialise ``ty.pack`` for the per-message transport hot path.
-
-    Composes the fused per-layout packer (leaf packing inlined into the
-    container loops) with a fallback: any value failing a fast predicate is
-    re-packed through ``ty.pack`` so the error behaviour (exception type,
-    message text) is exactly the reference's.  Types with no fused form
-    (e.g. opaque state) keep ``ty.pack`` unchanged.
-    """
-    fast = _fused_packer(ty)
-    if fast is None:
-        return ty.pack
-    slow = ty.pack
-
-    def pack(value: Any) -> int:
-        try:
-            return fast(value)
-        except _FastPackMismatch:
-            return slow(value)
-
-    return pack
-
-
-def _compile_unpack(ty: BCLType) -> Callable[[int], Any]:
-    """Specialise ``ty.unpack`` for the per-message transport hot path.
-
-    Unlike packing, decoding needs no fallback: the input is always the
-    unsigned payload integer the wire delivered, and the compiled closures
-    replicate the reference bit semantics exactly (masking, two's-complement
-    sign extension, vector element order).  Vectors of fixed-point and
-    complex elements decode to their raw form
-    (:class:`~repro.core.fixedpoint.RawFixVector` /
-    :class:`~repro.core.fixedpoint.RawComplexVector`) without boxing an
-    element; scalar fixed-point leaves box through
-    :func:`~repro.core.fixedpoint.from_wrapped_raw`, skipping the re-wrap of
-    already-wrapped values.  Structs keep ``ty.unpack``, which builds the
-    raw struct form without boxing; on the link a struct layout decodes
-    through its generated codec instead (:func:`_struct_codec`).
-    """
-    if isinstance(ty, (UIntT, BitT)):
-        mask = (1 << ty.n) - 1
-        return lambda bits: bits & mask
-    if isinstance(ty, BoolT):
-        return lambda bits: bool(bits & 1)
-    if isinstance(ty, IntT):
-        mask = (1 << ty.n) - 1
-        sign = 1 << (ty.n - 1)
-        return lambda bits: ((bits & mask) ^ sign) - sign
-    if isinstance(ty, FixPtT):
-        ib, fb = ty.int_bits, ty.frac_bits
-        mask = (1 << (ib + fb)) - 1
-        sign = 1 << (ib + fb - 1)
-        return lambda bits: from_wrapped_raw(((bits & mask) ^ sign) - sign, ib, fb)
-    if isinstance(ty, ComplexT):
-        ib, fb = ty.elem.int_bits, ty.elem.frac_bits
-        w = ty.elem.bit_width()
-        mask = (1 << w) - 1
-        sign = 1 << (w - 1)
-
-        def unpack_complex(bits: int) -> FixComplex:
-            return FixComplex(
-                from_wrapped_raw((((bits >> w) & mask) ^ sign) - sign, ib, fb),
-                from_wrapped_raw(((bits & mask) ^ sign) - sign, ib, fb),
-            )
-
-        return unpack_complex
-    if isinstance(ty, VectorT):
-        n = ty.n
-        w = ty.elem.bit_width()
-        elem = ty.elem
-        if isinstance(elem, FixPtT):
-            ib, fb = elem.int_bits, elem.frac_bits
-            mask = (1 << w) - 1
-            sign = 1 << (w - 1)
-
-            def unpack_fix_vec(bits: int) -> RawFixVector:
-                raws = tuple([(((bits >> (i * w)) & mask) ^ sign) - sign for i in range(n)])
-                return RawFixVector(raws, ib, fb)
-
-            return unpack_fix_vec
-        if isinstance(elem, ComplexT):
-            ib, fb = elem.elem.int_bits, elem.elem.frac_bits
-            half = elem.elem.bit_width()
-            mask = (1 << half) - 1
-            sign = 1 << (half - 1)
-
-            def unpack_cplx_vec(bits: int) -> RawComplexVector:
-                re = []
-                im = []
-                for i in range(n):
-                    word = bits >> (i * w)
-                    re.append((((word >> half) & mask) ^ sign) - sign)
-                    im.append(((word & mask) ^ sign) - sign)
-                return RawComplexVector(tuple(re), tuple(im), ib, fb)
-
-            return unpack_cplx_vec
-        sub = _compile_unpack(elem)
-        mask = (1 << w) - 1
-        return lambda bits: tuple(sub((bits >> (i * w)) & mask) for i in range(n))
-    return ty.unpack
-
-
 #: ``struct`` codes of the link word widths the aligned codec converts (in
 #: C) between wrapped signed raws and unsigned words; a header needs at
 #: least 24 bits, so no narrower width has a layout.
@@ -599,7 +301,7 @@ def _word_converters(count: int, width: int) -> Tuple[Callable, Callable]:
 #: ``(encode, decode)`` of a layout whose codec skips the big-int payload:
 #: ``encode(header, value)`` is the framed words of a raw-form value of the
 #: layout's type, or ``None`` for any other value (which then takes the
-#: big-int path, with its fallback); ``decode(words, start)`` builds the raw
+#: reference :func:`marshal_value`); ``decode(words, start)`` builds the raw
 #: form from the payload words at ``start``.
 _WordCodec = Tuple[
     Callable[[int, Any], Optional[Tuple[int, ...]]], Callable[[Sequence[int], int], Any]
@@ -614,7 +316,7 @@ def _aligned_vector_codec(ty: VectorT, word_bits: int) -> Optional[_WordCodec]:
     each payload word (a complex element as its imaginary then its real
     word), so on 32- and 64-bit links its raw form converts to and from
     link words without assembling the payload as one big int.  Other
-    vector layouts keep the big-int path.
+    vector layouts have no codec.
     """
     if word_bits not in _STRUCT_CODES:
         return None
@@ -766,9 +468,13 @@ class MessageLayout:
     the canonical packing, and closure-compiled encoders/decoders for the
     simulation dataplane.  One ``MessageLayout`` per ``(type, word width)``
     pair -- the invariant that makes the generated interfaces trustworthy.
-    Aligned vector layouts and struct layouts also have a word codec that
-    converts their raw form to and from link words without boxing
-    (:func:`_aligned_vector_codec`, :func:`_struct_codec`).
+
+    A layout has two encodings.  Aligned vector layouts and struct layouts
+    have a word codec that converts their raw form to and from link words
+    without boxing (:func:`_aligned_vector_codec`, :func:`_struct_codec`).
+    Every other layout, and any value a codec declines, goes through the
+    reference :func:`marshal_value` / :func:`demarshal_value`, so the
+    error behaviour is the reference's by construction.
     """
 
     __slots__ = (
@@ -779,7 +485,6 @@ class MessageLayout:
         "message_words",
         "fields",
         "_codec",
-        "_decoder",
     )
 
     #: Header field geometry (class-level: the header layout is global).
@@ -804,7 +509,6 @@ class MessageLayout:
             self._codec = _struct_codec(ty, word_bits)
         elif isinstance(ty, VectorT):
             self._codec = _aligned_vector_codec(ty, word_bits)
-        self._decoder: Optional[Callable[[Sequence[int], int], Any]] = None
 
     def __repr__(self) -> str:
         return (
@@ -855,11 +559,9 @@ class MessageLayout:
         """Compile the framed-message encoder of one virtual channel.
 
         The returned closure maps an element value to its wire words
-        (header first, payload least-significant-word first).  Constants --
-        the header word, the payload word count, the word mask -- are
-        resolved now, so the per-message work is one ``pack`` plus the word
-        split, or, given the raw form of a layout with a word codec, that
-        codec's conversion of the raw ints to words.
+        (header first, payload least-significant-word first).  The header
+        word is resolved now; the per-message work is the word codec's
+        conversion of a raw-form value, or else :func:`marshal_value`.
         """
         return self._framed_encoder(vc_id)
 
@@ -868,33 +570,19 @@ class MessageLayout:
         without going through the public factory (the benchmark tracer
         wraps each factory's closures in spans of their own)."""
         header = self.header_word(vc_id)
-        pack = _compile_pack(self.ty)
-        if self.payload_words == 1:
-            # Single-word payload (the common scalar case): no split loop.
-            encode: Callable[[Any], Tuple[int, ...]] = lambda value: (header, pack(value))
-        else:
-            n = self.payload_words
-            wb = self.word_bits
-            mask = (1 << wb) - 1
+        ty, wb = self.ty, self.word_bits
 
-            def encode(value: Any) -> Tuple[int, ...]:
-                bits = pack(value)
-                words = [header]
-                append = words.append
-                for _ in range(n):
-                    append(bits & mask)
-                    bits >>= wb
-                return tuple(words)
+        def encode_reference(value: Any) -> Tuple[int, ...]:
+            return (header, *marshal_value(ty, value, wb))
 
         if self._codec is None:
-            return encode
+            return encode_reference
         encode_raw, _ = self._codec
-        big_int = encode
 
         def encode_raw_form(value: Any) -> Tuple[int, ...]:
             words = encode_raw(header, value)
             if words is None:
-                return big_int(value)
+                return encode_reference(value)
             return words
 
         return encode_raw_form
@@ -908,45 +596,13 @@ class MessageLayout:
         channel's message length is fixed by its type, the caller can
         derive every per-message bound arithmetically.
         """
-        if self._codec is not None:
-            encode = self._framed_encoder(vc_id)
-
-            def encode_raw_batch(values: Sequence[Any]) -> List[int]:
-                out: List[int] = []
-                extend = out.extend
-                for value in values:
-                    extend(encode(value))
-                return out
-
-            return encode_raw_batch
-
-        header = self.header_word(vc_id)
-        pack = _compile_pack(self.ty)
-        if self.payload_words == 1:
-
-            def encode_batch(values: Sequence[Any]) -> List[int]:
-                out: List[int] = []
-                append = out.append
-                for value in values:
-                    append(header)
-                    append(pack(value))
-                return out
-
-            return encode_batch
-
-        n = self.payload_words
-        wb = self.word_bits
-        mask = (1 << wb) - 1
+        encode = self._framed_encoder(vc_id)
 
         def encode_batch(values: Sequence[Any]) -> List[int]:
             out: List[int] = []
-            append = out.append
+            extend = out.extend
             for value in values:
-                bits = pack(value)
-                append(header)
-                for _ in range(n):
-                    append(bits & mask)
-                    bits >>= wb
+                extend(encode(value))
             return out
 
         return encode_batch
@@ -958,27 +614,20 @@ class MessageLayout:
         starting at ``start`` -- index-based, so the transport dataplane
         decodes straight out of its flat word ring without slicing.  A
         layout with a word codec builds the raw form from the words; others
-        assemble the payload integer and unpack it.
+        decode through :func:`demarshal_value`, which range-checks every
+        word.
         """
-        if self._decoder is not None:
-            return self._decoder
+        return self._payload_decoder()
+
+    def _payload_decoder(self) -> Callable[[Sequence[int], int], Any]:
+        """The body of :meth:`decoder`, which :meth:`run_decoder` reuses."""
         if self._codec is not None:
-            _, decode = self._codec
-        elif self.payload_words == 1:
-            unpack = _compile_unpack(self.ty)
-            decode = lambda words, start: unpack(words[start])
-        else:
-            unpack = _compile_unpack(self.ty)
-            n = self.payload_words
-            wb = self.word_bits
+            return self._codec[1]
+        ty, wb, n = self.ty, self.word_bits, self.payload_words
 
-            def decode(words: Sequence[int], start: int) -> Any:
-                bits = 0
-                for i in range(n):
-                    bits |= words[start + i] << (i * wb)
-                return unpack(bits)
+        def decode(words: Sequence[int], start: int) -> Any:
+            return demarshal_value(ty, words, wb, start, start + n)
 
-        self._decoder = decode
         return decode
 
     def run_decoder(self) -> Callable[[Sequence[int], int, int], List[Any]]:
@@ -987,56 +636,15 @@ class MessageLayout:
         first) decode to a list of values in one call -- the batched
         hardware-side delivery path."""
         stride = self.message_words
-        if self._codec is not None:
-            _, decode = self._codec
-
-            def decode_raw_run(words: Sequence[int], start: int, count: int) -> List[Any]:
-                return [
-                    decode(words, base)
-                    for base in range(start + 1, start + 1 + count * stride, stride)
-                ]
-
-            return decode_raw_run
-
-        unpack = _compile_unpack(self.ty)
-        if self.payload_words == 1:
-
-            def decode_run(words: Sequence[int], start: int, count: int) -> List[Any]:
-                return [
-                    unpack(word)
-                    for word in words[start + 1 : start + count * stride : stride]
-                ]
-
-            return decode_run
-
-        n = self.payload_words
-        wb = self.word_bits
+        decode = self._payload_decoder()
 
         def decode_run(words: Sequence[int], start: int, count: int) -> List[Any]:
-            out: List[Any] = []
-            append = out.append
-            base = start + 1
-            for _ in range(count):
-                bits = 0
-                for i in range(n):
-                    bits |= words[base + i] << (i * wb)
-                append(unpack(bits))
-                base += stride
-            return out
+            return [
+                decode(words, base)
+                for base in range(start + 1, start + 1 + count * stride, stride)
+            ]
 
         return decode_run
-
-    # -- reference pack/unpack ----------------------------------------------
-
-    def pack_message(self, vc_id: int, value: Any) -> List[int]:
-        """Reference framed encoding (header + payload words)."""
-        return frame_message(vc_id, marshal_value(self.ty, value, self.word_bits), self.word_bits)
-
-    def unpack_message(
-        self, words: Sequence[int], start: int = 0, end: Optional[int] = None
-    ) -> Tuple[int, Any]:
-        """Reference framed decoding; returns ``(vc_id, value)``."""
-        return demarshal_message(self.ty, words, self.word_bits, start, end)
 
 
 #: One layout per (element type, word width): every layer that touches a

@@ -63,7 +63,6 @@ from repro.core.errors import SimulationError
 from repro.core.module import Design, Register
 from repro.core.optimize import OptimizationConfig
 from repro.core.partition import Partitioning, default_engine_kind, partition_design
-from repro.core.primitives import Fifo
 from repro.core.semantics import Store
 from repro.core.synchronizers import SyncFifo
 from repro.platform.channel import DuplexChannel, Topology
@@ -221,14 +220,18 @@ class ThresholdDone:
         return ok
 
 
-def _pump_routes_interp(routes, now: float) -> bool:
+def _pump_routes_interp(routes, now: float, occupancy_of=None) -> bool:
     """Reference (interpreted) transport pump over a route list.
 
     Per-synchronizer bookkeeping, marshaling and draining one element at a
     time through the plain marshal functions (the semantic oracle the
     generated routes' layout-compiled encoders are tested against).
     Shared by the per-group sub-fabrics, which pass their projected route
-    subsets, and the whole-fabric :meth:`CosimFabric._pump_transport`.
+    subsets, the whole-fabric :meth:`CosimFabric._pump_transport`, and a
+    distributed member's one-route pumps.  ``occupancy_of``, when given,
+    is read for the consumer occupancy instead of the consumer endpoint,
+    as in :func:`~repro.core.pycodegen.generate_transport_pump`: a member
+    passes it for a route whose consumer lives in another process.
     """
     progress = False
     for sync, vc, producer_engine, producer_store, consumer_store, direction, sw_producer in routes:
@@ -239,7 +242,10 @@ def _pump_routes_interp(routes, now: float) -> bool:
             # endpoint; draining it now would be clobbered by that commit.
             continue
         while producer_store[sync.data]:
-            consumer_occupancy = len(consumer_store[sync.data])
+            if occupancy_of is None:
+                consumer_occupancy = len(consumer_store[sync.data])
+            else:
+                consumer_occupancy = occupancy_of()
             if consumer_occupancy + vc.in_flight >= sync.depth:
                 vc.note_credit_stall()
                 break
@@ -865,10 +871,6 @@ class CosimFabric:
         group run: a generated loop tests ``mapping[register] >= minimum``
         inline, reading exactly what :meth:`read` would."""
         return tuple((self._read_source(reg), reg, minimum) for reg, minimum in thresholds)
-
-    def fifo_contents(self, fifo: Fifo) -> Tuple[Any, ...]:
-        """Contents of a FIFO in the partition that owns it."""
-        return tuple(self.read(fifo.data))
 
     def write(self, reg: Register, value: Any) -> None:
         """Write a request input into every engine's copy of ``reg``.

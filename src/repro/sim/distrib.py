@@ -17,8 +17,9 @@ group may run "in a different process".  This module takes that literally:
   different member processes is carried as the *actual framed wire words*
   the generated transactors speak: the producer's transport pump runs
   unmodified (its credit window reads the consumer's published occupancy
-  instead of the in-process endpoint -- see
-  :func:`repro.core.pycodegen.generate_transport_pump`'s ``occupancy_of``),
+  instead of the in-process endpoint -- see the ``occupancy_of`` of
+  :func:`repro.core.pycodegen.generate_transport_pump` and of the
+  reference pump :func:`repro.sim.cosim._pump_routes_interp`),
   its link replica's :class:`~repro.platform.channel.MessagePool` fills
   with ``MessageLayout``-packed words, and a *carrier* moves each framed
   record -- ``(due, header word, payload words)`` -- into the consumer
@@ -56,6 +57,7 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -504,59 +506,6 @@ def _build_fabric(
     )
 
 
-def _one_route_pump(route: tuple) -> Callable[[float], bool]:
-    """Interpreted pump closure over a single member-local route."""
-    routes = (route,)
-
-    def pump(now: float) -> bool:
-        return _pump_routes_interp(routes, now)
-
-    return pump
-
-
-def _remote_route_pump(
-    route: tuple, occupancy_of: Callable[[], int]
-) -> Callable[[float], bool]:
-    """Interpreted pump for a route whose consumer lives in another process.
-
-    Body identical to :func:`repro.sim.cosim._pump_routes_interp` for one
-    route, with the consumer occupancy read from the published cell instead
-    of the (reset, never-advancing) in-process replica endpoint.  All
-    bookkeeping -- credits, stall counts, driver charges, send order and
-    timing -- is unchanged.
-    """
-    from repro.platform.marshal import marshal_message
-
-    sync, vc, producer_engine, producer_store, _consumer_store, direction, sw_producer = route
-    data = sync.data
-    depth = sync.depth
-    ty = sync.ty
-
-    def pump(now: float) -> bool:
-        if not producer_store[data]:
-            return False
-        if data in producer_engine.locked_registers():
-            return False
-        progress = False
-        while producer_store[data]:
-            consumer_occupancy = occupancy_of()
-            if consumer_occupancy + vc.in_flight >= depth:
-                vc.note_credit_stall()
-                break
-            vc.credits = depth - consumer_occupancy - vc.in_flight
-            item = producer_store[data][0]
-            producer_store[data] = tuple(producer_store[data][1:])
-            words = marshal_message(vc.vc_id, ty, item, vc.word_bits)
-            direction.send_words(vc.vc_id, words, now)
-            vc.on_send()
-            if sw_producer:
-                producer_engine.charge_driver(vc.words_per_element, now)
-            progress = True
-        return progress
-
-    return pump
-
-
 def _make_endpoint(a: _WorkerAssignment, rl: _RemoteLink, consumer: bool):
     if a.carrier == "shm":
         return _ShmRing(a.arena, rl.ring_base, rl.capacity)
@@ -707,7 +656,9 @@ def _run_lockstep_member(
         src = sync.domain_enq.name
         dst = sync.domain_deq.name
         if src in member_names and dst in member_names:
-            pump_fns.append(fabric._pump_fns[j] if generated else _one_route_pump(route))
+            pump_fns.append(
+                fabric._pump_fns[j] if generated else partial(_pump_routes_interp, (route,))
+            )
         elif src in member_names:
             r = cell_of_cut[j]
             occ_slot = plan.occupancy_slot(r)
@@ -728,7 +679,7 @@ def _run_lockstep_member(
                     )
                 )
             else:
-                pump_fns.append(_remote_route_pump(route, occ_fn))
+                pump_fns.append(partial(_pump_routes_interp, (route,), occupancy_of=occ_fn))
             out_routes.append((vc, r))
         elif dst in member_names:
             in_routes.append((cell_of_cut[j], vc, cstore, sync.data))

@@ -314,6 +314,3 @@ class HwEngine:
         if progress:
             self.cycles_active += 1
         return progress
-
-    def is_idle(self) -> bool:
-        return not self.busy and not self._pending_deliveries

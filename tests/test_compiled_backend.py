@@ -34,7 +34,7 @@ from repro.core.primitives import Fifo, RegFile
 from repro.core.types import BoolT, OpaqueT, RawStruct, StructT, UIntT
 from repro.platform.platform import Platform
 from repro.sim.cosim import Cosimulator
-from repro.sim.costmodel import SwCostAccumulator
+from repro.sim.swsim import SwEngine
 
 
 # --------------------------------------------------------------------------
@@ -252,15 +252,26 @@ class TestSimulatorEquivalence:
             assert sim.read(n) == 1
 
     def test_cost_hooks_identical_cpu_cycles(self):
-        """Simulator-with-hooks: generated hooks charge the same cycles."""
-        params = Platform.ml507().sw_costs
+        """The SW engine's generated counting attempts charge the cycles
+        its cost hooks (``SwCostAccumulator``) charge on the tree walker,
+        over the design that exercises every kernel-grammar construct."""
         totals = {}
         for backend in BACKENDS:
-            acc = SwCostAccumulator(params)
-            sim = Simulator(build_kitchen_sink(), hooks=acc, backend=backend)
-            sim.run(200)
-            totals[backend] = (acc.cpu_cycles, acc.kernel_cycles, sim.firings)
+            design = build_kitchen_sink()
+            engine = SwEngine(
+                list(design.all_rules()), design.initial_store(), Platform.ml507(), backend=backend
+            )
+            for _ in range(400):
+                engine.step(engine.busy_until)
+            totals[backend] = (
+                engine.cpu_cycles_total,
+                engine.cpu_cycles_wasted,
+                engine.total_firings,
+                engine.guard_failures,
+                dict(engine.fire_counts),
+            )
         assert totals["source"] == totals["interp"]
+        assert totals["interp"][2] > 0 and totals["interp"][3] > 0
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The partition-sweep examples fail loudly: a checksum that disagrees with
-the reference ends the run with a non-zero exit naming the partition."""
+"""The checking examples fail loudly: a checksum or total that disagrees
+with the reference ends the run with a non-zero exit naming what differs."""
 
 import dataclasses
 import importlib.util
@@ -45,3 +45,15 @@ def test_vorbis_sweep_exits_nonzero_on_mismatch(monkeypatch, capsys):
     assert exit_info.value.code not in (None, 0)
     assert "partition A" in str(exit_info.value.code)
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_quickstart_exits_nonzero_on_mismatch(monkeypatch):
+    example = _load("quickstart")
+    example.main()  # the real totals pass
+    monkeypatch.setattr(example, "EXPECTED_TOTAL", example.EXPECTED_TOTAL + 1)
+    with pytest.raises(SystemExit) as exit_info:
+        example.main()
+    assert exit_info.value.code not in (None, 0)
+    message = str(exit_info.value.code)
+    assert "reference simulator total is 1240" in message
+    assert "co-simulation total is 1240" in message

@@ -139,7 +139,7 @@ class TestVirtualChannels:
         vc = VirtualChannelTable([sync]).channel_for(sync)
         assert vc.layout is layout_for(sync.ty, 32)
         value = (1, 2, 3, 4)
-        assert vc.decode(vc.encode(value), 1) == value
+        assert vc.decode(vc.layout.encoder(vc.vc_id)(value), 1) == value
 
     def test_narrow_word_width_is_a_build_time_error(self):
         """A link too narrow for the header fails when the table is built,

@@ -403,22 +403,19 @@ class TestMarshaling:
 
         With ``FixPt#(8,24)`` elements (or complex halves) a 32-bit word
         holds exactly one raw int, so the layout takes the aligned codec;
-        at 16 and 64 bits the payload spans words and takes the big-int
-        path.  ``FixPt#(24,40)`` is aligned at 64 bits instead.  Every path
-        must put the reference's words on the wire and decode the
-        reference's value, from the raw form or boxed elements."""
+        at 64 bits the payload spans words and takes the reference path
+        (16-bit links have no layout).  ``FixPt#(24,40)`` is aligned at 64
+        bits instead.  Every path must put the reference's words on the
+        wire and decode the reference's value, from the raw form or boxed
+        elements."""
         fix = FixPtT(*fmt)
         elem = fix if kind == "fixed" else ComplexT(fix)
         t = VectorT(n, elem)
-        value = TestFusedPackUnpack._random_value(rng, t)
+        value = TestLayoutCodecs._random_value(rng, t)
         raw_type = RawFixVector if kind == "fixed" else RawComplexVector
         words = marshal.marshal_value(t, value, word_bits)
         reference = marshal.demarshal_value(t, words, word_bits)
         assert reference == value and type(reference) is raw_type
-        bits = t.pack(value)
-        assert marshal._compile_pack(t)(value) == bits
-        decoded = marshal._compile_unpack(t)(bits)
-        assert decoded == reference and type(decoded) is raw_type
         if word_bits < marshal.VC_ID_BITS + marshal.LENGTH_BITS:
             return  # no header fits: 16-bit links have no layout
         layout = marshal.layout_for(t, word_bits)
@@ -562,13 +559,15 @@ class TestMessageLayout:
         with pytest.raises(TypeCheckError):
             encode(256)
         with pytest.raises(TypeCheckError):
-            encode(True)  # bools are not UInt inhabitants, fast path must not accept
+            encode(True)  # bools are not UInt inhabitants
 
 
-class TestFusedPackUnpack:
-    """The fused per-layout pack/unpack closures must be observationally
-    identical to ``ty.pack``/``ty.unpack`` -- values, error types *and*
-    error messages."""
+class TestLayoutCodecs:
+    """A layout's encoders and decoders -- a word codec where the layout
+    has one, the reference marshaling for every other layout and for any
+    value a codec declines -- must be observationally identical to
+    ``marshal_message``/``demarshal_message``: values, value types, error
+    types *and* error messages."""
 
     #: The frame shapes the transport actually moves, plus awkward nestings.
     TYPES = [
@@ -630,10 +629,10 @@ class TestFusedPackUnpack:
                 ty.frac_bits,
             )
         if isinstance(ty, ComplexT):
-            make = TestFusedPackUnpack._random_value
+            make = TestLayoutCodecs._random_value
             return FixComplex(make(rng, ty.elem), make(rng, ty.elem))
         if isinstance(ty, VectorT):
-            make = TestFusedPackUnpack._random_value
+            make = TestLayoutCodecs._random_value
             value = tuple(make(rng, ty.elem) for _ in range(ty.n))
             # Half of the fixed and complex vectors come in their raw form.
             if isinstance(ty.elem, FixPtT) and rng.random() < 0.5:
@@ -645,7 +644,7 @@ class TestFusedPackUnpack:
                 return RawComplexVector(re, im, ty.elem.elem.int_bits, ty.elem.elem.frac_bits)
             return value
         assert isinstance(ty, StructT)
-        make = TestFusedPackUnpack._random_value
+        make = TestLayoutCodecs._random_value
         value = {f: make(rng, t) for f, t in ty.fields}
         # Half of the structs come in their raw form.
         return ty.raw(value) if rng.random() < 0.5 else value
@@ -696,28 +695,31 @@ class TestFusedPackUnpack:
             assert flat == framed + framed
             assert run([0] + flat, 1, 2) == [canonical, canonical]
 
+    @pytest.mark.parametrize("word_bits", [32, 64])
     @pytest.mark.parametrize("ty", TYPES, ids=repr)
-    def test_fused_matches_reference_on_random_values(self, ty):
+    def test_layout_matches_reference_on_random_values(self, ty, word_bits):
         import random
 
-        rng = random.Random(repr(ty))
-        pack = marshal._compile_pack(ty)
-        unpack = marshal._compile_unpack(ty)
+        rng = random.Random(f"{ty!r}/{word_bits}")
+        layout = marshal.layout_for(ty, word_bits)
+        encode, decode = layout.encoder(5), layout.decoder()
         for _ in range(200):
             value = self._random_value(rng, ty)
-            bits = ty.pack(value)
-            assert pack(value) == bits
-            decoded = unpack(bits)
-            reference = ty.unpack(bits)
+            framed = marshal.marshal_message(5, ty, value, word_bits)
+            assert list(encode(value)) == framed
+            decoded = decode(framed, 1)
+            _, reference = marshal.demarshal_message(ty, framed, word_bits)
             assert decoded == reference
             assert type(decoded) is type(reference)
-            if isinstance(reference, dict):
-                assert list(decoded) == list(reference)
 
     def test_vectors_accept_lists_like_the_reference(self):
         ty = VectorT(3, FixPtT(8, 24))
         value = [FixedPoint.from_float(v, 8, 24) for v in (0.5, -1.25, 2.0)]
-        assert marshal._compile_pack(ty)(value) == ty.pack(value)
+        for word_bits in (32, 64):
+            layout = marshal.layout_for(ty, word_bits)
+            assert list(layout.encoder(0)(value)) == marshal.marshal_message(
+                0, ty, value, word_bits
+            )
 
     @pytest.mark.parametrize(
         "ty,value",
@@ -759,9 +761,9 @@ class TestFusedPackUnpack:
             ),
         ],
     )
-    def test_fused_fallback_reproduces_reference_errors(self, ty, value):
-        """The fused packer and every link codec (the fused one, an aligned
-        vector's, a struct's generated one) hand a value they do not take
+    def test_declined_values_reproduce_reference_errors(self, ty, value):
+        """Every layout encoder -- the reference one, an aligned vector's
+        codec, a struct's generated codec -- hands a value it does not take
         to ``ty.pack``, so the error is the reference's."""
 
         def outcome(fn):
@@ -773,7 +775,6 @@ class TestFusedPackUnpack:
 
         reference = outcome(ty.pack)
         assert reference is not None
-        assert outcome(marshal._compile_pack(ty)) == reference
         for word_bits in (32, 64):
             layout = marshal.layout_for(ty, word_bits)
             assert outcome(layout.encoder(0)) == reference
@@ -781,30 +782,34 @@ class TestFusedPackUnpack:
 
     def test_legal_values_the_fast_predicate_rejects_still_pack(self):
         """A FixedPoint subclass passes the reference isinstance check but
-        not the fused ``__class__ is`` predicate: the fallback must pack it."""
+        not a codec's ``__class__ is`` predicate: the reference must pack
+        it, alone and as the elements of an aligned vector."""
 
         class SubFix(FixedPoint):
             pass
 
-        ty = FixPtT(8, 24)
-        value = SubFix(3, 8, 24)
-        assert marshal._compile_pack(ty)(value) == ty.pack(value)
+        elem = FixPtT(8, 24)
+        for ty, value in (
+            (elem, SubFix(3, 8, 24)),
+            (VectorT(2, elem), (SubFix(3, 8, 24), SubFix(-5, 8, 24))),
+        ):
+            layout = marshal.layout_for(ty, 32)
+            assert list(layout.encoder(0)(value)) == marshal.marshal_message(0, ty, value)
 
     def test_non_dict_mappings_still_pack(self):
         from collections import OrderedDict
 
         ty = StructT("S", [("a", UIntT(4)), ("b", UIntT(4))])
         value = OrderedDict((("b", 2), ("a", 1)))
-        assert marshal._compile_pack(ty)(value) == ty.pack(value)
+        layout = marshal.layout_for(ty, 32)
+        assert list(layout.encoder(0)(value)) == marshal.marshal_message(0, ty, value)
 
     def test_opaque_keeps_reference_behaviour(self):
-        ty = OpaqueT()
+        """Opaque state has no bit layout, so it has no link layout either."""
         with pytest.raises(TypeCheckError):
-            marshal._compile_pack(ty)(object())
-        with pytest.raises(TypeCheckError):
-            marshal._compile_unpack(ty)(0)
+            marshal.layout_for(OpaqueT())
 
-    def test_layout_decoder_uses_fused_unpack(self):
+    def test_layout_roundtrips_complex_vectors(self):
         ty = VectorT(4, ComplexT(FixPtT(8, 24)))
         layout = marshal.layout_for(ty, 32)
         import random

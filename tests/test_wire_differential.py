@@ -10,7 +10,8 @@ partitions:
    fabric's transport (both backends) land on the link as packed word
    arrays; we capture them straight out of the link's message pool.
 2. **Layout** -- the channel's :class:`~repro.platform.marshal.MessageLayout`
-   (the single source of truth) must produce the identical framed words.
+   (the single source of truth), whose word codec the transport runs, must
+   produce the reference marshaling's framed words.
 3. **Generated artifacts** -- the header constants and word counts embedded
    in the generated C pack/unpack helpers and BSV marshal/dispatch rules
    are parsed back out of the artifact text and *re-executed in Python*
@@ -136,10 +137,14 @@ class TestSimulatorWireBytes:
         clock = 0.0
         for route in fabric._routes:
             sync, vc = route[0], route[1]
+            # Every shipped channel rides a word codec; a channel type that
+            # would fall to the reference marshaling must fail here, not
+            # silently slow a workload down.
+            assert vc.layout._codec is not None, (
+                f"{name}/{sync.name}: {sync.ty!r} has no word codec at {vc.word_bits} bits"
+            )
             for value in sample_values(sync.ty):
                 wire = push_one(fabric, route, value, now=clock)
-                expected = vc.layout.pack_message(vc.vc_id, value)
-                assert wire == expected, f"{name}/{sync.name}: wire bytes diverge"
                 assert wire == marshal_message(
                     vc.vc_id, sync.ty, value, vc.word_bits
                 ), f"{name}/{sync.name}: layout diverges from reference marshal"
