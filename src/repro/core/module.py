@@ -250,9 +250,10 @@ class PrimitiveModule(Module):
         domain: Optional["Domain"] = None,  # noqa: F821
         reads: Sequence[Register] = (),
         writes: Sequence[Register] = (),
+        template: Optional["NativeTemplate"] = None,
     ) -> "NativeMethod":
         method = self.add_method(name, kind, params, body=None, domain=domain)
-        native = NativeMethod(method, guard_fn, body_fn, list(reads), list(writes))
+        native = NativeMethod(method, guard_fn, body_fn, list(reads), list(writes), template)
         self.native[name] = native
         return native
 
@@ -281,6 +282,39 @@ class PrimitiveModule(Module):
         return True
 
 
+class NativeTemplate:
+    """The source tier's inline lowering of one native method.
+
+    Each piece is Python expression text with ``str.format`` fields: a
+    method parameter by name, a state register of the primitive by its
+    attribute name (``data``, ``mem``, ``flag``: the register's current
+    value, read once per call), or any other instance attribute
+    (``depth``, ``size``), which the generator binds as a name so the text
+    is the same whatever its value.
+
+    * ``guard`` -- the readiness test; ``None`` when always ready;
+    * ``result`` -- a value method's result;
+    * ``writes`` -- an action method's updates, ``(register attribute,
+      new value)`` pairs.
+
+    It must compute what the method's ``guard_fn`` / ``body_fn`` compute
+    (``tests/test_compiled_backend.py`` checks every shipped template
+    against them).
+    """
+
+    __slots__ = ("guard", "result", "writes")
+
+    def __init__(
+        self,
+        guard: Optional[str] = None,
+        result: Optional[str] = None,
+        writes: Sequence[Tuple[str, str]] = (),
+    ):
+        self.guard = guard
+        self.result = result
+        self.writes = tuple(writes)
+
+
 class NativeMethod:
     """Native implementation of a primitive-module method.
 
@@ -288,6 +322,8 @@ class NativeMethod:
     ``(updates, return_value)`` where ``updates`` maps registers to new
     values and ``read`` is a function ``Register -> current value`` supplied
     by the interpreter (so the primitive sees the correct shadowed state).
+    ``template`` is the same method as inline source text for the
+    generated tier; a native method without one cannot run there.
     """
 
     def __init__(
@@ -297,12 +333,14 @@ class NativeMethod:
         body_fn: Callable[..., Tuple[Dict[Register, Any], Any]],
         reads: List[Register],
         writes: List[Register],
+        template: Optional[NativeTemplate] = None,
     ):
         self.method = method
         self.guard_fn = guard_fn
         self.body_fn = body_fn
         self.reads = reads
         self.writes = writes
+        self.template = template
 
 
 class Design:

@@ -3,7 +3,9 @@
 The paper's designs are built almost entirely from registers and FIFOs
 (``mkFIFO``) plus memories for the ray tracer's scene and BVH storage.  These
 are :class:`~repro.core.module.PrimitiveModule` instances whose methods have
-native guard/body implementations executed directly by the interpreter.
+native guard/body implementations executed directly by the interpreter,
+each next to the :class:`~repro.core.module.NativeTemplate` the generated
+tier inlines in its place.
 
 Every primitive keeps its state in ordinary :class:`Register` objects so that
 shadowing, commit/rollback and the read/write-set analyses work uniformly.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.errors import ElaborationError
-from repro.core.module import PrimitiveModule, Register
+from repro.core.module import NativeTemplate, PrimitiveModule, Register
 from repro.core.types import BCLType, BoolT
 
 
@@ -51,6 +53,9 @@ class Fifo(PrimitiveModule):
             params=["x"],
             reads=[self.data],
             writes=[self.data],
+            template=NativeTemplate(
+                guard="len({data}) < {depth}", writes=[("data", "{data} + ({x},)")]
+            ),
         )
         self.add_native_method(
             "deq",
@@ -59,6 +64,7 @@ class Fifo(PrimitiveModule):
             body_fn=lambda read: ({self.data: read(self.data)[1:]}, None),
             reads=[self.data],
             writes=[self.data],
+            template=NativeTemplate(guard="len({data}) > 0", writes=[("data", "{data}[1:]")]),
         )
         self.add_native_method(
             "first",
@@ -66,6 +72,7 @@ class Fifo(PrimitiveModule):
             guard_fn=lambda read: len(read(self.data)) > 0,
             body_fn=lambda read: ({}, read(self.data)[0]),
             reads=[self.data],
+            template=NativeTemplate(guard="len({data}) > 0", result="{data}[0]"),
         )
         self.add_native_method(
             "clear",
@@ -74,6 +81,7 @@ class Fifo(PrimitiveModule):
             body_fn=lambda read: ({self.data: ()}, None),
             reads=[],
             writes=[self.data],
+            template=NativeTemplate(writes=[("data", "()")]),
         )
         self.add_native_method(
             "notEmpty",
@@ -81,6 +89,7 @@ class Fifo(PrimitiveModule):
             guard_fn=lambda read: True,
             body_fn=lambda read: ({}, len(read(self.data)) > 0),
             reads=[self.data],
+            template=NativeTemplate(result="len({data}) > 0"),
         )
         self.add_native_method(
             "notFull",
@@ -88,6 +97,7 @@ class Fifo(PrimitiveModule):
             guard_fn=lambda read: True,
             body_fn=lambda read: ({}, len(read(self.data)) < self.depth),
             reads=[self.data],
+            template=NativeTemplate(result="len({data}) < {depth}"),
         )
         self.add_native_method(
             "count",
@@ -95,6 +105,7 @@ class Fifo(PrimitiveModule):
             guard_fn=lambda read: True,
             body_fn=lambda read: ({}, len(read(self.data))),
             reads=[self.data],
+            template=NativeTemplate(result="len({data})"),
         )
 
     def concurrently_schedulable(self, method_a: str, method_b: str) -> bool:
@@ -175,6 +186,7 @@ class RegFile(PrimitiveModule):
             body_fn=lambda read, i: ({}, read(self.mem)[i]),
             params=["i"],
             reads=[self.mem],
+            template=NativeTemplate(guard="0 <= {i} < {size}", result="{mem}[{i}]"),
         )
         self.add_native_method(
             "upd",
@@ -187,6 +199,10 @@ class RegFile(PrimitiveModule):
             params=["i", "x"],
             reads=[self.mem],
             writes=[self.mem],
+            template=NativeTemplate(
+                guard="0 <= {i} < {size}",
+                writes=[("mem", "{mem}[:{i}] + ({x},) + {mem}[{i} + 1:]")],
+            ),
         )
 
     def concurrently_schedulable(self, method_a: str, method_b: str) -> bool:
@@ -224,6 +240,7 @@ class PulseWire(PrimitiveModule):
             guard_fn=lambda read: True,
             body_fn=lambda read: ({self.flag: True}, None),
             writes=[self.flag],
+            template=NativeTemplate(writes=[("flag", "True")]),
         )
         self.add_native_method(
             "read",
@@ -231,6 +248,7 @@ class PulseWire(PrimitiveModule):
             guard_fn=lambda read: True,
             body_fn=lambda read: ({}, read(self.flag)),
             reads=[self.flag],
+            template=NativeTemplate(result="{flag}"),
         )
         self.add_native_method(
             "clear",
@@ -238,6 +256,7 @@ class PulseWire(PrimitiveModule):
             guard_fn=lambda read: True,
             body_fn=lambda read: ({self.flag: False}, None),
             writes=[self.flag],
+            template=NativeTemplate(writes=[("flag", "False")]),
         )
 
     def symbolic_guard(self, method: str, args):

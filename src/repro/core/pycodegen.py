@@ -5,9 +5,11 @@ The engines have two rule backends: ``interp``, the tree-walking
 and ``source``, generated here.  Each *already elaborated*
 ``Expr``/``Action`` tree is lowered once to flat Python source --
 operators inlined as Python infix, environment frames become local
-variables, registers / native methods / kernel functions resolved to
-direct names in the module namespace, ``GuardFail`` raised from prebuilt
-singletons -- and the module is ``exec``-compiled at elaboration time.
+variables, registers and kernel functions resolved to direct names in the
+module namespace, the native methods of FIFOs, memories and wires inlined
+from their :class:`~repro.core.module.NativeTemplate`, ``GuardFail``
+raised from prebuilt singletons -- and the module is ``exec``-compiled at
+elaboration time.
 
 Three generation modes reproduce the tree walker's observable behaviour
 bit-for-bit:
@@ -31,6 +33,8 @@ generated (``generate_sw_step`` / ``generate_hw_step``): the dirty-set
 scan, guard, body and cost commit of one engine step fuse into a single
 generated function with all identity-stable collaborators pre-bound in the
 module namespace, so a quiescent engine is one generated-function call.
+Each engine's step module also holds its ``_commit``, which stores updates
+and wakes the rules reading each written register without a callback.
 The hardware step also compiles in the engine's static schedule: one
 unrolled block per rule and the conflict matrix as boolean chains.
 Rebindable engine state (``busy_until``, ``_pending_updates``, counters)
@@ -61,11 +65,13 @@ through generated functions show real source lines.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import keyword
 import linecache
 import os
 import re
+import string
 from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -363,15 +369,35 @@ class _ModuleBuilder:
             "DoubleWriteError": DoubleWriteError,
             "ElaborationError": ElaborationError,
         }
-        self._by_id: Dict[int, str] = {}
+        self._by_id: Dict[Any, str] = {}
         self._counter = 0
         self._fn_counter = 0
         #: Set when a lazy let is forced: only then is ``_force`` emitted.
         self.uses_force = False
+        #: Set when latency-mode lowering emits an FSM charge anywhere in
+        #: the module (thunks and user methods included).
+        self.latency_charged = False
+        #: id(action) -> its static write set (see :meth:`writes_of`).
+        self._writes: Dict[int, frozenset] = {}
+        #: A one-update dict literal's text -> its (key, value) texts.
+        self.single_updates: Dict[str, Tuple[str, str]] = {}
 
-    def bind(self, obj: Any, prefix: str = "o") -> str:
-        """Bind ``obj`` into the namespace under a deterministic name."""
-        key = id(obj)
+    def single_update(self, key: str, value: str) -> str:
+        """The dict literal ``{key: value}``, remembered so a ``Par``
+        merging it can store the one item instead."""
+        text = f"{{{key}: {value}}}"
+        self.single_updates[text] = (key, value)
+        return text
+
+    def bind(self, obj: Any, prefix: str = "o", key: Any = None) -> str:
+        """Bind ``obj`` into the namespace under a deterministic name.
+
+        Bindings are shared by object identity, or by ``key`` when one is
+        given: a primitive's depth or size binds per instance, so two
+        instances get two names even where their values are one object.
+        """
+        if key is None:
+            key = id(obj)
         name = self._by_id.get(key)
         if name is None:
             name = f"_{prefix}{self._counter}"
@@ -379,6 +405,24 @@ class _ModuleBuilder:
             self._by_id[key] = name
             self.bindings[name] = obj
         return name
+
+    def writes_of(self, action: Action) -> frozenset:
+        """The registers ``action`` may write (``analysis.write_set``),
+        memoised per node so each action of the unit is visited once."""
+        writes = self._writes.get(id(action))
+        if writes is None:
+            if isinstance(action, RegWrite):
+                writes = frozenset((action.reg,))
+            elif isinstance(action, MethodCallA):
+                from repro.core.analysis import _method_write_set
+
+                writes = _method_write_set(action.instance, action.method)
+            else:
+                writes = frozenset().union(
+                    *[self.writes_of(sub) for sub in action.children() if isinstance(sub, Action)]
+                )
+            self._writes[id(action)] = writes
+        return writes
 
     def fn_name(self, stem: str) -> str:
         self._fn_counter += 1
@@ -441,6 +485,25 @@ class _FnWriter:
 
 def _reindent(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
+
+
+@functools.lru_cache(maxsize=256)
+def _template_fields(
+    guard: Optional[str], result: Optional[str], writes: Tuple[Tuple[str, str], ...]
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The ``str.format`` fields a native template's guard names, and those
+    only its result or updates name, each in first-use order."""
+
+    def fields(pieces: List[Optional[str]], skip: Tuple[str, ...] = ()) -> Tuple[str, ...]:
+        names: List[str] = []
+        for piece in pieces:
+            for _, name, _, _ in string.Formatter().parse(piece or ""):
+                if name is not None and name not in names and name not in skip:
+                    names.append(name)
+        return tuple(names)
+
+    in_guard = fields([guard])
+    return in_guard, fields([result] + [value for _, value in writes], in_guard)
 
 
 class _Unsupported(Exception):
@@ -791,11 +854,13 @@ class _Lowerer:
                 values = self._kernel_args(expr)
                 cost_fn = self.module.bind(expr.hw_cycles, "k")
                 w.emit(f"{self.sink} += max(0, int({cost_fn}({values})) - 1)")
+                self.module.latency_charged = True
                 return f"{fn}({values})"
             extra = max(0, int(expr.hw_cycles) - 1)
             if extra:
                 values = self._kernel_args(expr)
                 w.charge(self.sink, extra)
+                self.module.latency_charged = True
                 return f"{fn}({values})"
         args = self._operands(list(expr.args))
         return f"{fn}({', '.join(args)})"
@@ -835,9 +900,9 @@ class _Lowerer:
                     w.emit(f"{t} = {value}")
                     value = t
                 self._charge(self.params.reg_write)
-                return f"{{{reg}: {value}}}"
+                return self.module.single_update(reg, value)
             (value,) = self._operands([action.value])
-            return f"{{{reg}: {value}}}"
+            return self.module.single_update(reg, value)
 
         if isinstance(action, IfA):
             cond_stmts, cond = self._capture(lambda: self.lower_expr(action.cond))
@@ -876,6 +941,17 @@ class _Lowerer:
             merged = self.w.tmp()
             first = self.lower_action(subs[0])
             w.emit(f"{merged} = {first}")
+            writes = [self.module.writes_of(sub) for sub in subs]
+            if sum(map(len, writes)) == len(frozenset().union(*writes)):
+                # Pairwise disjoint static write sets: no double write.
+                for sub in subs[1:]:
+                    value = self.lower_action(sub)
+                    item = self.module.single_updates.get(value)
+                    if item is None:
+                        w.emit(f"{merged}.update({value})")
+                    else:
+                        w.emit(f"{merged}[{item[0]}] = {item[1]}")
+                return merged
             for sub in subs[1:]:
                 value = self.lower_action(sub)
                 k, v = w.tmp(), w.tmp()
@@ -993,9 +1069,11 @@ class _Lowerer:
         )
 
         if isinstance(instance, PrimitiveModule):
-            native = instance.get_native(method_name)
-            guard_fn = self.module.bind(native.guard_fn, "g")
-            body_fn = self.module.bind(native.body_fn, "b")
+            template = instance.get_native(method_name).template
+            if template is None:
+                raise _Unsupported(
+                    f"native method {instance.name}.{method_name} (it has no inline template)"
+                )
             self._on_method(instance, method_name)
             if self.counting and self.charging:
                 overhead = self.params.native_method_overhead
@@ -1005,21 +1083,7 @@ class _Lowerer:
             values = self._materialize(
                 [self._capture(lambda a=a: self.lower_expr(a)) for a in call.args]
             )
-            arglist = ", ".join([self.read] + values)
-            w.emit(f"if not {guard_fn}({arglist}):")
-            w.indent += 1
-            self._raise_fail(fail)
-            w.indent -= 1
-            t = w.tmp()
-            if is_action:
-                w.emit(f"{t}, _ = {body_fn}({arglist})")
-                if self.counting and self.charging:
-                    self.w.emit(
-                        f"{self.sink} += {self.params.reg_write} * len({t})"
-                    )
-                return t
-            w.emit(f"_, {t} = {body_fn}({arglist})")
-            return t
+            return self._lower_native(instance, method, template, values, fail, is_action)
 
         # User-defined method: one generated module-level function pair per
         # (method, mode), pre-registered so recursive methods terminate.
@@ -1040,6 +1104,54 @@ class _Lowerer:
         w.emit(f"{t} = {body_name}({arglist})")
         return t
 
+    def _lower_native(
+        self,
+        instance: PrimitiveModule,
+        method: Method,
+        template: Any,
+        args: List[str],
+        fail: str,
+        is_action: bool,
+    ) -> str:
+        """Emit a native method inline from its :class:`NativeTemplate`.
+
+        Each state register the template names is read once, after the
+        arguments: the guard's before the guard, the rest after it, as the
+        native functions read them.  Any other instance attribute it names
+        binds per instance.  An action's count-mode write charge follows
+        the guard, since the body cannot fail.
+        """
+        w = self.w
+        bind = self.module.bind
+        fields = dict(zip(method.params, args))
+        in_guard, in_body = _template_fields(template.guard, template.result, template.writes)
+        for attrs, guard in ((in_guard, template.guard), (in_body, None)):
+            for attr in attrs:
+                if attr in fields:
+                    continue
+                value = getattr(instance, attr)
+                if isinstance(value, Register):
+                    fields[attr] = t = w.tmp()
+                    w.emit(f"{t} = {self.read}({bind(value, 'r')})")
+                else:
+                    fields[attr] = bind(value, "c", key=(id(instance), attr))
+            if guard is not None:
+                w.emit(f"if not ({guard.format(**fields)}):")
+                w.indent += 1
+                self._raise_fail(fail)
+                w.indent -= 1
+        if not is_action:
+            return f"({template.result.format(**fields)})"
+        if self.counting and self.charging:
+            self._charge(self.params.reg_write * len(template.writes))
+        items = [
+            (bind(getattr(instance, attr), "r"), value.format(**fields))
+            for attr, value in template.writes
+        ]
+        if len(items) == 1:
+            return self.module.single_update(*items[0])
+        return "{" + ", ".join(f"{key}: {value}" for key, value in items) + "}"
+
     def _on_method(self, instance: Module, method_name: str) -> None:
         """The method entry's folded latency: a memory whose
         ``read_latency`` is above 1 adds ``read_latency - 1`` cycles, as
@@ -1048,6 +1160,7 @@ class _Lowerer:
             read_latency = getattr(instance, "read_latency", None)
             if read_latency is not None and read_latency > 1:
                 self.w.charge(self.sink, read_latency - 1)
+                self.module.latency_charged = True
 
     def _call_ctx(self) -> str:
         """Second argument threaded into generated method/thunk functions.
@@ -1148,14 +1261,18 @@ class SourceRuleExec:
     to ``cell[0]`` (a one-element list): the constant and callable
     ``hw_cycles`` of its kernels and the ``read_latency`` of its memories,
     folded at generation, exactly as ``HwLatencyAccumulator`` counts them.
+    ``fixed_latency`` is True when that lowering charged nothing, through
+    thunks and user methods included: the rule always takes one cycle and
+    its ``latency`` function never touches the cell.
     """
 
-    __slots__ = ("rule", "fast", "latency")
+    __slots__ = ("rule", "fast", "latency", "fixed_latency")
 
-    def __init__(self, rule: Rule, fast=None, latency=None):
+    def __init__(self, rule: Rule, fast=None, latency=None, fixed_latency=False):
         self.rule = rule
         self.fast = fast
         self.latency = latency
+        self.fixed_latency = fixed_latency
 
 
 def generate_rule_execs(
@@ -1185,7 +1302,11 @@ def generate_rule_execs(
         gen = module.build()
         units.append(gen)
         execs.append(
-            SourceRuleExec(rule, **{mode: gen.namespace[f"_rule_{mode}"] for mode in modes})
+            SourceRuleExec(
+                rule,
+                **{mode: gen.namespace[f"_rule_{mode}"] for mode in modes},
+                fixed_latency="latency" in modes and not module.latency_charged,
+            )
         )
     return execs, tuple(units)
 
@@ -1283,27 +1404,63 @@ def generate_counting_attempts(
     return [gen.namespace["_attempt"] for gen in units], tuple(units)
 
 
+#: ``_commit(u)``, emitted into every engine step module: the engine's one
+#: commit path for generated code (its step, and the pumps that drain its
+#: producer endpoints).  It stores the updates with the plain ``dict``
+#: method and wakes, per written key, the rules that read it -- exactly
+#: what ``WakingStore.update`` does, without a callback per key.
+_COMMIT = """\
+def _commit(u):
+    _dict_update(_store, u)
+    for _reg in u:
+        _ids = _wakers_get(_reg)
+        if _ids is not None:
+            for _i in _ids:
+                if _sleeping[_i]:
+                    _sleeping[_i] = 0
+                    _wakeup.n_sleeping -= 1
+"""
+
+
+def _bind_commit(module: _ModuleBuilder, engine: Any) -> None:
+    """Bind what :data:`_COMMIT` uses and emit it."""
+    wakeup = engine._wakeup
+    module.bindings.update(
+        _store=engine.store,
+        _dict_update=dict.update,
+        _wakers_get=wakeup.wakers.get,
+        _sleeping=wakeup.sleeping,
+        _wakeup=wakeup,
+    )
+    module.chunks.append(_COMMIT + "\n")
+
+
 def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
     """Fuse ``SwEngine.step`` into one generated function bound to ``engine``.
 
     Pre-binds only identity-stable collaborators (the wrapped store, the
-    wakeup arrays, the fire-count / fail-cost dicts, the schedule's
-    candidate cache); every field ``restore()`` rebinds is reached through
-    ``self`` so resident serving keeps working.
+    wakeup arrays, the fire-count / fail-cost dicts); every field
+    ``restore()`` rebinds is reached through ``self`` so resident serving
+    keeps working.  The schedule's candidate order after each last-fired
+    rule is static, so it is one precomputed table of ``(index, rule)``
+    pairs.  Commits go through the module's ``_commit`` (which wakes the
+    readers of each written register directly), and a failed attempt puts
+    its rule to sleep inline; parked deliveries still land through the
+    store's ``__setitem__``.
     """
     module = _ModuleBuilder(f"{engine.name}.swstep")
     n = len(engine.rules)
     b = module.bindings
     b["_self"] = engine
+    _bind_commit(module, engine)
     if n:
-        wakeup = engine._wakeup
-        b["_store"] = engine.store
+        index_of = engine._wakeup.index_of
+        candidates = engine.schedule.candidates
         b["_read"] = engine.store.__getitem__
-        b["_sleeping"] = wakeup.sleeping
-        b["_index_of"] = wakeup.index_of
-        b["_wakeup"] = wakeup
-        b["_sleep"] = wakeup.sleep_index
-        b["_candidates"] = engine.schedule.candidates
+        b["_order"] = {
+            last: tuple((index_of[rule], rule) for rule in candidates(last))
+            for last in [None] + engine.rules
+        }
         b["_lfc"] = engine._last_fail_cost
         b["_fire_counts"] = engine.fire_counts
         b["_names"] = tuple(r.full_name for r in engine.rules)
@@ -1320,7 +1477,7 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
             "    progress = False",
             "    _pu = _self._pending_updates",
             "    if _pu is not None:",
-            "        _store.update(_pu)",
+            "        _commit(_pu)",
             "        _self._pending_updates = None",
             "        progress = True",
             "    _pd = _self._pending_deliveries",
@@ -1332,8 +1489,7 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
             "        _self.guard_failures += _n_rules",
             "        return progress",
             "    _wasted = 0.0",
-            "    for _rule in _candidates(_self._last_fired):",
-            "        _i = _index_of[_rule]",
+            "    for _i, _rule in _order[_self._last_fired]:",
             "        if _sleeping[_i]:",
             "            _wasted += _lfc[_rule]",
             "            _self.guard_failures += 1",
@@ -1350,7 +1506,8 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
             "            _fire_counts[_names[_i]] += 1",
             "            _self.total_firings += 1",
             "            return True",
-            "        _sleep(_i)",
+            "        _sleeping[_i] = 1",
+            "        _wakeup.n_sleeping += 1",
             "        _lfc[_rule] = _cost",
             "        _wasted += _cost",
             "        _self.guard_failures += 1",
@@ -1391,7 +1548,15 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
       for rule pairs whose static ``rule_write_set`` / ``rule_read_set``
       overlap, and never for a conflicting pair (at most one of them is
       chosen).  The candidate test has already shown that a chosen rule's
-      write set misses the registers locked when the cycle began.
+      write set misses the registers locked when the cycle began.  Updates
+      commit through the module's ``_commit``, which wakes the readers of
+      each written register directly; a guard failure marks its rule
+      asleep inline.
+    * **Fixed-latency rules**: a rule whose ``latency`` lowering charged
+      nothing (``SourceRuleExec.fixed_latency``) always takes one cycle.
+      Its block drops the charge cell and the lock branch, it never
+      locks out a later rule, and with an empty write set it needs no busy
+      test, since it is never busy.
     * **Busy-only cycles**: only candidates are put to sleep, so a busy rule
       is never asleep; when every rule is asleep or busy once due rules
       have finished, no rule is a candidate and the step returns at once.
@@ -1401,16 +1566,12 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     n = len(rules)
     b = module.bindings
     b["_self"] = engine
+    _bind_commit(module, engine)
     if not n:
         module.chunks.append("def step_cycle(now):\n    return False\n")
         return module.build()
-    wakeup = engine._wakeup
     b.update(
-        _store=engine.store,
         _read=engine.store.__getitem__,
-        _sleeping=wakeup.sleeping,
-        _sleep=wakeup.sleep_index,
-        _wakeup=wakeup,
         _busy=engine.busy,
         _locked=engine._locked_count.keys(),
         _fire_counts=engine.fire_counts,
@@ -1422,28 +1583,38 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     )
     wsets = [engine._write_sets[rule] for rule in rules]
     rsets = [engine._read_sets[rule] for rule in rules]
+    fixed = [execs[rule].fixed_latency for rule in rules]
     for i, rule in enumerate(rules):
         b[f"_R{i}"] = rule
         b[f"_L{i}"] = execs[rule].latency
         b[f"_W{i}"] = frozenset(wsets[i])
 
     def evaluate(i: int, indent: str, on_fail: List[str]) -> List[str]:
-        return [
-            f"{indent}_cl[0] = 0",
-            f"{indent}try:",
-            f"{indent}    _u{i} = _L{i}(_read, _cl)",
-            f"{indent}    _l{i} = 1 + _cl[0]",
+        # A candidate is awake, so a guard failure puts it to sleep as is.
+        if fixed[i]:
+            call = [f"{indent}try:", f"{indent}    _u{i} = _L{i}(_read, None)"]
+        else:
+            call = [
+                f"{indent}_cl[0] = 0",
+                f"{indent}try:",
+                f"{indent}    _u{i} = _L{i}(_read, _cl)",
+                f"{indent}    _l{i} = 1 + _cl[0]",
+            ]
+        return call + [
             f"{indent}except GuardFail:",
-            f"{indent}    _sleep({i})",
+            f"{indent}    _sleeping[{i}] = 1",
+            f"{indent}    _wakeup.n_sleeping += 1",
         ] + [f"{indent}    {line}" for line in on_fail]
 
     body: List[str] = []
     for i, rule in enumerate(rules):
         if wsets[i]:
-            free = f"(not _busy or _locked.isdisjoint(_W{i}))"
+            free = f" and (not _busy or _locked.isdisjoint(_W{i}))"
+        elif fixed[i]:
+            free = ""  # never busy
         else:
-            free = f"_R{i} not in _busy"
-        body += [f"# {rule.full_name}", f"_u{i} = None", f"if not _sleeping[{i}] and {free}:"]
+            free = f" and _R{i} not in _busy"
+        body += [f"# {rule.full_name}", f"_u{i} = None", f"if not _sleeping[{i}]{free}:"]
         body += evaluate(i, "    ", [])
 
     # Static schedule: for each rule in urgency order, the earlier rules
@@ -1457,7 +1628,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
         earlier = order[:pos]
         excluders = [j for j in earlier if conflict(rules[j], rules[k])]
         compatible = [j for j in earlier if j not in excluders]
-        lockers = [j for j in compatible if wsets[j] & wsets[k]]
+        lockers = [j for j in compatible if not fixed[j] and wsets[j] & wsets[k]]
         writers = [
             (j, sorted(wsets[j] & rsets[k], key=lambda reg: reg.full_name))
             for j in compatible
@@ -1499,14 +1670,17 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
             f"_fire_counts[{rules[k].full_name!r}] += 1",
             "_self.total_firings += 1",
             "progress = True",
-            f"if _l{k} <= 1:",
-            f"    _store.update(_u{k})",
         ]
+        commit = [f"_commit(_u{k})"]
         if k in committed_ref:
-            fire.append(f"    _m{k} = _u{k}")
-        fire += ["else:", f"    _lock(_R{k}, now + _l{k}, _u{k})"]
-        if k in deferred_ref:
-            fire.append(f"    _d{k} = True")
+            commit.append(f"_m{k} = _u{k}")
+        if fixed[k]:
+            fire += commit
+        else:
+            fire += [f"if _l{k} <= 1:"] + ["    " + line for line in commit]
+            fire += ["else:", f"    _lock(_R{k}, now + _l{k}, _u{k})"]
+            if k in deferred_ref:
+                fire.append(f"    _d{k} = True")
         body += [indent + line for line in fire]
 
     lines = [
@@ -1518,9 +1692,10 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
         "    _nf = _self._next_finish",
         "    if _nf is not None and _nf <= now:",
         "        for _r in [r for r, (f, _) in _busy.items() if f <= now]:",
-        "            _store.update(_unlock(_r))",
+        "            _commit(_unlock(_r))",
         "            progress = True",
-        "        _flush()",
+        "        if _self._pending_deliveries:",
+        "            _flush()",
         f"    if _wakeup.n_sleeping + len(_busy) == {n}:",
         "        if progress:",
         "            _self.cycles_active += 1",
@@ -1545,15 +1720,35 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
 # --------------------------------------------------------------------------
 
 
+def _locked_test(engine: str, reg: str, view: Optional[str]) -> str:
+    """Text that is true when the producer engine ``engine`` holds ``reg``
+    locked, as ``engine.locked_registers()`` would say, without the call:
+    a hardware engine's locked-count view (bound as ``view``; its identity
+    survives ``restore()``), or, with no view, a software engine's pending
+    updates."""
+    if view is None:
+        return f"({engine}._pending_updates is not None and {reg} in {engine}._pending_updates)"
+    return f"{reg} in {view}"
+
+
+#: The wake loop of a delivery that appended to register ``_data_reg``,
+#: whose readers in the target engine are ``_ids`` (``RuleWakeup.wakers``).
+_DELIVERY_WAKE = [
+    "for _w in _ids:",
+    "    if _sleeping[_w]:",
+    "        _sleeping[_w] = 0",
+    "        _wakeup.n_sleeping -= 1",
+]
+
+
 def generate_transport_pump(
     data_reg,
     depth: int,
-    producer_store,
+    producer,
     consumer_store,
     vc,
     direction,
-    locked,
-    charge_driver=None,
+    sw_producer: bool = False,
     occupancy_of=None,
     name: str = "route",
 ) -> Callable[[float], bool]:
@@ -1563,16 +1758,22 @@ def generate_transport_pump(
     window allows, in one batch: the window
     ``depth - consumer_occupancy - in_flight`` is computed once (occupancy
     cannot change mid-pump -- deliveries happen in a separate phase), the
-    drained prefix is committed with one tuple re-slice, and each element
-    is packed by the virtual channel's layout-compiled ``encode_batch``
-    straight into the link's :class:`~repro.platform.channel.MessagePool`
-    rings -- no per-message object.  Per-route constants (credit depth,
-    words per element, occupancy and latency cycles, the vc id) are
-    pre-bound names like the mutable collaborators (stores, pool rings,
-    stats), so every route of one shape has the same text and compiles
-    once.  Counters commit once per batch, while ``busy_cycles`` and due
-    times accumulate per element, so results stay bitwise identical to
-    the interpreted per-element transport
+    drained prefix is committed with one tuple re-slice through the
+    ``producer`` engine's generated ``_commit`` (which wakes the producer
+    rules waiting on a full FIFO), and each element is packed by the
+    virtual channel's layout-compiled ``encode_batch`` straight into the
+    link's :class:`~repro.platform.channel.MessagePool` rings -- no
+    per-message object.  A locked endpoint returns False; an empty window
+    counts a credit stall and returns False, as the reference pump does.
+    Per-route constants (credit depth, words per element, occupancy and
+    latency cycles, the vc id and, for a software producer, the CPU cycles
+    and FPGA-cycle duration of driving one message,
+    ``SwEngine.driver_cost``) are pre-bound names like the mutable
+    collaborators (stores, pool rings, stats), so every route of one shape
+    has the same text and compiles once.  Counters commit
+    once per batch, while ``busy_cycles``, due times and driver charges
+    accumulate per element, so results stay bitwise identical to the
+    interpreted per-element transport
     (``repro.sim.cosim._pump_routes_interp``).
 
     ``occupancy_of`` overrides where the consumer occupancy is read from:
@@ -1586,7 +1787,9 @@ def generate_transport_pump(
     occupancy = direction.params.occupancy_cycles(words, direction.burst)
     latency = direction.params.one_way_latency_cycles
     pool = direction.pool
-    b["_pstore"] = producer_store
+    b["_pstore"] = producer.store
+    b["_peng"] = producer
+    b["_commit"] = producer._step_gen.namespace["_commit"]
     b["_cstore"] = consumer_store
     b["_dreg"] = data_reg
     b["_vc"] = vc
@@ -1594,9 +1797,7 @@ def generate_transport_pump(
     b["_dir"] = direction
     b["_stats"] = direction.stats
     b["_per_vc"] = direction.stats.per_vc_messages
-    b["_locked"] = locked
     b["_encode_batch"] = vc.encode_batch
-    b["_note_stall"] = vc.note_credit_stall
     b["_pool_words"] = pool.words
     b["_words_extend"] = pool.words.extend
     b["_vc_extend"] = pool.vc_ids.extend
@@ -1608,21 +1809,23 @@ def generate_transport_pump(
     b["_vc_id"] = vc.vc_id
     b["_occupancy"] = occupancy
     b["_latency"] = latency
+    if not sw_producer:
+        b["_locked"] = producer._locked_count.keys()
     if occupancy_of is not None:
         b["_occ"] = occupancy_of
-    if charge_driver is not None:
-        b["_charge"] = charge_driver
+    if sw_producer:
+        b["_drv_cpu"], b["_drv_dur"] = producer.driver_cost(words)
     occ_expr = "_occ()" if occupancy_of is not None else "len(_cstore[_dreg])"
     lines = [
         "def pump(now):",
         "    _q = _pstore[_dreg]",
         "    if not _q:",
         "        return False",
-        "    if _dreg in _locked():",
+        f"    if {_locked_test('_peng', '_dreg', None if sw_producer else '_locked')}:",
         "        return False",
         f"    _win = _depth - {occ_expr} - _vc.in_flight",
         "    if _win <= 0:",
-        "        _note_stall()",
+        "        _vcs.stalled_on_credit += 1",
         "        return False",
         "    _n = len(_q)",
         "    if _win < _n:",
@@ -1634,14 +1837,30 @@ def generate_transport_pump(
         "    _vc_extend([_vc_id] * _n)",
         "    _busy = _dir.busy_until",
         "    _bc = _stats.busy_cycles",
+    ]
+    if sw_producer:
+        # SwEngine.charge_driver per element, on locals written back once.
+        lines += [
+            "    _cpu = _peng.cpu_cycles_driver",
+            "    _pbu = _peng.busy_until",
+            "    _pbf = _peng.busy_fpga_cycles",
+        ]
+    lines += [
         "    for _ in range(_n):",
         "        _start = _busy if _busy > now else now",
         "        _busy = _start + _occupancy",
         "        _due_append(_busy + _latency)",
         "        _bc += _occupancy",
     ]
-    if charge_driver is not None:
-        lines.append("        _charge(_words, now)")
+    if sw_producer:
+        lines += [
+            "        _cpu += _drv_cpu",
+            "        _pbu = (now if now > _pbu else _pbu) + _drv_dur",
+            "        _pbf += _drv_dur",
+            "    _peng.cpu_cycles_driver = _cpu",
+            "    _peng.busy_until = _pbu",
+            "    _peng.busy_fpga_cycles = _pbf",
+        ]
     lines += [
         "    _dir.busy_until = _busy",
         "    _stats.busy_cycles = _bc",
@@ -1652,9 +1871,9 @@ def generate_transport_pump(
         "    _vc.in_flight += _n",
         "    _vcs.messages_sent += _n",
         "    _vcs.words_sent += _n * _words",
-        "    _pstore[_dreg] = _q[_n:]",
+        "    _commit({_dreg: _q[_n:]})",
         "    if _n < len(_q):",
-        "        _note_stall()",
+        "        _vcs.stalled_on_credit += 1",
         "    return True",
     ]
     module.chunks.append("\n".join(lines) + "\n")
@@ -1664,38 +1883,49 @@ def generate_transport_pump(
 def generate_transport_delivery(
     direction,
     vc_by_id,
-    deliver,
-    deliver_batch=None,
-    charge_driver=None,
+    target,
+    sw_target: bool,
     name: str = "route",
 ) -> Callable[[float], bool]:
     """Generate one topology link's consumer side as ``deliver_due(now) -> bool``.
 
     Due messages are decoded in place from the link's pool rings (the
-    virtual channel's layout-compiled ``decode``, no per-message object).
-    With ``deliver_batch`` (hardware targets, whose parking condition
-    cannot change mid-sweep) a run of same-vc messages lands as one
-    endpoint append and commits its credit/stat updates once.  Software
-    targets deliver per element with a ``charge_driver`` call each: every
-    charge makes the engine busy, which parks the next delivery, so
+    virtual channel's layout-compiled ``decode``, no per-message object)
+    and appended to the ``target`` engine's endpoint register with the
+    plain ``dict`` method, waking the target rules that read it directly
+    (their indices per vc are bound at generation) -- or parked on the
+    engine's ``_pending_deliveries``, as its ``deliver`` would park them.
+    A hardware target, whose parking condition (the endpoint locked by an
+    in-flight rule) cannot change mid-sweep, takes a run of same-vc
+    messages as one endpoint append and commits its credit/stat updates
+    once.  A software target takes them one at a time, each followed by
+    ``SwEngine.charge_driver``'s charge, folded into per-vc constants:
+    every charge makes the engine busy, which parks the next delivery, so
     batching would change credit timing.
     """
-    if deliver_batch is not None and charge_driver is not None:
-        raise ValueError("deliver_batch and charge_driver are mutually exclusive")
     module = _ModuleBuilder(f"{name}.deliver")
     b = module.bindings
     pool = direction.pool
+    wakeup = target._wakeup
     b["_pool"] = pool
     b["_due"] = pool.due
     b["_vc_ids"] = pool.vc_ids
     b["_bounds"] = pool.bounds
     b["_pool_words"] = pool.words
-    b["_info"] = {
-        vc_id: (vc, vc.decode, vc.decode_run, vc.sync.data, vc.words_per_element)
-        for vc_id, vc in vc_by_id.items()
-    }
-    if deliver_batch is not None:
-        b["_deliver_batch"] = deliver_batch
+    b["_tgt"] = target
+    b["_tstore"] = target.store
+    b["_dict_set"] = dict.__setitem__
+    b["_sleeping"] = wakeup.sleeping
+    b["_wakeup"] = wakeup
+    info = {}
+    for vc_id, vc in vc_by_id.items():
+        reg = vc.sync.data
+        info[vc_id] = (vc, vc.decode, vc.decode_run, reg, wakeup.wakers.get(reg, ()))
+        if sw_target:
+            info[vc_id] += target.driver_cost(vc.words_per_element)
+    b["_info"] = info
+    if not sw_target:
+        b["_locked"] = target._locked_count.keys()
         lines = [
             "def deliver_due(now):",
             "    _head = _pool.head",
@@ -1714,14 +1944,20 @@ def generate_transport_delivery(
             "        _j = _i + 1",
             "        while _j < _cut and _vc_ids[_j] == _vc_id:",
             "            _j += 1",
-            "        _vc, _decode, _decode_run, _data_reg, _words = _info[_vc_id]",
+            "        _vc, _decode, _decode_run, _data_reg, _ids = _info[_vc_id]",
             "        _k = _j - _i",
             "        if _k == 1:",
             "            _items = (_decode(_pool_words, _start + 1),)",
             "        else:",
             "            _items = tuple(_decode_run(_pool_words, _start, _k))",
             "        _start = _bounds[_j - 1]",
-            "        _deliver_batch(_data_reg, _items, now)",
+            "        if _data_reg in _locked:",
+            "            _tgt._pending_deliveries.extend([(_data_reg, _item) for _item in _items])",
+            "        else:",
+            "            _dict_set(_tstore, _data_reg, tuple(_tstore[_data_reg]) + _items)",
+        ]
+        lines += ["            " + line for line in _DELIVERY_WAKE]
+        lines += [
             "        _vc.in_flight -= _k",
             "        _vc.stats.messages_delivered += _k",
             "        _i = _j",
@@ -1730,9 +1966,6 @@ def generate_transport_delivery(
             "    return True",
         ]
     else:
-        b["_deliver"] = deliver
-        if charge_driver is not None:
-            b["_charge"] = charge_driver
         lines = [
             "def deliver_due(now):",
             "    _head = _pool.head",
@@ -1742,14 +1975,21 @@ def generate_transport_delivery(
             "    _start = _pool.word_head",
             "    _i = _head",
             "    while _i < _end and _due[_i] <= now:",
-            "        _vc_id = _vc_ids[_i]",
-            "        _vc, _decode, _decode_run, _data_reg, _words = _info[_vc_id]",
-            "        _deliver(_data_reg, _decode(_pool_words, _start + 1), now)",
-            "        _vc.on_deliver()",
+            "        _vc, _decode, _decode_run, _data_reg, _ids, _cpu, _dur = _info[_vc_ids[_i]]",
+            "        _item = _decode(_pool_words, _start + 1)",
+            "        _bu = _tgt.busy_until",
+            "        if now < _bu or _tgt._pending_updates is not None:",
+            "            _tgt._pending_deliveries.append((_data_reg, _item))",
+            "        else:",
+            "            _dict_set(_tstore, _data_reg, tuple(_tstore[_data_reg]) + (_item,))",
         ]
-        if charge_driver is not None:
-            lines.append("        _charge(_words, now)")
+        lines += ["            " + line for line in _DELIVERY_WAKE]
         lines += [
+            "        _vc.in_flight -= 1",
+            "        _vc.stats.messages_delivered += 1",
+            "        _tgt.cpu_cycles_driver += _cpu",
+            "        _tgt.busy_until = (now if now > _bu else _bu) + _dur",
+            "        _tgt.busy_fpga_cycles += _dur",
             "        _start = _bounds[_i]",
             "        _i += 1",
             "    if _i == _head:",
@@ -1782,8 +2022,14 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
       busy ones due (the skip still records ``last_cycle_stepped``, as the
       step does; a busy rule is never asleep, so no rule is a candidate);
     * a software engine with ``now < busy_until``;
-    * a pump whose producer FIFO is empty;
+    * a pump whose producer FIFO is empty or whose endpoint its producer
+      engine holds locked;
     * the step of an engine without rules.
+
+    A pump with an empty credit window would count a credit stall and
+    return False: the loop tests the window itself, counts the stall on
+    the channel's ``stalled_on_credit`` and leaves the call out, so a pump
+    is called only when it can send.
 
     Engine ``step`` / ``step_cycle`` attributes are read once per run, in
     the prologue, so wrappers installed after elaboration are the ones
@@ -1831,11 +2077,19 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
             f"if not now < {bind(engine, 'e')}.busy_until and {step}(now):",
             "    progress = True",
         ]
-    for (sync, _vc, _engine, producer_store, *_rest), pump in zip(group.routes, group.pump_fns):
+    for route, pump in zip(group.routes, group.pump_fns):
+        sync, vc, producer, producer_store, consumer_store, _direction, sw = route
+        reg = bind(sync.data, "r")
+        view = None if sw else bind(producer._locked_count.keys(), "v", key=(id(producer), "locked"))
+        locked = _locked_test(bind(producer, "e"), reg, view)
+        depth = bind(sync.depth, "c", key=(id(sync), "depth"))
+        channel = bind(vc, "vc")
         phases += [
-            f"if {bind(producer_store, 's')}[{bind(sync.data, 'r')}] "
-            f"and {bind(pump, 'f')}(now):",
-            "    progress = True",
+            f"if {bind(producer_store, 's')}[{reg}] and not {locked}:",
+            f"    if {depth} - len({bind(consumer_store, 's')}[{reg}]) - {channel}.in_flight <= 0:",
+            f"        {bind(vc.stats, 'vs')}.stalled_on_credit += 1",
+            f"    elif {bind(pump, 'f')}(now):",
+            "        progress = True",
         ]
     # The idle skip's running minimum visits the candidates in the order
     # the interpreted loop lists them, so ties resolve identically.

@@ -11,8 +11,10 @@ head-of-line blocking for the others and that no new deadlocks are introduced
 
 The :class:`VirtualChannel` objects here carry the bookkeeping; the actual
 movement of data between partition stores is performed by the co-simulator's
-transport layer (:mod:`repro.sim.cosim`), which consults ``can_send`` before
-launching each transfer.
+transport layer (:mod:`repro.sim.cosim`).  Its pumps compute each launch's
+credit window, ``depth - consumer_occupancy - in_flight``, from the
+consumer endpoint and the channel's ``in_flight`` count, and record the
+window left in ``credits``.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ class VirtualChannel:
         self.decode = self.layout.decoder()
         self.decode_run = self.layout.run_decoder()
 
-    def can_send(self) -> bool:
-        """Whether launching one more element would respect the consumer's buffering."""
-        return self.credits > 0
-
     def snapshot(self) -> tuple:
         """Capture the channel's flow-control state and traffic counters."""
         s = self.stats
@@ -118,10 +116,6 @@ class VirtualChannel:
     def on_deliver(self) -> None:
         self.in_flight -= 1
         self.stats.messages_delivered += 1
-
-    def on_credit_return(self, count: int = 1) -> None:
-        """The consumer dequeued ``count`` elements; its buffer space is free again."""
-        self.credits = min(self.sync.depth, self.credits + count)
 
     def __repr__(self) -> str:
         return (

@@ -312,7 +312,8 @@ class _GroupFabric:
     ``backend="source"`` the loop is generated at elaboration instead
     (:func:`~repro.core.pycodegen.generate_group_loop`): the same phases
     and arithmetic, unrolled over the group, skipping only calls that would
-    do nothing; the interpreted loop stays the reference.
+    do nothing (it counts a credit-stalled pump's stall itself); the
+    interpreted loop stays the reference.
     """
 
     def __init__(self, fabric: "CosimFabric", index: int):
@@ -701,24 +702,22 @@ class CosimFabric:
                 generate_transport_pump(
                     sync.data,
                     sync.depth,
-                    producer_store,
+                    producer_engine,
                     consumer_store,
                     vc,
                     direction,
-                    producer_engine.locked_registers,
-                    producer_engine.charge_driver if sw_producer else None,
+                    sw_producer,
                     name=f"{design.name}.route{i}",
                 )
-                for i, (sync, vc, producer_engine, producer_store, consumer_store, direction, sw_producer) in enumerate(self._routes)
+                for i, (sync, vc, producer_engine, _, consumer_store, direction, sw_producer) in enumerate(self._routes)
             ]
             vc_by_id = self.vcs.id_table
             self._deliver_fns = [
                 generate_transport_delivery(
                     direction,
                     vc_by_id,
-                    target.deliver,
-                    deliver_batch=None if sw_target else target.deliver_batch,
-                    charge_driver=target.charge_driver if sw_target else None,
+                    target,
+                    sw_target,
                     name=f"{design.name}.delivery{i}",
                 )
                 for i, (direction, target, sw_target) in enumerate(self._delivery_routes)

@@ -668,12 +668,11 @@ def _run_lockstep_member(
                     generate_transport_pump(
                         sync.data,
                         sync.depth,
-                        pstore,
+                        peng,
                         cstore,
                         vc,
                         direction,
-                        peng.locked_registers,
-                        peng.charge_driver if sw_prod else None,
+                        sw_prod,
                         occupancy_of=occ_fn,
                         name=f"{fabric.design.name}.route{j}.remote",
                     )

@@ -217,19 +217,6 @@ class HwEngine:
         else:
             self.store[reg] = tuple(self.store[reg]) + (item,)
 
-    def deliver_batch(self, reg: Register, items: Tuple[Any, ...], now: float) -> None:
-        """Append several arriving elements to an endpoint FIFO register at once.
-
-        Equivalent to ``deliver`` per element: the parking condition (the
-        register locked by an in-flight multi-cycle rule) cannot change
-        between the deliveries of one transport sweep, so the whole batch
-        either parks or lands with a single endpoint-tuple extension.
-        """
-        if reg in self._locked_registers():
-            self._pending_deliveries.extend((reg, item) for item in items)
-        else:
-            self.store[reg] = tuple(self.store[reg]) + tuple(items)
-
     def _flush_pending_deliveries(self) -> None:
         if not self._pending_deliveries:
             return

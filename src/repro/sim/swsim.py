@@ -223,12 +223,18 @@ class SwEngine:
         out of the transfer buffer.  This cost is what makes fine-grained
         offload unprofitable in the paper's partitions A and C.
         """
-        params = self.platform.sw_costs
-        cpu = params.driver_per_message + params.driver_per_word * n_words
+        cpu, duration = self.driver_cost(n_words)
         self.cpu_cycles_driver += cpu
-        duration = self.platform.cpu_to_fpga_cycles(cpu)
         self.busy_until = max(self.busy_until, now) + duration
         self.busy_fpga_cycles += duration
+
+    def driver_cost(self, n_words: int) -> Tuple[float, float]:
+        """CPU cycles and FPGA-cycle duration of driving one message of
+        ``n_words`` words.  Constant per route, so the generated transport
+        binds it once and charges it inline, as :meth:`charge_driver` does."""
+        params = self.platform.sw_costs
+        cpu = params.driver_per_message + params.driver_per_word * n_words
+        return cpu, self.platform.cpu_to_fpga_cycles(cpu)
 
     # -- execution ---------------------------------------------------------------
 

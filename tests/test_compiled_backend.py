@@ -7,14 +7,20 @@ must be *observationally equivalent*: identical final stores, identical
 fire counts, identical guard-failure counts and identical cost statistics
 -- on the reference simulator under every scheduling policy, and on the
 full HW/SW co-simulation of both applications.  The kitchen-sink design
-exercises every kernel-grammar construct, in every generation mode.
+exercises every kernel-grammar construct, in every generation mode, and a
+seeded corpus runs every native method of the shipped primitives, which
+the source tier inlines from their templates, against the methods' own
+guard and body functions.
 """
 
+import random
 from dataclasses import asdict
 
 import pytest
 
 from repro.core.action import IfA, LetA, LocalGuard, Loop, Par, RegWrite, Seq, WhenA, par, seq
+from repro.core.domains import HW, SW
+from repro.core.errors import DoubleWriteError
 from repro.core.expr import (
     BinOp,
     Const,
@@ -30,10 +36,12 @@ from repro.core.expr import (
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
 from repro.core.optimize import OptimizationConfig
-from repro.core.primitives import Fifo, RegFile
+from repro.core.primitives import Fifo, PulseWire, RegFile
+from repro.core.synchronizers import SyncFifo
 from repro.core.types import BoolT, OpaqueT, RawStruct, StructT, UIntT
 from repro.platform.platform import Platform
 from repro.sim.cosim import Cosimulator
+from repro.sim.hwsim import HwEngine
 from repro.sim.swsim import SwEngine
 
 
@@ -357,3 +365,227 @@ class TestCosimEquivalence:
                 reg.full_name: cosim.read(reg) for reg in workload.design.all_registers()
             }
         assert stores["source"] == stores["interp"]
+
+
+# --------------------------------------------------------------------------
+# inline primitive methods: every native method, every generation mode
+# --------------------------------------------------------------------------
+
+#: Generation mode -> the engine that runs it (``Simulator``, the HW and
+#: the SW engine).
+MODES = ("fast", "latency", "count")
+
+#: (primitive kind, native method) for every native method shipped.
+NATIVE_METHODS = (
+    [("Fifo", m) for m in ("enq", "deq", "first", "clear", "notEmpty", "notFull", "count")]
+    + [("SyncFifo", m) for m in ("enq", "deq", "first", "clear", "notEmpty", "notFull", "count")]
+    + [("RegFile", m) for m in ("sub", "upd")]
+    + [("PulseWire", m) for m in ("send", "read", "clear")]
+)
+
+
+def _primitive(kind, rng):
+    """A primitive of ``kind`` with a seeded shape, and its state register
+    with a seeded value: a FIFO empty, full or in between; a memory of
+    seeded size and read latency."""
+    if kind in ("Fifo", "SyncFifo"):
+        depth = rng.randint(1, 4)
+        if kind == "Fifo":
+            prim = Fifo("q", UIntT(32), depth=depth)
+        else:
+            prim = SyncFifo("q", UIntT(32), domain_enq=SW, domain_deq=HW, depth=depth)
+        occupancy = rng.choice([0, depth, rng.randint(0, depth)])
+        return prim, prim.data, tuple(rng.randrange(100) for _ in range(occupancy))
+    if kind == "RegFile":
+        size = rng.randint(1, 5)
+        prim = RegFile(
+            "mem", UIntT(32), size=size, init=list(range(size)), read_latency=rng.choice([1, 3])
+        )
+        return prim, prim.mem, tuple(rng.randrange(100) for _ in range(size))
+    prim = PulseWire("wire")
+    return prim, prim.flag, rng.choice([False, True])
+
+
+def _index(rng, size):
+    """A seeded memory index: either bound, one past either bound, or inside."""
+    return rng.choice([-1, 0, size - 1, size, rng.randrange(size)])
+
+
+def primitive_case(kind, method, rng):
+    """A design whose one rule, ``apply``, calls ``method`` of a seeded
+    primitive, and the store it starts from.
+
+    Value methods write their result to ``out``; action methods run alone,
+    in parallel with an unrelated write, or twice in sequence (the second
+    call reads the first one's update).  Arguments come from registers.
+    """
+    top = Module("top")
+    prim, state, value = _primitive(kind, rng)
+    top.add_submodule(prim)
+    out = top.add_register("out", OpaqueT(None))
+    done = top.add_register("done", UIntT(32), 0)
+    regs = {}
+    if method in ("enq", "upd"):
+        regs["x"] = top.add_register("x", UIntT(32), rng.randrange(1000))
+    if method in ("sub", "upd"):
+        regs["i"] = top.add_register("i", OpaqueT(None))
+    args = [RegRead(regs[p]) for p in prim.get_method(method).params]
+    if prim.get_method(method).kind == "value":
+        action = out.write(prim.value(method, *args))
+    else:
+        call = prim.call(method, *args)
+        action = rng.choice(
+            [call, par(call, done.write(Const(1))), seq(call, prim.call(method, *args))]
+        )
+    top.add_rule("apply", action)
+    design = Design(top, name=f"{kind}_{method}")
+    store = design.initial_store()
+    store[state] = value
+    if "i" in regs:
+        store[regs["i"]] = _index(rng, prim.size)
+    return design, store
+
+
+def _hw_state(engine):
+    return (
+        {reg.full_name: value for reg, value in engine.store.items()},
+        engine.total_firings,
+        [(r.full_name, f, {g.full_name: v for g, v in u.items()}) for r, (f, u) in engine.busy.items()],
+    )
+
+
+def fire_once(mode, backend, design, store):
+    """Attempt the design's rules once on the engine that runs ``mode`` and
+    return everything the attempt decided, or the ``DoubleWriteError`` it
+    raised."""
+    rules = list(design.all_rules())
+    try:
+        if mode == "fast":
+            sim = Simulator(design, backend=backend)
+            for reg, value in store.items():
+                sim.write(reg, value)
+            fired = sim.step() is not None
+            return fired, final_state(sim)
+        if mode == "latency":
+            engine = HwEngine(rules, dict(store), backend=backend)
+            fired = engine.step_cycle(0.0)
+            return fired, _hw_state(engine)
+        engine = SwEngine(rules, dict(store), Platform.ml507(), backend=backend)
+        fired = engine.step(0.0)
+        pending = engine._pending_updates or {}
+        return fired, (
+            {reg.full_name: value for reg, value in pending.items()},
+            engine.cpu_cycles_total,
+            engine.cpu_cycles_wasted,
+            engine.guard_failures,
+            engine.busy_until,
+        )
+    except DoubleWriteError as exc:
+        return "double-write", str(exc)
+
+
+class TestPrimitiveLowering:
+    """The source tier inlines every native method from its template; the
+    interp tier runs the method's own guard and body functions.  Both must
+    decide alike: fire or not, the same updates, costs and latency."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "kind,method", NATIVE_METHODS, ids=[f"{k}.{m}" for k, m in NATIVE_METHODS]
+    )
+    def test_seeded_corpus_matches_the_oracle(self, kind, method, mode):
+        outcomes = set()
+        for seed in range(12):
+            rng = random.Random(f"{kind}.{method}.{seed}")
+            design, store = primitive_case(kind, method, rng)
+            results = {b: fire_once(mode, b, design, store) for b in BACKENDS}
+            assert results["source"] == results["interp"], seed
+            outcomes.add(results["interp"][0])
+        # Guarded methods meet both outcomes over the seeds.
+        if method in ("enq", "deq", "first", "sub", "upd"):
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "kind,method,state,index,fires",
+        [
+            ("Fifo", "enq", (1, 2), None, False),
+            ("Fifo", "deq", (), None, False),
+            ("Fifo", "first", (), None, False),
+            ("SyncFifo", "enq", (1, 2), None, False),
+            ("SyncFifo", "deq", (), None, False),
+            ("SyncFifo", "first", (), None, False),
+            ("RegFile", "sub", None, -1, False),
+            ("RegFile", "sub", None, 4, False),
+            ("RegFile", "upd", None, -1, False),
+            ("RegFile", "upd", None, 4, False),
+            ("RegFile", "upd", None, 0, True),
+            ("RegFile", "upd", None, 3, True),
+        ],
+    )
+    def test_guard_edges(self, kind, method, state, index, fires, mode):
+        """Full and empty FIFOs (depth 2), memory indices one outside either
+        bound (size 4) and at either bound."""
+        top = Module("top")
+        if kind == "Fifo":
+            prim = top.add_submodule(Fifo("q", UIntT(32), depth=2))
+        elif kind == "SyncFifo":
+            prim = top.add_submodule(SyncFifo("q", UIntT(32), SW, HW, depth=2))
+        else:
+            prim = top.add_submodule(RegFile("mem", UIntT(32), size=4, init=[5, 6, 7, 8]))
+        out = top.add_register("out", OpaqueT(None))
+        args = {"enq": [Const(9)], "sub": [Const(index)], "upd": [Const(index), Const(9)]}
+        call_args = args.get(method, [])
+        if prim.get_method(method).kind == "value":
+            action = out.write(prim.value(method, *call_args))
+        else:
+            action = prim.call(method, *call_args)
+        top.add_rule("apply", action)
+        design = Design(top, name="edge")
+        store = design.initial_store()
+        if state is not None:
+            store[prim.data] = state
+        results = {b: fire_once(mode, b, design, store) for b in BACKENDS}
+        assert results["source"] == results["interp"]
+        assert results["interp"][0] is fires
+        if fires and mode != "count":
+            written = results["source"][1][0]["top.mem.mem"]
+            assert written == tuple(9 if k == index else v for k, v in enumerate((5, 6, 7, 8)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_par_writing_one_register_twice_raises(self, mode):
+        """Two branches of a Par writing one register (the same FIFO's
+        state, and a plain register) keep the checked merge."""
+        for make in (
+            lambda q, r: par(q.call("enq", Const(1)), q.call("deq")),
+            lambda q, r: par(r.write(Const(1)), r.write(BinOp("+", RegRead(r), Const(2)))),
+        ):
+            top = Module("top")
+            q = top.add_submodule(Fifo("q", UIntT(32), depth=2))
+            r = top.add_register("r", UIntT(32), 0)
+            top.add_rule("apply", make(q, r))
+            design = Design(top, name="double")
+            store = design.initial_store()
+            store[q.data] = (4,)
+            results = {b: fire_once(mode, b, design, store) for b in BACKENDS}
+            assert results["source"] == results["interp"]
+            assert results["interp"][0] == "double-write"
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("first,second", [(False, False), (True, False), (False, True), (True, True)])
+    def test_conditional_overlap_raises_only_when_both_fire(self, first, second, mode):
+        top = Module("top")
+        a = top.add_register("a", BoolT(), first)
+        b = top.add_register("b", BoolT(), second)
+        r = top.add_register("r", UIntT(32), 0)
+        top.add_rule(
+            "apply",
+            par(IfA(RegRead(a), r.write(Const(1))), IfA(RegRead(b), r.write(Const(2)))),
+        )
+        design = Design(top, name="overlap")
+        results = {
+            backend: fire_once(mode, backend, design, design.initial_store())
+            for backend in BACKENDS
+        }
+        assert results["source"] == results["interp"]
+        assert (results["interp"][0] == "double-write") == (first and second)

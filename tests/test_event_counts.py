@@ -1,0 +1,215 @@
+"""Pinned event counts of the generated tier.
+
+The bitwise oracles compare what a run computes.  These tests pin how much
+work the ``source`` tier does to compute it, on a short fixed request
+stream served through :class:`~repro.sim.serve.FabricServer` on vorbis_B
+and raytracer_B, and on one vorbis_G run:
+
+* engine step calls, counted by wrapping each engine's ``step`` /
+  ``step_cycle`` after construction (the generated loop reads them once
+  per run, so the wrappers are the ones called);
+* kernel calls, counted through wrappers installed over the kernels'
+  module globals before the designs are built;
+* kernel-memo lookups (hits plus misses, memo on and emptied first);
+* each virtual channel's messages, words and credit stalls.
+
+Waking a rule the reference leaves asleep, or calling a step or a pump
+the loop should leave out, keeps every result equal but moves these
+counts: a woken vorbis rule that re-runs its kernel before its FIFO guard
+fails again adds a kernel call and a memo lookup.  The constants were captured before the generated tier inlined
+primitive methods, its wakeup index and the credit-stall test; a change
+that moves one must say why.
+"""
+
+import sys
+from dataclasses import asdict
+
+import pytest
+
+from repro.apps.raytracer import geometry
+from repro.apps.raytracer import partitions as rp
+from repro.apps.raytracer.params import RayTracerParams
+from repro.apps.vorbis import kernels
+from repro.apps.vorbis import partitions as vp
+from repro.apps.vorbis.params import VorbisParams
+from repro.core import kernelcompile
+from repro.sim.cosim import CosimFabric
+from repro.sim.hwsim import HwEngine
+from repro.sim.serve import FabricServer
+
+#: The kernel entry points of both apps (module globals).
+KERNELS = (
+    (
+        kernels,
+        (
+            "gen_frame",
+            "backend_input",
+            "imdct_pre",
+            "ifft_rule_stage",
+            "imdct_post",
+            "window_overlap",
+            "audio_checksum",
+        ),
+    ),
+    (
+        geometry,
+        (
+            "camera_ray",
+            "intersect_box",
+            "intersect_box_raw",
+            "intersect_triangle",
+            "intersect_triangle_raw",
+            "lambert_shade",
+            "lambert_shade_raw",
+        ),
+    ),
+)
+
+VORBIS = VorbisParams(n_frames=6)
+SCENE = RayTracerParams(n_triangles=24, image_width=4, image_height=4)
+
+
+class Counts:
+    """Event counters of one scenario."""
+
+    def __init__(self):
+        self.hw_steps = 0
+        self.sw_steps = 0
+        self.kernel_calls = 0
+        self.vc_stats = {}
+
+    def wrap_steps(self, fabric):
+        for engine in fabric.engines.values():
+            hw = isinstance(engine, HwEngine)
+            attr = "step_cycle" if hw else "step"
+            setattr(engine, attr, self._counted(getattr(engine, attr), hw))
+
+    def _counted(self, step, hw):
+        def counted(now):
+            if hw:
+                self.hw_steps += 1
+            else:
+                self.sw_steps += 1
+            return step(now)
+
+        return counted
+
+    def add(self, result):
+        for key, stats in result.vc_stats.items():
+            total = self.vc_stats.setdefault(key, [0, 0, 0])
+            total[0] += stats["messages"]
+            total[1] += stats["words"]
+            total[2] += stats["credit_stalls"]
+
+    def observed(self, lookups):
+        return {
+            "hw_steps": self.hw_steps,
+            "sw_steps": self.sw_steps,
+            "kernel_calls": self.kernel_calls,
+            "memo_lookups": lookups,
+            "vc_stats": {key: tuple(value) for key, value in sorted(self.vc_stats.items())},
+        }
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """A :class:`Counts` whose kernel counter wraps every kernel module
+    global in every loaded ``repro`` module, for designs built after it."""
+    counter = Counts()
+    for module, names in KERNELS:
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _fn=original, **kwargs):
+                counter.kernel_calls += 1
+                return _fn(*args, **kwargs)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("repro") and (
+                    mod.__dict__.get(name) is original
+                ):
+                    monkeypatch.setattr(mod, name, counted)
+    with kernelcompile.kernel_cache_override(True):
+        kernelcompile.clear_kernel_cache()
+        yield counter
+
+
+def _lookups():
+    info = kernelcompile.kernel_cache_info()
+    return info["hits"] + info["misses"]
+
+
+def _serve(counter, builder, args, requests):
+    server = FabricServer(builder, args, backend="source", fabric_kind="fabric")
+    counter.wrap_steps(server.fabric)
+    before = _lookups()
+    for make, start in requests:
+        counter.add(server.serve(getattr(server.workload, make)(start)).result)
+    return counter.observed(_lookups() - before)
+
+
+#: Counts at the parent of the change that pinned them; see the module
+#: docstring.
+EXPECTED = {
+    "vorbis_B": {
+        "hw_steps": 153,
+        "sw_steps": 103,
+        "kernel_calls": 193,
+        "memo_lookups": 172,
+        "vc_stats": {"q_ctrl": (21, 693, 0), "q_post": (21, 1365, 103)},
+    },
+    "raytracer_B": {
+        "hw_steps": 1394,
+        "sw_steps": 1137,
+        "kernel_calls": 497,
+        "memo_lookups": 0,
+        "vc_stats": {
+            "bvh_req_q": (345, 690, 0),
+            "bvh_resp_q": (345, 3450, 0),
+            "color_q": (33, 99, 0),
+            "ray_q": (33, 264, 3190),
+            "scene_req_q": (38, 76, 0),
+            "scene_resp_q": (38, 1444, 0),
+        },
+    },
+    "vorbis_G": {
+        "hw_steps": 62,
+        "sw_steps": 21,
+        "kernel_calls": 55,
+        "memo_lookups": 49,
+        "vc_stats": {"q_ctrl": (6, 198, 0), "q_pcm": (6, 198, 57), "q_post": (6, 390, 0)},
+    },
+}
+
+
+def test_vorbis_b_served_stream(counts):
+    observed = _serve(
+        counts,
+        vp.build_partition,
+        ("B", VORBIS),
+        [("frame_request", start) for start in (0, 1, 2, 3, 4, 5)],
+    )
+    assert observed == EXPECTED["vorbis_B"]
+
+
+def test_raytracer_b_served_stream(counts):
+    observed = _serve(
+        counts,
+        rp.build_partition,
+        ("B", SCENE),
+        [("tile_request", start) for start in (0, 5, 11, 15)],
+    )
+    assert observed == EXPECTED["raytracer_B"]
+
+
+def test_vorbis_g_run(counts):
+    workload = vp.build_multi_partition("G", VORBIS)
+    fabric = CosimFabric(workload.design, backend="source")
+    counts.wrap_steps(fabric)
+    before = _lookups()
+    result = fabric.run(workload.cosim_done)
+    assert result.completed
+    counts.add(result)
+    observed = counts.observed(_lookups() - before)
+    assert observed == EXPECTED["vorbis_G"]
+    assert asdict(result)["channel_messages"] == sum(v[0] for v in observed["vc_stats"].values())

@@ -120,16 +120,22 @@ class TestVirtualChannels:
         assert table.channel_for(sync).words_per_element == 5
 
     def test_credit_accounting(self):
+        """A send spends a credit and puts one message in flight; a delivery
+        lands it.  The credits come back only through the window the
+        transport computes from the consumer's occupancy."""
         sync = SyncFifo("s", UIntT(32), SW, HW, depth=2)
         table = VirtualChannelTable([sync])
         vc = table.channel_for(sync)
-        assert vc.can_send()
+        assert (vc.credits, vc.in_flight) == (2, 0)
         vc.on_send()
         vc.on_send()
-        assert not vc.can_send()
+        assert (vc.credits, vc.in_flight) == (0, 2)
+        assert (vc.stats.messages_sent, vc.stats.words_sent) == (2, 2 * vc.words_per_element)
+        with pytest.raises(RuntimeError, match="sent without credit"):
+            vc.on_send()
         vc.on_deliver()
-        vc.on_credit_return()
-        assert vc.can_send()
+        assert (vc.credits, vc.in_flight) == (0, 1)
+        assert vc.stats.messages_delivered == 1
 
     def test_channel_carries_one_layout(self):
         """One MessageLayout per channel: encode/decode come from it."""

@@ -35,7 +35,7 @@ from repro.core.action import par
 from repro.core.errors import ElaborationError, SimulationError
 from repro.core.expr import BinOp, Const, KernelCall, RegRead, UnOp
 from repro.core.interpreter import Simulator
-from repro.core.module import Design, Module
+from repro.core.module import Design, Module, PrimitiveModule
 from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend
 from repro.core.types import StructT, UIntT
 from repro.platform import marshal
@@ -651,6 +651,52 @@ class TestNoFallback:
         assert "rule top.apply:" in message
         assert f"{kind} operator {op!r}" in message
         assert f"generation mode {mode!r}" in message
+
+    @pytest.mark.parametrize("mode", GENERATION_MODES)
+    def test_native_method_without_template_is_an_elaboration_error(self, mode):
+        """The source tier lowers a native method only from its inline
+        template: without one, the interp engine runs the method and the
+        source tier refuses it at elaboration, naming the rule, the method
+        and the generation mode."""
+        design, n = build_untemplated_design()
+        assert _fire_on_oracle(mode, design, n) == 6
+        with pytest.raises(ElaborationError) as err:
+            _elaborate_source(mode, design)
+        message = str(err.value)
+        assert "rule top.apply:" in message
+        assert "native method counter.double (it has no inline template)" in message
+        assert f"generation mode {mode!r}" in message
+
+
+class Doubler(PrimitiveModule):
+    """A primitive whose one native method, ``double``, has no template."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.n = self.add_register("n", UIntT(32), init=3)
+        self.add_native_method(
+            "double",
+            "action",
+            guard_fn=lambda read: True,
+            body_fn=lambda read: ({self.n: 2 * read(self.n)}, None),
+            reads=[self.n],
+            writes=[self.n],
+        )
+
+
+def build_untemplated_design():
+    """One rule, ``apply``, that calls ``counter.double()`` once, from
+    ``n = 3``."""
+    top = Module("top")
+    counter = top.add_submodule(Doubler("counter"))
+    done = top.add_register("done", UIntT(1), 0)
+    top.add_rule(
+        "apply",
+        par(counter.call("double"), done.write(Const(1))).when(
+            BinOp("==", RegRead(done), Const(0))
+        ),
+    )
+    return Design(top, name="untemplated"), counter.n
 
 
 SMALL = VorbisParams(n_frames=2)
