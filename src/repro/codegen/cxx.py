@@ -50,7 +50,7 @@ from repro.core.expr import (
 )
 from repro.core.guards import is_true_const
 from repro.core.module import Design, Module, Rule
-from repro.core.optimize import CompiledRule, OptimizationConfig, compile_design_rules
+from repro.core.optimize import CompiledRule, OptimizationConfig, compile_rule
 from repro.core.partition import PartitionedProgram
 from repro.platform.marshal import layout_for, wire_header
 
@@ -347,9 +347,12 @@ def generate_sw_partition(
     if program is None and partitioning is not None and domain is not None:
         program = partitioning.program(domain)
     config = config or OptimizationConfig.all()
-    compiled = compile_design_rules(design, config)
     rules = program.rules if program is not None else design.all_rules()
-    rule_set = set(rules)
+    # Only this partition's rules are emitted, so only they are compiled;
+    # the register list is the software engine's memo key, so a fabric of
+    # the same design reuses these compilations.
+    all_registers = design.all_registers()
+    compiled = {rule: compile_rule(rule, config, all_registers) for rule in rules}
     modules = (
         program.modules
         if program is not None and program.modules
@@ -367,7 +370,7 @@ def generate_sw_partition(
     if spec is not None and program is not None:
         body.extend(_endpoint_lines(program, spec))
     for module in modules:
-        module_compiled = {r: c for r, c in compiled.items() if r in rule_set and r.module is module}
+        module_compiled = {r: c for r, c in compiled.items() if r.module is module}
         if module.rules:
             body.append(generate_module_class(module, module_compiled))
             body.append("")

@@ -53,7 +53,7 @@ from repro.core.expr import (
     WhenE,
 )
 from repro.core.guards import conj, lift_action
-from repro.core.module import Design, Module, PrimitiveModule, Register, Rule
+from repro.core.module import Module, PrimitiveModule, Register, Rule
 
 
 @dataclass(frozen=True)
@@ -418,11 +418,3 @@ def _compile_rule_uncached(
         # In-place execution: no shadow needed at all (Section 6.3).
         shadow = set() if config.partial_shadowing else shadow
     return CompiledRule(rule, guard, body, can_fail, shadow, config)
-
-
-def compile_design_rules(
-    design: Design, config: OptimizationConfig
-) -> Dict[Rule, CompiledRule]:
-    """Compile every rule of a design under the given optimisation config."""
-    all_regs = design.all_registers()
-    return {rule: compile_rule(rule, config, all_regs) for rule in design.all_rules()}

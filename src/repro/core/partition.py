@@ -309,7 +309,19 @@ def partition_design(design: Design, default_domain: Optional[Domain] = None) ->
     ``default_domain`` is assigned to rules that touch no domain-annotated
     state (typically pure bookkeeping rules); passing ``None`` makes such
     rules an error, which is the strict reading of the paper's type system.
+
+    The result is memoised on the design per default domain: elaborated
+    designs are immutable, so the interface generator and the fabric of
+    one design share one :class:`Partitioning` (and its memoised groups).
     """
+    memo = design.__dict__.setdefault("_partitionings", {})
+    partitioning = memo.get(default_domain)
+    if partitioning is None:
+        partitioning = memo[default_domain] = _partition(design, default_domain)
+    return partitioning
+
+
+def _partition(design: Design, default_domain: Optional[Domain]) -> Partitioning:
     unresolved = unresolved_domain_variables(design)
     if unresolved:
         raise PartitionError(

@@ -56,7 +56,10 @@ kernels, stores, a route's credit depth or vc id, an engine's rule count
 depends only on the shape it lowers.  Each distinct text is compiled once
 per interpreter into a template that never runs; every instance execs
 its own copy of it (:func:`_private_copy`), so instances keep their own
-adaptive bytecode and their own filename.
+adaptive bytecode and their own filename.  Lowered once per shape: a rule
+unit is keyed on a structural digest of everything its lowering reads
+(:class:`_ShapeDigest`), and a repeated key reuses the lowered text and
+rebinds its names to the new instance's objects (:func:`_lower_unit`).
 
 Debugging: set ``REPRO_DUMP_SOURCE=<dir>`` to write every generated module
 to disk; all modules are registered with :mod:`linecache` so tracebacks
@@ -72,7 +75,8 @@ import linecache
 import os
 import re
 import string
-from types import CodeType
+import weakref
+from types import CodeType, FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.action import (
@@ -304,6 +308,7 @@ class GeneratedModule:
             _CODE_CACHE[body] = template
         exec(_private_copy(template, self.filename), namespace)
         self.namespace = namespace
+        _forget_when_unused(namespace, self.filename)
 
     def dump(self, directory: str) -> str:
         """Write the generated source to ``directory`` and return the path
@@ -311,24 +316,61 @@ class GeneratedModule:
         return dump_source(directory, self.name, self.digest, self.source)
 
 
+#: (module name, content digest) -> instances registered so far in this
+#: interpreter and the text's linecache lines (see :func:`register_source`).
+_INSTANCES: Dict[Tuple[str, str], Tuple[int, List[str]]] = {}
+
+
 def register_source(name: str, source: str) -> Tuple[str, str]:
     """Make the generated text ``source`` of module ``name`` debuggable.
 
-    Returns its content digest and the ``<repro-generated:name#digest>``
-    filename to compile it under, registers it with :mod:`linecache` (so
-    tracebacks through its functions show real source lines) and writes it
-    to ``$REPRO_DUMP_SOURCE`` when that is set.  The digest keeps distinct
-    designs that share a module name (two engines both called "HW") from
-    clobbering each other's linecache entry or dump file; identical source
-    still maps to one filename.
+    Returns its content digest and the filename to compile it under,
+    registers it with :mod:`linecache` (so tracebacks through its functions
+    show real source lines) and writes it to ``$REPRO_DUMP_SOURCE`` when
+    that is set.  The digest keeps distinct designs that share a module
+    name (two engines both called "HW") from clobbering each other's
+    linecache entry or dump file.  The first instance of a (name, digest)
+    is ``<repro-generated:name#digest>``; each later one, say a second
+    resident server of one design, gets a serial (``...#digest~1>``), so
+    profilers, which key functions by file, line and name, count every
+    instance apart.  All instances of one text share one linecache lines
+    list and one dump file.
     """
     digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
-    filename = f"<repro-generated:{name}#{digest}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    serial, lines = _INSTANCES.get((name, digest), (0, None))
+    if lines is None:
+        lines = source.splitlines(True)
+    _INSTANCES[name, digest] = (serial + 1, lines)
+    tag = f"~{serial}" if serial else ""
+    filename = f"<repro-generated:{name}#{digest}{tag}>"
+    linecache.cache[filename] = (len(source), None, lines, filename)
     dump_dir = os.environ.get("REPRO_DUMP_SOURCE")
     if dump_dir:
         dump_source(dump_dir, name, digest, source)
     return digest, filename
+
+
+#: Filename -> a weak reference to one function of that module instance.
+_WATCHED: Dict[str, "weakref.ref[FunctionType]"] = {}
+
+
+def _forget_when_unused(namespace: Dict[str, Any], filename: str) -> None:
+    """Drop a module instance's linecache entry once nothing can run it.
+
+    Its functions and its namespace die together, and a traceback through
+    one of them holds the namespace, so the entry lasts as long as its
+    lines can be shown; a process that elaborates again and again (a fresh
+    fabric per request) does not keep one entry per instance it built.
+    """
+    for value in reversed(namespace.values()):  # definitions come last
+        if type(value) is FunctionType and value.__globals__ is namespace:
+            _WATCHED[filename] = weakref.ref(value, lambda _, name=filename: _forget(name))
+            return
+
+
+def _forget(filename: str) -> None:
+    linecache.cache.pop(filename, None)
+    _WATCHED.pop(filename, None)
 
 
 def dump_source(directory: str, name: str, digest: str, source: str) -> str:
@@ -347,6 +389,23 @@ def dump_source(directory: str, name: str, digest: str, source: str) -> str:
     return path
 
 
+#: Names every generated module binds, whatever it lowers.
+_BASE_BINDINGS: Dict[str, Any] = {
+    "GuardFail": GuardFail,
+    "RawStruct": RawStruct,
+    "SimulationError": SimulationError,
+    "DoubleWriteError": DoubleWriteError,
+    "ElaborationError": ElaborationError,
+}
+
+
+def _header(name: str, rule: Optional[Rule]) -> str:
+    """A generated module's header line: it names the module and, for a
+    rule unit, the rule; the text below it depends only on the shape."""
+    subject = f" -- rule {rule.full_name}" if rule is not None else ""
+    return f"# generated by repro.core.pycodegen -- {name}{subject}\n"
+
+
 class _ModuleBuilder:
     """Accumulates functions and deterministic namespace bindings.
 
@@ -358,18 +417,12 @@ class _ModuleBuilder:
 
     def __init__(self, name: str, rule: Optional[Rule] = None):
         self.name = name
-        subject = f" -- rule {rule.full_name}" if rule is not None else ""
-        self.chunks: List[str] = [
-            f"# generated by repro.core.pycodegen -- {name}{subject}\n"
-        ]
-        self.bindings: Dict[str, Any] = {
-            "GuardFail": GuardFail,
-            "RawStruct": RawStruct,
-            "SimulationError": SimulationError,
-            "DoubleWriteError": DoubleWriteError,
-            "ElaborationError": ElaborationError,
-        }
+        self.chunks: List[str] = [_header(name, rule)]
+        self.bindings: Dict[str, Any] = dict(_BASE_BINDINGS)
         self._by_id: Dict[Any, str] = {}
+        #: Binding name -> how to remake an object the lowerer made itself
+        #: (a ``GuardFail`` singleton, a message), for the lowering cache.
+        self.made: Dict[str, tuple] = {}
         self._counter = 0
         self._fn_counter = 0
         #: Set when a lazy let is forced: only then is ``_force`` emitted.
@@ -510,6 +563,24 @@ class _Unsupported(Exception):
     """A subtree the lowerer cannot translate (see :func:`_lowering`)."""
 
 
+def _is_literal(value: Any) -> bool:
+    """Whether a constant lowers to a literal (else it is a binding)."""
+    return (
+        value is None
+        or value is True
+        or value is False
+        or (type(value) is int and -(2**31) <= value <= 2**31)
+    )
+
+
+def _method_not_ready(kind: str, instance: Module, method_name: str) -> str:
+    return f"{kind} method {instance.name}.{method_name} is not ready"
+
+
+def _guard_failed(kind: str, node: Any) -> str:
+    return f"{kind} guard failed at {node!r}"
+
+
 def _lowering(rule: Rule, mode: str, lower: Callable[[], Any]) -> Any:
     """Run ``lower()``; an untranslatable node is an ``ElaborationError``
     naming the rule, the generation mode and the node."""
@@ -614,14 +685,14 @@ class _Lowerer:
         return static_cost(node, self.scope, self.params)
 
     def _const(self, value: Any) -> str:
-        if value is None or value is True or value is False:
-            return repr(value)
-        if type(value) is int:
-            return repr(value) if -(2**31) <= value <= 2**31 else self.module.bind(value, "c")
-        return self.module.bind(value, "c")
+        return repr(value) if _is_literal(value) else self.module.bind(value, "c")
 
-    def _fail(self, message: str) -> str:
-        return self.module.bind(GuardFail(message), "x")
+    def _fail(self, message: str, made: Optional[tuple] = None) -> str:
+        """Bind a prebuilt ``GuardFail``; ``made`` says how the lowering
+        cache remakes it for another instance (default: same message)."""
+        name = self.module.bind(GuardFail(message), "x")
+        self.module.made[name] = made or (_FAIL, message)
+        return name
 
     def _raise_fail(self, fail_name: str) -> None:
         self.w.emit(f"{fail_name}.__traceback__ = None")
@@ -651,7 +722,8 @@ class _Lowerer:
         if isinstance(expr, Var):
             entry = self.scope.get(expr.name)
             if entry is None:
-                name = self.module.bind(expr.name, "c")
+                name = self.module.bind(expr.name, "c", key=("unbound", expr.name))
+                self.module.made[name] = (_VALUE, expr.name)
                 w.emit(f"raise ElaborationError('unbound variable %r' % ({name},))")
                 return "None"
             kind, local = entry
@@ -700,7 +772,7 @@ class _Lowerer:
             return t
 
         if isinstance(expr, WhenE):
-            fail = self._fail(f"expression guard failed at {expr!r}")
+            fail = self._fail(_guard_failed("expression", expr), (_WHEN, "expression", expr))
             guard = self.lower_expr(expr.guard)
             w.emit(f"if not {guard}:")
             w.indent += 1
@@ -926,7 +998,7 @@ class _Lowerer:
             return t
 
         if isinstance(action, WhenA):
-            fail = self._fail(f"action guard failed at {action!r}")
+            fail = self._fail(_guard_failed("action", action), (_WHEN, "action", action))
             guard = self.lower_expr(action.guard)
             w.emit(f"if not {guard}:")
             w.indent += 1
@@ -1063,9 +1135,10 @@ class _Lowerer:
                 f"{len(method.params)} arguments, got {len(call.args)}"
             )
         method_name = call.method
+        kind = "action" if is_action else "value"
         fail = self._fail(
-            f"{'action' if is_action else 'value'} method "
-            f"{instance.name}.{method_name} is not ready"
+            _method_not_ready(kind, instance, method_name),
+            (_NOT_READY, kind, instance, method_name),
         )
 
         if isinstance(instance, PrimitiveModule):
@@ -1199,9 +1272,9 @@ class _Lowerer:
                 sub.w.emit("_cl = _ctx")
             if node is None:
                 owner = method.module.name if method.module is not None else "?"
-                msg = self.module.bind(
-                    f"{method.kind} method {owner}.{method.name} has no body", "c"
-                )
+                text = f"{method.kind} method {owner}.{method.name} has no body"
+                msg = self.module.bind(text, "c")
+                self.module.made[msg] = (_VALUE, text)
                 sub.w.emit(f"raise ElaborationError({msg})")
             else:
                 result = (
@@ -1210,6 +1283,306 @@ class _Lowerer:
                 sub.w.emit(f"return {result}")
             self.module.add(sub.w.lines)
         return guard_name, body_name
+
+
+# --------------------------------------------------------------------------
+# lowering cache: each rule shape is lowered once per interpreter
+# --------------------------------------------------------------------------
+
+#: How the lowering cache remakes one binding for another instance of a
+#: shape: the object placed at a position, an attribute of a placed
+#: primitive, a ``GuardFail`` with a fixed message, a method's not-ready
+#: ``GuardFail`` (whose message names the instance), a guard's
+#: ``GuardFail`` whose message shows a constant's value (it is remade from
+#: the instance's ``when`` node), a fixed value.
+_POS, _ATTR, _FAIL, _NOT_READY, _WHEN, _VALUE = range(6)
+
+#: Structural key -> (text below the header, binding recipe, whether the
+#: lowering charged FSM latency).  Bounded like ``_CODE_CACHE``; it holds
+#: texts, flags and recipes (names, positions, messages), no design object.
+_LOWER_CACHE: Dict[tuple, Tuple[str, tuple, bool]] = {}
+_LOWER_CACHE_LIMIT = 256
+
+
+class _ShapeDigest:
+    """The structural key of one rule unit, and the objects it places.
+
+    One walk over everything lowering reads.  Registers, instances,
+    methods, kernel callables and non-literal constants are *placed*: the
+    key holds the position of their first occurrence, so aliasing (one
+    register read twice, or two registers) is part of it, and ``objects``
+    lists them so that a reuse binds this instance's.  What lowering folds
+    into text is held as is: node kinds, operators, literal constants,
+    field, let and parameter names, loop bounds, each native method's
+    template and each user method's body, and what the generation modes
+    read: constant ``sw_cycles`` for ``count`` (``sw``), constant
+    ``hw_cycles`` and each instance's ``read_latency`` for ``latency``
+    (``hw``).  The ``repr`` of a ``when`` is the message of the guard's
+    prebuilt ``GuardFail``: ``when`` nodes are placed too, inside one the
+    names that repr shows are held, and the position of a ``when`` whose
+    subtree holds a non-literal constant is in ``volatile``, so a reuse
+    remakes its message from this instance's node (the key never formats
+    a constant's value).  A node kind it does not know raises, and the
+    unit is lowered fresh.
+    """
+
+    __slots__ = ("tokens", "objects", "index", "volatile", "_whens", "_cycles", "_hw")
+
+    def __init__(self, sw: bool, hw: bool):
+        self.tokens: List[Any] = []
+        self.objects: List[Any] = []
+        #: id(object) -> its position in ``objects``.
+        self.index: Dict[int, int] = {}
+        #: Positions of the ``when`` nodes over a non-literal constant.
+        self.volatile: set = set()
+        #: Positions of the ``when`` nodes enclosing the node being walked.
+        self._whens: List[int] = []
+        self._hw = hw
+        #: Which kernel cost annotation the modes fold.
+        self._cycles = "sw_cycles" if sw else "hw_cycles" if hw else None
+
+    def _put(self, obj: Any) -> bool:
+        """Append ``obj``'s position; True at its first occurrence."""
+        position = self.index.get(id(obj))
+        if position is None:
+            position = self.index[id(obj)] = len(self.objects)
+            self.objects.append(obj)
+            self.tokens.append(position)
+            return True
+        self.tokens.append(position)
+        return False
+
+    def node(self, n: Any) -> None:
+        tokens = self.tokens
+        kind = type(n)
+        tokens.append(kind)
+        if kind is RegRead or kind is RegWrite:
+            self._put(n.reg)
+            if self._whens:
+                tokens.append(n.reg.name)
+            if kind is RegWrite:
+                self.node(n.value)
+        elif kind is Const:
+            value = n.value
+            if _is_literal(value):
+                tokens.append(repr(value))
+            else:
+                self._put(value)
+                self.volatile.update(self._whens)
+        elif kind is Var:
+            tokens.append(n.name)
+        elif kind is BinOp or kind is UnOp:
+            tokens.append(n.op)
+            for child in n.children():
+                self.node(child)
+        elif kind is Par or kind is Seq:
+            tokens.append(len(n.actions))
+            for child in n.actions:
+                self.node(child)
+        elif kind is MethodCallA or kind is MethodCallE:
+            self._call(n)
+        elif kind is KernelCall:
+            tokens.append(len(n.args))
+            self._put(n.fn)
+            if self._cycles is not None:
+                cycles = getattr(n, self._cycles)
+                if callable(cycles):
+                    self._put(cycles)
+                else:
+                    tokens.append(repr(cycles))
+            if self._whens:
+                tokens.append(n.name)
+            for child in n.args:
+                self.node(child)
+        elif kind is WhenA or kind is WhenE:
+            self._put(n)
+            self._whens.append(self.tokens[-1])
+            self.node(n.guard)
+            self.node(n.body)
+            self._whens.pop()
+        elif kind is LetA or kind is LetE:
+            tokens.append(n.name)
+            self.node(n.value)
+            self.node(n.body)
+        elif kind is FieldSelect:
+            tokens.append(repr(n.field))
+            self.node(n.operand)
+        elif kind is IfA:
+            tokens.append(n.orelse is None)
+            for child in n.children():
+                self.node(child)
+        elif kind is Loop:
+            tokens.append(repr(n.max_iterations))
+            self.node(n.cond)
+            self.node(n.body)
+        elif kind is Mux or kind is LocalGuard:
+            for child in n.children():
+                self.node(child)
+        elif kind is not NoAction:
+            raise _Unsupported(f"node {kind.__name__}")
+
+    def _call(self, call: Any) -> None:
+        tokens = self.tokens
+        instance = call.instance
+        tokens += (call.method, len(call.args))
+        if self._put(instance):
+            timed = hasattr(instance, "read_latency")
+            tokens += (
+                isinstance(instance, PrimitiveModule),
+                timed,
+                repr(instance.read_latency) if timed and self._hw else None,
+            )
+        if self._whens:
+            tokens.append(instance.name)
+        method = instance.get_method(call.method)
+        if self._put(method):
+            if isinstance(instance, PrimitiveModule):
+                self._native(instance, method)
+            else:
+                self._user(method)
+        for arg in call.args:
+            self.node(arg)
+
+    def _native(self, instance: PrimitiveModule, method: Method) -> None:
+        """What inlining a native method reads: its template and the
+        primitive's attributes it names (a state register is placed, any
+        other attribute binds per instance), plus its read and write sets."""
+        native = instance.get_native(method.name)
+        template = native.template
+        if template is None:
+            raise _Unsupported(f"native method {method.name} without a template")
+        self.tokens += (template.guard, template.result, template.writes, tuple(method.params))
+        in_guard, in_body = _template_fields(template.guard, template.result, template.writes)
+        for attr in in_guard + in_body:
+            if attr not in method.params:
+                value = getattr(instance, attr)
+                if isinstance(value, Register):
+                    self._put(value)
+                else:
+                    self.tokens.append(None)
+        for attr, _ in template.writes:
+            self._put(getattr(instance, attr))
+        for registers in (native.reads, native.writes):
+            self.tokens.append(len(registers))
+            for reg in registers:
+                self._put(reg)
+
+    def _user(self, method: Method) -> None:
+        """A user method's body and guard, lowered where it is called."""
+        self.tokens += (method.kind, tuple(method.params), method.body is None)
+        whens, self._whens = self._whens, []
+        self.node(method.guard)
+        if method.body is None:
+            owner = method.module.name if method.module is not None else "?"
+            self.tokens += (owner, method.name)
+        else:
+            self.node(method.body)
+        self._whens = whens
+
+
+def _shape_key(
+    head: tuple, modes: Tuple[str, ...], *nodes: Any
+) -> Tuple[Optional[tuple], Optional[_ShapeDigest]]:
+    """The lowering-cache key of a unit over ``nodes`` in ``modes``, and
+    its digest; ``(None, None)`` when the digest cannot key it (the unit is
+    then lowered fresh, and fresh lowering reports any error in it)."""
+    digest = _ShapeDigest("count" in modes, "latency" in modes)
+    try:
+        for n in nodes:
+            digest.node(n)
+    except Exception:
+        return None, None
+    return (head, tuple(digest.tokens)), digest
+
+
+def _recipe(module: _ModuleBuilder, digest: _ShapeDigest) -> Optional[tuple]:
+    """How to remake each of a fresh lowering's bindings from another
+    instance's placed objects; None if one binds an object it cannot place."""
+    if len(module.bindings) != len(_BASE_BINDINGS) + len(module._by_id):
+        return None
+    index = digest.index
+    recipe = []
+    for key, name in module._by_id.items():
+        made = module.made.get(name)
+        if made is not None and made[0] == _NOT_READY:
+            _, kind, instance, method_name = made
+            position = index.get(id(instance))
+            entry = None if position is None else (name, _NOT_READY, kind, position, method_name)
+        elif made is not None and made[0] == _WHEN:
+            _, kind, node = made
+            position = index.get(id(node))
+            if position is None:
+                entry = None
+            elif position in digest.volatile:
+                entry = (name, _WHEN, kind, position)
+            else:
+                entry = (name, _FAIL, module.bindings[name].reason)
+        elif made is not None:
+            entry = (name,) + made
+        elif type(key) is tuple:  # a native method's instance attribute
+            position = index.get(key[0])
+            entry = None if position is None else (name, _ATTR, position, key[1])
+        else:
+            position = index.get(key)
+            entry = None if position is None else (name, _POS, position)
+        if entry is None:
+            return None
+        recipe.append(entry)
+    return tuple(recipe)
+
+
+def _rebind(recipe: tuple, objects: List[Any]) -> Dict[str, Any]:
+    """The bindings ``recipe`` makes from one instance's placed ``objects``."""
+    bindings = dict(_BASE_BINDINGS)
+    for entry in recipe:
+        how = entry[1]
+        if how == _POS:
+            value = objects[entry[2]]
+        elif how == _ATTR:
+            value = getattr(objects[entry[2]], entry[3])
+        elif how == _FAIL:
+            value = GuardFail(entry[2])
+        elif how == _NOT_READY:
+            value = GuardFail(_method_not_ready(entry[2], objects[entry[3]], entry[4]))
+        elif how == _WHEN:
+            value = GuardFail(_guard_failed(entry[2], objects[entry[3]]))
+        else:
+            value = entry[2]
+        bindings[entry[0]] = value
+    return bindings
+
+
+def _lower_unit(
+    name: str,
+    rule: Rule,
+    key: Optional[tuple],
+    digest: Optional[_ShapeDigest],
+    lower: Callable[[_ModuleBuilder], None],
+) -> Tuple[GeneratedModule, bool]:
+    """Build ``rule``'s unit ``name`` and say whether it charges FSM latency.
+
+    A cached lowering under ``key`` is reused: its text under this rule's
+    header, its bindings remade from ``digest``'s objects.  Otherwise
+    ``lower`` fills a fresh builder, and its text, recipe and flag are
+    cached when every binding can be placed.
+    """
+    if key is not None:
+        entry = _LOWER_CACHE.get(key)
+        if entry is not None:
+            body, recipe, charged = entry
+            source = _header(name, rule) + body
+            return GeneratedModule(name, source, _rebind(recipe, digest.objects)), charged
+    module = _ModuleBuilder(name, rule)
+    lower(module)
+    gen = module.build()
+    if key is not None:
+        recipe = _recipe(module, digest)
+        if recipe is not None:
+            if len(_LOWER_CACHE) >= _LOWER_CACHE_LIMIT:
+                _LOWER_CACHE.pop(next(iter(_LOWER_CACHE)))
+            body = gen.source.partition("\n")[2]
+            _LOWER_CACHE[key] = (body, recipe, module.latency_charged)
+    return gen, module.latency_charged
 
 
 # --------------------------------------------------------------------------
@@ -1286,26 +1659,31 @@ def generate_rule_execs(
     (``Simulator``: fast; ``HwEngine``: latency).
 
     Each rule is one ``<design_name>.rules`` unit holding ``_rule_<mode>``
-    per mode, so its text is the same in every design that has the rule.
+    per mode, so its text is the same in every design that has the rule,
+    and each rule shape is lowered once per interpreter (:func:`_lower_unit`).
     """
+    name = f"{design_name}.rules"
+    head = ("rules", modes, repr(max_loop_iterations))
     execs, units = [], []
     for rule in rules:
-        module = _ModuleBuilder(f"{design_name}.rules", rule)
-        for mode in modes:
-            _lowering(
-                rule,
-                mode,
-                lambda: _lower_rule_fn(
-                    module, f"_rule_{mode}", rule.action, mode, max_loop_iterations
-                ),
-            )
-        gen = module.build()
+
+        def lower(module: _ModuleBuilder, rule: Rule = rule) -> None:
+            for mode in modes:
+                _lowering(
+                    rule,
+                    mode,
+                    lambda: _lower_rule_fn(
+                        module, f"_rule_{mode}", rule.action, mode, max_loop_iterations
+                    ),
+                )
+
+        gen, charged = _lower_unit(name, rule, *_shape_key(head, modes, rule.action), lower)
         units.append(gen)
         execs.append(
             SourceRuleExec(
                 rule,
                 **{mode: gen.namespace[f"_rule_{mode}"] for mode in modes},
-                fixed_latency="latency" in modes and not module.latency_charged,
+                fixed_latency="latency" in modes and not charged,
             )
         )
     return execs, tuple(units)
@@ -1389,18 +1767,25 @@ def generate_counting_attempts(
     max_loop_iterations: int = 1_000_000,
 ) -> Tuple[List[Callable], Tuple[GeneratedModule, ...]]:
     """Generated ``attempt(read) -> (cost, updates|None)`` per rule, each
-    rule its own ``<design_name>.attempts`` unit defining ``_attempt``."""
+    rule its own ``<design_name>.attempts`` unit defining ``_attempt``, and
+    each compiled-rule shape lowered once per interpreter."""
+    name = f"{design_name}.attempts"
+    head = ("attempts", repr(params), repr(config), repr(max_loop_iterations))
     units = []
     for rule in rules:
-        module = _ModuleBuilder(f"{design_name}.attempts", rule)
-        _lowering(
-            rule,
-            "count",
-            lambda: _emit_attempt(
-                module, "_attempt", compiled[rule], params, config, max_loop_iterations
-            ),
+        cr = compiled[rule]
+
+        def lower(module: _ModuleBuilder, rule: Rule = rule, cr: Any = cr) -> None:
+            _lowering(
+                rule,
+                "count",
+                lambda: _emit_attempt(module, "_attempt", cr, params, config, max_loop_iterations),
+            )
+
+        key, digest = _shape_key(
+            head + (cr.can_fail, len(cr.shadow_registers)), ("count",), cr.guard, cr.body
         )
-        units.append(module.build())
+        units.append(_lower_unit(name, rule, key, digest, lower)[0])
     return [gen.namespace["_attempt"] for gen in units], tuple(units)
 
 
@@ -1522,6 +1907,17 @@ def generate_sw_step(engine: Any, attempts: List[Callable]) -> GeneratedModule:
 # --------------------------------------------------------------------------
 
 
+def _rule_path(rule: Rule) -> str:
+    """The rule's name below the design's top module (``ifft.stage0``),
+    the same in every design that has the rule."""
+    parts = [rule.name]
+    module = rule.module
+    while module is not None and module.parent is not None:
+        parts.append(module.name)
+        module = module.parent
+    return ".".join(reversed(parts))
+
+
 def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     """Compile ``HwEngine.step_cycle`` and the engine's static schedule into
     one generated function.
@@ -1560,6 +1956,10 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     * **Busy-only cycles**: only candidates are put to sleep, so a busy rule
       is never asleep; when every rule is asleep or busy once due rules
       have finished, no rule is a candidate and the step returns at once.
+
+    The text is shape-only: a block's comment names its rule by its path
+    below the top module, and fire-count keys are bindings, so designs
+    that differ only in their name share one compiled step.
     """
     module = _ModuleBuilder(f"{engine.name}.hwstep")
     rules = engine.rules
@@ -1588,6 +1988,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
         b[f"_R{i}"] = rule
         b[f"_L{i}"] = execs[rule].latency
         b[f"_W{i}"] = frozenset(wsets[i])
+        b[f"_F{i}"] = rule.full_name
 
     def evaluate(i: int, indent: str, on_fail: List[str]) -> List[str]:
         # A candidate is awake, so a guard failure puts it to sleep as is.
@@ -1614,7 +2015,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
             free = ""  # never busy
         else:
             free = f" and _R{i} not in _busy"
-        body += [f"# {rule.full_name}", f"_u{i} = None", f"if not _sleeping[{i}]{free}:"]
+        body += [f"# {_rule_path(rule)}", f"_u{i} = None", f"if not _sleeping[{i}]{free}:"]
         body += evaluate(i, "    ", [])
 
     # Static schedule: for each rule in urgency order, the earlier rules
@@ -1667,7 +2068,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
             body.append(f"    if _u{k} is not None:")
             indent = "        "
         fire = [
-            f"_fire_counts[{rules[k].full_name!r}] += 1",
+            f"_fire_counts[_F{k}] += 1",
             "_self.total_firings += 1",
             "progress = True",
         ]

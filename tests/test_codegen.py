@@ -1,5 +1,6 @@
 """Tests for the three compiler outputs: C++ (SW), BSV/Verilog (HW), interface glue."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -38,6 +39,7 @@ from repro.core.domains import HW, SW, Domain
 from repro.core.errors import CodegenError, ElaborationError
 from repro.core.expr import BinOp, Const, RegRead
 from repro.core.module import Design, Module
+from repro.core import optimize
 from repro.core.optimize import OptimizationConfig, compile_rule
 from repro.core.partition import partition_design
 from repro.core.primitives import Fifo
@@ -46,6 +48,10 @@ from repro.platform.channel import ChannelParams
 
 PARAMS = VorbisParams(n_frames=2)
 GOLDEN_INTERFACE = pathlib.Path(__file__).parent / "golden" / "fig13_interface.json"
+
+
+def _sha(text):
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:12]
 
 
 @pytest.fixture
@@ -61,6 +67,47 @@ def simple_design():
     )
     consume = top.add_rule("consume", par(out.write(fifo.value("first")), fifo.call("deq")))
     return Design(top, "simple"), produce, consume
+
+
+#: SHA-1 prefixes of the C++ of every shipped software partition (with its
+#: interface spec) and of each design as a whole-software program (``*``),
+#: as generated back when every rule of the design was compiled for it.
+CXX_DIGESTS = {
+    "vorbis_A/SW": "3b35953e254b",
+    "vorbis_A/*": "c80b66d305c1",
+    "vorbis_B/SW": "1659751feaae",
+    "vorbis_B/*": "44f55de5f3f8",
+    "vorbis_C/SW": "5f19cec3590c",
+    "vorbis_C/*": "e8c91456a5a2",
+    "vorbis_D/SW": "302546059e89",
+    "vorbis_D/*": "cceec4c1403f",
+    "vorbis_E/SW": "35a48bb9f8c4",
+    "vorbis_E/*": "ef2e73a2c5e2",
+    "vorbis_F/SW": "46480e8b3152",
+    "vorbis_F/*": "46480e8b3152",
+    "raytracer_A/SW": "0d22f85610de",
+    "raytracer_A/*": "0d22f85610de",
+    "raytracer_B/SW": "6c8b973eee61",
+    "raytracer_B/*": "5ce9b30b35ab",
+    "raytracer_C/SW": "7ea23e8d01d5",
+    "raytracer_C/*": "84c637bee715",
+    "raytracer_D/SW": "3870dbfcca20",
+    "raytracer_D/*": "ab20d363a42b",
+    "vorbis_G/SW": "d06f6ce1716d",
+    "vorbis_G/*": "0b5187aed0a6",
+    "vorbis_H/SW": "5831da777f23",
+    "vorbis_H/*": "fdee23a672e4",
+}
+
+
+def _shipped_designs():
+    """The 12 shipped designs, freshly built (nothing compiled yet)."""
+    scene = RayTracerParams(n_triangles=8, image_width=2, image_height=2)
+    return (
+        [build_partition(letter, PARAMS).design for letter in PARTITION_ORDER]
+        + [build_ray_partition(letter, scene).design for letter in RAY_PARTITION_ORDER]
+        + [build_multi_partition(letter, PARAMS).design for letter in MULTI_PARTITION_ORDER]
+    )
 
 
 class TestCxxGeneration:
@@ -95,6 +142,35 @@ class TestCxxGeneration:
         assert "bool produce()" in code
         assert "bool consume()" in code
         assert "class top" in code
+
+    def test_shipped_partitions_compile_only_their_rules(self, monkeypatch):
+        """A partition's C++ compiles only the rules it emits, and the text
+        of every shipped partition is what it was when the generator
+        compiled the whole design."""
+        compiled = []
+        original = optimize._compile_rule_uncached
+
+        def record(rule, *args):
+            compiled.append(rule)
+            return original(rule, *args)
+
+        monkeypatch.setattr(optimize, "_compile_rule_uncached", record)
+        digests = {}
+        for design in _shipped_designs():
+            partitioning = partition_design(design, SW)
+            spec = build_interface_spec(partitioning)
+            for domain in partitioning.domains:
+                if domain.name not in spec.sw_domains:
+                    continue
+                del compiled[:]
+                code = generate_sw_partition(
+                    design, spec=spec, partitioning=partitioning, domain=domain
+                )
+                rules = partitioning.program(domain).rules
+                assert sorted(r.full_name for r in compiled) == sorted(r.full_name for r in rules)
+                digests[f"{design.name}/{domain.name}"] = _sha(code)
+            digests[f"{design.name}/*"] = _sha(generate_sw_partition(design))
+        assert digests == CXX_DIGESTS
 
     def test_sw_partition_of_partitioned_design(self):
         backend = build_partition("B", PARAMS)

@@ -6,7 +6,9 @@ tracebacks through generated code show the real generated source lines
 (linecache registration), and generation is deterministic -- the same
 design elaborates to byte-identical source every time.  The text below a
 module's header depends only on the shape it lowers, so each distinct
-text compiles once, yet every instance runs its own copy of the code.
+text compiles once, yet every instance runs its own copy of the code
+under its own filename.  Each rule shape is lowered once, and a cached
+lowering equals a fresh one: same text, same names, same bound objects.
 
 The generated group loops also keep the interpreted loop's contract: step
 wrappers installed after elaboration run, an exhausted budget raises the
@@ -17,7 +19,10 @@ elaboration loudly, and the default backend is validated, never guessed.
 """
 
 import collections
+import cProfile
+import gc
 import linecache
+import pstats
 import re
 import traceback
 import types
@@ -31,11 +36,16 @@ from repro.apps.vorbis import partitions as vp
 from repro.apps.vorbis.params import VorbisParams
 from repro.core import expr as expr_mod
 from repro.core import pycodegen
-from repro.core.action import par
-from repro.core.errors import ElaborationError, SimulationError
+from repro.codegen.interface import build_interface_spec
+from repro.core.action import Loop, par
+from repro.core.domains import SW
+from repro.core.errors import ElaborationError, GuardFail, SimulationError
 from repro.core.expr import BinOp, Const, KernelCall, RegRead, UnOp
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module, PrimitiveModule
+from repro.core.optimize import OptimizationConfig
+from repro.core.partition import partition_design
+from repro.core.primitives import RegFile
 from repro.core.pycodegen import VALID_BACKENDS, default_rule_backend
 from repro.core.types import StructT, UIntT
 from repro.platform import marshal
@@ -52,6 +62,32 @@ from test_compiled_backend import build_fifo_pipeline, build_kitchen_sink
 
 def _source_sim(builder=build_fifo_pipeline):
     return Simulator(builder(), backend="source")
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Empty the process-global caches that generation counts against:
+    compiled templates, lowered rule shapes and struct link codecs.  A
+    count test must not pass only because earlier tests warmed them."""
+    monkeypatch.setattr(pycodegen, "_CODE_CACHE", {})
+    monkeypatch.setattr(pycodegen, "_LOWER_CACHE", {})
+    monkeypatch.setattr(marshal, "_LAYOUT_CACHE", {})
+
+
+@pytest.fixture
+def fresh_lowerings(monkeypatch):
+    """``(module name, rule)`` of every rule unit lowered afresh (not
+    served from the lowering cache) while the test runs, in order."""
+    fresh = []
+    original = pycodegen._ModuleBuilder.__init__
+
+    def record(self, name, rule=None):
+        original(self, name, rule)
+        if rule is not None:
+            fresh.append((name, rule))
+
+    monkeypatch.setattr(pycodegen._ModuleBuilder, "__init__", record)
+    return fresh
 
 
 @pytest.fixture
@@ -74,7 +110,7 @@ def recorded_modules(monkeypatch):
 
 
 class TestDumpSource:
-    def test_env_var_dumps_on_generation(self, tmp_path, monkeypatch):
+    def test_env_var_dumps_on_generation(self, tmp_path, monkeypatch, cold_caches):
         monkeypatch.setenv("REPRO_DUMP_SOURCE", str(tmp_path))
         sim = _source_sim()
         dumped = sorted(p.name for p in tmp_path.iterdir())
@@ -104,7 +140,7 @@ class TestDumpSource:
         assert list(tmp_path.iterdir()) == []
 
     def test_designs_sharing_engine_names_dump_one_file_per_module(
-        self, tmp_path, monkeypatch, recorded_modules
+        self, tmp_path, monkeypatch, cold_caches, recorded_modules
     ):
         """vorbis_B and raytracer_B both have engines named ``HW`` and
         ``SW``; elaborated in one process, neither overwrites the other's
@@ -186,6 +222,12 @@ class TestTracebacks:
 # --------------------------------------------------------------------------
 
 
+def _content_address(module):
+    """A module's filename without its instance serial: ``<repro-generated:
+    name#digest>`` (a later instance of one text adds ``~serial``)."""
+    return re.sub(r"~\d+>$", ">", module.filename)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "builder", [build_fifo_pipeline, build_kitchen_sink], ids=lambda b: b.__name__
@@ -196,7 +238,8 @@ class TestDeterminism:
         assert len(first) == len(second) > 0
         for one, other in zip(first, second):
             assert one.source == other.source
-            assert one.filename == other.filename
+            assert one.digest == other.digest
+            assert _content_address(one) == _content_address(other)
 
     @pytest.mark.parametrize(
         "build",
@@ -220,7 +263,8 @@ class TestDeterminism:
             # One generated loop per group: pseudo-filename (content digest)
             # and source text.
             per_engine["group loops"] = [
-                (group._loop_gen.filename, group._loop_gen.source) for group in fabric._groups
+                (_content_address(group._loop_gen), group._loop_gen.source)
+                for group in fabric._groups
             ]
             sources.append(per_engine)
         assert len(sources[0]["group loops"]) == fabric.group_count
@@ -307,9 +351,12 @@ def _generated_functions(fabric):
 
 
 class TestShapeOnlyText:
-    def test_sweep_compiles_each_shape_once(self, monkeypatch, recorded_modules):
+    def test_sweep_compiles_each_shape_once(
+        self, monkeypatch, cold_caches, recorded_modules, fresh_lowerings
+    ):
         """Generated text depends only on the shape it lowers, so the 12
-        shipped designs compile far fewer texts than they build modules."""
+        shipped designs compile far fewer texts than they build modules,
+        and lower far fewer rule units than they build."""
         compiled = []
 
         def counting_compile(source, *args, **kwargs):
@@ -322,9 +369,7 @@ class TestShapeOnlyText:
             codec_texts.append(source)
             return compile(source, *args, **kwargs)
 
-        monkeypatch.setattr(pycodegen, "_CODE_CACHE", {})
         monkeypatch.setattr(pycodegen, "compile", counting_compile, raising=False)
-        monkeypatch.setattr(marshal, "_LAYOUT_CACHE", {})
         monkeypatch.setattr(marshal, "compile", counting_codec_compile, raising=False)
         fabrics = [
             CosimFabric(builder(letter, params).design, backend="source")
@@ -336,6 +381,10 @@ class TestShapeOnlyText:
         assert 1 <= len(by_kind["pump"]) <= 2
         assert 1 <= len(by_kind["deliver"]) <= 2
         assert len(by_kind["swstep"]) == 1
+        # The hardware step names rules by their path below the top module
+        # and binds their fire-count keys: designs that differ only in
+        # their name share its text.
+        assert 1 <= len(by_kind["hwstep"]) <= 10
 
         # A rule's unit reads the same in every design that has the rule,
         # whichever engine and position it has there.
@@ -350,6 +399,9 @@ class TestShapeOnlyText:
                     units += 1
         assert not {key: len(b) for key, b in bodies.items() if len(b) > 1}
         assert units > 2 * len(bodies)
+        # Each rule shape is lowered once: 120 units, at most 32 lowerings.
+        assert units == 120
+        assert len(fresh_lowerings) <= 32
 
         # The lazy-let helper is emitted only where a lazy let is forced.
         for module in recorded_modules:
@@ -360,7 +412,7 @@ class TestShapeOnlyText:
         assert any("def _force(" in module.source for module in recorded_modules)
 
         assert len(compiled) <= 60
-        assert sum(compiled) <= 130_000
+        assert sum(compiled) < 122_400
 
         # The link codecs are compiled apart from the generated modules:
         # one text per struct layout, the ray tracer's eight channel types.
@@ -411,6 +463,326 @@ class TestPrivateCode:
             frame_lines = _generated_frame_lines(tb)
             assert frame_lines
             assert all(line in unit.source for line in frame_lines)
+
+
+# --------------------------------------------------------------------------
+# lowered once per shape: the lowering cache against fresh lowering
+# --------------------------------------------------------------------------
+
+#: The shipped sweep plus two serve_mixed ray tracer scenes (resident
+#: raytracer_B servers of different seeds).
+REUSE_DESIGNS = SWEEP_DESIGNS + [
+    (rp.build_partition, "B", RayTracerParams(n_triangles=24, image_width=4, image_height=4, seed=s))
+    for s in (11, 29)
+]
+
+
+@pytest.fixture
+def recorded_units(monkeypatch):
+    """``(unit, bindings it was built with)`` for every rule unit built
+    while the test runs, in order."""
+    units = []
+    original = pycodegen.GeneratedModule.__init__
+
+    def record(self, name, source, bindings):
+        original(self, name, source, bindings)
+        if name.endswith((".rules", ".attempts")):
+            units.append((self, dict(bindings)))
+
+    monkeypatch.setattr(pycodegen.GeneratedModule, "__init__", record)
+    return units
+
+
+def _assert_same_lowering(unit, fresh):
+    """Two ``(unit, bindings)`` lowerings of one rule agree: same text, same
+    binding names, the same bound objects, and per-instance ``GuardFail``
+    singletons of the same type and message."""
+    (one, one_bindings), (other, other_bindings) = unit, fresh
+    assert one.source == other.source
+    assert one_bindings.keys() == other_bindings.keys()
+    for name, value in other_bindings.items():
+        mine = one_bindings[name]
+        if isinstance(value, GuardFail):
+            assert type(mine) is type(value), (one.name, name)
+            assert mine.args == value.args, (one.name, name)
+        else:
+            assert mine is value, (one.name, name)
+
+
+def _without_lowering_cache(monkeypatch):
+    """Lower every unit afresh: no unit gets a cache key."""
+    monkeypatch.setattr(pycodegen, "_shape_key", lambda *args: (None, None))
+
+
+def _mutant(action, setup=None):
+    """One rule, ``top.step``, whose action is ``action(x, y, extra)`` over
+    two registers and what ``setup(top)`` adds to the top module."""
+    top = Module("top")
+    x = top.add_register("x", UIntT(32), 1)
+    y = top.add_register("y", UIntT(32), 2)
+    extra = setup(top) if setup is not None else None
+    top.add_rule("step", action(x, y, extra))
+    return Design(top, name="mutant")
+
+
+def _inc(value):
+    return value + 1
+
+
+def _three(value):
+    return 3
+
+
+def _fast(design, **kwargs):
+    return Simulator(design, backend="source", **kwargs)
+
+
+def _latency(design):
+    return HwEngine(list(design.all_rules()), design.initial_store(), backend="source")
+
+
+def _count(design, platform=None, config=None):
+    return SwEngine(
+        list(design.all_rules()),
+        design.initial_store(),
+        platform or Platform.ml507(),
+        config or OptimizationConfig.all(),
+        backend="source",
+    )
+
+
+def _looping(x, y, _):
+    return Loop(BinOp("<", RegRead(x), Const(5)), x.write(BinOp("+", RegRead(x), Const(1))))
+
+
+#: Folded input -> ``(make, elaborate)``: ``make(v)`` builds variant
+#: ``v`` (0 or 1) and ``elaborate(design, v)`` lowers its one rule.  The
+#: variants differ only in that input, so they must miss each other.
+KEY_MUTATIONS = {
+    "small int const": (
+        lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), Const(1 + v)))),
+        lambda design, v: _fast(design),
+    ),
+    "const type": (
+        lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), Const((1, True)[v])))),
+        lambda design, v: _fast(design),
+    ),
+    "hw_cycles constant vs callable": (
+        lambda v: _mutant(
+            lambda x, y, _: x.write(KernelCall("inc", _inc, [RegRead(x)], 1, (3, _three)[v]))
+        ),
+        lambda design, v: _latency(design),
+    ),
+    "read_latency": (
+        lambda v: _mutant(
+            lambda x, y, mem: x.write(mem.value("sub", Const(0))),
+            lambda top: top.add_submodule(RegFile("mem", UIntT(32), 4, read_latency=(1, 3)[v])),
+        ),
+        lambda design, v: _latency(design),
+    ),
+    "SwCosts field": (
+        lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), Const(1)))),
+        lambda design, v: _count(
+            design, platform=(Platform.ml507(), Platform.ml507().with_sw_costs(alu_op=3))[v]
+        ),
+    ),
+    "OptimizationConfig ablation": (
+        # A memory update can fail after the lifted guard, so the attempt
+        # charges the inlining switch's rollback set-up; the compiled
+        # trees of the two configs are the same.
+        lambda v: _mutant(
+            lambda x, y, mem: mem.call("upd", RegRead(y), RegRead(x)),
+            lambda top: top.add_submodule(RegFile("mem", UIntT(32), 4)),
+        ),
+        lambda design, v: _count(
+            design, config=(OptimizationConfig.all(), OptimizationConfig(inline_methods=False))[v]
+        ),
+    ),
+    "max_loop_iterations": (
+        lambda v: _mutant(_looping),
+        lambda design, v: _fast(design, max_loop_iterations=(50, 60)[v]),
+    ),
+    "register aliasing": (
+        lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), RegRead((x, y)[v])))),
+        lambda design, v: _fast(design),
+    ),
+}
+
+
+class TestLoweredOncePerShape:
+    def test_cached_lowering_equals_fresh(
+        self, monkeypatch, cold_caches, recorded_units, fresh_lowerings
+    ):
+        """Every rule unit of the sweep and of two served scenes is
+        cacheable, and its cached lowering -- first lowered for another
+        design where the shape has one -- equals a fresh lowering."""
+        designs = [builder(letter, params).design for builder, letter, params in REUSE_DESIGNS]
+        for design in reversed(designs):
+            CosimFabric(design, backend="source")
+        # The sweep's 32 shapes, and one whose folded literal the served
+        # scene size changes.
+        assert len(fresh_lowerings) <= 33
+        del fresh_lowerings[:], recorded_units[:]
+
+        for design in designs:
+            CosimFabric(design, backend="source")
+        assert fresh_lowerings == []
+        cached = list(recorded_units)
+        del recorded_units[:]
+
+        _without_lowering_cache(monkeypatch)
+        for design in designs:
+            CosimFabric(design, backend="source")
+        assert len(fresh_lowerings) == len(recorded_units) == len(cached) > 140
+        for unit, fresh in zip(cached, recorded_units, strict=True):
+            _assert_same_lowering(unit, fresh)
+
+    @pytest.mark.parametrize("mutation", sorted(KEY_MUTATIONS))
+    def test_each_folded_input_is_in_the_key(
+        self, monkeypatch, cold_caches, recorded_units, fresh_lowerings, mutation
+    ):
+        """Two designs that differ in one input lowering folds into text
+        lower to different texts; the second misses the cache the first
+        warmed, and matches its own fresh lowering."""
+        make, elaborate = KEY_MUTATIONS[mutation]
+        (first,) = elaborate(make(0), 0)._gen
+        del fresh_lowerings[:], recorded_units[:]
+        design = make(1)
+        (second,) = elaborate(design, 1)._gen
+        assert [rule.full_name for _, rule in fresh_lowerings] == ["top.step"]
+        assert _body(first) != _body(second)
+        # The same variant again is a hit, and equals its fresh lowering.
+        elaborate(make(1), 1)
+        elaborate(design, 1)
+        assert len(fresh_lowerings) == 1
+        warm = recorded_units[-1]
+        _without_lowering_cache(monkeypatch)
+        elaborate(design, 1)
+        assert len(fresh_lowerings) == 2
+        _assert_same_lowering(warm, recorded_units[-1])
+
+    def test_guard_messages_follow_the_instance(
+        self, monkeypatch, cold_caches, recorded_units, fresh_lowerings
+    ):
+        """A ``when``'s prebuilt ``GuardFail`` message is the repr of its
+        subtree, which names registers.  Two rules that differ only in a
+        register's name lower to one text, but the key holds the names
+        inside a ``when``, so the second misses and gets its own message."""
+
+        def design(name):
+            top = Module("top")
+            reg = top.add_register(name, UIntT(32), 1)
+            top.add_rule(
+                "step",
+                reg.write(BinOp("+", RegRead(reg), Const(1))).when(
+                    BinOp("<", RegRead(reg), Const(9))
+                ),
+            )
+            return Design(top, name="guarded")
+
+        (first,) = _fast(design("x"))._gen
+        second_design = design("z")
+        (second,) = _fast(second_design)._gen
+        assert _body(first) == _body(second)
+        assert len(fresh_lowerings) == 2
+        _fast(second_design)
+        assert len(fresh_lowerings) == 2
+        cached = recorded_units[-1]
+        _without_lowering_cache(monkeypatch)
+        _fast(second_design)
+        _assert_same_lowering(cached, recorded_units[-1])
+        assert any("RegWrite(z" in str(v) for v in cached[1].values())
+
+    def test_guard_message_shows_the_instance_constant(
+        self, monkeypatch, cold_caches, recorded_units, fresh_lowerings
+    ):
+        """A non-literal constant is a binding, so two rules that differ
+        only in its value share one lowering; the ``GuardFail`` of a
+        ``when`` over it is remade from the new rule's node, and shows the
+        new value, as a fresh lowering's does."""
+
+        def design(limit):
+            top = Module("top")
+            reg = top.add_register("x", UIntT(64), 1)
+            top.add_rule(
+                "step",
+                reg.write(BinOp("+", RegRead(reg), Const(1))).when(
+                    BinOp("<", RegRead(reg), Const(limit))
+                ),
+            )
+            return Design(top, name="guarded")
+
+        _fast(design(2**40))
+        second_design = design(2**41)
+        _fast(second_design)
+        assert len(fresh_lowerings) == 1
+        cached = recorded_units[-1]
+        _without_lowering_cache(monkeypatch)
+        _fast(second_design)
+        _assert_same_lowering(cached, recorded_units[-1])
+        assert any(str(2**41) in str(v) for v in cached[1].values())
+
+    def test_interface_and_fabric_share_one_partitioning(self):
+        params = VorbisParams(n_frames=2)
+        workload = vp.build_partition("B", params)
+        partitioning = partition_design(workload.design, SW)
+        spec = build_interface_spec(partitioning)
+        fabric = CosimFabric(workload.design, backend="source")
+        assert fabric.partitioning is partitioning
+        assert spec.sw_domains == ["SW"]
+        assert partition_design(workload.design, SW) is partitioning
+        other = vp.build_partition("B", params).design
+        assert partition_design(other, SW) is not partitioning
+
+
+def _two_resident_servers(tmp_path, modules):
+    """Build two resident raytracer_B servers, check how their modules are
+    named, registered and profiled, and return every module's filename."""
+    scene = RayTracerParams(n_triangles=8, image_width=2, image_height=2)
+    servers = [FabricServer(rp.build_partition, ("B", scene), backend="source") for _ in range(2)]
+    texts = collections.defaultdict(list)
+    for module in modules:
+        texts[module.name, module.source].append(module)
+    assert all(len(group) % 2 == 0 for group in texts.values())
+    assert len({module.filename for module in modules}) == len(modules)
+    for group in texts.values():
+        lines = linecache.cache[group[0].filename][2]
+        assert lines == group[0].source.splitlines(True)
+        assert all(linecache.cache[m.filename][2] is lines for m in group)
+    dumped = [p for p in tmp_path.iterdir() if not p.name.endswith(".codec.py")]
+    assert len(dumped) == len(texts)
+
+    loops = [server.fabric._groups[0]._loop_gen.namespace["run"] for server in servers]
+    assert loops[0].__code__.co_filename != loops[1].__code__.co_filename
+    profile = cProfile.Profile()
+    profile.enable()
+    for server in servers:
+        server.serve(server.workload.tile_request(0))
+    profile.disable()
+    calls = {
+        key[0]: value[1]
+        for key, value in pstats.Stats(profile).stats.items()
+        if key[2] == "run" and key[0].startswith("<repro-generated:")
+    }
+    assert sorted(calls) == sorted(loop.__code__.co_filename for loop in loops)
+    assert all(count >= 1 for count in calls.values())
+    return [module.filename for module in modules]
+
+
+class TestInstanceFilenames:
+    def test_resident_servers_of_one_design_profile_apart(
+        self, tmp_path, monkeypatch, recorded_modules
+    ):
+        """Two resident raytracer_B servers build the same texts; each
+        instance still runs under its own filename, so a profiler keyed
+        by (file, line, name) counts both.  The instances share one
+        linecache lines list and one dump file per text, and an instance's
+        entry goes once nothing can run its code."""
+        monkeypatch.setenv("REPRO_DUMP_SOURCE", str(tmp_path))
+        filenames = _two_resident_servers(tmp_path, recorded_modules)
+        del recorded_modules[:]
+        gc.collect()
+        assert not [name for name in filenames if name in linecache.cache]
 
 
 # --------------------------------------------------------------------------
