@@ -41,7 +41,6 @@ from repro.core.types import RawStruct
 from repro.platform.channel import (
     ChannelDirection,
     ChannelStats,
-    DuplexChannel,
     Link,
     MessagePool,
     Topology,
@@ -107,8 +106,7 @@ MANIFEST: Dict[Type, CoverageSpec] = {
         snapshot_arity=7,
     ),
     Cosimulator: _spec(
-        config={"hw_domain", "sw_domain", "hw", "sw", "store_hw", "store_sw"},
-        children={"channel"},
+        config={"hw_domain", "sw_domain", "hw", "sw"},
     ),
     _GroupFabric: _spec(
         covered={"now"},  # the per-group clock rides the fabric snapshot
@@ -210,10 +208,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
     ),
     Link: _spec(
         config={"src", "dst", "params", "burst"},
-    ),
-    DuplexChannel: _spec(
-        config={"params"},
-        children={"to_hw", "to_sw"},
     ),
     ChannelDirection: _spec(
         covered={"busy_until"},

@@ -112,10 +112,6 @@ def v_sub(a: Vec, b: Vec) -> Vec:
     return {"x": a["x"] - b["x"], "y": a["y"] - b["y"], "z": a["z"] - b["z"]}
 
 
-def v_scale(a: Vec, s: FixedPoint) -> Vec:
-    return {"x": a["x"] * s, "y": a["y"] * s, "z": a["z"] * s}
-
-
 def v_dot(a: Vec, b: Vec) -> FixedPoint:
     return a["x"] * b["x"] + a["y"] * b["y"] + a["z"] * b["z"]
 

@@ -22,7 +22,7 @@ ended up on the cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.apps.raytracer import geometry
 from repro.apps.raytracer.bvh import Bvh, build_bvh
@@ -31,7 +31,7 @@ from repro.core import kernelcompile
 from repro.core.action import IfA, LetA, par
 from repro.core.domains import SW, Domain
 from repro.core.expr import BinOp, Const, FieldSelect, KernelCall, RegRead, UnOp, Var
-from repro.core.fixedpoint import FixedPoint, raw_from_float
+from repro.core.fixedpoint import raw_from_float
 from repro.core.module import Design, Module, Register
 from repro.core.primitives import RegFile
 from repro.core.synchronizers import SyncFifo
@@ -81,10 +81,6 @@ class RayTracer:
             done_min={self.done_count.full_name: n_rays - start_pixel},
             outputs=(self.checksum.full_name, self.done_count.full_name),
         )
-
-    def image_values(self, reader) -> List[FixedPoint]:
-        """The rendered pixel values, via a register reader function."""
-        return list(reader(self.image.mem))
 
 
 def build_raytracer(

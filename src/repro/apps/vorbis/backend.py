@@ -64,9 +64,6 @@ class VorbisBackend:
         """
         return cosim.read(self.frames_out) >= self.params.n_frames
 
-    def placement_name(self) -> str:
-        return ", ".join(f"{k}={v.name}" for k, v in sorted(self.placement.items()))
-
     def frame_request(self, start_frame: int = 0, name: str = ""):
         """A serving request decoding frames ``start_frame..n_frames-1``.
 

@@ -510,14 +510,6 @@ def _ifft_stages(
     return kc.cache_put(key, box_complex_vector(out_re, out_im, int_bits, frac_bits))
 
 
-def ifft_radix_stage(stage: int, data: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
-    """Apply one radix-2 decimation-in-frequency stage of the IFFT (dispatching)."""
-    backend = _backend_for(int_bits + frac_bits)
-    if backend == "oracle":
-        return ifft_radix_stage_oracle(stage, data, int_bits, frac_bits)
-    return _ifft_stages(stage, stage + 1, data, int_bits, frac_bits, backend)
-
-
 def ifft_rule_stage(
     rule_stage: int,
     data: CplxVec,

@@ -194,9 +194,6 @@ class InterfaceSpec:
     def domains(self) -> List[str]:
         return sorted(set(self.hw_domains) | set(self.sw_domains))
 
-    def channels_towards(self, consumer_domain: str) -> List[ChannelSpec]:
-        return [c for c in self.channels if c.consumer == consumer_domain]
-
     def channels_of(self, domain: str) -> List[ChannelSpec]:
         """Every channel the domain touches (as producer or consumer), cut order."""
         return [c for c in self.channels if domain in (c.producer, c.consumer)]
@@ -215,9 +212,6 @@ class InterfaceSpec:
 
     def links_to(self, domain: str) -> List[LinkSpec]:
         return [l for l in self.links if l.consumer == domain]
-
-    def links_of(self, domain: str) -> List[LinkSpec]:
-        return [l for l in self.links if domain in (l.producer, l.consumer)]
 
     def is_hw(self, domain: str) -> bool:
         return domain in self.hw_domains

@@ -45,62 +45,13 @@ def _wrap(raw: int, total_bits: int) -> int:
 # The kernel dataplane (repro.core.kernelcompile and the batch kernels built
 # on it) computes over plain raw two's-complement ints and takes and returns
 # vectors in their raw form, so no FixedPoint object is built on its path.
-# These module-level helpers are the single definition of that raw
-# arithmetic; each mirrors the corresponding FixedPoint operator bit for bit
-# (wrap after every operation, Python floor semantics for shifts and
-# division, round-half-even quantisation).
-
-
-def raw_wrap(raw: int, total_bits: int) -> int:
-    """Public alias of the two's-complement wrap (see :func:`_wrap`)."""
-    return _wrap(raw, total_bits)
-
-
-def raw_add(a: int, b: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__add__`` for same-format operands."""
-    return _wrap(a + b, total_bits)
-
-
-def raw_sub(a: int, b: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__sub__`` for same-format operands."""
-    return _wrap(a - b, total_bits)
-
-
-def raw_mul(a: int, b: int, frac_bits: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__mul__`` (shift is arithmetic/floor)."""
-    return _wrap((a * b) >> frac_bits, total_bits)
-
-
-def raw_div(a: int, b: int, frac_bits: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__truediv__`` (Python floor division)."""
-    if b == 0:
-        raise ZeroDivisionError("fixed-point division by zero")
-    return _wrap((a << frac_bits) // b, total_bits)
-
-
-def raw_neg(a: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__neg__``."""
-    return _wrap(-a, total_bits)
-
-
-def raw_shift_right(a: int, n: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__rshift__`` (arithmetic shift)."""
-    return _wrap(a >> n, total_bits)
-
-
-def raw_shift_left(a: int, n: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.__lshift__``."""
-    return _wrap(a << n, total_bits)
+# The kernels inline the branchless wrap, ``((raw & mask) ^ sign) - sign``,
+# after every operation, so each mirrors its FixedPoint operator bit for bit.
 
 
 def raw_from_float(value: float, frac_bits: int, total_bits: int) -> int:
     """Raw equivalent of ``FixedPoint.from_float`` (round half to even)."""
     return _wrap(int(round(value * (1 << frac_bits))), total_bits)
-
-
-def raw_to_bits(raw: int, total_bits: int) -> int:
-    """Raw equivalent of ``FixedPoint.to_bits`` (unsigned bit pattern)."""
-    return raw & ((1 << total_bits) - 1)
 
 
 def from_wrapped_raw(raw: int, int_bits: int, frac_bits: int) -> "FixedPoint":

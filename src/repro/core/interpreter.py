@@ -136,7 +136,8 @@ class Simulator:
             read = self.store.__getitem__
             try:
                 return self._exec[self._index_of[rule]].fast(read)
-            except GuardFail:
+            except GuardFail as exc:
+                exc.__traceback__ = None  # generated code raises one shared instance
                 return None
             except KeyError as exc:
                 raise_for_missing_register(exc)

@@ -11,8 +11,8 @@ themselves:
 * ``python`` -- batch loops over flat raw two's-complement ints: a kernel
   invocation reads its inputs' raw ints (in O(1) from the raw vector form,
   :func:`~repro.core.fixedpoint.fixed_vector_raws`), computes in plain-int
-  arithmetic (via :mod:`repro.core.fixedpoint`'s ``raw_*`` helpers or their
-  inlined equivalents) and returns a raw vector.
+  arithmetic (the branchless two's-complement wrap inlined after every
+  operation) and returns a raw vector.
 * ``numpy`` -- the same raw-integer computation vectorised over int64
   arrays.  Optional: used only when NumPy is importable (and not disabled
   via ``REPRO_NO_NUMPY=1``), and only for fixed-point formats of at most
@@ -163,10 +163,6 @@ _cache_enabled = True
 _cache: Dict[Tuple[Any, ...], Any] = {}
 _hits = 0
 _misses = 0
-
-
-def kernel_cache_enabled() -> bool:
-    return _cache_enabled
 
 
 def set_kernel_cache(enabled: bool) -> bool:

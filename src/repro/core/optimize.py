@@ -362,10 +362,6 @@ class CompiledRule:
     shadow_registers: Set[Register]
     config: OptimizationConfig
 
-    @property
-    def needs_shadow(self) -> bool:
-        return self.can_fail and bool(self.shadow_registers)
-
 
 def compile_rule(
     rule: Rule,

@@ -7,9 +7,9 @@ and ``source``, generated here.  Each *already elaborated*
 operators inlined as Python infix, environment frames become local
 variables, registers and kernel functions resolved to direct names in the
 module namespace, the native methods of FIFOs, memories and wires inlined
-from their :class:`~repro.core.module.NativeTemplate`, ``GuardFail``
-raised from prebuilt singletons -- and the module is ``exec``-compiled at
-elaboration time.
+from their :class:`~repro.core.module.NativeTemplate`, a failed guard
+raising the one shared, prebuilt ``GuardFail`` (``_GF``) -- and the module
+is ``exec``-compiled at elaboration time.
 
 Three generation modes reproduce the tree walker's observable behaviour
 bit-for-bit:
@@ -308,7 +308,7 @@ class GeneratedModule:
             _CODE_CACHE[body] = template
         exec(_private_copy(template, self.filename), namespace)
         self.namespace = namespace
-        _forget_when_unused(namespace, self.filename)
+        _forget_when_unused(namespace, self.filename, (name, self.digest))
 
     def dump(self, directory: str) -> str:
         """Write the generated source to ``directory`` and return the path
@@ -316,9 +316,10 @@ class GeneratedModule:
         return dump_source(directory, self.name, self.digest, self.source)
 
 
-#: (module name, content digest) -> instances registered so far in this
-#: interpreter and the text's linecache lines (see :func:`register_source`).
-_INSTANCES: Dict[Tuple[str, str], Tuple[int, List[str]]] = {}
+#: (module name, content digest) -> the next instance's serial, the text's
+#: linecache lines and the filenames of its live instances (see
+#: :func:`register_source`).  An entry goes with its last live instance.
+_INSTANCES: Dict[Tuple[str, str], Tuple[int, List[str], set]] = {}
 
 
 def register_source(name: str, source: str) -> Tuple[str, str]:
@@ -330,19 +331,20 @@ def register_source(name: str, source: str) -> Tuple[str, str]:
     that is set.  The digest keeps distinct designs that share a module
     name (two engines both called "HW") from clobbering each other's
     linecache entry or dump file.  The first instance of a (name, digest)
-    is ``<repro-generated:name#digest>``; each later one, say a second
-    resident server of one design, gets a serial (``...#digest~1>``), so
-    profilers, which key functions by file, line and name, count every
-    instance apart.  All instances of one text share one linecache lines
-    list and one dump file.
+    is ``<repro-generated:name#digest>``; each later one while an earlier
+    one lives, say a second resident server of one design, gets a serial
+    (``...#digest~1>``), so profilers, which key functions by file, line
+    and name, count every instance apart.  All instances of one text share
+    one linecache lines list and one dump file.
     """
     digest = hashlib.sha1(source.encode("utf-8")).hexdigest()[:8]
-    serial, lines = _INSTANCES.get((name, digest), (0, None))
+    serial, lines, live = _INSTANCES.get((name, digest), (0, None, set()))
     if lines is None:
         lines = source.splitlines(True)
-    _INSTANCES[name, digest] = (serial + 1, lines)
     tag = f"~{serial}" if serial else ""
     filename = f"<repro-generated:{name}#{digest}{tag}>"
+    live.add(filename)
+    _INSTANCES[name, digest] = (serial + 1, lines, live)
     linecache.cache[filename] = (len(source), None, lines, filename)
     dump_dir = os.environ.get("REPRO_DUMP_SOURCE")
     if dump_dir:
@@ -354,8 +356,9 @@ def register_source(name: str, source: str) -> Tuple[str, str]:
 _WATCHED: Dict[str, "weakref.ref[FunctionType]"] = {}
 
 
-def _forget_when_unused(namespace: Dict[str, Any], filename: str) -> None:
-    """Drop a module instance's linecache entry once nothing can run it.
+def _forget_when_unused(namespace: Dict[str, Any], filename: str, key: Tuple[str, str]) -> None:
+    """Drop a module instance's linecache entry once nothing can run it,
+    and its text's :data:`_INSTANCES` entry with the text's last instance.
 
     Its functions and its namespace die together, and a traceback through
     one of them holds the namespace, so the entry lasts as long as its
@@ -364,13 +367,20 @@ def _forget_when_unused(namespace: Dict[str, Any], filename: str) -> None:
     """
     for value in reversed(namespace.values()):  # definitions come last
         if type(value) is FunctionType and value.__globals__ is namespace:
-            _WATCHED[filename] = weakref.ref(value, lambda _, name=filename: _forget(name))
+            _WATCHED[filename] = weakref.ref(
+                value, lambda _, filename=filename, key=key: _forget(filename, key)
+            )
             return
 
 
-def _forget(filename: str) -> None:
+def _forget(filename: str, key: Tuple[str, str]) -> None:
     linecache.cache.pop(filename, None)
     _WATCHED.pop(filename, None)
+    entry = _INSTANCES.get(key)
+    if entry is not None:
+        entry[2].discard(filename)
+        if not entry[2]:
+            del _INSTANCES[key]
 
 
 def dump_source(directory: str, name: str, digest: str, source: str) -> str:
@@ -389,8 +399,14 @@ def dump_source(directory: str, name: str, digest: str, source: str) -> str:
     return path
 
 
-#: Names every generated module binds, whatever it lowers.
+#: Names every generated module binds, whatever it lowers.  ``_GF`` is
+#: the one ``GuardFail`` generated code raises: a failed guard is control
+#: flow, caught inside the engine step, so no raise site needs its own
+#: message.  Raising an exception extends the traceback it still holds, so
+#: every generated ``except GuardFail:`` clears it; no traceback outlives
+#: its handler and pins the frames it passed through.
 _BASE_BINDINGS: Dict[str, Any] = {
+    "_GF": GuardFail(),
     "GuardFail": GuardFail,
     "RawStruct": RawStruct,
     "SimulationError": SimulationError,
@@ -421,7 +437,7 @@ class _ModuleBuilder:
         self.bindings: Dict[str, Any] = dict(_BASE_BINDINGS)
         self._by_id: Dict[Any, str] = {}
         #: Binding name -> how to remake an object the lowerer made itself
-        #: (a ``GuardFail`` singleton, a message), for the lowering cache.
+        #: (an error message's text), for the lowering cache.
         self.made: Dict[str, tuple] = {}
         self._counter = 0
         self._fn_counter = 0
@@ -573,14 +589,6 @@ def _is_literal(value: Any) -> bool:
     )
 
 
-def _method_not_ready(kind: str, instance: Module, method_name: str) -> str:
-    return f"{kind} method {instance.name}.{method_name} is not ready"
-
-
-def _guard_failed(kind: str, node: Any) -> str:
-    return f"{kind} guard failed at {node!r}"
-
-
 def _lowering(rule: Rule, mode: str, lower: Callable[[], Any]) -> Any:
     """Run ``lower()``; an untranslatable node is an ``ElaborationError``
     naming the rule, the generation mode and the node."""
@@ -687,17 +695,6 @@ class _Lowerer:
     def _const(self, value: Any) -> str:
         return repr(value) if _is_literal(value) else self.module.bind(value, "c")
 
-    def _fail(self, message: str, made: Optional[tuple] = None) -> str:
-        """Bind a prebuilt ``GuardFail``; ``made`` says how the lowering
-        cache remakes it for another instance (default: same message)."""
-        name = self.module.bind(GuardFail(message), "x")
-        self.module.made[name] = made or (_FAIL, message)
-        return name
-
-    def _raise_fail(self, fail_name: str) -> None:
-        self.w.emit(f"{fail_name}.__traceback__ = None")
-        self.w.emit(f"raise {fail_name}")
-
     # -- expressions -------------------------------------------------------
 
     def lower_expr(self, expr: Expr) -> str:
@@ -772,12 +769,9 @@ class _Lowerer:
             return t
 
         if isinstance(expr, WhenE):
-            fail = self._fail(_guard_failed("expression", expr), (_WHEN, "expression", expr))
             guard = self.lower_expr(expr.guard)
             w.emit(f"if not {guard}:")
-            w.indent += 1
-            self._raise_fail(fail)
-            w.indent -= 1
+            w.emit("    raise _GF")
             return self.lower_expr(expr.body)
 
         if isinstance(expr, LetE):
@@ -998,12 +992,9 @@ class _Lowerer:
             return t
 
         if isinstance(action, WhenA):
-            fail = self._fail(_guard_failed("action", action), (_WHEN, "action", action))
             guard = self.lower_expr(action.guard)
             w.emit(f"if not {guard}:")
-            w.indent += 1
-            self._raise_fail(fail)
-            w.indent -= 1
+            w.emit("    raise _GF")
             return self.lower_action(action.body)
 
         if isinstance(action, Par):
@@ -1104,6 +1095,7 @@ class _Lowerer:
             w.emit_lines(_reindent(body_stmts))
             w.emit(f"    {t} = {body}")
             w.emit("except GuardFail:")
+            w.emit("    _GF.__traceback__ = None")
             w.emit(f"    {t} = {{}}")
             return t
 
@@ -1135,11 +1127,6 @@ class _Lowerer:
                 f"{len(method.params)} arguments, got {len(call.args)}"
             )
         method_name = call.method
-        kind = "action" if is_action else "value"
-        fail = self._fail(
-            _method_not_ready(kind, instance, method_name),
-            (_NOT_READY, kind, instance, method_name),
-        )
 
         if isinstance(instance, PrimitiveModule):
             template = instance.get_native(method_name).template
@@ -1156,7 +1143,7 @@ class _Lowerer:
             values = self._materialize(
                 [self._capture(lambda a=a: self.lower_expr(a)) for a in call.args]
             )
-            return self._lower_native(instance, method, template, values, fail, is_action)
+            return self._lower_native(instance, method, template, values, is_action)
 
         # User-defined method: one generated module-level function pair per
         # (method, mode), pre-registered so recursive methods terminate.
@@ -1170,9 +1157,7 @@ class _Lowerer:
         ctx = self._call_ctx()
         arglist = ", ".join([self.read, ctx] + values)
         w.emit(f"if not {guard_name}({arglist}):")
-        w.indent += 1
-        self._raise_fail(fail)
-        w.indent -= 1
+        w.emit("    raise _GF")
         t = w.tmp()
         w.emit(f"{t} = {body_name}({arglist})")
         return t
@@ -1183,7 +1168,6 @@ class _Lowerer:
         method: Method,
         template: Any,
         args: List[str],
-        fail: str,
         is_action: bool,
     ) -> str:
         """Emit a native method inline from its :class:`NativeTemplate`.
@@ -1210,9 +1194,7 @@ class _Lowerer:
                     fields[attr] = bind(value, "c", key=(id(instance), attr))
             if guard is not None:
                 w.emit(f"if not ({guard.format(**fields)}):")
-                w.indent += 1
-                self._raise_fail(fail)
-                w.indent -= 1
+                w.emit("    raise _GF")
         if not is_action:
             return f"({template.result.format(**fields)})"
         if self.counting and self.charging:
@@ -1291,15 +1273,13 @@ class _Lowerer:
 
 #: How the lowering cache remakes one binding for another instance of a
 #: shape: the object placed at a position, an attribute of a placed
-#: primitive, a ``GuardFail`` with a fixed message, a method's not-ready
-#: ``GuardFail`` (whose message names the instance), a guard's
-#: ``GuardFail`` whose message shows a constant's value (it is remade from
-#: the instance's ``when`` node), a fixed value.
-_POS, _ATTR, _FAIL, _NOT_READY, _WHEN, _VALUE = range(6)
+#: primitive, a fixed value.
+_POS, _ATTR, _VALUE = range(3)
 
 #: Structural key -> (text below the header, binding recipe, whether the
 #: lowering charged FSM latency).  Bounded like ``_CODE_CACHE``; it holds
-#: texts, flags and recipes (names, positions, messages), no design object.
+#: texts, flags and recipes (names, positions, fixed values), no design
+#: object.
 _LOWER_CACHE: Dict[tuple, Tuple[str, tuple, bool]] = {}
 _LOWER_CACHE_LIMIT = 256
 
@@ -1317,26 +1297,17 @@ class _ShapeDigest:
     template and each user method's body, and what the generation modes
     read: constant ``sw_cycles`` for ``count`` (``sw``), constant
     ``hw_cycles`` and each instance's ``read_latency`` for ``latency``
-    (``hw``).  The ``repr`` of a ``when`` is the message of the guard's
-    prebuilt ``GuardFail``: ``when`` nodes are placed too, inside one the
-    names that repr shows are held, and the position of a ``when`` whose
-    subtree holds a non-literal constant is in ``volatile``, so a reuse
-    remakes its message from this instance's node (the key never formats
-    a constant's value).  A node kind it does not know raises, and the
-    unit is lowered fresh.
+    (``hw``).  A node kind it does not know raises, and the unit is
+    lowered fresh.
     """
 
-    __slots__ = ("tokens", "objects", "index", "volatile", "_whens", "_cycles", "_hw")
+    __slots__ = ("tokens", "objects", "index", "_cycles", "_hw")
 
     def __init__(self, sw: bool, hw: bool):
         self.tokens: List[Any] = []
         self.objects: List[Any] = []
         #: id(object) -> its position in ``objects``.
         self.index: Dict[int, int] = {}
-        #: Positions of the ``when`` nodes over a non-literal constant.
-        self.volatile: set = set()
-        #: Positions of the ``when`` nodes enclosing the node being walked.
-        self._whens: List[int] = []
         self._hw = hw
         #: Which kernel cost annotation the modes fold.
         self._cycles = "sw_cycles" if sw else "hw_cycles" if hw else None
@@ -1358,8 +1329,6 @@ class _ShapeDigest:
         tokens.append(kind)
         if kind is RegRead or kind is RegWrite:
             self._put(n.reg)
-            if self._whens:
-                tokens.append(n.reg.name)
             if kind is RegWrite:
                 self.node(n.value)
         elif kind is Const:
@@ -1368,7 +1337,6 @@ class _ShapeDigest:
                 tokens.append(repr(value))
             else:
                 self._put(value)
-                self.volatile.update(self._whens)
         elif kind is Var:
             tokens.append(n.name)
         elif kind is BinOp or kind is UnOp:
@@ -1390,16 +1358,8 @@ class _ShapeDigest:
                     self._put(cycles)
                 else:
                     tokens.append(repr(cycles))
-            if self._whens:
-                tokens.append(n.name)
             for child in n.args:
                 self.node(child)
-        elif kind is WhenA or kind is WhenE:
-            self._put(n)
-            self._whens.append(self.tokens[-1])
-            self.node(n.guard)
-            self.node(n.body)
-            self._whens.pop()
         elif kind is LetA or kind is LetE:
             tokens.append(n.name)
             self.node(n.value)
@@ -1415,7 +1375,7 @@ class _ShapeDigest:
             tokens.append(repr(n.max_iterations))
             self.node(n.cond)
             self.node(n.body)
-        elif kind is Mux or kind is LocalGuard:
+        elif kind is Mux or kind is LocalGuard or kind is WhenA or kind is WhenE:
             for child in n.children():
                 self.node(child)
         elif kind is not NoAction:
@@ -1432,8 +1392,6 @@ class _ShapeDigest:
                 timed,
                 repr(instance.read_latency) if timed and self._hw else None,
             )
-        if self._whens:
-            tokens.append(instance.name)
         method = instance.get_method(call.method)
         if self._put(method):
             if isinstance(instance, PrimitiveModule):
@@ -1470,14 +1428,12 @@ class _ShapeDigest:
     def _user(self, method: Method) -> None:
         """A user method's body and guard, lowered where it is called."""
         self.tokens += (method.kind, tuple(method.params), method.body is None)
-        whens, self._whens = self._whens, []
         self.node(method.guard)
         if method.body is None:
             owner = method.module.name if method.module is not None else "?"
             self.tokens += (owner, method.name)
         else:
             self.node(method.body)
-        self._whens = whens
 
 
 def _shape_key(
@@ -1504,20 +1460,7 @@ def _recipe(module: _ModuleBuilder, digest: _ShapeDigest) -> Optional[tuple]:
     recipe = []
     for key, name in module._by_id.items():
         made = module.made.get(name)
-        if made is not None and made[0] == _NOT_READY:
-            _, kind, instance, method_name = made
-            position = index.get(id(instance))
-            entry = None if position is None else (name, _NOT_READY, kind, position, method_name)
-        elif made is not None and made[0] == _WHEN:
-            _, kind, node = made
-            position = index.get(id(node))
-            if position is None:
-                entry = None
-            elif position in digest.volatile:
-                entry = (name, _WHEN, kind, position)
-            else:
-                entry = (name, _FAIL, module.bindings[name].reason)
-        elif made is not None:
+        if made is not None:
             entry = (name,) + made
         elif type(key) is tuple:  # a native method's instance attribute
             position = index.get(key[0])
@@ -1540,12 +1483,6 @@ def _rebind(recipe: tuple, objects: List[Any]) -> Dict[str, Any]:
             value = objects[entry[2]]
         elif how == _ATTR:
             value = getattr(objects[entry[2]], entry[3])
-        elif how == _FAIL:
-            value = GuardFail(entry[2])
-        elif how == _NOT_READY:
-            value = GuardFail(_method_not_ready(entry[2], objects[entry[3]], entry[4]))
-        elif how == _WHEN:
-            value = GuardFail(_guard_failed(entry[2], objects[entry[3]]))
         else:
             value = entry[2]
         bindings[entry[0]] = value
@@ -1726,6 +1663,7 @@ def _emit_attempt(
     w.emit(f"_g = {guard}")
     w.indent -= 1
     w.emit("except GuardFail:")
+    w.emit("    _GF.__traceback__ = None")
     w.emit("    _g = False")
     w.emit(f"_cost = {_float_lit(params.rule_attempt_overhead)} + _cc + _cl[0]")
     w.emit("if not _g:")
@@ -1747,6 +1685,7 @@ def _emit_attempt(
     w.emit(f"_u = {body}")
     w.indent -= 1
     w.emit("except GuardFail:")
+    w.emit("    _GF.__traceback__ = None")
     w.emit("    _cost += _cc + _cl[0]")
     w.emit(f"    _cost += {params.rollback_base}")
     w.emit(f"    _cost += {len(cr.shadow_registers) * params.rollback_per_register}")
@@ -2003,6 +1942,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
             ]
         return call + [
             f"{indent}except GuardFail:",
+            f"{indent}    _GF.__traceback__ = None",
             f"{indent}    _sleeping[{i}] = 1",
             f"{indent}    _wakeup.n_sleeping += 1",
         ] + [f"{indent}    {line}" for line in on_fail]

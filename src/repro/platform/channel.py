@@ -51,32 +51,10 @@ class ChannelParams:
             return self.per_message_overhead_cycles + serial
         return n_words * (self.per_word_overhead_cycles + self.cycles_per_word)
 
-    def transfer_latency_cycles(self, n_words: int, burst: bool = True) -> float:
-        """End-to-end latency of one message (occupancy plus propagation)."""
-        return self.occupancy_cycles(n_words, burst) + self.one_way_latency_cycles
-
     @property
     def round_trip_latency_cycles(self) -> float:
         """Latency of a minimal request/response pair (the paper's ~100 cycles)."""
         return 2 * (self.one_way_latency_cycles + self.occupancy_cycles(1, burst=True))
-
-
-@dataclass(frozen=True)
-class Message:
-    """An inspection view of one in-flight message on a channel direction.
-
-    The dataplane itself keeps messages in a :class:`MessagePool` (flat
-    rings of primitives -- no per-message object); ``Message`` objects are
-    only materialised by the compatibility accessors (:meth:`ChannelDirection.send`'s
-    return value, :meth:`ChannelDirection.deliveries_due`) for tests and
-    reporting.  ``words`` is the framed wire content: the header word
-    followed by the packed payload words.
-    """
-
-    vc_id: int
-    words: Tuple[int, ...]
-    n_words: int
-    delivered_at: float
 
 
 @dataclass(slots=True)
@@ -322,78 +300,9 @@ class ChannelDirection:
         self.stats.record(vc_id, n_words, occupancy)
         return delivered
 
-    def send(
-        self,
-        vc_id: int,
-        words: Sequence[int],
-        n_words: Optional[int] = None,
-        now: float = 0.0,
-    ) -> Message:
-        """Compatibility send: enqueue framed ``words`` and return a view."""
-        if n_words is None:
-            n_words = len(words)
-        delivered = self.send_words(vc_id, words, now, n_words)
-        return Message(vc_id, tuple(words), n_words, delivered)
-
-    def deliveries_due(self, now: float) -> List[Message]:
-        """Remove and return every message whose delivery time has arrived.
-
-        The direction serialises transfers (each send starts no earlier
-        than ``busy_until``), so the pool is ordered by delivery time and
-        the due messages are a prefix.  Compatibility API: materialises
-        :class:`Message` views; the transport dataplane reads the pool
-        rings directly instead.
-        """
-        due: List[Message] = []
-        pool = self.pool
-        while True:
-            slot = pool.pop_due(now)
-            if slot is None:
-                return due
-            vc_id, words, delivered_at = slot
-            due.append(Message(vc_id, tuple(words), len(words), delivered_at))
-
     @property
     def pending(self) -> int:
         return self.pool.pending
-
-
-class DuplexChannel:
-    """A full-duplex channel: one direction per transfer sense (SW→HW, HW→SW).
-
-    This is the historical two-partition view.  It can own its two
-    :class:`ChannelDirection` resources (legacy constructor) or be a view
-    over two directions that live in a :class:`Topology`
-    (:meth:`from_directions`), which is how the two-partition compatibility
-    wrapper in :mod:`repro.sim.cosim` exposes its fabric links.
-    """
-
-    def __init__(self, params: ChannelParams, burst: bool = True):
-        self.params = params
-        self.to_hw = ChannelDirection(params, "to_hw", burst)
-        self.to_sw = ChannelDirection(params, "to_sw", burst)
-
-    @classmethod
-    def from_directions(
-        cls, to_hw: ChannelDirection, to_sw: ChannelDirection
-    ) -> "DuplexChannel":
-        """A duplex view over two existing directions (no new resources)."""
-        view = cls.__new__(cls)
-        view.params = to_hw.params
-        view.to_hw = to_hw
-        view.to_sw = to_sw
-        return view
-
-    def direction(self, towards_hw: bool) -> ChannelDirection:
-        return self.to_hw if towards_hw else self.to_sw
-
-    @property
-    def total_messages(self) -> int:
-        return self.to_hw.stats.messages + self.to_sw.stats.messages
-
-    @property
-    def total_words(self) -> int:
-        return self.to_hw.stats.words + self.to_sw.stats.words
 
 
 # --------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from repro.core.optimize import OptimizationConfig
 from repro.core.partition import Partitioning, default_engine_kind, partition_design
 from repro.core.semantics import Store
 from repro.core.synchronizers import SyncFifo
-from repro.platform.channel import DuplexChannel, Topology
+from repro.platform.channel import Topology
 from repro.platform.libdn import VirtualChannelTable
 from repro.platform.marshal import demarshal_message, marshal_message
 from repro.platform.platform import Platform
@@ -1324,12 +1324,8 @@ class Cosimulator(CosimFabric):
         # whether or not traffic uses both senses), registered to_hw first --
         # delivery sweeps visit them in that order.
         topology = Topology()
-        to_hw = topology.add_link(
-            sw_domain.name, hw_domain.name, platform.channel, burst, name="to_hw"
-        )
-        to_sw = topology.add_link(
-            hw_domain.name, sw_domain.name, platform.channel, burst, name="to_sw"
-        )
+        topology.add_link(sw_domain.name, hw_domain.name, platform.channel, burst, name="to_hw")
+        topology.add_link(hw_domain.name, sw_domain.name, platform.channel, burst, name="to_sw")
         super().__init__(
             design,
             platform=platform,
@@ -1347,14 +1343,7 @@ class Cosimulator(CosimFabric):
         self.sw_domain = sw_domain
         self.hw: HwEngine = self.engine(hw_domain)
         self.sw: SwEngine = self.engine(sw_domain)
-        self.store_hw: Store = self.hw.store
-        self.store_sw: Store = self.sw.store
-        self.channel = DuplexChannel.from_directions(to_hw, to_sw)
 
     def read_sw(self, reg: Register) -> Any:
         """Read a register as seen by the software partition."""
-        return self.store_sw[reg]
-
-    def read_hw(self, reg: Register) -> Any:
-        """Read a register as seen by the hardware partition."""
-        return self.store_hw[reg]
+        return self.sw.store[reg]

@@ -180,9 +180,6 @@ class HwEngine:
         """
         return self._locked_count.keys()
 
-    # Backwards-compatible private alias used internally.
-    _locked_registers = locked_registers
-
     def _lock_rule(self, rule: Rule, finish: float, updates: Dict[Register, Any]) -> None:
         self.busy[rule] = (finish, updates)
         locked = self._locked_count
@@ -212,7 +209,7 @@ class HwEngine:
         the delivery is parked and applied as soon as the rule commits, so no
         update is ever lost.
         """
-        if reg in self._locked_registers():
+        if reg in self.locked_registers():
             self._pending_deliveries.append((reg, item))
         else:
             self.store[reg] = tuple(self.store[reg]) + (item,)
@@ -220,7 +217,7 @@ class HwEngine:
     def _flush_pending_deliveries(self) -> None:
         if not self._pending_deliveries:
             return
-        locked = self._locked_registers()
+        locked = self.locked_registers()
         still_pending: List[Tuple[Register, Any]] = []
         for reg, item in self._pending_deliveries:
             if reg in locked:
@@ -258,7 +255,7 @@ class HwEngine:
             self._flush_pending_deliveries()
 
         # 2. Determine which rules may attempt to fire this cycle.
-        locked = self._locked_registers()
+        locked = self.locked_registers()
         candidates = [
             rule
             for rule in self.rules

@@ -50,8 +50,8 @@ from repro.sim.serve import FabricServer, Request
 POOL_TASK_KINDS = ("run", "group", "request")
 
 #: How many resident servers one worker keeps before evicting the least
-#: recently used (overridable via ``REPRO_POOL_RESIDENTS``).
-DEFAULT_RESIDENT_LIMIT = 4
+#: recently used.
+RESIDENT_LIMIT = 4
 
 #: Give up on a wedged pool after this many seconds without any result.
 _POOL_STALL_SECONDS = 600.0
@@ -129,13 +129,6 @@ class PoolOutcome:
 _RESIDENT: "OrderedDict[tuple, FabricServer]" = OrderedDict()
 
 
-def resident_limit() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_POOL_RESIDENTS", DEFAULT_RESIDENT_LIMIT)))
-    except ValueError:
-        return DEFAULT_RESIDENT_LIMIT
-
-
 def _spec_key(task: PoolTask) -> tuple:
     """The elaboration identity of a task: everything the fabric's shape
     depends on (and nothing that can vary per run, like max_cycles)."""
@@ -173,8 +166,7 @@ def _resident_server(task: PoolTask) -> Tuple[FabricServer, bool]:
         max_cycles=task.max_cycles,
     )
     _RESIDENT[key] = server
-    limit = resident_limit()
-    while len(_RESIDENT) > limit:
+    while len(_RESIDENT) > RESIDENT_LIMIT:
         _RESIDENT.popitem(last=False)
     return server, True
 

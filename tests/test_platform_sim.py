@@ -9,7 +9,7 @@ from repro.core.module import Design, Module
 from repro.core.optimize import OptimizationConfig
 from repro.core.synchronizers import SyncFifo
 from repro.core.types import UIntT, VectorT
-from repro.platform.channel import ChannelParams, DuplexChannel
+from repro.platform.channel import ChannelDirection, ChannelParams, Topology
 from repro.platform.libdn import VirtualChannelTable
 from repro.platform.platform import Platform
 from repro.sim.cosim import Cosimulator
@@ -59,49 +59,47 @@ class TestChannelModel:
         assert 80 <= params.round_trip_latency_cycles <= 160
 
     def test_messages_serialise_on_one_direction(self):
-        channel = DuplexChannel(ChannelParams())
-        m1 = channel.to_hw.send(0, [0] * 100, now=0.0)
-        m2 = channel.to_hw.send(1, [1] * 100, now=0.0)
-        assert m2.delivered_at >= m1.delivered_at + channel.params.occupancy_cycles(100)
-        assert channel.to_hw.busy_until == 2 * channel.params.occupancy_cycles(100)
+        direction = ChannelDirection(ChannelParams(), "to_hw")
+        d1 = direction.send_words(0, [0] * 100, 0.0)
+        d2 = direction.send_words(1, [1] * 100, 0.0)
+        assert d2 >= d1 + direction.params.occupancy_cycles(100)
+        assert direction.busy_until == 2 * direction.params.occupancy_cycles(100)
 
     def test_directions_are_independent(self):
-        channel = DuplexChannel(ChannelParams())
-        m1 = channel.to_hw.send(0, [0] * 100, now=0.0)
-        m2 = channel.to_sw.send(1, [1] * 100, now=0.0)
-        assert m1.delivered_at == m2.delivered_at
+        topology = Topology()
+        to_hw = topology.add_link("SW", "HW", ChannelParams())
+        to_sw = topology.add_link("HW", "SW", ChannelParams())
+        assert to_hw.send_words(0, [0] * 100, 0.0) == to_sw.send_words(1, [1] * 100, 0.0)
 
     def test_deliveries_due(self):
-        channel = DuplexChannel(ChannelParams())
-        message = channel.to_hw.send(0, list(range(10)), now=0.0)
-        assert channel.to_hw.deliveries_due(message.delivered_at - 1) == []
-        assert channel.to_hw.deliveries_due(message.delivered_at) == [message]
-        assert channel.to_hw.pending == 0
+        direction = ChannelDirection(ChannelParams(), "to_hw")
+        delivered = direction.send_words(0, list(range(10)), 0.0)
+        assert direction.pool.pop_due(delivered - 1) is None
+        assert direction.pool.pop_due(delivered) == (0, list(range(10)), delivered)
+        assert direction.pending == 0
 
     def test_messages_carry_their_wire_words(self):
         """What crosses a link is the packed word array, header first."""
-        channel = DuplexChannel(ChannelParams())
+        direction = ChannelDirection(ChannelParams(), "to_hw")
         words = [0x0002000A] + list(range(10))
-        message = channel.to_hw.send(2, words, now=0.0)
-        assert message.words == tuple(words)
-        (delivered,) = channel.to_hw.deliveries_due(message.delivered_at)
-        assert delivered.words == tuple(words)
+        delivered = direction.send_words(2, words, 0.0)
+        assert direction.pool.pop_due(delivered) == (2, words, delivered)
 
     def test_stats_accumulate(self):
-        channel = DuplexChannel(ChannelParams())
-        channel.to_hw.send(0, [0] * 10, now=0.0)
-        channel.to_hw.send(0, [1] * 10, now=0.0)
-        assert channel.total_messages == 2
-        assert channel.total_words == 20
+        direction = ChannelDirection(ChannelParams(), "to_hw")
+        direction.send_words(0, [0] * 10, 0.0)
+        direction.send_words(0, [1] * 10, 0.0)
+        assert direction.stats.messages == 2
+        assert direction.stats.words == 20
 
     def test_pool_compacts_when_drained(self):
-        direction = DuplexChannel(ChannelParams()).to_hw
+        direction = ChannelDirection(ChannelParams(), "to_hw")
         for i in range(8):
-            direction.send(0, [i, i], now=0.0)
+            direction.send_words(0, [i, i], 0.0)
         assert direction.pool.pending == 8
-        direction.deliveries_due(1e9)
+        assert len(list(iter(lambda: direction.pool.pop_due(1e9), None))) == 8
         assert direction.pool.pending == 0
-        direction.send(0, [9, 9], now=0.0)  # push compacts the drained rings
+        direction.send_words(0, [9, 9], 0.0)  # push compacts the drained rings
         assert direction.pool.head == 0 and direction.pool.word_head == 0
         assert direction.pool.words == [9, 9]
 

@@ -344,7 +344,7 @@ class TestPool:
         assert other.elaborated  # different spec, different resident
 
     def test_resident_limit_eviction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_RESIDENTS", "1")
+        monkeypatch.setattr(pool_mod, "RESIDENT_LIMIT", 1)
         run_pool_task(PoolTask(name="a", builder=vp.build_partition, args=("B", PARAMS)))
         run_pool_task(PoolTask(name="b", builder=vp.build_partition, args=("F", PARAMS)))
         assert len(pool_mod._RESIDENT) == 1
