@@ -10,19 +10,23 @@ method inlining, code generation).
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Callable, Iterator, List
 
 
 class Node:
     """Base class of every BCL AST node (expressions and actions)."""
 
-    #: attribute names holding child nodes, in evaluation order.  Subclasses
-    #: set this; attributes may hold a Node, a list/tuple of Nodes, or
-    #: non-Node leaves (which are ignored by traversal).
+    #: attribute names holding child nodes, in declaration order (not
+    #: evaluation order: the evaluator tests a ``when``'s guard before its
+    #: body, and forces a ``let``'s value only where the body uses it).
+    #: The passes visit children in this order, so it is the order they
+    #: draw fresh ``$n`` names in.  Every Node-valued attribute is listed;
+    #: each holds a Node, a list of Nodes, or ``None`` (an absent ``else``).
     _child_fields: tuple = ()
 
     def children(self) -> List["Node"]:
-        """Direct child nodes in evaluation order."""
+        """Direct child nodes in declaration order."""
         out: List[Node] = []
         for field in self._child_fields:
             value = getattr(self, field)
@@ -31,6 +35,36 @@ class Node:
             elif isinstance(value, (list, tuple)):
                 out.extend(v for v in value if isinstance(v, Node))
         return out
+
+    def rebuild(self, fn: Callable[["Node"], "Node"]) -> "Node":
+        """This node with ``fn`` applied to each child in order.
+
+        The result is a node of this class sharing every other attribute,
+        lists staying lists and ``None`` staying ``None``; it is the node
+        itself when ``fn`` returns every child unchanged, so a pass copies
+        only the nodes above the ones it changes.
+        """
+        changed = None
+        for field in self._child_fields:
+            value = getattr(self, field)
+            if type(value) is list:
+                mapped = list(map(fn, value))
+                if not any(map(is_not, mapped, value)):
+                    continue
+            elif value is None:
+                continue
+            else:
+                mapped = fn(value)
+                if mapped is value:
+                    continue
+            if changed is None:
+                changed = {}
+            changed[field] = mapped
+        if changed is None:
+            return self
+        node = object.__new__(self.__class__)
+        node.__dict__.update(self.__dict__, **changed)
+        return node
 
     def walk(self) -> Iterator["Node"]:
         """Pre-order traversal of this subtree (including ``self``)."""

@@ -33,6 +33,7 @@ from repro.core.action import (
     Seq,
     WhenA,
 )
+from repro.core.ast import Node
 from repro.core.expr import (
     BinOp,
     Const,
@@ -79,6 +80,34 @@ def neg(a: Expr) -> Expr:
 # --------------------------------------------------------------------------
 
 
+#: Expressions that evaluate every operand, so every operand's guard lifts.
+_STRICT_EXPRS = (Const, Var, RegRead, UnOp, BinOp, FieldSelect, KernelCall, MethodCallE)
+
+
+def _lift_operands(node: Node) -> Tuple[Node, Expr]:
+    """Lift every operand guard of a strict node (A.7, A.8).
+
+    ``m.f(e when p) ≡ m.f(e) when p``, and likewise for operators, kernel
+    calls and register writes.  For primitive modules that can express
+    their implicit guard symbolically (a FIFO's notEmpty / notFull), a
+    method call's readiness condition is hoisted too; user-module method
+    guards stay attached to the call until inlining exposes them.
+    """
+    if not node._child_fields:
+        return node, TRUE
+    guards: List[Expr] = []
+
+    def lift(operand: Expr) -> Expr:
+        body, guard = lift_expr(operand)
+        guards.append(guard)
+        return body
+
+    lifted = node.rebuild(lift)
+    if isinstance(node, (MethodCallE, MethodCallA)):
+        guards.append(_primitive_readiness(node))
+    return lifted, conj(*guards)
+
+
 def lift_expr(expr: Expr) -> Tuple[Expr, Expr]:
     """Rewrite ``expr`` as ``(body, guard)`` with ``body when guard ≡ expr``.
 
@@ -86,20 +115,11 @@ def lift_expr(expr: Expr) -> Tuple[Expr, Expr]:
     calls (whose implicit guards cannot be lifted without inlining) and
     inside unvisited regions noted below.
     """
-    if isinstance(expr, (Const, Var, RegRead)):
-        return expr, TRUE
-    if isinstance(expr, UnOp):
-        body, guard = lift_expr(expr.operand)
-        return UnOp(expr.op, body), guard
-    if isinstance(expr, BinOp):
+    if isinstance(expr, BinOp) and expr.op in ("&&", "||"):
         # Short-circuit operators evaluate their right operand conditionally,
         # so its guards cannot be hoisted unconditionally; leave them in place.
-        if expr.op in ("&&", "||"):
-            left, gl = lift_expr(expr.left)
-            return BinOp(expr.op, left, expr.right), gl
         left, gl = lift_expr(expr.left)
-        right, gr = lift_expr(expr.right)
-        return BinOp(expr.op, left, right), conj(gl, gr)
+        return BinOp(expr.op, left, expr.right), gl
     if isinstance(expr, Mux):
         cond, gc = lift_expr(expr.cond)
         then, gt = lift_expr(expr.then)
@@ -122,33 +142,8 @@ def lift_expr(expr: Expr) -> Tuple[Expr, Expr]:
         # in states where the original body would have failed at the use site).
         guard = conj(LetE(expr.name, value, gb) if not is_true_const(gb) else TRUE, gv)
         return LetE(expr.name, value, body), guard
-    if isinstance(expr, FieldSelect):
-        body, guard = lift_expr(expr.operand)
-        return FieldSelect(body, expr.field), guard
-    if isinstance(expr, KernelCall):
-        lifted_args: List[Expr] = []
-        guards: List[Expr] = []
-        for arg in expr.args:
-            a, g = lift_expr(arg)
-            lifted_args.append(a)
-            guards.append(g)
-        return (
-            KernelCall(expr.name, expr.fn, lifted_args, expr.sw_cycles, expr.hw_cycles),
-            conj(*guards),
-        )
-    if isinstance(expr, MethodCallE):
-        # A.8: m.f(e when p) ≡ m.f(e) when p.  For primitive modules that can
-        # express their implicit guard symbolically (a FIFO's notEmpty /
-        # notFull), that readiness condition is hoisted too; user-module
-        # method guards stay attached to the call until inlining exposes them.
-        lifted_args = []
-        guards = []
-        for arg in expr.args:
-            a, g = lift_expr(arg)
-            lifted_args.append(a)
-            guards.append(g)
-        guards.append(_primitive_readiness(expr))
-        return MethodCallE(expr.instance, expr.method, lifted_args), conj(*guards)
+    if isinstance(expr, _STRICT_EXPRS):
+        return _lift_operands(expr)
     raise TypeError(f"lift_expr: unhandled expression node {expr!r}")
 
 
@@ -174,11 +169,8 @@ def lift_action(action: Action) -> Tuple[Action, Expr]:
     composition tails, loops, ``localGuard`` bodies, or method calls (those
     stay as residual guards inside the returned body).
     """
-    if isinstance(action, NoAction):
-        return action, TRUE
-    if isinstance(action, RegWrite):
-        value, guard = lift_expr(action.value)  # A.7
-        return RegWrite(action.reg, value), guard
+    if isinstance(action, (RegWrite, MethodCallA)):
+        return _lift_operands(action)  # A.7, A.8
     if isinstance(action, WhenA):
         body, gb = lift_action(action.body)  # A.6, A.9
         guard, gg = lift_expr(action.guard)
@@ -216,20 +208,10 @@ def lift_action(action: Action) -> Tuple[Action, Expr]:
         body, gb = lift_action(action.body)
         guard = conj(gv, LetE(action.name, value, gb) if not is_true_const(gb) else TRUE)
         return LetA(action.name, value, body), guard
-    if isinstance(action, Loop):
+    if isinstance(action, (NoAction, Loop, LocalGuard)):
+        # No axiom lifts through a loop, and guard failures do not
+        # propagate out of a localGuard.
         return action, TRUE
-    if isinstance(action, LocalGuard):
-        # Guard failures do not propagate out of a localGuard.
-        return action, TRUE
-    if isinstance(action, MethodCallA):
-        lifted_args: List[Expr] = []
-        guards: List[Expr] = []
-        for arg in action.args:  # A.8
-            a, g = lift_expr(arg)
-            lifted_args.append(a)
-            guards.append(g)
-        guards.append(_primitive_readiness(action))
-        return MethodCallA(action.instance, action.method, lifted_args), conj(*guards)
     raise TypeError(f"lift_action: unhandled action node {action!r}")
 
 

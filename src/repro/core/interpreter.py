@@ -84,7 +84,8 @@ class Simulator:
         self._index_of: Dict[Rule, int] = {r: i for i, r in enumerate(self.rules)}
         # The source backend adds dirty-set scheduling (the interp backend
         # stays the untouched exhaustive-scan reference) and one generated
-        # unit per rule (``_gen``) holding its fast function.
+        # unit per rule (``_gen``), the hardware engine's: its latency
+        # function, whose charge the simulator discards.
         self._wakeup: Optional[RuleWakeup] = None
         self.store: Store = design.initial_store()
         self._gen = None
@@ -93,7 +94,7 @@ class Simulator:
             self._wakeup = RuleWakeup(self.rules)
             self.store = self._wakeup.wrap_store(self.store)
             self._exec, self._gen = generate_rule_execs(
-                self.rules, design.name, max_loop_iterations, modes=("fast",)
+                self.rules, design.name, max_loop_iterations
             )
         self._priority_order: List[Rule] = sorted(
             self.rules, key=lambda r: (-r.urgency, self._index_of[r])
@@ -135,7 +136,7 @@ class Simulator:
         if self.backend != "interp":
             read = self.store.__getitem__
             try:
-                return self._exec[self._index_of[rule]].fast(read)
+                return self._exec[self._index_of[rule]].latency(read, [0])
             except GuardFail as exc:
                 exc.__traceback__ = None  # generated code raises one shared instance
                 return None

@@ -22,38 +22,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.core.action import (
-    Action,
-    IfA,
-    LetA,
-    LocalGuard,
-    Loop,
-    MethodCallA,
-    NoAction,
-    Par,
-    RegWrite,
-    Seq,
-    WhenA,
-)
-from repro.core.analysis import read_set, rule_write_set, write_set
-from repro.core.expr import (
-    BinOp,
-    Const,
-    Expr,
-    FieldSelect,
-    KernelCall,
-    LetE,
-    MethodCallE,
-    Mux,
-    RegRead,
-    UnOp,
-    Var,
-    WhenE,
-)
-from repro.core.guards import conj, lift_action
-from repro.core.module import Module, PrimitiveModule, Register, Rule
+from repro.core.action import Action, LetA, MethodCallA, Par, Seq, WhenA
+from repro.core.analysis import read_set, write_set
+from repro.core.ast import Node
+from repro.core.expr import TRUE, Expr, LetE, MethodCallE, Var, WhenE
+from repro.core.guards import is_true_const, lift_action, may_fail
+from repro.core.module import PrimitiveModule, Register, Rule
 
 
 @dataclass(frozen=True)
@@ -92,194 +68,52 @@ def _freshen(name: str, counter: Dict[str, int]) -> str:
     return f"{name}${counter[name]}"
 
 
-def inline_methods_expr(expr: Expr, _counter: Optional[Dict[str, int]] = None) -> Expr:
-    """Inline user-module value-method calls inside an expression."""
-    counter = _counter if _counter is not None else {}
+def inline_methods(node: Node) -> Node:
+    """Inline user-module method calls (action and value) inside ``node``.
 
-    def rec_e(e: Expr) -> Expr:
-        if isinstance(e, (Const, Var, RegRead)):
-            return e
-        if isinstance(e, UnOp):
-            return UnOp(e.op, rec_e(e.operand))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, rec_e(e.left), rec_e(e.right))
-        if isinstance(e, Mux):
-            return Mux(rec_e(e.cond), rec_e(e.then), rec_e(e.orelse))
-        if isinstance(e, WhenE):
-            return WhenE(rec_e(e.body), rec_e(e.guard))
-        if isinstance(e, LetE):
-            return LetE(e.name, rec_e(e.value), rec_e(e.body))
-        if isinstance(e, FieldSelect):
-            return FieldSelect(rec_e(e.operand), e.field)
-        if isinstance(e, KernelCall):
-            return KernelCall(
-                e.name, e.fn, [rec_e(a) for a in e.args], e.sw_cycles, e.hw_cycles
-            )
-        if isinstance(e, MethodCallE):
-            instance, method = e.instance, e.instance.get_method(e.method)
-            args = [rec_e(a) for a in e.args]
-            if isinstance(instance, PrimitiveModule) or method.body is None:
-                return MethodCallE(instance, e.method, args)
-            # Inline: bind parameters with fresh names, attach the implicit guard.
-            body = inline_methods_expr(method.body, counter)
-            guard = inline_methods_expr(method.guard, counter)
-            renames = {p: _freshen(p, counter) for p in method.params}
-            body = _rename_vars_expr(body, renames)
-            guard = _rename_vars_expr(guard, renames)
-            result: Expr = WhenE(body, guard) if not _is_true(guard) else body
-            for param, arg in reversed(list(zip(method.params, args))):
-                result = LetE(renames[param], arg, result)
-            return result
-        raise TypeError(f"inline_methods_expr: unhandled node {e!r}")
+    A call becomes the method's body under its implicit guard, inside lets
+    binding its parameters to fresh ``name$n`` names; calls on primitives
+    and bodiless methods stay calls.
+    """
+    counter: Dict[str, int] = {}
 
-    return rec_e(expr)
+    def inline(node: Node) -> Node:
+        node = node.rebuild(inline)
+        if not isinstance(node, (MethodCallE, MethodCallA)):
+            return node
+        method = node.instance.get_method(node.method)
+        if isinstance(node.instance, PrimitiveModule) or method.body is None:
+            return node
+        # Inline: bind parameters with fresh names, attach the implicit guard.
+        body = inline(method.body)
+        guard = inline(method.guard)
+        renames = {p: _freshen(p, counter) for p in method.params}
+        body = _rename_vars(body, renames)
+        guard = _rename_vars(guard, renames)
+        when, let = (WhenE, LetE) if isinstance(node, MethodCallE) else (WhenA, LetA)
+        result = when(body, guard) if not is_true_const(guard) else body
+        for param, arg in reversed(list(zip(method.params, node.args))):
+            result = let(renames[param], arg, result)
+        return result
+
+    return inline(node)
 
 
-def inline_methods_action(action: Action, _counter: Optional[Dict[str, int]] = None) -> Action:
-    """Inline user-module method calls (action and value) inside an action."""
-    counter = _counter if _counter is not None else {}
-
-    def rec_a(a: Action) -> Action:
-        if isinstance(a, NoAction):
-            return a
-        if isinstance(a, RegWrite):
-            return RegWrite(a.reg, inline_methods_expr(a.value, counter))
-        if isinstance(a, IfA):
-            return IfA(
-                inline_methods_expr(a.cond, counter),
-                rec_a(a.then),
-                rec_a(a.orelse) if a.orelse is not None else None,
-            )
-        if isinstance(a, WhenA):
-            return WhenA(rec_a(a.body), inline_methods_expr(a.guard, counter))
-        if isinstance(a, Par):
-            return Par([rec_a(s) for s in a.actions])
-        if isinstance(a, Seq):
-            return Seq([rec_a(s) for s in a.actions])
-        if isinstance(a, LetA):
-            return LetA(a.name, inline_methods_expr(a.value, counter), rec_a(a.body))
-        if isinstance(a, Loop):
-            return Loop(inline_methods_expr(a.cond, counter), rec_a(a.body), a.max_iterations)
-        if isinstance(a, LocalGuard):
-            return LocalGuard(rec_a(a.body))
-        if isinstance(a, MethodCallA):
-            instance, method = a.instance, a.instance.get_method(a.method)
-            args = [inline_methods_expr(arg, counter) for arg in a.args]
-            if isinstance(instance, PrimitiveModule) or method.body is None:
-                return MethodCallA(instance, a.method, args)
-            body = inline_methods_action(method.body, counter)
-            guard = inline_methods_expr(method.guard, counter)
-            renames = {p: _freshen(p, counter) for p in method.params}
-            body = _rename_vars_action(body, renames)
-            guard = _rename_vars_expr(guard, renames)
-            result: Action = WhenA(body, guard) if not _is_true(guard) else body
-            for param, arg in reversed(list(zip(method.params, args))):
-                result = LetA(renames[param], arg, result)
-            return result
-        raise TypeError(f"inline_methods_action: unhandled node {a!r}")
-
-    return rec_a(action)
-
-
-def _is_true(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value is True
-
-
-def _rename_vars_expr(expr: Expr, renames: Dict[str, str]) -> Expr:
+def _rename_vars(node: Node, renames: Dict[str, str]) -> Node:
+    """``node`` with its free variables renamed by ``renames``."""
     if not renames:
-        return expr
-    if isinstance(expr, Var):
-        return Var(renames.get(expr.name, expr.name))
-    if isinstance(expr, (Const, RegRead)):
-        return expr
-    if isinstance(expr, UnOp):
-        return UnOp(expr.op, _rename_vars_expr(expr.operand, renames))
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op,
-            _rename_vars_expr(expr.left, renames),
-            _rename_vars_expr(expr.right, renames),
-        )
-    if isinstance(expr, Mux):
-        return Mux(
-            _rename_vars_expr(expr.cond, renames),
-            _rename_vars_expr(expr.then, renames),
-            _rename_vars_expr(expr.orelse, renames),
-        )
-    if isinstance(expr, WhenE):
-        return WhenE(
-            _rename_vars_expr(expr.body, renames), _rename_vars_expr(expr.guard, renames)
-        )
-    if isinstance(expr, LetE):
-        inner = dict(renames)
-        inner.pop(expr.name, None)  # shadowed
-        return LetE(
-            expr.name,
-            _rename_vars_expr(expr.value, renames),
-            _rename_vars_expr(expr.body, inner),
-        )
-    if isinstance(expr, FieldSelect):
-        return FieldSelect(_rename_vars_expr(expr.operand, renames), expr.field)
-    if isinstance(expr, KernelCall):
-        return KernelCall(
-            expr.name,
-            expr.fn,
-            [_rename_vars_expr(a, renames) for a in expr.args],
-            expr.sw_cycles,
-            expr.hw_cycles,
-        )
-    if isinstance(expr, MethodCallE):
-        return MethodCallE(
-            expr.instance, expr.method, [_rename_vars_expr(a, renames) for a in expr.args]
-        )
-    raise TypeError(f"_rename_vars_expr: unhandled node {expr!r}")
+        return node
 
+    def rename(node: Node) -> Node:
+        if isinstance(node, Var):
+            return Var(renames[node.name]) if node.name in renames else node
+        if isinstance(node, (LetE, LetA)):
+            inner = dict(renames)
+            inner.pop(node.name, None)  # shadowed
+            return type(node)(node.name, rename(node.value), _rename_vars(node.body, inner))
+        return node.rebuild(rename)
 
-def _rename_vars_action(action: Action, renames: Dict[str, str]) -> Action:
-    if not renames:
-        return action
-    if isinstance(action, NoAction):
-        return action
-    if isinstance(action, RegWrite):
-        return RegWrite(action.reg, _rename_vars_expr(action.value, renames))
-    if isinstance(action, IfA):
-        return IfA(
-            _rename_vars_expr(action.cond, renames),
-            _rename_vars_action(action.then, renames),
-            _rename_vars_action(action.orelse, renames) if action.orelse is not None else None,
-        )
-    if isinstance(action, WhenA):
-        return WhenA(
-            _rename_vars_action(action.body, renames),
-            _rename_vars_expr(action.guard, renames),
-        )
-    if isinstance(action, Par):
-        return Par([_rename_vars_action(s, renames) for s in action.actions])
-    if isinstance(action, Seq):
-        return Seq([_rename_vars_action(s, renames) for s in action.actions])
-    if isinstance(action, LetA):
-        inner = dict(renames)
-        inner.pop(action.name, None)
-        return LetA(
-            action.name,
-            _rename_vars_expr(action.value, renames),
-            _rename_vars_action(action.body, inner),
-        )
-    if isinstance(action, Loop):
-        return Loop(
-            _rename_vars_expr(action.cond, renames),
-            _rename_vars_action(action.body, renames),
-            action.max_iterations,
-        )
-    if isinstance(action, LocalGuard):
-        return LocalGuard(_rename_vars_action(action.body, renames))
-    if isinstance(action, MethodCallA):
-        return MethodCallA(
-            action.instance,
-            action.method,
-            [_rename_vars_expr(a, renames) for a in action.args],
-        )
-    raise TypeError(f"_rename_vars_action: unhandled node {action!r}")
+    return rename(node)
 
 
 # --------------------------------------------------------------------------
@@ -309,31 +143,18 @@ def sequentialize_action(action: Action) -> Action:
     tiny), falling back to the parallel form when no legal order exists --
     e.g. the register swap ``a := b | b := a``.
     """
-    if isinstance(action, Par):
-        children = [sequentialize_action(a) for a in action.actions]
-        if _order_is_sequentializable(children):
-            return Seq(children) if len(children) > 1 else children[0]
-        if len(children) <= 6:
-            for perm in itertools.permutations(children):
-                if _order_is_sequentializable(list(perm)):
-                    return Seq(list(perm))
-        return Par(children)
-    if isinstance(action, Seq):
-        return Seq([sequentialize_action(a) for a in action.actions])
-    if isinstance(action, IfA):
-        return IfA(
-            action.cond,
-            sequentialize_action(action.then),
-            sequentialize_action(action.orelse) if action.orelse is not None else None,
-        )
-    if isinstance(action, WhenA):
-        return WhenA(sequentialize_action(action.body), action.guard)
-    if isinstance(action, LetA):
-        return LetA(action.name, action.value, sequentialize_action(action.body))
-    if isinstance(action, Loop):
-        return Loop(action.cond, sequentialize_action(action.body), action.max_iterations)
-    if isinstance(action, LocalGuard):
-        return LocalGuard(sequentialize_action(action.body))
+    if not isinstance(action, Action):
+        return action
+    action = action.rebuild(sequentialize_action)
+    if not isinstance(action, Par):
+        return action
+    children = action.actions
+    if _order_is_sequentializable(children):
+        return Seq(children) if len(children) > 1 else children[0]
+    if len(children) <= 6:
+        for perm in itertools.permutations(children):
+            if _order_is_sequentializable(list(perm)):
+                return Seq(list(perm))
     return action
 
 
@@ -393,12 +214,9 @@ def _compile_rule_uncached(
     config: OptimizationConfig,
     all_registers: Optional[List[Register]] = None,
 ) -> CompiledRule:
-    from repro.core.guards import may_fail
-    from repro.core.expr import TRUE
-
     body: Action = rule.action
     if config.inline_methods:
-        body = inline_methods_action(body)
+        body = inline_methods(body)
     if config.sequentialize:
         body = sequentialize_action(body)
     guard: Expr = TRUE

@@ -183,20 +183,8 @@ class Partitioning:
         self._groups_cache = ordered
         return ordered
 
-    # -- group-aware views --------------------------------------------------
-    #
-    # Everything below projects the partitioning onto one independent group,
-    # indexed by position in :meth:`independent_groups`.  These views are what
-    # lets a fabric decompose one design's co-simulation into independently
-    # clocked sub-fabrics, and a done predicate's observations be attributed
-    # to the (single) group that owns each observed register.
-
-    @property
-    def group_count(self) -> int:
-        """How many independent groups the cut decomposes the design into."""
-        return len(self.independent_groups())
-
     def _group_index(self) -> Dict[str, int]:
+        """Domain name -> its index into :meth:`independent_groups`."""
         cached = getattr(self, "_group_index_cache", None)
         if cached is None:
             cached = {
@@ -206,75 +194,6 @@ class Partitioning:
             }
             self._group_index_cache = cached
         return cached
-
-    def group_of(self, domain: Union[Domain, str]) -> int:
-        """The index (into :meth:`independent_groups`) of a domain's group."""
-        name = domain.name if isinstance(domain, Domain) else domain
-        index = self._group_index()
-        if name not in index:
-            raise PartitionError(
-                f"design has no partition for domain {name!r}; partitions: "
-                f"{sorted(index)}"
-            )
-        return index[name]
-
-    def group_cut(self, group: int) -> List["SyncFifo"]:
-        """The cut synchronizers internal to one group, in cut order.
-
-        Every synchronizer's two endpoint domains lie in the *same* group by
-        construction (the groups are the connected components of the graph
-        the cut induces), so the global cut partitions cleanly.
-        """
-        index = self._group_index()
-        return [s for s in self.cut if index[s.domain_enq.name] == group]
-
-    def group_route_pairs(self, group: int) -> List[tuple]:
-        """:meth:`route_pairs` restricted to one group (same order, no cross-group pair)."""
-        index = self._group_index()
-        return [pair for pair in self.route_pairs() if index[pair[0]] == group]
-
-    def register_group(self, reg: Register) -> Optional[int]:
-        """The group owning a register, or ``None`` if no partition owns it.
-
-        A partition's registers belong to its domain's group; a cut
-        synchronizer's internal registers belong to the (single) group both
-        its endpoints are in.  Registers outside every partition (e.g. state
-        of a module with no domain and no rules) have no owning group.
-        """
-        table = getattr(self, "_register_group_cache", None)
-        if table is None:
-            index = self._group_index()
-            table = {}
-            for domain, prog in self.programs.items():
-                gid = index[domain.name]
-                for r in prog.registers:
-                    table[r] = gid
-            for sync in self.cut:
-                gid = index[sync.domain_enq.name]
-                for r in sync.registers:
-                    table[r] = gid
-            self._register_group_cache = table
-        return table.get(reg)
-
-    def split_registers_by_group(self, registers) -> Dict[int, List[Register]]:
-        """Split a set of observed registers by owning group.
-
-        The partition-level view of done-predicate attribution: each group
-        whose index appears in the result owns part of the predicate's view
-        and must evaluate it; groups absent from the result can run to
-        quiescence.  (The fabric implements the same attribution over its
-        engines' stores -- ``CosimFabric.group_of_register`` -- which
-        additionally covers registers partitioning does not own and falls
-        back to the default store's group; this method is the
-        engine-independent counterpart.)  Registers with no owning group
-        are dropped from the result.
-        """
-        split: Dict[int, List[Register]] = {}
-        for reg in registers:
-            gid = self.register_group(reg)
-            if gid is not None:
-                split.setdefault(gid, []).append(reg)
-        return {gid: split[gid] for gid in sorted(split)}
 
     def summary(self) -> str:
         """Human-readable description used by examples, the lint CLI and

@@ -11,15 +11,15 @@ from their :class:`~repro.core.module.NativeTemplate`, a failed guard
 raising the one shared, prebuilt ``GuardFail`` (``_GF``) -- and the module
 is ``exec``-compiled at elaboration time.
 
-Three generation modes reproduce the tree walker's observable behaviour
+Two generation modes reproduce the tree walker's observable behaviour
 bit-for-bit:
 
-* ``fast``    -- hook-free evaluation (``Simulator``);
 * ``latency`` -- folded hardware FSM latency, no hooks: each kernel adds
   ``max(0, hw_cycles - 1)`` (a constant folded at generation, a callable
   called inline before the kernel) and each memory with ``read_latency``
   above 1 adds ``read_latency - 1`` to a one-element charge cell, which is
-  exactly what the HW engine's ``HwLatencyAccumulator`` counts;
+  exactly what the HW engine's ``HwLatencyAccumulator`` counts (the
+  ``Simulator`` runs it too and discards the charge);
 * ``count``   -- folded software-cost accumulation against a concrete
   :class:`~repro.sim.costmodel.SwCostParams`: straight-line subtrees
   (:func:`static_cost`) collapse to one integer add, dynamic subtrees
@@ -50,7 +50,7 @@ generation mode and the node: there is no fallback tier, so a new AST
 node must be lowered in every mode before ``source`` can run it.
 
 Compiled once per shape: each rule is its own unit (one module holding
-every requested mode), and every per-instance value -- registers,
+its latency function, or its software attempt), and every per-instance value -- registers,
 kernels, stores, a route's credit depth or vc id, an engine's rule count
 -- is a namespace binding, so the text below a module's header line
 depends only on the shape it lowers.  Each distinct text is compiled once
@@ -617,9 +617,10 @@ _UNARY = {"-": "-", "~": "~", "!": "not "}
 class _Lowerer:
     """Lowers one rule (or method) tree into a flat generated function.
 
-    ``mode`` is one of ``fast``/``latency``/``count``; the emitted
-    statements reproduce the tree walker's evaluation order and (for
-    ``count``) charge points exactly.
+    ``mode`` is ``latency`` or ``count``; the emitted statements
+    reproduce the tree walker's evaluation order and charge points
+    exactly.  Both modes thread a one-element charge cell (``_cl``)
+    through thunks and user methods.
     """
 
     def __init__(
@@ -634,9 +635,6 @@ class _Lowerer:
         self.mode = mode
         self.counting = mode == "count"
         self.timing = mode == "latency"
-        #: count and latency thread a one-element charge cell (``_cl``)
-        #: through thunks and user methods.
-        self.cells = self.counting or self.timing
         self.max_loop_iterations = max_loop_iterations
         self.params = sw_params
         # (id(method), is_action) -> (guard_fn_name, body_fn_name, param names)
@@ -843,33 +841,24 @@ class _Lowerer:
 
         The tree walker's ``_Thunk`` captures the binding-site ``read`` and
         hooks; the generated thunk does the same by passing ``read`` and the
-        charge cell (:meth:`_call_ctx`) into a module-level value function
-        explicitly, so a thunk forced under a ``Seq``/``Loop`` overlay still
-        reads through the binding-site view and charges the binding-site
-        cell.
+        charge cell ``_cl`` into a module-level value function explicitly,
+        so a thunk forced under a ``Seq``/``Loop`` overlay still reads
+        through the binding-site view and charges the binding-site cell.
         """
         w = self.w
         value_fn = self._lower_scoped_fn("lv", value, is_action=False)
-        free = self._free_locals(value)
+        free = [local for _, (_, local) in self._free_scope(value)]
         cell = w.tmp()
-        captured = ", ".join([self._call_ctx()] + free)
+        captured = ", ".join(["_cl"] + free)
         w.emit(f"{cell} = [False, None, {value_fn}, {self.read}, ({captured},)]")
         return cell
-
-    def _free_locals(self, node: Any) -> List[str]:
-        used = set()
-        for sub in node.walk():
-            if isinstance(sub, Var):
-                used.add(sub.name)
-        return [local for name, (_, local) in self.scope.items() if name in used]
 
     def _lower_scoped_fn(self, stem: str, node: Any, is_action: bool) -> str:
         """Lower ``node`` as a module-level function over its free scope vars.
 
         The function's signature is ``(read, _ctx, *free_locals)`` where
-        ``_ctx`` is the charge cell list (count/latency) or None (fast);
-        call sites pass the binding-site values
-        explicitly, which reproduces the tree walker's creation-time
+        ``_ctx`` is the charge cell list; call sites pass the binding-site
+        values explicitly, which reproduces the tree walker's creation-time
         capture without relying on late-bound outer locals.
         """
         free_nodes = self._free_scope(node)
@@ -884,9 +873,8 @@ class _Lowerer:
         )
         sub.scope = {name: entry for name, entry in free_nodes}
         sub.w = _FnWriter(fn, params)
-        if self.cells:
-            sub.w.emit("_cl = _ctx")
-            sub.sink = "_cl[0]"
+        sub.w.emit("_cl = _ctx")
+        sub.sink = "_cl[0]"
         body = sub.lower_action(node) if is_action else sub.lower_expr(node)
         sub.w.emit(f"return {body}")
         self.module.add(sub.w.lines)
@@ -1154,8 +1142,7 @@ class _Lowerer:
         values = self._materialize(
             [self._capture(lambda a=a: self.lower_expr(a)) for a in call.args]
         )
-        ctx = self._call_ctx()
-        arglist = ", ".join([self.read, ctx] + values)
+        arglist = ", ".join([self.read, "_cl"] + values)
         w.emit(f"if not {guard_name}({arglist}):")
         w.emit("    raise _GF")
         t = w.tmp()
@@ -1217,14 +1204,6 @@ class _Lowerer:
                 self.w.charge(self.sink, read_latency - 1)
                 self.module.latency_charged = True
 
-    def _call_ctx(self) -> str:
-        """Second argument threaded into generated method/thunk functions.
-
-        Thunks and methods need a mutable charge cell: the rule wrappers
-        always provide ``_cl`` (a one-element list); in count mode its slot
-        0 is folded into the local ``_cc`` at the boundaries."""
-        return "_cl" if self.cells else "None"
-
     def _user_method(self, method: Method, is_action: bool) -> Tuple[str, str]:
         key = (id(method), is_action)
         entry = self.methods.get(key)
@@ -1249,9 +1228,8 @@ class _Lowerer:
                 p: ("strict", param_locals[i]) for i, p in enumerate(method.params)
             }
             sub.w = _FnWriter(stem, ["read", "_ctx"] + param_locals)
-            if self.cells:
-                sub.sink = "_ctx[0]"
-                sub.w.emit("_cl = _ctx")
+            sub.sink = "_ctx[0]"
+            sub.w.emit("_cl = _ctx")
             if node is None:
                 owner = method.module.name if method.module is not None else "?"
                 text = f"{method.kind} method {owner}.{method.name} has no body"
@@ -1294,23 +1272,22 @@ class _ShapeDigest:
     lists them so that a reuse binds this instance's.  What lowering folds
     into text is held as is: node kinds, operators, literal constants,
     field, let and parameter names, loop bounds, each native method's
-    template and each user method's body, and what the generation modes
-    read: constant ``sw_cycles`` for ``count`` (``sw``), constant
-    ``hw_cycles`` and each instance's ``read_latency`` for ``latency``
-    (``hw``).  A node kind it does not know raises, and the unit is
-    lowered fresh.
+    template and each user method's body, and what the generation mode
+    reads: constant ``sw_cycles`` for ``count``, constant ``hw_cycles``
+    and each instance's ``read_latency`` for ``latency`` (``hw``).  A
+    node kind it does not know raises, and the unit is lowered fresh.
     """
 
     __slots__ = ("tokens", "objects", "index", "_cycles", "_hw")
 
-    def __init__(self, sw: bool, hw: bool):
+    def __init__(self, hw: bool):
         self.tokens: List[Any] = []
         self.objects: List[Any] = []
         #: id(object) -> its position in ``objects``.
         self.index: Dict[int, int] = {}
         self._hw = hw
-        #: Which kernel cost annotation the modes fold.
-        self._cycles = "sw_cycles" if sw else "hw_cycles" if hw else None
+        #: Which kernel cost annotation the mode folds.
+        self._cycles = "hw_cycles" if hw else "sw_cycles"
 
     def _put(self, obj: Any) -> bool:
         """Append ``obj``'s position; True at its first occurrence."""
@@ -1352,12 +1329,11 @@ class _ShapeDigest:
         elif kind is KernelCall:
             tokens.append(len(n.args))
             self._put(n.fn)
-            if self._cycles is not None:
-                cycles = getattr(n, self._cycles)
-                if callable(cycles):
-                    self._put(cycles)
-                else:
-                    tokens.append(repr(cycles))
+            cycles = getattr(n, self._cycles)
+            if callable(cycles):
+                self._put(cycles)
+            else:
+                tokens.append(repr(cycles))
             for child in n.args:
                 self.node(child)
         elif kind is LetA or kind is LetE:
@@ -1437,12 +1413,12 @@ class _ShapeDigest:
 
 
 def _shape_key(
-    head: tuple, modes: Tuple[str, ...], *nodes: Any
+    head: tuple, mode: str, *nodes: Any
 ) -> Tuple[Optional[tuple], Optional[_ShapeDigest]]:
-    """The lowering-cache key of a unit over ``nodes`` in ``modes``, and
+    """The lowering-cache key of a unit over ``nodes`` in ``mode``, and
     its digest; ``(None, None)`` when the digest cannot key it (the unit is
     then lowered fresh, and fresh lowering reports any error in it)."""
-    digest = _ShapeDigest("count" in modes, "latency" in modes)
+    digest = _ShapeDigest(mode == "latency")
     try:
         for n in nodes:
             digest.node(n)
@@ -1538,24 +1514,13 @@ def _force(cell):
 '''
 
 
-#: Parameters of the generated rule function per mode.
-_RULE_FN_PARAMS = {
-    "fast": ["read"],
-    "latency": ["read", "_cl"],
-}
-
-
 def _lower_rule_fn(
-    module: _ModuleBuilder,
-    name: str,
-    action: Action,
-    mode: str,
-    max_loop_iterations: int,
+    module: _ModuleBuilder, name: str, action: Action, max_loop_iterations: int
 ) -> None:
-    """Emit ``def name(read, ...)`` executing ``action`` flat (see
-    :class:`SourceRuleExec` for the per-mode signature)."""
-    low = _Lowerer(module, mode, max_loop_iterations)
-    low.w = _FnWriter(name, _RULE_FN_PARAMS[mode])
+    """Emit ``def name(read, _cl)`` executing ``action`` flat in latency
+    mode (see :class:`SourceRuleExec`)."""
+    low = _Lowerer(module, "latency", max_loop_iterations)
+    low.w = _FnWriter(name, ["read", "_cl"])
     low.sink = "_cl[0]"
     result = low.lower_action(action)
     low.w.emit(f"return {result}")
@@ -1563,24 +1528,23 @@ def _lower_rule_fn(
 
 
 class SourceRuleExec:
-    """Generated fast/latency entry points for one rule.
+    """The generated entry point for one rule: ``latency(read, cell)``.
 
-    The call sites the engines use are ``fast(read)`` and
-    ``latency(read, cell)``; each attribute is a plain generated function
-    (``None`` for a mode that was not generated).  ``latency`` adds the rule's FSM cycles beyond the first
-    to ``cell[0]`` (a one-element list): the constant and callable
-    ``hw_cycles`` of its kernels and the ``read_latency`` of its memories,
-    folded at generation, exactly as ``HwLatencyAccumulator`` counts them.
-    ``fixed_latency`` is True when that lowering charged nothing, through
-    thunks and user methods included: the rule always takes one cycle and
-    its ``latency`` function never touches the cell.
+    ``latency`` is a plain generated function returning the rule's updates;
+    it adds the rule's FSM cycles beyond the first to ``cell[0]`` (a
+    one-element list): the constant and callable ``hw_cycles`` of its
+    kernels and the ``read_latency`` of its memories, folded at
+    generation, exactly as ``HwLatencyAccumulator`` counts them (the
+    ``Simulator`` discards the charge).  ``fixed_latency`` is True when
+    that lowering charged nothing, through thunks and user methods
+    included: the rule always takes one cycle and its ``latency``
+    function never touches the cell.
     """
 
-    __slots__ = ("rule", "fast", "latency", "fixed_latency")
+    __slots__ = ("rule", "latency", "fixed_latency")
 
-    def __init__(self, rule: Rule, fast=None, latency=None, fixed_latency=False):
+    def __init__(self, rule: Rule, latency, fixed_latency: bool):
         self.rule = rule
-        self.fast = fast
         self.latency = latency
         self.fixed_latency = fixed_latency
 
@@ -1589,40 +1553,29 @@ def generate_rule_execs(
     rules: List[Rule],
     design_name: str,
     max_loop_iterations: int = 1_000_000,
-    *,
-    modes: Tuple[str, ...],
 ) -> Tuple[List[SourceRuleExec], Tuple[GeneratedModule, ...]]:
-    """Generate flat executors for raw rule actions in ``modes``
-    (``Simulator``: fast; ``HwEngine``: latency).
+    """Generate flat executors for raw rule actions (``Simulator``,
+    ``HwEngine``).
 
-    Each rule is one ``<design_name>.rules`` unit holding ``_rule_<mode>``
-    per mode, so its text is the same in every design that has the rule,
-    and each rule shape is lowered once per interpreter (:func:`_lower_unit`).
+    Each rule is one ``<design_name>.rules`` unit holding ``_rule_latency``,
+    so its text is the same in every design that has the rule, and each
+    rule shape is lowered once per interpreter (:func:`_lower_unit`).
     """
     name = f"{design_name}.rules"
-    head = ("rules", modes, repr(max_loop_iterations))
+    head = ("rules", repr(max_loop_iterations))
     execs, units = [], []
     for rule in rules:
 
         def lower(module: _ModuleBuilder, rule: Rule = rule) -> None:
-            for mode in modes:
-                _lowering(
-                    rule,
-                    mode,
-                    lambda: _lower_rule_fn(
-                        module, f"_rule_{mode}", rule.action, mode, max_loop_iterations
-                    ),
-                )
-
-        gen, charged = _lower_unit(name, rule, *_shape_key(head, modes, rule.action), lower)
-        units.append(gen)
-        execs.append(
-            SourceRuleExec(
+            _lowering(
                 rule,
-                **{mode: gen.namespace[f"_rule_{mode}"] for mode in modes},
-                fixed_latency="latency" in modes and not charged,
+                "latency",
+                lambda: _lower_rule_fn(module, "_rule_latency", rule.action, max_loop_iterations),
             )
-        )
+
+        gen, charged = _lower_unit(name, rule, *_shape_key(head, "latency", rule.action), lower)
+        units.append(gen)
+        execs.append(SourceRuleExec(rule, gen.namespace["_rule_latency"], not charged))
     return execs, tuple(units)
 
 
@@ -1722,7 +1675,7 @@ def generate_counting_attempts(
             )
 
         key, digest = _shape_key(
-            head + (cr.can_fail, len(cr.shadow_registers)), ("count",), cr.guard, cr.body
+            head + (cr.can_fail, len(cr.shadow_registers)), "count", cr.guard, cr.body
         )
         units.append(_lower_unit(name, rule, key, digest, lower)[0])
     return [gen.namespace["_attempt"] for gen in units], tuple(units)

@@ -815,16 +815,24 @@ class CosimFabric:
         raise KeyError(f"fabric has no engine for domain {name!r}")
 
     def _resolve_owner(self, reg: Register) -> Store:
+        """The store holding ``reg``'s authoritative value, memoised in
+        ``_owner_store``."""
+        store = self._owner_store.get(reg)
+        if store is not None:
+            return store
         parent = reg.parent
         if isinstance(parent, SyncFifo):
             dom = parent.domain_deq
         else:
             dom = effective_module_domain(parent)
+        store = self._default_store
         if dom is not None and not dom.is_variable:
             for d, engine in self.engines.items():
                 if d == dom:
-                    return engine.store
-        return self._default_store
+                    store = engine.store
+                    break
+        self._owner_store[reg] = store
+        return store
 
     def read(self, reg: Register) -> Any:
         """Read a register from whichever partition owns it.
@@ -856,9 +864,7 @@ class CosimFabric:
         """The mapping :meth:`read` answers ``reg`` from under the current
         group scoping: the owning store, or the reset values while another
         group runs."""
-        store = self._owner_store.get(reg)
-        if store is None:
-            store = self._owner_store[reg] = self._resolve_owner(reg)
+        store = self._resolve_owner(reg)
         active = self._active_group
         if active is not None and self._store_group.get(id(store), active) != active:
             if reg in self._initial_values:
@@ -960,10 +966,7 @@ class CosimFabric:
 
     def group_of_register(self, reg: Register) -> Optional[int]:
         """The group whose sub-fabric owns a register's authoritative store."""
-        store = self._owner_store.get(reg)
-        if store is None:
-            store = self._owner_store[reg] = self._resolve_owner(reg)
-        return self._store_group.get(id(store))
+        return self._store_group.get(id(self._resolve_owner(reg)))
 
     def probe_done(
         self,
@@ -1004,10 +1007,11 @@ class CosimFabric:
         """Evaluate ``done`` against merged final state.
 
         With ``finals`` (a ``register full name -> value`` mapping, as
-        reported by :meth:`group_observations` from worker processes), reads
-        of those registers are answered from the mapping and every other
-        read falls through to this fabric's stores -- which, on a fabric
-        that dispatched its groups to workers, still hold reset values.
+        reported by :meth:`observations_for_domains` from worker
+        processes), reads of those registers are answered from the mapping
+        and every other read falls through to this fabric's stores --
+        which, on a fabric that dispatched its groups to workers, still
+        hold reset values.
         The contract for process-parallel group runs is therefore that the
         predicate's read set is static (our workloads' counters are); a
         serial in-process run needs no overrides at all.
@@ -1020,42 +1024,27 @@ class CosimFabric:
         finally:
             self._read_overrides = None
 
-    def group_observations(self, index: int) -> Dict[str, Any]:
-        """Final values of the last-probed predicate's registers owned by one group.
-
-        Keyed by register full name (plain data, picklable for typical
-        counter registers) so a parent process can merge observations from
-        per-group workers and re-evaluate the full done predicate.
-        """
-        return {
-            reg.full_name: self.read(reg)
-            for reg in sorted(self._last_observed, key=lambda r: r.full_name)
-            if self.group_of_register(reg) == index
-        }
-
     def observations_for_domains(self, domain_names) -> Dict[str, Any]:
         """Final values of the last-probed predicate's registers owned by a
-        subset of domains.
+        set of domains: a group's (a per-group worker's report) or some of
+        them (a distributed lockstep member's, which publishes them into
+        its group's shared control block).
 
-        The per-*member* refinement of :meth:`group_observations`: a
-        distributed lockstep member hosts only some of its group's domains,
-        so it reports (and publishes into the group's shared control block)
-        exactly the observed registers whose authoritative store belongs to
-        one of its domains.  Keys are register full names, sorted, like
-        :meth:`group_observations`.
+        Keeps exactly the observed registers whose authoritative store
+        belongs to one of the domains, keyed by register full name (plain
+        data, picklable for typical counter registers) and sorted, so a
+        parent process can merge observations from workers and re-evaluate
+        the full done predicate.
         """
         wanted = set(domain_names)
         stores = {
             id(self.engines[d].store) for d in self.domains if d.name in wanted
         }
-        out: Dict[str, Any] = {}
-        for reg in sorted(self._last_observed, key=lambda r: r.full_name):
-            store = self._owner_store.get(reg)
-            if store is None:
-                store = self._owner_store[reg] = self._resolve_owner(reg)
-            if id(store) in stores:
-                out[reg.full_name] = self.read(reg)
-        return out
+        return {
+            reg.full_name: self.read(reg)
+            for reg in sorted(self._last_observed, key=lambda r: r.full_name)
+            if id(self._resolve_owner(reg)) in stores
+        }
 
     def group_layout(self, index: int) -> Dict[str, Any]:
         """One group sub-fabric's shape as plain data (the distributed export).

@@ -544,7 +544,7 @@ def _run_solo_member(
     return {
         "kind": "solo",
         "result": result,
-        "observations": fabric.group_observations(spec.group_index),
+        "observations": fabric.observations_for_domains(spec.domain_names),
         "pid": os.getpid(),
         "wall_seconds": time.perf_counter() - t0,
         "carrier": _carrier_stats(()),

@@ -101,7 +101,7 @@ class HwEngine:
         # the fully initialised engine state (busy table, locked view,
         # wakeup).
         if backend == "source":
-            execs, self._gen = generate_rule_execs(self.rules, name, modes=("latency",))
+            execs, self._gen = generate_rule_execs(self.rules, name)
             self._step_gen = generate_hw_step(self, dict(zip(self.rules, execs)))
             self.step_cycle = self._step_gen.namespace["step_cycle"]
 

@@ -194,7 +194,9 @@ def run_pool_task(task: PoolTask) -> PoolOutcome:
             result = fabric.run_group(
                 task.group_index, server.workload.cosim_done, max_cycles=task.max_cycles
             )
-            observations = fabric.group_observations(task.group_index)
+            observations = fabric.observations_for_domains(
+                d.name for d in fabric.group_domains(task.group_index)
+            )
         finally:
             server.reset()
     else:  # "request"

@@ -68,6 +68,15 @@ WORKLOADS = (
 # --------------------------------------------------------------------------
 
 
+def _group_of_domain(partitioning):
+    """Domain name -> the index of its group in ``independent_groups()``."""
+    return {
+        d.name: gid
+        for gid, group in enumerate(partitioning.independent_groups())
+        for d in group
+    }
+
+
 class TestGroupPartitionProperties:
     @pytest.mark.parametrize("name,builder,args", WORKLOADS, ids=lambda w: None)
     def test_groups_partition_domains_and_routes(self, name, builder, args):
@@ -80,30 +89,17 @@ class TestGroupPartitionProperties:
         )
         assert len({d.name for d in all_domains}) == len(all_domains)
 
-        routes = partitioning.route_pairs()
-        seen = []
-        for gid in range(partitioning.group_count):
-            group_routes = partitioning.group_route_pairs(gid)
-            for src, dst in group_routes:
-                # Intra-group by construction: both endpoints in gid.
-                assert partitioning.group_of(src) == gid
-                assert partitioning.group_of(dst) == gid
-            seen.extend(group_routes)
-        assert sorted(seen) == sorted(routes)
+        group_of = _group_of_domain(partitioning)
+        for src, dst in partitioning.route_pairs():
+            assert group_of[src] == group_of[dst]
 
     @pytest.mark.parametrize("name,builder,args", WORKLOADS, ids=lambda w: None)
     def test_group_cut_partitions_the_cut(self, name, builder, args):
+        """Both endpoints of every cut synchronizer lie in one group."""
         partitioning = partition_design(builder(*args).design, SW)
-        per_group = [
-            partitioning.group_cut(g) for g in range(partitioning.group_count)
-        ]
-        flattened = [s for group in per_group for s in group]
-        assert len(flattened) == len(partitioning.cut)
-        assert set(flattened) == set(partitioning.cut)
-        for gid, syncs in enumerate(per_group):
-            for sync in syncs:
-                assert partitioning.group_of(sync.domain_enq) == gid
-                assert partitioning.group_of(sync.domain_deq) == gid
+        group_of = _group_of_domain(partitioning)
+        for sync in partitioning.cut:
+            assert group_of[sync.domain_enq.name] == group_of[sync.domain_deq.name]
 
     def test_multi_group_domains_helper(self):
         names = sorted(d.name for d in vp.multi_group_domains("BC"))
@@ -116,44 +112,35 @@ class TestGroupPartitionProperties:
         assert [d.name for d in vp.multi_group_domains("F")] == ["SW_P0"]
 
     def test_multi_group_counts(self):
-        two = partition_design(vp.build_group_partition("BC", PARAMS).design, SW)
-        assert two.group_count == 2
-        three = partition_design(vp.build_group_partition("BCF", PARAMS).design, SW)
-        assert three.group_count == 3
-        one = partition_design(_vorbis("B").design, SW)
-        assert one.group_count == 1
+        for letters, count in (("BC", 2), ("BCF", 3)):
+            design = vp.build_group_partition(letters, PARAMS).design
+            assert len(partition_design(design, SW).independent_groups()) == count
+        assert len(partition_design(_vorbis("B").design, SW).independent_groups()) == 1
 
-    def test_group_of_unknown_domain_raises(self):
-        partitioning = partition_design(_vorbis("B").design, SW)
-        from repro.core.errors import PartitionError
-
-        with pytest.raises(PartitionError):
-            partitioning.group_of("NO_SUCH_DOMAIN")
-
-    def test_split_registers_by_group(self):
+    def test_observed_registers_split_by_group(self):
         workload = vp.build_group_partition("BC", PARAMS)
-        partitioning = partition_design(workload.design, SW)
-        observed = [pipe.frames_out for pipe in workload.pipes]
-        split = partitioning.split_registers_by_group(observed)
-        assert sorted(split) == [0, 1]
-        groups = {
-            gid: {d.name for d in g}
-            for gid, g in enumerate(partitioning.independent_groups())
-        }
-        for gid, regs in split.items():
-            assert len(regs) == 1
+        fabric = CosimFabric(workload.design, backend="source")
+        for reg in (pipe.frames_out for pipe in workload.pipes):
             # frames_out lives in the pipeline's software-side audio sink.
-            pipe_index = 0 if "_p0." in regs[0].full_name else 1
-            assert f"SW_P{pipe_index}" in groups[gid]
+            pipe_index = 0 if "_p0." in reg.full_name else 1
+            domains = fabric.group_domains(fabric.group_of_register(reg))
+            assert f"SW_P{pipe_index}" in {d.name for d in domains}
 
-    def test_register_group_covers_cut_registers(self):
-        workload = _vorbis("B")
-        partitioning = partition_design(workload.design, SW)
+    @pytest.mark.parametrize("letters", ["BC", "BCF"])
+    def test_registers_belong_to_their_domain_group(self, letters):
+        """A partition's registers belong to its domain's group, and a cut
+        synchronizer's to the one group both its endpoints are in."""
+        fabric = CosimFabric(
+            vp.build_group_partition(letters, PARAMS).design, backend="source"
+        )
+        partitioning = fabric.partitioning
+        group_of = _group_of_domain(partitioning)
+        for domain, program in partitioning.programs.items():
+            for reg in program.registers:
+                assert fabric.group_of_register(reg) == group_of[domain.name]
         for sync in partitioning.cut:
             for reg in sync.registers:
-                assert partitioning.register_group(reg) == partitioning.group_of(
-                    sync.domain_enq
-                )
+                assert fabric.group_of_register(reg) == group_of[sync.domain_enq.name]
 
 
 # --------------------------------------------------------------------------
@@ -366,13 +353,15 @@ class TestGroupScoping:
         workload = vp.build_group_partition("BC", PARAMS)
         fabric = CosimFabric(workload.design, backend="source")
         fabric.run_group(0, workload.cosim_done)
-        obs = fabric.group_observations(0)
+        obs = fabric.observations_for_domains(d.name for d in fabric.group_domains(0))
         (key, value), = obs.items()
         assert key.endswith("audio.frames_out") and "p0" in key
         assert value == PARAMS.n_frames
         # The other group's observed register reports its (unrun) value --
         # a worker only ever reports the group it actually ran.
-        (other_key, other_value), = fabric.group_observations(1).items()
+        (other_key, other_value), = fabric.observations_for_domains(
+            d.name for d in fabric.group_domains(1)
+        ).items()
         assert "p1" in other_key and other_value == 0
 
     def test_evaluate_done_with_finals(self):

@@ -6,24 +6,30 @@ original fires and produces the same updates.  Hypothesis generates random
 register states to check this.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.action import IfA, LetA, Par, Seq, WhenA, par
+from repro.core.action import IfA, LetA, NoAction, Par, RegWrite, Seq, WhenA, par, seq
+from repro.core.ast import Node
 from repro.core.errors import GuardFail
-from repro.core.expr import BinOp, Const, KernelCall, Mux, RegRead, Var, WhenE
+from repro.core.expr import BinOp, Const, KernelCall, LetE, Mux, RegRead, UnOp, Var, WhenE
 from repro.core.guards import conj, is_true_const, lift_action, lift_expr, may_fail
+from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
 from repro.core.optimize import (
     OptimizationConfig,
     compile_rule,
-    inline_methods_action,
+    inline_methods,
     sequentialize_action,
 )
 from repro.core.primitives import Fifo
 from repro.core.semantics import Evaluator
 from repro.core.types import BoolT, UIntT
+
+from test_compiled_backend import CORPUS
 
 
 def build_test_module():
@@ -151,7 +157,7 @@ class TestInlining:
             guard=BinOp("<", RegRead(s_reg), Const(10)),
         )
         action = sub.call("bump", Const(3))
-        inlined = inline_methods_action(action)
+        inlined = inline_methods(action)
         # After inlining there is no MethodCallA on the user module left.
         from repro.core.action import MethodCallA
 
@@ -173,15 +179,28 @@ class TestInlining:
             "bump", "action", params=["x"], body=s_reg.write(Var("x")),
             guard=BinOp("<", RegRead(s_reg), Const(10)),
         )
-        inlined = inline_methods_action(sub.call("bump", Const(3)))
+        inlined = inline_methods(sub.call("bump", Const(3)))
         evaluator = Evaluator()
         with pytest.raises(GuardFail):
             evaluator.exec_action(inlined, {}, lambda r: {s_reg: 20}[r], None)
 
+    def test_inner_let_shadows_a_parameter(self):
+        """Renaming a parameter stops at a ``let`` that rebinds its name."""
+        top = Module("top")
+        sub = top.add_submodule(Module("sub"))
+        s_reg = sub.add_register("s", UIntT(32), 0)
+        sub.add_method(
+            "put", "action", params=["x"],
+            body=seq(s_reg.write(Var("x")), LetA("x", Const(5), s_reg.write(Var("x")))),
+        )
+        inlined = inline_methods(sub.call("put", Const(3)))
+        updates = Evaluator().exec_action(inlined, {}, lambda r: {s_reg: 0}[r], None)
+        assert updates == {s_reg: 5}
+
     def test_primitive_calls_not_inlined(self):
         top, a, b, flag1, flag2, fifo = build_test_module()
         action = fifo.call("enq", Const(1))
-        assert isinstance(inline_methods_action(action), type(action))
+        assert isinstance(inline_methods(action), type(action))
 
 
 class TestSequentialization:
@@ -254,3 +273,194 @@ class TestCompileRule:
     def test_config_describe(self):
         text = OptimizationConfig.none().describe()
         assert "lift_guards=off" in text
+
+
+# --------------------------------------------------------------------------
+# the tree rebuild every pass runs on
+# --------------------------------------------------------------------------
+
+
+def _node_classes():
+    """Every concrete AST node class (the leaves of the class tree)."""
+    leaves, todo = set(), [Node]
+    while todo:
+        cls = todo.pop()
+        subclasses = cls.__subclasses__()
+        if not subclasses:
+            leaves.add(cls)
+        todo.extend(subclasses)
+    return leaves
+
+
+def _corpus_nodes():
+    """One instance of every node class: from the kitchen-sink corpus's rules
+    and their inlined forms (which bind parameters with ``LetA``), plus the
+    ``if`` forms and the empty action the corpus does not use."""
+    found = {}
+    for builder in CORPUS:
+        for rule in builder().all_rules():
+            for tree in (rule.action, inline_methods(rule.action)):
+                for node in tree.walk():
+                    found.setdefault(type(node), node)
+    cond, write = found[BinOp], found[RegWrite]
+    nodes = list(found.values()) + [IfA(cond, write), IfA(cond, write, NoAction()), NoAction()]
+    assert {type(node) for node in nodes} == _node_classes()
+    return nodes
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("node", _corpus_nodes(), ids=lambda n: type(n).__name__)
+    def test_rebuild_maps_exactly_the_children(self, node):
+        """Exactly ``children()`` is mapped, in order.  The copy is a new node
+        of the same class that shares every other attribute, with list
+        fields staying lists and an absent ``else`` staying ``None``; a node
+        without children is its own rebuild."""
+        visited = []
+
+        def mark(child):
+            visited.append(child)
+            return ("mapped", child)
+
+        copy = node.rebuild(mark)
+        assert [id(c) for c in visited] == [id(c) for c in node.children()]
+        if not visited:
+            assert copy is node
+            return
+        assert copy is not node and type(copy) is type(node)
+        assert vars(copy).keys() == vars(node).keys()
+        for name, value in vars(node).items():
+            if name not in node._child_fields:
+                assert vars(copy)[name] is value, name
+            elif isinstance(value, list):
+                assert vars(copy)[name] == [("mapped", v) for v in value], name
+            elif value is None:
+                assert vars(copy)[name] is None, name
+            else:
+                assert vars(copy)[name] == ("mapped", value), name
+
+    @pytest.mark.parametrize("node", _corpus_nodes(), ids=lambda n: type(n).__name__)
+    def test_rebuild_keeps_an_unchanged_node(self, node):
+        visited = []
+
+        def same(child):
+            visited.append(child)
+            return child
+
+        assert node.rebuild(same) is node
+        assert [id(c) for c in visited] == [id(c) for c in node.children()]
+
+    @pytest.mark.parametrize("node", _corpus_nodes(), ids=lambda n: type(n).__name__)
+    def test_every_node_attribute_is_a_child_field(self, node):
+        for name, value in vars(node).items():
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if any(isinstance(v, Node) for v in values):
+                assert name in node._child_fields, name
+
+
+# --------------------------------------------------------------------------
+# Section 6.3 differential: compiled rules fire as the raw rules do
+# --------------------------------------------------------------------------
+
+
+class _StrictLets(Evaluator):
+    """The evaluator with every ``let`` value evaluated where it is bound:
+    the assumption guard lifting makes (``core/guards.py``), which fails a
+    rule whose unused binding's guard fails."""
+
+    def eval_expr(self, expr, env, read, hooks=None):
+        if isinstance(expr, LetE):
+            self.eval_expr(expr.value, env, read, hooks)
+        return super().eval_expr(expr, env, read, hooks)
+
+    def exec_action(self, action, env, read, hooks=None):
+        if isinstance(action, LetA):
+            self.eval_expr(action.value, env, read, hooks)
+        return super().exec_action(action, env, read, hooks)
+
+
+def build_lazy_let():
+    """A binding whose guard fails while it is unused, and guarded ``if`` arms.
+
+    ``lazy`` fires (doing nothing) while ``flag`` is false, because the
+    binding it skips is non-strict; guard lifting hoists the binding's guard,
+    so the compiled rule does not fire there.
+    """
+    top = Module("top")
+    flag = top.add_register("flag", BoolT(), False)
+    n = top.add_register("n", UIntT(32), 0)
+    x = top.add_register("x", UIntT(32), 0)
+    top.add_rule(
+        "tick",
+        par(n.write(BinOp("+", RegRead(n), Const(1))), flag.write(UnOp("!", RegRead(flag))))
+        .when(BinOp("<", RegRead(n), Const(6))),
+    )
+    top.add_rule(
+        "lazy",
+        LetA(
+            "t",
+            WhenE(BinOp("+", RegRead(n), Const(1)), RegRead(flag)),
+            IfA(RegRead(flag), x.write(Var("t")), NoAction()),
+        ),
+    )
+    top.add_rule(
+        "arms",
+        IfA(
+            RegRead(flag),
+            WhenA(x.write(Const(1)), BinOp("<", RegRead(n), Const(3))),
+            WhenA(x.write(Const(2)), BinOp(">", RegRead(n), Const(3))),
+        ),
+    )
+    return Design(top, name="lazy_let")
+
+
+#: Every combination of the four Section 6.3 switches.
+ALL_CONFIGS = [OptimizationConfig(*flags) for flags in itertools.product((False, True), repeat=4)]
+
+
+def _fire(run):
+    try:
+        return True, run()
+    except GuardFail:
+        return False, None
+
+
+def _fire_compiled(evaluator, compiled, read):
+    """The compiled rule's outcome: its lifted guard, then its body."""
+
+    def run():
+        if not evaluator.eval_expr(compiled.guard, {}, read, None):
+            raise GuardFail("lifted guard")
+        return evaluator.exec_action(compiled.body, {}, read, None)
+
+    return _fire(run)
+
+
+class TestSection63Differential:
+    @pytest.mark.parametrize("builder", CORPUS + [build_lazy_let], ids=lambda b: b.__name__)
+    def test_compiled_rules_fire_as_the_raw_rules(self, builder):
+        """At every state a seeded random-policy run visits, every rule
+        compiled under each of the 16 configurations fires exactly when
+        the raw rule fires, with equal updates.  The one documented
+        exception is the conservative lifting of a ``let``'s guard: there
+        the compiled rule behaves as the raw rule with strict lets."""
+        design = builder()
+        rules = list(design.all_rules())
+        registers = design.all_registers()
+        evaluator, strict = Evaluator(), _StrictLets()
+        sim = Simulator(design, policy="random", seed=5, backend="interp")
+        lazy_mismatches = 0
+        for _ in range(60):
+            read = dict(sim.store).__getitem__
+            for rule in rules:
+                raw = _fire(lambda: evaluator.exec_action(rule.action, {}, read, None))
+                for config in ALL_CONFIGS:
+                    compiled = compile_rule(rule, config, registers)
+                    outcome = _fire_compiled(evaluator, compiled, read)
+                    if outcome != raw:
+                        strict_raw = _fire(lambda: strict.exec_action(rule.action, {}, read, None))
+                        assert config.lift_guards and raw[0], (rule.full_name, config)
+                        assert outcome == strict_raw, (rule.full_name, config)
+                        lazy_mismatches += 1
+            if sim.step() is None:
+                break
+        assert (lazy_mismatches > 0) == (builder is build_lazy_let)

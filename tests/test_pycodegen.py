@@ -530,7 +530,7 @@ def _three(value):
     return 3
 
 
-def _fast(design, **kwargs):
+def _simulator(design, **kwargs):
     return Simulator(design, backend="source", **kwargs)
 
 
@@ -558,11 +558,11 @@ def _looping(x, y, _):
 KEY_MUTATIONS = {
     "small int const": (
         lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), Const(1 + v)))),
-        lambda design, v: _fast(design),
+        lambda design, v: _simulator(design),
     ),
     "const type": (
         lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), Const((1, True)[v])))),
-        lambda design, v: _fast(design),
+        lambda design, v: _simulator(design),
     ),
     "hw_cycles constant vs callable": (
         lambda v: _mutant(
@@ -597,11 +597,11 @@ KEY_MUTATIONS = {
     ),
     "max_loop_iterations": (
         lambda v: _mutant(_looping),
-        lambda design, v: _fast(design, max_loop_iterations=(50, 60)[v]),
+        lambda design, v: _simulator(design, max_loop_iterations=(50, 60)[v]),
     ),
     "register aliasing": (
         lambda v: _mutant(lambda x, y, _: x.write(BinOp("+", RegRead(x), RegRead((x, y)[v])))),
-        lambda design, v: _fast(design),
+        lambda design, v: _simulator(design),
     ),
 }
 
@@ -677,14 +677,14 @@ class TestLoweredOncePerShape:
             )
             return Design(top, name="guarded")
 
-        (first,) = _fast(design("x"))._gen
+        (first,) = _simulator(design("x"))._gen
         second_design = design("z")
-        (second,) = _fast(second_design)._gen
+        (second,) = _simulator(second_design)._gen
         assert _body(first) == _body(second)
         assert len(fresh_lowerings) == 1
         cached = recorded_units[-1]
         _without_lowering_cache(monkeypatch)
-        _fast(second_design)
+        _simulator(second_design)
         assert len(fresh_lowerings) == 2
         _assert_same_lowering(cached, recorded_units[-1])
         assert cached[1]["_GF"] is pycodegen._BASE_BINDINGS["_GF"]
@@ -707,13 +707,13 @@ class TestLoweredOncePerShape:
             )
             return Design(top, name="guarded")
 
-        _fast(design(2**40))
+        _simulator(design(2**40))
         second_design = design(2**41)
-        _fast(second_design)
+        _simulator(second_design)
         assert len(fresh_lowerings) == 1
         cached = recorded_units[-1]
         _without_lowering_cache(monkeypatch)
-        _fast(second_design)
+        _simulator(second_design)
         _assert_same_lowering(cached, recorded_units[-1])
         assert 2**41 in cached[1].values()
 
@@ -1059,17 +1059,13 @@ UNLOWERABLE_OPS = {
     ),
 }
 
-GENERATION_MODES = ("fast", "latency", "count")
+GENERATION_MODES = ("latency", "count")
 
 
 def _fire_on_oracle(mode, design, x):
-    """Fire the rule on the interp engine that ``mode`` stands in for
-    (``Simulator``, the HW and SW engines) and return the committed ``x``."""
+    """Fire the rule on the interp engine that ``mode`` stands in for (the
+    HW and SW engines) and return the committed ``x``."""
     rules = list(design.all_rules())
-    if mode == "fast":
-        sim = Simulator(design, backend="interp")
-        assert sim.run(10) == 1
-        return sim.read(x)
     if mode == "latency":
         engine = HwEngine(rules, design.initial_store(), backend="interp")
         assert engine.step_cycle(0.0)
@@ -1085,8 +1081,6 @@ def _elaborate_source(mode, design):
     """The source-tier elaboration that lowers ``design``'s rules in
     ``mode``."""
     rules = list(design.all_rules())
-    if mode == "fast":
-        return Simulator(design, backend="source")
     if mode == "latency":
         return HwEngine(rules, design.initial_store(), backend="source")
     return SwEngine(rules, design.initial_store(), Platform.ml507(), backend="source")
