@@ -17,7 +17,16 @@ Each kernel exists in the backends of the kernel dataplane
   operation exactly like ``FixedPoint``, and results leave as raw vectors
   (:func:`~repro.core.fixedpoint.box_fixed_vector`) without boxing an element;
 * the ``_*_np`` functions vectorise the same raw computation over int64
-  arrays (formats up to 32 total bits; wider formats fall back to raw).
+  arrays (formats up to 32 total bits; wider formats fall back to raw).  A
+  complex vector is one planar ``(2, points)`` array for the whole call,
+  row 0 real and row 1 imaginary, and each step of the computation is one
+  in-place ufunc over it or a view of it: a radix stage views it as
+  ``(re/im, block, a/b half, j)``, so the halves' sum and difference, the
+  halving, the four twiddle products and the two combines take one ufunc
+  each over every block at once.  Every ufunc that stands for a
+  ``FixedPoint`` operation is followed by the wrap
+  ``((x & mask) ^ sign) - sign``, as in the raw loops: no wrap is dropped
+  because a value is known to be small, so one path serves every format.
 
 The public kernel names dispatch on :func:`~repro.core.kernelcompile.effective_backend`
 and, on the fast backends, memoise results through the pure-kernel cache
@@ -26,9 +35,11 @@ them -- so sharing cached results is safe).  Every backend is bit-identical;
 the differential tests in ``tests/test_kernels.py`` enforce it.
 
 The twiddle/pre/post/window tables are materialised once per
-``(size, format)`` as flat raw-int tuples; the object and NumPy tables used
-by the oracle and vectorised backends are derived views of those same raw
-tuples, so no backend can disagree about a table entry.
+``(size, format)`` as flat raw-int tuples; the object tables of the oracle
+and the read-only planar arrays of the NumPy backend are derived from those
+same raw tuples, so no backend can disagree about a table entry.  Every
+table is built on first use, in an ``lru_cache``: importing this module
+allocates none.
 
 Each kernel also has a *cost* entry in :func:`kernel_costs`: the CPU-cycle
 cost of its software implementation and the FPGA-cycle latency of its
@@ -178,26 +189,33 @@ def _window_table(points: int, int_bits: int, frac_bits: int) -> FixVec:
 
 
 @lru_cache(maxsize=None)
-def _twiddles_np(points: int, int_bits: int, frac_bits: int):
-    re, im = _twiddles_raw(points, int_bits, frac_bits)
-    return kc.np_table(re), kc.np_table(im)
+def _twiddle_planes(points: int, int_bits: int, frac_bits: int):
+    """Twiddles as a read-only ``(2, points // 2)`` int64 array (re row, im row)."""
+    return kc.np_table(_twiddles_raw(points, int_bits, frac_bits))
 
 
 @lru_cache(maxsize=None)
-def _pre_tables_np(n: int, int_bits: int, frac_bits: int):
+def _pre_planes(n: int, int_bits: int, frac_bits: int):
+    """Pre-multiply tables as a read-only ``(2, 2, n)`` int64 array: axis 0
+    is re/im, axis 1 the low/high table, so a product with the frame is the
+    planar ``(2, 2n)`` output."""
     lo_re, lo_im, hi_re, hi_im = _pre_tables_raw(n, int_bits, frac_bits)
-    return kc.np_table(lo_re), kc.np_table(lo_im), kc.np_table(hi_re), kc.np_table(hi_im)
+    return kc.np_table(((lo_re, hi_re), (lo_im, hi_im)))
 
 
 @lru_cache(maxsize=None)
-def _post_table_np(points: int, int_bits: int, frac_bits: int):
-    re, im = _post_table_raw(points, int_bits, frac_bits)
-    return kc.np_table(re), kc.np_table(im)
+def _post_planes(points: int, int_bits: int, frac_bits: int):
+    """Post-rotation table as a read-only ``(2, points)`` int64 array."""
+    return kc.np_table(_post_table_raw(points, int_bits, frac_bits))
 
 
 @lru_cache(maxsize=None)
-def _window_table_np(points: int, int_bits: int, frac_bits: int):
-    return kc.np_table(_window_table_raw(points, int_bits, frac_bits))
+def _window_planes(points: int, int_bits: int, frac_bits: int):
+    """The window as a read-only ``(2, points // 2)`` int64 array: row 0
+    weighs the previous frame's half, row 1 the current frame's first half."""
+    window = _window_table_raw(points, int_bits, frac_bits)
+    n = points // 2
+    return kc.np_table((window[n:], window[:n]))
 
 
 def bit_reverse(i: int, bits: int) -> int:
@@ -246,8 +264,9 @@ def gen_frame_oracle(
 def gen_frame(index: int, n: int, seed: int = 2012, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
     """Generate one synthetic spectral frame (dispatching front end).
 
-    The LCG is inherently sequential, so the fast path is the raw-integer
-    quantisation loop plus the result cache (the scalar arguments are the
+    The LCG is inherently sequential, so both fast backends share one
+    raw-integer quantisation loop, with :func:`raw_from_float`'s rounding
+    and wrap inlined, plus the result cache (the scalar arguments are the
     whole input, making this the cheapest key in the cache).
     """
     if kc.kernel_backend() == "oracle":
@@ -257,12 +276,15 @@ def gen_frame(index: int, n: int, seed: int = 2012, int_bits: int = 8, frac_bits
     if hit is not None:
         return hit
     total = int_bits + frac_bits
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
+    one = 1 << frac_bits
     state = (seed * 2654435761 + index * 40503 + 12345) & 0xFFFFFFFF
     raws = []
     append = raws.append
     for _ in range(n):
         state = (1103515245 * state + 12345) & 0x7FFFFFFF
-        append(raw_from_float(((state / float(0x7FFFFFFF)) * 1.8) - 0.9, frac_bits, total))
+        append(((round((((state / float(0x7FFFFFFF)) * 1.8) - 0.9) * one) & mask) ^ sign) - sign)
     return kc.cache_put(key, box_fixed_vector(raws, int_bits, frac_bits))
 
 
@@ -283,9 +305,15 @@ def _backend_input_raw(raws: RawVec, int_bits: int, frac_bits: int) -> List[int]
 
 def _backend_input_np(raws: RawVec, int_bits: int, frac_bits: int) -> List[int]:
     total = int_bits + frac_bits
-    gain = raw_from_float(0.5, frac_bits, total)
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
     v = kc.np.array(raws, dtype=kc.np.int64)
-    return kc.np_mul(v, gain, frac_bits, total).tolist()
+    v *= raw_from_float(0.5, frac_bits, total)
+    v >>= frac_bits
+    v &= mask
+    v ^= sign
+    v -= sign
+    return v.tolist()
 
 
 def backend_input(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
@@ -341,18 +369,16 @@ def _imdct_pre_raw(
     return out_re, out_im
 
 
-def _imdct_pre_np(raws: RawVec, int_bits: int, frac_bits: int) -> Tuple[List[int], List[int]]:
-    np = kc.np
-    lo_re, lo_im, hi_re, hi_im = _pre_tables_np(len(raws), int_bits, frac_bits)
+def _imdct_pre_np(raws: RawVec, int_bits: int, frac_bits: int) -> List[List[int]]:
     total = int_bits + frac_bits
-    v = np.array(raws, dtype=np.int64)
-    out_re = np.concatenate(
-        [kc.np_mul(lo_re, v, frac_bits, total), kc.np_mul(hi_re, v, frac_bits, total)]
-    )
-    out_im = np.concatenate(
-        [kc.np_mul(lo_im, v, frac_bits, total), kc.np_mul(hi_im, v, frac_bits, total)]
-    )
-    return out_re.tolist(), out_im.tolist()
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
+    out = _pre_planes(len(raws), int_bits, frac_bits) * kc.np.array(raws, dtype=kc.np.int64)
+    out >>= frac_bits
+    out &= mask
+    out ^= sign
+    out -= sign
+    return out.reshape(2, -1).tolist()
 
 
 def imdct_pre(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
@@ -456,42 +482,55 @@ def _ifft_stages_np(
     im_in: RawVec,
     int_bits: int,
     frac_bits: int,
-) -> Tuple[List[int], List[int]]:
+) -> List[List[int]]:
+    """Radix stages ``first..last-1`` over one planar ``(2, points)`` array.
+
+    A stage views the array as ``(re/im, block, a/b half, j)``.  The halves'
+    sum and difference are stacked in a new array of that shape, so halving
+    and wrapping the stack are one ufunc each; the four twiddle products are
+    one broadcast multiply, and the two combines land in place in the
+    difference half.  Every ``FixedPoint`` operation is followed by the
+    wrap, exactly as in the butterfly loop of :func:`_ifft_stages_raw`.
+    """
     np = kc.np
     points = len(re_in)
-    tw_re_full, tw_im_full = _twiddles_np(points, int_bits, frac_bits)
+    tw = _twiddle_planes(points, int_bits, frac_bits)
     total = int_bits + frac_bits
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
     fb = frac_bits
     half_raw = raw_from_float(0.5, frac_bits, total)
-    re = np.array(re_in, dtype=np.int64)
-    im = np.array(im_in, dtype=np.int64)
+    x = np.array((re_in, im_in), dtype=np.int64)
     for stage in range(first, last):
         half = points >> (stage + 1)
-        block = points >> stage
-        step = 1 << stage
-        r = re.reshape(-1, block)
-        i2 = im.reshape(-1, block)
-        a_re = r[:, :half]
-        a_im = i2[:, :half]
-        b_re = r[:, half:]
-        b_im = i2[:, half:]
-        twr = tw_re_full[: half * step : step]
-        twi = tw_im_full[: half * step : step]
-        s_re = kc.np_mul(kc.np_add(a_re, b_re, total), half_raw, fb, total)
-        s_im = kc.np_mul(kc.np_add(a_im, b_im, total), half_raw, fb, total)
-        d_re = kc.np_mul(kc.np_sub(a_re, b_re, total), half_raw, fb, total)
-        d_im = kc.np_mul(kc.np_sub(a_im, b_im, total), half_raw, fb, total)
-        o_re = kc.np_sub(
-            kc.np_mul(d_re, twr, fb, total), kc.np_mul(d_im, twi, fb, total), total
-        )
-        o_im = kc.np_add(
-            kc.np_mul(d_re, twi, fb, total), kc.np_mul(d_im, twr, fb, total), total
-        )
-        r[:, :half] = s_re
-        i2[:, :half] = s_im
-        r[:, half:] = o_re
-        i2[:, half:] = o_im
-    return re.tolist(), im.tolist()
+        v = x.reshape(2, -1, 2, half)
+        a, b = v[:, :, 0], v[:, :, 1]
+        x = np.empty_like(v)
+        d = x[:, :, 1]
+        # x[ia] = (a + b) * 0.5 and d = (a - b) * 0.5, stacked in x.
+        np.add(a, b, out=x[:, :, 0])
+        np.subtract(a, b, out=d)
+        x &= mask
+        x ^= sign
+        x -= sign
+        x *= half_raw
+        x >>= fb
+        x &= mask
+        x ^= sign
+        x -= sign
+        # products[i, k] = d[i] * W[k]: rr, ri / ir, ii.
+        products = d[:, None] * tw[:, None, :: 1 << stage]
+        products >>= fb
+        products &= mask
+        products ^= sign
+        products -= sign
+        # x[ib] = d * W: re = rr - ii, im = ri + ir.
+        np.subtract(products[0, 0], products[1, 1], out=d[0])
+        np.add(products[0, 1], products[1, 0], out=d[1])
+        d &= mask
+        d ^= sign
+        d -= sign
+    return x.reshape(2, points).tolist()
 
 
 def _ifft_stages(
@@ -596,18 +635,24 @@ def _imdct_post_raw(re: RawVec, im: RawVec, int_bits: int, frac_bits: int) -> Li
 
 
 def _imdct_post_np(re_in: RawVec, im_in: RawVec, int_bits: int, frac_bits: int) -> List[int]:
-    np = kc.np
     points = len(re_in)
-    p_re, p_im = _post_table_np(points, int_bits, frac_bits)
-    rev = _bit_reverse_table_np(points)
     total = int_bits + frac_bits
-    fb = frac_bits
-    re = np.array(re_in, dtype=np.int64)
-    im = np.array(im_in, dtype=np.int64)
-    rot = kc.np_sub(kc.np_mul(re, p_re, fb, total), kc.np_mul(im, p_im, fb, total), total)
-    out = np.empty(points, dtype=np.int64)
-    out[rev] = rot
-    return out.tolist()
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
+    x = kc.np.array((re_in, im_in), dtype=kc.np.int64)
+    x *= _post_planes(points, int_bits, frac_bits)
+    x >>= frac_bits
+    x &= mask
+    x ^= sign
+    x -= sign
+    # The real part of the rotation, then the bit reversal (an involution)
+    # as a gather.
+    rot = x[0]
+    rot -= x[1]
+    rot &= mask
+    rot ^= sign
+    rot -= sign
+    return rot[_bit_reverse_table_np(points)].tolist()
 
 
 def imdct_post(spectrum: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
@@ -665,16 +710,22 @@ def _window_overlap_raw(
 
 
 def _window_overlap_np(prev: RawVec, cur: RawVec, int_bits: int, frac_bits: int) -> List[int]:
-    np = kc.np
     n = len(prev)
-    window = _window_table_np(2 * n, int_bits, frac_bits)
     total = int_bits + frac_bits
-    fb = frac_bits
-    p = np.array(prev, dtype=np.int64)
-    c = np.array(cur[:n], dtype=np.int64)
-    a = kc.np_mul(p, window[n:], fb, total)
-    b = kc.np_mul(c, window[:n], fb, total)
-    return kc.np_add(a, b, total).tolist()
+    mask = (1 << total) - 1
+    sign = 1 << (total - 1)
+    x = kc.np.array((prev, cur[:n]), dtype=kc.np.int64)
+    x *= _window_planes(2 * n, int_bits, frac_bits)
+    x >>= frac_bits
+    x &= mask
+    x ^= sign
+    x -= sign
+    pcm = x[0]
+    pcm += x[1]
+    pcm &= mask
+    pcm ^= sign
+    pcm -= sign
+    return pcm.tolist()
 
 
 def window_overlap(

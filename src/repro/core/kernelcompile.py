@@ -14,8 +14,9 @@ themselves:
   arithmetic (the branchless two's-complement wrap inlined after every
   operation) and returns a raw vector.
 * ``numpy`` -- the same raw-integer computation vectorised over int64
-  arrays.  Optional: used only when NumPy is importable (and not disabled
-  via ``REPRO_NO_NUMPY=1``), and only for fixed-point formats of at most
+  arrays, a complex vector held as one planar ``(2, points)`` array.
+  Optional: used only when NumPy is importable (and not disabled via
+  ``REPRO_NO_NUMPY=1``), and only for fixed-point formats of at most
   :data:`NUMPY_MAX_TOTAL_BITS` total bits, where an int64 product cannot
   overflow.  Wider formats silently fall back to the ``python`` backend.
 
@@ -234,36 +235,21 @@ def cache_put(key: Tuple[Any, ...], value: Any) -> Any:
 
 
 # --------------------------------------------------------------------------
-# NumPy raw-integer arithmetic (int64, wrap-after-every-op)
+# NumPy kernel tables
 # --------------------------------------------------------------------------
 #
-# Each helper mirrors one FixedPoint operation elementwise.  The wrap is the
-# branchless sign-extension identity ((x & mask) ^ sign) - sign, valid for
-# any int64 input; >> on int64 is an arithmetic shift, matching Python's
-# floor semantics on negative values.
+# The NumPy kernels hold a complex vector as one planar (2, points) int64
+# array, row 0 real and row 1 imaginary, and run each FixedPoint operation
+# as one in-place ufunc over it, followed by the branchless sign-extension
+# wrap ((x & mask) ^ sign) - sign, valid for any int64 input; >> on int64
+# is an arithmetic shift, matching Python's floor semantics on negative
+# values.  Their constant tables are cached read-only arrays in the same
+# planar form.
 
 
-def np_wrap(arr: "np.ndarray", total_bits: int) -> "np.ndarray":
-    """Elementwise two's-complement wrap into ``total_bits`` (int64 arrays)."""
-    mask = (1 << total_bits) - 1
-    sign = 1 << (total_bits - 1)
-    return ((arr & mask) ^ sign) - sign
-
-
-def np_add(a: "np.ndarray", b: "np.ndarray", total_bits: int) -> "np.ndarray":
-    return np_wrap(a + b, total_bits)
-
-
-def np_sub(a: "np.ndarray", b: "np.ndarray", total_bits: int) -> "np.ndarray":
-    return np_wrap(a - b, total_bits)
-
-
-def np_mul(a: "np.ndarray", b: "np.ndarray", frac_bits: int, total_bits: int) -> "np.ndarray":
-    return np_wrap((a * b) >> frac_bits, total_bits)
-
-
-def np_table(raws: Tuple[int, ...]) -> "np.ndarray":
-    """A read-only int64 array over a flat raw tuple (for cached tables)."""
+def np_table(raws: Tuple[Any, ...]) -> "np.ndarray":
+    """A read-only int64 array over a raw tuple, or a nested tuple of equal-length
+    raw tuples (one row each), for cached tables."""
     arr = np.array(raws, dtype=np.int64)
     arr.flags.writeable = False
     return arr

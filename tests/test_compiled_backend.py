@@ -18,7 +18,20 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core.action import IfA, LetA, LocalGuard, Loop, Par, RegWrite, Seq, WhenA, par, seq
+from repro.core.action import (
+    IfA,
+    LetA,
+    LocalGuard,
+    Loop,
+    NoAction,
+    Par,
+    RegWrite,
+    Seq,
+    WhenA,
+    par,
+    seq,
+)
+from repro.core.ast import Node
 from repro.core.domains import HW, SW
 from repro.core.errors import DoubleWriteError
 from repro.core.expr import (
@@ -35,7 +48,7 @@ from repro.core.expr import (
 )
 from repro.core.interpreter import Simulator
 from repro.core.module import Design, Module
-from repro.core.optimize import OptimizationConfig
+from repro.core.optimize import OptimizationConfig, compile_rule
 from repro.core.primitives import Fifo, PulseWire, RegFile
 from repro.core.synchronizers import SyncFifo
 from repro.core.types import BoolT, OpaqueT, RawStruct, StructT, UIntT
@@ -79,7 +92,8 @@ def build_kitchen_sink():
 
     Loops, sequential composition, localGuard, non-strict lets, muxes,
     guarded expressions, field selects, kernel calls (constant and dynamic
-    cost), a RegFile, and a user-module method with a guard.
+    cost), a RegFile, a user-module method with a guard, and ``if`` with an
+    empty ``else`` and with none.
     """
     top = Module("top")
     mem = top.add_submodule(RegFile("mem", UIntT(32), size=8, init=list(range(8))))
@@ -104,6 +118,8 @@ def build_kitchen_sink():
     acc = top.add_register("acc", UIntT(32), 0)
     flag = top.add_register("flag", BoolT(), False)
     scratch = top.add_register("scratch", UIntT(32), 0)
+    odd = top.add_register("odd", UIntT(32), 0)
+    branches = top.add_register("branches", UIntT(32), 0)
 
     kernel = KernelCall(
         "mix",
@@ -174,10 +190,42 @@ def build_kitchen_sink():
         acc.write(WhenE(helper.value("doubled"), RegRead(flag)))
         .when(BinOp("==", RegRead(i), Const(7))),
     )
+    # An ``if`` whose ``else`` is the empty action, then one with no
+    # ``else`` whose arm calls a guarded method, so guard lifting lifts
+    # through the condition.
+    top.add_rule(
+        "branch",
+        seq(
+            IfA(
+                BinOp("==", BinOp("%", RegRead(acc), Const(2)), Const(1)),
+                odd.write(BinOp("+", RegRead(odd), Const(1))),
+                NoAction(),
+            ),
+            IfA(RegRead(flag), helper.call("bump", Const(1))),
+            branches.write(BinOp("+", RegRead(branches), Const(1))),
+        ).when(BinOp("<", RegRead(branches), Const(12))),
+    )
     return Design(top, name="kitchen_sink")
 
 
 CORPUS = [build_fifo_pipeline, build_kitchen_sink]
+
+#: Node classes the corpus leaves out, each with the reason it cannot
+#: reach them.  None today: every class occurs in a corpus rule.
+CORPUS_EXEMPT = {}
+
+
+def _node_classes():
+    """Every concrete AST node class (the leaves of the class tree)."""
+    leaves, todo = set(), [Node]
+    while todo:
+        cls = todo.pop()
+        subclasses = cls.__subclasses__()
+        if not subclasses:
+            leaves.add(cls)
+        todo.extend(subclasses)
+    return leaves
+
 
 #: The rule-execution backends; ``interp`` is the oracle.
 BACKENDS = ("interp", "source")
@@ -186,6 +234,24 @@ BACKENDS = ("interp", "source")
 def final_state(sim: Simulator):
     stores = {reg.full_name: sim.store[reg] for reg in sim.design.all_registers()}
     return stores, dict(sim.fire_counts), sim.firings, sim.guard_failures
+
+
+class TestCorpusCoverage:
+    def test_corpus_reaches_every_node_class(self):
+        """Every node class occurs in a corpus rule as written or as
+        ``compile_rule`` leaves it (``LetA`` only after inlining), so the
+        interp == source runs over the corpus lower every construct, and
+        none can leave the corpus silently.  A class the corpus cannot reach
+        goes in ``CORPUS_EXEMPT`` with its reason."""
+        written, compiled = set(), set()
+        for builder in CORPUS:
+            for rule in builder().all_rules():
+                written.update(type(node) for node in rule.action.walk())
+                result = compile_rule(rule, OptimizationConfig.all())
+                for tree in (result.guard, result.body):
+                    compiled.update(type(node) for node in tree.walk())
+        missing = _node_classes() - written - compiled
+        assert missing == set(CORPUS_EXEMPT), sorted(cls.__name__ for cls in missing)
 
 
 # --------------------------------------------------------------------------

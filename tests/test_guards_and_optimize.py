@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.action import IfA, LetA, NoAction, Par, RegWrite, Seq, WhenA, par, seq
+from repro.core.action import IfA, LetA, NoAction, Par, Seq, WhenA, par, seq
 from repro.core.ast import Node
 from repro.core.errors import GuardFail
 from repro.core.expr import BinOp, Const, KernelCall, LetE, Mux, RegRead, UnOp, Var, WhenE
@@ -29,7 +29,7 @@ from repro.core.primitives import Fifo
 from repro.core.semantics import Evaluator
 from repro.core.types import BoolT, UIntT
 
-from test_compiled_backend import CORPUS
+from test_compiled_backend import CORPUS, _node_classes
 
 
 def build_test_module():
@@ -280,30 +280,18 @@ class TestCompileRule:
 # --------------------------------------------------------------------------
 
 
-def _node_classes():
-    """Every concrete AST node class (the leaves of the class tree)."""
-    leaves, todo = set(), [Node]
-    while todo:
-        cls = todo.pop()
-        subclasses = cls.__subclasses__()
-        if not subclasses:
-            leaves.add(cls)
-        todo.extend(subclasses)
-    return leaves
-
-
 def _corpus_nodes():
-    """One instance of every node class: from the kitchen-sink corpus's rules
-    and their inlined forms (which bind parameters with ``LetA``), plus the
-    ``if`` forms and the empty action the corpus does not use."""
+    """One instance of every node class, and both forms of ``if`` (with an
+    ``else`` and without): from the kitchen-sink corpus's rules and their
+    inlined forms (which bind parameters with ``LetA``)."""
     found = {}
     for builder in CORPUS:
         for rule in builder().all_rules():
             for tree in (rule.action, inline_methods(rule.action)):
                 for node in tree.walk():
-                    found.setdefault(type(node), node)
-    cond, write = found[BinOp], found[RegWrite]
-    nodes = list(found.values()) + [IfA(cond, write), IfA(cond, write, NoAction()), NoAction()]
+                    found.setdefault((type(node), getattr(node, "orelse", 0) is None), node)
+    assert (IfA, True) in found and (IfA, False) in found
+    nodes = list(found.values())
     assert {type(node) for node in nodes} == _node_classes()
     return nodes
 

@@ -22,6 +22,8 @@ import random
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.raytracer import bvh, geometry
 from repro.apps.vorbis import kernels
@@ -40,6 +42,10 @@ from repro.core.fixedpoint import (
 FORMATS = [(8, 24), (16, 16), (4, 12), (24, 40)]
 
 BACKENDS = ["oracle", "python"] + (["numpy"] if kc.HAVE_NUMPY else [])
+
+#: The formats of ``FORMATS`` the NumPy backend runs, plus one with no
+#: integer bits.
+EDGE_FORMATS = [fmt for fmt in FORMATS if sum(fmt) <= kc.NUMPY_MAX_TOTAL_BITS] + [(0, 16)]
 
 
 def _rand_fix(rng, int_bits, frac_bits):
@@ -124,6 +130,67 @@ class TestVorbisBackendMatrix:
                                 fmt,
                                 n,
                             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_edge_cases_bit_identical(self, data):
+        """Every Vorbis kernel, and every ``(first, last)`` range of radix
+        stages through ``_ifft_stages``, agrees on all backends over raws
+        from the format's full signed range, with its two extremes, -1 and 0
+        forced into every vector.  The formats are those of ``FORMATS`` that
+        the NumPy backend runs, plus one without integer bits, where the
+        oracle's 0.5 wraps to -0.5."""
+        ib, fb = data.draw(st.sampled_from(EDGE_FORMATS), label="format")
+        points = data.draw(st.sampled_from([8, 64]), label="points")
+        n = points // 2
+        total = ib + fb
+        corners = [-(1 << (total - 1)), (1 << (total - 1)) - 1, -1, 0]
+        raw = st.one_of(
+            st.sampled_from(corners), st.integers(-(1 << (total - 1)), (1 << (total - 1)) - 1)
+        )
+
+        def raws(length):
+            drawn = data.draw(st.lists(raw, min_size=length - 4, max_size=length - 4))
+            return data.draw(st.permutations(corners + drawn))
+
+        frame = box_fixed_vector(raws(n), ib, fb)
+        current = box_fixed_vector(raws(points), ib, fb)
+        spectrum = box_complex_vector(raws(points), raws(points), ib, fb)
+        index = data.draw(st.integers(0, 1 << 16), label="index")
+        seed = data.draw(st.integers(0, 1 << 32), label="seed")
+        stages = points.bit_length() - 1
+        ranges = [(a, b) for a in range(stages) for b in range(a + 1, stages + 1)]
+
+        def ifft_range(first, last, backend):
+            if backend != "oracle":
+                return kernels._ifft_stages(first, last, spectrum, ib, fb, backend)
+            out = spectrum
+            for stage in range(first, last):
+                out = kernels.ifft_radix_stage_oracle(stage, out, ib, fb)
+            return out
+
+        results = {}
+        with kc.kernel_cache_override(False):
+            for backend in BACKENDS:
+                with kc.kernel_backend_override(backend):
+                    got = {
+                        "gen_frame": kernels.gen_frame(index, n, seed, ib, fb),
+                        "backend_input": kernels.backend_input(frame, ib, fb),
+                        "imdct_pre": kernels.imdct_pre(frame, ib, fb),
+                        "rule_stage": [
+                            kernels.ifft_rule_stage(r, spectrum, 2, ib, fb) for r in range(3)
+                        ],
+                        "ifft_full": kernels.ifft_full(spectrum, ib, fb),
+                        "imdct_post": kernels.imdct_post(spectrum, ib, fb),
+                        "window": kernels.window_overlap(frame, current, ib, fb),
+                        "checksum": kernels.audio_checksum(current, seed),
+                    }
+                    for first, last in ranges:
+                        got[first, last] = ifft_range(first, last, backend)
+                results[backend] = got
+        for backend in BACKENDS[1:]:
+            for name, value in results[backend].items():
+                assert value == results["oracle"][name], (backend, name, (ib, fb), points)
 
     def test_wide_format_demotes_numpy_to_python(self):
         """Formats beyond the int64 safety bound never take the numpy path."""
