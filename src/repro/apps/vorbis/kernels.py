@@ -17,16 +17,20 @@ Each kernel exists in the backends of the kernel dataplane
   operation exactly like ``FixedPoint``, and results leave as raw vectors
   (:func:`~repro.core.fixedpoint.box_fixed_vector`) without boxing an element;
 * the ``_*_np`` functions vectorise the same raw computation over int64
-  arrays (formats up to 32 total bits; wider formats fall back to raw).  A
-  complex vector is one planar ``(2, points)`` array for the whole call,
-  row 0 real and row 1 imaginary, and each step of the computation is one
-  in-place ufunc over it or a view of it: a radix stage views it as
-  ``(re/im, block, a/b half, j)``, so the halves' sum and difference, the
-  halving, the four twiddle products and the two combines take one ufunc
-  each over every block at once.  Every ufunc that stands for a
-  ``FixedPoint`` operation is followed by the wrap
-  ``((x & mask) ^ sign) - sign``, as in the raw loops: no wrap is dropped
-  because a value is known to be small, so one path serves every format.
+  arrays (formats up to 32 total bits; wider formats fall back to raw),
+  and no ufunc touches a strided view.  A kernel converts its input once,
+  to one flat array (``re + im`` for a complex vector), and leaves through
+  one ``take`` or ``tolist``.  A radix stage gathers its input into one
+  contiguous ``(a/b half, re/im, pair)`` array by a cached plan
+  (:func:`_ifft_plan`), so each butterfly phase is one ufunc over every
+  pair at once.  Constants are cached 0-d arrays (a Python int operand
+  costs more per call).  Every ufunc that stands for a ``FixedPoint``
+  operation is followed by its wrap, two in-place shifts:
+  ``<<= 64 - total`` on a ``uint64`` view, then ``>>= 64 - total`` on the
+  int64 array, which sign-extends bit ``total - 1``.  A ``>> frac_bits``
+  and its wrap are the one pair ``<<= 64 - total - frac_bits``,
+  ``>>= 64 - total``.  As in the raw loops, no wrap is dropped because a
+  value is known to be small, so one path serves every format.
 
 The public kernel names dispatch on :func:`~repro.core.kernelcompile.effective_backend`
 and, on the fast backends, memoise results through the pure-kernel cache
@@ -36,10 +40,10 @@ the differential tests in ``tests/test_kernels.py`` enforce it.
 
 The twiddle/pre/post/window tables are materialised once per
 ``(size, format)`` as flat raw-int tuples; the object tables of the oracle
-and the read-only planar arrays of the NumPy backend are derived from those
-same raw tuples, so no backend can disagree about a table entry.  Every
-table is built on first use, in an ``lru_cache``: importing this module
-allocates none.
+and the read-only arrays and plans of the NumPy backend are derived from
+those same raw tuples, so no backend can disagree about a table entry.
+Every table, constant and plan is built on first use, in an
+``lru_cache``: importing this module allocates none.
 
 Each kernel also has a *cost* entry in :func:`kernel_costs`: the CPU-cycle
 cost of its software implementation and the FPGA-cycle latency of its
@@ -189,33 +193,78 @@ def _window_table(points: int, int_bits: int, frac_bits: int) -> FixVec:
 
 
 @lru_cache(maxsize=None)
-def _twiddle_planes(points: int, int_bits: int, frac_bits: int):
-    """Twiddles as a read-only ``(2, points // 2)`` int64 array (re row, im row)."""
-    return kc.np_table(_twiddles_raw(points, int_bits, frac_bits))
+def _np_consts(int_bits: int, frac_bits: int):
+    """A format's 0-d constants: the raw 0.5, the left and the right shift
+    count of a wrap (``64 - total``, the left one for a ``uint64`` view)
+    and the left count of a ``>> frac_bits`` fused with its wrap
+    (``64 - total - frac_bits``)."""
+    np = kc.np
+    total = int_bits + frac_bits
+    return (
+        np.array(raw_from_float(0.5, frac_bits, total), dtype=np.int64),
+        np.array(64 - total, dtype=np.uint64),
+        np.array(64 - total - frac_bits, dtype=np.uint64),
+        np.array(64 - total, dtype=np.int64),
+    )
 
 
 @lru_cache(maxsize=None)
-def _pre_planes(n: int, int_bits: int, frac_bits: int):
-    """Pre-multiply tables as a read-only ``(2, 2, n)`` int64 array: axis 0
-    is re/im, axis 1 the low/high table, so a product with the frame is the
-    planar ``(2, 2n)`` output."""
+def _ifft_plan(points: int, first: int, last: int, int_bits: int, frac_bits: int):
+    """The gathers and twiddles of radix stages ``first..last-1``.
+
+    Stage ``s`` pairs element ``a = block * 2 * half + j`` with ``a + half``
+    (``half = points >> (s + 1)``) as pair ``p = block * half + j``.  Its
+    gather reads each pair's two elements, real and imaginary part, from
+    where the flat ``re + im`` input or the previous stage's ``(sum/diff,
+    re/im, pair)`` output holds them; one more gather puts the last output
+    in natural order.  Its twiddles are ``((W.re, W.im), (W.im, W.re))``
+    per pair, ``W`` being twiddle ``j << s``.
+    """
+    np = kc.np
+    pairs = points // 2
+    tw = np.array(_twiddles_raw(points, int_bits, frac_bits), dtype=np.int64)
+    p = np.arange(pairs)
+    rows = np.arange(2)[:, None]
+    # Where the array the next gather reads holds each element's real part,
+    # and how far past it its imaginary part is.
+    where, stride = np.arange(points), points
+    gathers, twiddles = [], []
+    for stage in range(first, last):
+        half = points >> (stage + 1)
+        elements = p // half * half + p + rows * half  # (a/b half, pair)
+        gathers.append(kc.np_table(where[elements][:, None] + rows * stride))
+        w = tw[:, p % half << stage]
+        twiddles.append(kc.np_table((w, w[::-1])))
+        where = np.empty(points, dtype=np.int64)
+        where[elements] = rows * 2 * pairs + p
+        stride = pairs
+    gathers.append(kc.np_table(where + rows * stride))
+    return gathers, twiddles
+
+
+@lru_cache(maxsize=None)
+def _pre_plan(n: int, int_bits: int, frac_bits: int):
+    """The frame's gather onto the pre-multiply tables, and the tables flat
+    in ``(re/im, low/high, i)`` order, so a product is the ``(2, 2n)`` output."""
     lo_re, lo_im, hi_re, hi_im = _pre_tables_raw(n, int_bits, frac_bits)
-    return kc.np_table(((lo_re, hi_re), (lo_im, hi_im)))
+    return kc.np_table(kc.np.arange(4 * n) % n), kc.np_table(lo_re + hi_re + lo_im + hi_im)
 
 
 @lru_cache(maxsize=None)
-def _post_planes(points: int, int_bits: int, frac_bits: int):
-    """Post-rotation table as a read-only ``(2, points)`` int64 array."""
-    return kc.np_table(_post_table_raw(points, int_bits, frac_bits))
+def _post_plan(points: int, int_bits: int, frac_bits: int):
+    """The post-rotation table flat in ``(re/im, i)`` order, and the bit
+    reversal (an involution) as a gather."""
+    re, im = _post_table_raw(points, int_bits, frac_bits)
+    return kc.np_table(re + im), kc.np_table(_bit_reverse_table(points))
 
 
 @lru_cache(maxsize=None)
-def _window_planes(points: int, int_bits: int, frac_bits: int):
-    """The window as a read-only ``(2, points // 2)`` int64 array: row 0
-    weighs the previous frame's half, row 1 the current frame's first half."""
+def _window_flat(points: int, int_bits: int, frac_bits: int):
+    """The window flat in ``(previous, current)`` order: its second half
+    weighs the previous frame's half, its first half the current frame's."""
     window = _window_table_raw(points, int_bits, frac_bits)
     n = points // 2
-    return kc.np_table((window[n:], window[:n]))
+    return kc.np_table(window[n:] + window[:n])
 
 
 def bit_reverse(i: int, bits: int) -> int:
@@ -232,11 +281,6 @@ def _bit_reverse_table(points: int) -> RawVec:
     """Precomputed bit-reversed index of every position (fast-backend helper)."""
     bits = points.bit_length() - 1
     return tuple(bit_reverse(i, bits) for i in range(points))
-
-
-@lru_cache(maxsize=None)
-def _bit_reverse_table_np(points: int):
-    return kc.np_table(_bit_reverse_table(points))
 
 
 # --------------------------------------------------------------------------
@@ -304,15 +348,13 @@ def _backend_input_raw(raws: RawVec, int_bits: int, frac_bits: int) -> List[int]
 
 
 def _backend_input_np(raws: RawVec, int_bits: int, frac_bits: int) -> List[int]:
-    total = int_bits + frac_bits
-    mask = (1 << total) - 1
-    sign = 1 << (total - 1)
-    v = kc.np.array(raws, dtype=kc.np.int64)
-    v *= raw_from_float(0.5, frac_bits, total)
-    v >>= frac_bits
-    v &= mask
-    v ^= sign
-    v -= sign
+    np = kc.np
+    gain, _, up_fb, down = _np_consts(int_bits, frac_bits)
+    v = np.array(raws, dtype=np.int64)
+    vu = v.view(np.uint64)
+    v *= gain
+    vu <<= up_fb
+    v >>= down
     return v.tolist()
 
 
@@ -370,15 +412,15 @@ def _imdct_pre_raw(
 
 
 def _imdct_pre_np(raws: RawVec, int_bits: int, frac_bits: int) -> List[List[int]]:
-    total = int_bits + frac_bits
-    mask = (1 << total) - 1
-    sign = 1 << (total - 1)
-    out = _pre_planes(len(raws), int_bits, frac_bits) * kc.np.array(raws, dtype=kc.np.int64)
-    out >>= frac_bits
-    out &= mask
-    out ^= sign
-    out -= sign
-    return out.reshape(2, -1).tolist()
+    np = kc.np
+    _, _, up_fb, down = _np_consts(int_bits, frac_bits)
+    gather, table = _pre_plan(len(raws), int_bits, frac_bits)
+    x = np.array(raws, dtype=np.int64).take(gather)
+    xu = x.view(np.uint64)
+    x *= table
+    xu <<= up_fb
+    x >>= down
+    return x.reshape(2, -1).tolist()
 
 
 def imdct_pre(frame: FixVec, int_bits: int = 8, frac_bits: int = 24) -> CplxVec:
@@ -483,54 +525,45 @@ def _ifft_stages_np(
     int_bits: int,
     frac_bits: int,
 ) -> List[List[int]]:
-    """Radix stages ``first..last-1`` over one planar ``(2, points)`` array.
+    """Radix stages ``first..last-1``, every ufunc on a contiguous array.
 
-    A stage views the array as ``(re/im, block, a/b half, j)``.  The halves'
-    sum and difference are stacked in a new array of that shape, so halving
-    and wrapping the stack are one ufunc each; the four twiddle products are
-    one broadcast multiply, and the two combines land in place in the
-    difference half.  Every ``FixedPoint`` operation is followed by the
-    wrap, exactly as in the butterfly loop of :func:`_ifft_stages_raw`.
+    A stage gathers its input into one ``(a/b half, re/im, pair)`` array
+    (:func:`_ifft_plan`) and writes the halves' sum, and their difference
+    twice, into a new ``(sum/diff/diff, re/im, pair)`` array.  Wrapping and
+    halving it take one ufunc per step; the four twiddle products are one
+    multiply of the two difference rows, and the two combines are written
+    into the first of them.  Every ``FixedPoint`` operation is followed by
+    its wrap, exactly as in the butterfly loop of :func:`_ifft_stages_raw`.
     """
     np = kc.np
-    points = len(re_in)
-    tw = _twiddle_planes(points, int_bits, frac_bits)
-    total = int_bits + frac_bits
-    mask = (1 << total) - 1
-    sign = 1 << (total - 1)
-    fb = frac_bits
-    half_raw = raw_from_float(0.5, frac_bits, total)
-    x = np.array((re_in, im_in), dtype=np.int64)
-    for stage in range(first, last):
-        half = points >> (stage + 1)
-        v = x.reshape(2, -1, 2, half)
-        a, b = v[:, :, 0], v[:, :, 1]
-        x = np.empty_like(v)
-        d = x[:, :, 1]
-        # x[ia] = (a + b) * 0.5 and d = (a - b) * 0.5, stacked in x.
-        np.add(a, b, out=x[:, :, 0])
-        np.subtract(a, b, out=d)
-        x &= mask
-        x ^= sign
-        x -= sign
+    half_raw, up, up_fb, down = _np_consts(int_bits, frac_bits)
+    gathers, twiddles = _ifft_plan(len(re_in), first, last, int_bits, frac_bits)
+    x = np.array(re_in + im_in, dtype=np.int64)
+    for gather, tw in zip(gathers, twiddles):
+        x = x.take(gather)
+        a, b = x[0], x[1]
+        x = np.empty((3,) + a.shape, dtype=np.int64)
+        xu = x.view(np.uint64)
+        # x[ia] = (a + b) * 0.5, and d = (a - b) * 0.5 twice.
+        np.add(a, b, out=x[0])
+        np.subtract(a, b, out=x[1])
+        np.subtract(a, b, out=x[2])
+        xu <<= up
+        x >>= down
         x *= half_raw
-        x >>= fb
-        x &= mask
-        x ^= sign
-        x -= sign
-        # products[i, k] = d[i] * W[k]: rr, ri / ir, ii.
-        products = d[:, None] * tw[:, None, :: 1 << stage]
-        products >>= fb
-        products &= mask
-        products ^= sign
-        products -= sign
-        # x[ib] = d * W: re = rr - ii, im = ri + ir.
-        np.subtract(products[0, 0], products[1, 1], out=d[0])
-        np.add(products[0, 1], products[1, 0], out=d[1])
-        d &= mask
-        d ^= sign
-        d -= sign
-    return x.reshape(2, points).tolist()
+        xu <<= up_fb
+        x >>= down
+        # x[ib] = d * W: products ((rr, ii), (ri, ir)), re = rr - ii, im = ri + ir.
+        products = x[1:] * tw
+        pu = products.view(np.uint64)
+        pu <<= up_fb
+        products >>= down
+        d, du = x[1], xu[1]
+        np.subtract(products[0, 0], products[0, 1], out=d[0])
+        np.add(products[1, 0], products[1, 1], out=d[1])
+        du <<= up
+        d >>= down
+    return x.take(gathers[-1]).tolist()
 
 
 def _ifft_stages(
@@ -635,24 +668,21 @@ def _imdct_post_raw(re: RawVec, im: RawVec, int_bits: int, frac_bits: int) -> Li
 
 
 def _imdct_post_np(re_in: RawVec, im_in: RawVec, int_bits: int, frac_bits: int) -> List[int]:
+    np = kc.np
     points = len(re_in)
-    total = int_bits + frac_bits
-    mask = (1 << total) - 1
-    sign = 1 << (total - 1)
-    x = kc.np.array((re_in, im_in), dtype=kc.np.int64)
-    x *= _post_planes(points, int_bits, frac_bits)
-    x >>= frac_bits
-    x &= mask
-    x ^= sign
-    x -= sign
-    # The real part of the rotation, then the bit reversal (an involution)
-    # as a gather.
-    rot = x[0]
-    rot -= x[1]
-    rot &= mask
-    rot ^= sign
-    rot -= sign
-    return rot[_bit_reverse_table_np(points)].tolist()
+    _, up, up_fb, down = _np_consts(int_bits, frac_bits)
+    table, reverse = _post_plan(points, int_bits, frac_bits)
+    x = np.array(re_in + im_in, dtype=np.int64)
+    xu = x.view(np.uint64)
+    x *= table
+    xu <<= up_fb
+    x >>= down
+    # The real part of the rotation, in the first half.
+    rot, rotu = x[:points], xu[:points]
+    rot -= x[points:]
+    rotu <<= up
+    rot >>= down
+    return rot.take(reverse).tolist()
 
 
 def imdct_post(spectrum: CplxVec, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
@@ -710,21 +740,18 @@ def _window_overlap_raw(
 
 
 def _window_overlap_np(prev: RawVec, cur: RawVec, int_bits: int, frac_bits: int) -> List[int]:
+    np = kc.np
     n = len(prev)
-    total = int_bits + frac_bits
-    mask = (1 << total) - 1
-    sign = 1 << (total - 1)
-    x = kc.np.array((prev, cur[:n]), dtype=kc.np.int64)
-    x *= _window_planes(2 * n, int_bits, frac_bits)
-    x >>= frac_bits
-    x &= mask
-    x ^= sign
-    x -= sign
-    pcm = x[0]
-    pcm += x[1]
-    pcm &= mask
-    pcm ^= sign
-    pcm -= sign
+    _, up, up_fb, down = _np_consts(int_bits, frac_bits)
+    x = np.array(prev + cur[:n], dtype=np.int64)
+    xu = x.view(np.uint64)
+    x *= _window_flat(2 * n, int_bits, frac_bits)
+    xu <<= up_fb
+    x >>= down
+    pcm, pcmu = x[:n], xu[:n]
+    pcm += x[n:]
+    pcmu <<= up
+    pcm >>= down
     return pcm.tolist()
 
 

@@ -13,8 +13,8 @@ themselves:
   :func:`~repro.core.fixedpoint.fixed_vector_raws`), computes in plain-int
   arithmetic (the branchless two's-complement wrap inlined after every
   operation) and returns a raw vector.
-* ``numpy`` -- the same raw-integer computation vectorised over int64
-  arrays, a complex vector held as one planar ``(2, points)`` array.
+* ``numpy`` -- the same raw-integer computation vectorised over contiguous
+  int64 arrays, a complex vector read as one flat ``re + im`` array.
   Optional: used only when NumPy is importable (and not disabled via
   ``REPRO_NO_NUMPY=1``), and only for fixed-point formats of at most
   :data:`NUMPY_MAX_TOTAL_BITS` total bits, where an int64 product cannot
@@ -61,8 +61,9 @@ HAVE_NUMPY = np is not None
 
 #: Widest fixed-point format (total bits) the NumPy backend accepts: with
 #: 32-bit values an int64 product is at most 2**62, so no intermediate of
-#: the wrap-after-every-op sequence can overflow.  Wider formats use the
-#: pure-Python raw path.
+#: the wrap-after-every-op sequence can overflow, and the wraps' shift
+#: counts ``64 - total`` and ``64 - total - frac_bits`` stay in 0..63.
+#: Wider formats use the pure-Python raw path.
 NUMPY_MAX_TOTAL_BITS = 32
 
 #: The selectable kernel backends (``auto`` additionally accepted by
@@ -238,18 +239,20 @@ def cache_put(key: Tuple[Any, ...], value: Any) -> Any:
 # NumPy kernel tables
 # --------------------------------------------------------------------------
 #
-# The NumPy kernels hold a complex vector as one planar (2, points) int64
-# array, row 0 real and row 1 imaginary, and run each FixedPoint operation
-# as one in-place ufunc over it, followed by the branchless sign-extension
-# wrap ((x & mask) ^ sign) - sign, valid for any int64 input; >> on int64
-# is an arithmetic shift, matching Python's floor semantics on negative
-# values.  Their constant tables are cached read-only arrays in the same
-# planar form.
+# The NumPy kernels run each FixedPoint operation as one in-place ufunc over
+# a contiguous int64 array, followed by the wrap as two shifts: << (64 -
+# total) on a uint64 view of it (defined for every bit pattern, where a
+# signed left shift is not), then >> (64 - total) on the int64 array, an
+# arithmetic shift that sign-extends bit total - 1.  A >> frac_bits and its
+# wrap are one such pair with the left count 64 - total - frac_bits: both
+# keep bits frac_bits .. frac_bits + total - 1 of the two's complement
+# product and sign-extend the top one.  Their tables and gather plans are
+# cached read-only arrays, their constants cached 0-d arrays.
 
 
-def np_table(raws: Tuple[Any, ...]) -> "np.ndarray":
-    """A read-only int64 array over a raw tuple, or a nested tuple of equal-length
-    raw tuples (one row each), for cached tables."""
-    arr = np.array(raws, dtype=np.int64)
+def np_table(raws: Any) -> "np.ndarray":
+    """A read-only int64 array over a raw tuple, a nested tuple of equal-length
+    raw tuples (one row each) or an int64 array, for cached tables and plans."""
+    arr = np.asarray(raws, dtype=np.int64)
     arr.flags.writeable = False
     return arr

@@ -18,8 +18,14 @@ are bit-interchangeable**.  These tests enforce it at three levels:
   backends.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,9 +49,14 @@ FORMATS = [(8, 24), (16, 16), (4, 12), (24, 40)]
 
 BACKENDS = ["oracle", "python"] + (["numpy"] if kc.HAVE_NUMPY else [])
 
-#: The formats of ``FORMATS`` the NumPy backend runs, plus one with no
-#: integer bits.
-EDGE_FORMATS = [fmt for fmt in FORMATS if sum(fmt) <= kc.NUMPY_MAX_TOTAL_BITS] + [(0, 16)]
+#: The formats of ``FORMATS`` the NumPy backend runs, one with no integer
+#: bits, and the two 32-bit formats where the NumPy wraps' fused shift
+#: count ``64 - total - frac_bits`` is 0 and 24.
+EDGE_FORMATS = [fmt for fmt in FORMATS if sum(fmt) <= kc.NUMPY_MAX_TOTAL_BITS] + [
+    (0, 16),
+    (0, 32),
+    (24, 8),
+]
 
 
 def _rand_fix(rng, int_bits, frac_bits):
@@ -137,11 +148,12 @@ class TestVorbisBackendMatrix:
         """Every Vorbis kernel, and every ``(first, last)`` range of radix
         stages through ``_ifft_stages``, agrees on all backends over raws
         from the format's full signed range, with its two extremes, -1 and 0
-        forced into every vector.  The formats are those of ``FORMATS`` that
-        the NumPy backend runs, plus one without integer bits, where the
-        oracle's 0.5 wraps to -0.5."""
+        forced into every vector.  The formats are ``EDGE_FORMATS``: in the
+        two without integer bits the oracle's 0.5 wraps to -0.5.  At 8, 16
+        and 64 points (3, 4 and 6 radix stages) a rule stage of two holds
+        two, one or none of them."""
         ib, fb = data.draw(st.sampled_from(EDGE_FORMATS), label="format")
-        points = data.draw(st.sampled_from([8, 64]), label="points")
+        points = data.draw(st.sampled_from([8, 16, 64]), label="points")
         n = points // 2
         total = ib + fb
         corners = [-(1 << (total - 1)), (1 << (total - 1)) - 1, -1, 0]
@@ -228,6 +240,39 @@ class TestVorbisBackendMatrix:
         if not kc.HAVE_NUMPY:
             with pytest.raises(ValueError):
                 kc.set_kernel_backend("numpy")
+
+
+def test_tables_and_plans_are_built_on_first_use():
+    """Importing the kernels and building and snapshotting vorbis_C and
+    vorbis_G, as a warm benchmark's set-up does, fills no table, constant
+    or plan cache of the kernel module: nothing is allocated before a
+    kernel runs.  A fresh interpreter, since other tests fill them."""
+    script = textwrap.dedent(
+        """
+        import json
+        from repro.apps.vorbis import kernels, partitions
+        from repro.apps.vorbis.params import VorbisParams
+        from repro.sim.cosim import CosimFabric
+
+        for build, letter in (
+            (partitions.build_partition, "C"),
+            (partitions.build_multi_partition, "G"),
+        ):
+            CosimFabric(build(letter, VorbisParams(n_frames=16)).design).snapshot()
+        caches = {n: f for n, f in vars(kernels).items() if hasattr(f, "cache_info")}
+        print(json.dumps({n: f.cache_info().currsize for n, f in caches.items()}))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    built = json.loads(proc.stdout.splitlines()[-1])
+    assert {"_twiddles_raw", "_np_consts", "_ifft_plan", "_pre_plan"} <= set(built)
+    assert not any(built.values()), built
 
 
 # --------------------------------------------------------------------------
