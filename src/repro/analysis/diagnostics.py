@@ -54,10 +54,6 @@ CODES: Dict[str, Tuple[str, str]] = {
         "snapshot-completeness",
         "mutable attribute not covered by the fabric snapshot",
     ),
-    "REPRO-E009": (
-        "snapshot-completeness",
-        "snapshot tuple arity drifted from the audited coverage manifest",
-    ),
 }
 
 SEVERITIES = ("error", "warning")

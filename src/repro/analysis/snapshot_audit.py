@@ -9,43 +9,36 @@ the resident==fresh differential oracle; this module turns it into a
 checkable structural property.
 
 The audit walks the live fabric object graph by reflection and checks
-every instance attribute it finds against a per-class **coverage
-manifest** that classifies each attribute as one of:
+every instance attribute it finds against what its class declares:
 
-* ``covered`` -- captured by ``snapshot()`` and rewound by ``restore()``;
-* ``reset`` -- transient run state that ``restore()`` reinitialises to a
-  constant (so a snapshot need not carry it);
-* ``config`` -- elaboration-time state that never mutates during a run
-  (rules, schedules, generated modules, layouts, platform parameters);
-* ``cache`` -- memoisation that is semantically transparent (rebuilding it
-  yields the same values, e.g. the fabric's owner-store resolution);
-* ``children`` -- owned sub-objects the audit recurses into.
+* the class's ``RUN_STATE`` table (:mod:`repro.core.runstate`), whose
+  attributes ``snapshot()`` captures and ``restore()`` rewinds -- or, for
+  transient ones, resets -- and whose children the audit recurses into;
+* this module's :data:`MANIFEST`, which classifies the rest as
+  ``config`` -- elaboration-time state that never mutates during a run
+  (rules, schedules, generated modules, layouts, platform parameters) --
+  or ``cache`` -- memoisation that is semantically transparent
+  (rebuilding it yields the same values, e.g. the fabric's owner-store
+  resolution).
 
-An attribute present on a live object but absent from its class manifest
-is exactly the failure mode the differential oracle catches too late: a
-new mutable field somebody forgot to add to ``snapshot()``.  The audit
-reports it as ``REPRO-E008`` *by name*, before any simulation runs.  As a
-second guard, classes whose manifest pins a snapshot arity are checked
-against the live ``snapshot()`` tuple (``REPRO-E009``) -- the positional
-restore protocol silently mis-zips if the two drift apart.
+An attribute present on a live object but named by neither is exactly
+the failure mode the differential oracle catches too late: a new mutable
+field somebody forgot to declare.  The audit reports it as ``REPRO-E008``
+*by name*, before any simulation runs.  Snapshot and restore are both
+built from the table, so they cannot disagree on its layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.core.runstate import CHILD, CHILDREN, DICT
 from repro.core.scheduler import RuleWakeup, WakingStore
 from repro.core.types import RawStruct
-from repro.platform.channel import (
-    ChannelDirection,
-    ChannelStats,
-    Link,
-    MessagePool,
-    Topology,
-)
-from repro.platform.libdn import VirtualChannel, VirtualChannelStats, VirtualChannelTable
+from repro.platform.channel import ChannelDirection, Topology
+from repro.platform.libdn import VirtualChannel, VirtualChannelTable
 from repro.sim.cosim import CosimFabric, Cosimulator, _GroupFabric
 from repro.sim.hwsim import HwEngine
 from repro.sim.swsim import SwEngine
@@ -53,34 +46,21 @@ from repro.sim.swsim import SwEngine
 
 @dataclass(frozen=True)
 class CoverageSpec:
-    """The audited classification of one class's instance attributes."""
+    """The audited classification of one class's attributes that are not
+    run state (run state is the class's ``RUN_STATE`` table)."""
 
-    covered: FrozenSet[str] = frozenset()
-    reset: FrozenSet[str] = frozenset()
     config: FrozenSet[str] = frozenset()
     cache: FrozenSet[str] = frozenset()
-    children: FrozenSet[str] = frozenset()
-    #: Expected ``len(obj.snapshot())``, or ``None`` when the class has no
-    #: snapshot method of its own (its state rides a parent's snapshot).
-    snapshot_arity: Optional[int] = None
-
-    def known(self) -> FrozenSet[str]:
-        return self.covered | self.reset | self.config | self.cache | self.children
 
 
-def _spec(**kwargs) -> CoverageSpec:
-    for key in ("covered", "reset", "config", "cache", "children"):
-        if key in kwargs:
-            kwargs[key] = frozenset(kwargs[key])
-    return CoverageSpec(**kwargs)
+def _spec(config=(), cache=()) -> CoverageSpec:
+    return CoverageSpec(frozenset(config), frozenset(cache))
 
 
 #: class -> coverage spec.  Subclasses merge every spec on their MRO, so a
 #: wrapper like :class:`Cosimulator` only declares its own extra fields.
 MANIFEST: Dict[Type, CoverageSpec] = {
     CosimFabric: _spec(
-        covered={"now", "_initial_values", "_last_observed"},
-        reset={"_active_group", "_observing", "_read_overrides"},
         config={
             "design",
             "platform",
@@ -102,14 +82,11 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "_builder_spec",
         },
         cache={"_owner_store"},
-        children={"engines", "topology", "vcs", "_groups"},
-        snapshot_arity=7,
     ),
     Cosimulator: _spec(
         config={"hw_domain", "sw_domain", "hw", "sw"},
     ),
     _GroupFabric: _spec(
-        covered={"now"},  # the per-group clock rides the fabric snapshot
         config={
             "fabric",
             "index",
@@ -130,20 +107,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
         },
     ),
     SwEngine: _spec(
-        covered={
-            "busy_until",
-            "_pending_updates",
-            "_pending_deliveries",
-            "_last_fired",
-            "_last_fail_cost",
-            "fire_counts",
-            "total_firings",
-            "cpu_cycles_useful",
-            "cpu_cycles_wasted",
-            "cpu_cycles_driver",
-            "guard_failures",
-            "busy_fpga_cycles",
-        },
         config={
             "rules",
             "schedule",
@@ -161,20 +124,8 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "_step_gen",
             "step",
         },
-        children={"store", "_wakeup"},
-        snapshot_arity=15,
     ),
     HwEngine: _spec(
-        covered={
-            "busy",
-            "_locked_count",
-            "_next_finish",
-            "_pending_deliveries",
-            "fire_counts",
-            "cycles_active",
-            "total_firings",
-            "last_cycle_stepped",
-        },
         config={
             "rules",
             "schedule",
@@ -190,45 +141,16 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "_step_gen",
             "step_cycle",
         },
-        children={"store", "_wakeup"},
-        snapshot_arity=11,
     ),
     WakingStore: _spec(
-        # Contents ride the owning engine's snapshot (``dict(self.store)``).
+        # Contents ride the owning engine's snapshot (its ``store`` entry).
         config={"wake"},
     ),
-    RuleWakeup: _spec(
-        # sleeping/n_sleeping ride the owning engine's snapshot.
-        covered={"sleeping", "n_sleeping"},
-        config={"rules", "wakers", "index_of"},
-    ),
-    Topology: _spec(
-        config={"_links"},
-        children={"_directions"},
-    ),
-    Link: _spec(
-        config={"src", "dst", "params", "burst"},
-    ),
-    ChannelDirection: _spec(
-        covered={"busy_until"},
-        config={"params", "name", "burst"},
-        children={"pool", "stats"},
-        snapshot_arity=3,
-    ),
-    MessagePool: _spec(
-        covered={"words", "vc_ids", "bounds", "due", "head", "word_head"},
-        snapshot_arity=6,
-    ),
-    ChannelStats: _spec(
-        covered={"messages", "words", "busy_cycles", "per_vc_messages"},
-        snapshot_arity=4,
-    ),
-    VirtualChannelTable: _spec(
-        config={"_by_id"},
-        children={"channels"},
-    ),
+    RuleWakeup: _spec(config={"rules", "wakers", "index_of"}),
+    Topology: _spec(config={"_links"}),
+    ChannelDirection: _spec(config={"params", "name", "burst"}),
+    VirtualChannelTable: _spec(config={"_by_id"}),
     VirtualChannel: _spec(
-        covered={"credits", "in_flight"},
         config={
             "sync",
             "vc_id",
@@ -239,51 +161,42 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "decode",
             "decode_run",
         },
-        children={"stats"},
-        snapshot_arity=6,
-    ),
-    VirtualChannelStats: _spec(
-        covered={
-            "messages_sent",
-            "messages_delivered",
-            "words_sent",
-            "stalled_on_credit",
-        },
     ),
     # A register value a plain-dict store surfaces: immutable (it refuses
     # attribute writes), so it rides the store's snapshot as it is.
     RawStruct: _spec(config={"ty", "raws"}),
 }
 
+#: Kinds whose values the audit walks: children, and in-place dicts -- an
+#: engine's store is a ``WakingStore`` or a plain dict of register values.
+_WALKED = (CHILD, CHILDREN, DICT)
 
-def _merged_spec(cls: Type) -> Optional[CoverageSpec]:
-    """Merge the manifest specs along a class's MRO (most-derived wins none;
-    the union is what matters)."""
+
+def _coverage(cls: Type) -> Optional[Tuple[FrozenSet[str], List[str]]]:
+    """The attributes ``cls`` declares (its run-state table plus the
+    manifest specs along its MRO) and the ones the audit walks, or
+    ``None`` when the class declares nothing."""
+    table = getattr(cls, "RUN_STATE", None)
     specs = [MANIFEST[base] for base in cls.__mro__ if base in MANIFEST]
-    if not specs:
+    if table is None and not specs:
         return None
-    return CoverageSpec(
-        covered=frozenset().union(*(s.covered for s in specs)),
-        reset=frozenset().union(*(s.reset for s in specs)),
-        config=frozenset().union(*(s.config for s in specs)),
-        cache=frozenset().union(*(s.cache for s in specs)),
-        children=frozenset().union(*(s.children for s in specs)),
-        snapshot_arity=next(
-            (s.snapshot_arity for s in specs if s.snapshot_arity is not None), None
-        ),
+    table = table or ()
+    known = frozenset(attr for attr, _ in table).union(
+        *(spec.config | spec.cache for spec in specs)
     )
+    return known, [attr for attr, kind in table if kind in _WALKED]
 
 
 def _expand(value: Any) -> Iterable[Any]:
-    """One level of container expansion for ``children`` attributes.
+    """One level of container expansion for walked attributes.
 
-    Manifested classes are always visited as objects, even when they
+    Declared classes are always visited as objects, even when they
     subclass a container (``WakingStore`` is a dict of register values --
     its *contents* ride the engine snapshot, its *attributes* are what
     the audit must classify)."""
     if value is None:
         return ()
-    if _merged_spec(type(value)) is not None:
+    if _coverage(type(value)) is not None:
         return (value,)
     if isinstance(value, dict):
         return list(value.values())
@@ -293,11 +206,11 @@ def _expand(value: Any) -> Iterable[Any]:
 
 
 def audit_fabric(fabric: CosimFabric) -> List[Diagnostic]:
-    """Walk a live fabric's object graph and diff it against the manifest.
+    """Walk a live fabric's object graph and diff it against the
+    run-state tables and the manifest.
 
-    Returns ``REPRO-E008`` for every attribute (or reachable class) the
-    manifest does not classify -- i.e. state ``snapshot()`` may silently
-    miss -- and ``REPRO-E009`` when a pinned snapshot arity drifted.
+    Returns ``REPRO-E008`` for every attribute (or reachable class) that
+    neither declares -- i.e. state ``snapshot()`` may silently miss.
     """
     diags: List[Diagnostic] = []
     seen: Set[int] = set()
@@ -310,8 +223,8 @@ def audit_fabric(fabric: CosimFabric) -> List[Diagnostic]:
             continue
         seen.add(id(obj))
         cls = type(obj)
-        spec = _merged_spec(cls)
-        if spec is None:
+        coverage = _coverage(cls)
+        if coverage is None:
             key = f"class {cls.__name__}"
             if key not in reported:
                 reported.add(key)
@@ -319,11 +232,12 @@ def audit_fabric(fabric: CosimFabric) -> List[Diagnostic]:
                     Diagnostic(
                         code="REPRO-E008",
                         location=f"{cls.__name__} (at {path})",
-                        message="reachable class has no snapshot-coverage "
-                        "manifest; its mutable state is invisible to the audit",
-                        hint="classify the class's attributes in "
-                        "repro.analysis.snapshot_audit.MANIFEST and make "
-                        "snapshot()/restore() carry its mutable fields",
+                        message="reachable class declares no run state and "
+                        "has no snapshot-coverage manifest; its mutable state "
+                        "is invisible to the audit",
+                        hint="declare its mutable fields in a RUN_STATE table "
+                        "(repro.core.runstate) and classify the rest in "
+                        "repro.analysis.snapshot_audit.MANIFEST",
                     )
                 )
             continue
@@ -333,7 +247,7 @@ def audit_fabric(fabric: CosimFabric) -> List[Diagnostic]:
             for slot in getattr(base, "__slots__", ()):
                 if hasattr(obj, slot):
                     attrs[slot] = getattr(obj, slot)
-        known = spec.known()
+        known, walked = coverage
         for attr in sorted(attrs):
             if attr in known:
                 continue
@@ -345,37 +259,18 @@ def audit_fabric(fabric: CosimFabric) -> List[Diagnostic]:
                 Diagnostic(
                     code="REPRO-E008",
                     location=f"{key} (at {path})",
-                    message="attribute is not classified by the snapshot "
-                    "coverage manifest, so snapshot()/restore() may miss it "
-                    "and a resident fabric would diverge from a fresh one",
-                    hint="capture it in snapshot() and restore(), then add it "
-                    "to the 'covered' set (or classify it as "
-                    "reset/config/cache if it is not run state)",
+                    message="attribute is neither declared run state nor "
+                    "classified by the snapshot coverage manifest, so "
+                    "snapshot()/restore() may miss it and a resident fabric "
+                    "would diverge from a fresh one",
+                    hint="declare it in its class's RUN_STATE table (or "
+                    "classify it as config/cache in the manifest if it is "
+                    "not run state)",
                 )
             )
 
-        if spec.snapshot_arity is not None:
-            snap = obj.snapshot()
-            if len(snap) != spec.snapshot_arity:
-                key = f"{cls.__name__}.snapshot-arity"
-                if key not in reported:
-                    reported.add(key)
-                    diags.append(
-                        Diagnostic(
-                            code="REPRO-E009",
-                            location=f"{cls.__name__}.snapshot() (at {path})",
-                            message=f"snapshot tuple has {len(snap)} fields but "
-                            f"the audited manifest pins {spec.snapshot_arity}; "
-                            "the positional restore protocol would mis-zip",
-                            hint="update snapshot()/restore() and the manifest "
-                            "arity together",
-                        )
-                    )
-
-        for attr in sorted(spec.children):
-            if attr not in attrs and not hasattr(obj, attr):
-                continue
-            for child in _expand(getattr(obj, attr)):
+        for attr in walked:
+            for child in _expand(getattr(obj, attr, None)):
                 # Only recurse into objects this codebase defines: expanding
                 # a container child (an engine map, a plain-dict store) can
                 # surface data payloads -- ints, tuples, arrays -- which ride

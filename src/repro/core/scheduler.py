@@ -25,6 +25,7 @@ from repro.core.analysis import (
     rule_read_set,
 )
 from repro.core.module import Register, Rule
+from repro.core.runstate import SCALAR, SLICE, run_state
 
 
 class HwSchedule:
@@ -127,6 +128,7 @@ class WakingStore(dict):
 _NO_WAKERS: Tuple[int, ...] = ()
 
 
+@run_state
 class RuleWakeup:
     """A register→rules wakeup index implementing dirty-set scheduling.
 
@@ -139,6 +141,9 @@ class RuleWakeup:
     """
 
     __slots__ = ("rules", "index_of", "wakers", "sleeping", "n_sleeping")
+
+    #: Generated steps and commits pre-bind ``sleeping``.
+    RUN_STATE = (("sleeping", SLICE), ("n_sleeping", SCALAR))
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules: List[Rule] = list(rules)

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.runstate import CHILD, CHILDREN, DICT, SCALAR, SLICE, run_state
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -57,9 +59,17 @@ class ChannelParams:
         return 2 * (self.one_way_latency_cycles + self.occupancy_cycles(1, burst=True))
 
 
+@run_state
 @dataclass(slots=True)
 class ChannelStats:
     """Aggregate channel traffic accounting, reported in benchmark output."""
+
+    RUN_STATE = (
+        ("messages", SCALAR),
+        ("words", SCALAR),
+        ("busy_cycles", SCALAR),
+        ("per_vc_messages", DICT),
+    )
 
     messages: int = 0
     words: int = 0
@@ -72,21 +82,8 @@ class ChannelStats:
         self.busy_cycles += occupancy
         self.per_vc_messages[vc_id] = self.per_vc_messages.get(vc_id, 0) + 1
 
-    def snapshot(self) -> tuple:
-        """Capture the counters as plain data (restorable in place)."""
-        return (self.messages, self.words, self.busy_cycles, dict(self.per_vc_messages))
 
-    def restore(self, snap: tuple) -> None:
-        """Reset the counters to a snapshot, mutating in place.
-
-        Generated transport routes pre-bind both this object and its
-        ``per_vc_messages`` dict, so neither identity may be replaced.
-        """
-        self.messages, self.words, self.busy_cycles, per_vc = snap
-        self.per_vc_messages.clear()
-        self.per_vc_messages.update(per_vc)
-
-
+@run_state
 class MessagePool:
     """Slotted in-flight message storage: flat rings of primitives.
 
@@ -106,6 +103,15 @@ class MessagePool:
     """
 
     __slots__ = ("words", "vc_ids", "bounds", "due", "head", "word_head")
+
+    RUN_STATE = (
+        ("words", SLICE),
+        ("vc_ids", SLICE),
+        ("bounds", SLICE),
+        ("due", SLICE),
+        ("head", SCALAR),
+        ("word_head", SCALAR),
+    )
 
     #: Compact the ring prefix once this many delivered slots accumulate.
     COMPACT_THRESHOLD = 1024
@@ -162,33 +168,6 @@ class MessagePool:
                 self.bounds[i] -= word_head
             self.head = 0
             self.word_head = 0
-
-    def snapshot(self) -> tuple:
-        """Capture the in-flight rings and head cursors as plain data."""
-        return (
-            list(self.words),
-            list(self.vc_ids),
-            list(self.bounds),
-            list(self.due),
-            self.head,
-            self.word_head,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Reset the rings to a snapshot.
-
-        Ring contents are replaced by slice assignment -- the list objects'
-        identities are part of the pool's contract (generated transport
-        routes pre-bind them), so they are trimmed/refilled in place,
-        never rebound.
-        """
-        words, vc_ids, bounds, due, head, word_head = snap
-        self.words[:] = words
-        self.vc_ids[:] = vc_ids
-        self.bounds[:] = bounds
-        self.due[:] = due
-        self.head = head
-        self.word_head = word_head
 
     def push(self, vc_id: int, words: Iterable[int], due: float) -> None:
         """Append one framed message (header + payload words) to the rings."""
@@ -247,6 +226,7 @@ class MessagePool:
         return message
 
 
+@run_state
 class ChannelDirection:
     """One direction of the physical channel: a shared, serialised resource.
 
@@ -257,6 +237,8 @@ class ChannelDirection:
 
     __slots__ = ("params", "name", "burst", "busy_until", "pool", "stats")
 
+    RUN_STATE = (("busy_until", SCALAR), ("pool", CHILD), ("stats", CHILD))
+
     def __init__(self, params: ChannelParams, name: str, burst: bool = True):
         self.params = params
         self.name = name
@@ -264,18 +246,6 @@ class ChannelDirection:
         self.busy_until: float = 0.0
         self.pool = MessagePool()
         self.stats = ChannelStats()
-
-    def snapshot(self) -> tuple:
-        """Capture the direction's mutable state (arbitration, pool, stats)."""
-        return (self.busy_until, self.pool.snapshot(), self.stats.snapshot())
-
-    def restore(self, snap: tuple) -> None:
-        """Reset the direction to a snapshot; pool and stats objects (and the
-        pool's ring lists) keep their identities for pre-bound closures."""
-        busy_until, pool_snap, stats_snap = snap
-        self.busy_until = busy_until
-        self.pool.restore(pool_snap)
-        self.stats.restore(stats_snap)
 
     def send_words(
         self,
@@ -329,6 +299,7 @@ class Link:
         return f"{self.src}->{self.dst}"
 
 
+@run_state
 class Topology:
     """A routed set of point-to-point links between named domains.
 
@@ -343,6 +314,8 @@ class Topology:
     Links iterate in registration order, which the simulator relies on for
     deterministic delivery sweeps.
     """
+
+    RUN_STATE = (("_directions", CHILDREN),)
 
     def __init__(self):
         self._links: Dict[Tuple[str, str], Link] = {}

@@ -22,13 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.core.runstate import CHILD, CHILDREN, SCALAR, run_state
 from repro.core.synchronizers import SyncFifo
 from repro.platform.marshal import MessageLayout, layout_for, validate_wire_format
 
 
+@run_state
 @dataclass(slots=True)
 class VirtualChannelStats:
     """Per-virtual-channel traffic counters."""
+
+    RUN_STATE = (
+        ("messages_sent", SCALAR),
+        ("messages_delivered", SCALAR),
+        ("words_sent", SCALAR),
+        ("stalled_on_credit", SCALAR),
+    )
 
     messages_sent: int = 0
     messages_delivered: int = 0
@@ -36,6 +45,7 @@ class VirtualChannelStats:
     stalled_on_credit: int = 0
 
 
+@run_state
 class VirtualChannel:
     """Flow-control state for one synchronizer mapped onto the physical channel."""
 
@@ -52,6 +62,8 @@ class VirtualChannel:
         "decode",
         "decode_run",
     )
+
+    RUN_STATE = (("credits", SCALAR), ("in_flight", SCALAR), ("stats", CHILD))
 
     def __init__(self, vc_id: int, sync: SyncFifo, word_bits: int = 32):
         self.vc_id = vc_id
@@ -74,31 +86,6 @@ class VirtualChannel:
         self.encode_batch = self.layout.batch_encoder(vc_id)
         self.decode = self.layout.decoder()
         self.decode_run = self.layout.run_decoder()
-
-    def snapshot(self) -> tuple:
-        """Capture the channel's flow-control state and traffic counters."""
-        s = self.stats
-        return (
-            self.credits,
-            self.in_flight,
-            s.messages_sent,
-            s.messages_delivered,
-            s.words_sent,
-            s.stalled_on_credit,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Reset to a snapshot; the ``stats`` object keeps its identity
-        (generated transport pumps pre-bind it)."""
-        s = self.stats
-        (
-            self.credits,
-            self.in_flight,
-            s.messages_sent,
-            s.messages_delivered,
-            s.words_sent,
-            s.stalled_on_credit,
-        ) = snap
 
     def note_credit_stall(self) -> None:
         self.stats.stalled_on_credit += 1
@@ -124,8 +111,11 @@ class VirtualChannel:
         )
 
 
+@run_state
 class VirtualChannelTable:
     """Assignment of virtual-channel ids to the synchronizers of a partitioned design."""
+
+    RUN_STATE = (("channels", CHILDREN),)
 
     def __init__(
         self,

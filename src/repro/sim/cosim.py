@@ -63,6 +63,7 @@ from repro.core.errors import SimulationError
 from repro.core.module import Design, Register
 from repro.core.optimize import OptimizationConfig
 from repro.core.partition import Partitioning, default_engine_kind, partition_design
+from repro.core.runstate import CHILD, CHILDREN, COPY, RESET, SCALAR, run_state
 from repro.core.semantics import Store
 from repro.core.synchronizers import SyncFifo
 from repro.platform.channel import Topology
@@ -292,6 +293,7 @@ def _deliver_routes_interp(delivery_routes, by_id, now: float) -> bool:
     return progress
 
 
+@run_state
 class _GroupFabric:
     """One independently clocked group of a fabric: engines, links, a clock.
 
@@ -315,6 +317,8 @@ class _GroupFabric:
     do nothing (it counts a credit-stalled pump's stall itself); the
     interpreted loop stays the reference.
     """
+
+    RUN_STATE = (("now", SCALAR),)
 
     def __init__(self, fabric: "CosimFabric", index: int):
         self.fabric = fabric
@@ -544,6 +548,7 @@ class _GroupFabric:
         )
 
 
+@run_state
 class CosimFabric:
     """N-domain co-simulation: a topology of engines joined by routed links.
 
@@ -555,7 +560,26 @@ class CosimFabric:
     (e.g. with asymmetric per-link parameters); otherwise one link per used
     route is created from the platform's channel parameters
     (``link_params`` overrides individual routes).
+
+    :meth:`snapshot` captures the complete run state as plain data and
+    :meth:`restore` rewinds to it in O(state), without re-elaborating and
+    keeping every object the generated routes and loops pre-bind: the
+    basis of persistent serving, where a snapshot taken at reset makes
+    every post-restore run's ``CosimResult`` a per-request delta.
     """
+
+    RUN_STATE = (
+        ("engines", CHILDREN),
+        ("topology", CHILD),
+        ("vcs", CHILD),
+        ("_groups", CHILDREN),
+        ("now", SCALAR),
+        ("_initial_values", COPY),
+        ("_last_observed", COPY),
+        ("_active_group", RESET),
+        ("_observing", RESET),
+        ("_read_overrides", RESET),
+    )
 
     def __init__(
         self,
@@ -902,56 +926,6 @@ class CosimFabric:
             seen.add(id(store))
             store[reg] = value
         self._initial_values[reg] = value
-
-    # -- snapshot / restore --------------------------------------------------
-
-    def snapshot(self) -> tuple:
-        """Capture the fabric's complete mutable state as plain data.
-
-        Covers, in deterministic orders: every engine (stores, wakeup
-        state, in-flight rules, parked deliveries, statistics) in engine
-        order; every link direction (arbitration, pool rings, traffic
-        counters) in topology registration order; every virtual channel
-        (credits, in-flight counts, stats) in cut order; the per-group
-        clocks; the fabric clock; and the reset-value/observation state of
-        grouped execution.  ``restore`` rewinds to the snapshot in O(state)
-        without re-elaborating -- the basis of persistent serving, where a
-        snapshot taken at reset makes every post-restore run's
-        ``CosimResult`` a per-request delta.
-        """
-        return (
-            [self.engines[dom].snapshot() for dom in self.domains],
-            [direction.snapshot() for direction in self.topology.directions],
-            [vc.snapshot() for vc in self.vcs],
-            [group.now for group in self._groups],
-            self.now,
-            dict(self._initial_values),
-            set(self._last_observed),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind the fabric to a snapshot, preserving every object identity.
-
-        Engines, stores, pool rings, stats objects and virtual channels are
-        mutated in place -- the generated routes and loops pre-bind them --
-        so a restored fabric re-runs requests through the exact functions
-        the elaboration built.
-        """
-        engines, directions, vcs, group_clocks, now, initials, observed = snap
-        for dom, engine_snap in zip(self.domains, engines):
-            self.engines[dom].restore(engine_snap)
-        for direction, direction_snap in zip(self.topology.directions, directions):
-            direction.restore(direction_snap)
-        for vc, vc_snap in zip(self.vcs, vcs):
-            vc.restore(vc_snap)
-        for group, clock in zip(self._groups, group_clocks):
-            group.now = clock
-        self.now = now
-        self._initial_values = dict(initials)
-        self._last_observed = set(observed)
-        self._active_group = None
-        self._observing = None
-        self._read_overrides = None
 
     # -- group views ---------------------------------------------------------
 

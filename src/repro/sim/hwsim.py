@@ -23,11 +23,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.analysis import rule_read_set, rule_write_set
 from repro.core.module import Register, Rule
 from repro.core.pycodegen import generate_hw_step, generate_rule_execs, resolve_backend
+from repro.core.runstate import CHILD, DICT, SCALAR, SLICE, run_state
 from repro.core.scheduler import HwSchedule, RuleWakeup
 from repro.core.semantics import Evaluator, Store, commit, try_rule
 from repro.sim.costmodel import HwLatencyAccumulator
 
 
+@run_state
 class HwEngine:
     """Executes the rules of one hardware partition, cycle by cycle.
 
@@ -53,6 +55,24 @@ class HwEngine:
     writes; always use ``engine.store`` (the live store) after
     construction.
     """
+
+    #: Store values are shared with the snapshot: rules and transports
+    #: rebind a register's value and never mutate it in place.  So are the
+    #: busy table's ``(finish, updates)`` entries: nothing mutates an
+    #: updates dict after :meth:`_lock_rule`, since ``commit`` and the
+    #: generated ``_commit`` only read it.
+    RUN_STATE = (
+        ("store", DICT),
+        ("_wakeup", CHILD),
+        ("busy", DICT),
+        ("_locked_count", DICT),
+        ("_next_finish", SCALAR),
+        ("_pending_deliveries", SLICE),
+        ("fire_counts", DICT),
+        ("cycles_active", SCALAR),
+        ("total_firings", SCALAR),
+        ("last_cycle_stepped", SCALAR),
+    )
 
     def __init__(
         self,
@@ -104,70 +124,6 @@ class HwEngine:
             execs, self._gen = generate_rule_execs(self.rules, name)
             self._step_gen = generate_hw_step(self, dict(zip(self.rules, execs)))
             self.step_cycle = self._step_gen.namespace["step_cycle"]
-
-    # -- snapshot / restore ---------------------------------------------------
-
-    def snapshot(self) -> tuple:
-        """Capture every mutable field as plain data (O(state), no recompilation).
-
-        Store values are shared shallowly under the engines' rebind-only
-        contract; the in-flight rule table copies its per-rule deferred
-        update dicts (a rule commit mutates nothing inside them, but the
-        table itself changes as rules finish).
-        """
-        wakeup = self._wakeup
-        return (
-            dict(self.store),
-            bytes(wakeup.sleeping) if wakeup is not None else None,
-            wakeup.n_sleeping if wakeup is not None else 0,
-            {rule: (finish, dict(updates)) for rule, (finish, updates) in self.busy.items()},
-            dict(self._locked_count),
-            self._next_finish,
-            list(self._pending_deliveries),
-            dict(self.fire_counts),
-            self.cycles_active,
-            self.total_firings,
-            self.last_cycle_stepped,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Reset the engine to a snapshot, in place.
-
-        The store keeps its identity (transport closures pre-bind it and the
-        bound ``locked_registers`` method): contents are rewritten through
-        the unbound ``dict`` methods (no wake callbacks), the wakeup state is
-        restored explicitly, and ``_locked_count`` is refilled in place so
-        the pre-bound ``locked_registers`` view stays truthful.
-        """
-        (
-            contents,
-            sleeping,
-            n_sleeping,
-            busy,
-            locked_count,
-            self._next_finish,
-            pending_deliveries,
-            fire_counts,
-            self.cycles_active,
-            self.total_firings,
-            self.last_cycle_stepped,
-        ) = snap
-        store = self.store
-        dict.clear(store)
-        dict.update(store, contents)
-        wakeup = self._wakeup
-        if wakeup is not None:
-            wakeup.sleeping[:] = sleeping
-            wakeup.n_sleeping = n_sleeping
-        self.busy.clear()
-        self.busy.update(
-            {rule: (finish, dict(updates)) for rule, (finish, updates) in busy.items()}
-        )
-        self._locked_count.clear()
-        self._locked_count.update(locked_count)
-        self._pending_deliveries = list(pending_deliveries)
-        self.fire_counts.clear()
-        self.fire_counts.update(fire_counts)
 
     # -- channel-facing API ---------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.core.errors import GuardFail
 from repro.core.module import Register, Rule
 from repro.core.optimize import CompiledRule, OptimizationConfig, compile_rule
 from repro.core.pycodegen import generate_counting_attempts, generate_sw_step, resolve_backend
+from repro.core.runstate import CHILD, COPY, DICT, SCALAR, SLICE, run_state
 from repro.core.scheduler import RuleWakeup, SwSchedule
 from repro.core.semantics import Evaluator, Store, commit
 from repro.platform.platform import Platform
@@ -31,6 +32,7 @@ from repro.sim.costmodel import SwCostAccumulator
 _EMPTY_LOCKED: frozenset = frozenset()
 
 
+@run_state
 class SwEngine:
     """Executes the rules of one software partition under the cost model.
 
@@ -52,6 +54,25 @@ class SwEngine:
     engine wraps the store it is given to observe external writes; always
     use ``engine.store`` (the live store) after construction.
     """
+
+    #: Store values are shared with the snapshot: rules and transports
+    #: rebind a register's value and never mutate it in place.
+    RUN_STATE = (
+        ("store", DICT),
+        ("_wakeup", CHILD),
+        ("busy_until", SCALAR),
+        ("_pending_updates", COPY),
+        ("_pending_deliveries", SLICE),
+        ("_last_fired", SCALAR),
+        ("_last_fail_cost", DICT),
+        ("fire_counts", DICT),
+        ("total_firings", SCALAR),
+        ("cpu_cycles_useful", SCALAR),
+        ("cpu_cycles_wasted", SCALAR),
+        ("cpu_cycles_driver", SCALAR),
+        ("guard_failures", SCALAR),
+        ("busy_fpga_cycles", SCALAR),
+    )
 
     def __init__(
         self,
@@ -113,76 +134,6 @@ class SwEngine:
             )
             self._step_gen = generate_sw_step(self, attempts)
             self.step = self._step_gen.namespace["step"]
-
-    # -- snapshot / restore ----------------------------------------------------
-
-    def snapshot(self) -> tuple:
-        """Capture every mutable field as plain data (O(state), no recompilation).
-
-        The store is copied shallowly: stored values are immutable by the
-        engines' rebind-only contract (rules and transports replace a
-        register's value, never mutate it in place), so sharing them between
-        the live store and a snapshot is safe.
-        """
-        wakeup = self._wakeup
-        return (
-            dict(self.store),
-            bytes(wakeup.sleeping) if wakeup is not None else None,
-            wakeup.n_sleeping if wakeup is not None else 0,
-            self.busy_until,
-            None if self._pending_updates is None else dict(self._pending_updates),
-            list(self._pending_deliveries),
-            self._last_fired,
-            dict(self._last_fail_cost),
-            dict(self.fire_counts),
-            self.total_firings,
-            self.cpu_cycles_useful,
-            self.cpu_cycles_wasted,
-            self.cpu_cycles_driver,
-            self.guard_failures,
-            self.busy_fpga_cycles,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Reset the engine to a snapshot, in place.
-
-        The store object keeps its identity (transport closures pre-bind
-        it); its contents are rewritten through the unbound ``dict`` methods
-        so the dirty-set wake callbacks do not fire, and the wakeup state is
-        restored explicitly instead.
-        """
-        (
-            contents,
-            sleeping,
-            n_sleeping,
-            self.busy_until,
-            pending_updates,
-            pending_deliveries,
-            self._last_fired,
-            last_fail_cost,
-            fire_counts,
-            self.total_firings,
-            self.cpu_cycles_useful,
-            self.cpu_cycles_wasted,
-            self.cpu_cycles_driver,
-            self.guard_failures,
-            self.busy_fpga_cycles,
-        ) = snap
-        store = self.store
-        dict.clear(store)
-        dict.update(store, contents)
-        wakeup = self._wakeup
-        if wakeup is not None:
-            wakeup.sleeping[:] = sleeping
-            wakeup.n_sleeping = n_sleeping
-        self._pending_updates = (
-            None if pending_updates is None else dict(pending_updates)
-        )
-        self._pending_deliveries = list(pending_deliveries)
-        self._last_fail_cost.clear()
-        self._last_fail_cost.update(last_fail_cost)
-        self.fire_counts.clear()
-        self.fire_counts.update(fire_counts)
 
     # -- channel-facing API ----------------------------------------------------
 

@@ -176,11 +176,3 @@ def build_snapshot_gap_fabric():
     sim = _clean_two_domain_fabric()
     sim.sw._forgotten_counter = 0
     return sim
-
-
-def build_snapshot_arity_drift_fabric():
-    """REPRO-E009: an engine snapshot that dropped a field (mis-zips restore)."""
-    sim = _clean_two_domain_fabric()
-    original = sim.sw.snapshot
-    sim.sw.snapshot = lambda: original()[:-1]
-    return sim

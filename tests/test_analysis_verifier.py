@@ -12,7 +12,6 @@ import pytest
 from analysis_fixtures import (
     DESIGN_FIXTURES,
     build_credit_cycle,
-    build_snapshot_arity_drift_fabric,
     build_snapshot_gap_fabric,
 )
 from repro.analysis import (
@@ -69,10 +68,6 @@ class TestSeededDefects:
         diags = audit_fabric(build_snapshot_gap_fabric())
         assert {d.code for d in diags} == {"REPRO-E008"}
         assert any("_forgotten_counter" in d.location for d in diags)
-
-    def test_snapshot_arity_drift_detected(self):
-        diags = audit_fabric(build_snapshot_arity_drift_fabric())
-        assert "REPRO-E009" in {d.code for d in diags}
 
     def test_diagnostics_are_deterministic(self):
         for code, builder in sorted(DESIGN_FIXTURES.items()):

@@ -96,11 +96,15 @@ def _snapshot(workload, backend):
 
 
 def _transport_state(fabric):
-    """The transport's part of ``CosimFabric.snapshot``: every link
-    direction (arbitration, pool rings, traffic counters), every virtual
-    channel (credits, in-flight counts, stats) and the clocks."""
-    _, directions, vcs, group_clocks, now, _, _ = fabric.snapshot()
-    return directions, vcs, group_clocks, now
+    """The transport's part of a fabric snapshot: every link direction
+    (arbitration, pool rings, traffic counters), every virtual channel
+    (credits, in-flight counts, stats) and the clocks."""
+    return (
+        [direction.snapshot() for direction in fabric.topology.directions],
+        [vc.snapshot() for vc in fabric.vcs],
+        [group.snapshot() for group in fabric._groups],
+        fabric.now,
+    )
 
 
 # --------------------------------------------------------------------------

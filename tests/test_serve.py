@@ -25,6 +25,7 @@ from repro.core.errors import SimulationError
 from repro.core.partition import default_engine_kind
 from repro.sim import pool as pool_mod
 from repro.sim.cosim import CosimFabric
+from repro.sim.hwsim import HwEngine
 from repro.sim.pool import PoolTask, clear_residents, run_pool, run_pool_task
 from repro.sim.serve import (
     FabricServer,
@@ -35,6 +36,7 @@ from repro.sim.serve import (
     safe_ratio,
     serve_fresh,
 )
+from repro.sim.swsim import SwEngine
 
 PARAMS = VorbisParams(n_frames=3)
 RT_PARAMS = RayTracerParams(n_triangles=24, image_width=3, image_height=3)
@@ -72,6 +74,17 @@ WORKLOADS = [
 ]
 
 
+#: (builder, args, fabric options) of vorbis_C, vorbis_G and raytracer_B,
+#: whose runs are stopped part-way: between them they hold every container
+#: of run state non-empty at some stop (vorbis_G is the one with
+#: multi-cycle hardware rules).
+MIDRUN = [
+    (vp.build_partition, ("C", VorbisParams(n_frames=4)), {}),
+    (vp.build_multi_partition, ("G", VorbisParams(n_frames=4)), {"engine_kinds": _g_kinds()}),
+    (rp.build_partition, ("B", RT_PARAMS), {}),
+]
+
+
 def _assert_bitwise(resident: RequestResult, fresh: RequestResult) -> None:
     assert asdict(resident.result) == asdict(fresh.result)
     assert resident.outputs == fresh.outputs
@@ -96,6 +109,9 @@ class TestServeBitwise:
         for start in (1, 0, 2, 1):
             request = make_request(server.workload, start)
             resident = server.serve(request)
+            # Every declared field is back at reset, not only what the
+            # result and the outputs show.
+            assert server.fabric.snapshot() == server._snapshot
             fresh = serve_fresh(builder, request, args, backend=backend, **opts)
             _assert_bitwise(resident, fresh)
         assert server.requests_served == 4
@@ -109,6 +125,7 @@ class TestServeBitwise:
         for start in (0, 4, 2, 0):
             request = server.workload.tile_request(start)
             resident = server.serve(request)
+            assert server.fabric.snapshot() == server._snapshot
             fresh = serve_fresh(rp.build_partition, request, ("B", RT_PARAMS))
             _assert_bitwise(resident, fresh)
             checksums.add(resident.outputs[server.workload.checksum.full_name])
@@ -217,6 +234,51 @@ class TestSnapshotReset:
                     vp.build_partition, request, ("B", PARAMS), backend=backend
                 )
             _assert_bitwise(resident, oracle[start])
+
+    @pytest.mark.parametrize("backend", ["interp", "source"])
+    def test_restore_midrun_snapshot(self, backend):
+        """Snapshots taken part-way through a run, with requests in flight,
+        restore exactly: ``snapshot()`` reads back what was restored, and
+        finishing from the restored state repeats finishing straight on."""
+
+        def finish(fabric, workload):
+            result = fabric.run(workload.cosim_done, max_cycles=5e8)
+            return asdict(result), _store_image(fabric)
+
+        seen = set()
+        for builder, args, opts in MIDRUN:
+            workload = builder(*args)
+            fabric = CosimFabric(workload.design, backend=backend, **opts)
+            reset = fabric.snapshot()
+            total = fabric.run(workload.cosim_done, max_cycles=5e8).fpga_cycles
+            for share in (0.10, 0.25, 0.40, 0.55, 0.70, 0.85):
+                fabric.restore(reset)
+                stop = share * total
+                fabric.run(lambda f: max(g.now for g in f._groups) >= stop)
+                engines = list(fabric.engines.values())
+                sw = [e for e in engines if isinstance(e, SwEngine)]
+                hw = [e for e in engines if isinstance(e, HwEngine)]
+                seen |= {
+                    name
+                    for name, nonempty in (
+                        ("busy", any(e.busy for e in hw)),
+                        ("pools", any(d.pool.pending for d in fabric.topology)),
+                        ("parked", any(e._pending_deliveries for e in engines)),
+                        ("updates", any(e._pending_updates for e in sw)),
+                        ("fail_costs", any(e._last_fail_cost for e in sw)),
+                    )
+                    if nonempty
+                }
+                mid = fabric.snapshot()
+                straight_on = finish(fabric, workload)
+                fabric.restore(mid)
+                assert fabric.snapshot() == mid
+                assert finish(fabric, workload) == straight_on
+        # Only the source tier's dirty-set scheduling records fail costs.
+        expected = {"busy", "pools", "parked", "updates", "fail_costs"}
+        if backend == "interp":
+            expected.discard("fail_costs")
+        assert seen == expected
 
     def test_failed_request_does_not_poison_the_server(self):
         server = FabricServer(vp.build_partition, ("B", PARAMS))
