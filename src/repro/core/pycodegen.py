@@ -8,8 +8,9 @@ operators inlined as Python infix, environment frames become local
 variables, registers and kernel functions resolved to direct names in the
 module namespace, the native methods of FIFOs, memories and wires inlined
 from their :class:`~repro.core.module.NativeTemplate`, a failed guard
-raising the one shared, prebuilt ``GuardFail`` (``_GF``) -- and the module
-is ``exec``-compiled at elaboration time.
+returning None from a hardware rule function's own level and raising the
+one shared, prebuilt ``GuardFail`` (``_GF``) anywhere else -- and the
+module is ``exec``-compiled at elaboration time.
 
 Two generation modes reproduce the tree walker's observable behaviour
 bit-for-bit:
@@ -402,9 +403,12 @@ def dump_source(directory: str, name: str, digest: str, source: str) -> str:
 #: Names every generated module binds, whatever it lowers.  ``_GF`` is
 #: the one ``GuardFail`` generated code raises: a failed guard is control
 #: flow, caught inside the engine step, so no raise site needs its own
-#: message.  Raising an exception extends the traceback it still holds, so
-#: every generated ``except GuardFail:`` clears it; no traceback outlives
-#: its handler and pins the frames it passed through.
+#: message.  A latency rule function returns None for a failure at its own
+#: level instead; ``_GF`` is raised only in a ``localGuard`` body, a lazy
+#: let's thunk, a user method and count-mode attempts.
+#: Raising an exception extends the traceback it still holds, so every
+#: generated ``except GuardFail:`` clears it; no traceback outlives its
+#: handler and pins the frames it passed through.
 _BASE_BINDINGS: Dict[str, Any] = {
     "_GF": GuardFail(),
     "GuardFail": GuardFail,
@@ -589,6 +593,30 @@ def _is_literal(value: Any) -> bool:
     )
 
 
+def _forces_first(node: Any, name: str) -> bool:
+    """Whether evaluating ``node`` starts by evaluating ``Var(name)``.
+
+    The walk follows the child each node evaluates first: the first
+    operand, argument, action or condition, a guard before its body, and
+    a nested let's body -- or its value, when that body forces it first.
+    A ``localGuard`` stops it."""
+    while True:
+        kind = type(node)
+        if kind is Var:
+            return node.name == name
+        if kind is WhenE or kind is WhenA:
+            node = node.guard
+        elif kind is LetE or kind is LetA:
+            node = node.value if _forces_first(node.body, node.name) else node.body
+        elif kind is LocalGuard:
+            return False
+        else:
+            children = node.children()
+            if not children:
+                return False
+            node = children[0]
+
+
 def _lowering(rule: Rule, mode: str, lower: Callable[[], Any]) -> Any:
     """Run ``lower()``; an untranslatable node is an ``ElaborationError``
     naming the rule, the generation mode and the node."""
@@ -647,6 +675,10 @@ class _Lowerer:
         self.sink = "_cc"
         #: True while inside a statically costed region (charges pre-folded).
         self.charging = self.counting
+        #: True while lowering a latency rule function's own body outside
+        #: any ``localGuard``: a failed guard returns None there, and a let
+        #: whose body forces it first binds strictly (see :meth:`_lower_let`).
+        self.rule_level = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -692,6 +724,12 @@ class _Lowerer:
 
     def _const(self, value: Any) -> str:
         return repr(value) if _is_literal(value) else self.module.bind(value, "c")
+
+    def _guard(self, test: str) -> None:
+        """Emit the failure unless ``test`` holds: ``return None`` at rule
+        level, else a raise of the shared ``GuardFail``."""
+        self.w.emit(f"if not {test}:")
+        self.w.emit("    return None" if self.rule_level else "    raise _GF")
 
     # -- expressions -------------------------------------------------------
 
@@ -767,22 +805,11 @@ class _Lowerer:
             return t
 
         if isinstance(expr, WhenE):
-            guard = self.lower_expr(expr.guard)
-            w.emit(f"if not {guard}:")
-            w.emit("    raise _GF")
+            self._guard(self.lower_expr(expr.guard))
             return self.lower_expr(expr.body)
 
         if isinstance(expr, LetE):
-            local = self._lower_let(expr.name, expr.value)
-            saved = self.scope.get(expr.name)
-            self.scope[expr.name] = ("thunk", local)
-            try:
-                return self.lower_expr(expr.body)
-            finally:
-                if saved is None:
-                    del self.scope[expr.name]
-                else:
-                    self.scope[expr.name] = saved
+            return self._lower_let(expr, self.lower_expr)
 
         if isinstance(expr, FieldSelect):
             self._charge_alu()
@@ -836,22 +863,47 @@ class _Lowerer:
         w.emit(f"    {t} = bool({right})")
         return t
 
-    def _lower_let(self, name: str, value: Expr) -> str:
-        """Emit a lazy binding; returns the local holding the thunk cell.
+    def _lower_let(self, let: Any, lower_body: Callable[[Any], str]) -> str:
+        """Lower a ``LetE``/``LetA`` binding, then its body with ``lower_body``.
 
-        The tree walker's ``_Thunk`` captures the binding-site ``read`` and
-        hooks; the generated thunk does the same by passing ``read`` and the
+        The binding is lazy: its local holds a thunk cell.  The tree
+        walker's ``_Thunk`` captures the binding-site ``read`` and hooks;
+        the generated thunk does the same by passing ``read`` and the
         charge cell ``_cl`` into a module-level value function explicitly,
         so a thunk forced under a ``Seq``/``Loop`` overlay still reads
         through the binding-site view and charges the binding-site cell.
+
+        At rule level the binding is strict when the first node its body
+        evaluates is the variable (:func:`_forces_first`): the value is
+        then computed before the body, through the same ``read``, with its
+        kernels called in the same order, and a failed value returns from
+        the rule function instead of raising out of a thunk.  Only charges
+        move: a node entered on the way down to the variable (a memory
+        method's read latency, an operator's software cost) charges before
+        its operands, so a failing value now comes first.  At rule level a
+        failure discards the charge.  Where charges made before a failure
+        are kept -- a ``localGuard`` body, a thunk or user method (which may
+        run under one), a ``count``-mode attempt -- lets stay lazy.
         """
         w = self.w
-        value_fn = self._lower_scoped_fn("lv", value, is_action=False)
-        free = [local for _, (_, local) in self._free_scope(value)]
-        cell = w.tmp()
-        captured = ", ".join(["_cl"] + free)
-        w.emit(f"{cell} = [False, None, {value_fn}, {self.read}, ({captured},)]")
-        return cell
+        if self.rule_level and _forces_first(let.body, let.name):
+            entry = ("strict", self._materialize([([], self.lower_expr(let.value))])[0])
+        else:
+            value_fn = self._lower_scoped_fn("lv", let.value, is_action=False)
+            free = [local for _, (_, local) in self._free_scope(let.value)]
+            cell = w.tmp()
+            captured = ", ".join(["_cl"] + free)
+            w.emit(f"{cell} = [False, None, {value_fn}, {self.read}, ({captured},)]")
+            entry = ("thunk", cell)
+        saved = self.scope.get(let.name)
+        self.scope[let.name] = entry
+        try:
+            return lower_body(let.body)
+        finally:
+            if saved is None:
+                del self.scope[let.name]
+            else:
+                self.scope[let.name] = saved
 
     def _lower_scoped_fn(self, stem: str, node: Any, is_action: bool) -> str:
         """Lower ``node`` as a module-level function over its free scope vars.
@@ -980,9 +1032,7 @@ class _Lowerer:
             return t
 
         if isinstance(action, WhenA):
-            guard = self.lower_expr(action.guard)
-            w.emit(f"if not {guard}:")
-            w.emit("    raise _GF")
+            self._guard(self.lower_expr(action.guard))
             return self.lower_action(action.body)
 
         if isinstance(action, Par):
@@ -1036,16 +1086,7 @@ class _Lowerer:
             return overlay
 
         if isinstance(action, LetA):
-            local = self._lower_let(action.name, action.value)
-            saved = self.scope.get(action.name)
-            self.scope[action.name] = ("thunk", local)
-            try:
-                return self.lower_action(action.body)
-            finally:
-                if saved is None:
-                    del self.scope[action.name]
-                else:
-                    self.scope[action.name] = saved
+            return self._lower_let(action, self.lower_action)
 
         if isinstance(action, Loop):
             limit = min(action.max_iterations, self.max_loop_iterations)
@@ -1079,7 +1120,9 @@ class _Lowerer:
         if isinstance(action, LocalGuard):
             t = w.tmp()
             w.emit("try:")
+            rule_level, self.rule_level = self.rule_level, False
             body_stmts, body = self._capture(lambda: self.lower_action(action.body))
+            self.rule_level = rule_level
             w.emit_lines(_reindent(body_stmts))
             w.emit(f"    {t} = {body}")
             w.emit("except GuardFail:")
@@ -1143,8 +1186,7 @@ class _Lowerer:
             [self._capture(lambda a=a: self.lower_expr(a)) for a in call.args]
         )
         arglist = ", ".join([self.read, "_cl"] + values)
-        w.emit(f"if not {guard_name}({arglist}):")
-        w.emit("    raise _GF")
+        self._guard(f"{guard_name}({arglist})")
         t = w.tmp()
         w.emit(f"{t} = {body_name}({arglist})")
         return t
@@ -1180,8 +1222,7 @@ class _Lowerer:
                 else:
                     fields[attr] = bind(value, "c", key=(id(instance), attr))
             if guard is not None:
-                w.emit(f"if not ({guard.format(**fields)}):")
-                w.emit("    raise _GF")
+                self._guard(f"({guard.format(**fields)})")
         if not is_action:
             return f"({template.result.format(**fields)})"
         if self.counting and self.charging:
@@ -1522,6 +1563,7 @@ def _lower_rule_fn(
     low = _Lowerer(module, "latency", max_loop_iterations)
     low.w = _FnWriter(name, ["read", "_cl"])
     low.sink = "_cl[0]"
+    low.rule_level = True
     result = low.lower_action(action)
     low.w.emit(f"return {result}")
     module.add(low.w.lines)
@@ -1530,23 +1572,28 @@ def _lower_rule_fn(
 class SourceRuleExec:
     """The generated entry point for one rule: ``latency(read, cell)``.
 
-    ``latency`` is a plain generated function returning the rule's updates;
-    it adds the rule's FSM cycles beyond the first to ``cell[0]`` (a
-    one-element list): the constant and callable ``hw_cycles`` of its
-    kernels and the ``read_latency`` of its memories, folded at
-    generation, exactly as ``HwLatencyAccumulator`` counts them (the
-    ``Simulator`` discards the charge).  ``fixed_latency`` is True when
-    that lowering charged nothing, through thunks and user methods
-    included: the rule always takes one cycle and its ``latency``
-    function never touches the cell.
+    ``latency`` is a plain generated function returning the rule's
+    updates, or None when a guard fails at its own level; it adds the
+    rule's FSM cycles beyond the first to ``cell[0]`` (a one-element
+    list): the constant and callable ``hw_cycles`` of its kernels and the
+    ``read_latency`` of its memories, folded at generation, exactly as
+    ``HwLatencyAccumulator`` counts them (the ``Simulator`` discards the
+    charge).  ``fixed_latency`` is True when that lowering charged
+    nothing, through thunks and user methods included: the rule always
+    takes one cycle and its ``latency`` function never touches the cell.
+    ``raises`` is True when the unit still has a raise site of the shared
+    ``GuardFail`` (in a ``localGuard`` body, a lazy let's thunk or a user
+    method), so a failure may also arrive as that exception; a foreign
+    kernel never raises it.
     """
 
-    __slots__ = ("rule", "latency", "fixed_latency")
+    __slots__ = ("rule", "latency", "fixed_latency", "raises")
 
-    def __init__(self, rule: Rule, latency, fixed_latency: bool):
+    def __init__(self, rule: Rule, latency, fixed_latency: bool, raises: bool):
         self.rule = rule
         self.latency = latency
         self.fixed_latency = fixed_latency
+        self.raises = raises
 
 
 def generate_rule_execs(
@@ -1575,7 +1622,8 @@ def generate_rule_execs(
 
         gen, charged = _lower_unit(name, rule, *_shape_key(head, "latency", rule.action), lower)
         units.append(gen)
-        execs.append(SourceRuleExec(rule, gen.namespace["_rule_latency"], not charged))
+        raises = "raise _GF" in gen.source
+        execs.append(SourceRuleExec(rule, gen.namespace["_rule_latency"], not charged, raises))
     return execs, tuple(units)
 
 
@@ -1825,7 +1873,11 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
       registers; a busy rule has locked its own write set, so only a rule
       with an empty write set needs the busy test.  Its ``latency``
       function (:class:`SourceRuleExec`) returns its updates and leaves its
-      FSM latency in the charge cell; a ``GuardFail`` puts it to sleep.
+      FSM latency in the charge cell, or returns None when it fails, which
+      puts it to sleep.  Only a unit that still has a raise site
+      (``SourceRuleExec.raises``) is called under ``try``/``except
+      GuardFail``, whose handler stands in for the None; this relies on
+      foreign kernels, pure functions, never raising ``GuardFail``.
     * **Selection**: ``HwSchedule.select``'s greedy pass in urgency order,
       unrolled into one boolean per rule: enabled, and no earlier chosen
       rule conflicts with it.
@@ -1838,8 +1890,8 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
       chosen).  The candidate test has already shown that a chosen rule's
       write set misses the registers locked when the cycle began.  Updates
       commit through the module's ``_commit``, which wakes the readers of
-      each written register directly; a guard failure marks its rule
-      asleep inline.
+      each written register directly; a failed re-evaluation marks its
+      rule asleep inline.
     * **Fixed-latency rules**: a rule whose ``latency`` lowering charged
       nothing (``SourceRuleExec.fixed_latency``) always takes one cycle.
       Its block drops the charge cell and the lock branch, it never
@@ -1876,29 +1928,26 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     wsets = [engine._write_sets[rule] for rule in rules]
     rsets = [engine._read_sets[rule] for rule in rules]
     fixed = [execs[rule].fixed_latency for rule in rules]
+    raises = [execs[rule].raises for rule in rules]
     for i, rule in enumerate(rules):
         b[f"_R{i}"] = rule
         b[f"_L{i}"] = execs[rule].latency
         b[f"_W{i}"] = frozenset(wsets[i])
         b[f"_F{i}"] = rule.full_name
 
-    def evaluate(i: int, indent: str, on_fail: List[str]) -> List[str]:
-        # A candidate is awake, so a guard failure puts it to sleep as is.
-        if fixed[i]:
-            call = [f"{indent}try:", f"{indent}    _u{i} = _L{i}(_read, None)"]
+    def evaluate(i: int, indent: str) -> List[str]:
+        # A candidate is awake, so a failure puts it to sleep as is.
+        call = f"_u{i} = _L{i}(_read, {'None' if fixed[i] else '_cl'})"
+        lines = [] if fixed[i] else ["_cl[0] = 0"]
+        if raises[i]:
+            lines += ["try:", f"    {call}", "except GuardFail:"]
+            lines += ["    _GF.__traceback__ = None", f"    _u{i} = None"]
         else:
-            call = [
-                f"{indent}_cl[0] = 0",
-                f"{indent}try:",
-                f"{indent}    _u{i} = _L{i}(_read, _cl)",
-                f"{indent}    _l{i} = 1 + _cl[0]",
-            ]
-        return call + [
-            f"{indent}except GuardFail:",
-            f"{indent}    _GF.__traceback__ = None",
-            f"{indent}    _sleeping[{i}] = 1",
-            f"{indent}    _wakeup.n_sleeping += 1",
-        ] + [f"{indent}    {line}" for line in on_fail]
+            lines.append(call)
+        lines += [f"if _u{i} is None:", f"    _sleeping[{i}] = 1", "    _wakeup.n_sleeping += 1"]
+        if not fixed[i]:
+            lines += ["else:", f"    _l{i} = 1 + _cl[0]"]
+        return [indent + line for line in lines]
 
     body: List[str] = []
     for i, rule in enumerate(rules):
@@ -1909,7 +1958,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
         else:
             free = f" and _R{i} not in _busy"
         body += [f"# {_rule_path(rule)}", f"_u{i} = None", f"if not _sleeping[{i}]{free}:"]
-        body += evaluate(i, "    ", [])
+        body += evaluate(i, "    ")
 
     # Static schedule: for each rule in urgency order, the earlier rules
     # that exclude it from the chosen set, whose deferred updates lock it
@@ -1957,7 +2006,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
                 f"{module.bind(reg, 'r')} in _m{j}" for j, regs in writers for reg in regs
             )
             body.append(f"    if {reread}:")
-            body += evaluate(k, "        ", [f"_u{k} = None"])
+            body += evaluate(k, "        ")
             body.append(f"    if _u{k} is not None:")
             indent = "        "
         fire = [
@@ -2325,29 +2374,47 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
     the channel's ``stalled_on_credit`` and leaves the call out, so a pump
     is called only when it can send.
 
+    Only the loop's own delivery and pump calls touch the group's pools
+    while it runs, so each pool's next due time (its head's, ``_INF``
+    when it is empty) lives in a local: read once per run, and again
+    after a delivery (which advances the head) or a pump (which appends,
+    so the pool is not empty) that returned True.  The delivery tests and
+    the idle scan compare locals instead of testing each due ring's length
+    and indexing it every iteration.
+
     Engine ``step`` / ``step_cycle`` attributes are read once per run, in
     the prologue, so wrappers installed after elaboration are the ones
     called.  ``checks`` (``(mapping, register, minimum)`` triples, or None)
     replaces the per-iteration ``done(fabric)`` call with inline
-    ``mapping[register] >= minimum`` tests; ``done`` is still called
-    wherever the interpreted loop calls it outside the loop top.  Returns
-    the completion flag; an exhausted budget raises
-    ``group.budget_error``.  The clock lives in a local and is written
-    back to ``group.now`` on every change.
+    ``mapping[register] >= minimum`` tests, a single triple unpacked into
+    locals once per run; ``done`` is still called wherever the
+    interpreted loop calls it outside the loop top.  Returns the
+    completion flag; an exhausted budget raises ``group.budget_error``.
+    The clock lives in a local and is written back to ``group.now`` on
+    every change.
     """
     module = _ModuleBuilder(f"{name}.loop")
     bind = module.bind
     module.bindings["_group"] = group
     module.bindings["_fabric"] = group.fabric
+    module.bindings["_INF"] = float("inf")
+    # id(pool) -> the local holding its next due time.  A route's link is
+    # attributed to the group its endpoints lie in, so every pool the
+    # routes use is one of the group's.
+    next_due = {id(pool): f"_n{j}" for j, pool in enumerate(group._pools)}
+
+    def read_next_due(pool: Any) -> List[str]:
+        p, due = bind(pool, "q"), bind(pool.due, "d")
+        return [f"_h = {p}.head", f"{next_due[id(pool)]} = {due}[_h] if _h < len({due}) else _INF"]
+
     prologue: List[str] = []
     phases: List[str] = []
     for (direction, _target, _sw), deliver in zip(group.delivery_routes, group.deliver_fns):
-        pool, due = bind(direction.pool, "q"), bind(direction.pool.due, "d")
         phases += [
-            f"_h = {pool}.head",
-            f"if _h < len({due}) and {due}[_h] <= now and {bind(deliver, 'f')}(now):",
+            f"if {next_due[id(direction.pool)]} <= now and {bind(deliver, 'f')}(now):",
             "    progress = True",
         ]
+        phases += ["    " + line for line in read_next_due(direction.pool)]
     for i, engine in enumerate(group.hw_engines):
         if not engine.rules:
             continue
@@ -2372,53 +2439,59 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
             "    progress = True",
         ]
     for route, pump in zip(group.routes, group.pump_fns):
-        sync, vc, producer, producer_store, consumer_store, _direction, sw = route
+        sync, vc, producer, producer_store, consumer_store, direction, sw = route
         reg = bind(sync.data, "r")
         view = None if sw else bind(producer._locked_count.keys(), "v", key=(id(producer), "locked"))
         locked = _locked_test(bind(producer, "e"), reg, view)
         depth = bind(sync.depth, "c", key=(id(sync), "depth"))
         channel = bind(vc, "vc")
+        pool = direction.pool
         phases += [
             f"if {bind(producer_store, 's')}[{reg}] and not {locked}:",
             f"    if {depth} - len({bind(consumer_store, 's')}[{reg}]) - {channel}.in_flight <= 0:",
             f"        {bind(vc.stats, 'vs')}.stalled_on_credit += 1",
             f"    elif {bind(pump, 'f')}(now):",
             "        progress = True",
+            f"        {next_due[id(pool)]} = {bind(pool.due, 'd')}[{bind(pool, 'q')}.head]",
         ]
     # The idle skip's running minimum visits the candidates in the order
     # the interpreted loop lists them, so ties resolve identically.
-    scan: List[str] = []
-    for pool in group._pools:
-        p, due = bind(pool, "q"), bind(pool.due, "d")
-        scan += [
-            f"_h = {p}.head",
-            f"if _h < len({due}) and (_nt is None or {due}[_h] < _nt):",
-            f"    _nt = {due}[_h]",
-        ]
+    scanned = list(next_due.values())
+    scan = [f"_nt = {scanned[0] if scanned else '_INF'}"]
+    for local in scanned[1:]:
+        scan += [f"if {local} < _nt:", f"    _nt = {local}"]
     for engine in group.hw_engines:
         scan += [
             f"_t = {bind(engine, 'e')}._next_finish",
-            "if _t is not None and (_nt is None or _t < _nt):",
+            "if _t is not None and _t < _nt:",
             "    _nt = _t",
         ]
     for engine in group.sw_engines:
         e = bind(engine, "e")
         scan += [
             f"_t = {e}.busy_until",
-            f"if (now < _t or {e}._pending_updates is not None) "
-            "and (_nt is None or _t < _nt):",
+            f"if (now < _t or {e}._pending_updates is not None) and _t < _nt:",
             "    _nt = _t",
         ]
+    for pool in group._pools:
+        prologue += read_next_due(pool)
     body = "\n".join(
         ["def run(done, checks, max_cycles, max_iterations):"]
         + ["    " + line for line in prologue]
         + [
+            "    _one = checks is not None and len(checks) == 1",
+            "    if _one:",
+            "        ((_cmap, _creg, _cmin),) = checks",
             "    now = _group.now",
             "    completed = False",
             "    iterations = 0",
             "    while now <= max_cycles and iterations < max_iterations:",
             "        iterations += 1",
-            "        if checks is not None:",
+            "        if _one:",
+            "            if _cmap[_creg] >= _cmin:",
+            "                completed = True",
+            "                break",
+            "        elif checks is not None:",
             "            for _map, _reg, _min in checks:",
             "                if not _map[_reg] >= _min:",
             "                    break",
@@ -2436,11 +2509,10 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
             "            now += 1.0",
             "            _group.now = now",
             "            continue",
-            "        _nt = None",
         ]
         + ["        " + line for line in scan]
         + [
-            "        if _nt is None:",
+            "        if _nt == _INF:",
             "            completed = True if done is None else done(_fabric)",
             "            break",
             "        _t = now + 1.0",

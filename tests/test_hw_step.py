@@ -15,7 +15,10 @@ The corpus aims at the commit phase's two same-cycle hazards -- a chosen
 rule re-evaluated after an earlier rule committed to what it reads, and a
 chosen rule locked out by an earlier rule that deferred its updates -- and
 at the latencies only a hardware engine charges: callable ``hw_cycles``
-and memories with ``read_latency`` above 1.
+and memories with ``read_latency`` above 1.  It also covers how a rule
+function fails: a failed guard at its own level returns None, a let whose
+body forces it first binds strictly, and a lazy let's thunk, a
+``localGuard`` body and a user method still raise the shared ``GuardFail``.
 """
 
 import random
@@ -23,11 +26,15 @@ import random
 import pytest
 
 from repro.core.action import LetA, LocalGuard, WhenA, par
-from repro.core.expr import BinOp, Const, KernelCall, RegRead, Var
+from repro.core.errors import GuardFail
+from repro.core.expr import BinOp, Const, KernelCall, RegRead, Var, WhenE
 from repro.core.module import Design, Module
 from repro.core.primitives import Fifo, RegFile
+from repro.core.pycodegen import generate_rule_execs
 from repro.core.types import UIntT
 from repro.sim.hwsim import HwEngine
+
+from test_guards_and_optimize import build_lazy_let
 
 
 def _add(a, b):
@@ -212,6 +219,61 @@ def folded_latencies(rng):
     return design, design.initial_store(), None
 
 
+def failing_lets(rng):
+    """Lets whose value fails, and local guards, under a clock whose phase
+    the guards read.  ``strict``'s body forces its let first, so the let
+    binds strictly and a failed value returns from the rule function;
+    ``guard_first``'s body fails another guard before forcing its let;
+    ``in_local``'s let is bound inside a ``localGuard`` body that enters a
+    memory method (charging its read latency) before forcing the let, so
+    the charge stays when the value fails; ``local_top``'s ``localGuard``
+    body fails at its own level."""
+    top = Module("lets")
+    init = [rng.randrange(50) for _ in range(8)]
+    mem = top.add_submodule(RegFile("mem", UIntT(32), size=8, init=init, read_latency=3))
+    t, bump_t, more_t = _counted(top, "t", 40)
+    top.add_rule("clock", bump_t.when(more_t))
+
+    def on_phase(shift):
+        # True on two of every three clock values.
+        return BinOp("!=", BinOp("%", _add(RegRead(t), Const(shift)), Const(3)), Const(0))
+
+    def kernel(name, reg):
+        return KernelCall(
+            name, lambda v: (7 * v + 2) % 89, [RegRead(reg)], hw_cycles=lambda v: 1 + v % 3
+        )
+
+    limit = rng.randint(5, 8)
+    rules = {}
+    for name in ("strict", "guard_first", "in_local", "local_top"):
+        n, bump, more = _counted(top, f"n_{name}", limit)
+        out = top.add_register(f"out_{name}", UIntT(32), 0)
+        rules[name] = (n, bump, more, out)
+    n, bump, more, out = rules["strict"]
+    value = WhenE(kernel("strict", n), on_phase(0))
+    body = par(out.write(_add(Var("v"), RegRead(out))), bump)
+    top.add_rule("strict", LetA("v", value, body).when(more))
+    n, bump, more, out = rules["guard_first"]
+    value = WhenE(kernel("guard_first", n), on_phase(1))
+    body = WhenA(par(out.write(Var("v")), bump), on_phase(2))
+    top.add_rule("guard_first", LetA("v", value, body).when(more))
+    n, bump, more, _ = rules["in_local"]
+    value = WhenE(kernel("in_local", n), on_phase(2))
+    body = mem.call("upd", BinOp("%", Var("v"), Const(8)), RegRead(n))
+    top.add_rule("in_local", par(LocalGuard(LetA("v", value, body)), bump).when(more))
+    n, bump, more, out = rules["local_top"]
+    body = WhenA(out.write(kernel("local_top", n)), on_phase(1))
+    top.add_rule("local_top", par(LocalGuard(body), bump).when(more))
+    design = Design(top, name="failing_lets")
+    return design, design.initial_store(), None
+
+
+def lazy_let(rng):
+    """A let never forced while its value's guard fails: the rule fires."""
+    design = build_lazy_let()
+    return design, design.initial_store(), None
+
+
 def _state(engine):
     """Everything a cycle reads or writes, keyed by names."""
     return (
@@ -272,6 +334,8 @@ CORPUS = {
     "multicycle_enqueue": multicycle_enqueue,
     "conflict_chain": conflict_chain,
     "folded_latencies": folded_latencies,
+    "failing_lets": failing_lets,
+    "lazy_let": lazy_let,
 }
 SEEDS = range(6)
 
@@ -313,6 +377,36 @@ class TestGeneratedCycle:
         # above what one kernel's callable cost reaches on its own.
         _, latencies = run_lockstep(folded_latencies, 0)
         assert len(set(latencies)) >= 3 and max(latencies) > 4
+
+    def test_failing_lets_fail_as_lowered(self):
+        """How each failing-let rule fails, called alone at a clock value
+        where its guard fails: ``strict``'s failed value and
+        ``guard_first``'s failed body guard return None, ``guard_first``'s
+        failed thunk raises, ``in_local``'s ``localGuard`` drops its body
+        but keeps the read latency charged before the failure, and
+        ``local_top``'s drops its body.  Only the units that keep a raise
+        site are called under a handler."""
+        design, store, _ = failing_lets(random.Random(0))
+        engine = HwEngine(list(design.all_rules()), dict(store), backend="source")
+        execs, _ = generate_rule_execs(engine.rules, "lets")
+        by_name = {ex.rule.name: ex for ex in execs}
+        clock = next(reg for reg in store if reg.name == "t")
+
+        def attempt(name, t):
+            cell = [0]
+            updates = by_name[name].latency({**store, clock: t}.__getitem__, cell)
+            return None if updates is None else sorted(reg.name for reg in updates), cell[0]
+
+        assert attempt("strict", 0) == (None, 0)
+        assert attempt("guard_first", 1) == (None, 0)
+        with pytest.raises(GuardFail):
+            attempt("guard_first", 2)
+        assert attempt("in_local", 1) == (["n_in_local"], 2)
+        assert attempt("local_top", 2) == (["n_local_top"], 0)
+        raising = {name for name, ex in by_name.items() if ex.raises}
+        assert raising == {"guard_first", "in_local", "local_top"}
+        step = engine._step_gen.source
+        assert step.count("except GuardFail:") == len(raising)
 
 
 def _rules_store(build, seed):

@@ -9,8 +9,10 @@ module's header depends only on the shape it lowers, so each distinct
 text compiles once, yet every instance runs its own copy of the code
 under its own filename.  Each rule shape is lowered once, and a cached
 lowering equals a fresh one: same text, same names, same bound objects.
-Every failed guard raises one shared ``GuardFail`` whose handler clears
-its traceback, so generated code pins no caller's frames.
+A shipped hardware rule fails by returning None: no rule unit of the
+sweep raises or forces a thunk, and no hardware step catches.  Where
+generated code still raises, it raises one shared ``GuardFail`` whose
+handler clears its traceback, so generated code pins no caller's frames.
 
 The generated group loops also keep the interpreted loop's contract: step
 wrappers installed after elaboration run, an exhausted budget raises the
@@ -413,9 +415,20 @@ class TestShapeOnlyText:
             assert defines == calls, module.name
             assert "_force_added" not in module.namespace
         assert any("def _force(" in module.source for module in recorded_modules)
+        # Every shipped hardware rule fails by returning None: its lets
+        # bind strictly, so no rule unit raises or forces a thunk, and no
+        # hardware step calls a rule under a handler.
+        for module in recorded_modules:
+            kind = _kind(module)
+            if kind == "rules":
+                assert "raise _GF" not in module.source, module.name
+                assert "def _force(" not in module.source, module.name
+            elif kind == "hwstep":
+                assert "except GuardFail" not in module.source, module.name
+        assert by_kind["rules"] and by_kind["hwstep"]
 
         assert len(compiled) <= 60
-        assert sum(compiled) < 110_500
+        assert sum(compiled) < 107_200
 
         # The link codecs are compiled apart from the generated modules:
         # one text per struct layout, the ray tracer's eight channel types.
