@@ -305,30 +305,91 @@ def gen_frame_oracle(
     return tuple(FixedPoint.from_float(v, int_bits, frac_bits) for v in values)
 
 
-def gen_frame(index: int, n: int, seed: int = 2012, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
-    """Generate one synthetic spectral frame (dispatching front end).
-
-    The LCG is inherently sequential, so both fast backends share one
-    raw-integer quantisation loop, with :func:`raw_from_float`'s rounding
-    and wrap inlined, plus the result cache (the scalar arguments are the
-    whole input, making this the cheapest key in the cache).
-    """
-    if kc.kernel_backend() == "oracle":
-        return gen_frame_oracle(index, n, seed, int_bits, frac_bits)
-    key = ("gen_frame", index, n, seed, int_bits, frac_bits)
-    hit = kc.cache_get(key)
-    if hit is not None:
-        return hit
+def _gen_frame_raw(state: int, n: int, int_bits: int, frac_bits: int) -> List[int]:
+    """The oracle's loop over raw integers, with :func:`raw_from_float`'s
+    rounding and wrap inlined."""
     total = int_bits + frac_bits
     mask = (1 << total) - 1
     sign = 1 << (total - 1)
     one = 1 << frac_bits
-    state = (seed * 2654435761 + index * 40503 + 12345) & 0xFFFFFFFF
     raws = []
     append = raws.append
     for _ in range(n):
         state = (1103515245 * state + 12345) & 0x7FFFFFFF
         append(((round((((state / float(0x7FFFFFFF)) * 1.8) - 0.9) * one) & mask) ^ sign) - sign)
+    return raws
+
+
+@lru_cache(maxsize=None)
+def _lcg_plan(n: int, frac_bits: int):
+    """The generator's closed form over ``n`` steps, and the constants of
+    the quantisation that follows.
+
+    After step ``k`` the state is ``(A_k * s0 + C_k) mod 2**31``, where
+    ``s0`` is the seed state mod ``2**31``, ``A_k = a**k`` and ``C_k = c *
+    (1 + a + ... + a**(k-1))``, both mod ``2**31``, for the multiplier
+    ``a`` and increment ``c`` of the loop; every ``A_k * s0`` is below
+    ``2**62``, so no int64 product overflows.  Returns the ``A`` and
+    ``C`` tables, then 0-d constants: the state mask and the float
+    operands in the order the loop applies them (``/ (2**31 - 1)``,
+    ``* 1.8``, ``- 0.9``, ``* 2**frac_bits``).
+    """
+    np = kc.np
+    mults, adds = [], []
+    a, c = 1, 0
+    for _ in range(n):
+        a = (1103515245 * a) & 0x7FFFFFFF
+        c = (1103515245 * c + 12345) & 0x7FFFFFFF
+        mults.append(a)
+        adds.append(c)
+    floats = (float(0x7FFFFFFF), 1.8, 0.9, float(1 << frac_bits))
+    tables = (kc.np_table(mults), kc.np_table(adds), kc.np_table(0x7FFFFFFF))
+    return tables + tuple(np.array(f) for f in floats)
+
+
+def _gen_frame_np(state: int, n: int, int_bits: int, frac_bits: int) -> List[int]:
+    """The loop in closed form (:func:`_lcg_plan`): the same float
+    operations in the same order, then ``rint`` (half to even, like
+    ``round``) and the two-shift wrap."""
+    np = kc.np
+    mults, adds, mask, span, scale, shift, one = _lcg_plan(n, frac_bits)
+    _, up, _, down = _np_consts(int_bits, frac_bits)
+    s = mults * (state & 0x7FFFFFFF)
+    s += adds
+    s &= mask
+    x = s / span
+    x *= scale
+    x -= shift
+    x *= one
+    np.rint(x, out=x)
+    v = x.astype(np.int64)
+    vu = v.view(np.uint64)
+    vu <<= up
+    v >>= down
+    return v.tolist()
+
+
+def gen_frame(index: int, n: int, seed: int = 2012, int_bits: int = 8, frac_bits: int = 24) -> FixVec:
+    """Generate one synthetic spectral frame (dispatching front end).
+
+    The ``python`` backend runs the generator's loop over raw integers;
+    the ``numpy`` backend computes every state at once from the loop's
+    closed form (:func:`_gen_frame_np`).  Both use the result cache (the
+    scalar arguments are the whole input, making this the cheapest key in
+    the cache).
+    """
+    backend = _backend_for(int_bits + frac_bits)
+    if backend == "oracle":
+        return gen_frame_oracle(index, n, seed, int_bits, frac_bits)
+    key = ("gen_frame", index, n, seed, int_bits, frac_bits)
+    hit = kc.cache_get(key)
+    if hit is not None:
+        return hit
+    state = (seed * 2654435761 + index * 40503 + 12345) & 0xFFFFFFFF
+    if backend == "numpy":
+        raws = _gen_frame_np(state, n, int_bits, frac_bits)
+    else:
+        raws = _gen_frame_raw(state, n, int_bits, frac_bits)
     return kc.cache_put(key, box_fixed_vector(raws, int_bits, frac_bits))
 
 

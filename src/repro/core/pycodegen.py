@@ -10,7 +10,10 @@ module namespace, the native methods of FIFOs, memories and wires inlined
 from their :class:`~repro.core.module.NativeTemplate`, a failed guard
 returning None from a hardware rule function's own level and raising the
 one shared, prebuilt ``GuardFail`` (``_GF``) anywhere else -- and the
-module is ``exec``-compiled at elaboration time.
+module is ``exec``-compiled at elaboration time.  A hardware rule function
+tests the implicit conditions of the FIFO calls it makes unconditionally
+before its first kernel, as Section 6.3's lifted guard enables a hardware
+rule, so a rule that cannot fire computes nothing.
 
 Two generation modes reproduce the tree walker's observable behaviour
 bit-for-bit:
@@ -617,6 +620,74 @@ def _forces_first(node: Any, name: str) -> bool:
             node = children[0]
 
 
+#: Nodes that evaluate every child whenever they are evaluated, on the
+#: state they see (a ``&&`` or ``||`` excepted).
+_STRICT_NODES = (
+    Par, WhenA, WhenE, RegWrite, MethodCallA, MethodCallE, KernelCall, UnOp, BinOp, FieldSelect
+)
+
+
+def _unconditional_children(node: Any) -> List[Any]:
+    """The children of ``node`` that a latency rule function evaluates
+    whenever it evaluates ``node``, on the state ``node`` sees.
+
+    A strict node's children (a method call's are its arguments: a user
+    method's body is a function of its own), a ``seq``'s first action (the
+    tail runs on what the head wrote), the condition of a ``mux`` or
+    ``if`` and the left operand of a ``&&`` or ``||`` (the rest runs under
+    a condition), a ``let``'s body, and its value when the let binds
+    strictly (a lazy value runs only if forced, in its thunk).  Nothing
+    else: a ``loop`` re-runs under its overlay, a ``localGuard`` body's
+    failure is caught, and a node not listed here lifts nothing.
+    """
+    kind = type(node)
+    if kind is BinOp and node.op in ("&&", "||"):
+        return [node.left]
+    if kind in _STRICT_NODES:
+        return node.children()
+    if kind is Seq:
+        return node.actions[:1]
+    if kind is Mux or kind is IfA:
+        return [node.cond]
+    if kind is LetE or kind is LetA:
+        return [node.value, node.body] if _forces_first(node.body, node.name) else [node.body]
+    return []
+
+
+def _lifted_conditions(action: Action) -> Optional[Dict[tuple, tuple]]:
+    """The implicit conditions a latency rule function tests before its
+    first kernel (:meth:`_Lowerer._lower_kernel`).
+
+    They are the guards of the native calls it evaluates unconditionally
+    on its pre-state (:func:`_unconditional_children`) whose guard names no
+    method parameter, so reads only its instance's state: a FIFO's
+    ``notFull`` for ``enq``, ``notEmpty`` for ``first`` and ``deq``.  Keyed
+    ``(id(instance), guard)``, valued ``(instance, guard, guard fields)``;
+    None when the function evaluates no kernel unconditionally or there
+    is no such guard.
+    """
+    conditions: Dict[tuple, tuple] = {}
+    kernel = False
+    stack = [action]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is KernelCall:
+            kernel = True
+        elif (kind is MethodCallA or kind is MethodCallE) and isinstance(
+            node.instance, PrimitiveModule
+        ):
+            params = node.instance.get_method(node.method).params
+            template = node.instance.get_native(node.method).template
+            if template is not None and template.guard is not None:
+                attrs = _template_fields(template.guard, template.result, template.writes)[0]
+                if not any(attr in params for attr in attrs):
+                    key = (id(node.instance), template.guard)
+                    conditions[key] = (node.instance, template.guard, attrs)
+        stack += reversed(_unconditional_children(node))
+    return conditions if kernel and conditions else None
+
+
 def _lowering(rule: Rule, mode: str, lower: Callable[[], Any]) -> Any:
     """Run ``lower()``; an untranslatable node is an ``ElaborationError``
     naming the rule, the generation mode and the node."""
@@ -679,15 +750,27 @@ class _Lowerer:
         #: any ``localGuard``: a failed guard returns None there, and a let
         #: whose body forces it first binds strictly (see :meth:`_lower_let`).
         self.rule_level = False
+        #: Where a latency rule function evaluates a node unconditionally on
+        #: its pre-state, the implicit conditions it lifts and has not yet
+        #: tested (:func:`_lifted_conditions`); None anywhere else.
+        self.lift: Optional[Dict[tuple, tuple]] = None
+        #: The lifted conditions tested so far: key -> their guard's fields.
+        self.tested: Dict[tuple, Dict[str, str]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
-    def _capture(self, fn: Callable[[], str]) -> Tuple[List[str], str]:
-        saved = self.w.lines
+    def _capture(
+        self, fn: Callable[[], str], conditional: bool = False
+    ) -> Tuple[List[str], str]:
+        """Lower ``fn()`` into a statement list of its own; nothing lifts
+        out of it when it is evaluated only ``conditional``-ly."""
+        saved, lift = self.w.lines, self.lift
         self.w.lines = []
+        if conditional:
+            self.lift = None
         expr = fn()
         captured = self.w.lines
-        self.w.lines = saved
+        self.w.lines, self.lift = saved, lift
         return captured, expr
 
     def _materialize(self, parts: List[Tuple[List[str], str]]) -> List[str]:
@@ -790,8 +873,8 @@ class _Lowerer:
         if isinstance(expr, Mux):
             self._charge_alu()
             cond_stmts, cond = self._capture(lambda: self.lower_expr(expr.cond))
-            then_stmts, then = self._capture(lambda: self.lower_expr(expr.then))
-            else_stmts, orelse = self._capture(lambda: self.lower_expr(expr.orelse))
+            then_stmts, then = self._capture(lambda: self.lower_expr(expr.then), True)
+            else_stmts, orelse = self._capture(lambda: self.lower_expr(expr.orelse), True)
             if not cond_stmts and not then_stmts and not else_stmts:
                 return f"({then} if {cond} else {orelse})"
             w.emit_lines(cond_stmts)
@@ -845,7 +928,7 @@ class _Lowerer:
         w = self.w
         self._charge_alu()
         left_stmts, left = self._capture(lambda: self.lower_expr(expr.left))
-        right_stmts, right = self._capture(lambda: self.lower_expr(expr.right))
+        right_stmts, right = self._capture(lambda: self.lower_expr(expr.right), True)
         if not left_stmts and not right_stmts:
             if expr.op == "&&":
                 return f"(bool({right}) if {left} else False)"
@@ -953,23 +1036,28 @@ class _Lowerer:
             else:
                 self._charge(int(expr.sw_cycles) + self.params.kernel_dispatch)
             return f"{fn}({values})"
-        if self.timing:
-            # ``HwLatencyAccumulator.on_kernel``, folded: the kernel's FSM
-            # adds ``hw_cycles - 1`` cycles once its arguments are evaluated.
-            if callable(expr.hw_cycles):
-                values = self._kernel_args(expr)
-                cost_fn = self.module.bind(expr.hw_cycles, "k")
-                w.emit(f"{self.sink} += max(0, int({cost_fn}({values})) - 1)")
-                self.module.latency_charged = True
-                return f"{fn}({values})"
-            extra = max(0, int(expr.hw_cycles) - 1)
-            if extra:
-                values = self._kernel_args(expr)
-                w.charge(self.sink, extra)
-                self.module.latency_charged = True
-                return f"{fn}({values})"
-        args = self._operands(list(expr.args))
-        return f"{fn}({', '.join(args)})"
+        if not self.timing:
+            return f"{fn}({', '.join(self._operands(list(expr.args)))})"
+        # ``HwLatencyAccumulator.on_kernel``, folded: the kernel's FSM adds
+        # ``hw_cycles - 1`` cycles once its arguments are evaluated, and
+        # the lifted conditions are tested before either.
+        cycles = expr.hw_cycles
+        extra = None if callable(cycles) else max(0, int(cycles) - 1)
+        if extra == 0:
+            values = ", ".join(self._operands(list(expr.args)))
+        else:
+            values = self._kernel_args(expr)
+            self.module.latency_charged = True
+        if self.lift:
+            # A rule that cannot fire must not reach its kernel.
+            for condition in list(self.lift):
+                self._test_condition(condition)
+        if extra is None:
+            cost_fn = self.module.bind(cycles, "k")
+            w.emit(f"{self.sink} += max(0, int({cost_fn}({values})) - 1)")
+        else:
+            w.charge(self.sink, extra)
+        return f"{fn}({values})"
 
     def _kernel_args(self, expr: KernelCall) -> str:
         """Evaluate the arguments into names, in order (a charge or hook
@@ -1012,12 +1100,12 @@ class _Lowerer:
 
         if isinstance(action, IfA):
             cond_stmts, cond = self._capture(lambda: self.lower_expr(action.cond))
-            then_stmts, then = self._capture(lambda: self.lower_action(action.then))
+            then_stmts, then = self._capture(lambda: self.lower_action(action.then), True)
             if action.orelse is None:
                 else_stmts, orelse = [], "{}"
             else:
                 else_stmts, orelse = self._capture(
-                    lambda: self.lower_action(action.orelse)
+                    lambda: self.lower_action(action.orelse), True
                 )
             if not cond_stmts and not then_stmts and not else_stmts:
                 return f"({then} if {cond} else {orelse})"
@@ -1069,20 +1157,17 @@ class _Lowerer:
             subs = list(action.actions)
             overlay = w.tmp()
             w.emit(f"{overlay} = {{}}")
-            if _seq_never_reads_back(subs):
-                for sub in subs:
-                    value = self.lower_action(sub)
-                    w.emit(f"{overlay}.update({value})")
-                return overlay
-            ov_read = self._emit_overlay_read(overlay)
-            saved_read = self.read
-            self.read = ov_read
+            saved = self.read, self.lift
+            if not _seq_never_reads_back(subs):
+                self.read = self._emit_overlay_read(overlay)
             try:
                 for sub in subs:
                     value = self.lower_action(sub)
                     w.emit(f"{overlay}.update({value})")
+                    # The tail runs on what the head wrote: nothing lifts.
+                    self.lift = None
             finally:
-                self.read = saved_read
+                self.read, self.lift = saved
             return overlay
 
         if isinstance(action, LetA):
@@ -1095,8 +1180,8 @@ class _Lowerer:
             ov_read = self._emit_overlay_read(overlay)
             iters = w.tmp()
             w.emit(f"{iters} = 0")
-            saved_read = self.read
-            self.read = ov_read
+            saved = self.read, self.lift
+            self.read, self.lift = ov_read, None
             try:
                 w.emit("while True:")
                 w.indent += 1
@@ -1114,14 +1199,14 @@ class _Lowerer:
                 )
                 w.indent -= 1
             finally:
-                self.read = saved_read
+                self.read, self.lift = saved
             return overlay
 
         if isinstance(action, LocalGuard):
             t = w.tmp()
             w.emit("try:")
             rule_level, self.rule_level = self.rule_level, False
-            body_stmts, body = self._capture(lambda: self.lower_action(action.body))
+            body_stmts, body = self._capture(lambda: self.lower_action(action.body), True)
             self.rule_level = rule_level
             w.emit_lines(_reindent(body_stmts))
             w.emit(f"    {t} = {body}")
@@ -1206,23 +1291,26 @@ class _Lowerer:
         native functions read them.  Any other instance attribute it names
         binds per instance.  An action's count-mode write charge follows
         the guard, since the body cannot fail.
+
+        A lifted condition (:func:`_lifted_conditions`) is read and tested
+        once per rule function: here, unless a kernel before this point
+        (one in the arguments included) has tested it already.  Either
+        way a later call with the same instance and guard (``deq`` after
+        ``first``) skips its test and reuses the guard's reads.
         """
-        w = self.w
         bind = self.module.bind
         fields = dict(zip(method.params, args))
         in_guard, in_body = _template_fields(template.guard, template.result, template.writes)
-        for attrs, guard in ((in_guard, template.guard), (in_body, None)):
-            for attr in attrs:
-                if attr in fields:
-                    continue
-                value = getattr(instance, attr)
-                if isinstance(value, Register):
-                    fields[attr] = t = w.tmp()
-                    w.emit(f"{t} = {self.read}({bind(value, 'r')})")
-                else:
-                    fields[attr] = bind(value, "c", key=(id(instance), attr))
-            if guard is not None:
-                self._guard(f"({guard.format(**fields)})")
+        condition = (id(instance), template.guard)
+        if self.lift is not None and condition in self.lift:
+            fields.update(self._test_condition(condition))
+        elif self.lift is not None and condition in self.tested:
+            fields.update(self.tested[condition])
+        else:
+            self._state_fields(instance, in_guard, fields)
+            if template.guard is not None:
+                self._guard(f"({template.guard.format(**fields)})")
+        self._state_fields(instance, in_body, fields)
         if not is_action:
             return f"({template.result.format(**fields)})"
         if self.counting and self.charging:
@@ -1234,6 +1322,29 @@ class _Lowerer:
         if len(items) == 1:
             return self.module.single_update(*items[0])
         return "{" + ", ".join(f"{key}: {value}" for key, value in items) + "}"
+
+    def _state_fields(
+        self, instance: PrimitiveModule, attrs: Tuple[str, ...], fields: Dict[str, str]
+    ) -> None:
+        """Add each of ``attrs`` missing from ``fields``: a state register
+        read now, any other instance attribute bound per instance."""
+        for attr in attrs:
+            if attr not in fields:
+                value = getattr(instance, attr)
+                if isinstance(value, Register):
+                    fields[attr] = t = self.w.tmp()
+                    self.w.emit(f"{t} = {self.read}({self.module.bind(value, 'r')})")
+                else:
+                    fields[attr] = self.module.bind(value, "c", key=(id(instance), attr))
+
+    def _test_condition(self, condition: tuple) -> Dict[str, str]:
+        """Read and test a lifted ``condition``; its guard's fields."""
+        instance, guard, attrs = self.lift.pop(condition)
+        fields: Dict[str, str] = {}
+        self._state_fields(instance, attrs, fields)
+        self._guard(f"({guard.format(**fields)})")
+        self.tested[condition] = fields
+        return fields
 
     def _on_method(self, instance: Module, method_name: str) -> None:
         """The method entry's folded latency: a memory whose
@@ -1564,6 +1675,7 @@ def _lower_rule_fn(
     low.w = _FnWriter(name, ["read", "_cl"])
     low.sink = "_cl[0]"
     low.rule_level = True
+    low.lift = _lifted_conditions(action)
     result = low.lower_action(action)
     low.w.emit(f"return {result}")
     module.add(low.w.lines)
@@ -1573,12 +1685,16 @@ class SourceRuleExec:
     """The generated entry point for one rule: ``latency(read, cell)``.
 
     ``latency`` is a plain generated function returning the rule's
-    updates, or None when a guard fails at its own level; it adds the
-    rule's FSM cycles beyond the first to ``cell[0]`` (a one-element
-    list): the constant and callable ``hw_cycles`` of its kernels and the
-    ``read_latency`` of its memories, folded at generation, exactly as
-    ``HwLatencyAccumulator`` counts them (the ``Simulator`` discards the
-    charge).  ``fixed_latency`` is True when that lowering charged
+    updates, or None when a guard fails at its own level.  It tests its
+    FIFOs' implicit conditions before its first kernel
+    (:func:`_lifted_conditions`), so a rule that cannot fire calls no
+    kernel, and a firing rule calls the reference's kernels in the
+    reference's order.  It adds the rule's FSM cycles beyond the first to
+    ``cell[0]`` (a one-element list): the constant and callable
+    ``hw_cycles`` of its kernels and the ``read_latency`` of its memories,
+    folded at generation, exactly as ``HwLatencyAccumulator`` counts them
+    (the ``Simulator`` discards the charge; a failed rule's charge is
+    discarded too).  ``fixed_latency`` is True when that lowering charged
     nothing, through thunks and user methods included: the rule always
     takes one cycle and its ``latency`` function never touches the cell.
     ``raises`` is True when the unit still has a raise site of the shared

@@ -15,12 +15,18 @@ and raytracer_B, and on one vorbis_G run:
 
 Waking a rule the reference leaves asleep, or calling a step or a pump
 the loop should leave out, keeps every result equal but moves these
-counts: a woken vorbis rule that re-runs its kernel before its FIFO guard
-fails again adds a kernel call and a memo lookup.  The constants were captured before the generated tier inlined
-primitive methods, its wakeup index and the credit-stall test; a change
-that moves one must say why.
+counts: a woken vorbis rule whose guard fails again costs a step call, and
+a kernel call and a memo lookup if it reaches its kernel.  A hardware rule
+tests its FIFOs' implicit conditions before its first kernel, so a rule
+that cannot fire calls none (``test_vorbis_g_hardware_kernels_run_once_per_firing``);
+the ``interp`` oracle still evaluates a kernel before the ``enq`` it feeds,
+so its kernel counts are higher while its results are the same.  The
+constants were captured before the generated tier inlined primitive
+methods, its wakeup index and the credit-stall test; a change that moves
+one must say why.
 """
 
+import collections
 import sys
 from dataclasses import asdict
 
@@ -33,6 +39,7 @@ from repro.apps.vorbis import kernels
 from repro.apps.vorbis import partitions as vp
 from repro.apps.vorbis.params import VorbisParams
 from repro.core import kernelcompile
+from repro.core.expr import KernelCall
 from repro.sim.cosim import CosimFabric
 from repro.sim.hwsim import HwEngine
 from repro.sim.serve import FabricServer
@@ -76,6 +83,8 @@ class Counts:
         self.hw_steps = 0
         self.sw_steps = 0
         self.kernel_calls = 0
+        #: kernel module global -> calls
+        self.by_kernel = collections.Counter()
         self.vc_stats = {}
 
     def wrap_steps(self, fabric):
@@ -120,8 +129,9 @@ def counts(monkeypatch):
         for name in names:
             original = getattr(module, name)
 
-            def counted(*args, _fn=original, **kwargs):
+            def counted(*args, _fn=original, _name=name, **kwargs):
                 counter.kernel_calls += 1
+                counter.by_kernel[_name] += 1
                 return _fn(*args, **kwargs)
 
             for mod in list(sys.modules.values()):
@@ -149,13 +159,16 @@ def _serve(counter, builder, args, requests):
 
 
 #: Counts at the parent of the change that pinned them; see the module
-#: docstring.
+#: docstring.  Lifting the hardware rules' FIFO conditions ahead of their
+#: kernels took 4 kernel calls and 4 memo lookups from vorbis_B (193, 172)
+#: and one of each from vorbis_G (55, 49): evaluations of a rule whose
+#: ``enq`` then found its FIFO full.  No step or channel count moved.
 EXPECTED = {
     "vorbis_B": {
         "hw_steps": 153,
         "sw_steps": 103,
-        "kernel_calls": 193,
-        "memo_lookups": 172,
+        "kernel_calls": 189,
+        "memo_lookups": 168,
         "vc_stats": {"q_ctrl": (21, 693, 0), "q_post": (21, 1365, 103)},
     },
     "raytracer_B": {
@@ -175,8 +188,8 @@ EXPECTED = {
     "vorbis_G": {
         "hw_steps": 62,
         "sw_steps": 21,
-        "kernel_calls": 55,
-        "memo_lookups": 49,
+        "kernel_calls": 54,
+        "memo_lookups": 48,
         "vc_stats": {"q_ctrl": (6, 198, 0), "q_pcm": (6, 198, 57), "q_post": (6, 390, 0)},
     },
 }
@@ -213,3 +226,30 @@ def test_vorbis_g_run(counts):
     observed = counts.observed(_lookups() - before)
     assert observed == EXPECTED["vorbis_G"]
     assert asdict(result)["channel_messages"] == sum(v[0] for v in observed["vc_stats"].values())
+
+
+def test_vorbis_g_hardware_kernels_run_once_per_firing(counts):
+    """Over 16 frames with the memo off, each kernel of vorbis_G's
+    hardware rules is called exactly once per firing of the rules that
+    call it: a rule whose FIFO condition fails is turned away before its
+    kernel.  (Testing those conditions after the kernel cost 62, 30, 19
+    and 26 calls for 48, 16, 16 and 16 firings.)"""
+    workload = vp.build_multi_partition("G", VorbisParams(n_frames=16))
+    with kernelcompile.kernel_cache_override(False):
+        fabric = CosimFabric(workload.design, backend="source")
+        result = fabric.run(workload.cosim_done)
+    assert result.completed
+    firings = collections.Counter()
+    for engine in fabric.engines.values():
+        if isinstance(engine, HwEngine):
+            for rule in engine.rules:
+                for node in rule.action.walk():
+                    if isinstance(node, KernelCall):
+                        firings[node.name] += engine.fire_counts[rule.full_name]
+    assert firings == {
+        "imdct_pre": 16,
+        "ifft_rule_stage": 48,
+        "imdct_post": 16,
+        "window_overlap": 16,
+    }
+    assert {name: counts.by_kernel[name] for name in firings} == firings

@@ -19,15 +19,19 @@ and memories with ``read_latency`` above 1.  It also covers how a rule
 function fails: a failed guard at its own level returns None, a let whose
 body forces it first binds strictly, and a lazy let's thunk, a
 ``localGuard`` body and a user method still raise the shared ``GuardFail``.
+And it covers where a FIFO's implicit condition must not be tested ahead
+of a kernel: in a ``seq`` tail, a ``localGuard`` body, an ``if`` or
+``mux`` arm, a lazy let's value and the right operand of ``||``, each
+reached by a rule that fires while that condition fails.
 """
 
 import random
 
 import pytest
 
-from repro.core.action import LetA, LocalGuard, WhenA, par
+from repro.core.action import IfA, LetA, LocalGuard, WhenA, par, seq
 from repro.core.errors import GuardFail
-from repro.core.expr import BinOp, Const, KernelCall, RegRead, Var, WhenE
+from repro.core.expr import BinOp, Const, KernelCall, Mux, RegRead, Var, WhenE
 from repro.core.module import Design, Module
 from repro.core.primitives import Fifo, RegFile
 from repro.core.pycodegen import generate_rule_execs
@@ -274,6 +278,105 @@ def lazy_let(rng):
     return design, design.initial_store(), None
 
 
+def _on_phase(clock, period, shift=0):
+    return BinOp("==", BinOp("%", _add(RegRead(clock), Const(shift)), Const(period)), Const(0))
+
+
+def _lifting_probe(name, rng):
+    """A FIFO ``q``, full at first, that ``fill`` and ``drain`` fill and
+    empty at seeded phases of a clock, and ``probe(rule, build)``, which
+    adds a rule that calls a kernel and runs ``build(n)`` beside it, ``n``
+    being the rule's own firing counter.  The kernel is evaluated
+    unconditionally, so it is where the rule tests the implicit conditions
+    it lifts; a condition of ``build(n)`` tested there would turn the rule
+    away in states where it fires.  A probe outranks the FIFO's other
+    users, which outrank the clock: a rule that reads the clock conflicts
+    with it."""
+    top = Module(name)
+    depth = rng.randint(1, 2)
+    q = top.add_submodule(Fifo("q", UIntT(32), depth=depth))
+    t, bump_t, more_t = _counted(top, "t", 100)
+    top.add_rule("clock", bump_t.when(more_t))
+    fill = q.call("enq", RegRead(t)).when(_on_phase(t, rng.randint(2, 3)))
+    top.add_rule("fill", fill, urgency=1)
+    top.add_rule("drain", q.call("deq").when(_on_phase(t, rng.randint(3, 4), 1)), urgency=1)
+    hw_cycles = rng.randint(1, 2)
+
+    def probe(rule, build):
+        n, bump, more = _counted(top, f"n_{rule}", 30)
+        acc = top.add_register(f"acc_{rule}", UIntT(32), 0)
+        kernel = KernelCall(rule, lambda v: (3 * v + 1) % 101, [RegRead(n)], hw_cycles=hw_cycles)
+        top.add_rule(rule, par(acc.write(kernel), bump, build(n)).when(more), urgency=2)
+
+    def design():
+        built = Design(top, name=name)
+        store = built.initial_store()
+        store[q.data] = tuple(range(depth))
+        return built, store, q.data
+
+    return top, q, probe, design
+
+
+def seq_tail(rng):
+    """``deq`` then ``enq`` in sequence: the ``enq`` sees the room the
+    ``deq`` made, so the rule fires on a full FIFO."""
+    _, q, probe, design = _lifting_probe("seq_tail", rng)
+    probe("rotate", lambda n: seq(q.call("deq"), q.call("enq", RegRead(n))))
+    return design()
+
+
+def local_guard_body(rng):
+    """An ``enq`` in a ``localGuard`` body after a memory write that
+    charges its read latency: on a full FIFO the body is dropped, its
+    charge is kept and the rule fires."""
+    top, q, probe, design = _lifting_probe("local_guard_body", rng)
+    mem = top.add_submodule(RegFile("mem", UIntT(32), size=4, read_latency=3))
+
+    def build(n):
+        write = mem.call("upd", BinOp("%", RegRead(n), Const(4)), RegRead(n))
+        return LocalGuard(par(write, q.call("enq", Const(7))))
+
+    probe("guarded", build)
+    return design()
+
+
+def if_arm(rng):
+    """A ``deq`` in an ``if`` arm and a ``first`` in a ``mux`` arm, each
+    under ``notEmpty``: the rules fire on an empty FIFO."""
+    top, q, probe, design = _lifting_probe("if_arm", rng)
+    probe("maybe_deq", lambda n: IfA(q.value("notEmpty"), q.call("deq")))
+    peek = top.add_register("peek", UIntT(32), 0)
+    probe("peek", lambda n: peek.write(Mux(q.value("notEmpty"), q.value("first"), Const(0))))
+    return design()
+
+
+def lazy_let_value(rng):
+    """A let of ``first`` whose body forces it on one phase of the rule's
+    counter: off that phase the rule fires on an empty FIFO."""
+    top, q, probe, design = _lifting_probe("lazy_let_value", rng)
+    seen = top.add_register("seen", UIntT(32), 0)
+
+    def build(n):
+        return LetA("v", q.value("first"), IfA(_on_phase(n, 3), seen.write(Var("v"))))
+
+    probe("peek_later", build)
+    return design()
+
+
+def or_right(rng):
+    """``first`` as the right operand of ``||``: on the phase of the rule's
+    counter that short-circuits it the rule fires on an empty FIFO."""
+    top, q, probe, design = _lifting_probe("or_right", rng)
+    either = top.add_register("either", UIntT(32), 0)
+
+    def build(n):
+        test = BinOp("||", _on_phase(n, 2), BinOp("==", q.value("first"), Const(0)))
+        return either.write(Mux(test, Const(1), Const(2)))
+
+    probe("either", build)
+    return design()
+
+
 def _state(engine):
     """Everything a cycle reads or writes, keyed by names."""
     return (
@@ -291,10 +394,12 @@ def _state(engine):
     )
 
 
-def run_lockstep(build, seed, edges=60):
+def run_lockstep(build, seed, edges=60, fired=None):
     """Step an interp and a source engine over one seeded corpus design,
     comparing their state after every clock edge.  Returns the oracle and
-    the latency of every commit it deferred.
+    the latency of every commit it deferred; ``fired``, when given,
+    collects ``(rule name, feed register's value)`` for every firing,
+    the value as the firing edge began.
 
     Rules are handed over in a seeded order, so engine order and urgency
     order differ.  A design with a feed register gets seeded deliveries
@@ -312,7 +417,13 @@ def run_lockstep(build, seed, edges=60):
     now = 0.0
     for edge in range(edges):
         before = {rule: finish for rule, (finish, _) in oracle.busy.items()}
+        counts = dict(oracle.fire_counts)
+        feed_value = None if feed is None else oracle.store[feed]
         progress = [engine.step_cycle(now) for engine in engines]
+        if fired is not None:
+            for rule in oracle.rules:
+                if oracle.fire_counts[rule.full_name] > counts[rule.full_name]:
+                    fired.append((rule.name, feed_value))
         assert progress[1] == progress[0], f"edge {edge} at {now}"
         assert _state(generated) == _state(oracle), f"edge {edge} at {now}"
         latencies += [
@@ -336,6 +447,11 @@ CORPUS = {
     "folded_latencies": folded_latencies,
     "failing_lets": failing_lets,
     "lazy_let": lazy_let,
+    "seq_tail": seq_tail,
+    "local_guard_body": local_guard_body,
+    "if_arm": if_arm,
+    "lazy_let_value": lazy_let_value,
+    "or_right": or_right,
 }
 SEEDS = range(6)
 
@@ -378,6 +494,32 @@ class TestGeneratedCycle:
         _, latencies = run_lockstep(folded_latencies, 0)
         assert len(set(latencies)) >= 3 and max(latencies) > 4
 
+    def test_boundary_rules_fire_where_a_lifted_test_fails(self):
+        """The lifting-boundary cases are not vacuous: at half the seeds or
+        more, each one's rule fires in an edge that begins with the FIFO
+        full (its ``enq``'s ``notFull`` fails) or empty (the ``notEmpty``
+        of its ``first`` or ``deq`` fails), so testing that call's
+        condition at the rule's kernel would turn it away."""
+        for case, rule, refusing in (
+            ("seq_tail", "rotate", "full"),
+            ("local_guard_body", "guarded", "full"),
+            ("if_arm", "maybe_deq", "empty"),
+            ("if_arm", "peek", "empty"),
+            ("lazy_let_value", "peek_later", "empty"),
+            ("or_right", "either", "empty"),
+        ):
+            seeds = 0
+            for seed in SEEDS:
+                fired = []
+                oracle, _ = run_lockstep(CORPUS[case], seed, fired=fired)
+                (fifo,) = {reg.parent for reg in oracle.store if reg.name == "data"}
+                seeds += any(
+                    len(value) >= fifo.depth if refusing == "full" else not value
+                    for name, value in fired
+                    if name == rule
+                )
+            assert seeds >= len(SEEDS) // 2, (case, rule, seeds)
+
     def test_failing_lets_fail_as_lowered(self):
         """How each failing-let rule fails, called alone at a clock value
         where its guard fails: ``strict``'s failed value and
@@ -407,6 +549,49 @@ class TestGeneratedCycle:
         assert raising == {"guard_first", "in_local", "local_top"}
         step = engine._step_gen.source
         assert step.count("except GuardFail:") == len(raising)
+
+    def test_full_fifo_turns_its_producer_away_before_the_kernel(self):
+        """Backpressure: a counting kernel feeds an ``enq`` on a depth-1
+        FIFO that a slow consumer drains.  The generated cycle never calls
+        the kernel in an edge that starts with the FIFO full, and calls it
+        once per firing; the oracle, which evaluates a kernel before the
+        ``enq`` it feeds, calls it more often, with the same results."""
+        calls = [0]
+
+        def scale(v):
+            calls[0] += 1
+            return 3 * v + 1
+
+        top = Module("backpressure")
+        q = top.add_submodule(Fifo("q", UIntT(32), depth=1))
+        t, bump_t, more_t = _counted(top, "t", 100)
+        cnt, bump, more = _counted(top, "cnt", 20)
+        top.add_rule("clock", bump_t.when(more_t))
+        produce = par(q.call("enq", KernelCall("scale", scale, [RegRead(cnt)])), bump)
+        top.add_rule("produce", produce.when(more), urgency=2)
+        top.add_rule("consume", q.call("deq").when(_on_phase(t, 3)), urgency=1)
+        design = Design(top, name="backpressure")
+        store = design.initial_store()
+        engines = {
+            backend: HwEngine(list(design.all_rules()), dict(store), backend=backend)
+            for backend in ("interp", "source")
+        }
+        kernel_calls = dict.fromkeys(engines, 0)
+        full_edges = 0
+        for edge in range(100):
+            full = len(engines["source"].store[q.data]) == q.depth
+            full_edges += full
+            for backend, engine in engines.items():
+                before = calls[0]
+                engine.step_cycle(float(edge))
+                kernel_calls[backend] += calls[0] - before
+                if full and backend == "source":
+                    assert calls[0] == before, f"edge {edge}"
+            assert _state(engines["source"]) == _state(engines["interp"]), f"edge {edge}"
+        fired = engines["source"].fire_counts["backpressure.produce"]
+        assert fired == 20 and full_edges > 20
+        assert kernel_calls["source"] == fired
+        assert kernel_calls["interp"] > 2 * fired
 
 
 def _rules_store(build, seed):
