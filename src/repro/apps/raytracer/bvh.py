@@ -12,10 +12,10 @@ per-partition comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.apps.raytracer import geometry
-from repro.apps.raytracer.geometry import Triangle, Vec, v_max, v_min
+from repro.apps.raytracer.geometry import RawVec3, Triangle
 from repro.core import kernelcompile
 from repro.core.fixedpoint import FixedPoint, from_wrapped_raw, raw_from_float
 from repro.core.types import RawStruct
@@ -49,88 +49,75 @@ class Bvh:
         return depth(0) if self.nodes else 0
 
 
-def _triangle_bounds(triangle: Triangle) -> Tuple[Vec, Vec]:
-    lo = v_min(v_min(triangle["v0"], triangle["v1"]), triangle["v2"])
-    hi = v_max(v_max(triangle["v0"], triangle["v1"]), triangle["v2"])
-    return lo, hi
-
-
-def _centroid(triangle: Triangle) -> Dict[str, float]:
-    return {
-        axis: (
-            triangle["v0"][axis].to_float()
-            + triangle["v1"][axis].to_float()
-            + triangle["v2"][axis].to_float()
-        )
-        / 3.0
-        for axis in ("x", "y", "z")
-    }
-
-
 def build_bvh(triangles: Sequence[Triangle], leaf_size: int = 4) -> Bvh:
-    """Build a BVH by recursive median split on the longest centroid axis."""
+    """Build a BVH by recursive median split on the longest centroid axis.
+
+    ``triangles`` are raw structs (:func:`~repro.apps.raytracer.geometry.generate_scene`
+    builds them) or dicts of boxed vertices.  Each is converted once through
+    the design's triangle type, so a malformed one raises that type's
+    ``TypeCheckError``; the build then runs on raws.  Each triangle's bounds
+    and centroid are computed once, a node's box is the min/max of its
+    triangles' bounds, and every node is built as a raw struct of the node
+    type.
+    """
     if not triangles:
         raise ValueError("cannot build a BVH over an empty scene")
-    ordered: List[Triangle] = []
-    nodes: List[Dict[str, object]] = []
-    items = list(triangles)
+    corner = triangles[0]["v0"]["x"]
+    types = geometry.struct_types(corner.int_bits, corner.frac_bits, leaf_size)
+    tri_t, node_t = types["triangle"], types["node"]
+    tris = [tri_t.raw(triangle) for triangle in triangles]
+    scale = float(1 << corner.frac_bits)
+    lows: List[RawVec3] = []
+    highs: List[RawVec3] = []
+    centroids: List[Tuple[float, float, float]] = []
+    for tri in tris:
+        x0, y0, z0, x1, y1, z1, x2, y2, z2 = tri.raws
+        lows.append((min(x0, x1, x2), min(y0, y1, y2), min(z0, z1, z2)))
+        highs.append((max(x0, x1, x2), max(y0, y1, y2), max(z0, z1, z2)))
+        # The boxed reference's float operations in its order: ``to_float``
+        # per vertex, summed v0 + v1 + v2, then ``/ 3.0``.
+        centroids.append(
+            (
+                (x0 / scale + x1 / scale + x2 / scale) / 3.0,
+                (y0 / scale + y1 / scale + y2 / scale) / 3.0,
+                (z0 / scale + z1 / scale + z2 / scale) / 3.0,
+            )
+        )
+    ordered: List[int] = []
+    nodes: List[RawStruct] = []
 
-    def bounds_of(subset: Sequence[Triangle]) -> Tuple[Vec, Vec]:
-        lo, hi = _triangle_bounds(subset[0])
-        for tri in subset[1:]:
-            tlo, thi = _triangle_bounds(tri)
-            lo, hi = v_min(lo, tlo), v_max(hi, thi)
-        return lo, hi
-
-    def build(subset: List[Triangle]) -> int:
+    def build(subset: List[int]) -> int:
         index = len(nodes)
-        nodes.append({})  # placeholder, filled below
-        lo, hi = bounds_of(subset)
+        nodes.append(None)  # placeholder: nodes are numbered in preorder
+        box = tuple(map(min, zip(*[lows[i] for i in subset]))) + tuple(
+            map(max, zip(*[highs[i] for i in subset]))
+        )
         if len(subset) <= leaf_size:
             start = len(ordered)
             ordered.extend(subset)
-            nodes[index] = {
-                "bbox_min": lo,
-                "bbox_max": hi,
-                "is_leaf": True,
-                "left": 0,
-                "right": 0,
-                "tri_start": start,
-                "tri_count": len(subset),
-            }
+            nodes[index] = RawStruct(node_t, box + (True, 0, 0, start, len(subset)))
             return index
-        # Split on the longest axis of the centroid extent.
-        centroids = [_centroid(tri) for tri in subset]
-        extents = {
-            axis: max(c[axis] for c in centroids) - min(c[axis] for c in centroids)
-            for axis in ("x", "y", "z")
-        }
-        axis = max(extents, key=extents.get)
-        order = sorted(range(len(subset)), key=lambda i: centroids[i][axis])
+        # Split on the first axis with the longest centroid extent, at the
+        # median of a stable sort.
+        extents = [max(column) - min(column) for column in zip(*[centroids[i] for i in subset])]
+        axis = extents.index(max(extents))
+        order = sorted(subset, key=lambda i: centroids[i][axis])
         mid = len(subset) // 2
-        left_set = [subset[i] for i in order[:mid]]
-        right_set = [subset[i] for i in order[mid:]]
-        left = build(left_set)
-        right = build(right_set)
-        nodes[index] = {
-            "bbox_min": lo,
-            "bbox_max": hi,
-            "is_leaf": False,
-            "left": left,
-            "right": right,
-            "tri_start": 0,
-            "tri_count": 0,
-        }
+        left = build(order[:mid])
+        right = build(order[mid:])
+        nodes[index] = RawStruct(node_t, box + (False, left, right, 0, 0))
         return index
 
-    build(items)
-    corner = triangles[0]["v0"]["x"]
-    types = geometry.struct_types(corner.int_bits, corner.frac_bits, leaf_size)
-    return Bvh(
-        nodes=[types["node"].raw(node) for node in nodes],
-        triangles=[types["triangle"].raw(triangle) for triangle in ordered],
-        leaf_size=leaf_size,
-    )
+    build(list(range(len(tris))))
+    # Every index field is below len(nodes) or at most len(tris); past the
+    # index type's range, check each node's fields in packing order, so
+    # the first that does not fit raises the type's error.
+    index_t = node_t.field_type("left")
+    if max(len(nodes), len(tris)) > (1 << index_t.n) - 1:
+        for node in nodes:
+            for value in node.raws[7:]:  # left, right, tri_start, tri_count
+                index_t.pack(value)
+    return Bvh(nodes=nodes, triangles=[tris[i] for i in ordered], leaf_size=leaf_size)
 
 
 def traverse_oracle(bvh: Bvh, ray: geometry.Ray) -> Tuple[bool, FixedPoint, int]:

@@ -5,9 +5,9 @@ All values that can cross the HW/SW boundary are values of the
 so they marshal onto the channel without any translation layer -- the
 single-representation discipline of Section 2.3.  The object-based kernels
 here build them as dicts of :class:`~repro.core.fixedpoint.FixedPoint`
-fields; the design's fast kernels build the raw struct form
-(:class:`~repro.core.types.RawStruct`), whose leaf raws are exactly the
-``(x, y, z)`` raw tuples the raw kernels below take.
+fields; the procedural scene and the design's fast kernels build the raw
+struct form (:class:`~repro.core.types.RawStruct`), whose leaf raws are
+exactly the ``(x, y, z)`` raw tuples the raw kernels below take.
 
 The intersection kernels (axis-aligned box slab test, Möller–Trumbore
 triangle test) are written over :class:`~repro.core.fixedpoint.FixedPoint`
@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fixedpoint import FixedPoint, raw_from_float
-from repro.core.types import BoolT, FixPtT, StructT, UIntT, VectorT
+from repro.core.types import BoolT, FixPtT, RawStruct, StructT, UIntT, VectorT
 
 Vec = Dict[str, FixedPoint]
 Triangle = Dict[str, Vec]
@@ -345,9 +345,17 @@ def lambert_shade(triangle: Triangle, light_dir: Vec, int_bits: int = 16, frac_b
 
 def generate_scene(
     n_triangles: int, seed: int = 7, int_bits: int = 16, frac_bits: int = 16
-) -> List[Triangle]:
-    """Generate a deterministic cloud of small triangles inside [0, 4)^3."""
-    triangles: List[Triangle] = []
+) -> List[RawStruct]:
+    """Generate a deterministic cloud of small triangles inside [0, 4)^3.
+
+    Each triangle is a raw struct of ``struct_types(int_bits,
+    frac_bits)["triangle"]``, its coordinates quantised by
+    :func:`~repro.core.fixedpoint.raw_from_float` exactly as :func:`vec`
+    quantises them, so it equals the dict of boxed vertices.
+    """
+    tri_t = struct_types(int_bits, frac_bits)["triangle"]
+    total_bits = int_bits + frac_bits
+    triangles: List[RawStruct] = []
     state = (seed * 2654435761 + 97) & 0xFFFFFFFF
 
     def rnd() -> float:
@@ -357,10 +365,13 @@ def generate_scene(
 
     for _ in range(n_triangles):
         cx, cy, cz = 0.5 + 3.0 * rnd(), 0.5 + 3.0 * rnd(), 1.0 + 3.0 * rnd()
-        v0 = vec(cx, cy, cz, int_bits, frac_bits)
-        v1 = vec(cx + 0.2 + 0.3 * rnd(), cy + 0.1 * rnd(), cz + 0.2 * rnd(), int_bits, frac_bits)
-        v2 = vec(cx + 0.1 * rnd(), cy + 0.2 + 0.3 * rnd(), cz + 0.1 * rnd(), int_bits, frac_bits)
-        triangles.append({"v0": v0, "v1": v1, "v2": v2})
+        coords = (
+            cx, cy, cz,
+            cx + 0.2 + 0.3 * rnd(), cy + 0.1 * rnd(), cz + 0.2 * rnd(),
+            cx + 0.1 * rnd(), cy + 0.2 + 0.3 * rnd(), cz + 0.1 * rnd(),
+        )
+        raws = tuple(raw_from_float(c, frac_bits, total_bits) for c in coords)
+        triangles.append(RawStruct(tri_t, raws))
     return triangles
 
 

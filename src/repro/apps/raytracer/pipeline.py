@@ -36,6 +36,7 @@ from repro.core.module import Design, Module, Register
 from repro.core.primitives import RegFile
 from repro.core.synchronizers import SyncFifo
 from repro.core.types import BoolT, FixPtT, OpaqueT, RawStruct, UIntT
+from repro.sim.cosim import ThresholdDone
 
 #: Module groups whose domain can be chosen per partition.
 PLACEABLE_MODULES = ("trav", "geom", "bvh_mem", "scene_mem", "shader")
@@ -56,10 +57,17 @@ class RayTracer:
     syncs: Dict[str, SyncFifo] = field(default_factory=dict)
     pixel_idx: Optional[Register] = None
 
-    def cosim_done(self, cosim) -> bool:
-        # Owner-resolved read: works on the two-partition wrapper and on
-        # N-domain fabrics (done_count lives in the software-side collector).
-        return cosim.read(self.done_count) >= self.params.n_rays
+    @property
+    def cosim_done(self) -> ThresholdDone:
+        """Termination predicate: ``done_count`` has reached ``n_rays``.
+
+        A :class:`~repro.sim.cosim.ThresholdDone`, compared inline by a
+        generated group loop; called, it reads through the fabric's
+        owner-resolved ``read``, so it works on the two-partition wrapper and
+        on N-domain fabrics (``done_count`` lives in the software-side
+        collector).
+        """
+        return ThresholdDone(((self.done_count, self.params.n_rays),))
 
     def tile_request(self, start_pixel: int = 0, name: str = ""):
         """A serving request rendering pixels ``start_pixel..n_rays-1``.

@@ -30,6 +30,7 @@ from repro.core.module import Design, Module, Register
 from repro.core.primitives import Fifo
 from repro.core.synchronizers import SyncFifo
 from repro.core.types import ComplexT, FixPtT, UIntT, VectorT
+from repro.sim.cosim import ThresholdDone
 
 #: The stage groups whose domain can be chosen per partition.  ``frontend``
 #: and ``audio`` always execute in software (the stream parser is hand-written
@@ -55,14 +56,18 @@ class VorbisBackend:
         """Whether all frames have been emitted, given a register reader."""
         return reader(self.frames_out) >= self.params.n_frames
 
-    def cosim_done(self, cosim) -> bool:
-        """Termination predicate for any :class:`~repro.sim.cosim.CosimFabric`.
+    @property
+    def cosim_done(self) -> ThresholdDone:
+        """Termination predicate for any :class:`~repro.sim.cosim.CosimFabric`:
+        ``frames_out`` has reached ``n_frames``.
 
-        Uses the fabric's owner-resolved ``read`` so the same predicate
-        drives the two-partition wrapper and N-domain fabrics alike
-        (``frames_out`` lives in the always-software audio sink).
+        A :class:`~repro.sim.cosim.ThresholdDone`, so a generated group loop
+        compares the register inline; called, it reads through the fabric's
+        owner-resolved ``read``, so the same predicate drives the
+        two-partition wrapper and N-domain fabrics alike (``frames_out``
+        lives in the always-software audio sink).
         """
-        return cosim.read(self.frames_out) >= self.params.n_frames
+        return ThresholdDone(((self.frames_out, self.params.n_frames),))
 
     def frame_request(self, start_frame: int = 0, name: str = ""):
         """A serving request decoding frames ``start_frame..n_frames-1``.

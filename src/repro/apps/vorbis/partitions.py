@@ -28,6 +28,7 @@ from repro.apps.vorbis.backend import VorbisBackend, build_backend
 from repro.apps.vorbis.params import VorbisParams
 from repro.core.domains import HW, SW, Domain
 from repro.core.module import Design, Module
+from repro.sim.cosim import ThresholdDone
 
 #: Placement of each stage group, per partition letter.
 PARTITIONS: Dict[str, Dict[str, Domain]] = {
@@ -149,13 +150,17 @@ class MultiGroupVorbis:
         self.letters = letters
         self.pipes = list(pipes)
 
-    def cosim_done(self, cosim) -> bool:
-        # Read every sink unconditionally (no cross-pipeline short-circuit):
-        # the fabric probes this predicate to learn which registers it
-        # observes, and a process-parallel grouped run merges exactly those
-        # observed finals -- a data-dependent read set would under-report.
-        emitted = [cosim.read(pipe.frames_out) for pipe in self.pipes]
-        return all(count >= self.params.n_frames for count in emitted)
+    @property
+    def cosim_done(self) -> ThresholdDone:
+        """Every pipeline's ``frames_out`` has reached ``n_frames``.
+
+        A :class:`~repro.sim.cosim.ThresholdDone` reads every sink on every
+        call (no cross-pipeline short-circuit): the fabric probes this
+        predicate to learn which registers it observes, and a
+        process-parallel grouped run merges exactly those observed finals
+        -- a data-dependent read set would under-report.
+        """
+        return ThresholdDone((pipe.frames_out, self.params.n_frames) for pipe in self.pipes)
 
     def checksums(self, reader) -> List[int]:
         """Per-pipeline PCM checksums via a register reader function."""

@@ -655,26 +655,24 @@ def _unconditional_children(node: Any) -> List[Any]:
 
 
 def _lifted_conditions(action: Action) -> Optional[Dict[tuple, tuple]]:
-    """The implicit conditions a latency rule function tests before its
-    first kernel (:meth:`_Lowerer._lower_kernel`).
+    """The implicit conditions a latency rule function tests once: before
+    its first kernel (:meth:`_Lowerer._lower_kernel`), or where the first
+    call met before any kernel stands.
 
     They are the guards of the native calls it evaluates unconditionally
     on its pre-state (:func:`_unconditional_children`) whose guard names no
     method parameter, so reads only its instance's state: a FIFO's
-    ``notFull`` for ``enq``, ``notEmpty`` for ``first`` and ``deq``.  Keyed
-    ``(id(instance), guard)``, valued ``(instance, guard, guard fields)``;
-    None when the function evaluates no kernel unconditionally or there
-    is no such guard.
+    ``notFull`` for ``enq``, ``notEmpty`` for ``first`` and ``deq``.  A
+    later call with the same instance and guard reuses the test's reads,
+    kernel or not.  Keyed ``(id(instance), guard)``, valued ``(instance,
+    guard, guard fields)``; None when there is no such guard.
     """
     conditions: Dict[tuple, tuple] = {}
-    kernel = False
     stack = [action]
     while stack:
         node = stack.pop()
         kind = type(node)
-        if kind is KernelCall:
-            kernel = True
-        elif (kind is MethodCallA or kind is MethodCallE) and isinstance(
+        if (kind is MethodCallA or kind is MethodCallE) and isinstance(
             node.instance, PrimitiveModule
         ):
             params = node.instance.get_method(node.method).params
@@ -685,7 +683,7 @@ def _lifted_conditions(action: Action) -> Optional[Dict[tuple, tuple]]:
                     key = (id(node.instance), template.guard)
                     conditions[key] = (node.instance, template.guard, attrs)
         stack += reversed(_unconditional_children(node))
-    return conditions if kernel and conditions else None
+    return conditions or None
 
 
 def _lowering(rule: Rule, mode: str, lower: Callable[[], Any]) -> Any:
@@ -1979,7 +1977,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     one generated function.
 
     Same pre-binding discipline as :func:`generate_sw_step`: the busy
-    table, locked-count view, store and wakeup arrays keep their identity
+    table, locked set, store and wakeup arrays keep their identity
     across ``restore()``; rebindable scalars go through ``self``.  The
     schedule is static, so the cycle is straight-line code:
 
@@ -2033,7 +2031,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
     b.update(
         _read=engine.store.__getitem__,
         _busy=engine.busy,
-        _locked=engine._locked_count.keys(),
+        _locked=engine._locked,
         _fire_counts=engine.fire_counts,
         _flush=engine._flush_pending_deliveries,
         _lock=engine._lock_rule,
@@ -2182,7 +2180,7 @@ def generate_hw_step(engine: Any, execs: Dict[Rule, Any]) -> GeneratedModule:
 def _locked_test(engine: str, reg: str, view: Optional[str]) -> str:
     """Text that is true when the producer engine ``engine`` holds ``reg``
     locked, as ``engine.locked_registers()`` would say, without the call:
-    a hardware engine's locked-count view (bound as ``view``; its identity
+    a hardware engine's locked set (bound as ``view``; its identity
     survives ``restore()``), or, with no view, a software engine's pending
     updates."""
     if view is None:
@@ -2269,7 +2267,7 @@ def generate_transport_pump(
     b["_occupancy"] = occupancy
     b["_latency"] = latency
     if not sw_producer:
-        b["_locked"] = producer._locked_count.keys()
+        b["_locked"] = producer._locked
     if occupancy_of is not None:
         b["_occ"] = occupancy_of
     if sw_producer:
@@ -2384,7 +2382,7 @@ def generate_transport_delivery(
             info[vc_id] += target.driver_cost(vc.words_per_element)
     b["_info"] = info
     if not sw_target:
-        b["_locked"] = target._locked_count.keys()
+        b["_locked"] = target._locked
         lines = [
             "def deliver_due(now):",
             "    _head = _pool.head",
@@ -2557,7 +2555,7 @@ def generate_group_loop(group: Any, name: str = "group") -> GeneratedModule:
     for route, pump in zip(group.routes, group.pump_fns):
         sync, vc, producer, producer_store, consumer_store, direction, sw = route
         reg = bind(sync.data, "r")
-        view = None if sw else bind(producer._locked_count.keys(), "v", key=(id(producer), "locked"))
+        view = None if sw else bind(producer._locked, "v")
         locked = _locked_test(bind(producer, "e"), reg, view)
         depth = bind(sync.depth, "c", key=(id(sync), "depth"))
         channel = bind(vc, "vc")

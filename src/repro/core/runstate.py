@@ -13,9 +13,9 @@ order, a child's own snapshot for a child (a list of them for a
 collection), transient attributes left out.  Restore keeps the identity
 of every container and child object, because generated code pre-binds
 them: transport routes bind stores, pool rings, stats objects and the
-per-VC message counts; steps and pumps bind ``locked_registers``, a
-``keys()`` view of ``HwEngine._locked_count``.  So only scalars and
-copied values are rebound.
+per-VC message counts; steps, pumps, deliveries and the group loop bind
+``HwEngine._locked``, the set of registers its busy rules hold.  So only
+scalars and copied values are rebound.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ SCALAR = "scalar"
 DICT = "dict"
 #: A list or bytearray rewritten by slice.
 SLICE = "slice"
+#: A set generated code pre-binds, cleared and refilled in place.
+SET = "set"
 #: A dict, set or ``None`` that nothing pre-binds, rebound to a copy.
 COPY = "copy"
 #: An object with its own table (or ``None``), restored in place.
@@ -45,6 +47,7 @@ _TEMPLATES = {
     SCALAR: ("self.{a}", ()),
     DICT: ("_dict(self.{a})", ("_clear(self.{a})", "_update(self.{a}, {s})")),
     SLICE: ("self.{a}[:]", ("self.{a}[:] = {s}",)),
+    SET: ("_set(self.{a})", ("self.{a}.clear()", "self.{a}.update({s})")),
     COPY: (
         "None if (_v := self.{a}) is None else _v.copy()",
         ("self.{a} = None if {s} is None else {s}.copy()",),
@@ -87,6 +90,7 @@ def run_state(cls: type) -> type:
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
         "_dict": dict,
+        "_set": set,
         "_clear": dict.clear,
         "_update": dict.update,
         "_members": _members,

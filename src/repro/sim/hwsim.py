@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.analysis import rule_read_set, rule_write_set
 from repro.core.module import Register, Rule
 from repro.core.pycodegen import generate_hw_step, generate_rule_execs, resolve_backend
-from repro.core.runstate import CHILD, DICT, SCALAR, SLICE, run_state
+from repro.core.runstate import CHILD, DICT, SCALAR, SET, SLICE, run_state
 from repro.core.scheduler import HwSchedule, RuleWakeup
 from repro.core.semantics import Evaluator, Store, commit, try_rule
 from repro.sim.costmodel import HwLatencyAccumulator
@@ -65,7 +65,7 @@ class HwEngine:
         ("store", DICT),
         ("_wakeup", CHILD),
         ("busy", DICT),
-        ("_locked_count", DICT),
+        ("_locked", SET),
         ("_next_finish", SCALAR),
         ("_pending_deliveries", SLICE),
         ("fire_counts", DICT),
@@ -97,9 +97,12 @@ class HwEngine:
         self._step_gen = None
         #: rule -> (finish_time, deferred updates) for in-flight multi-cycle rules.
         self.busy: Dict[Rule, Tuple[float, Dict[Register, Any]]] = {}
-        #: reference-counted union of the busy rules' write sets (kept
-        #: incrementally -- rebuilding it per cycle dominated busy designs).
-        self._locked_count: Dict[Register, int] = {}
+        #: union of the busy rules' write sets, kept incrementally
+        #: (rebuilding it per cycle dominated busy designs).  The sets are
+        #: disjoint: a rule locks only when its write set misses every
+        #: locked register and every register an earlier rule of the cycle
+        #: deferred, so no register is locked twice.
+        self._locked: Set[Register] = set()
         #: earliest finish time among busy rules (None when idle).
         self._next_finish: Optional[float] = None
         #: deliveries queued because their target register was locked by a busy rule.
@@ -132,27 +135,19 @@ class HwEngine:
 
         The co-simulator's transport layer must not mutate these concurrently,
         otherwise the deferred commit would clobber the transport's change.
-        Returns a set-like view (supports ``in``, ``&`` and iteration).
+        Returns the live set itself (its identity survives ``restore()``).
         """
-        return self._locked_count.keys()
+        return self._locked
 
     def _lock_rule(self, rule: Rule, finish: float, updates: Dict[Register, Any]) -> None:
         self.busy[rule] = (finish, updates)
-        locked = self._locked_count
-        for reg in self._write_sets[rule]:
-            locked[reg] = locked.get(reg, 0) + 1
+        self._locked.update(self._write_sets[rule])
         if self._next_finish is None or finish < self._next_finish:
             self._next_finish = finish
 
     def _unlock_rule(self, rule: Rule) -> Dict[Register, Any]:
         _, updates = self.busy.pop(rule)
-        locked = self._locked_count
-        for reg in self._write_sets[rule]:
-            count = locked[reg] - 1
-            if count:
-                locked[reg] = count
-            else:
-                del locked[reg]
+        self._locked.difference_update(self._write_sets[rule])
         self._next_finish = (
             min(finish for finish, _ in self.busy.values()) if self.busy else None
         )

@@ -388,7 +388,7 @@ def _state(engine):
             (rule.full_name, finish, {reg.full_name: v for reg, v in updates.items()})
             for rule, (finish, updates) in engine.busy.items()
         ],
-        {reg.full_name: n for reg, n in engine._locked_count.items()},
+        sorted(reg.full_name for reg in engine._locked),
         engine._next_finish,
         [(reg.full_name, item) for reg, item in engine._pending_deliveries],
     )
@@ -426,6 +426,11 @@ def run_lockstep(build, seed, edges=60, fired=None):
                     fired.append((rule.name, feed_value))
         assert progress[1] == progress[0], f"edge {edge} at {now}"
         assert _state(generated) == _state(oracle), f"edge {edge} at {now}"
+        for engine in engines:
+            # The busy rules' write sets are disjoint: the lock set holds
+            # each register once, so unlocking a rule frees all of its own.
+            held = sum(len(engine._write_sets[rule]) for rule in engine.busy)
+            assert len(engine._locked) == held, f"edge {edge} at {now}"
         latencies += [
             finish - now
             for rule, (finish, _) in oracle.busy.items()

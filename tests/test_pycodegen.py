@@ -428,7 +428,7 @@ class TestShapeOnlyText:
         assert by_kind["rules"] and by_kind["hwstep"]
 
         assert len(compiled) <= 60
-        assert sum(compiled) < 106_600
+        assert sum(compiled) < 106_400
 
         # The link codecs are compiled apart from the generated modules:
         # one text per struct layout, the ray tracer's eight channel types.
@@ -1036,6 +1036,53 @@ class TestGroupLoop:
             else:
                 assert calls["n"] == 0
         _assert_served_equal(served)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: vp.build_multi_partition("G", VORBIS),
+            lambda: vp.build_group_partition("BC", VORBIS),
+            lambda: rp.build_partition(
+                "B", RayTracerParams(n_triangles=8, image_width=2, image_height=2)
+            ),
+        ],
+        ids=["vorbis_G", "vorbis_BC", "raytracer_B"],
+    )
+    def test_workload_predicate_is_checked_inline(self, monkeypatch, build):
+        """A shipped workload's ``cosim_done`` is a threshold predicate: an
+        untraced run's loop reads no register through ``CosimFabric.read``
+        and the run returns what a plain-function predicate over the same
+        thresholds returns (``vorbis_BC`` has one threshold per pipeline)."""
+        reads = {"n": 0}
+        original = CosimFabric.read
+
+        def counting(self, reg):
+            reads["n"] += 1
+            return original(self, reg)
+
+        monkeypatch.setattr(CosimFabric, "read", counting)
+        results, counts = [], []
+        for plain in (False, True):
+            workload = build()
+            done = workload.cosim_done
+            assert isinstance(done, ThresholdDone)
+            thresholds = done.thresholds
+            if plain:
+                done = lambda cosim: all([cosim.read(r) >= m for r, m in thresholds])
+            fabric = CosimFabric(workload.design, backend="source")
+            reads["n"] = 0
+            results.append(fabric.run(done))
+            counts.append(reads["n"])
+        # The loop top tests the thresholds inline.  A multi-group run still
+        # calls the predicate outside it: its probe and merged evaluation,
+        # and twice in each group's loop, which quiesces because the other
+        # group's sink reads as reset.
+        groups = len(fabric._groups)
+        outside = 0 if groups == 1 else 2 + 2 * groups
+        assert counts[0] == outside * len(thresholds)
+        assert counts[1] > counts[0] + 10 * len(thresholds)
+        assert asdict(results[0]) == asdict(results[1])
+        assert results[0].completed
 
 
 # --------------------------------------------------------------------------
