@@ -1,10 +1,11 @@
 """Generate the three compiler outputs for a partitioned design (Figure 6).
 
 Given a Vorbis partition letter, this example runs the partitioner and emits
-the software C++ translation unit, the hardware BSV module, the Verilog
-skeleton, and the HW/SW interface (C header + BSV arbiter) into
-``generated/<partition>/`` -- the "Fully Automatic" and "Interface Only"
-methodologies of Section 1.
+the software C++ translation unit, the hardware BSV module and the HW/SW
+interface (C header + BSV arbiter) into ``generated/<partition>/`` -- the
+"Fully Automatic" and "Interface Only" methodologies of Section 1.  The
+BSV is the hardware output, as in the paper, which hands it to Bluespec's
+``bsc``.
 
 Run with:  python examples/generate_interfaces.py [partition-letter]
 """
@@ -17,7 +18,6 @@ from repro.apps.vorbis.partitions import build_partition
 from repro.codegen.bsv import generate_hw_partition
 from repro.codegen.cxx import generate_sw_partition
 from repro.codegen.interface import build_interface_spec, generate_hw_arbiter, generate_sw_header
-from repro.codegen.verilog import generate_verilog
 from repro.core.domains import HW, SW
 from repro.core.partition import partition_design
 
@@ -42,7 +42,6 @@ def main():
         outputs["hw_partition.bsv"] = generate_hw_partition(
             backend.design, partitioning.program(HW), spec=spec
         )
-        outputs["hw_partition.v"] = generate_verilog(backend.design, partitioning.program(HW))
 
     for name, text in outputs.items():
         (out_dir / name).write_text(text)

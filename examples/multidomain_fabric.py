@@ -20,17 +20,14 @@ ways: the fabric's own serially scheduled group sub-fabrics, and
 design across ``--processes`` workers, verifying the two results bitwise
 identical and every checksum bit-exact.
 
-With ``--distributed`` the multi-group workload additionally runs on the
-distributed scheduler (:mod:`repro.sim.distrib`): long-lived worker
-processes host the groups (and, with domain placement, the individual
-domains), and every cut link that crosses a process boundary carries its
-messages as real framed wire words over the ``--carrier`` transport
-(shared-memory rings or socket streams) -- verified bitwise identical to
-the serial grouped run.
+With ``--distributed`` the multi-group workload additionally runs through
+:func:`repro.sim.distrib.run_distributed`: each domain of a multi-domain
+group runs in its own worker process, and every cut link between two of
+them carries its messages as real framed wire words over a shared-memory
+ring -- verified bitwise identical to the serial grouped run.
 
 Run with:  python examples/multidomain_fabric.py [n_frames] [--grouped]
-           [--distributed] [--carrier shm|socket]
-           [--group-letters BC] [--processes N]
+           [--distributed] [--group-letters BC] [--processes N]
 """
 
 import argparse
@@ -102,13 +99,11 @@ def run_grouped_section(letters: str, params: VorbisParams, processes: int) -> N
     )
 
 
-def run_distributed_section(
-    letters: str, params: VorbisParams, processes: int, carrier: str
-) -> None:
-    """The distributed demonstration: groups in worker processes, cut links
-    as framed wire words over the chosen carrier."""
+def run_distributed_section(letters: str, params: VorbisParams, processes: int) -> None:
+    """The distributed demonstration: domains in worker processes, cut links
+    as framed wire words over shared-memory rings."""
     reference = expected_checksum(params)
-    print(f"\nDistributed co-simulation ({'+'.join(letters)}, carrier={carrier})")
+    print(f"\nDistributed co-simulation ({'+'.join(letters)})")
 
     workload = build_group_partition(letters, params)
     fabric = CosimFabric(workload.design)
@@ -117,33 +112,24 @@ def run_distributed_section(
     if not serial.completed or any(c != reference for c in checksums):
         raise SystemExit("serial grouped reference diverged from the checksum")
 
-    for placement in ("group", "domain"):
-        report = run_distributed(
-            build_group_partition,
-            args=(letters, params),
-            placement=placement,
-            carrier=carrier,
-            processes=processes,
-        )
-        print(f"  placement={placement}:")
-        print(report.table())
-        if asdict(report.result) != asdict(serial):
+    report = run_distributed(
+        build_group_partition, args=(letters, params), processes=processes
+    )
+    print(report.table())
+    if asdict(report.result) != asdict(serial):
+        raise SystemExit("distributed result diverged from the serial grouped run")
+    if not report.fallback:
+        if report.data_plane["words"] <= 0:
             raise SystemExit(
-                f"distributed ({placement}/{carrier}) result diverged from the "
-                "serial grouped run"
+                "domain placement moved no framed wire words across process "
+                "boundaries"
             )
-        if placement == "domain" and not report.fallback:
-            if report.data_plane["words"] <= 0:
-                raise SystemExit(
-                    "domain placement moved no framed wire words across "
-                    "process boundaries"
-                )
-            print(
-                f"  {report.data_plane['records']} framed records / "
-                f"{report.data_plane['words']} wire words crossed process "
-                f"boundaries over {carrier}; result bitwise identical to the "
-                "serial grouped run"
-            )
+        print(
+            f"  {report.data_plane['records']} framed records / "
+            f"{report.data_plane['words']} wire words crossed process "
+            "boundaries over shared-memory rings; result bitwise identical to "
+            "the serial grouped run"
+        )
 
 
 def main():
@@ -155,12 +141,8 @@ def main():
     )
     parser.add_argument(
         "--distributed", action="store_true",
-        help="also run the multi-group workload on the distributed scheduler "
-             "(worker processes + framed wire words on cut links)",
-    )
-    parser.add_argument(
-        "--carrier", choices=("shm", "socket"), default="shm",
-        help="cross-process word transport for --distributed",
+        help="also run the multi-group workload with one worker process per "
+             "domain (framed wire words on cut links)",
     )
     parser.add_argument(
         "--group-letters", default="BC",
@@ -240,9 +222,7 @@ def main():
         run_grouped_section(args.group_letters, params, args.processes)
 
     if args.distributed:
-        run_distributed_section(
-            args.group_letters, params, args.processes, args.carrier
-        )
+        run_distributed_section(args.group_letters, params, args.processes)
 
 
 if __name__ == "__main__":

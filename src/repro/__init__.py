@@ -9,7 +9,7 @@ evaluation depends on:
     operational semantics, the when-axioms and compiler optimisations,
     computational domains and the partitioner.
 ``repro.codegen``
-    C++ / BSV / Verilog source generation and HW/SW interface (transactor)
+    C++ / BSV source generation and HW/SW interface (transactor)
     generation.
 ``repro.platform``
     The physical-channel substrate: shared bus / LocalLink model, LIBDN

@@ -79,7 +79,6 @@ MANIFEST: Dict[Type, CoverageSpec] = {
             "_group_index",
             "_store_group",
             "_vc_keys",
-            "_builder_spec",
         },
         cache={"_owner_store"},
     ),

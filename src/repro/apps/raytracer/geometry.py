@@ -34,14 +34,34 @@ Hit = Dict[str, object]
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def struct_types(int_bits: int = 16, frac_bits: int = 16, leaf_size: int = 4):
     """The struct types used by the ray tracer's synchronizers.
 
-    Cached: every design of one format shares the type objects, so its raw
-    structs match a layout's type by identity.  Callers must not mutate the
-    returned dict.
+    Cached: every spelling of one format and leaf size returns the same
+    dict, and every leaf size of a format shares the types that hold no
+    leaf bundle, so raw structs match a layout's type by identity.
+    Callers must not mutate the returned dict.
     """
+    return _struct_types(int_bits, frac_bits, leaf_size)
+
+
+@lru_cache(maxsize=None)
+def _struct_types(int_bits: int, frac_bits: int, leaf_size: int):
+    types = dict(_format_types(int_bits, frac_bits))
+    bundle = VectorT(leaf_size, types["triangle"])
+    types["leaf_data"] = StructT(
+        "LeafData", [("bundle", bundle), ("count", UIntT(16)), ("base", UIntT(16))]
+    )
+    types["geom_req"] = StructT(
+        "GeomReq",
+        [("ray", types["ray"]), ("bundle", bundle), ("count", UIntT(16)), ("base", UIntT(16))],
+    )
+    return types
+
+
+@lru_cache(maxsize=None)
+def _format_types(int_bits: int, frac_bits: int):
+    """The types of one format that do not depend on the leaf size."""
     fix = FixPtT(int_bits, frac_bits)
     vec3 = StructT("Vec3", [("x", fix), ("y", fix), ("z", fix)])
     triangle = StructT("Triangle", [("v0", vec3), ("v1", vec3), ("v2", vec3)])
@@ -71,12 +91,6 @@ def struct_types(int_bits: int = 16, frac_bits: int = 16, leaf_size: int = 4):
     leaf_req = StructT("LeafReq", [("start", UIntT(16)), ("count", UIntT(16))])
     mem_req = StructT("MemReq", [("index", UIntT(16))])
     color = StructT("Color", [("pixel", UIntT(32)), ("value", fix)])
-    bundle = VectorT(leaf_size, triangle)
-    leaf_data = StructT("LeafData", [("bundle", bundle), ("count", UIntT(16)), ("base", UIntT(16))])
-    geom_req = StructT(
-        "GeomReq",
-        [("ray", ray), ("bundle", bundle), ("count", UIntT(16)), ("base", UIntT(16))],
-    )
     return {
         "vec3": vec3,
         "triangle": triangle,
@@ -86,8 +100,6 @@ def struct_types(int_bits: int = 16, frac_bits: int = 16, leaf_size: int = 4):
         "leaf_req": leaf_req,
         "mem_req": mem_req,
         "color": color,
-        "leaf_data": leaf_data,
-        "geom_req": geom_req,
     }
 
 

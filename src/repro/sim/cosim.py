@@ -27,7 +27,7 @@ share no synchronizer (transitively) are fully independent by the paper's
 semantics, so each connected component of the cut graph
 (:meth:`~repro.core.partition.Partitioning.independent_groups`) gets its
 own :class:`_GroupFabric` -- its own clock, delivery routes and transport
-routes.  The default scheduler runs the groups serially, each with its
+routes.  :meth:`CosimFabric.run` runs the groups serially, each with its
 own idle-skip (a group stalled on the bus never drags the others through
 empty cycles); :func:`repro.sim.pool.run_grouped` fans the same group
 sub-fabrics out across worker processes.  Per-group results combine under
@@ -777,12 +777,6 @@ class CosimFabric:
         )
 
         self.now: float = 0.0
-        #: Picklable elaboration spec (builder, args, kwargs, done_attr),
-        #: attached via :meth:`bind_builder`; required by
-        #: ``run(scheduler="distributed")``, whose worker processes
-        #: re-elaborate the design from it (foreign-kernel closures do not
-        #: pickle, so the fabric itself can never cross a process boundary).
-        self._builder_spec: Optional[tuple] = None
 
         # -- group decomposition --------------------------------------------
         # The fabric is a composition of independently clocked *group
@@ -1072,28 +1066,6 @@ class CosimFabric:
             "links": links,
         }
 
-    def bind_builder(
-        self,
-        builder: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        done_attr: str = "cosim_done",
-    ) -> "CosimFabric":
-        """Attach the picklable builder spec this fabric was elaborated from.
-
-        ``builder(*args, **kwargs)`` must be a module-level callable
-        returning the same workload this fabric was built on, exposing its
-        done predicate as attribute ``done_attr`` -- the compile-once /
-        run-anywhere contract of :mod:`repro.sim.pool`.
-        ``run(scheduler="distributed")`` requires it: distributed worker
-        processes re-elaborate the design from the spec and resolve the done
-        predicate from their own workload object, so the predicate passed to
-        ``run`` must be (semantically) ``getattr(workload, done_attr)``.
-        Returns ``self`` for chaining.
-        """
-        self._builder_spec = (builder, tuple(args), dict(kwargs or {}), done_attr)
-        return self
-
     # -- transport ----------------------------------------------------------
 
     def _pump_transport(self, now: float) -> bool:
@@ -1123,35 +1095,20 @@ class CosimFabric:
         max_cycles: float = 100_000_000.0,
         max_iterations: int = 5_000_000,
         scheduler: str = "grouped",
-        *,
-        placement: str = "group",
-        carrier: str = "shm",
-        processes: Optional[int] = None,
     ) -> CosimResult:
         """Run until ``done(self)`` or until no further progress is possible.
 
-        ``scheduler`` selects how the fabric's independent group sub-fabrics
-        are advanced:
-
-        * ``"grouped"`` (default) -- each group runs to completion under its
-          own clock, serially in group order, with per-group idle-skip (a
-          stalled group never drags the others through empty cycles).  On a
-          single-group design this *is* the historical event loop, bitwise
-          identical to the pre-decomposition fabric.  On a multi-group
-          design the per-group results are combined by
-          :meth:`CosimResult.merge` and ``completed`` is the done predicate
-          evaluated against the merged final state.
-        * ``"distributed"`` -- the grouped semantics executed across
-          long-lived worker processes (:mod:`repro.sim.distrib`), with every
-          cut link that crosses a process boundary carried as real framed
-          wire words.  Requires :meth:`bind_builder` (workers re-elaborate
-          from the spec); ``placement`` puts each group (``"group"``,
-          default) or each domain (``"domain"``) in its own worker,
-          ``carrier`` picks the cross-process word transport (``"shm"``
-          shared-memory rings or ``"socket"`` byte streams) and
-          ``processes`` caps the group-placement worker count.  The result
-          is bitwise identical to ``"grouped"`` on a freshly elaborated
-          fabric.
+        Each independent group sub-fabric runs to completion under its own
+        clock, serially in group order, with per-group idle-skip (a stalled
+        group never drags the others through empty cycles).  On a
+        single-group design this *is* the historical event loop, bitwise
+        identical to the pre-decomposition fabric.  On a multi-group design
+        the per-group results are combined by :meth:`CosimResult.merge` and
+        ``completed`` is the done predicate evaluated against the merged
+        final state.  ``scheduler`` accepts only ``"grouped"``; the same
+        semantics run across processes through
+        :func:`repro.sim.pool.run_grouped` and
+        :func:`repro.sim.distrib.run_distributed`.
 
         Grouped-execution contract: while one group runs, ``done``'s reads
         of *other* groups' registers resolve to reset values, so a group
@@ -1161,39 +1118,9 @@ class CosimFabric:
         and terminates only via such a predicate exhausts its budget, and
         the error names the group.
         """
-        if scheduler == "distributed":
-            # Imported lazily: distrib builds on this module.
-            from repro.sim.distrib import run_distributed
-
-            if self._builder_spec is None:
-                raise SimulationError(
-                    "scheduler='distributed' needs a picklable builder spec: "
-                    "call bind_builder(builder, args, kwargs) first (worker "
-                    "processes re-elaborate the design from it; an elaborated "
-                    "fabric cannot cross a process boundary)"
-                )
-            builder, bargs, bkwargs, done_attr = self._builder_spec
-            report = run_distributed(
-                builder,
-                bargs,
-                bkwargs,
-                backend=self.backend,
-                engine_kinds=dict(self.engine_kinds),
-                fabric_kind="duplex" if isinstance(self, Cosimulator) else "fabric",
-                done_attr=done_attr,
-                placement=placement,
-                carrier=carrier,
-                processes=processes,
-                max_cycles=max_cycles,
-                max_iterations=max_iterations,
-                parent=self,
-                done=done,
-            )
-            self.now = report.result.fpga_cycles
-            return report.result
         if scheduler != "grouped":
             raise ValueError(
-                f"unknown scheduler {scheduler!r} (expected 'grouped'/'distributed')"
+                f"unknown scheduler {scheduler!r} (expected 'grouped')"
             )
         groups = self._groups
         if len(groups) == 1:

@@ -1,17 +1,15 @@
-"""Distributed co-simulation: groups in processes, links as framed wire words.
+"""Distributed co-simulation: domains in processes, links as framed wire words.
 
 The fabric's group decomposition (:class:`repro.sim.cosim.CosimFabric`)
-already proves that independently clocked groups share no state -- each
-group may run "in a different process".  This module takes that literally:
+already proves that independently clocked groups share no state.  This
+module goes one step further and splits a group itself across processes:
 
-* **Placement.**  ``placement="group"`` (the scaling story) gives every
-  independent group its own long-lived worker process; the groups share
-  nothing, so no data plane crosses a process boundary at all and the
-  workers simply run their group sub-fabric loops.  ``placement="domain"``
-  (the stretch placement, and the one that exercises the wire) splits every
-  multi-domain group into one *member* process per domain and advances the
-  members in an iteration-lockstep protocol equivalent to the serial group
-  loop.
+* **Placement.**  Every multi-domain group splits into one *member*
+  process per domain, and the members advance in an iteration-lockstep
+  protocol equivalent to the serial group loop.  A single-domain group
+  runs whole as one *solo* member; solo members are packed round-robin
+  onto at most ``processes`` workers.  (Running whole groups in worker
+  processes is :func:`repro.sim.pool.run_grouped`.)
 
 * **Data plane.**  A cut link whose producer and consumer land in
   different member processes is carried as the *actual framed wire words*
@@ -21,19 +19,15 @@ group may run "in a different process".  This module takes that literally:
   :func:`repro.core.pycodegen.generate_transport_pump` and of the
   reference pump :func:`repro.sim.cosim._pump_routes_interp`),
   its link replica's :class:`~repro.platform.channel.MessagePool` fills
-  with ``MessageLayout``-packed words, and a *carrier* moves each framed
-  record -- ``(due, header word, payload words)`` -- into the consumer
-  process's replica pool, where the unmodified delivery sweep demarshals
-  it.  Nothing but those raw integers (plus the simulated delivery time)
-  crosses the boundary: no pickled values, no Python objects.
-
-* **Carriers.**  Two interchangeable transports move the records:
-  ``carrier="shm"`` uses one fixed-size SPSC word ring per crossing link in
-  a single ``multiprocessing.shared_memory`` arena (the producer's tail
-  write is the doorbell, the consumer's head write returns the space), and
-  ``carrier="socket"`` streams the same records over pre-forked
-  ``socketpair`` byte streams.  Credit/occupancy counters and the lockstep
-  barriers always live in the shared arena.
+  with ``MessageLayout``-packed words, and one fixed-size SPSC word ring
+  per crossing link in a single ``multiprocessing.shared_memory`` arena
+  moves each framed record -- ``(due, header word, payload words)`` --
+  into the consumer process's replica pool, where the unmodified delivery
+  sweep demarshals it.  The producer's tail write is the doorbell, the
+  consumer's head write returns the space.  Nothing but those raw
+  integers (plus the simulated delivery time) crosses the boundary: no
+  pickled values, no Python objects.  Credit/occupancy counters and the
+  lockstep barriers live in the same arena.
 
 * **Equivalence.**  Workers re-elaborate the design from a picklable
   builder spec (elaboration is deterministic; an elaborated fabric cannot
@@ -41,8 +35,7 @@ group may run "in a different process".  This module takes that literally:
   loop's phase order cycle for cycle, and the parent reassembles each
   group's :class:`~repro.sim.cosim.CosimResult` in the serial orderings --
   so the merged result is **bitwise identical** to
-  ``scheduler="grouped"`` on a fresh fabric, for both backends and both
-  carriers.
+  ``scheduler="grouped"`` on a fresh fabric, for both backends.
 
 The protocol notes (ring word-frame layout, doorbell/credit slots, the
 barrier schedule and why it is race-free) are documented in ROADMAP.md
@@ -53,8 +46,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import socket
-import struct
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -67,7 +58,6 @@ from repro.platform.marshal import unframe_header
 from repro.sim.cosim import (
     CosimFabric,
     CosimResult,
-    Cosimulator,
     _deliver_routes_interp,
     _pump_routes_interp,
 )
@@ -87,9 +77,12 @@ _CONTINUE, _STOP, _BUDGET = 1, 2, 3
 #: Ring header slots (head, tail) preceding the data area.
 _RING_DATA = 2
 
+#: Seconds a lockstep member waits at a barrier before it gives up.
+_BARRIER_TIMEOUT = 300.0
+
 
 # ---------------------------------------------------------------------------
-# shared-memory arena and carriers
+# shared-memory arena and rings
 # ---------------------------------------------------------------------------
 
 
@@ -97,11 +90,11 @@ class _ShmArena:
     """One shared-memory segment carved into 64-bit slots.
 
     Holds every lockstep group's control block (barriers, credit cells,
-    observed-register cells) and -- under the shm carrier -- every crossing
-    link's word ring.  Slot assignment is computed once in the parent and
-    shipped in the (fork-inherited) plans; views over the buffer are built
-    lazily *per process*, never pre-fork, so each process releases exactly
-    the views it created.
+    observed-register cells) and every crossing link's word ring.  Slot
+    assignment is computed once in the parent and shipped in the
+    (fork-inherited) plans; views over the buffer are built lazily *per
+    process*, never pre-fork, so each process releases exactly the views it
+    created.
 
     Three typed views alias the same slots: ``u`` (uint64: barriers,
     counters, wire words), ``f`` (float64: simulated times, bit-punned into
@@ -228,70 +221,6 @@ class _ShmRing:
         return due, words
 
 
-class _SocketLane:
-    """Byte-stream carrier over one end of a pre-forked ``socketpair``.
-
-    Same record stream as :class:`_ShmRing` -- ``<dQ`` header (due,
-    n_words) followed by ``n_words`` little-endian 64-bit words -- over a
-    blocking producer ``sendall`` and a non-blocking consumer drain with a
-    partial-record reassembly buffer.  Credits bound the in-flight volume
-    far below AF_UNIX buffering, so the producer never blocks in practice;
-    the barrier schedule guarantees every record shipped in iteration ``i``
-    is readable before the consumer drains iteration ``i + 1``.
-    """
-
-    _HEADER = struct.Struct("<dQ")
-
-    __slots__ = (
-        "sock",
-        "buf",
-        "records_out",
-        "words_out",
-        "records_in",
-        "words_in",
-        "full_retries",
-    )
-
-    def __init__(self, sock: socket.socket, consumer: bool):
-        self.sock = sock
-        if consumer:
-            sock.setblocking(False)
-        self.buf = bytearray()
-        self.records_out = 0
-        self.words_out = 0
-        self.records_in = 0
-        self.words_in = 0
-        self.full_retries = 0
-
-    def can_ship(self, n_words: int) -> bool:
-        return True
-
-    def ship(self, due: float, words: List[int]) -> None:
-        self.sock.sendall(struct.pack(f"<dQ{len(words)}Q", due, len(words), *words))
-        self.records_out += 1
-        self.words_out += len(words)
-
-    def pop_record(self) -> Optional[Tuple[float, List[int]]]:
-        while True:
-            buf = self.buf
-            if len(buf) >= 16:
-                due, n = self._HEADER.unpack_from(buf, 0)
-                need = 16 + 8 * n
-                if len(buf) >= need:
-                    words = list(struct.unpack_from(f"<{n}Q", buf, 16))
-                    del buf[:need]
-                    self.records_in += 1
-                    self.words_in += n
-                    return due, words
-            try:
-                chunk = self.sock.recv(1 << 16)
-            except BlockingIOError:
-                return None
-            if not chunk:
-                return None
-            buf += chunk
-
-
 # ---------------------------------------------------------------------------
 # plans: what the parent computes once and every member agrees on
 # ---------------------------------------------------------------------------
@@ -299,13 +228,12 @@ class _SocketLane:
 
 @dataclass(frozen=True)
 class _RemoteLink:
-    """One cut link that crosses a member boundary, with its carrier resources."""
+    """One cut link that crosses a member boundary, with its ring."""
 
     src: str
     dst: str
-    ring_base: int = 0
-    capacity: int = 0
-    socket_index: int = -1
+    ring_base: int
+    capacity: int
 
 
 @dataclass(frozen=True)
@@ -408,17 +336,11 @@ class _WorkerAssignment:
     args: Tuple[Any, ...]
     kwargs: Dict[str, Any]
     backend: str
-    engine_kinds: Optional[Dict[str, str]]
-    fabric_kind: str
-    done_attr: str
     members: List[_MemberSpec]
     plans: Dict[int, _GroupPlan]
     arena: Optional[_ShmArena]
-    sockets: List[Tuple[socket.socket, socket.socket]]
-    carrier: str
     max_cycles: float
     max_iterations: int
-    barrier_timeout: float
 
 
 @dataclass
@@ -432,8 +354,8 @@ class MemberOutcome:
     domains: Tuple[str, ...]
     pid: int
     wall_seconds: float
-    #: Carrier endpoint counters: records/words shipped and received by
-    #: this member, plus ring-full retries (backpressure events).
+    #: Ring counters: records/words shipped and received by this member,
+    #: plus ring-full retries (backpressure events).
     carrier: Dict[str, int] = field(default_factory=dict)
 
 
@@ -442,20 +364,18 @@ class DistributedReport:
     """What :func:`run_distributed` hands back.
 
     ``result`` is bitwise identical to ``scheduler="grouped"`` on a fresh
-    fabric; the rest is accounting: per-member outcomes, wall-clock time,
-    the placement/carrier actually used and the aggregate data plane
-    (``records``/``words`` that physically crossed process boundaries as
-    framed wire words, and ``full_retries`` -- carrier backpressure
-    events).  ``fallback=True`` marks a platform without ``fork``, where
-    the run degraded to the in-process grouped scheduler.
+    fabric; the rest is accounting: per-member outcomes, wall-clock time
+    and the aggregate data plane (``records``/``words`` that physically
+    crossed process boundaries as framed wire words, and ``full_retries``
+    -- ring backpressure events).  ``fallback=True`` marks a platform
+    without ``fork``, where the run degraded to the in-process grouped
+    scheduler.
     """
 
     result: CosimResult
     outcomes: List[MemberOutcome]
     wall_seconds: float
     processes: int
-    placement: str
-    carrier: str
     data_plane: Dict[str, int]
     fallback: bool = False
 
@@ -474,8 +394,7 @@ class DistributedReport:
             )
         d = self.data_plane
         lines.append(
-            f"{self.processes} processes ({self.placement} placement, "
-            f"{self.carrier} carrier): {d['records']} records / {d['words']} "
+            f"{self.processes} processes: {d['records']} records / {d['words']} "
             f"wire words crossed process boundaries, {d['full_retries']} "
             f"ring-full retries, {self.wall_seconds:.3f}s wall"
         )
@@ -485,32 +404,6 @@ class DistributedReport:
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
-
-
-def _build_fabric(
-    workload: Any,
-    fabric_kind: str,
-    backend: str,
-    engine_kinds: Optional[Dict[str, str]],
-) -> CosimFabric:
-    """Elaborate a fabric from a workload, mirroring the serving layer."""
-    kind = fabric_kind
-    if kind == "auto":
-        kind = "fabric" if engine_kinds else "duplex"
-    if kind == "duplex":
-        return Cosimulator(workload.design, backend=backend)
-    return CosimFabric(
-        workload.design,
-        backend=backend,
-        engine_kinds=dict(engine_kinds) if engine_kinds else None,
-    )
-
-
-def _make_endpoint(a: _WorkerAssignment, rl: _RemoteLink, consumer: bool):
-    if a.carrier == "shm":
-        return _ShmRing(a.arena, rl.ring_base, rl.capacity)
-    pair = a.sockets[rl.socket_index]
-    return _SocketLane(pair[1] if consumer else pair[0], consumer)
 
 
 def _carrier_stats(endpoints) -> Dict[str, int]:
@@ -618,13 +511,11 @@ def _run_lockstep_member(
         fabric.engines[d] for d in doms if fabric.engine_kinds[d.name] == "sw"
     ]
 
-    # -- carrier endpoints over the member-crossing links --------------------
-    endpoints: Dict[Tuple[str, str], Any] = {}
+    # -- rings over the member-crossing links ---------------------------------
+    endpoints: Dict[Tuple[str, str], _ShmRing] = {}
     for rl in plan.remote_links:
-        if rl.src in member_names:
-            endpoints[(rl.src, rl.dst)] = _make_endpoint(a, rl, consumer=False)
-        elif rl.dst in member_names:
-            endpoints[(rl.src, rl.dst)] = _make_endpoint(a, rl, consumer=True)
+        if rl.src in member_names or rl.dst in member_names:
+            endpoints[(rl.src, rl.dst)] = _ShmRing(a.arena, rl.ring_base, rl.capacity)
 
     gidx = fabric._group_index
     in_carriers: List[Tuple[Any, Any]] = []
@@ -717,7 +608,7 @@ def _run_lockstep_member(
     def wait_at_least(idx: int, target: int, what: str) -> None:
         if u[idx] >= target:
             return
-        deadline = time.monotonic() + a.barrier_timeout
+        deadline = time.monotonic() + _BARRIER_TIMEOUT
         spins = 0
         while u[idx] < target:
             spins += 1
@@ -726,7 +617,7 @@ def _run_lockstep_member(
                 if time.monotonic() > deadline:
                     raise SimulationError(
                         f"distributed member {spec.label} timed out after "
-                        f"{a.barrier_timeout:.0f}s waiting for {what} "
+                        f"{_BARRIER_TIMEOUT:.0f}s waiting for {what} "
                         f"(iteration {target})"
                     )
 
@@ -840,7 +731,7 @@ def _run_lockstep_member(
                         f"{reg.full_name} holds {value!r}, which does not fit "
                         "the control block's int64 cells; domain placement "
                         "needs integer-valued done predicates (use "
-                        "placement='group' for this design)"
+                        "run_grouped for this design)"
                     )
                 q[plan.observed_slot(o)] = value
             u[plan.progress_slot(my)] = 1 if progress else 0
@@ -961,10 +852,8 @@ def _worker_main(a: _WorkerAssignment, conn) -> None:
             try:
                 if fabric is None:
                     workload = a.builder(*a.args, **a.kwargs)
-                    done = getattr(workload, a.done_attr)
-                    fabric = _build_fabric(
-                        workload, a.fabric_kind, a.backend, a.engine_kinds
-                    )
+                    done = workload.cosim_done
+                    fabric = CosimFabric(workload.design, backend=a.backend)
                     if len(a.members) > 1:
                         # More members will follow: remember reset state so
                         # each runs from it, like a fresh elaboration would.
@@ -1000,12 +889,11 @@ def _plan_groups(
     parent: CosimFabric,
     layouts: List[Dict[str, Any]],
     member_domains: List[List[Tuple[str, ...]]],
-    carrier: str,
     ring_words: Optional[int],
-) -> Tuple[Dict[int, _GroupPlan], int, int]:
-    """Control-block and carrier assignment for every lockstep group.
+) -> Tuple[Dict[int, _GroupPlan], int]:
+    """Control-block and ring assignment for every lockstep group.
 
-    Returns ``(plans, total arena slots, socketpair count)``.  Ring
+    Returns ``(plans, total arena slots)``.  Ring
     capacities default to twice the worst-case credit-window volume of the
     link's routes (``depth * (words_per_element + record overhead)``
     summed), floored at 256 slots -- so backpressure is the exception, not
@@ -1014,7 +902,6 @@ def _plan_groups(
     """
     plans: Dict[int, _GroupPlan] = {}
     cursor = 0
-    socket_count = 0
     for g, members in enumerate(member_domains):
         if len(members) == 1:
             continue
@@ -1044,22 +931,16 @@ def _plan_groups(
             routes = by_link.get((src, dst))
             if not routes:
                 continue
-            if carrier == "shm":
-                need = sum(r["depth"] * (r["words_per_element"] + 2) for r in routes)
-                capacity = ring_words if ring_words is not None else max(256, 2 * need)
-                floor = max(r["words_per_element"] for r in routes) + 2
-                if capacity < floor:
-                    raise ValueError(
-                        f"ring_words={capacity} cannot hold one framed record "
-                        f"of link {src}->{dst} (needs at least {floor} slots)"
-                    )
-                links.append(
-                    _RemoteLink(src, dst, ring_base=cursor, capacity=capacity)
+            need = sum(r["depth"] * (r["words_per_element"] + 2) for r in routes)
+            capacity = ring_words if ring_words is not None else max(256, 2 * need)
+            floor = max(r["words_per_element"] for r in routes) + 2
+            if capacity < floor:
+                raise ValueError(
+                    f"ring_words={capacity} cannot hold one framed record "
+                    f"of link {src}->{dst} (needs at least {floor} slots)"
                 )
-                cursor += _RING_DATA + capacity
-            else:
-                links.append(_RemoteLink(src, dst, socket_index=socket_count))
-                socket_count += 1
+            links.append(_RemoteLink(src, dst, ring_base=cursor, capacity=capacity))
+            cursor += _RING_DATA + capacity
         plans[g] = _GroupPlan(
             group_index=g,
             members=tuple(tuple(m) for m in members),
@@ -1068,7 +949,7 @@ def _plan_groups(
             remote_route_cuts=remote_cuts,
             remote_links=tuple(links),
         )
-    return plans, cursor, socket_count
+    return plans, cursor
 
 
 def _assemble_lockstep_result(
@@ -1164,109 +1045,58 @@ def _assemble_lockstep_result(
     )
 
 
-def _serial_fallback(
-    workload: Any,
-    builder,
-    args,
-    kwargs,
-    backend,
-    engine_kinds,
-    fabric_kind,
-    done_attr,
-    placement,
-    carrier,
-    max_cycles,
-    max_iterations,
-    t0,
-) -> "DistributedReport":
-    """No usable ``fork``: run the identical grouped semantics in-process."""
-    if workload is None:
-        workload = builder(*args, **kwargs)
-    fabric = _build_fabric(workload, fabric_kind, backend, engine_kinds)
-    result = fabric.run(
-        getattr(workload, done_attr),
-        max_cycles=max_cycles,
-        max_iterations=max_iterations,
-        scheduler="grouped",
-    )
-    return DistributedReport(
-        result=result,
-        outcomes=[],
-        wall_seconds=time.perf_counter() - t0,
-        processes=1,
-        placement=placement,
-        carrier=carrier,
-        data_plane={"records": 0, "words": 0, "full_retries": 0},
-        fallback=True,
-    )
-
-
 def run_distributed(
     builder: Callable[..., Any],
     args: Tuple[Any, ...] = (),
     kwargs: Optional[Dict[str, Any]] = None,
     *,
-    name: Optional[str] = None,
     backend: Optional[str] = None,
-    engine_kinds: Optional[Dict[str, str]] = None,
-    fabric_kind: str = "fabric",
-    done_attr: str = "cosim_done",
-    placement: str = "group",
+    placement: str = "domain",
     carrier: str = "shm",
     processes: Optional[int] = None,
     max_cycles: float = 500_000_000.0,
     max_iterations: int = 5_000_000,
     ring_words: Optional[int] = None,
-    barrier_timeout: float = 300.0,
-    parent: Optional[CosimFabric] = None,
-    done: Optional[Callable[[CosimFabric], bool]] = None,
 ) -> DistributedReport:
     """Run ``builder(*args, **kwargs)``'s design distributed across processes.
 
     ``builder`` must be a module-level callable returning a workload whose
-    done predicate is attribute ``done_attr`` (the compile-once /
+    done predicate is its ``cosim_done`` attribute (the compile-once /
     run-anywhere contract of :mod:`repro.sim.pool`): worker processes
     re-elaborate the design from the spec, so nothing elaborated ever
     crosses a process boundary -- only framed wire words (the data plane)
     and plain-data member reports (the result plane).
 
-    ``placement="group"`` runs each independent group in its own worker
-    (capped by ``processes``, packed round-robin); ``placement="domain"``
-    additionally splits multi-domain groups into one member process per
-    domain, joined by the lockstep protocol with every member-crossing cut
-    link carried as framed words over ``carrier`` (``"shm"`` rings or
-    ``"socket"`` streams).  ``ring_words`` forces the per-link ring
-    capacity (tests use a tiny ring to exercise backpressure).
+    Every multi-domain group splits into one member process per domain,
+    joined by the lockstep protocol, with every member-crossing cut link
+    carried as framed words over a shared-memory ring; single-domain
+    groups run whole, packed round-robin onto at most ``processes``
+    workers.  ``placement`` and ``carrier`` accept only ``"domain"`` and
+    ``"shm"``.  ``ring_words`` forces the per-link ring capacity (tests
+    use a tiny ring to exercise backpressure).
 
     ``backend=None`` resolves to
     :func:`~repro.core.pycodegen.default_rule_backend`; every worker
     elaborates under the resolved backend.
 
-    ``parent``/``done`` let an already-elaborated fabric
-    (``CosimFabric.run(scheduler="distributed")``) reuse itself for
-    planning and final evaluation.  The returned report's ``result`` is
-    bitwise identical to that fabric's ``scheduler="grouped"`` result on a
-    fresh elaboration, and a failing run raises the lowest group's error,
-    as that scheduler does.  Platforms without the ``fork`` start method
-    fall back to the in-process grouped scheduler (``fallback=True``).
+    The returned report's ``result`` is bitwise identical to
+    ``scheduler="grouped"`` on a fresh elaboration, and a failing run
+    raises the lowest group's error, as that scheduler does.  Platforms
+    without the ``fork`` start method fall back to the in-process grouped
+    scheduler (``fallback=True``).
     """
-    if placement not in ("group", "domain"):
-        raise ValueError(f"unknown placement {placement!r} (expected 'group'/'domain')")
-    if carrier not in ("shm", "socket"):
-        raise ValueError(f"unknown carrier {carrier!r} (expected 'shm'/'socket')")
+    if placement != "domain":
+        raise ValueError(f"unknown placement {placement!r} (expected 'domain')")
+    if carrier != "shm":
+        raise ValueError(f"unknown carrier {carrier!r} (expected 'shm')")
     backend = resolve_backend(backend)
     kwargs = dict(kwargs or {})
     t0 = time.perf_counter()
-    workload = None
-    if done is None or parent is None:
-        workload = builder(*args, **kwargs)
-        if done is None:
-            done = getattr(workload, done_attr)
-        if parent is None:
-            # The parent never executes a rule: interp elaboration skips the
-            # code generation each worker pays for its own run.
-            parent = _build_fabric(workload, fabric_kind, "interp", engine_kinds)
-    base_name = name or parent.design.name
+    workload = builder(*args, **kwargs)
+    done = workload.cosim_done
+    # The parent never executes a rule: interp elaboration skips the code
+    # generation each worker pays for its own run.
+    parent = CosimFabric(workload.design, backend="interp")
     n_groups = parent.group_count
 
     already, observed = parent.probe_done(done)
@@ -1280,16 +1110,20 @@ def run_distributed(
             outcomes=[],
             wall_seconds=time.perf_counter() - t0,
             processes=0,
-            placement=placement,
-            carrier=carrier,
             data_plane={"records": 0, "words": 0, "full_retries": 0},
         )
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return _serial_fallback(
-            workload, builder, args, kwargs, backend, engine_kinds,
-            fabric_kind, done_attr, placement, carrier, max_cycles,
-            max_iterations, t0,
+        # No usable fork: run the identical grouped semantics in-process.
+        fabric = CosimFabric(workload.design, backend=backend)
+        result = fabric.run(done, max_cycles=max_cycles, max_iterations=max_iterations)
+        return DistributedReport(
+            result=result,
+            outcomes=[],
+            wall_seconds=time.perf_counter() - t0,
+            processes=1,
+            data_plane={"records": 0, "words": 0, "full_retries": 0},
+            fallback=True,
         )
     ctx = multiprocessing.get_context("fork")
 
@@ -1298,7 +1132,7 @@ def run_distributed(
     member_domains: List[List[Tuple[str, ...]]] = []
     for layout in layouts:
         names = [nm for nm, _kind in layout["domains"]]
-        if placement == "group" or len(names) == 1:
+        if len(names) == 1:
             member_domains.append([tuple(names)])
         else:
             member_domains.append([(nm,) for nm in names])
@@ -1310,7 +1144,7 @@ def run_distributed(
         for m, names in enumerate(members):
             if len(members) == 1:
                 spec = _MemberSpec(
-                    len(specs), g, m, "solo", names, f"{base_name}[g{g}]"
+                    len(specs), g, m, "solo", names, f"{parent.design.name}[g{g}]"
                 )
                 solo_specs.append(spec)
             else:
@@ -1320,32 +1154,23 @@ def run_distributed(
                     m,
                     "lockstep",
                     names,
-                    f"{base_name}[g{g}:{'+'.join(names)}]",
+                    f"{parent.design.name}[g{g}:{'+'.join(names)}]",
                 )
                 lockstep_specs.append(spec)
             specs.append(spec)
 
-    plans, total_slots, socket_count = _plan_groups(
-        parent, layouts, member_domains, carrier, ring_words
-    )
+    plans, total_slots = _plan_groups(parent, layouts, member_domains, ring_words)
     arena = _ShmArena(total_slots) if plans else None
-    socks = [socket.socketpair() for _ in range(socket_count)]
 
     shared = dict(
         builder=builder,
         args=tuple(args),
         kwargs=kwargs,
         backend=backend,
-        engine_kinds=dict(engine_kinds) if engine_kinds else None,
-        fabric_kind=fabric_kind,
-        done_attr=done_attr,
         plans=plans,
         arena=arena,
-        sockets=socks,
-        carrier=carrier,
         max_cycles=max_cycles,
         max_iterations=max_iterations,
-        barrier_timeout=barrier_timeout,
     )
     assignments: List[_WorkerAssignment] = []
     if solo_specs:
@@ -1456,9 +1281,6 @@ def run_distributed(
                 pass
         if arena is not None:
             arena.unlink()
-        for end_a, end_b in socks:
-            end_a.close()
-            end_b.close()
 
     # -- reassembly ----------------------------------------------------------
     by_member = {
@@ -1512,7 +1334,5 @@ def run_distributed(
         outcomes=outcomes,
         wall_seconds=time.perf_counter() - t0,
         processes=len(assignments),
-        placement=placement,
-        carrier=carrier,
         data_plane=data_plane,
     )

@@ -6,7 +6,8 @@ dispatched by :func:`run_grouped`) and live serving requests
 (``kind="request"``, carrying a :class:`~repro.sim.serve.Request`) --
 reduces to the same worker-side shape: *elaborate a workload (once), run
 something on its fabric, report plain data*.  This module is the one path
-by which work leaves the process:
+by which whole fabrics' work leaves the process (only
+:func:`repro.sim.distrib.run_distributed` splits a group across processes):
 
 * a :class:`PoolTask` names a picklable module-level builder plus its
   arguments (the compile-once / run-anywhere contract: workers never
@@ -394,8 +395,9 @@ def evaluate_grouped_done(
 ) -> bool:
     """Re-evaluate a full done predicate over worker-reported finals.
 
-    The shared completion step of every process-parallel grouped execution
-    (:func:`run_grouped` and :func:`repro.sim.distrib.run_distributed`):
+    The shared completion step of both process-parallel grouped executions
+    (:func:`run_grouped`, one worker per group, and
+    :func:`repro.sim.distrib.run_distributed`, one per domain):
     evaluate ``done`` on the parent's never-run fabric with the workers'
     observed finals overriding the registers they own, while *recording*
     the evaluation's read set.  ``observed`` is the reset-state probe's

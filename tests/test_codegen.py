@@ -1,4 +1,4 @@
-"""Tests for the three compiler outputs: C++ (SW), BSV/Verilog (HW), interface glue."""
+"""Tests for the three compiler outputs: C++ (SW), BSV (HW), interface glue."""
 
 import hashlib
 import json
@@ -33,7 +33,6 @@ from repro.codegen.interface import (
     generate_sw_marshal_source,
     generate_transactors,
 )
-from repro.codegen.verilog import generate_verilog
 from repro.core.action import Loop, Seq, par
 from repro.core.domains import HW, SW, Domain
 from repro.core.errors import CodegenError, ElaborationError
@@ -209,13 +208,6 @@ class TestBsvGeneration:
         assert "ifft_stage0" in code and "ifft_stage2" in code
         assert "endmodule" in code
         assert "window_overlap" not in code
-
-    def test_verilog_skeleton(self, simple_design):
-        design, *_ = simple_design
-        code = generate_verilog(design)
-        assert "module simple_hw" in code
-        assert "will_fire_produce" in code
-        assert "always @(posedge clk)" in code
 
 
 class TestInterfaceGeneration:

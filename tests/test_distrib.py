@@ -2,19 +2,17 @@
 
 Four groups:
 
-* **Differential matrix** -- ``run_distributed`` must be bitwise identical
-  to ``scheduler="grouped"`` on a fresh elaboration, across backends
-  (interp/source), placements (group/domain) and carriers (shm/socket),
-  with real framed wire words crossing process boundaries whenever a cut
-  link spans two members.
-* **Scheduler dispatch** -- ``CosimFabric``/``Cosimulator``
-  ``run(scheduler="distributed")`` with a bound builder spec, and the
-  error when the spec is missing.
+* **Differential** -- ``run_distributed`` must be bitwise identical to
+  ``scheduler="grouped"`` on a fresh elaboration, on both backends
+  (interp/source), over Vorbis and ray-tracer designs, with real framed
+  wire words crossing process boundaries on every cut link; without
+  ``fork`` it falls back to the in-process grouped run.
 * **Faults** -- a worker that dies mid-run surfaces as a
-  ``SimulationError`` naming the member and exit code; a full carrier ring
+  ``SimulationError`` naming the member and exit code; a full ring
   backpressures without perturbing simulated timing (bitwise-equal result,
   ``full_retries`` counted, every sent message delivered); undersized
-  rings are rejected up front.
+  rings, retired placements and carriers, and done predicates over
+  registers no int64 cell holds are rejected.
 * **Pool shutdown** -- ``_collect_pool_results`` regression: a cleanly
   exited pool with results still buffered in the queue's feeder pipe is
   not a dead pool, and the lowest-indexed failure wins.
@@ -29,6 +27,8 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.apps.raytracer import partitions as rp
+from repro.apps.raytracer.params import RayTracerParams
 from repro.apps.vorbis import partitions as vp
 from repro.apps.vorbis.params import VorbisParams
 from repro.core.action import par
@@ -38,19 +38,24 @@ from repro.core.expr import BinOp, Const, KernelCall, RegRead
 from repro.core.module import Design, Module
 from repro.core.synchronizers import SyncFifo
 from repro.core.types import UIntT
-from repro.sim.cosim import CosimFabric, Cosimulator
+from repro.sim.cosim import CosimFabric
 from repro.sim.distrib import run_distributed
 from repro.sim.pool import _collect_pool_results, run_grouped
 
 PARAMS = VorbisParams(n_frames=3)
+RT_PARAMS = RayTracerParams(n_triangles=24, image_width=3, image_height=3)
 
 #: name -> (module-level builder, args) -- the picklable spec contract.
 WORKLOADS = {
     "vorbis_B": (vp.build_partition, ("B", PARAMS)),
+    "vorbis_C": (vp.build_partition, ("C", PARAMS)),
     "vorbis_G": (vp.build_multi_partition, ("G", PARAMS)),
     "vorbis_H": (vp.build_multi_partition, ("H", PARAMS)),
     "vorbis_mg_BC": (vp.build_group_partition, ("BC", PARAMS)),
     "vorbis_mg_BCF": (vp.build_group_partition, ("BCF", PARAMS)),
+    "vorbis_mg_BFF": (vp.build_group_partition, ("BFF", PARAMS)),
+    "raytracer_B": (rp.build_partition, ("B", RT_PARAMS)),
+    "raytracer_C": (rp.build_partition, ("C", RT_PARAMS)),
 }
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -84,95 +89,53 @@ def distributed(name, **kwargs):
 
 
 class TestDistributedDifferential:
-    @pytest.mark.parametrize("carrier", ["shm", "socket"])
-    @pytest.mark.parametrize("placement", ["group", "domain"])
+    #: workload -> extra ``run_distributed`` keywords.
+    CASES = {
+        "vorbis_B": {},
+        # The benchmark's distributed leg, keyword for keyword.
+        "vorbis_C": {"placement": "domain", "carrier": "shm", "processes": 2},
+        "vorbis_G": {},
+        "vorbis_H": {},
+        "vorbis_mg_BC": {},
+        "vorbis_mg_BCF": {},
+        # A lockstep pair beside two solo members that share one worker,
+        # which restores its reset snapshot between them.
+        "vorbis_mg_BFF": {"processes": 1},
+        # Struct layouts on the wire.
+        "raytracer_B": {},
+        "raytracer_C": {},
+    }
+
     @pytest.mark.parametrize("backend", ["interp", "source"])
-    def test_vorbis_B_full_matrix(self, backend, placement, carrier):
-        report = distributed(
-            "vorbis_B", backend=backend, placement=placement, carrier=carrier
-        )
-        assert asdict(report.result) == grouped_reference("vorbis_B", backend)
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_grouped(self, name, backend):
+        report = distributed(name, backend=backend, **self.CASES[name])
+        assert asdict(report.result) == grouped_reference(name, backend)
         assert report.result.completed
         if HAVE_FORK:
             assert not report.fallback
-            if placement == "domain":
-                # The SW<->HW cut really crossed a process boundary.
-                assert report.data_plane["records"] > 0
-                assert report.data_plane["words"] > 0
-
-    # Multi-group / multi-domain legs sampling every axis value at least
-    # twice without running the full 40-cell product on every CI pass.
-    LEGS = [
-        ("vorbis_G", "source", "domain", "shm"),
-        ("vorbis_G", "interp", "group", "shm"),
-        ("vorbis_H", "source", "domain", "socket"),
-        ("vorbis_H", "interp", "domain", "shm"),
-        ("vorbis_mg_BC", "source", "domain", "shm"),
-        ("vorbis_mg_BC", "interp", "group", "socket"),
-        ("vorbis_mg_BCF", "source", "group", "shm"),
-        ("vorbis_mg_BCF", "source", "domain", "socket"),
-    ]
-
-    @pytest.mark.parametrize("name,backend,placement,carrier", LEGS)
-    def test_multigroup_legs(self, name, backend, placement, carrier):
-        report = distributed(
-            name, backend=backend, placement=placement, carrier=carrier
-        )
-        assert asdict(report.result) == grouped_reference(name, backend)
-        assert report.result.completed
-        if HAVE_FORK and placement == "domain":
+            # Every case has a multi-domain group, whose cut links really
+            # crossed a process boundary.
+            assert report.data_plane["records"] > 0
             assert report.data_plane["words"] > 0
 
     @needs_fork
     def test_outcomes_report_worker_processes(self):
-        report = distributed("vorbis_mg_BC", placement="domain")
-        # Domain placement: one worker per member, none of them the parent.
-        assert report.processes == len(report.outcomes)
+        report = distributed("vorbis_mg_BFF", processes=1)
+        # Two lockstep members, each in its own worker, and both solo
+        # members in one more; none of them is the parent.
+        assert report.processes == 3
+        assert [o.mode for o in report.outcomes] == ["lockstep", "lockstep", "solo", "solo"]
+        assert len({o.pid for o in report.outcomes}) == 3
         assert all(o.pid != os.getpid() for o in report.outcomes)
-        assert {o.mode for o in report.outcomes} == {"lockstep"}
         assert "wire words crossed process boundaries" in report.table()
 
-
-# --------------------------------------------------------------------------
-# scheduler dispatch
-# --------------------------------------------------------------------------
-
-
-class TestSchedulerDispatch:
-    def test_missing_builder_spec_raises(self):
-        workload = vp.build_partition("B", PARAMS)
-        fabric = CosimFabric(workload.design, backend="interp")
-        with pytest.raises(SimulationError, match="bind_builder"):
-            fabric.run(workload.cosim_done, scheduler="distributed")
-
-    def test_fabric_distributed_scheduler_matches_grouped(self):
-        builder, args = WORKLOADS["vorbis_G"]
-        workload = builder(*args)
-        fabric = CosimFabric(workload.design, backend="source")
-        fabric.bind_builder(builder, args)
-        result = fabric.run(
-            workload.cosim_done, max_cycles=500_000_000, scheduler="distributed"
-        )
-        assert asdict(result) == grouped_reference("vorbis_G", "source")
-        assert fabric.now == result.fpga_cycles
-
-    def test_cosimulator_distributed_scheduler(self):
-        builder, args = WORKLOADS["vorbis_B"]
-        ref_workload = builder(*args)
-        ref = Cosimulator(ref_workload.design, backend="source").run(
-            ref_workload.cosim_done, max_cycles=500_000_000
-        )
-        workload = builder(*args)
-        cosim = Cosimulator(workload.design, backend="source")
-        cosim.bind_builder(builder, args)
-        result = cosim.run(
-            workload.cosim_done,
-            max_cycles=500_000_000,
-            scheduler="distributed",
-            placement="domain",
-        )
-        assert asdict(result) == asdict(ref)
-        assert cosim.now == result.fpga_cycles
+    def test_without_fork_runs_grouped_in_process(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        report = distributed("vorbis_mg_BC", backend="source")
+        assert report.fallback
+        assert (report.processes, report.outcomes) == (1, [])
+        assert asdict(report.result) == grouped_reference("vorbis_mg_BC", "source")
 
 
 # --------------------------------------------------------------------------
@@ -284,36 +247,59 @@ def build_burst_pipeline(n_items=5, depth=3):
     )
 
 
+def build_vector_done_partition():
+    """vorbis_B whose done predicate also reads a vector register
+    (``window.prev_half``), which no int64 control-block cell can hold."""
+    workload = vp.build_partition("B", PARAMS)
+    (prev_half,) = workload.modules["window"].registers
+    return _TestWorkload(
+        workload.design,
+        lambda c: c.read(prev_half) is not None
+        and c.read(workload.frames_out) >= PARAMS.n_frames,
+    )
+
+
 @needs_fork
 class TestFaults:
-    def test_worker_crash_names_member(self):
+    @pytest.mark.parametrize("backend", ["interp", "source"])
+    def test_worker_crash_names_member(self, backend):
         with pytest.raises(SimulationError, match="died with exit code 3"):
-            run_distributed(build_crash_pipeline, backend="interp")
+            run_distributed(build_crash_pipeline, backend=backend)
 
-    def test_ring_backpressure_preserves_equality(self):
+    @pytest.mark.parametrize("backend", ["interp", "source"])
+    def test_ring_backpressure_preserves_equality(self, backend):
         workload = build_burst_pipeline()
-        fabric = CosimFabric(workload.design, backend="interp")
+        fabric = CosimFabric(workload.design, backend=backend)
         ref = fabric.run(workload.cosim_done, max_cycles=500_000_000)
         assert ref.completed
 
         # One UIntT(32) element frames to 2 words -> a 4-slot ring holds
         # exactly one record, but both routes pump each producing cycle.
-        report = run_distributed(
-            build_burst_pipeline,
-            backend="interp",
-            placement="domain",
-            carrier="shm",
-            ring_words=4,
-        )
+        report = run_distributed(build_burst_pipeline, backend=backend, ring_words=4)
         assert asdict(report.result) == asdict(ref)
         assert report.data_plane["full_retries"] > 0
         # Credit conservation: every message the producers sent crossed the
         # wire and was delivered -- nothing lost to the full-ring deferrals.
         assert report.data_plane["records"] == ref.channel_messages
 
-    def test_undersized_ring_rejected(self):
-        with pytest.raises(ValueError, match="cannot hold one framed record"):
-            distributed("vorbis_B", placement="domain", ring_words=4)
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ({"ring_words": 4}, "cannot hold one framed record"),
+            # Whole groups in processes are run_grouped's job, and the
+            # shared-memory ring is the one carrier.
+            ({"placement": "group"}, r"unknown placement 'group' \(expected 'domain'\)"),
+            ({"carrier": "socket"}, r"unknown carrier 'socket' \(expected 'shm'\)"),
+        ],
+        ids=["undersized_ring", "group_placement", "socket_carrier"],
+    )
+    def test_invalid_option_rejected(self, option, message):
+        with pytest.raises(ValueError, match=message):
+            distributed("vorbis_B", **option)
+
+    def test_non_integer_done_register_names_run_grouped(self):
+        with pytest.raises(SimulationError, match="int64 cells.*use run_grouped"):
+            run_distributed(build_vector_done_partition)
 
 
 # --------------------------------------------------------------------------
@@ -414,11 +400,8 @@ RUNNERS = {
     "run_grouped_serial": lambda builder, args, budget: run_grouped(
         builder, args, processes=1, **budget
     ),
-    "distributed_group": lambda builder, args, budget: run_distributed(
-        builder, args, placement="group", **budget
-    ),
     "distributed_domain": lambda builder, args, budget: run_distributed(
-        builder, args, placement="domain", **budget
+        builder, args, **budget
     ),
 }
 
@@ -450,15 +433,12 @@ class TestErrorOrder:
         assert " (group 0: " in expected
         assert_raises_serial_error(runner, "vorbis_mg_BCF", BUDGET, expected)
 
-    @pytest.mark.parametrize("placement", ["group", "domain"])
     @pytest.mark.parametrize("when", sorted(ITERATION_BUDGETS))
-    def test_iteration_budget_error_is_the_serial_one(self, when, placement):
+    def test_iteration_budget_error_is_the_serial_one(self, when):
         budget = ITERATION_BUDGETS[when]
         expected = serial_error("vorbis_mg_BCF", budget)
         assert " (group 0: " in expected
-        assert_raises_serial_error(
-            f"distributed_{placement}", "vorbis_mg_BCF", budget, expected
-        )
+        assert_raises_serial_error("distributed_domain", "vorbis_mg_BCF", budget, expected)
 
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     def test_one_group_budget_error_is_the_serial_one(self, runner):

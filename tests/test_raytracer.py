@@ -299,6 +299,24 @@ class TestRawScene:
             assert scene == reference_scene(24, seed, int_bits, frac_bits)
             assert all(type(tri) is RawStruct and tri.ty is tri_t for tri in scene)
 
+    @pytest.mark.parametrize("int_bits, frac_bits", [(16, 16), (8, 24)])
+    def test_every_spelling_of_a_format_shares_its_types(self, int_bits, frac_bits):
+        types = geometry.struct_types(int_bits, frac_bits, 4)
+        assert geometry.struct_types(int_bits, frac_bits) is types
+        assert geometry.struct_types(int_bits, frac_bits, leaf_size=4) is types
+        if (int_bits, frac_bits) == (16, 16):
+            assert geometry.struct_types() is types
+        # Only the types that hold a leaf bundle depend on the leaf size.
+        other = geometry.struct_types(int_bits, frac_bits, 2)
+        assert {name for name in types if other[name] is not types[name]} == {
+            "leaf_data",
+            "geom_req",
+        }
+        # So the build's re-tag hands the scene's triangles through as they are.
+        scene = geometry.generate_scene(8, 1, int_bits, frac_bits)
+        bvh = build_bvh(scene, leaf_size=2)
+        assert sorted(map(id, bvh.triangles)) == sorted(map(id, scene))
+
     @pytest.mark.parametrize("leaf_size", [1, 2, 3, 4])
     def test_build_equals_the_boxed_build(self, leaf_size):
         types = geometry.struct_types(16, 16, leaf_size)
