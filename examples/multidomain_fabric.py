@@ -44,10 +44,8 @@ from repro.apps.vorbis.partitions import (
     build_group_partition,
     build_multi_partition,
     build_partition,
-    multi_partition_domains,
 )
 from repro.apps.vorbis.reference import expected_checksum
-from repro.core.partition import default_engine_kind
 from repro.sim.cosim import CosimFabric
 from repro.sim.distrib import run_distributed
 from repro.sim.pool import PoolTask, run_grouped, run_pool
@@ -187,12 +185,11 @@ def main():
         PoolTask(name=f"vorbis_{letter}", builder=build_partition, args=(letter, params))
         for letter in PARTITION_ORDER
     ] + [
+        # Default pool tasks: every worker serves on the N-domain fabric.
         PoolTask(
             name=f"vorbis_{letter}_fabric",
             builder=build_multi_partition,
             args=(letter, params),
-            engine_kinds={d.name: default_engine_kind(d)
-                          for d in multi_partition_domains(letter)},
         )
         for letter in MULTI_PARTITION_ORDER
     ]

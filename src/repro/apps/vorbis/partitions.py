@@ -112,14 +112,6 @@ def build_multi_partition(letter: str, params: Optional[VorbisParams] = None):
     )
 
 
-def multi_partition_domains(letter: str) -> List[Domain]:
-    """The distinct domains of a multi-domain partition, SW included."""
-    seen: Dict[str, Domain] = {SW.name: SW}
-    for dom in MULTI_PARTITIONS[letter].values():
-        seen.setdefault(dom.name, dom)
-    return list(seen.values())
-
-
 # --------------------------------------------------------------------------
 # multi-group partitions (independently clocked pipelines in one design)
 # --------------------------------------------------------------------------
@@ -154,11 +146,10 @@ class MultiGroupVorbis:
     def cosim_done(self) -> ThresholdDone:
         """Every pipeline's ``frames_out`` has reached ``n_frames``.
 
-        A :class:`~repro.sim.cosim.ThresholdDone` reads every sink on every
-        call (no cross-pipeline short-circuit): the fabric probes this
-        predicate to learn which registers it observes, and a
-        process-parallel grouped run merges exactly those observed finals
-        -- a data-dependent read set would under-report.
+        A :class:`~repro.sim.cosim.ThresholdDone`, as every run across
+        groups or processes requires: its registers say which group each
+        threshold belongs to, and a process-parallel grouped run compares
+        each minimum with the final its group's worker reports.
         """
         return ThresholdDone((pipe.frames_out, self.params.n_frames) for pipe in self.pipes)
 
@@ -202,16 +193,3 @@ def build_group_partition(
     design = Design(top, f"vorbis_mg_{letters}")
     return MultiGroupVorbis(design, params, letters, pipes)
 
-
-def multi_group_domains(letters: str = "BC") -> List[Domain]:
-    """The distinct domains of a multi-group workload, in pipeline order."""
-    domains: List[Domain] = []
-    for index, letter in enumerate(letters):
-        seen: Dict[str, Domain] = {}
-        for dom in multi_group_placement(letter, index).values():
-            seen.setdefault(dom.name, dom)
-        sw_name = f"SW_P{index}"
-        if sw_name not in seen:
-            seen[sw_name] = Domain(sw_name)
-        domains.extend(seen.values())
-    return domains

@@ -343,17 +343,22 @@ class Topology:
         return (src, dst) in self._links
 
     def link(self, src: str, dst: str) -> Link:
-        return self._links[(src, dst)]
+        try:
+            return self._links[(src, dst)]
+        except KeyError:
+            raise self._no_link(src, dst) from None
 
     def direction(self, src: str, dst: str) -> ChannelDirection:
         """The serialised resource carrying ``src -> dst`` traffic."""
         try:
             return self._directions[(src, dst)]
         except KeyError:
-            raise KeyError(
-                f"topology has no link {src}->{dst}; registered: "
-                f"{sorted(self._links)}"
-            ) from None
+            raise self._no_link(src, dst) from None
+
+    def _no_link(self, src: str, dst: str) -> KeyError:
+        return KeyError(
+            f"topology has no link {src}->{dst}; registered: {sorted(self._links)}"
+        )
 
     @property
     def links(self) -> List[Link]:

@@ -34,6 +34,9 @@ sub-fabrics out across worker processes.  Per-group results combine under
 the documented deterministic rules of :meth:`CosimResult.merge`, and on
 single-group designs (every two-partition workload) the group loop *is*
 the historical loop, bitwise identical to the pre-decomposition fabric.
+A run that spans groups or processes stops on a :class:`ThresholdDone`:
+its ``(register, minimum)`` pairs are plain data, so they name the groups
+the stop depends on and the finals a worker reports.
 
 The transport follows the rule backend.  Under ``backend="interp"`` it is
 the per-synchronizer reference bookkeeping (the oracle) and each group runs
@@ -59,7 +62,7 @@ from repro.core.pycodegen import (
     generate_transport_pump,
     resolve_backend,
 )
-from repro.core.errors import SimulationError
+from repro.core.errors import ElaborationError, SimulationError
 from repro.core.module import Design, Register
 from repro.core.optimize import OptimizationConfig
 from repro.core.partition import Partitioning, default_engine_kind, partition_design
@@ -200,11 +203,12 @@ class CosimResult:
 class ThresholdDone:
     """Done predicate: every register has reached its minimum (``>=``).
 
-    The shape of :attr:`repro.sim.serve.Request.done_min`.  It reads every
-    register on every evaluation (no short-circuit), the static-read-set
-    contract that lets the reset-state probe attribute the predicate to
-    groups.  A generated group loop recognises it and compares the
-    thresholds inline instead of calling it (:meth:`CosimFabric._threshold_checks`).
+    The shape of :attr:`repro.sim.serve.Request.done_min`, and the stopping
+    rule of every run that spans groups or processes
+    (:func:`require_thresholds`): the groups owning its registers run with
+    it, and completion compares each minimum with the merged finals
+    (:meth:`met_by`).  A generated group loop compares the thresholds
+    inline instead of calling it (:meth:`CosimFabric._threshold_checks`).
     """
 
     __slots__ = ("thresholds",)
@@ -219,6 +223,22 @@ class ThresholdDone:
             if not cosim.read(reg) >= minimum:
                 ok = False
         return ok
+
+    def met_by(self, finals: Dict[str, Any]) -> bool:
+        """Whether finals (register full name -> value) reach every minimum."""
+        return all(finals[reg.full_name] >= minimum for reg, minimum in self.thresholds)
+
+
+def require_thresholds(done, design_name: str) -> ThresholdDone:
+    """``done`` itself, checked to be the :class:`ThresholdDone` that a run
+    across groups or processes stops on."""
+    if not isinstance(done, ThresholdDone):
+        raise TypeError(
+            f"a run of {design_name} across groups or processes stops on a "
+            f"ThresholdDone, whose registers name the groups it observes; "
+            f"got {type(done).__name__}"
+        )
+    return done
 
 
 def _pump_routes_interp(routes, now: float, occupancy_of=None) -> bool:
@@ -422,9 +442,9 @@ class _GroupFabric:
     ) -> CosimResult:
         """Advance this group until ``done`` (or quiescence) under its own clock.
 
-        ``done=None`` means the group owns nothing the fabric's termination
-        predicate observes: it runs to quiescence, which *is* its
-        completion.  Otherwise the loop is the historical fabric loop:
+        ``done=None`` means the group owns none of the registers of the
+        fabric's termination thresholds: it runs to quiescence, which *is*
+        its completion.  Otherwise the loop is the historical fabric loop:
         check the predicate, deliver due messages, step hardware engines,
         step software engines, pump the transport, and skip straight to the
         next scheduled event when a cycle made no progress.  A generated
@@ -575,10 +595,7 @@ class CosimFabric:
         ("_groups", CHILDREN),
         ("now", SCALAR),
         ("_initial_values", COPY),
-        ("_last_observed", COPY),
         ("_active_group", RESET),
-        ("_observing", RESET),
-        ("_read_overrides", RESET),
     )
 
     def __init__(
@@ -659,10 +676,16 @@ class CosimFabric:
         self.topology = topology
 
         cut = self.partitioning.cut
-        word_bits_by_sync = {
-            sync: topology.link(sync.domain_enq.name, sync.domain_deq.name).params.word_bits
-            for sync in cut
-        }
+        word_bits_by_sync: Dict[Any, int] = {}
+        for sync in cut:
+            src, dst = sync.domain_enq.name, sync.domain_deq.name
+            if not topology.has_link(src, dst):
+                raise ElaborationError(
+                    f"co-simulation of {design.name}: synchronizer {sync.full_name} "
+                    f"crosses {src}->{dst}, but the topology has no such link; "
+                    f"registered: {sorted((link.src, link.dst) for link in topology.links)}"
+                )
+            word_bits_by_sync[sync] = topology.link(src, dst).params.word_bits
         self.vcs = VirtualChannelTable(
             cut,
             word_bits=self.platform.channel.word_bits,
@@ -781,15 +804,15 @@ class CosimFabric:
         # -- group decomposition --------------------------------------------
         # The fabric is a composition of independently clocked *group
         # sub-fabrics*: one per connected component of the domain graph the
-        # cut induces (plus one singleton per required-but-unpartitioned
-        # domain, e.g. the empty hardware side of an all-software
-        # two-partition design).  Group indices follow
-        # ``Partitioning.independent_groups`` order, then extra domains in
-        # name order -- deterministically reproducible in any process that
-        # elaborates the same design.
+        # cut induces, indexed in ``Partitioning.independent_groups`` order
+        # -- deterministically reproducible in any process that elaborates
+        # the same design.  A required domain that no partition fills has
+        # no rules and no route, so it joins group 0: the empty hardware
+        # side of an all-software two-partition design runs in the software
+        # side's group, and a plain ``done`` still drives the run.
         group_index: Dict[str, int] = dict(self.partitioning._group_index())
-        for name in sorted(n for n in domains if n not in group_index):
-            group_index[name] = len(set(group_index.values())) if group_index else 0
+        for name in domains:
+            group_index.setdefault(name, 0)
         self._group_index = group_index
         self._store_group: Dict[int, int] = {
             id(self.engines[d].store): group_index[d.name] for d in ordered
@@ -799,9 +822,6 @@ class CosimFabric:
         #: sub-fabric never observes another group's progress).
         self._initial_values: Dict[Register, Any] = design.initial_store()
         self._active_group: Optional[int] = None
-        self._observing: Optional[set] = None
-        self._read_overrides: Optional[Dict[str, Any]] = None
-        self._last_observed: set = set()
         n_groups = (max(group_index.values()) + 1) if group_index else 1
         self._groups: List[_GroupFabric] = [
             _GroupFabric(self, i) for i in range(n_groups)
@@ -855,24 +875,12 @@ class CosimFabric:
     def read(self, reg: Register) -> Any:
         """Read a register from whichever partition owns it.
 
-        Three run-scoped behaviours compose on top of the owner-resolved
-        read (all inactive outside group-decomposed execution):
-
-        * while a done predicate is being *probed*, the registers it reads
-          are recorded, attributing the predicate to owning groups;
-        * while one group sub-fabric runs, reads of *another* group's state
-          resolve to the design's reset values, so a group's execution (and
-          its done evaluations) never depend on which other groups happen
-          to have run already -- the property that makes serial and
-          process-parallel group execution bitwise equal;
-        * :meth:`evaluate_done` may override observed registers by full
-          name with finals reported from worker processes.
+        While one group sub-fabric runs, reads of *another* group's state
+        resolve to the design's reset values, so a group's execution (and
+        its done evaluations) never depend on which other groups happen to
+        have run already -- the property that makes serial and
+        process-parallel group execution bitwise equal.
         """
-        if self._observing is not None:
-            self._observing.add(reg)
-        overrides = self._read_overrides
-        if overrides is not None and reg.full_name in overrides:
-            return overrides[reg.full_name]
         store = self._owner_store.get(reg)
         if store is None or self._active_group is not None:
             return self._read_source(reg)[reg]
@@ -936,73 +944,14 @@ class CosimFabric:
         """The group whose sub-fabric owns a register's authoritative store."""
         return self._store_group.get(id(self._resolve_owner(reg)))
 
-    def probe_done(
-        self,
-        done: Callable[["CosimFabric"], bool],
-        finals: Optional[Dict[str, Any]] = None,
-    ):
-        """Evaluate ``done`` once, recording the registers it reads.
+    def observations_for_domains(self, done: ThresholdDone, domain_names) -> Dict[str, Any]:
+        """Final values of ``done``'s threshold registers owned by a set of
+        domains: a group's (a per-group worker's report) or some of them (a
+        distributed lockstep member's).
 
-        Returns ``(result, observed_registers)``.  The observed set is
-        what attributes the predicate to group sub-fabrics: a group owning
-        none of the observed registers runs to quiescence instead of
-        re-evaluating a predicate it cannot influence.  The recorded set is
-        kept (:attr:`_last_observed`) so group workers can report the
-        observed finals their group owns.  ``finals`` applies the same
-        full-name overrides as :meth:`evaluate_done` -- a recording final
-        evaluation, which is how :func:`repro.sim.pool.run_grouped`
-        detects predicates whose read set changed between probe and
-        completion (the data-dependent predicates its merge cannot serve).
-        """
-        if finals is not None:
-            self._read_overrides = dict(finals)
-        self._observing = set()
-        try:
-            result = bool(done(self))
-        finally:
-            observed = self._observing
-            self._observing = None
-            if finals is not None:
-                self._read_overrides = None
-        self._last_observed = observed
-        return result, observed
-
-    def evaluate_done(
-        self,
-        done: Callable[["CosimFabric"], bool],
-        finals: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Evaluate ``done`` against merged final state.
-
-        With ``finals`` (a ``register full name -> value`` mapping, as
-        reported by :meth:`observations_for_domains` from worker
-        processes), reads of those registers are answered from the mapping
-        and every other read falls through to this fabric's stores --
-        which, on a fabric that dispatched its groups to workers, still
-        hold reset values.
-        The contract for process-parallel group runs is therefore that the
-        predicate's read set is static (our workloads' counters are); a
-        serial in-process run needs no overrides at all.
-        """
-        if finals is None:
-            return bool(done(self))
-        self._read_overrides = dict(finals)
-        try:
-            return bool(done(self))
-        finally:
-            self._read_overrides = None
-
-    def observations_for_domains(self, domain_names) -> Dict[str, Any]:
-        """Final values of the last-probed predicate's registers owned by a
-        set of domains: a group's (a per-group worker's report) or some of
-        them (a distributed lockstep member's, which publishes them into
-        its group's shared control block).
-
-        Keeps exactly the observed registers whose authoritative store
-        belongs to one of the domains, keyed by register full name (plain
-        data, picklable for typical counter registers) and sorted, so a
-        parent process can merge observations from workers and re-evaluate
-        the full done predicate.
+        Keyed by register full name (plain data) and sorted, so a parent
+        process merges the reports of its workers and compares each
+        minimum with them (:meth:`ThresholdDone.met_by`).
         """
         wanted = set(domain_names)
         stores = {
@@ -1010,7 +959,7 @@ class CosimFabric:
         }
         return {
             reg.full_name: self.read(reg)
-            for reg in sorted(self._last_observed, key=lambda r: r.full_name)
+            for reg in sorted({reg for reg, _ in done.thresholds}, key=lambda r: r.full_name)
             if id(self._resolve_owner(reg)) in stores
         }
 
@@ -1102,18 +1051,20 @@ class CosimFabric:
         clock, serially in group order, with per-group idle-skip (a stalled
         group never drags the others through empty cycles).  On a
         single-group design this *is* the historical event loop, bitwise
-        identical to the pre-decomposition fabric.  On a multi-group design
-        the per-group results are combined by :meth:`CosimResult.merge` and
-        ``completed`` is the done predicate evaluated against the merged
-        final state.  ``scheduler`` accepts only ``"grouped"``; the same
-        semantics run across processes through
-        :func:`repro.sim.pool.run_grouped` and
+        identical to the pre-decomposition fabric, and ``done`` may be any
+        callable.  On a multi-group design ``done`` must be a
+        :class:`ThresholdDone` (else a ``TypeError``): the groups owning its
+        registers run with it, the others run to quiescence, the per-group
+        results are combined by :meth:`CosimResult.merge`, and
+        ``completed`` compares the minima with the merged final state.
+        ``scheduler`` accepts only ``"grouped"``; the same semantics run
+        across processes through :func:`repro.sim.pool.run_grouped` and
         :func:`repro.sim.distrib.run_distributed`.
 
-        Grouped-execution contract: while one group runs, ``done``'s reads
-        of *other* groups' registers resolve to reset values, so a group
-        whose part of a cross-group predicate can only become true through
-        another group's progress must reach quiescence on its own (every
+        Grouped-execution contract: while one group runs, reads of *other*
+        groups' registers resolve to reset values, so a group whose part of
+        a cross-group predicate can only become true through another
+        group's progress must reach quiescence on its own (every
         pipeline-shaped workload does).  A group that free-runs forever
         and terminates only via such a predicate exhausts its budget, and
         the error names the group.
@@ -1128,8 +1079,9 @@ class CosimFabric:
             self.now = groups[0].now
             return result
 
-        already, observed = self.probe_done(done)
-        owners = {self.group_of_register(reg) for reg in observed}
+        done = require_thresholds(done, self.design.name)
+        already = bool(done(self))
+        owners = self._threshold_groups(done)
         results = []
         for group in groups:
             if already:
@@ -1140,9 +1092,13 @@ class CosimFabric:
                 self._run_one_group(group, done_g, max_cycles, max_iterations)
             )
         merged = CosimResult.merge(results)
-        merged.completed = True if already else self.evaluate_done(done)
+        merged.completed = already or bool(done(self))
         self.now = max(group.now for group in groups)
         return merged
+
+    def _threshold_groups(self, done: ThresholdDone) -> set:
+        """The groups owning ``done``'s threshold registers."""
+        return {self.group_of_register(reg) for reg, _ in done.thresholds}
 
     def _run_one_group(
         self,
@@ -1161,27 +1117,32 @@ class CosimFabric:
     def run_group(
         self,
         index: int,
-        done: Optional[Callable[["CosimFabric"], bool]] = None,
+        done: Optional[ThresholdDone] = None,
         max_cycles: float = 100_000_000.0,
         max_iterations: int = 5_000_000,
     ) -> CosimResult:
         """Run a single group sub-fabric to completion (the group-worker entry).
 
-        ``done`` is the *full-design* predicate (or ``None`` to run the
-        group to quiescence): it is probed once, and applied to the group's
-        loop only if the group owns at least one register the predicate
-        observes -- with reads of other groups' state scoped to reset
-        values, so the outcome is identical whether the other groups run
-        before, after, or in different processes.
+        ``done`` is the *full-design* :class:`ThresholdDone` (any other
+        callable is a ``TypeError``), or ``None`` to run the group to
+        quiescence.  It applies to the group's loop only if the group owns
+        one of its registers -- with reads of other groups' state scoped to
+        reset values, the check before the loop's first iteration included,
+        so the outcome is identical whether the other groups run before,
+        after, or in different processes.
         """
         group = self._groups[index]
         if done is None:
             return self._run_one_group(group, None, max_cycles, max_iterations)
-        already, observed = self.probe_done(done)
+        done = require_thresholds(done, self.design.name)
+        self._active_group = index
+        try:
+            already = done(self)
+        finally:
+            self._active_group = None
         if already:
             return group.result(True)
-        owners = {self.group_of_register(reg) for reg in observed}
-        done_g = done if index in owners else None
+        done_g = done if index in self._threshold_groups(done) else None
         return self._run_one_group(group, done_g, max_cycles, max_iterations)
 
 
@@ -1193,7 +1154,10 @@ class Cosimulator(CosimFabric):
     two directions are the fabric links ``sw -> hw`` (``to_hw``) and
     ``hw -> sw`` (``to_sw``).  Results are bitwise identical to the
     pre-fabric two-partition implementation (pinned by
-    ``tests/golden/fig13_cosim.json``).
+    ``tests/golden/fig13_cosim.json``).  Both engines always exist; on a
+    design with rules in one domain only, the empty engine joins the other
+    engine's group, so the run is single-group and ``done`` may be any
+    callable.
     """
 
     def __init__(

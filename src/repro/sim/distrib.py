@@ -58,10 +58,12 @@ from repro.platform.marshal import unframe_header
 from repro.sim.cosim import (
     CosimFabric,
     CosimResult,
+    ThresholdDone,
     _deliver_routes_interp,
     _pump_routes_interp,
+    require_thresholds,
 )
-from repro.sim.pool import _POOL_STALL_SECONDS, _picklable_error, evaluate_grouped_done
+from repro.sim.pool import _POOL_STALL_SECONDS, _picklable_error
 
 __all__ = [
     "DistributedReport",
@@ -90,7 +92,7 @@ class _ShmArena:
     """One shared-memory segment carved into 64-bit slots.
 
     Holds every lockstep group's control block (barriers, credit cells,
-    observed-register cells) and every crossing link's word ring.  Slot
+    threshold-register cells) and every crossing link's word ring.  Slot
     assignment is computed once in the parent and shipped in the
     (fork-inherited) plans; views over the buffer are built lazily *per
     process*, never pre-fork, so each process releases exactly the views it
@@ -98,7 +100,7 @@ class _ShmArena:
 
     Three typed views alias the same slots: ``u`` (uint64: barriers,
     counters, wire words), ``f`` (float64: simulated times, bit-punned into
-    their slots) and ``q`` (int64: observed register values).
+    their slots) and ``q`` (int64: threshold register values).
     """
 
     def __init__(self, slots: int):
@@ -251,9 +253,9 @@ class _GroupPlan:
     * per remote route ``r`` (cut order): ``delivered[r]`` and
       ``occupancy[r]`` -- the consumer-published credit state the
       producer's unmodified pump window reads;
-    * per observed register (sorted full names): its value as int64, so
-      the leader can evaluate the group's done predicate over live
-      cross-member state.
+    * per threshold register of ``cosim_done`` the group owns (sorted full
+      names): its value as int64, so the leader compares the minima with
+      live cross-member state.
     """
 
     group_index: int
@@ -437,7 +439,7 @@ def _run_solo_member(
     return {
         "kind": "solo",
         "result": result,
-        "observations": fabric.observations_for_domains(spec.domain_names),
+        "observations": fabric.observations_for_domains(done, spec.domain_names),
         "pid": os.getpid(),
         "wall_seconds": time.perf_counter() - t0,
         "carrier": _carrier_stats(()),
@@ -458,7 +460,7 @@ def _run_lockstep_member(
       (delivered counts and endpoint occupancies), so every producer pumps
       against exactly the occupancy the serial pump phase would read;
     * **B** after the member publishes its progress bit, next event time
-      and observed-register values, after which the leader (member 0)
+      and threshold-register values, after which the leader (member 0)
       replays the serial end-of-iteration decision -- quiescence check,
       budget check, done check -- and broadcasts CONTINUE (with the new
       clock), STOP or BUDGET.
@@ -477,29 +479,20 @@ def _run_lockstep_member(
     u, f, q = a.arena.u, a.arena.f, a.arena.q
     t0 = time.perf_counter()
 
-    # Probe the done predicate at reset state: records the observed set
-    # (the parent only dispatches when the predicate is still false) and
-    # attributes it to groups, exactly as run_group does for solo members.
-    _already, observed = fabric.probe_done(done)
-    owners = {fabric.group_of_register(reg) for reg in observed}
-    done_g = done if g in owners else None
-    obs_names = tuple(
-        sorted(
-            reg.full_name
-            for reg in observed
-            if fabric.group_of_register(reg) == g
-        )
-    )
-    if obs_names != plan.observed:
-        raise SimulationError(
-            f"distributed member {spec.label}: observed-register plan mismatch "
-            f"(parent planned {plan.observed}, member sees {obs_names}); "
-            "the done predicate's read set must be deterministic at reset"
-        )
-    own_names = set(fabric.observations_for_domains(spec.domain_names))
-    by_name = {reg.full_name: reg for reg in observed}
+    # The group runs with the predicate only if it owns one of its
+    # registers, exactly as run_group does for solo members.
+    done_g = done if g in fabric._threshold_groups(done) else None
+    own_names = set(fabric.observations_for_domains(done, spec.domain_names))
+    by_name = {reg.full_name: reg for reg, _ in done.thresholds}
     own_obs = [
         (o, by_name[nm]) for o, nm in enumerate(plan.observed) if nm in own_names
+    ]
+    # The leader's done check: this group's thresholds compare the cells
+    # its members publish, other groups' read their reset values through
+    # the active-group scope -- together exactly the serial evaluation.
+    cell_of = {nm: plan.observed_slot(o) for o, nm in enumerate(plan.observed)}
+    checks = [
+        (cell_of.get(reg.full_name), reg, minimum) for reg, minimum in done.thresholds
     ]
 
     # -- engines: the group's engine order restricted to this member --------
@@ -622,16 +615,12 @@ def _run_lockstep_member(
                     )
 
     def leader_evaluate() -> bool:
-        # Observed registers owned by *other members of this group* are
-        # answered from their published cells; the leader's own are read
-        # live; other groups' resolve to reset values through the active-
-        # group scope -- together exactly the serial done evaluation.
-        overrides = {
-            nm: int(q[plan.observed_slot(o)])
-            for o, nm in enumerate(plan.observed)
-            if nm not in own_names
-        }
-        return fabric.evaluate_done(done, finals=overrides or None)
+        ok = True
+        for cell, reg, minimum in checks:
+            value = fabric.read(reg) if cell is None else q[cell]
+            if not value >= minimum:
+                ok = False
+        return ok
 
     last_delivered = [0] * len(out_routes)
     now = 0.0
@@ -720,17 +709,17 @@ def _run_lockstep_member(
                 if t is not None and (local_next is None or t < local_next):
                     local_next = t
 
-            # Publish loop inputs and observed values, then barrier B.
+            # Publish loop inputs and threshold values, then barrier B.
             for o, reg in own_obs:
                 value = fabric.read(reg)
                 if value is True or value is False:
                     value = int(value)
                 if not isinstance(value, int):
                     raise SimulationError(
-                        f"distributed member {spec.label}: observed register "
+                        f"distributed member {spec.label}: threshold register "
                         f"{reg.full_name} holds {value!r}, which does not fit "
                         "the control block's int64 cells; domain placement "
-                        "needs integer-valued done predicates (use "
+                        "needs integer-valued done thresholds (use "
                         "run_grouped for this design)"
                     )
                 q[plan.observed_slot(o)] = value
@@ -833,7 +822,7 @@ def _run_lockstep_member(
             "domains": domains_report,
             "vcs": vcs_report,
             "links": links_report,
-            "observations": fabric.observations_for_domains(spec.domain_names),
+            "observations": fabric.observations_for_domains(done, spec.domain_names),
             "pid": os.getpid(),
             "wall_seconds": time.perf_counter() - t0,
             "carrier": _carrier_stats(endpoints.values()),
@@ -887,6 +876,7 @@ def _worker_main(a: _WorkerAssignment, conn) -> None:
 
 def _plan_groups(
     parent: CosimFabric,
+    done: ThresholdDone,
     layouts: List[Dict[str, Any]],
     member_domains: List[List[Tuple[str, ...]]],
     ring_words: Optional[int],
@@ -919,9 +909,11 @@ def _plan_groups(
             by_link.setdefault((r["src"], r["dst"]), []).append(r)
         observed = tuple(
             sorted(
-                reg.full_name
-                for reg in parent._last_observed
-                if parent.group_of_register(reg) == g
+                {
+                    reg.full_name
+                    for reg, _ in done.thresholds
+                    if parent.group_of_register(reg) == g
+                }
             )
         )
         control_base = cursor
@@ -1061,7 +1053,8 @@ def run_distributed(
     """Run ``builder(*args, **kwargs)``'s design distributed across processes.
 
     ``builder`` must be a module-level callable returning a workload whose
-    done predicate is its ``cosim_done`` attribute (the compile-once /
+    ``cosim_done`` is a :class:`~repro.sim.cosim.ThresholdDone` (else a
+    ``TypeError``, before any worker starts; the compile-once /
     run-anywhere contract of :mod:`repro.sim.pool`): worker processes
     re-elaborate the design from the spec, so nothing elaborated ever
     crosses a process boundary -- only framed wire words (the data plane)
@@ -1093,14 +1086,13 @@ def run_distributed(
     kwargs = dict(kwargs or {})
     t0 = time.perf_counter()
     workload = builder(*args, **kwargs)
-    done = workload.cosim_done
+    done = require_thresholds(workload.cosim_done, workload.design.name)
     # The parent never executes a rule: interp elaboration skips the code
     # generation each worker pays for its own run.
     parent = CosimFabric(workload.design, backend="interp")
     n_groups = parent.group_count
 
-    already, observed = parent.probe_done(done)
-    if already:
+    if done(parent):
         merged = CosimResult.merge(
             [parent._groups[i].result(True) for i in range(n_groups)]
         )
@@ -1159,7 +1151,7 @@ def run_distributed(
                 lockstep_specs.append(spec)
             specs.append(spec)
 
-    plans, total_slots = _plan_groups(parent, layouts, member_domains, ring_words)
+    plans, total_slots = _plan_groups(parent, done, layouts, member_domains, ring_words)
     arena = _ShmArena(total_slots) if plans else None
 
     shared = dict(
@@ -1305,9 +1297,7 @@ def run_distributed(
             for rep in mreports:
                 finals.update(rep["observations"])
     merged = CosimResult.merge(group_results)
-    merged.completed = evaluate_grouped_done(
-        parent, done, observed, finals, caller="run_distributed"
-    )
+    merged.completed = done.met_by(finals)
 
     outcomes: List[MemberOutcome] = []
     data_plane = {"records": 0, "words": 0, "full_retries": 0}

@@ -28,8 +28,9 @@ Result ordering is deterministic: outcomes are returned in task-submission
 order regardless of which worker ran what, and a failing pool raises the
 lowest-indexed task's error, as a serial run would.  A sweep is
 :func:`run_pool` over ``kind="run"`` tasks; :func:`run_grouped` merges one
-design's group tasks into a result bitwise identical to the fabric's own
-serial grouped run.
+design's group tasks, each reporting the finals of the ``cosim_done``
+thresholds its group owns, into a result bitwise identical to the
+fabric's own serial grouped run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.core.pycodegen import resolve_backend
-from repro.sim.cosim import CosimFabric, CosimResult
+from repro.sim.cosim import CosimFabric, CosimResult, require_thresholds
 from repro.sim.serve import FabricServer, Request
 
 #: Task kinds the pool executes.
@@ -67,14 +68,13 @@ class PoolTask:
     * ``"run"`` -- run the whole fabric to the workload's own ``cosim_done``
       (a sweep point);
     * ``"group"`` -- run group ``group_index`` of the fabric and report the
-      group's observed finals (one part of :func:`run_grouped`);
+      finals of the ``cosim_done`` thresholds the group owns (one part of
+      :func:`run_grouped`);
     * ``"request"`` -- serve ``request`` on the resident fabric (one unit of
       streamed traffic).
 
-    ``fabric_kind`` follows :class:`~repro.sim.serve.FabricServer`:
-    ``"auto"`` maps to the two-partition ``Cosimulator`` unless explicit
-    ``engine_kinds`` are given; group tasks always use ``"fabric"``.
-    ``backend=None`` resolves to
+    Every kind runs on the resident :class:`~repro.sim.serve.FabricServer`'s
+    N-domain fabric.  ``backend=None`` resolves to
     :func:`~repro.core.pycodegen.default_rule_backend` at construction, in
     the submitting process, so the resident-cache key is always concrete.
     """
@@ -84,12 +84,10 @@ class PoolTask:
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
     backend: Optional[str] = None
-    engine_kinds: Optional[Dict[str, str]] = None
     max_cycles: float = 500_000_000.0
     kind: str = "run"
     group_index: int = 0
     request: Optional[Request] = None
-    fabric_kind: str = "auto"
 
     def __post_init__(self):
         self.backend = resolve_backend(self.backend)
@@ -108,8 +106,8 @@ class PoolOutcome:
     name: str
     kind: str
     result: CosimResult
-    #: Group tasks only: final values of the done predicate's observed
-    #: registers the group owns, keyed by register full name.
+    #: Group tasks only: final values of the done thresholds' registers
+    #: the group owns, keyed by register full name.
     observations: Optional[Dict[str, Any]]
     #: Request tasks only: the request's named output registers.
     outputs: Optional[Dict[str, Any]]
@@ -140,8 +138,6 @@ def _spec_key(task: PoolTask) -> tuple:
         repr(task.args),
         repr(sorted(task.kwargs.items())),
         task.backend,
-        repr(sorted((task.engine_kinds or {}).items())),
-        task.fabric_kind,
     )
 
 
@@ -162,8 +158,6 @@ def _resident_server(task: PoolTask) -> Tuple[FabricServer, bool]:
         task.args,
         dict(task.kwargs),
         backend=task.backend,
-        engine_kinds=dict(task.engine_kinds) if task.engine_kinds else None,
-        fabric_kind=task.fabric_kind,
         max_cycles=task.max_cycles,
     )
     _RESIDENT[key] = server
@@ -191,12 +185,11 @@ def run_pool_task(task: PoolTask) -> PoolOutcome:
         result = server.serve(Request(name=task.name)).result
     elif task.kind == "group":
         fabric = server.fabric
+        done = server.workload.cosim_done
         try:
-            result = fabric.run_group(
-                task.group_index, server.workload.cosim_done, max_cycles=task.max_cycles
-            )
+            result = fabric.run_group(task.group_index, done, max_cycles=task.max_cycles)
             observations = fabric.observations_for_domains(
-                d.name for d in fabric.group_domains(task.group_index)
+                done, (d.name for d in fabric.group_domains(task.group_index))
             )
         finally:
             server.reset()
@@ -385,50 +378,6 @@ def run_pool(
 # --------------------------------------------------------------------------
 
 
-def evaluate_grouped_done(
-    fabric: CosimFabric,
-    done: Callable[[CosimFabric], bool],
-    observed,
-    finals: Dict[str, Any],
-    *,
-    caller: str = "run_grouped",
-) -> bool:
-    """Re-evaluate a full done predicate over worker-reported finals.
-
-    The shared completion step of both process-parallel grouped executions
-    (:func:`run_grouped`, one worker per group, and
-    :func:`repro.sim.distrib.run_distributed`, one per domain):
-    evaluate ``done`` on the parent's never-run fabric with the workers'
-    observed finals overriding the registers they own, while *recording*
-    the evaluation's read set.  ``observed`` is the reset-state probe's
-    read set from before dispatch.
-
-    A predicate whose read set is static is fully served by the finals.
-    One that reads *different* registers at completion than it did at the
-    reset-state probe (e.g. a cross-group conjunction built from a
-    short-circuiting generator) just evaluated those reads against reset
-    values -- whichever way the verdict went, it is unreliable, so this
-    fails loudly instead of reporting it.
-    """
-    completed, final_reads = fabric.probe_done(done, finals)
-    unreported = sorted(
-        reg.full_name
-        for reg in final_reads
-        if reg.full_name not in finals
-        and reg not in observed
-        and fabric.group_of_register(reg) is not None
-    )
-    if unreported:
-        raise SimulationError(
-            f"{caller} cannot evaluate {fabric.design.name}'s done "
-            f"predicate: it read {unreported} at completion but not at the "
-            "reset-state probe, so no worker reported their finals.  Done "
-            "predicates for grouped runs must read their full register set "
-            "on every evaluation (no cross-group short-circuit)."
-        )
-    return completed
-
-
 def run_grouped(
     builder: Callable[..., Any],
     args: Tuple[Any, ...] = (),
@@ -436,7 +385,6 @@ def run_grouped(
     *,
     name: Optional[str] = None,
     backend: Optional[str] = None,
-    engine_kinds: Optional[Dict[str, str]] = None,
     processes: Optional[int] = None,
     max_cycles: float = 500_000_000.0,
 ) -> Tuple[CosimResult, List[PoolOutcome]]:
@@ -444,29 +392,27 @@ def run_grouped(
 
     Returns ``(merged_result, outcomes)``: one ``kind="group"`` outcome
     per group, named ``<design>[g<i>]`` (``name`` replaces the design
-    name) and in group order, each carrying the group's observed finals.
-    The parent elaborates the workload once -- to count the fabric's
-    groups and, at the end, to re-evaluate the full done predicate over
-    the workers' reported finals -- but never runs it.  The group tasks go
-    through :func:`run_pool` (``processes`` as there; ``processes<=1``
-    runs them serially in this process, same code path); the merged result
-    obeys :meth:`~repro.sim.cosim.CosimResult.merge`'s deterministic rules
-    and is bitwise identical to ``CosimFabric.run``'s own serial grouped
-    result.  ``backend=None`` resolves to
+    name) and in group order, each carrying the finals of the thresholds
+    its group owns.  The workload's ``cosim_done`` must be a
+    :class:`~repro.sim.cosim.ThresholdDone` (else a ``TypeError``, before
+    anything is dispatched), and the merged ``completed`` compares its
+    minima with the merged finals.  The parent elaborates the workload
+    once, to count the fabric's groups, but never runs it.  The group
+    tasks go through :func:`run_pool` (``processes`` as there;
+    ``processes<=1`` runs them serially in this process, same code path);
+    the merged result obeys :meth:`~repro.sim.cosim.CosimResult.merge`'s
+    deterministic rules and is bitwise identical to ``CosimFabric.run``'s
+    own serial grouped result.  ``backend=None`` resolves to
     :func:`~repro.core.pycodegen.default_rule_backend` once, here.
     """
     backend = resolve_backend(backend)
     kwargs = dict(kwargs or {})
-    engine_kinds = dict(engine_kinds) if engine_kinds else None
     workload = builder(*args, **kwargs)
-    # The parent fabric never executes a rule: it only counts groups and
-    # re-evaluates the done predicate over reported finals, so build it on
-    # the interpreted backend and skip the whole-design code generation the
-    # workers will each pay for their own runs.
-    fabric = CosimFabric(workload.design, backend="interp", engine_kinds=engine_kinds)
-    # The reset-state read set; used after the merge to detect predicates
-    # whose reads turned out to be data-dependent.
-    _, observed = fabric.probe_done(workload.cosim_done)
+    done = require_thresholds(workload.cosim_done, workload.design.name)
+    # The parent fabric never executes a rule: it only counts groups, so
+    # build it on the interpreted backend and skip the whole-design code
+    # generation the workers will each pay for their own runs.
+    fabric = CosimFabric(workload.design, backend="interp")
     base = name or workload.design.name
     tasks = [
         PoolTask(
@@ -475,12 +421,9 @@ def run_grouped(
             args=args,
             kwargs=kwargs,
             backend=backend,
-            engine_kinds=engine_kinds,
             max_cycles=max_cycles,
             kind="group",
             group_index=i,
-            # run_group is a fabric entry point, even with default kinds.
-            fabric_kind="fabric",
         )
         for i in range(fabric.group_count)
     ]
@@ -489,7 +432,5 @@ def run_grouped(
     for outcome in outcomes:
         finals.update(outcome.observations)
     merged = CosimResult.merge(o.result for o in outcomes)
-    merged.completed = evaluate_grouped_done(
-        fabric, workload.cosim_done, observed, finals
-    )
+    merged.completed = done.met_by(finals)
     return merged, outcomes

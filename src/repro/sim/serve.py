@@ -7,9 +7,8 @@ expensive artifact is the *interface* (generated once per partitioning),
 not the *message*, and the same interfaces carry all traffic.  A
 :class:`FabricServer` is the executable counterpart of that asymmetry:
 
-* **elaborate once** -- build the workload and its
-  :class:`~repro.sim.cosim.CosimFabric` (or two-partition
-  :class:`~repro.sim.cosim.Cosimulator`) a single time;
+* **elaborate once** -- build the workload and its N-domain
+  :class:`~repro.sim.cosim.CosimFabric` a single time;
 * **snapshot at reset** -- capture every engine store, FIFO endpoint,
   :class:`~repro.platform.channel.MessagePool` ring, virtual channel and
   per-group clock right after elaboration
@@ -37,7 +36,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.module import Register
 from repro.core.pycodegen import resolve_backend
-from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator, ThresholdDone
+from repro.sim.cosim import CosimFabric, CosimResult, ThresholdDone
 
 
 def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
@@ -74,10 +73,9 @@ class Request:
       ``frame_idx`` start offset or the raytracer ``pixel_idx`` start).
     * ``done_min`` -- completion thresholds: the request is done when every
       named register has reached its value (``read >= threshold``).  The
-      generated predicate reads **all** of its registers on every
-      evaluation -- the static-read-set contract grouped execution and
-      process-parallel grouping require.  Empty means "use the workload's
-      own ``cosim_done``".
+      thresholds become a :class:`~repro.sim.cosim.ThresholdDone`, the
+      stopping rule grouped execution requires.  Empty means "use the
+      workload's own ``cosim_done``".
     * ``outputs`` -- registers whose final values the caller wants back
       (e.g. checksums).
     """
@@ -99,13 +97,6 @@ class RequestResult:
     wall_seconds: float
 
 
-#: How a server maps the workload onto engines: ``"duplex"`` is the classic
-#: two-partition :class:`Cosimulator`, ``"fabric"`` the N-domain
-#: :class:`CosimFabric`; ``"auto"`` picks ``"fabric"`` whenever explicit
-#: ``engine_kinds`` are given.
-FABRIC_KINDS = ("auto", "duplex", "fabric")
-
-
 class FabricServer:
     """A resident co-simulation fabric that serves a stream of requests.
 
@@ -115,9 +106,12 @@ class FabricServer:
     write inputs, run to done, read outputs, restore -- leaving the fabric
     back at reset, so requests are independent: the N-th request of a
     stream is bitwise identical to the same request served first, or served
-    by a fresh elaboration (:func:`serve_fresh`).  ``backend=None``
-    resolves to :func:`~repro.core.pycodegen.default_rule_backend` once,
-    here, so :attr:`backend` is always a concrete name.
+    by a fresh elaboration (:func:`serve_fresh`).  The fabric is always
+    the N-domain :class:`~repro.sim.cosim.CosimFabric` with the default
+    engine kinds; ``fabric_kind`` accepts only ``"fabric"`` (``perfbench``
+    passes it).  ``backend=None`` resolves to
+    :func:`~repro.core.pycodegen.default_rule_backend` once, here, so
+    :attr:`backend` is always a concrete name.
     """
 
     def __init__(
@@ -127,35 +121,19 @@ class FabricServer:
         kwargs: Optional[Dict[str, Any]] = None,
         *,
         backend: Optional[str] = None,
-        engine_kinds: Optional[Dict[str, str]] = None,
-        fabric_kind: str = "auto",
+        fabric_kind: str = "fabric",
         max_cycles: float = 500_000_000.0,
     ):
-        if fabric_kind not in FABRIC_KINDS:
-            raise ValueError(
-                f"unknown fabric_kind {fabric_kind!r} (expected one of {FABRIC_KINDS})"
-            )
+        if fabric_kind != "fabric":
+            raise ValueError(f"unknown fabric_kind {fabric_kind!r} (expected 'fabric')")
         t0 = time.perf_counter()
         self.builder = builder
         self.args = args
         self.kwargs = dict(kwargs or {})
         self.backend = resolve_backend(backend)
-        self.engine_kinds = dict(engine_kinds) if engine_kinds else None
         self.max_cycles = max_cycles
         self.workload = builder(*args, **self.kwargs)
-        if fabric_kind == "auto":
-            fabric_kind = "fabric" if self.engine_kinds is not None else "duplex"
-        self.fabric_kind = fabric_kind
-        if fabric_kind == "duplex":
-            self.fabric: CosimFabric = Cosimulator(
-                self.workload.design, backend=self.backend
-            )
-        else:
-            self.fabric = CosimFabric(
-                self.workload.design,
-                backend=self.backend,
-                engine_kinds=dict(self.engine_kinds) if self.engine_kinds else None,
-            )
+        self.fabric = CosimFabric(self.workload.design, backend=self.backend)
         self._registry: Dict[str, Register] = {
             reg.full_name: reg for reg in self.workload.design.all_registers()
         }

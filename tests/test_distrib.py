@@ -11,8 +11,9 @@ Four groups:
   ``SimulationError`` naming the member and exit code; a full ring
   backpressures without perturbing simulated timing (bitwise-equal result,
   ``full_retries`` counted, every sent message delivered); undersized
-  rings, retired placements and carriers, and done predicates over
-  registers no int64 cell holds are rejected.
+  rings, retired placements and carriers, done thresholds over registers
+  no int64 cell holds, and done predicates that are not a
+  ``ThresholdDone`` are rejected.
 * **Pool shutdown** -- ``_collect_pool_results`` regression: a cleanly
   exited pool with results still buffered in the queue's feeder pipe is
   not a dead pool, and the lowest-indexed failure wins.
@@ -38,7 +39,7 @@ from repro.core.expr import BinOp, Const, KernelCall, RegRead
 from repro.core.module import Design, Module
 from repro.core.synchronizers import SyncFifo
 from repro.core.types import UIntT
-from repro.sim.cosim import CosimFabric
+from repro.sim.cosim import CosimFabric, ThresholdDone
 from repro.sim.distrib import run_distributed
 from repro.sim.pool import _collect_pool_results, run_grouped
 
@@ -147,14 +148,11 @@ HW_BURST = Domain("HW_BURST")
 
 
 class _TestWorkload:
-    """Minimal workload object satisfying the ``cosim_done`` contract."""
+    """Minimal workload object: a design and its ``cosim_done``."""
 
     def __init__(self, design, done):
         self.design = design
-        self._done = done
-
-    def cosim_done(self, cosim):
-        return self._done(cosim)
+        self.cosim_done = done
 
 
 def build_crash_pipeline(n_items=6, crash_at=3):
@@ -186,7 +184,7 @@ def build_crash_pipeline(n_items=6, crash_at=3):
         par(q_out.call("deq"), ndone.write(BinOp("+", RegRead(ndone), Const(1)))),
     )
     design = Design(top, "crash_pipe")
-    return _TestWorkload(design, lambda c: c.read(ndone) >= n_items)
+    return _TestWorkload(design, ThresholdDone(((ndone, n_items),)))
 
 
 def build_burst_pipeline(n_items=5, depth=3):
@@ -239,24 +237,35 @@ def build_burst_pipeline(n_items=5, depth=3):
         ),
     )
     design = Design(top, "burst_pipe")
-    # min() reads both counters on every evaluation -- grouped/distributed
-    # done predicates must not short-circuit across their register set.
-    return _TestWorkload(
-        design,
-        lambda c: min(c.read(ndone1), c.read(ndone2)) >= n_items,
-    )
+    return _TestWorkload(design, ThresholdDone(((ndone1, n_items), (ndone2, n_items))))
 
 
 def build_vector_done_partition():
-    """vorbis_B whose done predicate also reads a vector register
-    (``window.prev_half``), which no int64 control-block cell can hold."""
+    """vorbis_B whose done thresholds also cover a vector register
+    (``window.prev_half``, at least its reset value), which no int64
+    control-block cell can hold."""
     workload = vp.build_partition("B", PARAMS)
     (prev_half,) = workload.modules["window"].registers
+    reset = workload.design.initial_store()[prev_half]
     return _TestWorkload(
         workload.design,
-        lambda c: c.read(prev_half) is not None
-        and c.read(workload.frames_out) >= PARAMS.n_frames,
+        ThresholdDone(((prev_half, reset), (workload.frames_out, PARAMS.n_frames))),
     )
+
+
+def build_plain_callable_partition():
+    """vorbis_B whose done predicate is a plain function."""
+    workload = vp.build_partition("B", PARAMS)
+    return _TestWorkload(
+        workload.design, lambda c: c.read(workload.frames_out) >= PARAMS.n_frames
+    )
+
+
+def test_plain_callable_done_is_a_type_error():
+    """Members run with thresholds they publish as int64 cells: a plain
+    function is refused before any worker starts."""
+    with pytest.raises(TypeError, match=r"vorbis_B .*ThresholdDone.*got function"):
+        run_distributed(build_plain_callable_partition)
 
 
 @needs_fork

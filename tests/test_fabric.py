@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.action import par
 from repro.core.domains import HW, SW, Domain, DomainVar, substitute_domains
-from repro.core.errors import SimulationError
+from repro.core.errors import ElaborationError, SimulationError
 from repro.core.expr import BinOp, Const, KernelCall, RegRead
 from repro.core.module import Design, Module
 from repro.core.partition import partition_design
@@ -153,6 +153,46 @@ class TestGoldenDifferential:
             assert result.channel_messages > 0
             states[backend] = _transport_state(cosim)
         assert states["source"] == states["interp"]
+
+    @pytest.mark.parametrize("backend", ["interp", "source"])
+    @pytest.mark.parametrize("build", [lambda: _vorbis("F"), lambda: _raytracer("A")], ids=["vorbis_F", "raytracer_A"])
+    def test_one_sided_design_is_one_group(self, build, backend):
+        """An all-software design's empty hardware engine joins the software
+        group: the run is single-group, so a plain function over the
+        workload's thresholds stops it exactly where the declared
+        ``ThresholdDone`` does, and ``domain_stats`` keeps the ``HW`` entry."""
+        workload = build()
+        cosim = Cosimulator(workload.design, backend=backend)
+        assert [[d.name for d in cosim.group_domains(i)] for i in range(cosim.group_count)] == [
+            ["HW", "SW"]
+        ]
+        thresholds = workload.cosim_done.thresholds
+        plain = cosim.run(
+            lambda c: all(c.read(reg) >= minimum for reg, minimum in thresholds),
+            max_cycles=500_000_000,
+        )
+        declared = Cosimulator(workload.design, backend=backend).run(
+            workload.cosim_done, max_cycles=500_000_000
+        )
+        assert asdict(plain) == asdict(declared)
+        assert plain.completed
+        assert plain.domain_stats["HW"] == {"kind": "hw", "firings": 0, "active_cycles": 0}
+
+    def test_hardware_only_design_is_one_group(self):
+        """The mirror case: the empty software engine joins the hardware
+        group, and a plain function stops the run."""
+        top = Module("top", domain=HW)
+        cnt = top.add_register("cnt", UIntT(32), 0)
+        top.add_rule(
+            "tick",
+            cnt.write(BinOp("+", RegRead(cnt), Const(1))).when(BinOp("<", RegRead(cnt), Const(5))),
+        )
+        cosim = Cosimulator(Design(top, "hw_only"))
+        assert cosim.group_count == 1
+        result = cosim.run(lambda c: c.read(cnt) >= 5)
+        assert result.completed
+        assert result.hw_firings == 5
+        assert result.channel_messages == 0
 
 
 # --------------------------------------------------------------------------
@@ -495,6 +535,25 @@ class TestPartitioningTopologyHelpers:
         with pytest.raises(KeyError):
             topo.direction("B", "A")
 
+    def test_topology_link_names_registered_links(self):
+        topo = Platform.ml507().topology_for([("A", "B")])
+        with pytest.raises(KeyError, match=r"no link B->A; registered: \[\('A', 'B'\)\]"):
+            topo.link("B", "A")
+
+    def test_topology_missing_cut_route_is_an_elaboration_error(self):
+        """The two-partition view's SW/HW links cannot carry vorbis_G's cut:
+        the error names a synchronizer, its route and the links there are."""
+        from repro.apps.vorbis import partitions as vp
+        from repro.apps.vorbis.params import VorbisParams
+
+        design = vp.build_multi_partition("G", VorbisParams(n_frames=1)).design
+        with pytest.raises(ElaborationError) as err:
+            Cosimulator(design)
+        message = str(err.value)
+        assert "co-simulation of vorbis_G: synchronizer " in message
+        assert "crosses SW->HW_IMDCT, but the topology has no such link" in message
+        assert message.endswith("registered: [('HW', 'SW'), ('SW', 'HW')]")
+
 
 # --------------------------------------------------------------------------
 # multiprocess sweeps through the worker pool
@@ -511,12 +570,7 @@ def _sweep_tasks(n_frames=3):
         for letter in ("B", "E", "F")
     ]
     tasks.append(
-        PoolTask(
-            name="vorbis_G",
-            builder=vp.build_multi_partition,
-            args=("G", params),
-            engine_kinds={"HW_IMDCT": "hw", "HW_WIN": "hw", "SW": "sw"},
-        )
+        PoolTask(name="vorbis_G", builder=vp.build_multi_partition, args=("G", params))
     )
     return tasks
 

@@ -15,9 +15,10 @@ Four groups:
   bitwise-equal merged ``CosimResult``s, over fig13 + vorbis G/H (one
   group each: the monolithic path) and the ≥2-group pipelines, for both
   backends.
-* **Scoping** -- during one group's run the fabric answers reads of other
-  groups' registers with reset values, which is what makes group order
-  (and process placement) unobservable.
+* **Scoping** -- a run across groups stops on a ``ThresholdDone``, whose
+  registers name the groups it observes; during one group's run the
+  fabric answers reads of other groups' registers with reset values,
+  which is what makes group order (and process placement) unobservable.
 """
 
 from dataclasses import asdict
@@ -30,7 +31,7 @@ from repro.apps.vorbis.reference import expected_checksum
 from repro.core.domains import SW
 from repro.core.errors import SimulationError
 from repro.core.partition import partition_design
-from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator
+from repro.sim.cosim import CosimFabric, CosimResult, Cosimulator, ThresholdDone
 from repro.sim.pool import run_grouped
 
 PARAMS = VorbisParams(n_frames=3)
@@ -100,16 +101,6 @@ class TestGroupPartitionProperties:
         group_of = _group_of_domain(partitioning)
         for sync in partitioning.cut:
             assert group_of[sync.domain_enq.name] == group_of[sync.domain_deq.name]
-
-    def test_multi_group_domains_helper(self):
-        names = sorted(d.name for d in vp.multi_group_domains("BC"))
-        assert names == ["HW_P0", "HW_P1", "SW_P0", "SW_P1"]
-        fabric = CosimFabric(
-            vp.build_group_partition("BC", PARAMS).design, backend="source"
-        )
-        assert sorted(d.name for d in fabric.domains) == names
-        # An all-software pipeline still lists its (backfilled) SW domain.
-        assert [d.name for d in vp.multi_group_domains("F")] == ["SW_P0"]
 
     def test_multi_group_counts(self):
         for letters, count in (("BC", 2), ("BCF", 3)):
@@ -295,92 +286,141 @@ class TestGroupedDifferential:
             fabric.run(workload.cosim_done, scheduler=scheduler)
 
 
-def _short_circuit_workload(params):
-    """A multi-group workload whose done predicate violates the contract:
-    the generator short-circuits, so the reset-state probe only ever sees
-    the first pipeline's counter."""
-    workload = vp.build_group_partition("BC", params)
+def _plain_callable_workload(letters, params):
+    """A multi-group workload whose done predicate is a plain function."""
+    workload = vp.build_group_partition(letters, params)
 
-    class ShortCircuit:
+    class PlainCallable:
         design = workload.design
         pipes = workload.pipes
 
         def cosim_done(self, cosim):
-            return all(
-                cosim.read(pipe.frames_out) >= params.n_frames
-                for pipe in self.pipes
-            )
+            return all(cosim.read(pipe.frames_out) >= params.n_frames for pipe in self.pipes)
 
-    return ShortCircuit()
+    return PlainCallable()
+
+
+class _SpyingDone(ThresholdDone):
+    """A ``ThresholdDone`` subclass (as a tracing wrapper would be) that
+    records, per call, the running group and what ``watched`` reads as."""
+
+    def __init__(self, thresholds, watched):
+        super().__init__(thresholds)
+        self.watched = watched
+        self.seen = []
+
+    def __call__(self, cosim):
+        self.seen.append((cosim._active_group, cosim.read(self.watched)))
+        return super().__call__(cosim)
+
+
+class _SpyingWorkload:
+    """vorbis_mg_<letters> whose ``cosim_done`` is a :class:`_SpyingDone`."""
+
+    def __init__(self, letters, params):
+        self.inner = vp.build_group_partition(letters, params)
+        self.design = self.inner.design
+
+    @property
+    def cosim_done(self):
+        return _SpyingDone(self.inner.cosim_done.thresholds, self.inner.pipes[0].frames_out)
 
 
 # --------------------------------------------------------------------------
-# read scoping & observation attribution
+# read scoping & threshold attribution
 # --------------------------------------------------------------------------
 
 
 class TestGroupScoping:
-    def test_probe_records_observed_registers(self):
+    def test_owners_come_from_thresholds(self):
         workload = vp.build_group_partition("BC", PARAMS)
         fabric = CosimFabric(workload.design, backend="source")
-        already, observed = fabric.probe_done(workload.cosim_done)
-        assert not already
-        assert observed == {pipe.frames_out for pipe in workload.pipes}
-        assert {fabric.group_of_register(r) for r in observed} == {0, 1}
+        done = workload.cosim_done
+        assert {reg for reg, _ in done.thresholds} == {
+            pipe.frames_out for pipe in workload.pipes
+        }
+        assert fabric._threshold_groups(done) == {0, 1}
+        assert not done(fabric)
 
     def test_out_of_group_reads_resolve_to_reset_values(self):
-        """While group 0 runs, group 1's counters read as reset -- so the
-        serially scheduled run matches per-process runs bit for bit."""
+        """While group 1 runs, group 0's threshold register reads as reset
+        -- so the serially scheduled run matches per-process runs bit for
+        bit.  The interpreted loop calls the predicate every iteration; the
+        generated one compares the same scoped values inline."""
         workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="source")
+        fabric = CosimFabric(workload.design, backend="interp")
         p0, p1 = workload.pipes
         fabric.run_group(0, workload.cosim_done)
         # Group 0 really ran and its counter advanced...
         assert fabric.read(p0.frames_out) == PARAMS.n_frames
         assert fabric.read(p1.frames_out) == 0
         # ...and during a group-1 run, group 0's progress is invisible.
-        seen = {}
-
-        def spying_done(cosim):
-            seen["p0"] = cosim.read(p0.frames_out)
-            return workload.cosim_done(cosim)
-
-        fabric.run_group(1, spying_done)
-        assert seen["p0"] == 0  # reset value, not the final 3
+        spy = _SpyingDone(workload.cosim_done.thresholds, p0.frames_out)
+        fabric.run_group(1, spy)
+        inside = [value for group, value in spy.seen if group == 1]
+        assert inside and set(inside) == {0}  # reset value, not the final 3
         assert fabric.read(p1.frames_out) == PARAMS.n_frames
+
+    def test_run_group_ignores_other_groups_progress(self):
+        """Thresholds met only once group 0 has run do not stop group 1
+        before it starts: its result is a fresh fabric's, as in a worker."""
+        workload = vp.build_group_partition("BC", PARAMS)
+        p0, p1 = workload.pipes
+        done = ThresholdDone(((p0.frames_out, PARAMS.n_frames), (p1.frames_out, 0)))
+        fresh = CosimFabric(workload.design, backend="source").run_group(1, done)
+        assert fresh.fpga_cycles > 0
+        fabric = CosimFabric(workload.design, backend="source")
+        fabric.run_group(0, done)
+        assert asdict(fabric.run_group(1, done)) == asdict(fresh)
 
     def test_group_observations_are_plain_data(self):
         workload = vp.build_group_partition("BC", PARAMS)
         fabric = CosimFabric(workload.design, backend="source")
-        fabric.run_group(0, workload.cosim_done)
-        obs = fabric.observations_for_domains(d.name for d in fabric.group_domains(0))
+        done = workload.cosim_done
+        fabric.run_group(0, done)
+        obs = fabric.observations_for_domains(
+            done, (d.name for d in fabric.group_domains(0))
+        )
         (key, value), = obs.items()
         assert key.endswith("audio.frames_out") and "p0" in key
         assert value == PARAMS.n_frames
-        # The other group's observed register reports its (unrun) value --
+        # The other group's threshold register reports its (unrun) value --
         # a worker only ever reports the group it actually ran.
         (other_key, other_value), = fabric.observations_for_domains(
-            d.name for d in fabric.group_domains(1)
+            done, (d.name for d in fabric.group_domains(1))
         ).items()
         assert "p1" in other_key and other_value == 0
+        assert done.met_by({key: value, other_key: PARAMS.n_frames})
+        assert not done.met_by({key: value, other_key: other_value})
 
-    def test_evaluate_done_with_finals(self):
-        workload = vp.build_group_partition("BC", PARAMS)
-        fabric = CosimFabric(workload.design, backend="source")
-        finals = {
-            pipe.frames_out.full_name: PARAMS.n_frames for pipe in workload.pipes
-        }
-        assert fabric.evaluate_done(workload.cosim_done, finals)
-        assert not fabric.evaluate_done(workload.cosim_done, {})
+    def test_plain_callable_across_groups_is_a_type_error(self):
+        """A run across groups stops on a ThresholdDone; a single-group run
+        still takes any callable."""
+        plain = _plain_callable_workload("BC", PARAMS)
+        fabric = CosimFabric(plain.design, backend="source")
+        message = r"vorbis_mg_BC .*ThresholdDone.*got method"
+        with pytest.raises(TypeError, match=message):
+            fabric.run(plain.cosim_done)
+        for index in range(fabric.group_count):
+            with pytest.raises(TypeError, match=message):
+                fabric.run_group(index, plain.cosim_done)
+        with pytest.raises(TypeError, match=message):
+            run_grouped(_plain_callable_workload, args=("BC", PARAMS), processes=1)
+        single = _vorbis("B")
+        result = CosimFabric(single.design, backend="source").run(
+            lambda cosim: cosim.read(single.frames_out) >= PARAMS.n_frames
+        )
+        assert result.completed
 
-    def test_short_circuiting_predicate_fails_loudly(self):
-        """A done predicate whose read set is data-dependent (cross-group
-        short-circuit) cannot be served by worker-reported finals; the
-        grouped runner must refuse rather than report INCOMPLETE."""
-        with pytest.raises(SimulationError, match="full register set"):
-            run_grouped(
-                _short_circuit_workload, args=(PARAMS,), processes=1
-            )
+    def test_threshold_subclass_drives_grouped_runs(self):
+        reference = asdict(_run_monolithic(vp.build_group_partition, ("BC", PARAMS), None)[2])
+        spying = _SpyingWorkload("BC", PARAMS)
+        spy = spying.cosim_done
+        result = CosimFabric(spying.design).run(spy, max_cycles=500_000_000)
+        assert asdict(result) == reference
+        assert spy.seen  # the reset-state check and the completion call it
+        merged, _ = run_grouped(_SpyingWorkload, args=("BC", PARAMS), processes=2)
+        assert asdict(merged) == reference
 
     def test_grouped_report_accounting(self):
         merged, outcomes = run_grouped(

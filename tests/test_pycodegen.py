@@ -890,11 +890,11 @@ class TestSharedGuardFail:
 
 VORBIS = VorbisParams(n_frames=3)
 
-#: (id, builder, args, server options): a single-group two-partition design
-#: and a two-group design.
+#: (id, builder, args): a single-group two-partition design and a
+#: two-group design.
 GROUP_WORKLOADS = [
-    ("vorbis_B", vp.build_partition, ("B", VORBIS), {}),
-    ("vorbis_mg_BC", vp.build_group_partition, ("BC", VORBIS), {"fabric_kind": "fabric"}),
+    ("vorbis_B", vp.build_partition, ("B", VORBIS)),
+    ("vorbis_mg_BC", vp.build_group_partition, ("BC", VORBIS)),
 ]
 
 
@@ -953,12 +953,12 @@ class TestGroupLoop:
         "budget", [{"max_cycles": 40.0}, {"max_iterations": 25}], ids=["cycles", "iterations"]
     )
     @pytest.mark.parametrize(
-        "wid,builder,args,opts", GROUP_WORKLOADS, ids=[w[0] for w in GROUP_WORKLOADS]
+        "wid,builder,args", GROUP_WORKLOADS, ids=[w[0] for w in GROUP_WORKLOADS]
     )
-    def test_budget_error_matches_interp(self, wid, builder, args, opts, budget):
+    def test_budget_error_matches_interp(self, wid, builder, args, budget):
         messages, served = [], []
         for backend in ("interp", "source"):
-            server = FabricServer(builder, args, backend=backend, **opts)
+            server = FabricServer(builder, args, backend=backend)
             request = _frame_request(server.workload, 1)
             fabric = server.fabric
             try:
@@ -971,7 +971,7 @@ class TestGroupLoop:
             messages.append(str(err.value))
             # The failure leaves nothing behind: the fabric serves bitwise.
             served.append(server.serve(request))
-            served.append(serve_fresh(builder, request, args, backend=backend, **opts))
+            served.append(serve_fresh(builder, request, args, backend=backend))
         assert messages[0] == messages[1]
         assert "exceeded its cycle/iteration budget" in messages[0]
         if wid == "vorbis_mg_BC":
@@ -991,9 +991,7 @@ class TestGroupLoop:
         args = ("BC", VORBIS)
         served = []
         for backend in ("interp", "source"):
-            server = FabricServer(
-                vp.build_group_partition, args, backend=backend, fabric_kind="fabric"
-            )
+            server = FabricServer(vp.build_group_partition, args, backend=backend)
             p0, p1 = server.workload.pipes
             request = Request(
                 name="both-pipes",
@@ -1006,12 +1004,7 @@ class TestGroupLoop:
             )
             server.serve(p1.frame_request(0))  # a resident fabric that has served
             served.append(server.serve(request))
-            served.append(
-                serve_fresh(
-                    vp.build_group_partition, request, args, backend=backend,
-                    fabric_kind="fabric",
-                )
-            )
+            served.append(serve_fresh(vp.build_group_partition, request, args, backend=backend))
         _assert_served_equal(served)
         assert served[0].result.completed
 
@@ -1051,8 +1044,10 @@ class TestGroupLoop:
     def test_workload_predicate_is_checked_inline(self, monkeypatch, build):
         """A shipped workload's ``cosim_done`` is a threshold predicate: an
         untraced run's loop reads no register through ``CosimFabric.read``
-        and the run returns what a plain-function predicate over the same
-        thresholds returns (``vorbis_BC`` has one threshold per pipeline)."""
+        and the run returns what a predicate called every iteration
+        returns: a plain function over the same thresholds on one group,
+        the interpreted loop across groups, where only a ``ThresholdDone``
+        stops a run (``vorbis_BC`` has one threshold per pipeline)."""
         reads = {"n": 0}
         original = CosimFabric.read
 
@@ -1067,16 +1062,18 @@ class TestGroupLoop:
             done = workload.cosim_done
             assert isinstance(done, ThresholdDone)
             thresholds = done.thresholds
-            if plain:
-                done = lambda cosim: all([cosim.read(r) >= m for r, m in thresholds])
             fabric = CosimFabric(workload.design, backend="source")
+            if plain and fabric.group_count == 1:
+                done = lambda cosim: all([cosim.read(r) >= m for r, m in thresholds])
+            elif plain:
+                fabric = CosimFabric(workload.design, backend="interp")
             reads["n"] = 0
             results.append(fabric.run(done))
             counts.append(reads["n"])
         # The loop top tests the thresholds inline.  A multi-group run still
-        # calls the predicate outside it: its probe and merged evaluation,
-        # and twice in each group's loop, which quiesces because the other
-        # group's sink reads as reset.
+        # calls the predicate outside it: its reset-state check and merged
+        # evaluation, and twice in each group's loop, which quiesces because
+        # the other group's sink reads as reset.
         groups = len(fabric._groups)
         outside = 0 if groups == 1 else 2 + 2 * groups
         assert counts[0] == outside * len(thresholds)

@@ -22,11 +22,10 @@ from repro.apps.raytracer.params import RayTracerParams
 from repro.apps.vorbis import partitions as vp
 from repro.apps.vorbis.params import VorbisParams
 from repro.core.errors import SimulationError
-from repro.core.partition import default_engine_kind
 from repro.sim import pool as pool_mod
 from repro.sim.cosim import CosimFabric
 from repro.sim.hwsim import HwEngine
-from repro.sim.pool import PoolTask, clear_residents, run_pool, run_pool_task
+from repro.sim.pool import PoolTask, clear_residents, run_grouped, run_pool, run_pool_task
 from repro.sim.serve import (
     FabricServer,
     Request,
@@ -40,10 +39,6 @@ from repro.sim.swsim import SwEngine
 
 PARAMS = VorbisParams(n_frames=3)
 RT_PARAMS = RayTracerParams(n_triangles=24, image_width=3, image_height=3)
-
-
-def _g_kinds():
-    return {d.name: default_engine_kind(d) for d in vp.multi_partition_domains("G")}
 
 
 #: (id, builder, args, server options, request factory) -- the serving
@@ -61,27 +56,27 @@ WORKLOADS = [
         "vorbis_G",
         vp.build_multi_partition,
         ("G", PARAMS),
-        {"engine_kinds": _g_kinds()},
+        {},
         lambda wl, start: wl.frame_request(start),
     ),
     (
         "vorbis_mg_BC",
         vp.build_group_partition,
         ("BC", PARAMS),
-        {"fabric_kind": "fabric"},
+        {},
         lambda wl, start: wl.pipes[start % len(wl.pipes)].frame_request(start % PARAMS.n_frames),
     ),
 ]
 
 
-#: (builder, args, fabric options) of vorbis_C, vorbis_G and raytracer_B,
-#: whose runs are stopped part-way: between them they hold every container
-#: of run state non-empty at some stop (vorbis_G is the one with
-#: multi-cycle hardware rules).
+#: (builder, args) of vorbis_C, vorbis_G and raytracer_B, whose runs are
+#: stopped part-way: between them they hold every container of run state
+#: non-empty at some stop (vorbis_G is the one with multi-cycle hardware
+#: rules).
 MIDRUN = [
-    (vp.build_partition, ("C", VorbisParams(n_frames=4)), {}),
-    (vp.build_multi_partition, ("G", VorbisParams(n_frames=4)), {"engine_kinds": _g_kinds()}),
-    (rp.build_partition, ("B", RT_PARAMS), {}),
+    (vp.build_partition, ("C", VorbisParams(n_frames=4))),
+    (vp.build_multi_partition, ("G", VorbisParams(n_frames=4))),
+    (rp.build_partition, ("B", RT_PARAMS)),
 ]
 
 
@@ -133,9 +128,7 @@ class TestServeBitwise:
 
     def test_multigroup_combined_request(self):
         """One request driving both pipelines of a multi-group design."""
-        server = FabricServer(
-            vp.build_group_partition, ("BC", PARAMS), fabric_kind="fabric"
-        )
+        server = FabricServer(vp.build_group_partition, ("BC", PARAMS))
         p0, p1 = server.workload.pipes
         request = Request(
             name="both-pipes",
@@ -147,9 +140,7 @@ class TestServeBitwise:
             outputs=(p0.checksum.full_name, p1.checksum.full_name),
         )
         resident = server.serve(request)
-        fresh = serve_fresh(
-            vp.build_group_partition, request, ("BC", PARAMS), fabric_kind="fabric"
-        )
+        fresh = serve_fresh(vp.build_group_partition, request, ("BC", PARAMS))
         _assert_bitwise(resident, fresh)
         assert resident.result.completed
 
@@ -159,6 +150,35 @@ class TestServeBitwise:
         served = server.serve(Request(name="full-run"))
         assert served.result.fpga_cycles > 0
         assert served.result.completed
+
+
+#: Designs a two-partition server could not build: a multi-domain cut and
+#: a multi-group design.
+N_DOMAIN = [
+    ("vorbis_G", vp.build_multi_partition, ("G", PARAMS)),
+    ("vorbis_mg_BC", vp.build_group_partition, ("BC", PARAMS)),
+]
+
+
+class TestNDomainDefaults:
+    def setup_method(self):
+        clear_residents()
+
+    @pytest.mark.parametrize("name,builder,args", N_DOMAIN, ids=[w[0] for w in N_DOMAIN])
+    def test_defaults_equal_a_fabric_run(self, name, builder, args):
+        """A default server, pool task and grouped run each build the
+        N-domain fabric, so all three equal its own run bit for bit."""
+        workload = builder(*args)
+        reference = asdict(
+            CosimFabric(workload.design).run(workload.cosim_done, max_cycles=5e8)
+        )
+        assert reference["completed"]
+        served = FabricServer(builder, args).serve(Request(name=name))
+        pooled = run_pool_task(PoolTask(name=name, builder=builder, args=args))
+        merged, _ = run_grouped(builder, args, processes=1)
+        assert asdict(served.result) == reference
+        assert asdict(pooled.result) == reference
+        assert asdict(merged) == reference
 
 
 # --------------------------------------------------------------------------
@@ -246,9 +266,9 @@ class TestSnapshotReset:
             return asdict(result), _store_image(fabric)
 
         seen = set()
-        for builder, args, opts in MIDRUN:
+        for builder, args in MIDRUN:
             workload = builder(*args)
-            fabric = CosimFabric(workload.design, backend=backend, **opts)
+            fabric = CosimFabric(workload.design, backend=backend)
             reset = fabric.snapshot()
             total = fabric.run(workload.cosim_done, max_cycles=5e8).fpga_cycles
             for share in (0.10, 0.25, 0.40, 0.55, 0.70, 0.85):
@@ -323,8 +343,9 @@ class TestRequestValidation:
             server.serve(Request(name="bad", writes={"nope.reg": 1}))
 
     def test_unknown_fabric_kind(self):
-        with pytest.raises(ValueError, match="fabric_kind"):
-            FabricServer(vp.build_partition, ("B", PARAMS), fabric_kind="warp")
+        for kind in ("warp", "duplex", "auto"):
+            with pytest.raises(ValueError, match=r"fabric_kind .*\(expected 'fabric'\)"):
+                FabricServer(vp.build_partition, ("B", PARAMS), fabric_kind=kind)
 
     def test_frame_request_range(self):
         wl = vp.build_partition("B", PARAMS)
@@ -379,7 +400,6 @@ class TestPool:
                 args=("BC", PARAMS),
                 kind="group",
                 group_index=0,
-                fabric_kind="fabric",
             ),
         ]
         outcomes, processes = run_pool(tasks, processes=1)
